@@ -31,13 +31,12 @@ from .continuous import (
     solve_continuous_ebsde,
 )
 from .ebsde import (
-    CflViolationError,
     DiscountedSolution,
     DriverSpec,
     ErgodicSolution,
     Grid1D,
     MaxSweepsExceededError,
-    cfl_bound,
+    NonMonotoneSchemeError,
     hjb_residual,
     solve_discounted,
     solve_ergodic,
@@ -56,7 +55,6 @@ from .games import (
 )
 from .picard import (
     NashSolution,
-    PicardState,
     SweepResult,
     SweepRow,
     asymmetric_solve,
@@ -118,14 +116,12 @@ __all__ = [
     "DriverSpec",
     "ErgodicSolution",
     "DiscountedSolution",
-    "CflViolationError",
     "MaxSweepsExceededError",
-    "cfl_bound",
+    "NonMonotoneSchemeError",
     "hjb_residual",
     "solve_ergodic",
     "solve_discounted",
     # coupled systems
-    "PicardState",
     "NashSolution",
     "SweepRow",
     "SweepResult",

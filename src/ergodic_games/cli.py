@@ -32,11 +32,11 @@ from .continuous import (
     solve_continuous_ebsde,
 )
 from .ebsde import (
-    CflViolationError,
     DiscountedSolution,
     ErgodicSolution,
     Grid1D,
     MaxSweepsExceededError,
+    NonMonotoneSchemeError,
     solve_ergodic,
 )
 from .games import BestResponseCycleError, FeedbackPolicy, NoPureNashError, verify_isaacs
@@ -49,7 +49,7 @@ __all__ = ["ConfigError", "main", "load_config", "load_nash", "rerun_from_manife
 logger = logging.getLogger(__name__)
 
 _SOLVER_ERRORS = (
-    CflViolationError,
+    NonMonotoneSchemeError,
     MaxSweepsExceededError,
     NoPureNashError,
     BestResponseCycleError,
@@ -146,12 +146,7 @@ def _cmd_solve_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     grid = _make_grid(_section(cfg, "grid"))
     driver = make_driver(_section(cfg, "driver"))
     s = _section(cfg, "solver") if "solver" in cfg else {}
-    sol = solve_ergodic(
-        model, driver, grid,
-        tol=float(s.get("tol", 1e-6)),
-        max_sweeps=int(s.get("max_sweeps", 500_000)),
-        dtau=float(s["dtau"]) if "dtau" in s else None,
-    )
+    sol = solve_ergodic(model, driver, grid, tol=float(s.get("tol", 1e-6)))
     sol.to_csv(out / "solution.csv")
     _write_json(out / "report.json", sol.report_dict())
     logger.info("solve-ebsde: lambda=%.9g residual=%.3e", sol.lam, sol.residual_sup)
@@ -171,7 +166,6 @@ def _cmd_continuous_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]
         model, f, kappa, grid,
         tol=float(s.get("tol", 1e-6)),
         max_iter=int(s.get("max_iter", 80)),
-        inner_max_sweeps=int(s.get("max_sweeps", 500_000)),
         residual_ceiling=float(s["residual_ceiling"]) if "residual_ceiling" in s else None,
     )
     sol.to_csv(out / "solution.csv")
@@ -189,7 +183,6 @@ def _solver_kwargs(cfg: dict) -> dict:
         max_iter=int(s.get("max_iter", 50)),
         damping=float(s.get("damping", 1.0)),
         inner_tol=float(s.get("inner_tol", 1e-6)),
-        inner_max_sweeps=int(s.get("max_sweeps", 500_000)),
         enumeration_cap=int(s.get("enumeration_cap", 1_000_000)),
     )
     return kwargs

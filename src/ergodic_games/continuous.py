@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ebsde import DriverSpec, ErgodicSolution, Grid1D, hjb_residual, solve_ergodic
+from .ebsde import ErgodicSolution, Grid1D, frozen_driver, hjb_residual, solve_ergodic
 
 __all__ = [
     "GrowthViolationError",
@@ -138,7 +138,6 @@ def solve_continuous_ebsde(
     tol: float = 1e-6,
     max_iter: int = 80,
     xi_init: Optional[np.ndarray] = None,
-    inner_max_sweeps: int = 500_000,
     residual_ceiling: Optional[float] = None,
 ) -> ErgodicSolution:
     """Ergodic solve for a continuous linear-growth driver.
@@ -166,23 +165,9 @@ def solve_continuous_ebsde(
     history = []
     sol: Optional[ErgodicSolution] = None
     for it in range(1, max_iter + 1):
-        slope = dec.phi(nodes, xi)
-        offset = dec.psi(nodes, xi)
-
-        def frozen(x, z, _s=slope, _o=offset, _g=grid):
-            k = _g.nearest_index(x)
-            return _s[k] * z + _o[k]
-
-        driver = DriverSpec(
-            frozen,
-            lipschitz_z=dec.slope_bound,
-            bound_at_zero=dec.offset_bound,
-            check_samples=200,
-        )
-        sol = solve_ergodic(
-            model, driver, grid, tol=inner_tol,
-            max_sweeps=inner_max_sweeps, v_init=v_warm,
-        )
+        driver = frozen_driver(grid, dec.phi(nodes, xi), dec.psi(nodes, xi),
+                               dec.slope_bound, dec.offset_bound)
+        sol = solve_ergodic(model, driver, grid, tol=inner_tol, v_init=v_warm)
         v_warm = sol.v
         d_lam = None if lam_prev is None else abs(sol.lam - lam_prev)
         d_xi = float(np.max(np.abs((sol.xi - xi)[grid.interior])))

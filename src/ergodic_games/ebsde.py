@@ -9,13 +9,18 @@ on a truncated interval, where ``drift`` is the uncontrolled model drift and
 determined up to an additive constant and is pinned to ``v(x_ref) = 0``.
 
 The discounted variant replaces the constant ``lam`` by ``alpha * v``.  Both
-are solved by a false-transient relative value iteration: central differences
-in space, an explicit pseudo-time step capped by the diffusion CFL bound, and
-a subtraction of the residual at the reference node each sweep so only the
-shape of ``v`` has to relax.  For the discounted equation the subtracted
-constant is reinstated exactly afterwards (adding a constant ``c`` to ``v``
-changes the equation residual by ``-alpha * c`` and nothing else, because the
-driver only sees derivatives of ``v``).
+share one discrete equation: central differences in space, mirrored Neumann
+rows at the two ends, and the pin ``v(x_ref) = 0`` with a free constant that
+takes the residual at the reference node.  It is solved directly by Newton's
+method on the driver's slope in ``z``: linearizing ``f`` at the current
+gradient turns the equation into a tridiagonal system bordered by the one
+unknown constant, which one Thomas sweep through the two blocks that the
+pin cuts apart solves in O(m).  Drivers affine in ``z`` -- every frozen driver of the Picard
+and continuous solvers -- converge in one step; Lipschitz drivers with kinks
+use a subgradient.  For the discounted equation the constant is reinstated
+exactly afterwards (adding a constant ``c`` to ``v`` changes the equation
+residual by ``-alpha * c`` and nothing else, because the driver only sees
+derivatives of ``v``).
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
-    "CflViolationError",
     "MaxSweepsExceededError",
+    "NonMonotoneSchemeError",
     "Grid1D",
     "DriverSpec",
+    "frozen_driver",
     "ErgodicSolution",
     "DiscountedSolution",
     "solve_ergodic",
@@ -41,28 +47,40 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _CHECK_SLACK = 1e-9
+# residual evaluations per grid solve; Newton needs a handful, affine drivers two
+_MAX_NEWTON_ITERATIONS = 50
+# relative step of the central difference that gives the driver's slope in z
+_SLOPE_STEP = 1e-6
 
 
-class CflViolationError(ValueError):
-    """Requested pseudo-time step exceeds the explicit stability bound."""
+class NonMonotoneSchemeError(ValueError):
+    """The linearized central scheme is not monotone on this grid.
+
+    Raised when ``|drift + sigma * slope| * dx >= sigma^2`` at an inner node:
+    an off-diagonal weight of the tridiagonal system is then non-positive, the
+    operator is no M-matrix and elimination without pivoting is unsafe.
+    """
 
 
 class MaxSweepsExceededError(RuntimeError):
-    """Relative value iteration ran out of sweeps.
+    """The grid solve ran out of iterations.
 
     Carries diagnostics: the last iterate ``v``, the constant ``lam``, the
-    interior residual ``sup_residual`` and the sweep count.
+    interior residual ``sup_residual``, the iteration count ``sweeps`` and
+    ``residual_history``, the interior residual of every iteration.
     """
 
-    def __init__(self, sup_residual: float, sweeps: int, lam: float, v: np.ndarray):
+    def __init__(self, sup_residual: float, sweeps: int, lam: float, v: np.ndarray,
+                 residual_history: list):
         super().__init__(
-            f"no convergence after {sweeps} sweeps: interior residual "
+            f"no convergence after {sweeps} iterations: interior residual "
             f"{sup_residual:.3e} above tolerance"
         )
         self.sup_residual = sup_residual
         self.sweeps = sweeps
         self.lam = lam
         self.v = v
+        self.residual_history = list(residual_history)
 
 
 @dataclass(frozen=True)
@@ -149,6 +167,16 @@ class DriverSpec:
             )
 
 
+def frozen_driver(grid: Grid1D, slope: np.ndarray, offset: np.ndarray,
+                  lipschitz_z: float, bound_at_zero: float) -> DriverSpec:
+    """Affine driver ``slope[k] * z + offset[k]`` at the grid node ``k`` nearest ``x``."""
+    def f(x, z):
+        k = grid.nearest_index(x)
+        return slope[k] * z + offset[k]
+
+    return DriverSpec(f, lipschitz_z=lipschitz_z, bound_at_zero=bound_at_zero, check_samples=200)
+
+
 @dataclass(frozen=True)
 class ErgodicSolution:
     """Grid solution of the ergodic equation.
@@ -223,98 +251,114 @@ def _write_columns_csv(path, names, columns) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def cfl_bound(model, grid: Grid1D) -> float:
-    """Spec stability bound ``dx^2 / (max sigma^2 + max |drift| dx)``."""
-    x = grid.nodes()
-    sig2 = model.sigma_1d(x) ** 2
-    drift = np.abs(model.drift_1d(x))
-    return grid.dx**2 / (float(np.max(sig2)) + float(np.max(drift)) * grid.dx)
+def _derivatives(v: np.ndarray, dx: float):
+    """Central first and second differences with the mirrored Neumann closure.
 
-
-def _default_dtau(model, driver: DriverSpec, grid: Grid1D, alpha: float) -> float:
-    # Effective advection includes the driver's gradient slope through sigma.
-    x = grid.nodes()
-    sig = np.abs(model.sigma_1d(x))
-    drift = np.abs(model.drift_1d(x))
-    denom = (
-        float(np.max(sig**2))
-        + (float(np.max(drift)) + float(np.max(sig)) * driver.lipschitz_z) * grid.dx
-        + alpha * grid.dx**2
-    )
-    return 0.9 * grid.dx**2 / denom
-
-
-def _rvi(model, driver: DriverSpec, grid: Grid1D, alpha: float, tol: float,
-         max_sweeps: int, dtau: Optional[float], v_init: Optional[np.ndarray]):
-    """Shared relative value iteration.
-
-    Returns ``(v, lam, sweeps)`` with ``v`` pinned to zero at the reference
-    node and ``lam`` the subtracted residual constant there.
+    Mirrored ghost nodes zero the first difference and double the one-sided
+    second difference at each end.
     """
-    x = grid.nodes()
-    m = grid.m
-    dx = grid.dx
-    iref = grid.x_ref_index
-    interior = grid.interior
-    sig = model.sigma_1d(x).astype(float).copy()
-    half_sig2 = 0.5 * sig**2
-    drift = model.drift_1d(x).astype(float).copy()
+    d1 = np.zeros_like(v)
+    d1[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
+    d2 = np.empty_like(v)
+    d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2
+    d2[0] = 2.0 * (v[1] - v[0]) / dx**2
+    d2[-1] = 2.0 * (v[-2] - v[-1]) / dx**2
+    return d1, d2
+
+
+def _thomas(lo: list, di: list, up: list, b: list, ones: list):
+    """Thomas sweep (no pivoting) of one tridiagonal matrix for two right-hand sides."""
+    n = len(di)
+    ratio, y, w = [0.0] * n, [0.0] * n, [0.0] * n
+    g = gy = gw = 0.0
+    for j in range(n):
+        piv = di[j] - lo[j] * g
+        g = ratio[j] = up[j] / piv
+        gy = y[j] = (b[j] - lo[j] * gy) / piv
+        gw = w[j] = (ones[j] - lo[j] * gw) / piv
+    for j in range(n - 2, -1, -1):
+        y[j] -= ratio[j] * y[j + 1]
+        w[j] -= ratio[j] * w[j + 1]
+    return y, w
+
+
+def _bordered_solve(lower, diag, upper, rhs, iref: int):
+    """Solve a tridiagonal system bordered by one constant and pinned at ``iref``.
+
+    The unknowns are ``u`` with ``u[iref] = 0`` and a scalar ``c``; row ``j``
+    reads ``lower[j] u[j-1] + diag[j] u[j] + upper[j] u[j+1] - c = rhs[j]``
+    (``lower[0]`` and ``upper[-1]`` are ignored).  The pin cuts the matrix
+    into the blocks left and right of ``iref``; one Thomas sweep through both
+    for the right-hand sides ``rhs`` and ones gives ``u = y + c w``, and row
+    ``iref`` then fixes ``c``.  O(m) time and memory.  Without pivoting this
+    is safe when the negated tridiagonal part is an M-matrix.  Returns
+    ``(u, c)``.
+    """
+    lo, di, up, b = (np.array(a, dtype=float) for a in (lower, diag, upper, rhs))
+    m = len(di)
+    lo_ref, up_ref, b_ref = lo[iref], up[iref], b[iref]
+    # the pinned node gets the row u[iref] = 0 and its neighbours stop seeing it
+    lo[iref] = up[iref] = b[iref] = 0.0
+    di[iref] = 1.0
+    up[max(iref - 1, 0)] = lo[min(iref + 1, m - 1)] = 0.0
+    ones = np.ones(m)
+    ones[iref] = 0.0
+    y, w = _thomas(lo.tolist(), di.tolist(), up.tolist(), b.tolist(), ones.tolist())
+    # a zero past either end stands in for the missing neighbour of an end node
+    y.append(0.0)
+    w.append(0.0)
+    c = ((b_ref - lo_ref * y[iref - 1] - up_ref * y[iref + 1])
+         / (lo_ref * w[iref - 1] + up_ref * w[iref + 1] - 1.0))
+    return np.array(y[:m]) + c * np.array(w[:m]), c
+
+
+def _solve_pinned(model, driver: DriverSpec, grid: Grid1D, alpha: float, tol: float,
+                  v_init: Optional[np.ndarray]):
+    """Newton iteration shared by the ergodic and discounted solvers.
+
+    Each iteration evaluates the residual of ``0.5 sigma^2 v'' + drift v' +
+    f(x, sigma v') - alpha v``, takes ``c`` as its value at the reference
+    node and stops once the interior sup-norm of the rest is below ``tol``;
+    otherwise it linearizes the driver at the current gradient (central
+    difference in ``z``, a subgradient at kinks) and solves the bordered
+    Newton system.  Returns ``(v, c, iterations)``.
+    """
+    x, dx, iref = grid.nodes(), grid.dx, grid.x_ref_index
+    sig = model.sigma_1d(x).astype(float)
+    sig2 = sig**2
+    diff = 0.5 * sig2 / dx**2
+    drift = model.drift_1d(x).astype(float)
     f = driver.f
-
-    bound = cfl_bound(model, grid)
-    if dtau is None:
-        dtau = _default_dtau(model, driver, grid, alpha)
-    elif dtau > bound:
-        raise CflViolationError(
-            f"dtau={dtau:.3e} exceeds the stability bound {bound:.3e} "
-            f"(dx^2 / (max sigma^2 + max |drift| dx))"
-        )
-
-    if v_init is None:
-        v = np.zeros(m)
-    else:
-        v = np.asarray(v_init, dtype=float).copy()
-        if v.shape != (m,):
-            raise ValueError(f"v_init must have shape ({m},)")
-        v -= v[iref]
-
-    inv2dx = 1.0 / (2.0 * dx)
-    invdx2 = 1.0 / dx**2
-    d1 = np.zeros(m)
-    d2 = np.empty(m)
-    r = np.empty(m)
-    tmp = np.empty(m)
-    stop = tol * 0.999
-    sup = np.inf
-    lam = 0.0
-    for sweep in range(1, max_sweeps + 1):
-        np.subtract(v[2:], v[:-2], out=d1[1:-1])
-        d1[1:-1] *= inv2dx
-        # Neumann closure: mirrored ghost nodes zero the first derivative
-        # and double the one-sided second difference at each end.
-        np.add(v[2:], v[:-2], out=d2[1:-1])
-        np.subtract(d2[1:-1], v[1:-1], out=d2[1:-1])
-        np.subtract(d2[1:-1], v[1:-1], out=d2[1:-1])
-        d2[1:-1] *= invdx2
-        d2[0] = 2.0 * (v[1] - v[0]) * invdx2
-        d2[-1] = 2.0 * (v[-2] - v[-1]) * invdx2
-        np.multiply(sig, d1, out=tmp)  # tmp = xi
-        r_f = np.asarray(f(x, tmp), dtype=float)
-        np.multiply(half_sig2, d2, out=r)
-        np.multiply(drift, d1, out=tmp)
-        r += tmp
-        r += r_f
-        if alpha != 0.0:
-            np.multiply(v, alpha, out=tmp)
-            r -= tmp
+    v = np.zeros(grid.m) if v_init is None else np.array(v_init, dtype=float)
+    if v.shape != (grid.m,):
+        raise ValueError(f"v_init must have shape ({grid.m},)")
+    v -= v[iref]
+    history: list = []
+    for it in range(1, _MAX_NEWTON_ITERATIONS + 1):
+        d1, d2 = _derivatives(v, dx)
+        z = sig * d1
+        r = 0.5 * sig2 * d2 + drift * d1 + np.asarray(f(x, z), dtype=float) - alpha * v
         lam = float(r[iref])
         r -= lam
-        sup = float(np.max(np.abs(r[interior])))
-        if sup < stop:
-            return v, lam, sweep
-        r *= dtau
-        v += r
-    raise MaxSweepsExceededError(sup, max_sweeps, lam, v)
+        history.append(float(np.max(np.abs(r[grid.interior]))))
+        if history[-1] < tol * 0.999:
+            return v, lam, it
+        if it == _MAX_NEWTON_ITERATIONS:
+            break
+        h = _SLOPE_STEP * (1.0 + np.abs(z))
+        slope = (np.asarray(f(x, z + h), dtype=float)
+                 - np.asarray(f(x, z - h), dtype=float)) / (2.0 * h)
+        adv = drift + sig * slope
+        excess = np.abs(adv[1:-1]) * dx - sig2[1:-1]
+        if np.max(excess) >= 0.0:
+            k = 1 + int(np.argmax(excess))
+            raise NonMonotoneSchemeError(
+                f"central scheme is not monotone at x={x[k]:.6g}: |drift + sigma*slope| dx "
+                f"= {abs(adv[k]) * dx:.6g} >= sigma^2 = {sig2[k]:.6g}; refine the grid")
+        lower, upper = diff - adv / (2.0 * dx), diff + adv / (2.0 * dx)
+        lower[-1], upper[0] = 2.0 * diff[-1], 2.0 * diff[0]
+        v += _bordered_solve(lower, -2.0 * diff - alpha, upper, -r, iref)[0]
+    raise MaxSweepsExceededError(history[-1], _MAX_NEWTON_ITERATIONS, lam, v, history)
 
 
 def _xi_from_v(model, grid: Grid1D, v: np.ndarray) -> np.ndarray:
@@ -338,15 +382,9 @@ def hjb_residual(model, driver, grid: Grid1D, v: np.ndarray,
     """
     f = driver.f if isinstance(driver, DriverSpec) else driver
     x = grid.nodes()
-    dx = grid.dx
     sig2 = model.sigma_1d(x) ** 2
     drift = model.drift_1d(x)
-    d1 = np.zeros_like(v)
-    d1[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
-    d2 = np.empty_like(v)
-    d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2
-    d2[0] = 2.0 * (v[1] - v[0]) / dx**2
-    d2[-1] = 2.0 * (v[-2] - v[-1]) / dx**2
+    d1, d2 = _derivatives(v, grid.dx)
     field = 0.5 * sig2 * d2 + drift * d1 + np.asarray(f(x, xi), dtype=float) - lam
     if alpha != 0.0:
         field = field - alpha * v
@@ -358,32 +396,34 @@ def solve_ergodic(
     driver: DriverSpec,
     grid: Grid1D,
     tol: float = 1e-6,
-    max_sweeps: int = 500_000,
-    dtau: Optional[float] = None,
     v_init: Optional[np.ndarray] = None,
 ) -> ErgodicSolution:
     """Solve the ergodic equation for ``(v, lam)`` on the grid.
 
-    Runs relative value iteration until the interior residual sup-norm drops
-    below ``tol``.  ``dtau`` defaults to 0.9 times the explicit stability
-    bound (driver advection included); passing a larger value than the bound
-    raises :class:`CflViolationError`.  ``v_init`` warm-starts the sweep.
+    Takes Newton steps on the discrete equation until the interior residual
+    sup-norm drops below ``tol``; ``lam`` is the residual constant at the
+    reference node.  ``v_init`` warm-starts the iteration (its value at the
+    reference node is subtracted).  ``iterations`` counts residual
+    evaluations: 1 when the start already solves the equation, 2 for a driver
+    affine in ``z``.
 
-    Raises :class:`MaxSweepsExceededError` (with diagnostics attached) if the
-    sweep budget runs out.
+    Raises :class:`NonMonotoneSchemeError` when the grid is too coarse for
+    the drift and driver slope, and :class:`MaxSweepsExceededError` (with
+    diagnostics attached) if Newton does not converge within a fixed number
+    of iterations.
     """
     if model.dim != 1:
         raise ValueError("grid solver requires a one-dimensional model")
-    v, lam, sweeps = _rvi(model, driver, grid, 0.0, tol, max_sweeps, dtau, v_init)
+    v, lam, iterations = _solve_pinned(model, driver, grid, 0.0, tol, v_init)
     v = v - v[grid.x_ref_index]
     xi = _xi_from_v(model, grid, v)
     res = hjb_residual(model, driver, grid, v, xi, lam)
     x = grid.nodes()
     growth = float(np.max(np.abs(v) / (1.0 + x**2)))
-    logger.debug("ergodic solve: lam=%.9g residual=%.3e sweeps=%d", lam, res, sweeps)
+    logger.debug("ergodic solve: lam=%.9g residual=%.3e iterations=%d", lam, res, iterations)
     return ErgodicSolution(
         grid=grid, v=v, xi=xi, lam=lam, residual_sup=res,
-        iterations=sweeps, growth_constant=growth,
+        iterations=iterations, growth_constant=growth,
     )
 
 
@@ -393,30 +433,28 @@ def solve_discounted(
     grid: Grid1D,
     alpha: float,
     tol: float = 1e-6,
-    max_sweeps: int = 500_000,
-    dtau: Optional[float] = None,
     v_init: Optional[np.ndarray] = None,
 ) -> DiscountedSolution:
     """Solve the discounted equation ``L v + f(x, v' sigma) = alpha v``.
 
-    Internally runs the same relative value iteration as the ergodic solver
-    on the operator with the extra ``-alpha v`` term and then restores the
-    subtracted constant exactly: if ``(w, c)`` solve the pinned problem with
-    residual constant ``c``, then ``w + c / alpha`` solves the discounted
-    equation.  This sidesteps the ``O(1/alpha)`` relaxation time a plain
-    false transient would need for the constant mode.
+    Runs the ergodic solver's Newton iteration on the operator with the
+    extra ``-alpha v`` term (``alpha`` only adds to the diagonal) and then
+    restores the pinned constant exactly: if ``(w, c)`` solve the pinned
+    problem with residual constant ``c``, then ``w + c / alpha`` solves the
+    discounted equation.  Tolerance, warm start, ``iterations`` and errors
+    are as for :func:`solve_ergodic`.
     """
     if model.dim != 1:
         raise ValueError("grid solver requires a one-dimensional model")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    w, lam, sweeps = _rvi(model, driver, grid, alpha, tol, max_sweeps, dtau, v_init)
+    w, lam, iterations = _solve_pinned(model, driver, grid, alpha, tol, v_init)
     v = (w - w[grid.x_ref_index]) + lam / alpha
     xi = _xi_from_v(model, grid, v)
     res = hjb_residual(model, driver, grid, v, xi, 0.0, alpha=alpha)
-    logger.debug("discounted solve: alpha=%.3g v(ref)=%.9g residual=%.3e sweeps=%d",
-                 alpha, lam / alpha, res, sweeps)
+    logger.debug("discounted solve: alpha=%.3g v(ref)=%.9g residual=%.3e iterations=%d",
+                 alpha, lam / alpha, res, iterations)
     return DiscountedSolution(
         grid=grid, v=v, xi=xi, alpha=alpha, residual_sup=res,
-        iterations=sweeps, sup_v=float(np.max(np.abs(v))),
+        iterations=iterations, sup_v=float(np.max(np.abs(v))),
     )

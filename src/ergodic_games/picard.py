@@ -6,8 +6,9 @@ linear-in-gradient backward equation per player:
 
     f_i(x, z) = z * drift_map(u*(x)) + cost_i(x, u*(x))
 
-These are solved on the grid, the gradient fields are (optionally damped and)
-updated, and the loop stops once every player's long-run constant and
+These are solved directly on the grid (one Newton step each, as the frozen
+drivers are affine in ``z``), the gradient fields are (optionally damped
+and) updated, and the loop stops once every player's long-run constant and
 interior gradient field are stationary to tolerance.  All frozen drivers
 share the z-Lipschitz constant ``drift_bound`` of the game, which is what
 makes the iteration well posed uniformly in the iteration count.
@@ -31,6 +32,8 @@ from .ebsde import (
     ErgodicSolution,
     Grid1D,
     MaxSweepsExceededError,
+    NonMonotoneSchemeError,
+    frozen_driver,
     solve_discounted,
     solve_ergodic,
 )
@@ -44,7 +47,6 @@ from .games import (
 from .sde import SdeModel
 
 __all__ = [
-    "PicardState",
     "NashSolution",
     "SweepRow",
     "SweepResult",
@@ -58,16 +60,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class PicardState:
-    """One outer-iteration snapshot: gradient fields and frozen policy."""
-
-    iteration: int
-    xi: np.ndarray  # (n_nodes, n_players)
-    policy_indices: np.ndarray  # (n_nodes, n_players) int
-    lambdas: Tuple[Optional[float], ...]
-
-
-@dataclass(frozen=True)
 class NashSolution:
     """Converged (or best-effort) feedback Nash point of the grid game.
 
@@ -75,7 +67,7 @@ class NashSolution:
     for the discounting player of the asymmetric variant), ``lambdas[i]`` the
     long-run cost of each ergodic player, and ``policy`` the joint feedback
     control generated by the final gradient fields.  ``comparison`` is the
-    one-sweep upper bound from the dominating driver.
+    upper bound from the dominating driver.
     """
 
     spec_name: str
@@ -164,15 +156,6 @@ def _frozen_tables(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray):
     return r_nodes, c_nodes
 
 
-def _frozen_driver(grid: Grid1D, r_nodes: np.ndarray, c_nodes: np.ndarray,
-                   lipschitz: float, bound: float) -> DriverSpec:
-    def f(x, z, _r=r_nodes, _c=c_nodes, _g=grid):
-        k = _g.nearest_index(x)
-        return _r[k] * z + _c[k]
-
-    return DriverSpec(f, lipschitz_z=lipschitz, bound_at_zero=bound, check_samples=200)
-
-
 def comparison_bound(model: SdeModel, spec: GameSpec, grid: Grid1D,
                      tol: float = 1e-6) -> float:
     """Upper bound on every player's long-run cost.
@@ -194,6 +177,15 @@ def _interior_sup(grid: Grid1D, a: np.ndarray) -> float:
     return float(np.max(np.abs(a[grid.interior])))
 
 
+def _log_iteration(solver: str, deltas: dict, idx, prev_idx, sols) -> None:
+    """One INFO trace line per outer iteration: deltas, policy changes, inner work."""
+    moves = " ".join(f"d_{key}=[" + ", ".join("-" if d is None else f"{d:.3e}" for d in vals)
+                     + "]" for key, vals in deltas.items() if key != "iteration")
+    changed = "-" if prev_idx is None else np.count_nonzero(np.any(idx != prev_idx, axis=1))
+    logger.info("%s iteration %d: %s policy_changed_nodes=%s inner_iterations=%s",
+                solver, deltas["iteration"], moves, changed, [s.iterations for s in sols])
+
+
 def picard_solve(
     model: SdeModel,
     spec: GameSpec,
@@ -202,21 +194,23 @@ def picard_solve(
     max_iter: int = 50,
     damping: float = 1.0,
     inner_tol: float = 1e-6,
-    inner_max_sweeps: int = 500_000,
     enumeration_cap: int = 1_000_000,
     v_init: Optional[Sequence[np.ndarray]] = None,
     xi_init: Optional[np.ndarray] = None,
 ) -> NashSolution:
-    """Fixed point of the coupled ergodic system by frozen-policy sweeps.
+    """Fixed point of the coupled ergodic system by frozen-policy iterations.
 
     Gradient fields start at zero (``xi_init`` overrides; restarting from a
-    converged field performs exactly one verification sweep).  Each iteration
-    tabulates the pointwise Nash control from the current fields, solves
-    every player's frozen equation (warm-started from the previous profile),
-    applies ``damping`` to the gradient update, and records the per-player
-    deltas ``|lam_new - lam_old|`` and interior ``sup |xi_new - xi_old|``.
-    Convergence requires all deltas below ``tol``.  Exhausting ``max_iter``
-    is a soft failure: the result is returned with ``converged = False``.
+    converged field performs exactly one verification iteration).  Each
+    iteration tabulates the pointwise Nash control from the current fields,
+    solves every player's frozen equation directly to ``inner_tol``
+    (warm-started from the previous profile), applies ``damping`` to the
+    gradient update, and records the per-player deltas
+    ``|lam_new - lam_old|`` and interior ``sup |xi_new - xi_old|``; one INFO
+    line logs them with the count of nodes whose policy changed and the
+    inner iteration counts.  Convergence requires all deltas below ``tol``.
+    Exhausting ``max_iter`` is a soft failure: the result is returned with
+    ``converged = False``; inner solver errors propagate.
     """
     if model.dim != 1:
         raise ValueError("picard_solve requires a one-dimensional model")
@@ -235,16 +229,13 @@ def picard_solve(
     it = 0
     idx = None
     for it in range(1, max_iter + 1):
-        idx = _policy_from_xi(spec, nodes, xi, enumeration_cap)
+        prev_idx, idx = idx, _policy_from_xi(spec, nodes, xi, enumeration_cap)
         r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
         xi_new = np.empty_like(xi)
         lam_new: list = [None] * n
         for i in range(n):
-            driver = _frozen_driver(grid, r_nodes, c_nodes[i], spec.drift_bound, spec.cost_sup)
-            sol = solve_ergodic(
-                model, driver, grid,
-                tol=inner_tol, max_sweeps=inner_max_sweeps, v_init=v_warm[i],
-            )
+            driver = frozen_driver(grid, r_nodes, c_nodes[i], spec.drift_bound, spec.cost_sup)
+            sol = solve_ergodic(model, driver, grid, tol=inner_tol, v_init=v_warm[i])
             sols[i] = sol
             v_warm[i] = sol.v
             lam_new[i] = sol.lam
@@ -259,6 +250,7 @@ def picard_solve(
             "xi": [_interior_sup(grid, xi_new[:, i] - xi[:, i]) for i in range(n)],
         }
         history.append(deltas)
+        _log_iteration("picard_solve", deltas, idx, prev_idx, sols)
         xi = xi_new
         lambdas = lam_new
         lam_ok = all(d is not None and d < tol for d in deltas["lambda"])
@@ -293,7 +285,6 @@ def asymmetric_solve(
     max_iter: int = 50,
     damping: float = 1.0,
     inner_tol: float = 1e-6,
-    inner_max_sweeps: int = 500_000,
     enumeration_cap: int = 1_000_000,
     v_init: Optional[Sequence[np.ndarray]] = None,
     xi_init: Optional[np.ndarray] = None,
@@ -321,15 +312,14 @@ def asymmetric_solve(
     history: list = []
     converged = False
     it = 0
+    idx = None
     for it in range(1, max_iter + 1):
-        idx = _policy_from_xi(spec, nodes, xi, enumeration_cap)
+        prev_idx, idx = idx, _policy_from_xi(spec, nodes, xi, enumeration_cap)
         r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
-        d0 = _frozen_driver(grid, r_nodes, c_nodes[0], spec.drift_bound, spec.cost_sup)
-        sol0 = solve_ergodic(model, d0, grid, tol=inner_tol,
-                             max_sweeps=inner_max_sweeps, v_init=v_warm[0])
-        d1 = _frozen_driver(grid, r_nodes, c_nodes[1], spec.drift_bound, spec.cost_sup)
-        sol1 = solve_discounted(model, d1, grid, alpha, tol=inner_tol,
-                                max_sweeps=inner_max_sweeps, v_init=v_warm[1])
+        d0 = frozen_driver(grid, r_nodes, c_nodes[0], spec.drift_bound, spec.cost_sup)
+        sol0 = solve_ergodic(model, d0, grid, tol=inner_tol, v_init=v_warm[0])
+        d1 = frozen_driver(grid, r_nodes, c_nodes[1], spec.drift_bound, spec.cost_sup)
+        sol1 = solve_discounted(model, d1, grid, alpha, tol=inner_tol, v_init=v_warm[1])
         sols = [sol0, sol1]
         v_warm = [sol0.v, sol1.v]
         xi_new = np.column_stack([sol0.xi, sol1.xi])
@@ -345,6 +335,7 @@ def asymmetric_solve(
             "xi": [_interior_sup(grid, xi_new[:, i] - xi[:, i]) for i in range(2)],
         }
         history.append(deltas)
+        _log_iteration("asymmetric_solve", deltas, idx, prev_idx, sols)
         xi = xi_new
         lam1 = sol0.lam
         v2_prev = sol1.v
@@ -447,7 +438,8 @@ def vanishing_discount_sweep(
                 tol=tol, max_iter=max_iter, inner_tol=inner_tol,
                 v_init=warm, **kwargs,
             )
-        except (MaxSweepsExceededError, NoPureNashError, BestResponseCycleError) as err:
+        except (MaxSweepsExceededError, NonMonotoneSchemeError, NoPureNashError,
+                BestResponseCycleError) as err:
             rows.append(SweepRow(float(a), None, None, None, f"error: {err}"))
             prev_centered = None
             warm = None

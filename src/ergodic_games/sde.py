@@ -103,9 +103,6 @@ class SdeModel:
         norms; sampled at construction).
     x0 : array_like
         Initial state.
-    semigroup_constant : float, optional
-        Spare metadata slot for a decay-of-correlations constant.  Recorded
-        but not used by any solver in this package.
     check_samples, check_seed : int
         Sample count and seed for the construction-time assumption checks.
     """
@@ -120,7 +117,6 @@ class SdeModel:
     sigma_lo: float
     sigma_hi: float
     x0: np.ndarray
-    semigroup_constant: Optional[float] = None
     check_samples: int = 10_000
     check_seed: int = 7
 

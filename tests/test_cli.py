@@ -183,13 +183,14 @@ def test_unknown_subcommand_exits_1(tmp_path, capsys):
 
 
 def test_cfl_violation_exits_2(tmp_path):
-    cfg = ebsde_cfg(tmp_path, solver={"tol": 1.0e-6, "dtau": 100.0})
+    # dx=1 is too coarse for the drift: the central scheme is not monotone
+    cfg = ebsde_cfg(tmp_path, grid={"x_min": -6.0, "x_max": 6.0, "m": 13})
     assert cli.main(["solve-ebsde", "--config", cfg,
                      "--out", str(tmp_path / "x"), "--quiet"]) == 2
 
 
 def test_sweep_budget_exhaustion_exits_2(tmp_path):
-    cfg = ebsde_cfg(tmp_path, solver={"tol": 1.0e-10, "max_sweeps": 5})
+    cfg = ebsde_cfg(tmp_path, solver={"tol": 1.0e-300})
     assert cli.main(["solve-ebsde", "--config", cfg,
                      "--out", str(tmp_path / "x"), "--quiet"]) == 2
 

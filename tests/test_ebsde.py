@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ergodic_games as eg
-from ergodic_games.ebsde import DriverSpec, cfl_bound, hjb_residual
+from ergodic_games.ebsde import DriverSpec, _bordered_solve, hjb_residual
 
 from conftest import E_BUMP_STANDARD, E_BUMP_SHIFTED
 
@@ -89,23 +89,25 @@ def test_second_order_grid_convergence(model):
 
 
 def test_cfl_guard(model, coarse_grid):
-    bound = cfl_bound(model, coarse_grid)
-    with pytest.raises(eg.CflViolationError):
-        eg.solve_ergodic(model, eg.make_driver({"name": "bump"}), coarse_grid,
-                         dtau=bound * 1.01)
-    # at the bound itself the solve is admissible
-    sol = eg.solve_ergodic(model, eg.make_driver({"name": "bump"}), coarse_grid,
-                           dtau=bound, tol=1e-5)
+    # m=13 on [-6, 6]: dx=1, so |drift| dx = |x| exceeds sigma^2 = 2 near the
+    # ends and the central scheme is no M-matrix
+    with pytest.raises(eg.NonMonotoneSchemeError, match="not monotone"):
+        eg.solve_ergodic(model, eg.make_driver({"name": "bump"}), eg.Grid1D(-6.0, 6.0, 13))
+    sol = eg.solve_ergodic(model, eg.make_driver({"name": "bump"}), coarse_grid, tol=1e-5)
     assert sol.residual_sup <= 1e-5
 
 
 def test_max_sweeps_carries_diagnostics(model, coarse_grid):
     with pytest.raises(eg.MaxSweepsExceededError) as exc:
         eg.solve_ergodic(model, eg.make_driver({"name": "bump"}), coarse_grid,
-                         tol=1e-10, max_sweeps=5)
-    assert exc.value.sweeps == 5
-    assert exc.value.v.shape == (coarse_grid.m,)
-    assert np.isfinite(exc.value.sup_residual)
+                         tol=1e-300)
+    err = exc.value
+    assert err.v.shape == (coarse_grid.m,)
+    assert np.isfinite(err.sup_residual)
+    assert len(err.residual_history) == err.sweeps > 1
+    assert err.residual_history[-1] == err.sup_residual
+    # one Newton step takes the affine driver to rounding level
+    assert err.residual_history[0] > 0.1 > 1e-10 > max(err.residual_history[1:])
 
 
 def test_recomputed_residual_matches_report(model, bump_solution_mid, mid_grid):
@@ -184,3 +186,63 @@ def test_discounted_approaches_ergodic_constant(model, mid_grid):
             assert err < prev_err
         prev_err = err
     assert prev_err < 0.02
+
+
+# Long-run constants of the superseded explicit relative value iteration on
+# Grid1D(-6, 6, 81), printed by running commit 7a0c325 (solve_ergodic and
+# solve_discounted at tol=1e-9, solve_continuous_ebsde at tol=1e-8); the
+# discounted entry is alpha * v(x_ref) at alpha = 0.1.
+RVI_PARITY = {
+    "constant": (TWO_OVER_E, TWO_OVER_E),
+    "bump": (0.3445817603399225, 0.3341152058287322),
+    "linear_z_plus_bump": (0.41675070768139827, 0.39746241046871983),
+    "tanh_z_plus_bump": (0.41098843768711946, 0.3930330947721372),
+    "dominating": (2.0, 2.0),
+}
+RVI_PARITY_SQRT_Z = 0.5865352724570712
+PARITY_DRIVERS = {
+    "constant": {"name": "constant", "value": TWO_OVER_E},
+    "bump": {"name": "bump"},
+    "linear_z_plus_bump": {"name": "linear_z_plus_bump", "slope": 0.5},
+    "tanh_z_plus_bump": {"name": "tanh_z_plus_bump", "scale": 0.5},
+    "dominating": {"name": "dominating", "lipschitz": 2.0, "offset": 2.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_DRIVERS))
+def test_direct_solve_matches_relative_value_iteration(model, coarse_grid, name):
+    erg_ref, disc_ref = RVI_PARITY[name]
+    d = eg.make_driver(PARITY_DRIVERS[name])
+    erg = eg.solve_ergodic(model, d, coarse_grid, tol=1e-9)
+    disc = eg.solve_discounted(model, d, coarse_grid, alpha=0.1, tol=1e-9)
+    assert abs(erg.lam - erg_ref) < 1e-6
+    assert abs(0.1 * disc.v[coarse_grid.x_ref_index] - disc_ref) < 1e-6
+
+
+def test_continuous_solve_matches_relative_value_iteration(model, coarse_grid):
+    f, kappa = eg.make_growth_driver({"name": "sqrt_z_plus_bump", "slope": 0.5})
+    sol = eg.solve_continuous_ebsde(model, f, kappa, coarse_grid, tol=1e-8)
+    assert abs(sol.lam - RVI_PARITY_SQRT_Z) < 1e-6
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_bordered_thomas_step_matches_dense_solve(alpha):
+    rng = np.random.default_rng(7)
+    m = 12
+    for iref in (0, 1, 5, m - 2, m - 1):
+        lower = rng.uniform(0.1, 2.0, m)
+        upper = rng.uniform(0.1, 2.0, m)
+        rhs = rng.normal(size=m)
+        # weakly dominant negative diagonal: the negated matrix is an M-matrix
+        diag = -(lower + upper) - alpha
+        diag[0] += lower[0]
+        diag[-1] += upper[-1]
+        u, c = _bordered_solve(lower, diag, upper, rhs, iref)
+        # test-only dense reference: column iref carries the constant's -1
+        dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+        dense[:, iref] = -1.0
+        ref = np.linalg.solve(dense, rhs)
+        assert u[iref] == 0.0
+        assert c == pytest.approx(ref[iref], rel=1e-10, abs=1e-12)
+        ref[iref] = 0.0
+        np.testing.assert_allclose(u, ref, rtol=1e-10, atol=1e-12)

@@ -1,5 +1,7 @@
 """Nash iteration on the bundled games: convergence, bounds, shifts."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,20 @@ def test_iteration_cap_reports_soft_failure(model, g0, coarse_grid):
 
 def test_inner_solver_failure_propagates(model, g0, coarse_grid):
     with pytest.raises(eg.MaxSweepsExceededError):
-        eg.picard_solve(model, g0, coarse_grid, tol=1e-4, inner_max_sweeps=5)
+        eg.picard_solve(model, g0, coarse_grid, tol=1e-4, inner_tol=1e-300)
+
+
+def test_one_trace_line_per_iteration(model, g0, coarse_grid, caplog):
+    with caplog.at_level(logging.INFO, logger="ergodic_games.picard"):
+        nash = eg.picard_solve(model, g0, coarse_grid, tol=1e-4)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "ergodic_games.picard" and r.levelno == logging.INFO]
+    assert len(lines) == nash.iterations
+    assert lines[0].startswith("picard_solve iteration 1: d_lambda=[-, -] d_xi=[")
+    assert "policy_changed_nodes=- inner_iterations=[2, 2]" in lines[0]
+    # the last iteration only re-verifies the converged policy
+    assert lines[-1].endswith("policy_changed_nodes=0 inner_iterations=[1, 1]")
+    assert "policy_changed" not in str(nash.report_dict())
 
 
 def test_symmetric_game_symmetric_policy(g0, g0_nash_coarse):
