@@ -332,6 +332,10 @@ def _n_steps(horizon: float, step: float) -> int:
     return int(math.ceil(horizon / step - 1e-9))
 
 
+# steps simulated between two scans for non-finite states
+_FINITE_CHECK_STEPS = 256
+
+
 def _check_stability(model: SdeModel, step: float) -> None:
     # Explicit Euler on the dissipative part must keep its contraction.
     if 1.0 - step * model.dissipation <= 0.0:
@@ -369,24 +373,31 @@ def _batch_states_1d(
     has_residual = model.bounded_drift_sup != 0.0
     x = states[0]
     tmp = np.empty(p)
-    for k in range(n_steps):
-        sig = model.sigma_1d(x)
-        nxt = states[k + 1]
-        np.multiply(x, a, out=nxt)
-        if has_residual:
-            nxt += np.asarray(model.bounded_drift(x), dtype=float)
-        if shift_fn is not None:
-            np.multiply(sig, np.asarray(shift_fn(x), dtype=float), out=tmp)
+    sigma = model.sigma
+    for start in range(0, n_steps, _FINITE_CHECK_STEPS):
+        stop = min(start + _FINITE_CHECK_STEPS, n_steps)
+        for k in range(start, stop):
+            # the products below broadcast sigma; a broadcast_to view per step
+            # would cost more than the step's arithmetic on narrow batches
+            sig = np.asarray(sigma(x), dtype=float)
+            nxt = states[k + 1]
+            np.multiply(x, a, out=nxt)
+            if has_residual:
+                nxt += np.asarray(model.bounded_drift(x), dtype=float)
+            if shift_fn is not None:
+                np.multiply(sig, np.asarray(shift_fn(x), dtype=float), out=tmp)
+                nxt += tmp
+            nxt *= step
+            nxt += x
+            np.multiply(sig, noise_t[k], out=tmp)
+            tmp *= sqrt_h
             nxt += tmp
-        nxt *= step
-        nxt += x
-        np.multiply(sig, noise_t[k], out=tmp)
-        tmp *= sqrt_h
-        nxt += tmp
-        # any non-finite entry makes the sum non-finite
-        if not math.isfinite(float(nxt.sum())):
-            raise SimulationDivergedError(k + 1)
-        x = nxt
+            x = nxt
+        # any non-finite entry makes its step's sum non-finite; the first such
+        # step is where the batch diverged
+        bad = ~np.isfinite(states[start + 1:stop + 1].sum(axis=1))
+        if bad.any():
+            raise SimulationDivergedError(start + 1 + int(np.argmax(bad)))
     if return_noise:
         return states.T, noise
     return states.T

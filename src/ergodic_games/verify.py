@@ -56,12 +56,11 @@ def _policy_shift(spec: GameSpec, policy: FeedbackPolicy) -> DriftShift:
     r_nodes = _policy_drift_nodes(spec, policy)
     lo = float(policy.nodes[0])
     inv_dx = 1.0 / (policy.nodes[1] - policy.nodes[0]) if len(policy.nodes) > 1 else 1.0
-    top = len(policy.nodes) - 1
 
-    def shift(x, _r=r_nodes, _lo=lo, _inv=inv_dx, _top=top):
+    def shift(x, _r=r_nodes, _lo=lo, _inv=inv_dx):
         idx = np.rint((x - _lo) * _inv).astype(np.intp)
-        np.clip(idx, 0, _top, out=idx)
-        return _r[idx]
+        # mode="clip" clamps to the node range in the lookup itself
+        return _r.take(idx, mode="clip")
 
     return DriftShift(shift=shift, bound=spec.drift_bound, check_samples=64)
 
@@ -121,18 +120,17 @@ def estimate_payoff(
 
     shift = _policy_shift(spec, policy)
     states = sample_paths(model, shift, horizon, step, seed, n_paths)
-    xs = states[:, :-1, 0]  # left endpoints of each step
+    # left endpoints of the steps the payoff counts: those after the burn-in
+    # (zero for discounted payoffs)
+    k0 = int(round(burn_in / step))
+    xs = states[:, k0:-1, 0]
     node = policy.node_index(xs)
-    controls = [
-        np.asarray(spec.grids[i].points, dtype=float)[policy.indices[:, i][node]]
-        for i in range(spec.n_players)
-    ]
+    controls = [col[node] for col in policy.control_columns(spec)]
     costs = np.asarray(spec.costs[player](xs, *controls), dtype=float)
     costs = np.broadcast_to(costs, xs.shape)
 
     if kind == "ergodic":
-        k0 = int(round(burn_in / step))
-        per_path = costs[:, k0:].mean(axis=1)
+        per_path = costs.mean(axis=1)
     else:
         t = np.arange(xs.shape[1]) * step
         weights = np.exp(-alpha * t) * step
@@ -374,10 +372,7 @@ def bsde_path_residual(
     node = policy.node_index(x_t)
     r_nodes = _policy_drift_nodes(spec, policy)
     r_t = r_nodes[node]
-    controls = [
-        np.asarray(spec.grids[i].points, dtype=float)[policy.indices[:, i][node]]
-        for i in range(spec.n_players)
-    ]
+    controls = [col[node] for col in policy.control_columns(spec)]
     cost_t = np.broadcast_to(
         np.asarray(spec.costs[player](x_t, *controls), dtype=float), x_t.shape
     )

@@ -83,6 +83,20 @@ def test_divergence_detected(model):
     assert exc.value.step_index == 1
 
 
+def test_divergence_step_found_late_in_a_long_run(model):
+    # the shift is zero until some path leaves [-3, 3], so the batch follows
+    # the unshifted paths up to that step and turns non-finite one step later
+    thr = 3.0
+    bad = eg.DriftShift(
+        shift=lambda x: np.where(np.abs(x) > thr, np.nan, 0.0), bound=1.0)
+    free = eg.sample_paths(model, None, 200.0, 0.01, 1, 5)[:, :, 0]
+    first_out = int(np.argmax(np.any(np.abs(free) > thr, axis=0)))
+    assert first_out > 300  # well past the first few hundred steps
+    with pytest.raises(eg.SimulationDivergedError) as exc:
+        eg.sample_paths(model, bad, 200.0, 0.01, 1, 5)
+    assert exc.value.step_index == first_out + 1
+
+
 def test_model_rejects_non_dissipative_drift():
     with pytest.raises(ValueError, match="dissipativity"):
         eg.SdeModel(
