@@ -93,6 +93,15 @@ def _scalar(cfg: dict, name: str):
     return cfg[name]
 
 
+def _solver_section(cfg: dict) -> dict:
+    s = _section(cfg, "solver") if "solver" in cfg else {}
+    for key in ("dtau", "max_sweeps"):  # knobs of the replaced explicit iteration
+        if key in s:
+            raise ConfigError(f"solver key {key} no longer exists: the grid "
+                              "equation is solved directly")
+    return s
+
+
 def _make_grid(gcfg: dict) -> Grid1D:
     for k in ("x_min", "x_max", "m"):
         if k not in gcfg:
@@ -145,7 +154,7 @@ def _cmd_solve_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
     grid = _make_grid(_section(cfg, "grid"))
     driver = make_driver(_section(cfg, "driver"))
-    s = _section(cfg, "solver") if "solver" in cfg else {}
+    s = _solver_section(cfg)
     sol = solve_ergodic(model, driver, grid, tol=float(s.get("tol", 1e-6)))
     sol.to_csv(out / "solution.csv")
     _write_json(out / "report.json", sol.report_dict())
@@ -161,7 +170,7 @@ def _cmd_continuous_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]
     f, kappa = make_growth_driver(dcfg)
     if kappa_override is not None:
         kappa = float(kappa_override)
-    s = _section(cfg, "solver") if "solver" in cfg else {}
+    s = _solver_section(cfg)
     sol = solve_continuous_ebsde(
         model, f, kappa, grid,
         tol=float(s.get("tol", 1e-6)),
@@ -177,7 +186,7 @@ def _cmd_continuous_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]
 
 
 def _solver_kwargs(cfg: dict) -> dict:
-    s = _section(cfg, "solver") if "solver" in cfg else {}
+    s = _solver_section(cfg)
     kwargs = dict(
         tol=float(s.get("tol", 1e-4)),
         max_iter=int(s.get("max_iter", 50)),

@@ -56,9 +56,12 @@ _SLOPE_STEP = 1e-6
 class NonMonotoneSchemeError(ValueError):
     """The linearized central scheme is not monotone on this grid.
 
-    Raised when ``|drift + sigma * slope| * dx >= sigma^2`` at an inner node:
-    an off-diagonal weight of the tridiagonal system is then non-positive, the
-    operator is no M-matrix and elimination without pivoting is unsafe.
+    Raised when ``|drift + sigma * slope| * dx >= sigma^2`` at a node of the
+    retained interior: an off-diagonal weight is then non-positive, the
+    operator is no M-matrix and the solution may oscillate where it is
+    reported.  Such rows in the boundary margins are solved as they are (the
+    next residual shows an inaccurate step); the error is also raised if
+    elimination without pivoting meets a zero pivot on them.
     """
 
 
@@ -323,6 +326,8 @@ def _solve_pinned(model, driver: DriverSpec, grid: Grid1D, alpha: float, tol: fl
     difference in ``z``, a subgradient at kinks) and solves the bordered
     Newton system.  Returns ``(v, c, iterations)``.
     """
+    if model.dim != 1:
+        raise ValueError("grid solver requires a one-dimensional model")
     x, dx, iref = grid.nodes(), grid.dx, grid.x_ref_index
     sig = model.sigma_1d(x).astype(float)
     sig2 = sig**2
@@ -333,6 +338,7 @@ def _solve_pinned(model, driver: DriverSpec, grid: Grid1D, alpha: float, tol: fl
     if v.shape != (grid.m,):
         raise ValueError(f"v_init must have shape ({grid.m},)")
     v -= v[iref]
+    inner = grid.interior
     history: list = []
     for it in range(1, _MAX_NEWTON_ITERATIONS + 1):
         d1, d2 = _derivatives(v, dx)
@@ -340,7 +346,7 @@ def _solve_pinned(model, driver: DriverSpec, grid: Grid1D, alpha: float, tol: fl
         r = 0.5 * sig2 * d2 + drift * d1 + np.asarray(f(x, z), dtype=float) - alpha * v
         lam = float(r[iref])
         r -= lam
-        history.append(float(np.max(np.abs(r[grid.interior]))))
+        history.append(float(np.max(np.abs(r[inner]))))
         if history[-1] < tol * 0.999:
             return v, lam, it
         if it == _MAX_NEWTON_ITERATIONS:
@@ -349,15 +355,21 @@ def _solve_pinned(model, driver: DriverSpec, grid: Grid1D, alpha: float, tol: fl
         slope = (np.asarray(f(x, z + h), dtype=float)
                  - np.asarray(f(x, z - h), dtype=float)) / (2.0 * h)
         adv = drift + sig * slope
-        excess = np.abs(adv[1:-1]) * dx - sig2[1:-1]
+        excess = np.abs(adv[inner]) * dx - sig2[inner]
         if np.max(excess) >= 0.0:
-            k = 1 + int(np.argmax(excess))
+            k = inner.start + int(np.argmax(excess))
             raise NonMonotoneSchemeError(
                 f"central scheme is not monotone at x={x[k]:.6g}: |drift + sigma*slope| dx "
                 f"= {abs(adv[k]) * dx:.6g} >= sigma^2 = {sig2[k]:.6g}; refine the grid")
         lower, upper = diff - adv / (2.0 * dx), diff + adv / (2.0 * dx)
         lower[-1], upper[0] = 2.0 * diff[-1], 2.0 * diff[0]
-        v += _bordered_solve(lower, -2.0 * diff - alpha, upper, -r, iref)[0]
+        try:
+            v += _bordered_solve(lower, -2.0 * diff - alpha, upper, -r, iref)[0]
+        except ZeroDivisionError as exc:
+            # a zero pivot needs a row that is no M-matrix row: one in the margins
+            raise NonMonotoneSchemeError(
+                "elimination hit a zero pivot on the non-monotone rows of the "
+                "boundary margins; refine the grid") from exc
     raise MaxSweepsExceededError(history[-1], _MAX_NEWTON_ITERATIONS, lam, v, history)
 
 
@@ -385,9 +397,7 @@ def hjb_residual(model, driver, grid: Grid1D, v: np.ndarray,
     sig2 = model.sigma_1d(x) ** 2
     drift = model.drift_1d(x)
     d1, d2 = _derivatives(v, grid.dx)
-    field = 0.5 * sig2 * d2 + drift * d1 + np.asarray(f(x, xi), dtype=float) - lam
-    if alpha != 0.0:
-        field = field - alpha * v
+    field = 0.5 * sig2 * d2 + drift * d1 + np.asarray(f(x, xi), dtype=float) - lam - alpha * v
     return float(np.max(np.abs(field[grid.interior])))
 
 
@@ -412,14 +422,11 @@ def solve_ergodic(
     diagnostics attached) if Newton does not converge within a fixed number
     of iterations.
     """
-    if model.dim != 1:
-        raise ValueError("grid solver requires a one-dimensional model")
     v, lam, iterations = _solve_pinned(model, driver, grid, 0.0, tol, v_init)
     v = v - v[grid.x_ref_index]
     xi = _xi_from_v(model, grid, v)
     res = hjb_residual(model, driver, grid, v, xi, lam)
-    x = grid.nodes()
-    growth = float(np.max(np.abs(v) / (1.0 + x**2)))
+    growth = float(np.max(np.abs(v) / (1.0 + grid.nodes() ** 2)))
     logger.debug("ergodic solve: lam=%.9g residual=%.3e iterations=%d", lam, res, iterations)
     return ErgodicSolution(
         grid=grid, v=v, xi=xi, lam=lam, residual_sup=res,
@@ -444,8 +451,6 @@ def solve_discounted(
     discounted equation.  Tolerance, warm start, ``iterations`` and errors
     are as for :func:`solve_ergodic`.
     """
-    if model.dim != 1:
-        raise ValueError("grid solver requires a one-dimensional model")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     w, lam, iterations = _solve_pinned(model, driver, grid, alpha, tol, v_init)

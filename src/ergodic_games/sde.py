@@ -51,7 +51,10 @@ class SimulationDivergedError(RuntimeError):
     Attributes
     ----------
     step_index : int
-        First Euler step at which a non-finite value appeared.
+        First Euler step at which a non-finite value appeared.  The 1-d
+        engine scans once per ``_FINITE_CHECK_STEPS`` steps, so callbacks may
+        see (and numpy may warn about) non-finite states for the rest of that
+        block; a callback raising on them is reported as this error.
     """
 
     def __init__(self, step_index: int):
@@ -376,23 +379,29 @@ def _batch_states_1d(
     sigma = model.sigma
     for start in range(0, n_steps, _FINITE_CHECK_STEPS):
         stop = min(start + _FINITE_CHECK_STEPS, n_steps)
-        for k in range(start, stop):
-            # the products below broadcast sigma; a broadcast_to view per step
-            # would cost more than the step's arithmetic on narrow batches
-            sig = np.asarray(sigma(x), dtype=float)
-            nxt = states[k + 1]
-            np.multiply(x, a, out=nxt)
-            if has_residual:
-                nxt += np.asarray(model.bounded_drift(x), dtype=float)
-            if shift_fn is not None:
-                np.multiply(sig, np.asarray(shift_fn(x), dtype=float), out=tmp)
+        try:
+            for k in range(start, stop):
+                # the products below broadcast sigma; a broadcast_to view per
+                # step would cost more than the step's arithmetic on narrow batches
+                sig = np.asarray(sigma(x), dtype=float)
+                nxt = states[k + 1]
+                np.multiply(x, a, out=nxt)
+                if has_residual:
+                    nxt += np.asarray(model.bounded_drift(x), dtype=float)
+                if shift_fn is not None:
+                    np.multiply(sig, np.asarray(shift_fn(x), dtype=float), out=tmp)
+                    nxt += tmp
+                nxt *= step
+                nxt += x
+                np.multiply(sig, noise_t[k], out=tmp)
+                tmp *= sqrt_h
                 nxt += tmp
-            nxt *= step
-            nxt += x
-            np.multiply(sig, noise_t[k], out=tmp)
-            tmp *= sqrt_h
-            nxt += tmp
-            x = nxt
+                x = nxt
+        except Exception:
+            # a callback may reject the states of a path that already diverged
+            stop = k
+            if np.isfinite(states[start + 1:stop + 1]).all():
+                raise
         # any non-finite entry makes its step's sum non-finite; the first such
         # step is where the batch diverged
         bad = ~np.isfinite(states[start + 1:stop + 1].sum(axis=1))

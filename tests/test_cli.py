@@ -184,9 +184,19 @@ def test_unknown_subcommand_exits_1(tmp_path, capsys):
 
 def test_cfl_violation_exits_2(tmp_path):
     # dx=1 is too coarse for the drift: the central scheme is not monotone
-    cfg = ebsde_cfg(tmp_path, grid={"x_min": -6.0, "x_max": 6.0, "m": 13})
+    # inside the retained interior
+    cfg = ebsde_cfg(tmp_path, grid={"x_min": -6.0, "x_max": 6.0, "m": 13,
+                                    "interior_margin": 1})
     assert cli.main(["solve-ebsde", "--config", cfg,
                      "--out", str(tmp_path / "x"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("key", ["dtau", "max_sweeps"])
+def test_removed_solver_keys_exit_1(tmp_path, caplog, key):
+    cfg = ebsde_cfg(tmp_path, solver={"tol": 1.0e-6, key: 100.0})
+    assert cli.main(["solve-ebsde", "--config", cfg,
+                     "--out", str(tmp_path / "x"), "--quiet"]) == 1
+    assert f"solver key {key} no longer exists" in caplog.text
 
 
 def test_sweep_budget_exhaustion_exits_2(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ergodic_games as eg
-from ergodic_games.ebsde import DriverSpec, _bordered_solve, hjb_residual
+from ergodic_games.ebsde import DriverSpec, _bordered_solve, frozen_driver, hjb_residual
 
 from conftest import E_BUMP_STANDARD, E_BUMP_SHIFTED
 
@@ -89,12 +89,35 @@ def test_second_order_grid_convergence(model):
 
 
 def test_cfl_guard(model, coarse_grid):
-    # m=13 on [-6, 6]: dx=1, so |drift| dx = |x| exceeds sigma^2 = 2 near the
-    # ends and the central scheme is no M-matrix
-    with pytest.raises(eg.NonMonotoneSchemeError, match="not monotone"):
-        eg.solve_ergodic(model, eg.make_driver({"name": "bump"}), eg.Grid1D(-6.0, 6.0, 13))
+    # m=13 on [-6, 6]: dx=1, so |drift| dx = |x| reaches sigma^2 = 2 for
+    # |x| >= 2 and the central scheme is no M-matrix there.  With a one-node
+    # margin those rows lie in the retained interior and the solve refuses.
+    with pytest.raises(eg.NonMonotoneSchemeError, match="not monotone at x=-5"):
+        eg.solve_ergodic(model, eg.make_driver({"name": "bump"}),
+                         eg.Grid1D(-6.0, 6.0, 13, interior_margin=1))
+    # With the default five-node margin they are all margin rows: the central
+    # equation is solved as it is, and lambda is the one the superseded
+    # relative value iteration gave there (commit 7a0c325, tol=1e-8).
+    sol = eg.solve_ergodic(model, eg.make_driver({"name": "bump"}), eg.Grid1D(-6.0, 6.0, 13))
+    assert abs(sol.lam - 0.349999990115781) < 1e-6
     sol = eg.solve_ergodic(model, eg.make_driver({"name": "bump"}), coarse_grid, tol=1e-5)
     assert sol.residual_sup <= 1e-5
+
+
+def test_zero_pivot_on_a_margin_row_raises_non_monotone():
+    # unit noise and dx = 1 give sigma^2 / dx = 1; the frozen slope cancels the
+    # drift -x except at x=-5, where drift + slope = 5 - 6 = -1 exactly: the
+    # row no longer sees its right neighbour and the two end nodes form a
+    # singular block
+    model = eg.ou_model(noise=1.0)
+    grid = eg.Grid1D(-6.0, 6.0, 13)
+    slope = grid.nodes()
+    slope[1] = -6.0
+    offset = np.zeros(grid.m)
+    offset[grid.x_ref_index] = 1.0
+    driver = frozen_driver(grid, slope, offset, lipschitz_z=6.0, bound_at_zero=1.0)
+    with pytest.raises(eg.NonMonotoneSchemeError, match="zero pivot"):
+        eg.solve_ergodic(model, driver, grid)
 
 
 def test_max_sweeps_carries_diagnostics(model, coarse_grid):

@@ -97,6 +97,24 @@ def test_divergence_step_found_late_in_a_long_run(model):
     assert exc.value.step_index == first_out + 1
 
 
+def test_divergence_reported_when_a_callback_rejects_non_finite_states(model):
+    # the shift turns a path non-finite once it leaves [-3, 3] and raises as
+    # soon as it is handed a non-finite state; the caller still sees the
+    # typed error at the step where the batch diverged
+    thr = 3.0
+
+    def shift(x):
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite state")
+        return np.where(np.abs(x) > thr, np.nan, 0.0)
+
+    free = eg.sample_paths(model, None, 200.0, 0.01, 1, 5)[:, :, 0]
+    first_out = int(np.argmax(np.any(np.abs(free) > thr, axis=0)))
+    with pytest.raises(eg.SimulationDivergedError) as exc:
+        eg.sample_paths(model, eg.DriftShift(shift=shift, bound=1.0), 200.0, 0.01, 1, 5)
+    assert exc.value.step_index == first_out + 1
+
+
 def test_model_rejects_non_dissipative_drift():
     with pytest.raises(ValueError, match="dissipativity"):
         eg.SdeModel(
