@@ -93,12 +93,18 @@ def _scalar(cfg: dict, name: str):
     return cfg[name]
 
 
+# every solver key some command reads; a config may be shared between commands
+_SOLVER_KEYS = ("tol", "max_iter", "damping", "inner_tol", "enumeration_cap", "residual_ceiling")
+
+
 def _solver_section(cfg: dict) -> dict:
     s = _section(cfg, "solver") if "solver" in cfg else {}
-    for key in ("dtau", "max_sweeps"):  # knobs of the replaced explicit iteration
-        if key in s:
+    for key in s:
+        if key in ("dtau", "max_sweeps"):  # knobs of the replaced explicit iteration
             raise ConfigError(f"solver key {key} no longer exists: the grid "
                               "equation is solved directly")
+        if key not in _SOLVER_KEYS:
+            raise ConfigError(f"unknown solver key {key!r}; known keys: {', '.join(_SOLVER_KEYS)}")
     return s
 
 
@@ -448,6 +454,7 @@ def load_nash(nash_dir) -> NashSolution:
 
 
 def _run_command(command: str, cfg: dict, out_dir, seed: int) -> int:
+    _solver_section(cfg)  # reject unknown solver keys even where the command reads none
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

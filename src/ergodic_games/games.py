@@ -106,6 +106,13 @@ class GameSpec:
             raise ValueError("need exactly one cost per player")
         object.__setattr__(self, "_cost_cache", {})
         object.__setattr__(self, "_drift_cache", None)
+        mesh = None
+        if all(g.points.ndim == 1 for g in self.grids):
+            mesh = np.meshgrid(*[g.points for g in self.grids], indexing="ij")
+            for a in mesh:
+                a.flags.writeable = False
+        object.__setattr__(self, "_mesh", mesh)
+        object.__setattr__(self, "_value_order", _value_order(self.grids))
         self._run_checks()
 
     @property
@@ -120,61 +127,39 @@ class GameSpec:
 
     # -- tables over the joint control grid ----------------------------------------
 
-    def _meshes(self):
-        if all(g.points.ndim == 1 for g in self.grids):
-            return np.meshgrid(*[g.points for g in self.grids], indexing="ij")
-        return None
-
     def _shape(self) -> Tuple[int, ...]:
         return tuple(len(g) for g in self.grids)
 
-    def drift_table(self) -> np.ndarray:
-        """``drift_map`` evaluated on the full joint grid (cached)."""
-        cached = getattr(self, "_drift_cache")
-        if cached is not None:
-            return cached
+    def _tabulate(self, fn, vector: bool = False) -> np.ndarray:
+        """``fn`` over the joint grid: one call on the meshes, else point by point."""
         shape = self._shape()
-        mesh = self._meshes()
-        tab = None
+        mesh = getattr(self, "_mesh")
         if mesh is not None:
             try:
-                raw = np.asarray(self.drift_map(*mesh), dtype=float)
-                if raw.shape == shape or raw.ndim == 0:
-                    tab = np.broadcast_to(raw, shape).astype(float)
-                elif raw.shape[:-1] == shape:
-                    tab = raw
+                raw = np.asarray(fn(*mesh), dtype=float)
+                if raw.shape == shape or (vector and raw.shape[:-1] == shape):
+                    return raw
+                return np.broadcast_to(raw, shape).astype(float)
             except (TypeError, ValueError):
-                tab = None
-        if tab is None:
-            tab = np.empty(shape)
-            for idx in np.ndindex(*shape):
-                vals = [g.points[j] for g, j in zip(self.grids, idx)]
-                tab[idx] = float(np.asarray(self.drift_map(*vals)))
-        object.__setattr__(self, "_drift_cache", tab)
+                pass
+        tab = np.empty(shape)
+        for idx in np.ndindex(*shape):
+            tab[idx] = float(np.asarray(fn(*[g.points[j] for g, j in zip(self.grids, idx)])))
         return tab
+
+    def drift_table(self) -> np.ndarray:
+        """``drift_map`` evaluated on the full joint grid (cached)."""
+        if getattr(self, "_drift_cache") is None:
+            object.__setattr__(self, "_drift_cache", self._tabulate(self.drift_map, vector=True))
+        return getattr(self, "_drift_cache")
 
     def cost_table(self, player: int, x) -> np.ndarray:
         """``costs[player]`` at state ``x`` on the full joint grid (cached)."""
         key = (player, _state_key(x))
         cache = getattr(self, "_cost_cache")
-        if key in cache:
-            return cache[key]
-        shape = self._shape()
-        mesh = self._meshes()
-        tab = None
-        if mesh is not None:
-            try:
-                raw = np.asarray(self.costs[player](x, *mesh), dtype=float)
-                tab = np.broadcast_to(raw, shape).astype(float)
-            except (TypeError, ValueError):
-                tab = None
-        if tab is None:
-            tab = np.empty(shape)
-            for idx in np.ndindex(*shape):
-                vals = [g.points[j] for g, j in zip(self.grids, idx)]
-                tab[idx] = float(self.costs[player](x, *vals))
-        cache[key] = tab
-        return tab
+        if key not in cache:
+            cache[key] = self._tabulate(lambda *u: self.costs[player](x, *u))
+        return cache[key]
 
     def control_values(self, u: JointControl) -> list:
         return [g.points[j] for g, j in zip(self.grids, u)]
@@ -238,27 +223,10 @@ def _validate_joint(spec: GameSpec, u: Sequence[int]) -> None:
             raise ValueError(f"control index {idx} out of range for player {j}")
 
 
-def _hamiltonian_tables(spec: GameSpec, x, z) -> list:
-    """One Hamiltonian array per player over the full joint grid."""
-    drift = spec.drift_table()
-    shape = spec._shape()
-    out = []
-    for i in range(spec.n_players):
-        z_i = np.asarray(z[i], dtype=float)
-        if drift.ndim == len(shape):
-            h = float(z_i) * drift if z_i.ndim == 0 else float(z_i.ravel()[0]) * drift
-        else:
-            h = np.tensordot(drift, z_i.ravel(), axes=([-1], [0]))
-        out.append(h + spec.cost_table(i, x))
-    return out
-
-
-def _value_key(spec: GameSpec, u: JointControl) -> tuple:
-    key = []
-    for g, j in zip(spec.grids, u):
-        pt = np.atleast_1d(np.asarray(g.points[j], dtype=float))
-        key.extend(float(v) for v in pt)
-    return tuple(key)
+def _value_order(grids) -> Optional[tuple]:
+    """Per-grid index permutations into lexicographic value order; ``None`` if all ascending."""
+    orders = tuple(np.lexsort(g.points.reshape(len(g), -1).T[::-1]) for g in grids)
+    return None if all(np.array_equal(o, np.arange(len(o))) for o in orders) else orders
 
 
 def isaac_fixed_point(
@@ -271,29 +239,45 @@ def isaac_fixed_point(
     """Joint control at which every Hamiltonian is unilaterally minimal.
 
     Exhaustive enumeration is used while the product grid has at most
-    ``enumeration_cap`` points; ties are broken toward the lexicographically
-    smallest tuple of control *values*, so reordering a grid cannot change
-    the selected control.  Larger products fall back to cyclic best-response
-    sweeps, which either stabilize (the result is then a pointwise Nash
-    point by construction) or raise :class:`BestResponseCycleError`.
+    ``enumeration_cap`` points: one pass per player marks where that
+    player's Hamiltonian is minimal along their own axis, and the first
+    control marked by every player in the lexicographic order of control
+    *values* wins, so ties go to the smallest tuple of values and reordering
+    a grid cannot change the selected control.  Larger products fall back to
+    cyclic best-response sweeps, which either stabilize (the result is then
+    a pointwise Nash point by construction) or raise
+    :class:`BestResponseCycleError`.
 
     Raises :class:`NoPureNashError` when enumeration finds no stable joint
     control.
     """
     if len(z) != spec.n_players:
         raise ValueError(f"need one gradient value per player, got {len(z)}")
-    if spec.product_size() <= enumeration_cap:
-        tables = _hamiltonian_tables(spec, x, z)
-        mask = np.ones(spec._shape(), dtype=bool)
-        for i, h in enumerate(tables):
-            mask &= h <= h.min(axis=i, keepdims=True)
-        hits = np.argwhere(mask)
-        if len(hits) == 0:
-            raise NoPureNashError(x, z)
-        best = min((tuple(int(j) for j in row) for row in hits),
-                   key=lambda u: _value_key(spec, u))
-        return best
-    return _best_response_search(spec, x, z, max_rounds)
+    if spec.product_size() > enumeration_cap:
+        return _best_response_search(spec, x, z, max_rounds)
+    drift = spec.drift_table()
+    shape = spec._shape()
+    # one Hamiltonian buffer per call: fresh arrays per player cost more than the arithmetic
+    h = np.empty(shape)
+    mask = np.ones(shape, dtype=bool)
+    for i in range(spec.n_players):
+        z_i = np.asarray(z[i], dtype=float).ravel()
+        if drift.ndim == len(shape):
+            np.multiply(drift, z_i[0], out=h)
+        else:
+            h[...] = np.tensordot(drift, z_i, axes=([-1], [0]))
+        h += spec.cost_table(i, x)
+        mask &= h <= h.min(axis=i, keepdims=True)
+    order = getattr(spec, "_value_order")
+    if order is not None:
+        mask = mask[np.ix_(*order)]
+    first = int(mask.argmax())
+    if not mask.flat[first]:
+        raise NoPureNashError(x, z)
+    u = np.unravel_index(first, mask.shape)
+    if order is not None:
+        u = [o[j] for o, j in zip(order, u)]
+    return tuple(int(j) for j in u)
 
 
 def _best_response(spec: GameSpec, x, z_i, player: int, current: JointControl) -> int:

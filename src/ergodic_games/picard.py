@@ -21,6 +21,7 @@ discount limit.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -128,20 +129,11 @@ class NashSolution:
         }
 
 
-def _policy_values(spec: GameSpec, idx: np.ndarray) -> Tuple[np.ndarray, ...]:
-    return tuple(
-        np.asarray(spec.grids[i].points, dtype=float)[idx[:, i]]
-        for i in range(spec.n_players)
-    )
-
-
 def _policy_from_xi(spec: GameSpec, nodes: np.ndarray, xi: np.ndarray,
                     enumeration_cap: int) -> np.ndarray:
-    idx = np.empty((len(nodes), spec.n_players), dtype=int)
-    for k, x in enumerate(nodes):
-        u = isaac_fixed_point(spec, float(x), tuple(xi[k]), enumeration_cap=enumeration_cap)
-        idx[k] = u
-    return idx
+    return np.array([isaac_fixed_point(spec, float(x), tuple(xi[k]),
+                                       enumeration_cap=enumeration_cap)
+                     for k, x in enumerate(nodes)], dtype=int)
 
 
 def _frozen_tables(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray):
@@ -149,10 +141,10 @@ def _frozen_tables(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray):
     drift_tab = spec.drift_table()
     joint = tuple(idx[:, i] for i in range(spec.n_players))
     r_nodes = drift_tab[joint]
-    c_nodes = []
-    for i in range(spec.n_players):
-        tab = np.stack([spec.cost_table(i, float(x)) for x in nodes])
-        c_nodes.append(tab[(np.arange(len(nodes)),) + joint])
+    c_nodes = [
+        np.array([spec.cost_table(i, float(x))[tuple(u)] for x, u in zip(nodes, idx)])
+        for i in range(spec.n_players)
+    ]
     return r_nodes, c_nodes
 
 
@@ -177,13 +169,15 @@ def _interior_sup(grid: Grid1D, a: np.ndarray) -> float:
     return float(np.max(np.abs(a[grid.interior])))
 
 
-def _log_iteration(solver: str, deltas: dict, idx, prev_idx, sols) -> None:
-    """One INFO trace line per outer iteration: deltas, policy changes, inner work."""
+def _log_iteration(solver: str, deltas: dict, idx, prev_idx, sols,
+                   policy_s: float, inner_s: float) -> None:
+    """One INFO trace line per outer iteration: deltas, wall times, policy changes, inner work."""
     moves = " ".join(f"d_{key}=[" + ", ".join("-" if d is None else f"{d:.3e}" for d in vals)
                      + "]" for key, vals in deltas.items() if key != "iteration")
     changed = "-" if prev_idx is None else np.count_nonzero(np.any(idx != prev_idx, axis=1))
-    logger.info("%s iteration %d: %s policy_changed_nodes=%s inner_iterations=%s",
-                solver, deltas["iteration"], moves, changed, [s.iterations for s in sols])
+    logger.info("%s iteration %d: %s policy_search_s=%.4f inner_solve_s=%.4f "
+                "policy_changed_nodes=%s inner_iterations=%s", solver, deltas["iteration"],
+                moves, policy_s, inner_s, changed, [s.iterations for s in sols])
 
 
 def picard_solve(
@@ -207,8 +201,10 @@ def picard_solve(
     (warm-started from the previous profile), applies ``damping`` to the
     gradient update, and records the per-player deltas
     ``|lam_new - lam_old|`` and interior ``sup |xi_new - xi_old|``; one INFO
-    line logs them with the count of nodes whose policy changed and the
-    inner iteration counts.  Convergence requires all deltas below ``tol``.
+    line logs them with the wall seconds of the policy search (frozen
+    coefficients included) and of the inner solves, the count of nodes whose
+    policy changed and the inner iteration counts.  Convergence requires all
+    deltas below ``tol``.
     Exhausting ``max_iter`` is a soft failure: the result is returned with
     ``converged = False``; inner solver errors propagate.
     """
@@ -229,8 +225,10 @@ def picard_solve(
     it = 0
     idx = None
     for it in range(1, max_iter + 1):
+        t0 = time.perf_counter()
         prev_idx, idx = idx, _policy_from_xi(spec, nodes, xi, enumeration_cap)
         r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
+        t1 = time.perf_counter()
         xi_new = np.empty_like(xi)
         lam_new: list = [None] * n
         for i in range(n):
@@ -240,6 +238,7 @@ def picard_solve(
             v_warm[i] = sol.v
             lam_new[i] = sol.lam
             xi_new[:, i] = sol.xi
+        t2 = time.perf_counter()
         if damping < 1.0:
             xi_new = (1.0 - damping) * xi + damping * xi_new
         deltas = {
@@ -250,7 +249,7 @@ def picard_solve(
             "xi": [_interior_sup(grid, xi_new[:, i] - xi[:, i]) for i in range(n)],
         }
         history.append(deltas)
-        _log_iteration("picard_solve", deltas, idx, prev_idx, sols)
+        _log_iteration("picard_solve", deltas, idx, prev_idx, sols, t1 - t0, t2 - t1)
         xi = xi_new
         lambdas = lam_new
         lam_ok = all(d is not None and d < tol for d in deltas["lambda"])
@@ -268,7 +267,7 @@ def picard_solve(
         solutions=tuple(sols),
         lambdas=tuple(lambdas),
         policy=policy,
-        policy_values=_policy_values(spec, final_idx),
+        policy_values=tuple(policy.control_columns(spec)),
         comparison=comp,
         converged=converged,
         iterations=it,
@@ -314,12 +313,15 @@ def asymmetric_solve(
     it = 0
     idx = None
     for it in range(1, max_iter + 1):
+        t0 = time.perf_counter()
         prev_idx, idx = idx, _policy_from_xi(spec, nodes, xi, enumeration_cap)
         r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
+        t1 = time.perf_counter()
         d0 = frozen_driver(grid, r_nodes, c_nodes[0], spec.drift_bound, spec.cost_sup)
         sol0 = solve_ergodic(model, d0, grid, tol=inner_tol, v_init=v_warm[0])
         d1 = frozen_driver(grid, r_nodes, c_nodes[1], spec.drift_bound, spec.cost_sup)
         sol1 = solve_discounted(model, d1, grid, alpha, tol=inner_tol, v_init=v_warm[1])
+        t2 = time.perf_counter()
         sols = [sol0, sol1]
         v_warm = [sol0.v, sol1.v]
         xi_new = np.column_stack([sol0.xi, sol1.xi])
@@ -335,7 +337,7 @@ def asymmetric_solve(
             "xi": [_interior_sup(grid, xi_new[:, i] - xi[:, i]) for i in range(2)],
         }
         history.append(deltas)
-        _log_iteration("asymmetric_solve", deltas, idx, prev_idx, sols)
+        _log_iteration("asymmetric_solve", deltas, idx, prev_idx, sols, t1 - t0, t2 - t1)
         xi = xi_new
         lam1 = sol0.lam
         v2_prev = sol1.v
@@ -359,7 +361,7 @@ def asymmetric_solve(
         solutions=tuple(sols),
         lambdas=(lam1, None),
         policy=policy,
-        policy_values=_policy_values(spec, final_idx),
+        policy_values=tuple(policy.control_columns(spec)),
         comparison=comp,
         converged=converged,
         iterations=it,

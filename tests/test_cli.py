@@ -199,6 +199,22 @@ def test_removed_solver_keys_exit_1(tmp_path, caplog, key):
     assert f"solver key {key} no longer exists" in caplog.text
 
 
+@pytest.mark.parametrize("command", ["solve-ebsde", "simulate"])
+def test_unknown_solver_key_exits_1(tmp_path, caplog, command):
+    cfg = ebsde_cfg(tmp_path, solver={"tol": 1.0e-6, "inner_tl": 1.0e-6})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "x"), "--quiet"]) == 1
+    assert "unknown solver key 'inner_tl'" in caplog.text
+
+
+def test_bundled_configs_pass_the_solver_key_check():
+    # verify-nash reads the configs solve-game reads, so one solver section serves both
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "configs").glob("*.yaml")) + [root / "perfbench" / "g0_bench.yaml"]
+    assert len(paths) > 1
+    for p in paths:
+        cli._solver_section(cli.load_config(p))
+
+
 def test_sweep_budget_exhaustion_exits_2(tmp_path):
     cfg = ebsde_cfg(tmp_path, solver={"tol": 1.0e-300})
     assert cli.main(["solve-ebsde", "--config", cfg,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ergodic_games as eg
@@ -87,14 +87,19 @@ def test_hamiltonian_validates_joint_control(g0):
 
 @settings(max_examples=40, deadline=None)
 @given(z0=finite, z1=finite, x=finite)
+@example(z0=0.0, z1=0.25, x=14.0)  # controls -0.15 and -0.1 tie before rounding
 def test_decoupled_nash_matches_per_player_argmin(g0, z0, z1, x):
-    # with decoupled quadratic costs each player independently minimizes
-    # z_i * u + u^2 over the grid
+    # with decoupled quadratic costs each player minimizes z_i * (u + v) + u^2
+    # + bump(x) over the grid, v the other player's control; the oracle rounds
+    # as the library does: drift times z, plus the cost table
     u = eg.isaac_fixed_point(g0, x, (z0, z1))
     pts = g0.grids[0].points
+    vals = g0.control_values(u)
     for i, z in enumerate((z0, z1)):
-        h = z * pts + pts**2
+        h = z * (pts + vals[1 - i]) + (pts**2 + bump(x))
         assert h[u[i]] == h.min()
+        # ascending grid: the smallest-valued minimiser has the smallest index
+        assert u[i] == np.flatnonzero(h == h.min())[0]
 
 
 def test_tie_breaks_toward_smaller_control_value():
@@ -129,6 +134,95 @@ def test_best_response_fallback_agrees_with_enumeration(g0):
         # cap of 1 forces the cyclic best-response path
         fallback = eg.isaac_fixed_point(g0, x, z, enumeration_cap=1)
         assert full == fallback
+
+
+def _stable_controls(spec, x, z):
+    """Every joint control no player can improve on: the argwhere reference for the search."""
+    drift = spec.drift_table()
+    shape = tuple(len(g) for g in spec.grids)
+    mask = np.ones(shape, dtype=bool)
+    for i in range(spec.n_players):
+        z_i = np.asarray(z[i], dtype=float)
+        if drift.ndim == len(shape):
+            h = float(z_i.ravel()[0]) * drift
+        else:
+            h = np.tensordot(drift, z_i.ravel(), axes=([-1], [0]))
+        h = h + spec.cost_table(i, x)
+        mask &= h <= h.min(axis=i, keepdims=True)
+    return [tuple(int(j) for j in row) for row in np.argwhere(mask)]
+
+
+def _value_key(spec, u):
+    return tuple(float(v) for g, j in zip(spec.grids, u) for v in np.atleast_1d(g.points[j]))
+
+
+def _unsorted_tie_game(coupling=0.0):
+    # at z = 0 the controls -0.5 and 0.5 tie exactly for each player
+    g = eg.ControlGrid(np.array([0.5, -1.0, 1.0, 0.0, -0.5]))
+    return eg.GameSpec(
+        grids=(g, g), drift_map=lambda u, v: u + v, drift_bound=2.0,
+        costs=(lambda x, u, v: (u * u - 0.25) ** 2 + coupling * u * v + 0.0 * x,
+               lambda x, u, v: (v * v - 0.25) ** 2 + coupling * u * v + 0.0 * x),
+        cost_sup=2.0, cost_x_lip=0.0, name="unsorted_tie",
+    )
+
+
+def _vector_control_game():
+    # two-component control points out of value order; the tables are built pointwise
+    g = eg.ControlGrid(np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, 1.0], [1.0, 0.0]]))
+    return eg.GameSpec(
+        grids=(g, g), drift_map=lambda u, v: u[0] + v[1], drift_bound=2.0,
+        costs=(lambda x, u, v: u @ u + 0.5 * u[1] * v[0] + bump(x),
+               lambda x, u, v: v @ v + 0.5 * u[1] * v[0] + bump(x)),
+        cost_sup=4.0, cost_x_lip=BUMP_LIP, name="vector_control",
+    )
+
+
+def _vector_drift_game():
+    g = eg.ControlGrid.uniform(-1.0, 1.0, 9)
+    return eg.GameSpec(
+        grids=(g, g), drift_map=lambda u, v: np.stack([u, v + 0.5 * u], axis=-1),
+        drift_bound=2.0,
+        costs=(lambda x, u, v: u**2 + bump(x), lambda x, u, v: v**2 + bump(x)),
+        cost_sup=2.0, cost_x_lip=BUMP_LIP, name="vector_drift",
+    )
+
+
+@pytest.mark.parametrize("build, z_dim", [
+    (eg.quadratic_decoupled, 1),
+    (eg.coupled_cross_cost, 1),
+    (lambda: eg.three_player_symmetric(n_controls=9), 1),
+    (_unsorted_tie_game, 1),
+    (lambda: _unsorted_tie_game(coupling=0.5), 1),
+    (_vector_control_game, 1),
+    (_vector_drift_game, 2),
+], ids=["decoupled", "coupled", "three_player", "unsorted_ties", "unsorted_coupled",
+        "vector_control", "vector_drift"])
+def test_search_matches_argwhere_reference(build, z_dim):
+    # the reference takes the smallest value key over all stable controls;
+    # the one-pass search must pick the same control, ties included
+    spec = build()
+    rng = np.random.default_rng(5)
+    ties = 0
+    for k in range(120):
+        x = float(rng.normal(scale=3.0))
+        size = (spec.n_players, z_dim)
+        # every other z on a lattice of quarters, where minimisers tie before rounding
+        z = rng.normal(scale=2.0, size=size) if k % 2 else 0.25 * rng.integers(-4, 5, size=size)
+        z = tuple(z[:, 0]) if z_dim == 1 else tuple(z)
+        hits = _stable_controls(spec, x, z)
+        ties += len(hits) > 1
+        assert eg.isaac_fixed_point(spec, x, z) == min(hits, key=lambda u: _value_key(spec, u))
+    assert ties > 0
+
+
+def test_unsorted_grid_tie_goes_to_smallest_values():
+    spec = _unsorted_tie_game()
+    assert spec.control_values(eg.isaac_fixed_point(spec, 0.0, (0.0, 0.0))) == [-0.5, -0.5]
+    vec = _vector_control_game()
+    u = eg.isaac_fixed_point(vec, 0.0, (0.0, 0.0))
+    # v = (-1, 0) would make player 0 prefer a positive second component
+    assert [list(p) for p in vec.control_values(u)] == [[-1.0, 0.0], [0.0, -1.0]]
 
 
 def test_no_pure_nash_raises():

@@ -1,6 +1,7 @@
 """Nash iteration on the bundled games: convergence, bounds, shifts."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -105,7 +106,35 @@ def test_one_trace_line_per_iteration(model, g0, coarse_grid, caplog):
     assert "policy_changed_nodes=- inner_iterations=[2, 2]" in lines[0]
     # the last iteration only re-verifies the converged policy
     assert lines[-1].endswith("policy_changed_nodes=0 inner_iterations=[1, 1]")
-    assert "policy_changed" not in str(nash.report_dict())
+    for line in lines:
+        timing = re.search(r" policy_search_s=(\d+\.\d{4}) inner_solve_s=(\d+\.\d{4}) "
+                           r"policy_changed_nodes=", line)
+        assert timing is not None, line
+        # 81 per-node searches take well over the printed resolution
+        assert float(timing.group(1)) > 0.0
+    report = str(nash.report_dict())
+    assert "policy_changed" not in report and "_s=" not in report
+    with caplog.at_level(logging.INFO, logger="ergodic_games.picard"):
+        eg.asymmetric_solve(model, g0, coarse_grid, 0.1, tol=1e-4, max_iter=1)
+    assert any(re.search(r"^asymmetric_solve iteration 1: .* policy_search_s=\d+\.\d{4} "
+                         r"inner_solve_s=\d+\.\d{4} policy_changed_nodes=- ", r.getMessage())
+               for r in caplog.records)
+
+
+def test_gathered_frozen_costs_match_stacked_tables(model, coarse_grid):
+    from ergodic_games.picard import _frozen_tables
+
+    spec = eg.three_player_symmetric(n_controls=9)
+    nodes = coarse_grid.nodes()
+    idx = np.random.default_rng(2).integers(0, 9, size=(len(nodes), 3))
+    r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
+    joint = tuple(idx[:, i] for i in range(3))
+    np.testing.assert_array_equal(r_nodes, spec.drift_table()[joint])
+    for i in range(3):
+        stacked = np.stack([spec.cost_table(i, float(x)) for x in nodes])
+        expected = stacked[(np.arange(len(nodes)),) + joint]
+        assert c_nodes[i].dtype == expected.dtype
+        np.testing.assert_array_equal(c_nodes[i], expected)
 
 
 def test_symmetric_game_symmetric_policy(g0, g0_nash_coarse):
