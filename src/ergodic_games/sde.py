@@ -5,23 +5,26 @@ Models have the form
     dX_t = (lin_drift @ X_t + bounded_drift(X_t)) dt + sigma(X_t) dW_t
 
 with a linear part that pulls the state back toward the origin, a bounded
-Lipschitz residual drift, and an invertible noise map.  Paths are produced by
-Euler-Maruyama stepping.  A change of measure is applied as an extra
-``sigma(x) @ shift(x)`` drift term, so controlled dynamics reuse the same
-integrator.
+Lipschitz residual drift, and an invertible noise map.  Paths of 1-d models
+are produced by Euler-Maruyama stepping in :func:`run_paths`, which steps
+many paths at once and hands their states to a consumer window by window,
+so estimates need no array of size paths x steps.  A change of measure is
+applied as an extra ``sigma(x) @ shift(x)`` drift term, so controlled
+dynamics reuse the same integrator.
 
 Randomness is drawn from one generator per path, keyed by
-``(seed, path_index)``.  Path ``k`` of a batch is bitwise identical to the
-same path simulated alone, so Monte Carlo estimates do not depend on how
-paths are batched or scheduled.
+``(seed, path_index)``, in fixed time blocks.  Path ``k`` of a batch is
+bitwise identical to the same path simulated alone, so Monte Carlo estimates
+do not depend on how paths are batched or scheduled.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -337,6 +340,19 @@ def _n_steps(horizon: float, step: float) -> int:
 
 # steps simulated between two scans for non-finite states
 _FINITE_CHECK_STEPS = 256
+# steps drawn and stepped per time block: fixed (and independent of the batch
+# width) so a path's numbers, and every sum over its blocks, do not depend on
+# the batch it runs in; a multiple of _FINITE_CHECK_STEPS, so divergence is
+# scanned on the same step grid as a single path
+_BLOCK_STEPS = 1024
+# most paths stepped together: memory is a few block buffers of
+# _BLOCK_STEPS x _MAX_BATCH_PATHS floats, whatever the horizon or path count
+_MAX_BATCH_PATHS = 2048
+# paths handed to the consumer at a time, one scan window of steps each: its
+# temporaries (256 x 32 floats, 64 KB) stay in cache and below the 128 KB at
+# which glibc's malloc maps fresh pages, which cuts the cost of a g0 payoff
+# from about 35 to 12 ns per path-step against whole windows
+_CONSUME_PATHS = 32
 
 
 def _check_stability(model: SdeModel, step: float) -> None:
@@ -348,93 +364,179 @@ def _check_stability(model: SdeModel, step: float) -> None:
         )
 
 
-def _batch_states_1d(
+def copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src.T``, copied in bands of 64 rows of ``src``.
+
+    A band of both arrays stays in cache, which makes the copy about three
+    times faster than one strided ``copyto`` of a wide block.
+    """
+    for r in range(0, len(src), 64):
+        np.copyto(dst[:, r:r + 64], src[r:r + 64].T)
+
+
+def window_sum(values: np.ndarray) -> np.ndarray:
+    """Column sums of a time-major block, added along a fixed pairwise tree.
+
+    The tree depends on the number of rows only and every addition is
+    elementwise, so a column's sum does not depend on how many columns (paths
+    of other jobs) share the block; numpy's own ``sum`` picks its order from
+    the array's layout.
+    """
+    v = values
+    while len(v) > 1:
+        n = len(v)
+        half = (n + 1) // 2
+        nxt = np.empty((half,) + v.shape[1:])
+        np.add(v[:n - half], v[half:], out=nxt[:n - half])
+        if n % 2:
+            nxt[-1] = v[half - 1]
+        v = nxt
+    return v[0]
+
+
+def run_paths(
     model: SdeModel,
-    shift_fn: Optional[Callable],
     n_steps: int,
     step: float,
-    seed: int,
-    path_indices: Sequence[int],
-    return_noise: bool = False,
-):
-    """All paths of a 1-d batch, each driven by its own ``(seed, index)`` stream.
+    n_paths: int,
+    stream_key: Callable[[int], Tuple[int, int]],
+    consume: Callable,
+    shift_for: Optional[Callable] = None,
+    with_noise: bool = False,
+    label: str = "run_paths",
+) -> None:
+    """Euler-Maruyama for many paths of a 1-d model, streamed in time blocks.
 
-    Returns ``states`` of shape ``(n_paths, n_steps + 1)`` and, on request,
-    the standard normal increments actually drawn.
+    Path ``j`` draws its normals from ``path_stream(*stream_key(j))``.  Paths
+    are stepped together in batches of at most ``_MAX_BATCH_PATHS`` columns,
+    each batch draws its normals in time blocks of ``_BLOCK_STEPS`` steps.
+    ``shift_for(cols)`` returns the drift shift callback of the batch holding
+    paths ``cols`` (a slice of ``range(n_paths)``).  Every
+    ``_FINITE_CHECK_STEPS`` steps, once they are checked finite, the engine
+    calls ``consume(cols, start, states, noise)`` for each run of at most
+    ``_CONSUME_PATHS`` paths ``cols``: ``states`` holds their states at
+    steps ``start`` to ``start + L`` time-major, shape ``(L + 1, width)``,
+    and ``noise`` the standard normals of those steps path-major, shape
+    ``(width, L)``, when ``with_noise`` (else None).  Both are views of
+    buffers the engine reuses, so nothing of size paths x steps is built.
+    Path ``j`` is bitwise the same as when simulated alone.  One INFO line
+    per call reports paths, steps, batches, blocks and the seconds spent
+    drawing normals (``rng_s``), stepping (``euler_s``) and in ``consume``
+    (``cost_s``).
     """
+    if model.dim != 1:
+        raise ValueError("path simulation requires a one-dimensional model")
+    if n_steps > 0:
+        _check_stability(model, step)
+    seconds = [0.0, 0.0, 0.0]  # rng, euler, consume
+    n_batches = n_blocks = 0
+    for b0 in range(0, n_paths if n_steps > 0 else 0, _MAX_BATCH_PATHS):
+        cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, n_paths))
+        n_blocks += _run_batch(model, n_steps, step, cols, stream_key, consume, shift_for,
+                               with_noise, seconds)
+        n_batches += 1
+    logger.info("%s engine: paths=%d steps=%d batches=%d blocks=%d rng_s=%.4f "
+                "euler_s=%.4f cost_s=%.4f", label, n_paths, n_steps, n_batches, n_blocks,
+                *seconds)
+
+
+def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
+               stream_key: Callable, consume: Callable, shift_for: Optional[Callable],
+               with_noise: bool, seconds: list) -> int:
+    """One batch of :func:`run_paths`; its buffers are freed when it returns."""
+    clock = time.perf_counter
+    t0 = clock()
     a = float(model.lin_drift[0, 0])
-    x0 = float(model.x0[0])
-    p = len(path_indices)
-    noise = np.empty((p, n_steps)) if n_steps > 0 else np.zeros((p, 0))
-    for row, idx in enumerate(path_indices):
-        noise[row] = path_stream(seed, idx).standard_normal(n_steps)
-    # time-major layout keeps every per-step slice contiguous
-    noise_t = np.ascontiguousarray(noise.T)
-    states = np.empty((n_steps + 1, p))
-    states[0] = x0
     sqrt_h = math.sqrt(step)
     has_residual = model.bounded_drift_sup != 0.0
-    x = states[0]
-    tmp = np.empty(p)
     sigma = model.sigma
-    for start in range(0, n_steps, _FINITE_CHECK_STEPS):
-        stop = min(start + _FINITE_CHECK_STEPS, n_steps)
-        try:
-            for k in range(start, stop):
-                # the products below broadcast sigma; a broadcast_to view per
-                # step would cost more than the step's arithmetic on narrow batches
-                sig = np.asarray(sigma(x), dtype=float)
-                nxt = states[k + 1]
-                np.multiply(x, a, out=nxt)
-                if has_residual:
-                    nxt += np.asarray(model.bounded_drift(x), dtype=float)
-                if shift_fn is not None:
-                    np.multiply(sig, np.asarray(shift_fn(x), dtype=float), out=tmp)
+    streams = [path_stream(*stream_key(j)) for j in range(cols.start, cols.stop)]
+    p = len(streams)
+    width = min(_BLOCK_STEPS, n_steps)
+    drawn = np.empty((p, width))  # path-major, as each stream draws
+    noise = np.empty((width, p))
+    states = np.empty((width + 1, p))
+    states[0] = float(model.x0[0])
+    tmp = np.empty(p)
+    shift_fn = shift_for(cols) if shift_for is not None else None
+    seconds[0] += clock() - t0
+    n_blocks = 0
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        t0 = clock()
+        n_blk = min(_BLOCK_STEPS, n_steps - start)
+        for row, stream in zip(drawn, streams):
+            stream.standard_normal(out=row[:n_blk])
+        # time-major layout keeps every per-step slice contiguous
+        copy_transposed(noise[:n_blk], drawn[:, :n_blk])
+        seconds[0] += clock() - t0
+        x = states[0]
+        for c0 in range(0, n_blk, _FINITE_CHECK_STEPS):
+            t1 = clock()
+            stop = min(c0 + _FINITE_CHECK_STEPS, n_blk)
+            try:
+                for k in range(c0, stop):
+                    # the products below broadcast sigma; a broadcast_to view per
+                    # step would cost more than the step's arithmetic on narrow batches
+                    sig = np.asarray(sigma(x), dtype=float)
+                    nxt = states[k + 1]
+                    np.multiply(x, a, out=nxt)
+                    if has_residual:
+                        nxt += np.asarray(model.bounded_drift(x), dtype=float)
+                    if shift_fn is not None:
+                        np.multiply(sig, np.asarray(shift_fn(x), dtype=float), out=tmp)
+                        nxt += tmp
+                    nxt *= step
+                    nxt += x
+                    np.multiply(sig, noise[k], out=tmp)
+                    tmp *= sqrt_h
                     nxt += tmp
-                nxt *= step
-                nxt += x
-                np.multiply(sig, noise_t[k], out=tmp)
-                tmp *= sqrt_h
-                nxt += tmp
-                x = nxt
-        except Exception:
-            # a callback may reject the states of a path that already diverged
-            stop = k
-            if np.isfinite(states[start + 1:stop + 1]).all():
-                raise
-        # any non-finite entry makes its step's sum non-finite; the first such
-        # step is where the batch diverged
-        bad = ~np.isfinite(states[start + 1:stop + 1].sum(axis=1))
-        if bad.any():
-            raise SimulationDivergedError(start + 1 + int(np.argmax(bad)))
-    if return_noise:
-        return states.T, noise
-    return states.T
+                    x = nxt
+            except Exception:
+                # a callback may reject the states of a path that already diverged
+                stop = k
+                if np.isfinite(states[c0 + 1:stop + 1]).all():
+                    raise
+            # any non-finite entry makes its step's sum non-finite; the first such
+            # step is where the batch diverged
+            bad = ~np.isfinite(states[c0 + 1:stop + 1].sum(axis=1))
+            if bad.any():
+                raise SimulationDivergedError(start + c0 + 1 + int(np.argmax(bad)))
+            t2 = clock()
+            for p0 in range(0, p, _CONSUME_PATHS):
+                p1 = min(p0 + _CONSUME_PATHS, p)
+                consume(slice(cols.start + p0, cols.start + p1), start + c0,
+                        states[c0:stop + 1, p0:p1], drawn[p0:p1, c0:stop] if with_noise else None)
+            seconds[1] += t2 - t1
+            seconds[2] += clock() - t2
+        states[0] = states[n_blk]
+        n_blocks += 1
+    return n_blocks
 
 
-def _single_path_nd(
+def _all_states(
     model: SdeModel,
-    shift_fn: Optional[Callable],
-    n_steps: int,
+    shift: Optional[DriftShift],
+    horizon: float,
     step: float,
-    seed: int,
-    path_index: int,
-) -> np.ndarray:
-    noise = path_stream(seed, path_index).standard_normal((n_steps, model.dim))
-    states = np.empty((n_steps + 1, model.dim))
-    states[0] = model.x0
-    sqrt_h = math.sqrt(step)
-    x = model.x0.copy()
-    for k in range(n_steps):
-        sig = np.asarray(model.sigma(x), dtype=float)
-        drift = model.lin_drift @ x + np.asarray(model.bounded_drift(x), dtype=float)
-        if shift_fn is not None:
-            drift = drift + sig @ np.asarray(shift_fn(x), dtype=float)
-        x = x + step * drift + sqrt_h * (sig @ noise[k])
-        if not np.all(np.isfinite(x)):
-            raise SimulationDivergedError(k + 1)
-        states[k + 1] = x
-    return states
+    n_paths: int,
+    stream_key: Callable[[int], Tuple[int, int]],
+    return_noise: bool,
+    label: str,
+):
+    """Keep every window: states ``(n_paths, n_steps + 1)`` and, on request, noise."""
+    n = _n_steps(horizon, step)
+    states = np.empty((n_paths, n + 1))
+    states[:, 0] = float(model.x0[0])
+    noise = np.empty((n_paths, n)) if return_noise else None
+
+    def keep(cols, start, block, drawn):
+        copy_transposed(states[cols, start + 1:start + len(block)], block[1:])
+        if drawn is not None:
+            noise[cols, start:start + drawn.shape[1]] = drawn
+
+    shift_for = (lambda cols: shift.shift) if shift is not None else None
+    run_paths(model, n, step, n_paths, stream_key, keep, shift_for, return_noise, label)
+    return states, noise
 
 
 def simulate(
@@ -445,21 +547,15 @@ def simulate(
     seed: int = 0,
     path_index: int = 0,
 ) -> Path:
-    """Euler-Maruyama path with ``ceil(horizon/step)`` steps.
+    """Euler-Maruyama path with ``ceil(horizon/step)`` steps (1-d models).
 
     With ``horizon == 0`` the path holds the single initial state.  The same
     ``(seed, path_index)`` always reproduces the same path.
     """
-    n = _n_steps(horizon, step)
-    if n > 0:
-        _check_stability(model, step)
-    shift_fn = shift.shift if shift is not None else None
-    if model.dim == 1:
-        states = _batch_states_1d(model, shift_fn, n, step, seed, [path_index])[0][:, None]
-    else:
-        states = _single_path_nd(model, shift_fn, n, step, seed, path_index)
-    times = np.arange(n + 1) * step
-    return Path(times=times, states=states)
+    states, _ = _all_states(model, shift, horizon, step, 1, lambda j: (seed, path_index),
+                            False, "simulate")
+    times = np.arange(states.shape[1]) * step
+    return Path(times=times, states=states[0][:, None])
 
 
 def sample_paths(
@@ -471,27 +567,17 @@ def sample_paths(
     n_paths: int,
     return_noise: bool = False,
 ):
-    """States of ``n_paths`` independent paths, shape ``(n_paths, n_steps+1, dim)``.
+    """States of ``n_paths`` independent paths, shape ``(n_paths, n_steps+1, 1)``.
 
-    Row ``k`` equals ``simulate(..., path_index=k)`` bitwise.
+    Row ``k`` equals ``simulate(..., path_index=k)`` bitwise.  With
+    ``return_noise`` the ``(n_paths, n_steps)`` standard normals that drove
+    them come back too.
     """
-    n = _n_steps(horizon, step)
-    if n > 0:
-        _check_stability(model, step)
-    shift_fn = shift.shift if shift is not None else None
-    if model.dim == 1:
-        out = _batch_states_1d(
-            model, shift_fn, n, step, seed, range(n_paths), return_noise=return_noise
-        )
-        if return_noise:
-            return out[0][:, :, None], out[1]
-        return out[:, :, None]
-    states = np.stack(
-        [_single_path_nd(model, shift_fn, n, step, seed, k) for k in range(n_paths)]
-    )
+    states, noise = _all_states(model, shift, horizon, step, n_paths, lambda j: (seed, j),
+                                return_noise, "sample_paths")
     if return_noise:
-        raise NotImplementedError("noise capture is only provided for 1-d models")
-    return states
+        return states[:, :, None], noise
+    return states[:, :, None]
 
 
 def moment_bound_check(
@@ -545,16 +631,21 @@ def invariant_average(
     """
     if not 0.0 <= burn_in < horizon:
         raise ValueError("burn_in must satisfy 0 <= burn_in < horizon")
-    states = sample_paths(model, shift, horizon, step, seed, n_paths)
+    n = _n_steps(horizon, step)
     k0 = int(round(burn_in / step))
-    block = states[:, k0:-1, :]
-    if model.dim == 1:
-        vals = np.asarray(g(block[:, :, 0]), dtype=float)
-        vals = np.broadcast_to(vals, block.shape[:2])
-    else:
-        vals = np.asarray(g(block), dtype=float)
-        vals = np.broadcast_to(vals, block.shape[:2])
-    per_path = vals.mean(axis=1)
+    sums = np.zeros(n_paths)
+
+    def accumulate(cols, start, states, noise):
+        first = max(k0 - start, 0)
+        xs = states[first:-1]
+        if len(xs):
+            vals = np.broadcast_to(np.asarray(g(xs), dtype=float), xs.shape)
+            sums[cols] += window_sum(vals)
+
+    shift_for = (lambda cols: shift.shift) if shift is not None else None
+    run_paths(model, n, step, n_paths, lambda j: (seed, j), accumulate, shift_for,
+              label="invariant_average")
+    per_path = sums / (n - k0)
     value = float(per_path.mean())
     stderr = 0.0
     if n_paths > 1:

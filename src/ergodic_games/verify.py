@@ -15,14 +15,22 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ebsde import DiscountedSolution
 from .games import FeedbackPolicy, GameSpec
 from .picard import NashSolution
-from .sde import DriftShift, PayoffEstimate, SdeModel, path_stream, sample_paths
+from .sde import (
+    PayoffEstimate,
+    SdeModel,
+    _n_steps,
+    path_stream,
+    run_paths,
+    sample_paths,  # noqa: F401  (perfbench/tracing.py wraps verify.sample_paths)
+    window_sum,
+)
 
 __all__ = [
     "InsufficientHorizonError",
@@ -52,21 +60,152 @@ def _policy_drift_nodes(spec: GameSpec, policy: FeedbackPolicy) -> np.ndarray:
     return spec.drift_table()[joint]
 
 
-def _policy_shift(spec: GameSpec, policy: FeedbackPolicy) -> DriftShift:
-    r_nodes = _policy_drift_nodes(spec, policy)
-    lo = float(policy.nodes[0])
-    inv_dx = 1.0 / (policy.nodes[1] - policy.nodes[0]) if len(policy.nodes) > 1 else 1.0
+def _lookup(nodes: np.ndarray) -> Tuple[float, float, int]:
+    """``(lo, inv_dx, top)`` of the nearest-node lookup on a uniform grid."""
+    m = len(nodes)
+    return float(nodes[0]), (1.0 / (nodes[1] - nodes[0]) if m > 1 else 1.0), m - 1
 
-    def shift(x, _r=r_nodes, _lo=lo, _inv=inv_dx):
-        idx = np.rint((x - _lo) * _inv).astype(np.intp)
-        # mode="clip" clamps to the node range in the lookup itself
-        return _r.take(idx, mode="clip")
 
-    return DriftShift(shift=shift, bound=spec.drift_bound, check_samples=64)
+def _nearest_node(x: np.ndarray, lo: float, inv_dx: float, top: int) -> np.ndarray:
+    """Nearest node of every state, clamped to the grid: the drift shift's lookup."""
+    idx = np.rint((x - lo) * inv_dx).astype(np.intp)
+    np.maximum(idx, 0, out=idx)
+    return np.minimum(idx, top, out=idx)
+
+
+def _stacked_shift(spec: GameSpec, policies: Sequence[FeedbackPolicy], n_paths: int):
+    """``shift_for(cols)`` of the engine for ``n_paths`` paths per policy.
+
+    The policies' node drift tables are stacked end to end, and every path
+    column carries its policy's offset into the stack, so a batch mixing many
+    policies resolves its drift shift by one gather: the nearest node,
+    clamped to the grid, plus the column's offset (:func:`_nearest_node`
+    with preallocated buffers).
+    """
+    lo, inv_dx, top = _lookup(policies[0].nodes)
+    m = top + 1
+    r_flat = np.concatenate([_policy_drift_nodes(spec, p) for p in policies])
+    offsets = np.repeat(np.arange(len(policies), dtype=np.intp) * m, n_paths)
+
+    def shift_for(cols):
+        off = offsets[cols]
+        scaled = np.empty(len(off))
+        idx = np.empty(len(off), dtype=np.intp)
+
+        def shift(x):
+            np.subtract(x, lo, out=scaled)
+            np.multiply(scaled, inv_dx, out=scaled)
+            np.rint(scaled, out=scaled)
+            idx[...] = scaled
+            np.maximum(idx, 0, out=idx)
+            np.minimum(idx, top, out=idx)
+            np.add(idx, off, out=idx)
+            return r_flat.take(idx)
+
+        return shift
+
+    return shift_for
 
 
 def _required_horizon(spec: GameSpec, alpha: float, eps_tail: float) -> float:
     return math.log(spec.cost_sup / (alpha * eps_tail)) / alpha
+
+
+@dataclass(frozen=True)
+class _Job:
+    """One payoff estimate: a player's cost along one joint policy's paths."""
+
+    player: int
+    policy: FeedbackPolicy
+    seed: int
+    kind: str
+    burn_in: float
+    alpha: Optional[float]
+
+
+def _job(model: SdeModel, spec: GameSpec, policy: FeedbackPolicy, player: int, seed: int,
+         kind: str, horizon: float, burn_in: Optional[float], alpha: Optional[float],
+         eps_tail: float) -> _Job:
+    """Validate one estimate's criterion; the burn-in of a discounted payoff is zero."""
+    if kind == "ergodic":
+        if burn_in is None:
+            burn_in = 20.0 / model.dissipation
+        if not 0.0 <= burn_in < horizon:
+            raise ValueError("burn_in must satisfy 0 <= burn_in < horizon")
+    elif kind == "discounted":
+        if alpha is None or alpha <= 0.0:
+            raise ValueError("discounted payoffs need a positive alpha")
+        needed = _required_horizon(spec, alpha, eps_tail)
+        if horizon < needed:
+            raise InsufficientHorizonError(
+                f"horizon {horizon:.6g} below the discounted tail requirement "
+                f"{needed:.6g} for alpha={alpha:.6g}, eps_tail={eps_tail:.6g}"
+            )
+        burn_in = 0.0
+    else:
+        raise ValueError(f"unknown payoff kind {kind!r}")
+    return _Job(player, policy, seed, kind, burn_in, alpha)
+
+
+def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizon: float,
+                   step: float, n_paths: int, label: str) -> list:
+    """Every job's payoff from one run of the path engine.
+
+    Job ``j`` owns path columns ``j * n_paths`` to ``(j + 1) * n_paths - 1``,
+    driven by the streams ``(job.seed, 0..n_paths-1)``.  Each path's cost is
+    summed over the steps after the job's burn-in (``exp(-alpha t) dt``
+    weighted for discounted jobs) as the engine hands over each window of
+    steps, so no array of size paths x steps is built and a job's estimate
+    does not depend on the other jobs in the run.
+    """
+    n = _n_steps(horizon, step)
+    first_step = [int(round(job.burn_in / step)) for job in jobs]
+    columns = [job.policy.control_columns(spec) for job in jobs]
+    lookup = _lookup(jobs[0].policy.nodes)
+    sums = np.zeros(len(jobs) * n_paths)
+
+    def accumulate(cols, start, states, noise):
+        for j in range(cols.start // n_paths, (cols.stop - 1) // n_paths + 1):
+            job = jobs[j]
+            c0 = max(j * n_paths, cols.start)
+            c1 = min((j + 1) * n_paths, cols.stop)
+            # left endpoints of the window's steps that the payoff counts
+            skip = max(first_step[j] - start, 0)
+            xs = states[skip:-1, c0 - cols.start:c1 - cols.start]
+            if not len(xs):
+                continue
+            node = _nearest_node(xs, *lookup)
+            controls = [col.take(node) for col in columns[j]]
+            costs = np.broadcast_to(
+                np.asarray(spec.costs[job.player](xs, *controls), dtype=float), xs.shape)
+            if job.kind == "discounted":
+                t = np.arange(start + skip, start + len(states) - 1) * step
+                costs = costs * (np.exp(-job.alpha * t) * step)[:, None]
+            sums[c0:c1] += window_sum(costs)
+
+    shift_for = _stacked_shift(spec, [job.policy for job in jobs], n_paths)
+    run_paths(model, n, step, len(jobs) * n_paths,
+              lambda j: (jobs[j // n_paths].seed, j % n_paths), accumulate, shift_for,
+              label=label)
+
+    out = []
+    for j, job in enumerate(jobs):
+        per_path = sums[j * n_paths:(j + 1) * n_paths]
+        if job.kind == "ergodic":
+            per_path = per_path / (n - first_step[j])
+        out.append(PayoffEstimate(
+            value=float(per_path.mean()),
+            stderr=float(per_path.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
+            kind=job.kind,
+            horizon=horizon,
+            burn_in=job.burn_in,
+            n_paths=n_paths,
+            step=step,
+            player=job.player,
+            alpha=job.alpha,
+            seed=job.seed,
+        ))
+    return out
 
 
 def estimate_payoff(
@@ -92,7 +231,9 @@ def estimate_payoff(
     ``kind="discounted"`` accumulates ``exp(-alpha t) cost dt`` from the
     model's start state and requires the horizon to push the tail below
     ``eps_tail`` (otherwise :class:`InsufficientHorizonError`).  An override
-    replaces one player's node-to-control map before simulating.
+    replaces one player's node-to-control map before simulating.  The
+    estimate is bitwise the one :func:`nash_deviation_test` reports for the
+    same policy and seed.
     """
     if model.dim != 1:
         raise ValueError("payoff estimation requires a one-dimensional model")
@@ -100,55 +241,8 @@ def estimate_payoff(
         raise ValueError(f"player index {player} out of range")
     if override_player is not None:
         policy = policy.with_player_indices(override_player, override_indices)
-    if kind == "ergodic":
-        if burn_in is None:
-            burn_in = 20.0 / model.dissipation
-        if not 0.0 <= burn_in < horizon:
-            raise ValueError("burn_in must satisfy 0 <= burn_in < horizon")
-    elif kind == "discounted":
-        if alpha is None or alpha <= 0.0:
-            raise ValueError("discounted payoffs need a positive alpha")
-        needed = _required_horizon(spec, alpha, eps_tail)
-        if horizon < needed:
-            raise InsufficientHorizonError(
-                f"horizon {horizon:.6g} below the discounted tail requirement "
-                f"{needed:.6g} for alpha={alpha:.6g}, eps_tail={eps_tail:.6g}"
-            )
-        burn_in = 0.0
-    else:
-        raise ValueError(f"unknown payoff kind {kind!r}")
-
-    shift = _policy_shift(spec, policy)
-    states = sample_paths(model, shift, horizon, step, seed, n_paths)
-    # left endpoints of the steps the payoff counts: those after the burn-in
-    # (zero for discounted payoffs)
-    k0 = int(round(burn_in / step))
-    xs = states[:, k0:-1, 0]
-    node = policy.node_index(xs)
-    controls = [col[node] for col in policy.control_columns(spec)]
-    costs = np.asarray(spec.costs[player](xs, *controls), dtype=float)
-    costs = np.broadcast_to(costs, xs.shape)
-
-    if kind == "ergodic":
-        per_path = costs.mean(axis=1)
-    else:
-        t = np.arange(xs.shape[1]) * step
-        weights = np.exp(-alpha * t) * step
-        per_path = costs @ weights
-    value = float(per_path.mean())
-    stderr = float(per_path.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return PayoffEstimate(
-        value=value,
-        stderr=stderr,
-        kind=kind,
-        horizon=horizon,
-        burn_in=burn_in,
-        n_paths=n_paths,
-        step=step,
-        player=player,
-        alpha=alpha,
-        seed=seed,
-    )
+    job = _job(model, spec, policy, player, seed, kind, horizon, burn_in, alpha, eps_tail)
+    return _estimate_jobs(model, spec, [job], horizon, step, n_paths, "estimate_payoff")[0]
 
 
 @dataclass(frozen=True)
@@ -250,30 +344,17 @@ def nash_deviation_test(
     their long-run constant, a discounted player to their value function at
     the start state.
     """
-    rows = []
+    # every job is built (and its arguments checked) before any path is
+    # simulated; the deviation draws do not depend on the estimates
     m = len(nash.policy.nodes)
+    jobs, labels = [], []
     for player in range(spec.n_players):
         ref, ref_kind, alpha = _reference_value(nash, player, model)
-        common = dict(
-            horizon=horizon, step=step, n_paths=n_paths, burn_in=burn_in,
-            eps_tail=eps_tail,
-        )
-        if ref_kind == "discounted":
-            common.update(kind="discounted", alpha=alpha)
-        est = estimate_payoff(
-            model, spec, nash.policy, player,
-            seed=int(path_stream(seed, 0xE0, player).integers(2**32)),
-            **common,
-        )
-        margin = est.value - ref
-        thr = 3.0 * est.stderr + grid_error_budget
-        rows.append(
-            DeviationRow(
-                player=player, kind="equilibrium", description="equilibrium policy",
-                estimate=est, reference=ref, margin=margin, threshold=thr,
-                passed=bool(abs(margin) <= thr),
-            )
-        )
+        criterion = dict(kind=ref_kind, horizon=horizon, burn_in=burn_in, alpha=alpha,
+                         eps_tail=eps_tail)
+        eq_seed = int(path_stream(seed, 0xE0, player).integers(2**32))
+        jobs.append(_job(model, spec, nash.policy, player, eq_seed, **criterion))
+        labels.append(("equilibrium", "equilibrium policy", ref))
         grid_i = spec.grids[player]
         n_controls = len(grid_i)
         for k in range(n_deviations):
@@ -298,21 +379,23 @@ def nash_deviation_test(
                 idx = rng.integers(n_controls, size=m)
                 desc = "random feedback field"
                 kind = "random_feedback"
-            est = estimate_payoff(
-                model, spec, nash.policy, player,
-                seed=int(rng.integers(2**32)),
-                override_player=player, override_indices=idx,
-                **common,
+            jobs.append(_job(model, spec, nash.policy.with_player_indices(player, idx), player,
+                             int(rng.integers(2**32)), **criterion))
+            labels.append((kind, desc, ref))
+
+    estimates = _estimate_jobs(model, spec, jobs, horizon, step, n_paths, "nash_deviation_test")
+    rows = []
+    for job, est, (kind, desc, ref) in zip(jobs, estimates, labels):
+        margin = est.value - ref
+        thr = 3.0 * est.stderr + grid_error_budget
+        # the equilibrium margin must vanish; a deviation may not undercut
+        passed = abs(margin) <= thr if kind == "equilibrium" else margin >= -thr
+        rows.append(
+            DeviationRow(
+                player=job.player, kind=kind, description=desc, estimate=est,
+                reference=ref, margin=margin, threshold=thr, passed=bool(passed),
             )
-            margin = est.value - ref
-            thr = 3.0 * est.stderr + grid_error_budget
-            rows.append(
-                DeviationRow(
-                    player=player, kind=kind, description=desc, estimate=est,
-                    reference=ref, margin=margin, threshold=thr,
-                    passed=bool(margin >= -thr),
-                )
-            )
+        )
     report = DeviationReport(
         rows=tuple(rows),
         all_passed=bool(all(r.passed for r in rows)),
@@ -358,30 +441,40 @@ def bsde_path_residual(
         raise ValueError("path residuals require a one-dimensional model")
     sol = nash.solutions[player]
     policy = nash.policy
-    shift = _policy_shift(spec, policy)
-    states, noise = sample_paths(model, shift, horizon, step, seed, n_paths,
-                                 return_noise=True)
-    xs = states[:, :, 0]
-    x_t = xs[:, :-1]
-    x_next = xs[:, 1:]
+    n = _n_steps(horizon, step)
     nodes = policy.nodes
-    v_t = np.interp(x_t, nodes, sol.v)
-    v_next = np.interp(x_next, nodes, sol.v)
-    xi_t = np.interp(x_t, nodes, sol.xi)
-
-    node = policy.node_index(x_t)
+    lookup = _lookup(nodes)
     r_nodes = _policy_drift_nodes(spec, policy)
-    r_t = r_nodes[node]
-    controls = [col[node] for col in policy.control_columns(spec)]
-    cost_t = np.broadcast_to(
-        np.asarray(spec.costs[player](x_t, *controls), dtype=float), x_t.shape
-    )
-    hamilton = xi_t * r_t + cost_t
-    if isinstance(sol, DiscountedSolution):
-        const = sol.alpha * v_t
-    else:
-        const = nash.lambdas[player]
-    # increments of the unshifted Brownian motion
-    dw = math.sqrt(step) * noise + r_t * step
-    residual = v_next - v_t + (hamilton - const) * step - xi_t * dw
-    return float(np.sqrt(np.mean(residual**2)) / math.sqrt(step))
+    columns = policy.control_columns(spec)
+    sqrt_h = math.sqrt(step)
+    sq_sums = np.zeros(n_paths)
+
+    def accumulate(cols, start, states, noise):
+        # path-major, so consecutive states of one path are neighbours and
+        # np.interp's search starts next to its answer
+        xs = np.ascontiguousarray(states.T)
+        x_t = xs[:, :-1]
+        x_next = xs[:, 1:]
+        v_t = np.interp(x_t, nodes, sol.v)
+        v_next = np.interp(x_next, nodes, sol.v)
+        xi_t = np.interp(x_t, nodes, sol.xi)
+        node = _nearest_node(x_t, *lookup)
+        r_t = r_nodes.take(node)
+        controls = [col.take(node) for col in columns]
+        cost_t = np.broadcast_to(
+            np.asarray(spec.costs[player](x_t, *controls), dtype=float), x_t.shape
+        )
+        hamilton = xi_t * r_t + cost_t
+        if isinstance(sol, DiscountedSolution):
+            const = sol.alpha * v_t
+        else:
+            const = nash.lambdas[player]
+        # increments of the unshifted Brownian motion
+        dw = sqrt_h * noise + r_t * step
+        residual = v_next - v_t + (hamilton - const) * step - xi_t * dw
+        sq_sums[cols] += window_sum((residual**2).T)
+
+    run_paths(model, n, step, n_paths, lambda j: (seed, j), accumulate,
+              _stacked_shift(spec, [policy], n_paths), with_noise=True,
+              label="bsde_path_residual")
+    return float(np.sqrt(sq_sums.sum() / (n_paths * n)) / math.sqrt(step))

@@ -1,6 +1,9 @@
 """Forward simulation: reproducibility, guards, and invariant-law oracles."""
 
+import logging
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergodic_games as eg
+from ergodic_games import sde
 from ergodic_games.sde import _n_steps
 
 from conftest import E_BUMP_STANDARD
@@ -48,6 +52,30 @@ def test_any_seed_reproduces(seed, idx):
     a = eg.path_stream(seed, idx).standard_normal(3)
     b = eg.path_stream(seed, idx).standard_normal(3)
     assert np.array_equal(a, b)
+
+
+def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
+    # x-dependent noise and residual drift, a shift, several time blocks and
+    # (with the width cap lowered) several batches: every row stays bitwise
+    # the single path
+    rough = eg.SdeModel(
+        dim=1, lin_drift=-1.0, dissipation=1.0,
+        bounded_drift=lambda x: 0.5 * np.tanh(x), bounded_drift_sup=0.5,
+        bounded_drift_lip=0.5, sigma=lambda x: 1.2 + 0.3 * np.cos(x),
+        sigma_lo=1.0, sigma_hi=4.0, x0=0.3,
+    )
+    shift = eg.DriftShift(shift=lambda x: 0.8 * np.sin(x), bound=0.8)
+    horizon = 0.01 * (2 * sde._BLOCK_STEPS + 37)
+    wide, wide_noise = eg.sample_paths(rough, shift, horizon, 0.01, seed=4, n_paths=5,
+                                       return_noise=True)
+    monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 2)
+    narrow = eg.sample_paths(rough, shift, horizon, 0.01, seed=4, n_paths=5)
+    assert np.array_equal(wide, narrow)
+    for k in range(5):
+        single = eg.simulate(rough, shift, horizon, 0.01, seed=4, path_index=k)
+        assert np.array_equal(single.states, wide[k])
+        assert np.array_equal(wide_noise[k],
+                              eg.path_stream(4, k).standard_normal(wide.shape[1] - 1))
 
 
 def test_zero_horizon_returns_initial_state(model):
@@ -115,6 +143,51 @@ def test_divergence_reported_when_a_callback_rejects_non_finite_states(model):
     assert exc.value.step_index == first_out + 1
 
 
+def test_divergence_overrun_bounded_by_the_scan_not_the_block(model):
+    # after the batch turns non-finite the engine steps on only to the end of
+    # the current scan window, however long its time block is
+    calls = {"total": 0, "after": 0}
+
+    def shift(x):
+        calls["total"] += 1
+        if not np.all(np.isfinite(x)):
+            calls["after"] += 1
+        return np.full_like(x, np.nan) if calls["total"] == 300 else np.zeros_like(x)
+
+    bad = eg.DriftShift(shift=shift, bound=1.0)
+    calls.update(total=0, after=0)  # forget the construction-time bound check
+    with pytest.raises(eg.SimulationDivergedError) as exc:
+        eg.sample_paths(model, bad, 50.0, 0.01, 0, 3)
+    assert exc.value.step_index == 300
+    assert 0 < calls["after"] < sde._FINITE_CHECK_STEPS < sde._BLOCK_STEPS
+    assert sde._BLOCK_STEPS % sde._FINITE_CHECK_STEPS == 0
+
+
+def test_engine_logs_one_trace_line_per_run(model, caplog):
+    with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
+        eg.invariant_average(model, eg.bump, horizon=25.0, burn_in=1.0, step=0.01,
+                             n_paths=6, seed=1)
+    lines = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
+    assert len(lines) == 1
+    m = re.fullmatch(r"invariant_average engine: paths=6 steps=2500 batches=1 blocks=3 "
+                     r"rng_s=\d+\.\d{4} euler_s=\d+\.\d{4} cost_s=\d+\.\d{4}", lines[0])
+    assert m is not None, lines[0]
+
+
+def test_simulation_rejects_multi_dimensional_models():
+    plane = eg.SdeModel(
+        dim=2, lin_drift=-1.0, dissipation=1.0,
+        bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0, bounded_drift_lip=0.0,
+        sigma=lambda x: np.eye(2), sigma_lo=1.0, sigma_hi=4.0, x0=[0.0, 0.0],
+        check_samples=50,
+    )
+    with pytest.raises(ValueError, match="one-dimensional"):
+        eg.simulate(plane, None, horizon=1.0, step=0.1)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        eg.invariant_average(plane, lambda x: 1.0, horizon=1.0, burn_in=0.5, step=0.1,
+                             n_paths=2)
+
+
 def test_model_rejects_non_dissipative_drift():
     with pytest.raises(ValueError, match="dissipativity"):
         eg.SdeModel(
@@ -180,6 +253,34 @@ def test_invariant_average_constant_has_zero_stderr(model):
                                burn_in=1.0, step=0.05, n_paths=16)
     assert est.value == 1.0
     assert est.stderr == 0.0
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_invariant_average_matches_parent_values(model):
+    # values of the full-array implementation this engine replaced; only the
+    # order of the time sums differs
+    est = eg.invariant_average(model, eg.bump, horizon=30.0, burn_in=5.0, step=0.02,
+                               n_paths=16, seed=3)
+    assert est.value == pytest.approx(0.3570573054102584, rel=1e-12)
+    assert est.stderr == pytest.approx(0.010462162973639411, rel=1e-12)
+
+
+def test_invariant_average_memory_flat_in_horizon(model):
+    def run(horizon):
+        return _peak_bytes(lambda: eg.invariant_average(
+            model, eg.bump, horizon=horizon, burn_in=1.0, step=0.05, n_paths=64, seed=0))
+
+    short, long = run(60.0), run(480.0)  # 1,200 and 9,600 steps
+    # a paths x steps array at the long horizon alone would be 4.9 MB
+    assert long <= short + 256 * 1024, (short, long)
 
 
 def test_invariant_average_rejects_bad_burn_in(model):

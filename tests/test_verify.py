@@ -1,9 +1,14 @@
 """Monte Carlo verification layer: payoff oracles, deviations, residuals."""
 
+import logging
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ergodic_games as eg
+from ergodic_games import sde, verify
 from ergodic_games.verify import (
     SCOPE_NOTE,
     bsde_path_residual,
@@ -146,3 +151,198 @@ def test_scope_note_names_sampled_classes(model, g0, g0_nash_coarse):
     assert "sampled" in rep.scope_note
     assert rep.scope_note == SCOPE_NOTE
     assert "constant controls" in SCOPE_NOTE
+
+
+# -- the batched path engine behind the harness ---------------------------------------
+
+
+def _reference_shift(spec, policy):
+    """Per-policy nearest-node drift shift, as each estimate built it before batching."""
+    joint = tuple(policy.indices[:, i] for i in range(spec.n_players))
+    r_nodes = spec.drift_table()[joint]
+    lo = float(policy.nodes[0])
+    inv_dx = 1.0 / (policy.nodes[1] - policy.nodes[0])
+
+    def shift(x):
+        idx = np.rint((x - lo) * inv_dx).astype(np.intp)
+        return r_nodes.take(idx, mode="clip")
+
+    return eg.DriftShift(shift=shift, bound=spec.drift_bound, check_samples=64)
+
+
+@pytest.fixture(scope="module")
+def g0_asymmetric(model, g0, coarse_grid):
+    return eg.asymmetric_solve(model, g0, coarse_grid, alpha=0.2, tol=1e-4)
+
+
+def _captured_jobs(monkeypatch):
+    jobs = []
+    original = verify._estimate_jobs
+
+    def capture(model, spec, batch, *args):
+        jobs.extend(batch)
+        return original(model, spec, batch, *args)
+
+    monkeypatch.setattr(verify, "_estimate_jobs", capture)
+    return jobs
+
+
+@pytest.mark.parametrize("game", ["ergodic", "asymmetric"])
+def test_deviation_rows_equal_estimates_alone(model, g0, g0_nash_coarse, g0_asymmetric,
+                                              monkeypatch, game):
+    nash = g0_nash_coarse if game == "ergodic" else g0_asymmetric
+    kw = dict(horizon=50.0, step=0.02, n_paths=8)
+    with monkeypatch.context() as mp:
+        jobs = _captured_jobs(mp)
+        # a width cap below n_paths splits jobs across batches
+        mp.setattr(sde, "_MAX_BATCH_PATHS", 5)
+        rep = nash_deviation_test(model, g0, nash, n_deviations=3, seed=7, **kw)
+    assert len(jobs) == len(rep.rows) == 8
+    kinds = {job.kind for job in jobs}
+    assert kinds == ({"ergodic"} if game == "ergodic" else {"ergodic", "discounted"})
+    for job, row in zip(jobs, rep.rows):
+        alone = estimate_payoff(model, g0, job.policy, job.player, kind=job.kind,
+                                burn_in=job.burn_in, alpha=job.alpha, seed=job.seed, **kw)
+        assert alone == row.estimate
+
+
+def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
+    grid = eg.Grid1D(-1.5, 1.5, 13)  # paths leave it, so the lookup clamps
+    rng = np.random.default_rng(3)
+    policies = [
+        eg.FeedbackPolicy(nodes=grid.nodes(), indices=rng.integers(0, 41, size=(13, 2)),
+                          z_values=np.zeros((13, 2)))
+        for _ in range(3)
+    ]
+    seeds, n_paths, step = (11, 12, 13), 4, 0.01
+    n = sde._BLOCK_STEPS + 300
+    out = np.empty((len(seeds) * n_paths, n + 1))
+    out[:, 0] = model.x0[0]
+
+    def keep(cols, start, states, noise):
+        out[cols, start + 1:start + len(states)] = states[1:].T
+
+    monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 5)
+    sde.run_paths(model, n, step, len(out), lambda j: (seeds[j // n_paths], j % n_paths), keep,
+                  verify._stacked_shift(g0, policies, n_paths))
+    assert np.abs(out).max() > 1.5
+    for j, (policy, seed) in enumerate(zip(policies, seeds)):
+        shift = _reference_shift(g0, policy)
+        for k in range(n_paths):
+            alone = eg.simulate(model, shift, n * step, step, seed=seed, path_index=k)
+            assert np.array_equal(alone.states[:, 0], out[j * n_paths + k])
+
+
+# values of the full-array implementation the batched engine replaced; only
+# the order of the time sums differs, so they agree to rounding
+PARENT_ESTIMATES = {
+    "ergodic": (0.32378403622676716, 0.016858841542713544),
+    "discounted": (1.424558511584157, 0.062103705765653536),
+    "rows": [
+        (0.28639629701661024, 0.017431108439226798), (0.5445646453741696, 0.018906980719623136),
+        (0.3183079717252492, 0.01781823042525232), (0.43654004033313826, 0.023467364614459946),
+        (0.29504394498856695, 0.013806621216066182), (0.3844695994539445, 0.026964587378767953),
+        (0.30664110300011244, 0.020597724261533085), (0.7666347805524766, 0.013939435259766627),
+    ],
+    "asymmetric_rows": [
+        (0.3156261947809798, 0.009446479382522202), (0.5355687889705932, 0.015595789536932162),
+        (0.3343732165991067, 0.012796645300436508), (0.42196072229053744, 0.015373382889660232),
+        (1.5306439739313633, 0.10666624028749633), (1.8603999883175417, 0.0871914531704074),
+        (1.4900589719587962, 0.10054800782223204), (3.798120225094977, 0.045716172332030756),
+    ],
+    "residual": 0.039850692442062415,
+    "residual_discounted": 0.03569927681500891,
+}
+
+
+def test_estimates_match_parent_values(model, g0, g0_nash_coarse, g0_asymmetric):
+    close = dict(rel=1e-12, abs=0.0)
+    got = {
+        "ergodic": estimate_payoff(model, g0, g0_nash_coarse.policy, 0, horizon=30.0,
+                                   step=0.02, n_paths=16, seed=9),
+        "discounted": estimate_payoff(model, g0, g0_asymmetric.policy, 1, kind="discounted",
+                                      alpha=0.2, horizon=50.0, step=0.02, n_paths=16, seed=3),
+    }
+    for key, est in got.items():
+        assert (est.value, est.stderr) == pytest.approx(PARENT_ESTIMATES[key], **close)
+    for key, nash, horizon in (("rows", g0_nash_coarse, 30.0),
+                               ("asymmetric_rows", g0_asymmetric, 50.0)):
+        rep = nash_deviation_test(model, g0, nash, n_deviations=3, horizon=horizon,
+                                  step=0.02, n_paths=12, seed=5)
+        for row, pinned in zip(rep.rows, PARENT_ESTIMATES[key]):
+            assert (row.estimate.value, row.estimate.stderr) == pytest.approx(pinned, **close)
+    assert bsde_path_residual(model, g0, g0_nash_coarse, player=0, horizon=25.0, step=0.02,
+                              n_paths=32, seed=4) == pytest.approx(
+        PARENT_ESTIMATES["residual"], **close)
+    assert bsde_path_residual(model, g0, g0_asymmetric, player=1, horizon=10.0, step=0.02,
+                              n_paths=8, seed=8) == pytest.approx(
+        PARENT_ESTIMATES["residual_discounted"], **close)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_memory_flat_in_horizon(model, g0, g0_nash_coarse):
+    def run(horizon):
+        return _peak_bytes(lambda: estimate_payoff(
+            model, g0, g0_nash_coarse.policy, 0, horizon=horizon, step=0.02, n_paths=16,
+            burn_in=5.0, seed=1))
+
+    short, long = run(50.0), run(400.0)  # 2,500 and 20,000 steps
+    # one paths x steps array at the long horizon alone would be 2.6 MB
+    assert long <= short + 128 * 1024, (short, long)
+
+
+def test_harness_memory_flat_in_deviations(model, g0, g0_nash_coarse):
+    # 8 jobs of 256 paths fill one batch; 62 jobs run as eight batches
+    def run(n_deviations):
+        return _peak_bytes(lambda: nash_deviation_test(
+            model, g0, g0_nash_coarse, n_deviations=n_deviations, horizon=2.0, step=0.02,
+            n_paths=256, burn_in=0.5, seed=3))
+
+    assert 8 * 256 == sde._MAX_BATCH_PATHS
+    few, many = run(3), run(30)
+    # the states of the 62 jobs alone, held at once, would be 12.8 MB; what
+    # does grow is a few KB of tables and sums per job
+    assert many <= few + 1024 * 1024, (few, many)
+
+
+def test_divergence_of_one_job_inside_a_batch(model, g0, coarse_grid):
+    # player 0's top control has no drift value, so a job playing it beyond
+    # |x| = 2 diverges when its first path gets there; the other jobs do not
+    spec = eg.GameSpec(
+        grids=g0.grids, drift_map=lambda u, v: np.where(u >= 1.0, np.nan, u + v),
+        drift_bound=g0.drift_bound, costs=g0.costs, cost_sup=g0.cost_sup,
+        cost_x_lip=g0.cost_x_lip,
+    )
+    nodes = coarse_grid.nodes()
+    calm = policy_of_constant_control(spec, coarse_grid, 20)
+    wild = calm.with_player_indices(0, np.where(np.abs(nodes) > 2.0, 40, 20))
+    jobs = [verify._Job(0, policy, seed, "ergodic", 1.0, None)
+            for policy, seed in ((calm, 1), (wild, 2), (calm, 3))]
+    with pytest.raises(eg.SimulationDivergedError) as batched:
+        verify._estimate_jobs(model, spec, jobs, 40.0, 0.01, 6, "test")
+    with pytest.raises(eg.SimulationDivergedError) as alone:
+        eg.sample_paths(model, _reference_shift(spec, wild), 40.0, 0.01, 2, 6)
+    assert batched.value.step_index == alone.value.step_index > 1
+
+
+def test_harness_logs_one_engine_line(model, g0, g0_nash_coarse, caplog):
+    with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
+        rep = nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=3,
+                                  horizon=25.0, step=0.02, n_paths=8, seed=0)
+    lines = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
+    assert len(lines) == 1
+    m = re.fullmatch(r"nash_deviation_test engine: paths=(\d+) steps=(\d+) batches=(\d+) "
+                     r"blocks=(\d+) rng_s=(\d+\.\d{4}) euler_s=(\d+\.\d{4}) "
+                     r"cost_s=(\d+\.\d{4})", lines[0])
+    assert m is not None, lines[0]
+    assert [int(v) for v in m.groups()[:4]] == [2 * 4 * 8, 1250, 1, 2]
+    assert float(m.group(5)) > 0.0 and float(m.group(6)) > 0.0
+    assert "engine" not in str(rep.as_dict()) and "_s=" not in str(rep.as_dict())
