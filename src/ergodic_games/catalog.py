@@ -80,9 +80,6 @@ def _residual_drift(name: str, params: dict) -> Tuple[Callable, float, float]:
 
 def make_model(cfg: dict) -> SdeModel:
     """Model from a config mapping (see the bundled YAML files)."""
-    dim = int(cfg.get("dim", 1))
-    if dim != 1:
-        raise ValueError("config-built models are one-dimensional")
     res_cfg = dict(cfg.get("bounded_drift", {"name": "zero"}))
     fn, f_sup, f_lip = _residual_drift(res_cfg.pop("name", "zero"), res_cfg)
     sig_cfg = dict(cfg.get("sigma", {"name": "constant", "value": SQRT2}))
@@ -92,7 +89,7 @@ def make_model(cfg: dict) -> SdeModel:
     s = float(sig_cfg.get("value", SQRT2))
     combo = abs(s) + 1.0 / abs(s)
     return SdeModel(
-        dim=1,
+        dim=int(cfg.get("dim", 1)),
         lin_drift=float(cfg.get("lin_drift", -1.0)),
         dissipation=float(cfg.get("dissipation", 1.0)),
         bounded_drift=fn,

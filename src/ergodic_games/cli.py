@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 import yaml
 
+from ._csv import write_csv
 from .catalog import make_driver, make_game, make_growth_driver, make_model
 from .continuous import (
     LinearizationDidNotConvergeError,
@@ -94,7 +95,7 @@ def _scalar(cfg: dict, name: str):
 
 
 # every solver key some command reads; a config may be shared between commands
-_SOLVER_KEYS = ("tol", "max_iter", "damping", "inner_tol", "enumeration_cap", "residual_ceiling")
+_SOLVER_KEYS = ("tol", "max_iter", "damping", "inner_tol", "residual_ceiling")
 
 
 def _solver_section(cfg: dict) -> dict:
@@ -198,7 +199,6 @@ def _solver_kwargs(cfg: dict) -> dict:
         max_iter=int(s.get("max_iter", 50)),
         damping=float(s.get("damping", 1.0)),
         inner_tol=float(s.get("inner_tol", 1e-6)),
-        enumeration_cap=int(s.get("enumeration_cap", 1_000_000)),
     )
     return kwargs
 
@@ -283,27 +283,20 @@ def _cmd_simulate(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     horizon = float(sim.get("horizon", 10.0))
     step = float(sim.get("step", 0.01))
     n_paths = int(sim.get("n_paths", 1))
-    states = sample_paths(model, None, horizon, step, seed, n_paths)
-    times = np.arange(states.shape[1]) * step
-    header = ",".join(["path", "t"] + [f"x_{j + 1}" for j in range(model.dim)])
-    with open(out / "paths.csv", "w") as fh:
-        fh.write(header + "\n")
-        for p in range(n_paths):
-            for k in range(states.shape[1]):
-                cells = [str(p), repr(float(times[k]))]
-                cells += [repr(float(v)) for v in states[p, k]]
-                fh.write(",".join(cells) + "\n")
-    final = states[:, -1, :]
-    sq = np.sum(states**2, axis=2).mean(axis=0)
+    states = sample_paths(model, None, horizon, step, seed, n_paths)[:, :, 0]
+    times = (np.arange(states.shape[1]) * step).tolist()
+    write_csv(out / "paths.csv", ("path", "t", "x_1"),
+              ((p, t, x) for p, row in enumerate(states.tolist()) for t, x in zip(times, row)))
+    final = states[:, -1]
+    sq = (states**2).mean(axis=0)
     _write_json(
         out / "report.json",
         {
             "horizon": horizon,
             "step": step,
             "n_paths": n_paths,
-            "final_mean": [float(v) for v in final.mean(axis=0)],
-            "final_std": [float(v) for v in final.std(axis=0, ddof=1)] if n_paths > 1
-            else [0.0] * model.dim,
+            "final_mean": [float(final.mean())],
+            "final_std": [float(final.std(ddof=1)) if n_paths > 1 else 0.0],
             "sup_mean_square": float(np.max(sq)),
         },
     )

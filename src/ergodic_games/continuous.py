@@ -150,8 +150,6 @@ def solve_continuous_ebsde(
     ``residual_sup`` is recomputed against the *original* driver and must
     stay below ``residual_ceiling`` (default ``10 * tol``).
     """
-    if model.dim != 1:
-        raise ValueError("grid solver requires a one-dimensional model")
     dec = decompose(f, kappa)
     nodes = grid.nodes()
     xi = np.zeros(grid.m) if xi_init is None else np.asarray(xi_init, dtype=float).copy()

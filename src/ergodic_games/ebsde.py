@@ -31,6 +31,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._csv import write_csv
+
 __all__ = [
     "MaxSweepsExceededError",
     "NonMonotoneSchemeError",
@@ -200,7 +202,7 @@ class ErgodicSolution:
     growth_constant: float
 
     def to_csv(self, path) -> None:
-        _write_columns_csv(path, ("x", "v", "xi"), (self.grid.nodes(), self.v, self.xi))
+        write_csv(path, ("x", "v", "xi"), zip(self.grid.nodes(), self.v, self.xi))
 
     def report_dict(self) -> dict:
         return {
@@ -234,7 +236,7 @@ class DiscountedSolution:
         return float(np.interp(x, self.grid.nodes(), self.v))
 
     def to_csv(self, path) -> None:
-        _write_columns_csv(path, ("x", "v", "xi"), (self.grid.nodes(), self.v, self.xi))
+        write_csv(path, ("x", "v", "xi"), zip(self.grid.nodes(), self.v, self.xi))
 
     def report_dict(self) -> dict:
         return {
@@ -244,14 +246,6 @@ class DiscountedSolution:
             "sup_v": self.sup_v,
             "alpha_times_sup_v": self.alpha * self.sup_v,
         }
-
-
-def _write_columns_csv(path, names, columns) -> None:
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _derivatives(v: np.ndarray, dx: float):
@@ -326,8 +320,6 @@ def _solve_pinned(model, driver: DriverSpec, grid: Grid1D, alpha: float, tol: fl
     difference in ``z``, a subgradient at kinks) and solves the bordered
     Newton system.  Returns ``(v, c, iterations)``.
     """
-    if model.dim != 1:
-        raise ValueError("grid solver requires a one-dimensional model")
     x, dx, iref = grid.nodes(), grid.dx, grid.x_ref_index
     sig = model.sigma_1d(x).astype(float)
     sig2 = sig**2

@@ -1,11 +1,11 @@
 """Static game layer: control grids, Hamiltonians, pointwise Nash points.
 
-Each player picks a control from a finite grid.  The joint control enters
-the dynamics through a shared drift map and each player pays a running cost.
-For a state ``x`` and per-player gradient values ``z``, player ``i``'s
-Hamiltonian is
+Each player picks a scalar control from a finite grid.  The joint control
+enters the dynamics through a shared scalar drift map and each player pays a
+running cost.  For a state ``x`` and per-player gradient values ``z``,
+player ``i``'s Hamiltonian is
 
-    H_i(x, z_i, u) = z_i . drift_map(u) + cost_i(x, u)
+    H_i(x, z_i, u) = z_i * drift_map(u) + cost_i(x, u)
 
 and a joint control is a pointwise Nash point when no player can lower their
 own Hamiltonian by a unilateral grid move.
@@ -35,6 +35,9 @@ __all__ = [
 JointControl = Tuple[int, ...]
 
 _CHECK_SLACK = 1e-9
+# joint grids up to this size are searched exhaustively, larger ones by
+# cyclic best responses
+_ENUMERATION_CAP = 1_000_000
 
 
 class NoPureNashError(RuntimeError):
@@ -52,18 +55,20 @@ class BestResponseCycleError(RuntimeError):
 
 @dataclass(frozen=True)
 class ControlGrid:
-    """Finite list of admissible control points for one player."""
+    """Finite list of admissible scalar control points for one player."""
 
     points: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 1:
+            raise ValueError(f"control grid points must be scalars (a 1-d array), "
+                             f"got shape {pts.shape}")
         if pts.size == 0:
             raise ValueError("control grid must be nonempty")
         if not np.all(np.isfinite(pts)):
             raise ValueError("control grid points must be finite")
-        flat = pts.reshape(len(pts), -1)
-        if len(np.unique(flat, axis=0)) != len(flat):
+        if len(np.unique(pts)) != len(pts):
             raise ValueError("control grid points must be distinct")
         object.__setattr__(self, "points", pts)
 
@@ -81,7 +86,9 @@ class GameSpec:
 
     ``drift_map`` and each ``costs[i]`` receive the per-player control values
     as separate positional arguments (``costs[i]`` gets the state first) and
-    must broadcast over numpy arrays.  ``drift_bound`` bounds
+    must broadcast over numpy arrays: called on the joint control meshes,
+    their output must broadcast to the joint grid's shape (else
+    ``ValueError``).  ``drift_bound`` bounds
     ``|drift_map|`` over the grids, ``cost_sup`` bounds ``|cost_i|`` and
     ``cost_x_lip`` is a Lipschitz constant of the costs in the state; all
     three are verified on samples at construction.
@@ -106,11 +113,9 @@ class GameSpec:
             raise ValueError("need exactly one cost per player")
         object.__setattr__(self, "_cost_cache", {})
         object.__setattr__(self, "_drift_cache", None)
-        mesh = None
-        if all(g.points.ndim == 1 for g in self.grids):
-            mesh = np.meshgrid(*[g.points for g in self.grids], indexing="ij")
-            for a in mesh:
-                a.flags.writeable = False
+        mesh = np.meshgrid(*[g.points for g in self.grids], indexing="ij")
+        for a in mesh:
+            a.flags.writeable = False
         object.__setattr__(self, "_mesh", mesh)
         object.__setattr__(self, "_value_order", _value_order(self.grids))
         self._run_checks()
@@ -130,32 +135,25 @@ class GameSpec:
     def _shape(self) -> Tuple[int, ...]:
         return tuple(len(g) for g in self.grids)
 
-    def _tabulate(self, fn, vector: bool = False) -> np.ndarray:
-        """``fn`` over the joint grid: one call on the meshes, else point by point."""
+    def _tabulate(self, fn) -> np.ndarray:
+        """``fn`` over the joint grid, in one call on the meshes."""
         shape = self._shape()
-        mesh = getattr(self, "_mesh")
-        if mesh is not None:
-            try:
-                raw = np.asarray(fn(*mesh), dtype=float)
-                if raw.shape == shape or (vector and raw.shape[:-1] == shape):
-                    return raw
-                return np.broadcast_to(raw, shape).astype(float)
-            except (TypeError, ValueError):
-                pass
-        tab = np.empty(shape)
-        for idx in np.ndindex(*shape):
-            tab[idx] = float(np.asarray(fn(*[g.points[j] for g, j in zip(self.grids, idx)])))
-        return tab
+        try:
+            raw = np.asarray(fn(*getattr(self, "_mesh")), dtype=float)
+            return raw if raw.shape == shape else np.broadcast_to(raw, shape).astype(float)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"game callables must broadcast over the joint control grid of "
+                             f"shape {shape}: {err}") from err
 
     def drift_table(self) -> np.ndarray:
         """``drift_map`` evaluated on the full joint grid (cached)."""
         if getattr(self, "_drift_cache") is None:
-            object.__setattr__(self, "_drift_cache", self._tabulate(self.drift_map, vector=True))
+            object.__setattr__(self, "_drift_cache", self._tabulate(self.drift_map))
         return getattr(self, "_drift_cache")
 
     def cost_table(self, player: int, x) -> np.ndarray:
         """``costs[player]`` at state ``x`` on the full joint grid (cached)."""
-        key = (player, _state_key(x))
+        key = (player, float(x))
         cache = getattr(self, "_cost_cache")
         if key not in cache:
             cache[key] = self._tabulate(lambda *u: self.costs[player](x, *u))
@@ -169,7 +167,7 @@ class GameSpec:
     def _run_checks(self) -> None:
         rng = np.random.default_rng(self.check_seed)
         tab = self.drift_table()
-        mag = np.abs(tab) if tab.ndim == len(self.grids) else np.linalg.norm(tab, axis=-1)
+        mag = np.abs(tab)
         if np.any(mag > self.drift_bound * (1.0 + _CHECK_SLACK) + 1e-12):
             raise ValueError(
                 f"drift_map check failed: |drift_map|={float(mag.max()):.6g} exceeds "
@@ -196,23 +194,13 @@ class GameSpec:
         getattr(self, "_cost_cache").clear()
 
 
-def _state_key(x):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return float(arr)
-    return tuple(float(v) for v in arr.ravel())
-
-
 def hamiltonian(spec: GameSpec, player: int, x, z_i, u: JointControl) -> float:
-    """Player's Hamiltonian ``z_i . drift_map(u) + cost_i(x, u)`` at one point."""
+    """Player's Hamiltonian ``z_i * drift_map(u) + cost_i(x, u)`` at one point."""
     _validate_joint(spec, u)
     vals = spec.control_values(u)
-    r = np.asarray(spec.drift_map(*vals), dtype=float)
+    r = float(np.asarray(spec.drift_map(*vals)))
     c = float(np.asarray(spec.costs[player](x, *vals)))
-    z = np.asarray(z_i, dtype=float)
-    if r.ndim == 0 and z.ndim == 0:
-        return float(z) * float(r) + c
-    return float(np.dot(z.ravel(), r.ravel())) + c
+    return float(z_i) * r + c
 
 
 def _validate_joint(spec: GameSpec, u: Sequence[int]) -> None:
@@ -224,22 +212,16 @@ def _validate_joint(spec: GameSpec, u: Sequence[int]) -> None:
 
 
 def _value_order(grids) -> Optional[tuple]:
-    """Per-grid index permutations into lexicographic value order; ``None`` if all ascending."""
-    orders = tuple(np.lexsort(g.points.reshape(len(g), -1).T[::-1]) for g in grids)
+    """Per-grid index permutations into ascending value order; ``None`` if all ascending."""
+    orders = tuple(np.argsort(g.points, kind="stable") for g in grids)
     return None if all(np.array_equal(o, np.arange(len(o))) for o in orders) else orders
 
 
-def isaac_fixed_point(
-    spec: GameSpec,
-    x,
-    z,
-    enumeration_cap: int = 1_000_000,
-    max_rounds: int = 10_000,
-) -> JointControl:
+def isaac_fixed_point(spec: GameSpec, x, z, max_rounds: int = 10_000) -> JointControl:
     """Joint control at which every Hamiltonian is unilaterally minimal.
 
     Exhaustive enumeration is used while the product grid has at most
-    ``enumeration_cap`` points: one pass per player marks where that
+    ``_ENUMERATION_CAP`` points: one pass per player marks where that
     player's Hamiltonian is minimal along their own axis, and the first
     control marked by every player in the lexicographic order of control
     *values* wins, so ties go to the smallest tuple of values and reordering
@@ -253,7 +235,7 @@ def isaac_fixed_point(
     """
     if len(z) != spec.n_players:
         raise ValueError(f"need one gradient value per player, got {len(z)}")
-    if spec.product_size() > enumeration_cap:
+    if spec.product_size() > _ENUMERATION_CAP:
         return _best_response_search(spec, x, z, max_rounds)
     drift = spec.drift_table()
     shape = spec._shape()
@@ -261,11 +243,7 @@ def isaac_fixed_point(
     h = np.empty(shape)
     mask = np.ones(shape, dtype=bool)
     for i in range(spec.n_players):
-        z_i = np.asarray(z[i], dtype=float).ravel()
-        if drift.ndim == len(shape):
-            np.multiply(drift, z_i[0], out=h)
-        else:
-            h[...] = np.tensordot(drift, z_i, axes=([-1], [0]))
+        np.multiply(drift, float(z[i]), out=h)
         h += spec.cost_table(i, x)
         mask &= h <= h.min(axis=i, keepdims=True)
     order = getattr(spec, "_value_order")
@@ -282,27 +260,13 @@ def isaac_fixed_point(
 
 def _best_response(spec: GameSpec, x, z_i, player: int, current: JointControl) -> int:
     """Index minimizing the player's Hamiltonian with the others frozen."""
-    grid = spec.grids[player]
-    vals = spec.control_values(current)
-    h = np.empty(len(grid))
-    try:
-        probe = list(vals)
-        probe[player] = grid.points
-        r = np.asarray(spec.drift_map(*probe), dtype=float)
-        c = np.asarray(spec.costs[player](x, *probe), dtype=float)
-        z_arr = np.asarray(z_i, dtype=float)
-        if r.shape == (len(grid),):
-            h = float(z_arr) * r + np.broadcast_to(c, (len(grid),))
-        else:
-            raise ValueError("shape mismatch")
-    except (TypeError, ValueError):
-        for j in range(len(grid)):
-            u = list(current)
-            u[player] = j
-            h[j] = hamiltonian(spec, player, x, z_i, tuple(u))
+    pts = spec.grids[player].points
+    probe = spec.control_values(current)
+    probe[player] = pts
+    r = np.broadcast_to(np.asarray(spec.drift_map(*probe), dtype=float), pts.shape)
+    h = float(z_i) * r + np.asarray(spec.costs[player](x, *probe), dtype=float)
     ties = np.flatnonzero(h <= h.min())
-    pts = grid.points
-    return int(min(ties, key=lambda j: tuple(np.atleast_1d(pts[j]).tolist())))
+    return int(ties[np.argmin(pts[ties])])
 
 
 def _best_response_search(spec: GameSpec, x, z, max_rounds: int) -> JointControl:
@@ -344,12 +308,11 @@ def verify_isaacs(
     n_samples: int = 1_000,
     delta: float = 1e-3,
     seed: int = 0,
-    enumeration_cap: int = 1_000_000,
 ) -> IsaacsReport:
     """Sample ``(x, z)`` pairs and probe the pointwise Nash search.
 
     ``sampler`` is called with a generator and must return ``(x, z)`` with
-    one gradient value per player; the default draws both from centered
+    one scalar gradient value per player; the default draws both from centered
     normals with scale 2.  For each sample the search is retried at a
     ``delta``-perturbed ``z`` and the largest change of the per-player
     Hamiltonian values is recorded (``delta == 0`` reproduces the same
@@ -367,27 +330,19 @@ def verify_isaacs(
     failures = []
     for _ in range(n_samples):
         x, z = sampler(rng)
-        z = tuple(z)
-        direction = []
-        for z_i in z:
-            d = rng.standard_normal(np.shape(np.atleast_1d(z_i)))
-            norm = float(np.linalg.norm(d))
-            direction.append(d / norm if norm > 0 else d)
+        z = tuple(float(z_i) for z_i in z)
+        # a random unit direction per player: a sign
+        direction = np.sign(rng.standard_normal(len(z))).tolist()
         try:
-            u = isaac_fixed_point(spec, x, z, enumeration_cap=enumeration_cap)
+            u = isaac_fixed_point(spec, x, z)
         except (NoPureNashError, BestResponseCycleError):
             if len(failures) < 5:
                 failures.append((x, z))
             continue
         hits += 1
-        z_near = tuple(
-            (np.asarray(z_i, dtype=float) + delta * d).item()
-            if np.ndim(z_i) == 0
-            else np.asarray(z_i, dtype=float) + delta * d
-            for z_i, d in zip(z, direction)
-        )
+        z_near = tuple(z_i + delta * d for z_i, d in zip(z, direction))
         try:
-            u_near = isaac_fixed_point(spec, x, z_near, enumeration_cap=enumeration_cap)
+            u_near = isaac_fixed_point(spec, x, z_near)
         except (NoPureNashError, BestResponseCycleError):
             if len(failures) < 5:
                 failures.append((x, z_near))

@@ -13,20 +13,22 @@ interior gradient field are stationary to tolerance.  All frozen drivers
 share the z-Lipschitz constant ``drift_bound`` of the game, which is what
 makes the iteration well posed uniformly in the iteration count.
 
-The asymmetric variant solves player 1's ergodic equation against player 2's
-discounted equation; a sweep over discount rates tracks the vanishing-
-discount limit.
+Each player is scored by a long-run average or by a discounted payoff, in
+any mix (the paper's interacting players of different type); the asymmetric
+variant pairs an ergodic player 1 with a discounted player 2, and a sweep
+over its discount rates tracks the vanishing-discount limit.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._csv import write_csv
 from .ebsde import (
     DiscountedSolution,
     DriverSpec,
@@ -65,10 +67,11 @@ class NashSolution:
     """Converged (or best-effort) feedback Nash point of the grid game.
 
     ``solutions[i]`` is the per-player grid solution (ergodic, or discounted
-    for the discounting player of the asymmetric variant), ``lambdas[i]`` the
-    long-run cost of each ergodic player, and ``policy`` the joint feedback
-    control generated by the final gradient fields.  ``comparison`` is the
-    upper bound from the dominating driver.
+    for a discounting player), ``lambdas[i]`` the long-run cost of each
+    ergodic player (``None`` for a discounting one), and ``policy`` the joint
+    feedback control generated by the final gradient fields.  ``comparison``
+    is the upper bound from the dominating driver and ``alpha`` the discount
+    rate of the discounting players when they share one.
     """
 
     spec_name: str
@@ -92,23 +95,11 @@ class NashSolution:
 
     def to_csv(self, path) -> None:
         """Columns ``x`` then ``v_i, xi_i, u_i, u_i_index`` per player."""
-        grid = self.grid
-        nodes = grid.nodes()
-        names = ["x"]
-        for i in range(1, self.n_players + 1):
-            names += [f"v_{i}", f"xi_{i}", f"u_{i}", f"u_{i}_index"]
-        with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for k in range(grid.m):
-                row = [repr(float(nodes[k]))]
-                for i, sol in enumerate(self.solutions):
-                    row += [
-                        repr(float(sol.v[k])),
-                        repr(float(sol.xi[k])),
-                        repr(float(self.policy_values[i][k])),
-                        str(int(self.policy.indices[k, i])),
-                    ]
-                fh.write(",".join(row) + "\n")
+        names, columns = ["x"], [self.grid.nodes()]
+        for i, sol in enumerate(self.solutions):
+            names += [f"v_{i + 1}", f"xi_{i + 1}", f"u_{i + 1}", f"u_{i + 1}_index"]
+            columns += [sol.v, sol.xi, self.policy_values[i], self.policy.indices[:, i]]
+        write_csv(path, names, zip(*columns))
 
     def report_dict(self) -> dict:
         per_player = []
@@ -129,10 +120,8 @@ class NashSolution:
         }
 
 
-def _policy_from_xi(spec: GameSpec, nodes: np.ndarray, xi: np.ndarray,
-                    enumeration_cap: int) -> np.ndarray:
-    return np.array([isaac_fixed_point(spec, float(x), tuple(xi[k]),
-                                       enumeration_cap=enumeration_cap)
+def _policy_from_xi(spec: GameSpec, nodes: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    return np.array([isaac_fixed_point(spec, float(x), tuple(xi[k]))
                      for k, x in enumerate(nodes)], dtype=int)
 
 
@@ -188,91 +177,38 @@ def picard_solve(
     max_iter: int = 50,
     damping: float = 1.0,
     inner_tol: float = 1e-6,
-    enumeration_cap: int = 1_000_000,
     v_init: Optional[Sequence[np.ndarray]] = None,
     xi_init: Optional[np.ndarray] = None,
+    alphas: Optional[Sequence[Optional[float]]] = None,
 ) -> NashSolution:
-    """Fixed point of the coupled ergodic system by frozen-policy iterations.
+    """Fixed point of the coupled system by frozen-policy iterations.
 
-    Gradient fields start at zero (``xi_init`` overrides; restarting from a
-    converged field performs exactly one verification iteration).  Each
-    iteration tabulates the pointwise Nash control from the current fields,
-    solves every player's frozen equation directly to ``inner_tol``
-    (warm-started from the previous profile), applies ``damping`` to the
-    gradient update, and records the per-player deltas
-    ``|lam_new - lam_old|`` and interior ``sup |xi_new - xi_old|``; one INFO
-    line logs them with the wall seconds of the policy search (frozen
-    coefficients included) and of the inner solves, the count of nodes whose
-    policy changed and the inner iteration counts.  Convergence requires all
+    ``alphas`` gives each player's criterion: ``None`` (the default for
+    everyone) for a long-run average, a positive discount rate otherwise.
+    Gradient fields start at zero (``xi_init`` overrides; a restart from a
+    converged field takes two iterations, as the first one has no delta of
+    the constants yet).  Each iteration tabulates the pointwise Nash control
+    from the current fields, solves every player's frozen equation directly
+    to ``inner_tol`` (warm-started from the previous profile), applies
+    ``damping`` to the gradient update, and records the per-player deltas:
+    ``|lam_new - lam_old|`` of an ergodic player under ``"lambda"``, the
+    interior ``sup |v_new - v_old|`` of a discounted one under ``"value"``
+    (a key present only when some player discounts) and the interior
+    ``sup |xi_new - xi_old|`` of everyone under ``"xi"``; one INFO line logs
+    them with the wall seconds of the policy search (frozen coefficients
+    included) and of the inner solves, the count of nodes whose policy
+    changed and the inner iteration counts.  Convergence requires all
     deltas below ``tol``.
     Exhausting ``max_iter`` is a soft failure: the result is returned with
     ``converged = False``; inner solver errors propagate.
     """
-    if model.dim != 1:
-        raise ValueError("picard_solve requires a one-dimensional model")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    n = spec.n_players
-    nodes = grid.nodes()
-    xi = np.zeros((grid.m, n)) if xi_init is None else np.asarray(xi_init, dtype=float).copy()
-    if xi.shape != (grid.m, n):
-        raise ValueError(f"xi_init must have shape ({grid.m}, {n})")
-    lambdas: list = [None] * n
-    v_warm: list = list(v_init) if v_init is not None else [None] * n
-    sols: list = [None] * n
-    history: list = []
-    converged = False
-    it = 0
-    idx = None
-    for it in range(1, max_iter + 1):
-        t0 = time.perf_counter()
-        prev_idx, idx = idx, _policy_from_xi(spec, nodes, xi, enumeration_cap)
-        r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
-        t1 = time.perf_counter()
-        xi_new = np.empty_like(xi)
-        lam_new: list = [None] * n
-        for i in range(n):
-            driver = frozen_driver(grid, r_nodes, c_nodes[i], spec.drift_bound, spec.cost_sup)
-            sol = solve_ergodic(model, driver, grid, tol=inner_tol, v_init=v_warm[i])
-            sols[i] = sol
-            v_warm[i] = sol.v
-            lam_new[i] = sol.lam
-            xi_new[:, i] = sol.xi
-        t2 = time.perf_counter()
-        if damping < 1.0:
-            xi_new = (1.0 - damping) * xi + damping * xi_new
-        deltas = {
-            "iteration": it,
-            "lambda": [
-                None if lambdas[i] is None else abs(lam_new[i] - lambdas[i]) for i in range(n)
-            ],
-            "xi": [_interior_sup(grid, xi_new[:, i] - xi[:, i]) for i in range(n)],
-        }
-        history.append(deltas)
-        _log_iteration("picard_solve", deltas, idx, prev_idx, sols, t1 - t0, t2 - t1)
-        xi = xi_new
-        lambdas = lam_new
-        lam_ok = all(d is not None and d < tol for d in deltas["lambda"])
-        xi_ok = all(d < tol for d in deltas["xi"])
-        if lam_ok and xi_ok:
-            converged = True
-            break
-    if not converged:
-        logger.warning("picard_solve: no fixed point after %d iterations", it)
-    final_idx = _policy_from_xi(spec, nodes, xi, enumeration_cap)
-    policy = FeedbackPolicy(nodes=nodes, indices=final_idx, z_values=xi.copy())
-    comp = comparison_bound(model, spec, grid, tol=inner_tol)
-    return NashSolution(
-        spec_name=spec.name,
-        solutions=tuple(sols),
-        lambdas=tuple(lambdas),
-        policy=policy,
-        policy_values=tuple(policy.control_columns(spec)),
-        comparison=comp,
-        converged=converged,
-        iterations=it,
-        deltas_history=tuple(history),
-    )
+    alphas = (None,) * spec.n_players if alphas is None else tuple(alphas)
+    if len(alphas) != spec.n_players:
+        raise ValueError(f"need one criterion per player, got {len(alphas)}")
+    if any(a is not None and not a > 0.0 for a in alphas):
+        raise ValueError("discount rates must be positive")
+    return _picard_loop("picard_solve", model, spec, grid, alphas, tol, max_iter, damping,
+                        inner_tol, v_init, xi_init)
 
 
 def asymmetric_solve(
@@ -284,89 +220,96 @@ def asymmetric_solve(
     max_iter: int = 50,
     damping: float = 1.0,
     inner_tol: float = 1e-6,
-    enumeration_cap: int = 1_000_000,
     v_init: Optional[Sequence[np.ndarray]] = None,
     xi_init: Optional[np.ndarray] = None,
 ) -> NashSolution:
     """Two-player fixed point with an ergodic player 1 and a discounted player 2.
 
-    Player 2's equation uses the discount rate ``alpha``; their convergence
-    deltas are the interior sups of the profile and gradient changes.
+    :func:`picard_solve` with ``alphas=(None, alpha)``: player 2's deltas
+    are the interior sups of the profile and gradient changes, and
     ``lambdas[1]`` is ``None``; the discounted value is in ``solutions[1]``.
     """
-    if model.dim != 1:
-        raise ValueError("asymmetric_solve requires a one-dimensional model")
     if spec.n_players != 2:
         raise ValueError("asymmetric_solve requires exactly two players")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
+    return _picard_loop("asymmetric_solve", model, spec, grid, (None, alpha), tol, max_iter,
+                        damping, inner_tol, v_init, xi_init)
+
+
+def _picard_loop(solver: str, model: SdeModel, spec: GameSpec, grid: Grid1D,
+                 alphas: Tuple[Optional[float], ...], tol: float, max_iter: int,
+                 damping: float, inner_tol: float, v_init: Optional[Sequence[np.ndarray]],
+                 xi_init: Optional[np.ndarray]) -> NashSolution:
+    """The frozen-policy iteration of :func:`picard_solve`; ``solver`` prefixes its log lines."""
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    n = spec.n_players
     nodes = grid.nodes()
-    xi = np.zeros((grid.m, 2)) if xi_init is None else np.asarray(xi_init, dtype=float).copy()
-    if xi.shape != (grid.m, 2):
-        raise ValueError(f"xi_init must have shape ({grid.m}, 2)")
-    lam1: Optional[float] = None
-    v2_prev: Optional[np.ndarray] = None
-    v_warm: list = list(v_init) if v_init is not None else [None, None]
-    sols: list = [None, None]
+    xi = np.zeros((grid.m, n)) if xi_init is None else np.asarray(xi_init, dtype=float).copy()
+    if xi.shape != (grid.m, n):
+        raise ValueError(f"xi_init must have shape ({grid.m}, {n})")
+    discounts = any(a is not None for a in alphas)
+    # the last constant of an ergodic player, the last profile of a discounted one
+    prev: list = [None] * n
+    v_warm: list = list(v_init) if v_init is not None else [None] * n
+    sols: list = [None] * n
     history: list = []
     converged = False
     it = 0
     idx = None
     for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
-        prev_idx, idx = idx, _policy_from_xi(spec, nodes, xi, enumeration_cap)
+        prev_idx, idx = idx, _policy_from_xi(spec, nodes, xi)
         r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
         t1 = time.perf_counter()
-        d0 = frozen_driver(grid, r_nodes, c_nodes[0], spec.drift_bound, spec.cost_sup)
-        sol0 = solve_ergodic(model, d0, grid, tol=inner_tol, v_init=v_warm[0])
-        d1 = frozen_driver(grid, r_nodes, c_nodes[1], spec.drift_bound, spec.cost_sup)
-        sol1 = solve_discounted(model, d1, grid, alpha, tol=inner_tol, v_init=v_warm[1])
+        for i, alpha in enumerate(alphas):
+            driver = frozen_driver(grid, r_nodes, c_nodes[i], spec.drift_bound, spec.cost_sup)
+            if alpha is None:
+                sols[i] = solve_ergodic(model, driver, grid, tol=inner_tol, v_init=v_warm[i])
+            else:
+                sols[i] = solve_discounted(model, driver, grid, alpha, tol=inner_tol,
+                                           v_init=v_warm[i])
+            v_warm[i] = sols[i].v
         t2 = time.perf_counter()
-        sols = [sol0, sol1]
-        v_warm = [sol0.v, sol1.v]
-        xi_new = np.column_stack([sol0.xi, sol1.xi])
+        xi_new = np.column_stack([sol.xi for sol in sols])
         if damping < 1.0:
             xi_new = (1.0 - damping) * xi + damping * xi_new
         deltas = {
             "iteration": it,
-            "lambda": [None if lam1 is None else abs(sol0.lam - lam1), None],
-            "value": [
-                None,
-                None if v2_prev is None else _interior_sup(grid, sol1.v - v2_prev),
-            ],
-            "xi": [_interior_sup(grid, xi_new[:, i] - xi[:, i]) for i in range(2)],
+            "lambda": [None if a is not None or p is None else abs(sol.lam - p)
+                       for a, p, sol in zip(alphas, prev, sols)],
         }
+        if discounts:
+            deltas["value"] = [None if a is None or p is None else _interior_sup(grid, sol.v - p)
+                               for a, p, sol in zip(alphas, prev, sols)]
+        deltas["xi"] = [_interior_sup(grid, xi_new[:, i] - xi[:, i]) for i in range(n)]
         history.append(deltas)
-        _log_iteration("asymmetric_solve", deltas, idx, prev_idx, sols, t1 - t0, t2 - t1)
+        _log_iteration(solver, deltas, idx, prev_idx, sols, t1 - t0, t2 - t1)
         xi = xi_new
-        lam1 = sol0.lam
-        v2_prev = sol1.v
-        ok = (
-            deltas["lambda"][0] is not None
-            and deltas["lambda"][0] < tol
-            and deltas["value"][1] is not None
-            and deltas["value"][1] < tol
-            and all(d < tol for d in deltas["xi"])
-        )
-        if ok:
+        prev = [sol.lam if a is None else sol.v for a, sol in zip(alphas, sols)]
+        criterion = [deltas["lambda" if a is None else "value"][i] for i, a in enumerate(alphas)]
+        if all(d is not None and d < tol for d in criterion + deltas["xi"]):
             converged = True
             break
     if not converged:
-        logger.warning("asymmetric_solve: no fixed point after %d iterations", it)
-    final_idx = _policy_from_xi(spec, nodes, xi, enumeration_cap)
+        logger.warning("%s: no fixed point after %d iterations", solver, it)
+    final_idx = _policy_from_xi(spec, nodes, xi)
     policy = FeedbackPolicy(nodes=nodes, indices=final_idx, z_values=xi.copy())
-    comp = comparison_bound(model, spec, grid, tol=inner_tol)
+    rates = {a for a in alphas if a is not None}
     return NashSolution(
         spec_name=spec.name,
         solutions=tuple(sols),
-        lambdas=(lam1, None),
+        lambdas=tuple(p if a is None else None for a, p in zip(alphas, prev)),
         policy=policy,
         policy_values=tuple(policy.control_columns(spec)),
-        comparison=comp,
+        comparison=comparison_bound(model, spec, grid, tol=inner_tol),
         converged=converged,
         iterations=it,
         deltas_history=tuple(history),
-        alpha=alpha,
+        alpha=rates.pop() if len(rates) == 1 else None,
     )
 
 
@@ -386,31 +329,10 @@ class SweepResult:
     rows: Tuple[SweepRow, ...]
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("alpha,lambda1,alpha_v2_at_ref,centered_profile_distance,status\n")
-            for r in self.rows:
-                cells = [
-                    repr(float(r.alpha)),
-                    "" if r.lambda1 is None else repr(float(r.lambda1)),
-                    "" if r.alpha_v2_at_ref is None else repr(float(r.alpha_v2_at_ref)),
-                    ""
-                    if r.centered_profile_distance is None
-                    else repr(float(r.centered_profile_distance)),
-                    r.status,
-                ]
-                fh.write(",".join(cells) + "\n")
+        write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, self.rows))
 
     def as_dicts(self) -> list:
-        return [
-            {
-                "alpha": r.alpha,
-                "lambda1": r.lambda1,
-                "alpha_v2_at_ref": r.alpha_v2_at_ref,
-                "centered_profile_distance": r.centered_profile_distance,
-                "status": r.status,
-            }
-            for r in self.rows
-        ]
+        return [asdict(r) for r in self.rows]
 
 
 def vanishing_discount_sweep(

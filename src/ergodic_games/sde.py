@@ -2,15 +2,15 @@
 
 Models have the form
 
-    dX_t = (lin_drift @ X_t + bounded_drift(X_t)) dt + sigma(X_t) dW_t
+    dX_t = (lin_drift * X_t + bounded_drift(X_t)) dt + sigma(X_t) dW_t
 
-with a linear part that pulls the state back toward the origin, a bounded
-Lipschitz residual drift, and an invertible noise map.  Paths of 1-d models
-are produced by Euler-Maruyama stepping in :func:`run_paths`, which steps
-many paths at once and hands their states to a consumer window by window,
-so estimates need no array of size paths x steps.  A change of measure is
-applied as an extra ``sigma(x) @ shift(x)`` drift term, so controlled
-dynamics reuse the same integrator.
+on the real line, with a linear part that pulls the state back toward the
+origin, a bounded Lipschitz residual drift, and a nonvanishing noise
+coefficient.  Paths are produced by Euler-Maruyama stepping in
+:func:`run_paths`, which steps many paths at once and hands their states to
+a consumer window by window, so estimates need no array of size paths x
+steps.  A change of measure is applied as an extra ``sigma(x) * shift(x)``
+drift term, so controlled dynamics reuse the same integrator.
 
 Randomness is drawn from one generator per path, keyed by
 ``(seed, path_index)``, in fixed time blocks.  Path ``k`` of a batch is
@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+
+from ._csv import write_csv
 
 __all__ = [
     "SimulationDivergedError",
@@ -54,8 +56,8 @@ class SimulationDivergedError(RuntimeError):
     Attributes
     ----------
     step_index : int
-        First Euler step at which a non-finite value appeared.  The 1-d
-        engine scans once per ``_FINITE_CHECK_STEPS`` steps, so callbacks may
+        First Euler step at which a non-finite value appeared.  The engine
+        scans once per ``_FINITE_CHECK_STEPS`` steps, so callbacks may
         see (and numpy may warn about) non-finite states for the rest of that
         block; a callback raising on them is reported as this error.
     """
@@ -75,46 +77,42 @@ def path_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(words)
 
 
-def _as_matrix(a, dim: int) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
-    if m.ndim == 0:
-        m = m * np.eye(dim)
-    if m.shape != (dim, dim):
-        raise ValueError(f"lin_drift must be a {dim}x{dim} matrix, got shape {m.shape}")
-    return m
+def _broadcast(fn: Callable, x) -> np.ndarray:
+    """``fn(x)`` as a float array of the shape of ``x``."""
+    return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
 
 
 @dataclass(frozen=True)
 class SdeModel:
-    """Dissipative diffusion with bounded residual drift and invertible noise.
+    """One-dimensional dissipative diffusion with bounded residual drift.
 
     Parameters
     ----------
     dim : int
-        State dimension.
-    lin_drift : array_like
-        Linear drift matrix.  Must satisfy ``x . (lin_drift @ x) <=
-        -dissipation * |x|^2`` (checked on random samples at construction).
+        State dimension; must be 1 (every solver and engine works on the
+        real line).
+    lin_drift : float
+        Linear drift coefficient (a 1x1 array is accepted).  Must satisfy
+        ``lin_drift * x^2 <= -dissipation * x^2`` (checked on random samples
+        at construction).
     dissipation : float
         Strictly positive dissipativity rate of the linear part.
     bounded_drift : callable
-        Residual drift.  For ``dim == 1`` it must broadcast over numpy
-        arrays; for ``dim > 1`` it maps a ``(dim,)`` vector to a ``(dim,)``
-        vector.  Bounded by ``bounded_drift_sup`` and Lipschitz with constant
+        Residual drift; must broadcast over numpy arrays.  Bounded by
+        ``bounded_drift_sup`` and Lipschitz with constant
         ``bounded_drift_lip`` (both sampled at construction).
     sigma : callable
-        Noise map.  Scalar-valued and broadcastable for ``dim == 1``,
-        ``(dim,)`` -> ``(dim, dim)`` otherwise.  Must be invertible with
-        ``sigma_lo <= |sigma(x)| + |sigma(x)^-1| <= sigma_hi`` (Frobenius
-        norms; sampled at construction).
-    x0 : array_like
-        Initial state.
+        Noise coefficient; must broadcast over numpy arrays, never vanish,
+        and satisfy ``sigma_lo <= |sigma(x)| + 1 / |sigma(x)| <= sigma_hi``
+        (sampled at construction).
+    x0 : float
+        Initial state, stored as a one-element array.
     check_samples, check_seed : int
         Sample count and seed for the construction-time assumption checks.
     """
 
     dim: int
-    lin_drift: np.ndarray
+    lin_drift: float
     dissipation: float
     bounded_drift: Callable
     bounded_drift_sup: float
@@ -127,15 +125,14 @@ class SdeModel:
     check_seed: int = 7
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if self.dim != 1:
+            raise ValueError(f"models are one-dimensional, got dim={self.dim}")
         if self.dissipation <= 0.0:
             raise ValueError("dissipation must be positive")
-        object.__setattr__(self, "lin_drift", _as_matrix(self.lin_drift, self.dim))
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if x0.shape != (self.dim,):
-            raise ValueError(f"x0 must have shape ({self.dim},), got {x0.shape}")
-        object.__setattr__(self, "x0", x0)
+        if np.size(self.lin_drift) != 1 or np.size(self.x0) != 1:
+            raise ValueError("lin_drift and x0 must be scalars for a one-dimensional model")
+        object.__setattr__(self, "lin_drift", float(np.asarray(self.lin_drift).item()))
+        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(1))
         self._run_assumption_checks()
 
     # -- sampled assumption checks -------------------------------------------------
@@ -143,32 +140,30 @@ class SdeModel:
     def _run_assumption_checks(self) -> None:
         rng = path_stream(self.check_seed, 0xA55)
         n = int(self.check_samples)
-        xs = rng.normal(scale=3.0, size=(n, self.dim))
-        ys = rng.normal(scale=3.0, size=(n, self.dim))
+        xs = rng.normal(scale=3.0, size=n)
+        ys = rng.normal(scale=3.0, size=n)
 
-        quad = np.einsum("ij,ij->i", xs @ self.lin_drift.T, xs)
-        bound = -self.dissipation * np.einsum("ij,ij->i", xs, xs)
+        quad = self.lin_drift * xs * xs
+        bound = -self.dissipation * (xs * xs)
         slack = _CHECK_SLACK * (1.0 + np.abs(bound))
         if np.any(quad > bound + slack):
             k = int(np.argmax(quad - bound))
             raise ValueError(
-                "dissipativity check failed: x.(lin_drift@x) > -dissipation*|x|^2 "
+                "dissipativity check failed: lin_drift*x^2 > -dissipation*x^2 "
                 f"at sampled x={xs[k]!r}"
             )
 
-        fx = self._drift_residual_samples(xs)
-        fy = self._drift_residual_samples(ys)
-        norm_f = np.linalg.norm(fx, axis=1)
+        fx = _broadcast(self.bounded_drift, xs)
+        fy = _broadcast(self.bounded_drift, ys)
+        norm_f = np.abs(fx)
         if np.any(norm_f > self.bounded_drift_sup * (1.0 + _CHECK_SLACK) + 1e-12):
             k = int(np.argmax(norm_f))
             raise ValueError(
                 f"bounded_drift check failed: |bounded_drift(x)|={norm_f[k]:.6g} exceeds "
                 f"bounded_drift_sup={self.bounded_drift_sup:.6g} at sampled x={xs[k]!r}"
             )
-        gap = np.linalg.norm(fx - fy, axis=1) - self.bounded_drift_lip * np.linalg.norm(
-            xs - ys, axis=1
-        )
-        if np.any(gap > _CHECK_SLACK * (1.0 + np.linalg.norm(xs - ys, axis=1))):
+        gap = np.abs(fx - fy) - self.bounded_drift_lip * np.abs(xs - ys)
+        if np.any(gap > _CHECK_SLACK * (1.0 + np.abs(xs - ys))):
             k = int(np.argmax(gap))
             raise ValueError(
                 "bounded_drift check failed: Lipschitz bound bounded_drift_lip="
@@ -176,36 +171,11 @@ class SdeModel:
                 f"x={xs[k]!r}, y={ys[k]!r}"
             )
 
-        self._check_sigma_samples(xs)
-
-    def _drift_residual_samples(self, xs: np.ndarray) -> np.ndarray:
-        if self.dim == 1:
-            vals = np.broadcast_to(np.asarray(self.bounded_drift(xs[:, 0]), dtype=float), (len(xs),))
-            return vals[:, None]
-        return np.stack([np.asarray(self.bounded_drift(x), dtype=float) for x in xs])
-
-    def _check_sigma_samples(self, xs: np.ndarray) -> None:
         lo, hi = self.sigma_lo, self.sigma_hi
-        if self.dim == 1:
-            s = np.broadcast_to(np.asarray(self.sigma(xs[:, 0]), dtype=float), (len(xs),))
-            if np.any(s == 0.0) or not np.all(np.isfinite(s)):
-                raise ValueError("sigma check failed: non-invertible (zero or non-finite) value")
-            combo = np.abs(s) + 1.0 / np.abs(s)
-        else:
-            combo = np.empty(len(xs))
-            for k, x in enumerate(xs):
-                mat = np.asarray(self.sigma(x), dtype=float)
-                if mat.shape != (self.dim, self.dim):
-                    raise ValueError(
-                        f"sigma check failed: expected ({self.dim},{self.dim}) matrix, got {mat.shape}"
-                    )
-                try:
-                    inv = np.linalg.inv(mat)
-                except np.linalg.LinAlgError as err:
-                    raise ValueError(
-                        f"sigma check failed: singular noise map at sampled x={x!r}"
-                    ) from err
-                combo[k] = np.linalg.norm(mat) + np.linalg.norm(inv)
+        s = _broadcast(self.sigma, xs)
+        if np.any(s == 0.0) or not np.all(np.isfinite(s)):
+            raise ValueError("sigma check failed: non-invertible (zero or non-finite) value")
+        combo = np.abs(s) + 1.0 / np.abs(s)
         slack = _CHECK_SLACK * (1.0 + np.abs(combo))
         if np.any(combo > hi + slack) or np.any(combo < lo - slack):
             k = int(np.argmax(np.maximum(combo - hi, lo - combo)))
@@ -217,41 +187,31 @@ class SdeModel:
     # -- grid-facing helpers -------------------------------------------------------
 
     def drift_1d(self, x: np.ndarray) -> np.ndarray:
-        """Uncontrolled drift ``lin_drift*x + bounded_drift(x)`` (dim == 1 only)."""
-        if self.dim != 1:
-            raise ValueError("drift_1d requires a one-dimensional model")
-        a = float(self.lin_drift[0, 0])
-        return a * x + np.broadcast_to(np.asarray(self.bounded_drift(x), dtype=float), np.shape(x))
+        """Uncontrolled drift ``lin_drift*x + bounded_drift(x)`` on an array of states."""
+        return self.lin_drift * x + _broadcast(self.bounded_drift, x)
 
     def sigma_1d(self, x: np.ndarray) -> np.ndarray:
-        """Scalar noise coefficient on an array of states (dim == 1 only)."""
-        if self.dim != 1:
-            raise ValueError("sigma_1d requires a one-dimensional model")
-        return np.broadcast_to(np.asarray(self.sigma(x), dtype=float), np.shape(x))
+        """Noise coefficient on an array of states."""
+        return _broadcast(self.sigma, x)
 
 
 @dataclass(frozen=True)
 class DriftShift:
-    """Feedback drift shift entering the dynamics as ``sigma(x) @ shift(x)``.
+    """Feedback drift shift entering the dynamics as ``sigma(x) * shift(x)``.
 
-    ``shift`` must broadcast over arrays for one-dimensional models and map
-    ``(dim,)`` to ``(dim,)`` otherwise.  ``bound`` is a sup-norm bound on the
-    shift, sampled at construction.
+    ``shift`` must broadcast over arrays.  ``bound`` is a sup bound on
+    ``|shift|``, sampled at construction.
     """
 
     shift: Callable
     bound: float
-    dim: int = 1
     check_samples: int = 1_000
     check_seed: int = 7
 
     def __post_init__(self):
         rng = path_stream(self.check_seed, 0x5F1)
-        xs = rng.normal(scale=3.0, size=(int(self.check_samples), self.dim))
-        if self.dim == 1:
-            vals = np.abs(np.broadcast_to(np.asarray(self.shift(xs[:, 0]), dtype=float), (len(xs),)))
-        else:
-            vals = np.array([np.linalg.norm(np.asarray(self.shift(x), dtype=float)) for x in xs])
+        xs = rng.normal(scale=3.0, size=int(self.check_samples))
+        vals = np.abs(_broadcast(self.shift, xs))
         if np.any(vals > self.bound * (1.0 + _CHECK_SLACK) + 1e-12):
             k = int(np.argmax(vals))
             raise ValueError(
@@ -265,23 +225,14 @@ class Path:
     """One simulated trajectory on a uniform time grid."""
 
     times: np.ndarray
-    states: np.ndarray  # shape (n_steps + 1, dim)
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
+    states: np.ndarray  # shape (n_steps + 1, 1)
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
     def to_csv(self, path) -> None:
-        """Write columns ``t, x_1, ..., x_dim``."""
-        header = ",".join(["t"] + [f"x_{j + 1}" for j in range(self.dim)])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.times, self.states):
-                cells = [repr(float(t))] + [repr(float(v)) for v in row]
-                fh.write(",".join(cells) + "\n")
+        """Write columns ``t, x_1``."""
+        write_csv(path, ("t", "x_1"), zip(self.times.tolist(), self.states[:, 0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -405,7 +356,7 @@ def run_paths(
     with_noise: bool = False,
     label: str = "run_paths",
 ) -> None:
-    """Euler-Maruyama for many paths of a 1-d model, streamed in time blocks.
+    """Euler-Maruyama for many paths of a model, streamed in time blocks.
 
     Path ``j`` draws its normals from ``path_stream(*stream_key(j))``.  Paths
     are stepped together in batches of at most ``_MAX_BATCH_PATHS`` columns,
@@ -424,8 +375,6 @@ def run_paths(
     drawing normals (``rng_s``), stepping (``euler_s``) and in ``consume``
     (``cost_s``).
     """
-    if model.dim != 1:
-        raise ValueError("path simulation requires a one-dimensional model")
     if n_steps > 0:
         _check_stability(model, step)
     seconds = [0.0, 0.0, 0.0]  # rng, euler, consume
@@ -446,7 +395,7 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
     """One batch of :func:`run_paths`; its buffers are freed when it returns."""
     clock = time.perf_counter
     t0 = clock()
-    a = float(model.lin_drift[0, 0])
+    a = model.lin_drift
     sqrt_h = math.sqrt(step)
     has_residual = model.bounded_drift_sup != 0.0
     sigma = model.sigma
@@ -547,7 +496,7 @@ def simulate(
     seed: int = 0,
     path_index: int = 0,
 ) -> Path:
-    """Euler-Maruyama path with ``ceil(horizon/step)`` steps (1-d models).
+    """Euler-Maruyama path with ``ceil(horizon/step)`` steps.
 
     With ``horizon == 0`` the path holds the single initial state.  The same
     ``(seed, path_index)`` always reproduces the same path.

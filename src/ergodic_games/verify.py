@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._csv import write_csv
 from .ebsde import DiscountedSolution
 from .games import FeedbackPolicy, GameSpec
 from .picard import NashSolution
@@ -235,8 +236,6 @@ def estimate_payoff(
     estimate is bitwise the one :func:`nash_deviation_test` reports for the
     same policy and seed.
     """
-    if model.dim != 1:
-        raise ValueError("payoff estimation requires a one-dimensional model")
     if not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")
     if override_player is not None:
@@ -297,20 +296,7 @@ class DeviationReport:
     def to_csv(self, path) -> None:
         cols = ("player", "kind", "description", "value", "stderr",
                 "reference", "margin", "threshold", "passed")
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in self.rows:
-                d = r.as_dict()
-                cells = []
-                for c in cols:
-                    v = d[c]
-                    if isinstance(v, float):
-                        cells.append(repr(v))
-                    elif isinstance(v, bool):
-                        cells.append(str(v).lower())
-                    else:
-                        cells.append(str(v).replace(",", ";"))
-                fh.write(",".join(cells) + "\n")
+        write_csv(path, cols, ([d[c] for c in cols] for d in map(DeviationRow.as_dict, self.rows)))
 
 
 def _reference_value(nash: NashSolution, player: int, model: SdeModel) -> Tuple[float, str, Optional[float]]:
@@ -363,7 +349,7 @@ def nash_deviation_test(
             if mode == 0:
                 j = int(rng.integers(n_controls))
                 idx = np.full(m, j, dtype=int)
-                desc = f"constant control #{j} ({_fmt_point(grid_i.points[j])})"
+                desc = f"constant control #{j} ({grid_i.points[j]:.6g})"
                 kind = "constant"
             elif mode == 1:
                 node = int(rng.integers(m))
@@ -373,7 +359,7 @@ def nash_deviation_test(
                     j += 1
                 idx = nash.policy.indices[:, player].copy()
                 idx[node] = j
-                desc = f"node {node} control -> #{j} ({_fmt_point(grid_i.points[j])})"
+                desc = f"node {node} control -> #{j} ({grid_i.points[j]:.6g})"
                 kind = "node_perturbation"
             else:
                 idx = rng.integers(n_controls, size=m)
@@ -407,13 +393,6 @@ def nash_deviation_test(
     return report
 
 
-def _fmt_point(p) -> str:
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if arr.size == 1:
-        return f"{float(arr[0]):.6g}"
-    return "[" + " ".join(f"{float(v):.6g}" for v in arr) + "]"
-
-
 def bsde_path_residual(
     model: SdeModel,
     spec: GameSpec,
@@ -437,8 +416,6 @@ def bsde_path_residual(
     player the constant is replaced by ``alpha v(X_t)``.  The returned value
     is ``sqrt(mean(residual^2)) / sqrt(step)``.
     """
-    if model.dim != 1:
-        raise ValueError("path residuals require a one-dimensional model")
     sol = nash.solutions[player]
     policy = nash.policy
     n = _n_steps(horizon, step)

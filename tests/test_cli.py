@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -204,6 +205,23 @@ def test_unknown_solver_key_exits_1(tmp_path, caplog, command):
     cfg = ebsde_cfg(tmp_path, solver={"tol": 1.0e-6, "inner_tl": 1.0e-6})
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "x"), "--quiet"]) == 1
     assert "unknown solver key 'inner_tl'" in caplog.text
+
+
+def test_enumeration_cap_is_no_longer_a_solver_key(tmp_path, caplog):
+    cfg = ebsde_cfg(tmp_path, solver={"tol": 1.0e-6, "enumeration_cap": 1000})
+    assert cli.main(["solve-ebsde", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--quiet"]) == 1
+    assert "unknown solver key 'enumeration_cap'" in caplog.text
+
+
+def test_csv_cells_are_formatted_by_type(tmp_path):
+    from ergodic_games._csv import write_csv
+
+    path = tmp_path / "t.csv"
+    write_csv(path, ("a", "b", "c", "d", "e", "f"),
+              [(0.1, True, 3, None, "x, y", np.int64(7)), (np.float64(2.0), False, 0, 1e-300,
+                                                          "ok", np.bool_(True))])
+    assert path.read_text() == "a,b,c,d,e,f\n0.1,true,3,,x; y,7\n2.0,false,0,1e-300,ok,true\n"
 
 
 def test_bundled_configs_pass_the_solver_key_check():

@@ -36,6 +36,29 @@ def test_control_grid_validation():
     assert len(eg.ControlGrid.uniform(-1.0, 1.0, 5)) == 5
 
 
+def test_control_grid_rejects_vector_points():
+    with pytest.raises(ValueError, match="scalars"):
+        eg.ControlGrid(np.array([[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]]))
+
+
+def test_game_spec_rejects_non_broadcasting_callables():
+    g = eg.ControlGrid.uniform(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="broadcast"):
+        # one value per player-1 control only: (5, 3) does not broadcast to (5, 5)
+        eg.GameSpec(
+            grids=(g, g), drift_map=lambda u, v: u + v, drift_bound=2.0,
+            costs=(lambda x, u, v: u**2, lambda x, u, v: np.zeros((5, 3))),
+            cost_sup=1.0, cost_x_lip=0.0,
+        )
+    with pytest.raises(ValueError, match="broadcast"):
+        # a vector drift per joint control
+        eg.GameSpec(
+            grids=(g, g), drift_map=lambda u, v: np.stack([u, v], axis=-1), drift_bound=2.0,
+            costs=(lambda x, u, v: u**2, lambda x, u, v: v**2),
+            cost_sup=1.0, cost_x_lip=0.0,
+        )
+
+
 def test_game_spec_validation(g0):
     assert g0.n_players == 2
     assert g0.product_size() == 41 * 41
@@ -131,8 +154,8 @@ def test_best_response_fallback_agrees_with_enumeration(g0):
     for _ in range(10):
         x, z = rng.normal(), tuple(rng.normal(scale=2.0, size=2))
         full = eg.isaac_fixed_point(g0, x, z)
-        # cap of 1 forces the cyclic best-response path
-        fallback = eg.isaac_fixed_point(g0, x, z, enumeration_cap=1)
+        # the cyclic best-response path that joint grids above the cap take
+        fallback = _best_response_search(g0, x, z, max_rounds=10_000)
         assert full == fallback
 
 
@@ -142,18 +165,13 @@ def _stable_controls(spec, x, z):
     shape = tuple(len(g) for g in spec.grids)
     mask = np.ones(shape, dtype=bool)
     for i in range(spec.n_players):
-        z_i = np.asarray(z[i], dtype=float)
-        if drift.ndim == len(shape):
-            h = float(z_i.ravel()[0]) * drift
-        else:
-            h = np.tensordot(drift, z_i.ravel(), axes=([-1], [0]))
-        h = h + spec.cost_table(i, x)
+        h = float(z[i]) * drift + spec.cost_table(i, x)
         mask &= h <= h.min(axis=i, keepdims=True)
     return [tuple(int(j) for j in row) for row in np.argwhere(mask)]
 
 
 def _value_key(spec, u):
-    return tuple(float(v) for g, j in zip(spec.grids, u) for v in np.atleast_1d(g.points[j]))
+    return tuple(float(g.points[j]) for g, j in zip(spec.grids, u))
 
 
 def _unsorted_tie_game(coupling=0.0):
@@ -167,38 +185,14 @@ def _unsorted_tie_game(coupling=0.0):
     )
 
 
-def _vector_control_game():
-    # two-component control points out of value order; the tables are built pointwise
-    g = eg.ControlGrid(np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, 1.0], [1.0, 0.0]]))
-    return eg.GameSpec(
-        grids=(g, g), drift_map=lambda u, v: u[0] + v[1], drift_bound=2.0,
-        costs=(lambda x, u, v: u @ u + 0.5 * u[1] * v[0] + bump(x),
-               lambda x, u, v: v @ v + 0.5 * u[1] * v[0] + bump(x)),
-        cost_sup=4.0, cost_x_lip=BUMP_LIP, name="vector_control",
-    )
-
-
-def _vector_drift_game():
-    g = eg.ControlGrid.uniform(-1.0, 1.0, 9)
-    return eg.GameSpec(
-        grids=(g, g), drift_map=lambda u, v: np.stack([u, v + 0.5 * u], axis=-1),
-        drift_bound=2.0,
-        costs=(lambda x, u, v: u**2 + bump(x), lambda x, u, v: v**2 + bump(x)),
-        cost_sup=2.0, cost_x_lip=BUMP_LIP, name="vector_drift",
-    )
-
-
-@pytest.mark.parametrize("build, z_dim", [
-    (eg.quadratic_decoupled, 1),
-    (eg.coupled_cross_cost, 1),
-    (lambda: eg.three_player_symmetric(n_controls=9), 1),
-    (_unsorted_tie_game, 1),
-    (lambda: _unsorted_tie_game(coupling=0.5), 1),
-    (_vector_control_game, 1),
-    (_vector_drift_game, 2),
-], ids=["decoupled", "coupled", "three_player", "unsorted_ties", "unsorted_coupled",
-        "vector_control", "vector_drift"])
-def test_search_matches_argwhere_reference(build, z_dim):
+@pytest.mark.parametrize("build", [
+    eg.quadratic_decoupled,
+    eg.coupled_cross_cost,
+    lambda: eg.three_player_symmetric(n_controls=9),
+    _unsorted_tie_game,
+    lambda: _unsorted_tie_game(coupling=0.5),
+], ids=["decoupled", "coupled", "three_player", "unsorted_ties", "unsorted_coupled"])
+def test_search_matches_argwhere_reference(build):
     # the reference takes the smallest value key over all stable controls;
     # the one-pass search must pick the same control, ties included
     spec = build()
@@ -206,10 +200,10 @@ def test_search_matches_argwhere_reference(build, z_dim):
     ties = 0
     for k in range(120):
         x = float(rng.normal(scale=3.0))
-        size = (spec.n_players, z_dim)
+        size = (spec.n_players, 1)
         # every other z on a lattice of quarters, where minimisers tie before rounding
         z = rng.normal(scale=2.0, size=size) if k % 2 else 0.25 * rng.integers(-4, 5, size=size)
-        z = tuple(z[:, 0]) if z_dim == 1 else tuple(z)
+        z = tuple(z[:, 0])
         hits = _stable_controls(spec, x, z)
         ties += len(hits) > 1
         assert eg.isaac_fixed_point(spec, x, z) == min(hits, key=lambda u: _value_key(spec, u))
@@ -219,10 +213,6 @@ def test_search_matches_argwhere_reference(build, z_dim):
 def test_unsorted_grid_tie_goes_to_smallest_values():
     spec = _unsorted_tie_game()
     assert spec.control_values(eg.isaac_fixed_point(spec, 0.0, (0.0, 0.0))) == [-0.5, -0.5]
-    vec = _vector_control_game()
-    u = eg.isaac_fixed_point(vec, 0.0, (0.0, 0.0))
-    # v = (-1, 0) would make player 0 prefer a positive second component
-    assert [list(p) for p in vec.control_values(u)] == [[-1.0, 0.0], [0.0, -1.0]]
 
 
 def test_no_pure_nash_raises():

@@ -1,5 +1,6 @@
 """Nash iteration on the bundled games: convergence, bounds, shifts."""
 
+import itertools
 import logging
 import re
 
@@ -89,6 +90,12 @@ def test_iteration_cap_reports_soft_failure(model, g0, coarse_grid):
     assert not nash.converged
     assert nash.iterations == 1
     assert len(nash.deltas_history) == 1
+
+
+def test_iteration_cap_must_allow_one_iteration(model, g0, coarse_grid):
+    # with no iteration there is no solution to report
+    with pytest.raises(ValueError, match="max_iter"):
+        eg.picard_solve(model, g0, coarse_grid, max_iter=0)
 
 
 def test_inner_solver_failure_propagates(model, g0, coarse_grid):
@@ -183,3 +190,132 @@ def test_report_dict_carries_convergence_data(g0_nash_coarse):
     assert rep["iterations"] == len(rep["deltas_history"])
     assert rep["comparison_bound"] == 2.0
     assert len(rep["players"]) == 2
+
+
+def _runs(column):
+    """Run-length form ``[(index, count), ...]`` of a policy column."""
+    return [(int(k), len(list(g))) for k, g in itertools.groupby(column.tolist())]
+
+
+_G0_RUNS = [(20, 1), (21, 2), (22, 18), (23, 14), (22, 3), (21, 2), (20, 1), (19, 2), (18, 3),
+            (17, 14), (18, 18), (19, 2), (20, 1)]
+
+# the results of the separate ergodic and asymmetric loops that the one
+# per-player loop replaced: constants, policies and deltas, bit for bit
+PINNED = {
+    "g0": dict(
+        lambdas=(0.3078268800063727, 0.3078268800063727),
+        runs=(_G0_RUNS, _G0_RUNS),
+        history=[
+            {"iteration": 1, "lambda": [None, None],
+             "xi": [0.31703844888451893, 0.31703844888451893]},
+            {"iteration": 2, "lambda": [0.03787959773791888, 0.03787959773791888],
+             "xi": [0.025417844171825354, 0.025417844171825354]},
+            {"iteration": 3, "lambda": [0.001124717368420347, 0.001124717368420347],
+             "xi": [0.0011638718383669422, 0.0011638718383669422]},
+            {"iteration": 4, "lambda": [0.0, 0.0], "xi": [0.0, 0.0]},
+        ],
+    ),
+    "coupled": dict(
+        lambdas=(0.31212525856460344, 0.31212525856460643),
+        runs=([(20, 1), (21, 7), (22, 19), (23, 6), (22, 5), (21, 2), (20, 1), (19, 2), (18, 4),
+               (17, 9), (18, 20), (19, 4), (20, 1)],
+              [(20, 1), (21, 4), (22, 20), (23, 9), (22, 4), (21, 2), (20, 1), (19, 2), (18, 5),
+               (17, 6), (18, 19), (19, 7), (20, 1)]),
+        history=[
+            {"iteration": 1, "lambda": [None, None],
+             "xi": [0.31703844888451893, 0.31703844888451893]},
+            {"iteration": 2, "lambda": [0.033813898995347924, 0.03381389899534737],
+             "xi": [0.023665631211726657, 0.023665631211689186]},
+            {"iteration": 3, "lambda": [0.0013573971840801224, 0.001357397184082565],
+             "xi": [0.002935465878910082, 0.0029354658789408905]},
+            {"iteration": 4, "lambda": [0.0, 0.0], "xi": [0.0, 0.0]},
+        ],
+    ),
+    "asymmetric": dict(
+        lambdas=(0.30788561339353543, None),
+        runs=(_G0_RUNS,
+              [(20, 1), (21, 5), (22, 18), (23, 11), (22, 3), (21, 2), (20, 1), (19, 2), (18, 3),
+               (17, 11), (18, 18), (19, 5), (20, 1)]),
+        history=[
+            {"iteration": 1, "lambda": [None, None], "value": [None, None],
+             "xi": [0.31703844888451893, 0.3019093186144062]},
+            {"iteration": 2, "lambda": [0.0378215372072655, None],
+             "value": [None, 0.37632168691761114],
+             "xi": [0.025334091619982207, 0.023056441601986805]},
+            {"iteration": 3, "lambda": [0.0011253902249296899, None],
+             "value": [None, 0.01078055209028772],
+             "xi": [0.001227143414787829, 0.0010868256304120971]},
+            {"iteration": 4, "lambda": [0.0, None], "value": [None, 3.108624468950438e-14],
+             "xi": [0.0, 0.0]},
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_merged_loop_reproduces_pinned_results(model, coarse_grid, case):
+    solve = {
+        "g0": lambda: eg.picard_solve(model, eg.quadratic_decoupled(), coarse_grid),
+        "coupled": lambda: eg.picard_solve(model, eg.coupled_cross_cost(), coarse_grid),
+        "asymmetric": lambda: eg.asymmetric_solve(model, eg.quadratic_decoupled(), coarse_grid,
+                                                  0.1),
+    }[case]
+    nash = solve()
+    pinned = PINNED[case]
+    assert nash.converged
+    assert nash.lambdas == pinned["lambdas"]
+    assert nash.iterations == len(pinned["history"])
+    assert list(nash.deltas_history) == pinned["history"]
+    # key order is part of the trace line and of the loaded report
+    assert [list(d) for d in nash.deltas_history] == [list(d) for d in pinned["history"]]
+    assert tuple(_runs(nash.policy.indices[:, i]) for i in range(2)) == pinned["runs"]
+
+
+def test_asymmetric_solve_is_the_per_player_loop(model, g0, coarse_grid):
+    a = eg.asymmetric_solve(model, g0, coarse_grid, 0.1)
+    b = eg.picard_solve(model, g0, coarse_grid, alphas=(None, 0.1))
+    assert a.report_dict() == b.report_dict()
+    np.testing.assert_array_equal(a.policy.indices, b.policy.indices)
+    for sa, sb in zip(a.solutions, b.solutions):
+        np.testing.assert_array_equal(sa.v, sb.v)
+
+
+def test_three_players_of_mixed_type(model, coarse_grid):
+    # players 0 and 2 average over time, player 1 discounts at rate 0.2
+    spec = eg.three_player_symmetric(n_controls=21)
+    nash = eg.picard_solve(model, spec, coarse_grid, alphas=(None, 0.2, None))
+    assert nash.converged
+    assert nash.iterations == 4
+    assert nash.lambdas[1] is None
+    assert nash.lambdas[0] == nash.lambdas[2] == 0.2953661854429173
+    assert nash.lambdas[0] <= nash.comparison
+    assert nash.alpha == 0.2
+    np.testing.assert_array_equal(nash.policy.indices[:, 0], nash.policy.indices[:, 2])
+    assert [p["kind"] for p in nash.report_dict()["players"]] == [
+        "ergodic", "discounted", "ergodic"]
+    for deltas in nash.deltas_history:
+        assert list(deltas) == ["iteration", "lambda", "value", "xi"]
+        assert deltas["lambda"][1] is None
+        assert deltas["value"][0] is None and deltas["value"][2] is None
+
+
+def test_criteria_are_checked(model, g0, coarse_grid):
+    with pytest.raises(ValueError, match="one criterion per player"):
+        eg.picard_solve(model, g0, coarse_grid, alphas=(None,))
+    with pytest.raises(ValueError, match="positive"):
+        eg.picard_solve(model, g0, coarse_grid, alphas=(None, 0.0))
+    with pytest.raises(ValueError, match="two players"):
+        eg.asymmetric_solve(model, eg.three_player_symmetric(n_controls=5), coarse_grid, 0.1)
+    with pytest.raises(ValueError, match="positive"):
+        eg.asymmetric_solve(model, g0, coarse_grid, 0.0)
+
+
+def test_restart_from_converged_field_takes_two_iterations(model, g0, coarse_grid,
+                                                          g0_nash_coarse):
+    xi = np.column_stack([s.xi for s in g0_nash_coarse.solutions])
+    again = eg.picard_solve(model, g0, coarse_grid, tol=1e-4, xi_init=xi)
+    # the first iteration has no delta of the constants yet
+    assert again.converged
+    assert again.iterations == 2
+    np.testing.assert_array_equal(again.policy.indices, g0_nash_coarse.policy.indices)

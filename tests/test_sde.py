@@ -175,17 +175,20 @@ def test_engine_logs_one_trace_line_per_run(model, caplog):
 
 
 def test_simulation_rejects_multi_dimensional_models():
-    plane = eg.SdeModel(
-        dim=2, lin_drift=-1.0, dissipation=1.0,
-        bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0, bounded_drift_lip=0.0,
-        sigma=lambda x: np.eye(2), sigma_lo=1.0, sigma_hi=4.0, x0=[0.0, 0.0],
-        check_samples=50,
-    )
+    # the model itself refuses, so no solver or engine ever sees one
     with pytest.raises(ValueError, match="one-dimensional"):
-        eg.simulate(plane, None, horizon=1.0, step=0.1)
+        eg.SdeModel(
+            dim=2, lin_drift=-1.0, dissipation=1.0,
+            bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0, bounded_drift_lip=0.0,
+            sigma=lambda x: np.eye(2), sigma_lo=1.0, sigma_hi=4.0, x0=[0.0, 0.0],
+            check_samples=50,
+        )
     with pytest.raises(ValueError, match="one-dimensional"):
-        eg.invariant_average(plane, lambda x: 1.0, horizon=1.0, burn_in=0.5, step=0.1,
-                             n_paths=2)
+        eg.SdeModel(
+            dim=1, lin_drift=-np.eye(2), dissipation=1.0,
+            bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0, bounded_drift_lip=0.0,
+            sigma=lambda x: 1.0, sigma_lo=1.0, sigma_hi=4.0, x0=0.0,
+        )
 
 
 def test_model_rejects_non_dissipative_drift():
