@@ -3,8 +3,8 @@
 Every subcommand reads one YAML config, writes its artifacts into ``--out``
 and finishes with a ``manifest.json`` that embeds the resolved config, the
 seed, a config hash and library versions.  Reports and CSV files depend only
-on the config and seed (floats are written with ``repr``, JSON keys are
-sorted), so reruns are byte identical; wall time lives in the manifest only.
+on the config and seed (floats with ``repr``, JSON keys sorted), so reruns
+are byte identical; wall time and peak RSS live in the manifest only.
 
 Exit codes: 0 success, 1 config or usage problem, 2 solver non-convergence
 or diverged simulation, 3 verification failure.
@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import platform
+import resource
 import sys
 import time
 from pathlib import Path as FsPath
@@ -149,6 +150,7 @@ def _write_manifest(out: FsPath, command: str, cfg: dict, seed: int,
                 "ergodic_games": __version__,
             },
             "wall_time_s": time.perf_counter() - t0,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         },
     )
 

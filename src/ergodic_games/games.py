@@ -86,9 +86,11 @@ class GameSpec:
 
     ``drift_map`` and each ``costs[i]`` receive the per-player control values
     as separate positional arguments (``costs[i]`` gets the state first) and
-    must broadcast over numpy arrays: called on the joint control meshes,
-    their output must broadcast to the joint grid's shape (else
-    ``ValueError``).  ``drift_bound`` bounds
+    must broadcast over numpy arrays: called on the open joint control meshes
+    (one axis per player, as ``np.meshgrid(..., sparse=True)``), their output
+    must broadcast to the joint grid's shape (else ``ValueError``).  Nothing
+    is cached per state, so tabulation memory is O(|U|^n), independent of the
+    state grid.  ``drift_bound`` bounds
     ``|drift_map|`` over the grids, ``cost_sup`` bounds ``|cost_i|`` and
     ``cost_x_lip`` is a Lipschitz constant of the costs in the state; all
     three are verified on samples at construction.
@@ -111,9 +113,8 @@ class GameSpec:
             raise ValueError("at least one player required")
         if len(self.costs) != len(self.grids):
             raise ValueError("need exactly one cost per player")
-        object.__setattr__(self, "_cost_cache", {})
         object.__setattr__(self, "_drift_cache", None)
-        mesh = np.meshgrid(*[g.points for g in self.grids], indexing="ij")
+        mesh = np.meshgrid(*[g.points for g in self.grids], indexing="ij", sparse=True)
         for a in mesh:
             a.flags.writeable = False
         object.__setattr__(self, "_mesh", mesh)
@@ -135,29 +136,28 @@ class GameSpec:
     def _shape(self) -> Tuple[int, ...]:
         return tuple(len(g) for g in self.grids)
 
-    def _tabulate(self, fn) -> np.ndarray:
-        """``fn`` over the joint grid, in one call on the meshes."""
+    def _compact(self, fn, *args) -> np.ndarray:
+        """``fn(*args, *meshes)`` in one call on the open meshes, checked to broadcast
+        to the joint grid but kept in its own (often much smaller) shape."""
         shape = self._shape()
         try:
-            raw = np.asarray(fn(*getattr(self, "_mesh")), dtype=float)
-            return raw if raw.shape == shape else np.broadcast_to(raw, shape).astype(float)
+            raw = np.asarray(fn(*args, *getattr(self, "_mesh")), dtype=float)
+            np.broadcast_to(raw, shape)
         except (TypeError, ValueError) as err:
             raise ValueError(f"game callables must broadcast over the joint control grid of "
                              f"shape {shape}: {err}") from err
+        return raw
 
     def drift_table(self) -> np.ndarray:
-        """``drift_map`` evaluated on the full joint grid (cached)."""
+        """``drift_map`` on the full joint grid (cached, read-only)."""
         if getattr(self, "_drift_cache") is None:
-            object.__setattr__(self, "_drift_cache", self._tabulate(self.drift_map))
+            table = np.broadcast_to(self._compact(self.drift_map), self._shape())
+            object.__setattr__(self, "_drift_cache", table)
         return getattr(self, "_drift_cache")
 
     def cost_table(self, player: int, x) -> np.ndarray:
-        """``costs[player]`` at state ``x`` on the full joint grid (cached)."""
-        key = (player, float(x))
-        cache = getattr(self, "_cost_cache")
-        if key not in cache:
-            cache[key] = self._tabulate(lambda *u: self.costs[player](x, *u))
-        return cache[key]
+        """``costs[player]`` at state ``x`` on the full joint grid (read-only, not cached)."""
+        return np.broadcast_to(self._compact(self.costs[player], x), self._shape())
 
     def control_values(self, u: JointControl) -> list:
         return [g.points[j] for g, j in zip(self.grids, u)]
@@ -177,8 +177,9 @@ class GameSpec:
         ys = rng.normal(scale=3.0, size=self.check_samples)
         for i in range(self.n_players):
             for x, y in zip(xs, ys):
-                cx = self.cost_table(i, float(x))
-                cy = self.cost_table(i, float(y))
+                # compact arrays: broadcasting repeats values but drops none
+                cx = self._compact(self.costs[i], float(x))
+                cy = self._compact(self.costs[i], float(y))
                 if np.any(np.abs(cx) > self.cost_sup * (1.0 + _CHECK_SLACK) + 1e-12):
                     raise ValueError(
                         f"cost check failed: |cost_{i}| exceeds cost_sup={self.cost_sup:.6g} "
@@ -190,8 +191,6 @@ class GameSpec:
                         f"cost check failed: cost_{i} violates cost_x_lip={self.cost_x_lip:.6g} "
                         f"between sampled states x={float(x):.6g}, y={float(y):.6g}"
                     )
-        # construction-time cost tables were probe points; drop them
-        getattr(self, "_cost_cache").clear()
 
 
 def hamiltonian(spec: GameSpec, player: int, x, z_i, u: JointControl) -> float:
@@ -238,13 +237,15 @@ def isaac_fixed_point(spec: GameSpec, x, z, max_rounds: int = 10_000) -> JointCo
     if spec.product_size() > _ENUMERATION_CAP:
         return _best_response_search(spec, x, z, max_rounds)
     drift = spec.drift_table()
+    mesh = getattr(spec, "_mesh")
     shape = spec._shape()
     # one Hamiltonian buffer per call: fresh arrays per player cost more than the arithmetic
     h = np.empty(shape)
     mask = np.ones(shape, dtype=bool)
     for i in range(spec.n_players):
         np.multiply(drift, float(z[i]), out=h)
-        h += spec.cost_table(i, x)
+        # the raw cost broadcasts into the buffer: no table-sized temporary
+        h += spec.costs[i](x, *mesh)
         mask &= h <= h.min(axis=i, keepdims=True)
     order = getattr(spec, "_value_order")
     if order is not None:

@@ -120,21 +120,26 @@ class NashSolution:
         }
 
 
-def _policy_from_xi(spec: GameSpec, nodes: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    return np.array([isaac_fixed_point(spec, float(x), tuple(xi[k]))
-                     for k, x in enumerate(nodes)], dtype=int)
+def _policy_from_xi(spec: GameSpec, nodes: np.ndarray, xi: np.ndarray, searched: np.ndarray,
+                    idx: np.ndarray) -> np.ndarray:
+    """``idx`` searched again where a row of ``xi`` differs from ``searched``, the rows that set
+    it (NaN: never searched); a control is a function of its node and row, so the other nodes
+    keep theirs.  ``searched`` is updated in place."""
+    idx = idx.copy()
+    for k in np.flatnonzero(np.any(xi != searched, axis=1)):
+        idx[k] = isaac_fixed_point(spec, float(nodes[k]), tuple(xi[k]))
+        searched[k] = xi[k]
+    return idx
 
 
 def _frozen_tables(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray):
-    """Per-node drift values and per-player cost values under a fixed policy."""
-    drift_tab = spec.drift_table()
+    """Per-node drift values and per-player cost values under a fixed policy (each cost is
+    called once on the nodes and the control columns: elementwise, so the tables' entries)."""
     joint = tuple(idx[:, i] for i in range(spec.n_players))
-    r_nodes = drift_tab[joint]
-    c_nodes = [
-        np.array([spec.cost_table(i, float(x))[tuple(u)] for x, u in zip(nodes, idx)])
-        for i in range(spec.n_players)
-    ]
-    return r_nodes, c_nodes
+    cols = [g.points[j] for g, j in zip(spec.grids, joint)]
+    c_nodes = [np.broadcast_to(np.asarray(cost(nodes, *cols), dtype=float), nodes.shape)
+               for cost in spec.costs]
+    return spec.drift_table()[joint], c_nodes
 
 
 def comparison_bound(model: SdeModel, spec: GameSpec, grid: Grid1D,
@@ -187,9 +192,9 @@ def picard_solve(
     everyone) for a long-run average, a positive discount rate otherwise.
     Gradient fields start at zero (``xi_init`` overrides; a restart from a
     converged field takes two iterations, as the first one has no delta of
-    the constants yet).  Each iteration tabulates the pointwise Nash control
-    from the current fields, solves every player's frozen equation directly
-    to ``inner_tol`` (warm-started from the previous profile), applies
+    the constants yet).  Each iteration searches the pointwise Nash control
+    again at the nodes whose gradient row moved, solves every player's frozen
+    equation directly to ``inner_tol`` (warm-started), applies
     ``damping`` to the gradient update, and records the per-player deltas:
     ``|lam_new - lam_old|`` of an ergodic player under ``"lambda"``, the
     interior ``sup |v_new - v_old|`` of a discounted one under ``"value"``
@@ -200,7 +205,8 @@ def picard_solve(
     changed and the inner iteration counts.  Convergence requires all
     deltas below ``tol``.
     Exhausting ``max_iter`` is a soft failure: the result is returned with
-    ``converged = False``; inner solver errors propagate.
+    ``converged = False`` and the warning names the first policy to recur and
+    the cycle's period; inner solver errors propagate.
     """
     alphas = (None,) * spec.n_players if alphas is None else tuple(alphas)
     if len(alphas) != spec.n_players:
@@ -259,10 +265,15 @@ def _picard_loop(solver: str, model: SdeModel, spec: GameSpec, grid: Grid1D,
     history: list = []
     converged = False
     it = 0
-    idx = None
+    # the policy and the gradient rows that set it; the first iteration of each policy seen
+    idx, searched = np.zeros((grid.m, n), dtype=int), np.full_like(xi, np.nan)
+    seen, cycle = {}, ""
     for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
-        prev_idx, idx = idx, _policy_from_xi(spec, nodes, xi)
+        prev_idx, idx = (idx if it > 1 else None), _policy_from_xi(spec, nodes, xi, searched, idx)
+        first = seen.setdefault(idx.tobytes(), it)
+        if first != it and not cycle:
+            cycle = f"; iteration {first}'s policy recurs at iteration {it} (period {it - first})"
         r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
         t1 = time.perf_counter()
         for i, alpha in enumerate(alphas):
@@ -295,8 +306,8 @@ def _picard_loop(solver: str, model: SdeModel, spec: GameSpec, grid: Grid1D,
             converged = True
             break
     if not converged:
-        logger.warning("%s: no fixed point after %d iterations", solver, it)
-    final_idx = _policy_from_xi(spec, nodes, xi)
+        logger.warning("%s: no fixed point after %d iterations%s", solver, it, cycle)
+    final_idx = _policy_from_xi(spec, nodes, xi, searched, idx)
     policy = FeedbackPolicy(nodes=nodes, indices=final_idx, z_values=xi.copy())
     rates = {a for a in alphas if a is not None}
     return NashSolution(

@@ -62,6 +62,7 @@ def test_solve_ebsde_artifacts_and_manifest(tmp_path):
     assert sorted(man["outputs"]) == ["report.json", "solution.csv"]
     assert man["config_sha256"] == cli._config_hash(man["config"])
     assert man["versions"]["ergodic_games"]
+    assert man["wall_time_s"] > 0 and man["peak_rss_mb"] > 0
 
 
 def test_rerun_from_manifest_is_byte_identical(tmp_path):

@@ -1,5 +1,7 @@
 """Static game layer: Hamiltonians, pointwise Nash search, tie-breaking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -244,11 +246,26 @@ def test_verify_isaacs_records_failures():
 def test_drift_and_cost_tables_cached(g0):
     t1 = g0.drift_table()
     assert g0.drift_table() is t1
-    c1 = g0.cost_table(0, 0.5)
-    assert g0.cost_table(0, 0.5) is c1
     assert t1.shape == (41, 41)
     # drift of (u, v) is u + v
     assert t1[0, 0] == -2.0 and t1[-1, -1] == 2.0
+    # cost tables are evaluated on demand, as read-only views of the dense tabulation
+    c1 = g0.cost_table(0, 0.5)
+    dense = np.meshgrid(*[g.points for g in g0.grids], indexing="ij")
+    np.testing.assert_array_equal(c1, np.broadcast_to(g0.costs[0](0.5, *dense), (41, 41)))
+    assert c1.shape == (41, 41) and not c1.flags.writeable
+
+
+def test_verify_isaacs_memory_bounded():
+    spec = eg.three_player_symmetric(n_controls=41)
+    tracemalloc.start()
+    try:
+        eg.verify_isaacs(spec, n_samples=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense 41^3 table is 0.55 MB; caching one per sampled state peaked above 500 MB
+    assert peak < 8e6, peak
 
 
 def test_feedback_policy_lookup():

@@ -3,12 +3,13 @@
 import itertools
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ergodic_games as eg
-from ergodic_games import cli
+from ergodic_games import cli, picard
 
 
 def test_coarse_game_converges(g0_nash_coarse):
@@ -319,3 +320,78 @@ def test_restart_from_converged_field_takes_two_iterations(model, g0, coarse_gri
     assert again.converged
     assert again.iterations == 2
     np.testing.assert_array_equal(again.policy.indices, g0_nash_coarse.policy.indices)
+
+
+def test_only_stale_nodes_are_searched(model, g0, coarse_grid, monkeypatch):
+    calls = []
+    search = picard.isaac_fixed_point
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(picard, "isaac_fixed_point", counted)
+    nash = eg.picard_solve(model, g0, coarse_grid)
+    assert nash.converged and nash.deltas_history[-1]["xi"] == [0.0, 0.0]
+    # every iteration moves every gradient row; the final policy needs no search
+    assert len(calls) == nash.iterations * coarse_grid.m
+
+
+# three_player_symmetric(n_controls=9) at m=81, max_iter=12, as the loop gave when it
+# searched every node each time; the symmetric players share each value
+_NC9_LAMBDA = "0x1.408fe817ae9bap-2"
+_NC9_RUNS = [(4, 28), (5, 2), (4, 21), (3, 2), (4, 28)]
+_NC9_DELTAS = [  # (lambda, xi) per iteration
+    (None, "0x1.44a5ba262261ep-2"),
+    ("0x1.e520576ea1548p-5", "0x1.0f37b506c74a8p-4"),
+    ("0x1.c59e8870f9650p-6", "0x1.77437f6b85504p-5"),
+    ("0x1.7cededf3c4810p-6", "0x1.ce54751ce23a8p-5"),
+    ("0x1.a1463b3262380p-5", "0x1.c6dcb5d213d3cp-5"),
+    ("0x1.c59e8870ffe90p-6", "0x1.77437f6b88bd4p-5"),
+    ("0x1.7cededf3c0520p-6", "0x1.ce54751ce4b20p-5"),
+    ("0x1.a1463b32618e0p-5", "0x1.c6dcb5d20e888p-5"),
+    ("0x1.c59e887102a30p-6", "0x1.77437f6b8e3ecp-5"),
+    ("0x1.7cededf3c3480p-6", "0x1.ce54751ce28d4p-5"),
+    ("0x1.a1463b32616b0p-5", "0x1.c6dcb5d20fc7cp-5"),
+    ("0x1.c59e8870ffec0p-6", "0x1.77437f6b8fac4p-5"),
+]
+
+
+def _coarse_three_player(model, coarse_grid):
+    spec = eg.three_player_symmetric(n_controls=9)
+    return eg.picard_solve(model, spec, coarse_grid, max_iter=12)
+
+
+def test_stale_node_skip_keeps_non_converging_results(model, coarse_grid):
+    nash = _coarse_three_player(model, coarse_grid)
+    assert not nash.converged and nash.iterations == 12
+    assert [lam.hex() for lam in nash.lambdas] == [_NC9_LAMBDA] * 3
+    assert [_runs(nash.policy.indices[:, i]) for i in range(3)] == [_NC9_RUNS] * 3
+    for deltas, (lam, xi) in zip(nash.deltas_history, _NC9_DELTAS, strict=True):
+        assert [None if d is None else d.hex() for d in deltas["lambda"]] == [lam] * 3
+        assert [d.hex() for d in deltas["xi"]] == [xi] * 3
+
+
+def test_policy_cycle_is_reported(model, coarse_grid, caplog):
+    with caplog.at_level(logging.WARNING, logger="ergodic_games.picard"):
+        _coarse_three_player(model, coarse_grid)
+    assert [r.getMessage() for r in caplog.records] == [
+        "picard_solve: no fixed point after 12 iterations; iteration 2's policy recurs at "
+        "iteration 5 (period 3)"]
+
+
+def test_game_tables_memory_bounded_in_states(model):
+    grid = eg.Grid1D(-6.0, 6.0, 101)
+    tracemalloc.start()
+    try:
+        spec = eg.three_player_symmetric(n_controls=41)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        nash = eg.picard_solve(model, spec, grid)
+        solve = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nash.converged
+    # one dense 41^3 table is 0.55 MB; caching one per (player, state) peaked at 217 MB
+    # to build the game and about 170 MB to solve it
+    assert build < 8e6 and solve < 8e6, (build, solve)
