@@ -42,7 +42,6 @@ from .ebsde import (
     solve_ergodic,
 )
 from .games import (
-    BestResponseCycleError,
     ControlGrid,
     FeedbackPolicy,
     GameSpec,
@@ -107,7 +106,6 @@ __all__ = [
     "FeedbackPolicy",
     "IsaacsReport",
     "NoPureNashError",
-    "BestResponseCycleError",
     "hamiltonian",
     "isaac_fixed_point",
     "verify_isaacs",

@@ -41,7 +41,7 @@ from .ebsde import (
     NonMonotoneSchemeError,
     solve_ergodic,
 )
-from .games import BestResponseCycleError, FeedbackPolicy, NoPureNashError, verify_isaacs
+from .games import FeedbackPolicy, NoPureNashError, verify_isaacs
 from .picard import NashSolution, asymmetric_solve, picard_solve, vanishing_discount_sweep
 from .sde import SimulationDivergedError, moment_bound_check, sample_paths
 from .verify import nash_deviation_test
@@ -54,7 +54,6 @@ _SOLVER_ERRORS = (
     NonMonotoneSchemeError,
     MaxSweepsExceededError,
     NoPureNashError,
-    BestResponseCycleError,
     SimulationDivergedError,
     LinearizationDidNotConvergeError,
     ResidualCeilingError,
@@ -241,9 +240,8 @@ def _cmd_discount_sweep(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     alphas = _scalar(cfg, "alphas")
     if not isinstance(alphas, (list, tuple)) or not alphas:
         raise ConfigError("config field 'alphas' must be a nonempty list")
-    kwargs = _solver_kwargs(cfg)
-    kwargs.pop("damping", None)
-    sweep = vanishing_discount_sweep(model, spec, grid, [float(a) for a in alphas], **kwargs)
+    sweep = vanishing_discount_sweep(model, spec, grid, [float(a) for a in alphas],
+                                     **_solver_kwargs(cfg))
     sweep.to_csv(out / "sweep.csv")
     _write_json(out / "report.json", {"game": spec.name, "rows": sweep.as_dicts()})
     bad = [r for r in sweep.rows if r.status != "ok"]

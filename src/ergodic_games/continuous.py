@@ -35,6 +35,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _CHECK_SLACK = 1e-9
+_CHECK_SEED = 17
 
 
 class GrowthViolationError(ValueError):
@@ -107,7 +108,6 @@ def decompose(
     f: Callable,
     kappa: float,
     check_samples: int = 10_000,
-    check_seed: int = 17,
 ) -> Decomposition:
     """Split ``f`` against its declared growth constant ``kappa``.
 
@@ -116,7 +116,7 @@ def decompose(
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
-    rng = np.random.default_rng([int(check_seed) & 0xFFFFFFFFFFFFFFFF, 0xDEC0])
+    rng = np.random.default_rng([_CHECK_SEED, 0xDEC0])
     xs = rng.normal(scale=3.0, size=int(check_samples))
     zs = rng.normal(scale=3.0, size=int(check_samples))
     fv = np.broadcast_to(np.asarray(f(xs, zs), dtype=float), xs.shape)

@@ -49,6 +49,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _CHECK_SLACK = 1e-9
+_CHECK_SEED = 13
 # residual evaluations per grid solve; Newton needs a handful, affine drivers two
 _MAX_NEWTON_ITERATIONS = 50
 # relative step of the central difference that gives the driver's slope in z
@@ -146,10 +147,9 @@ class DriverSpec:
     lipschitz_z: float
     bound_at_zero: float
     check_samples: int = 1_000
-    check_seed: int = 13
 
     def __post_init__(self):
-        rng = np.random.default_rng([int(self.check_seed) & 0xFFFFFFFFFFFFFFFF, 0xD21])
+        rng = np.random.default_rng([_CHECK_SEED, 0xD21])
         n = int(self.check_samples)
         xs = rng.normal(scale=3.0, size=n)
         za = rng.normal(scale=3.0, size=n)

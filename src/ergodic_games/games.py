@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "NoPureNashError",
-    "BestResponseCycleError",
     "ControlGrid",
     "GameSpec",
     "JointControl",
@@ -35,9 +34,7 @@ __all__ = [
 JointControl = Tuple[int, ...]
 
 _CHECK_SLACK = 1e-9
-# joint grids up to this size are searched exhaustively, larger ones by
-# cyclic best responses
-_ENUMERATION_CAP = 1_000_000
+_CHECK_SEED = 11
 
 
 class NoPureNashError(RuntimeError):
@@ -47,10 +44,6 @@ class NoPureNashError(RuntimeError):
         super().__init__(f"no pure Nash point on the control grids at x={x!r}, z={z!r}")
         self.x = x
         self.z = z
-
-
-class BestResponseCycleError(RuntimeError):
-    """Cyclic best-response sweeps revisited a state without stabilizing."""
 
 
 @dataclass(frozen=True)
@@ -104,7 +97,6 @@ class GameSpec:
     cost_x_lip: float
     name: str = ""
     check_samples: int = 64
-    check_seed: int = 11
 
     def __post_init__(self):
         object.__setattr__(self, "grids", tuple(self.grids))
@@ -165,7 +157,7 @@ class GameSpec:
     # -- sampled construction checks ------------------------------------------------
 
     def _run_checks(self) -> None:
-        rng = np.random.default_rng(self.check_seed)
+        rng = np.random.default_rng(_CHECK_SEED)
         tab = self.drift_table()
         mag = np.abs(tab)
         if np.any(mag > self.drift_bound * (1.0 + _CHECK_SLACK) + 1e-12):
@@ -216,26 +208,20 @@ def _value_order(grids) -> Optional[tuple]:
     return None if all(np.array_equal(o, np.arange(len(o))) for o in orders) else orders
 
 
-def isaac_fixed_point(spec: GameSpec, x, z, max_rounds: int = 10_000) -> JointControl:
+def isaac_fixed_point(spec: GameSpec, x, z) -> JointControl:
     """Joint control at which every Hamiltonian is unilaterally minimal.
 
-    Exhaustive enumeration is used while the product grid has at most
-    ``_ENUMERATION_CAP`` points: one pass per player marks where that
+    The whole joint grid is enumerated: one pass per player marks where that
     player's Hamiltonian is minimal along their own axis, and the first
     control marked by every player in the lexicographic order of control
     *values* wins, so ties go to the smallest tuple of values and reordering
-    a grid cannot change the selected control.  Larger products fall back to
-    cyclic best-response sweeps, which either stabilize (the result is then
-    a pointwise Nash point by construction) or raise
-    :class:`BestResponseCycleError`.
+    a grid cannot change the selected control.  Time and memory are
+    O(|U|^n) per call, whatever the size of the joint grid.
 
-    Raises :class:`NoPureNashError` when enumeration finds no stable joint
-    control.
+    Raises :class:`NoPureNashError` when no joint control is stable.
     """
     if len(z) != spec.n_players:
         raise ValueError(f"need one gradient value per player, got {len(z)}")
-    if spec.product_size() > _ENUMERATION_CAP:
-        return _best_response_search(spec, x, z, max_rounds)
     drift = spec.drift_table()
     mesh = getattr(spec, "_mesh")
     shape = spec._shape()
@@ -259,38 +245,6 @@ def isaac_fixed_point(spec: GameSpec, x, z, max_rounds: int = 10_000) -> JointCo
     return tuple(int(j) for j in u)
 
 
-def _best_response(spec: GameSpec, x, z_i, player: int, current: JointControl) -> int:
-    """Index minimizing the player's Hamiltonian with the others frozen."""
-    pts = spec.grids[player].points
-    probe = spec.control_values(current)
-    probe[player] = pts
-    r = np.broadcast_to(np.asarray(spec.drift_map(*probe), dtype=float), pts.shape)
-    h = float(z_i) * r + np.asarray(spec.costs[player](x, *probe), dtype=float)
-    ties = np.flatnonzero(h <= h.min())
-    return int(ties[np.argmin(pts[ties])])
-
-
-def _best_response_search(spec: GameSpec, x, z, max_rounds: int) -> JointControl:
-    current = tuple(0 for _ in spec.grids)
-    seen = {current}
-    for _ in range(max_rounds):
-        nxt = list(current)
-        for i in range(spec.n_players):
-            nxt[i] = _best_response(spec, x, z[i], i, tuple(nxt))
-        nxt = tuple(nxt)
-        if nxt == current:
-            return current
-        if nxt in seen:
-            raise BestResponseCycleError(
-                f"best-response sweeps cycled without stabilizing at x={x!r}, z={z!r}"
-            )
-        seen.add(nxt)
-        current = nxt
-    raise BestResponseCycleError(
-        f"best-response sweeps did not stabilize within {max_rounds} rounds at x={x!r}"
-    )
-
-
 @dataclass(frozen=True)
 class IsaacsReport:
     """Sampled diagnostic for existence and stability of pointwise Nash points."""
@@ -305,38 +259,30 @@ class IsaacsReport:
 
 def verify_isaacs(
     spec: GameSpec,
-    sampler: Optional[Callable] = None,
     n_samples: int = 1_000,
     delta: float = 1e-3,
     seed: int = 0,
 ) -> IsaacsReport:
     """Sample ``(x, z)`` pairs and probe the pointwise Nash search.
 
-    ``sampler`` is called with a generator and must return ``(x, z)`` with
-    one scalar gradient value per player; the default draws both from centered
-    normals with scale 2.  For each sample the search is retried at a
+    ``x`` and every player's gradient value are drawn from centered normals
+    with scale 2.  For each sample the search is retried at a
     ``delta``-perturbed ``z`` and the largest change of the per-player
     Hamiltonian values is recorded (``delta == 0`` reproduces the same
     point, so the jump is zero).
     """
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x15AAC])
-    if sampler is None:
-        def sampler(r):
-            return float(r.normal(scale=2.0)), tuple(
-                float(r.normal(scale=2.0)) for _ in range(spec.n_players)
-            )
-
     hits = 0
     max_jump = 0.0
     failures = []
     for _ in range(n_samples):
-        x, z = sampler(rng)
-        z = tuple(float(z_i) for z_i in z)
+        x = float(rng.normal(scale=2.0))
+        z = tuple(float(rng.normal(scale=2.0)) for _ in range(spec.n_players))
         # a random unit direction per player: a sign
         direction = np.sign(rng.standard_normal(len(z))).tolist()
         try:
             u = isaac_fixed_point(spec, x, z)
-        except (NoPureNashError, BestResponseCycleError):
+        except NoPureNashError:
             if len(failures) < 5:
                 failures.append((x, z))
             continue
@@ -344,7 +290,7 @@ def verify_isaacs(
         z_near = tuple(z_i + delta * d for z_i, d in zip(z, direction))
         try:
             u_near = isaac_fixed_point(spec, x, z_near)
-        except (NoPureNashError, BestResponseCycleError):
+        except NoPureNashError:
             if len(failures) < 5:
                 failures.append((x, z_near))
             continue

@@ -31,7 +31,6 @@ import numpy as np
 from ._csv import write_csv
 from .ebsde import (
     DiscountedSolution,
-    DriverSpec,
     ErgodicSolution,
     Grid1D,
     MaxSweepsExceededError,
@@ -40,13 +39,7 @@ from .ebsde import (
     solve_discounted,
     solve_ergodic,
 )
-from .games import (
-    BestResponseCycleError,
-    FeedbackPolicy,
-    GameSpec,
-    NoPureNashError,
-    isaac_fixed_point,
-)
+from .games import FeedbackPolicy, GameSpec, NoPureNashError, isaac_fixed_point
 from .sde import SdeModel
 
 __all__ = [
@@ -142,21 +135,15 @@ def _frozen_tables(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray):
     return spec.drift_table()[joint], c_nodes
 
 
-def comparison_bound(model: SdeModel, spec: GameSpec, grid: Grid1D,
-                     tol: float = 1e-6) -> float:
+def comparison_bound(spec: GameSpec) -> float:
     """Upper bound on every player's long-run cost.
 
-    Solves the ergodic equation with the dominating driver
-    ``drift_bound * |z| + cost_sup``; since that driver does not depend on
-    the state, the flat profile solves it exactly and the returned constant
-    is ``cost_sup`` itself.
+    The constant of the ergodic equation with the dominating driver
+    ``drift_bound * |z| + cost_sup``: that driver does not depend on the
+    state, so the flat profile solves it exactly and the constant is
+    ``cost_sup`` itself.
     """
-    driver = DriverSpec(
-        lambda x, z, _b=spec.drift_bound, _c=spec.cost_sup: _b * np.abs(z) + _c + 0.0 * x,
-        lipschitz_z=spec.drift_bound,
-        bound_at_zero=spec.cost_sup,
-    )
-    return solve_ergodic(model, driver, grid, tol=tol).lam
+    return float(spec.cost_sup)
 
 
 def _interior_sup(grid: Grid1D, a: np.ndarray) -> float:
@@ -316,7 +303,7 @@ def _picard_loop(solver: str, model: SdeModel, spec: GameSpec, grid: Grid1D,
         lambdas=tuple(p if a is None else None for a, p in zip(alphas, prev)),
         policy=policy,
         policy_values=tuple(policy.control_columns(spec)),
-        comparison=comparison_bound(model, spec, grid, tol=inner_tol),
+        comparison=comparison_bound(spec),
         converged=converged,
         iterations=it,
         deltas_history=tuple(history),
@@ -373,8 +360,7 @@ def vanishing_discount_sweep(
                 tol=tol, max_iter=max_iter, inner_tol=inner_tol,
                 v_init=warm, **kwargs,
             )
-        except (MaxSweepsExceededError, NonMonotoneSchemeError, NoPureNashError,
-                BestResponseCycleError) as err:
+        except (MaxSweepsExceededError, NonMonotoneSchemeError, NoPureNashError) as err:
             rows.append(SweepRow(float(a), None, None, None, f"error: {err}"))
             prev_centered = None
             warm = None

@@ -48,6 +48,7 @@ logger = logging.getLogger(__name__)
 
 # Relative slack applied to sampled inequality checks; absorbs roundoff only.
 _CHECK_SLACK = 1e-9
+_CHECK_SEED = 7
 
 
 class SimulationDivergedError(RuntimeError):
@@ -107,8 +108,8 @@ class SdeModel:
         (sampled at construction).
     x0 : float
         Initial state, stored as a one-element array.
-    check_samples, check_seed : int
-        Sample count and seed for the construction-time assumption checks.
+    check_samples : int
+        Sample count for the construction-time assumption checks.
     """
 
     dim: int
@@ -122,7 +123,6 @@ class SdeModel:
     sigma_hi: float
     x0: np.ndarray
     check_samples: int = 10_000
-    check_seed: int = 7
 
     def __post_init__(self):
         if self.dim != 1:
@@ -138,7 +138,7 @@ class SdeModel:
     # -- sampled assumption checks -------------------------------------------------
 
     def _run_assumption_checks(self) -> None:
-        rng = path_stream(self.check_seed, 0xA55)
+        rng = path_stream(_CHECK_SEED, 0xA55)
         n = int(self.check_samples)
         xs = rng.normal(scale=3.0, size=n)
         ys = rng.normal(scale=3.0, size=n)
@@ -206,10 +206,9 @@ class DriftShift:
     shift: Callable
     bound: float
     check_samples: int = 1_000
-    check_seed: int = 7
 
     def __post_init__(self):
-        rng = path_stream(self.check_seed, 0x5F1)
+        rng = path_stream(_CHECK_SEED, 0x5F1)
         xs = rng.normal(scale=3.0, size=int(self.check_samples))
         vals = np.abs(_broadcast(self.shift, xs))
         if np.any(vals > self.bound * (1.0 + _CHECK_SLACK) + 1e-12):

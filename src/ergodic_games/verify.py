@@ -222,8 +222,6 @@ def estimate_payoff(
     alpha: Optional[float] = None,
     seed: int = 0,
     eps_tail: float = 1e-3,
-    override_player: Optional[int] = None,
-    override_indices: Optional[np.ndarray] = None,
 ) -> PayoffEstimate:
     """Monte Carlo payoff of one player under a joint feedback policy.
 
@@ -231,15 +229,13 @@ def estimate_payoff(
     ``[burn_in, horizon)`` (default burn-in ``20 / dissipation``);
     ``kind="discounted"`` accumulates ``exp(-alpha t) cost dt`` from the
     model's start state and requires the horizon to push the tail below
-    ``eps_tail`` (otherwise :class:`InsufficientHorizonError`).  An override
-    replaces one player's node-to-control map before simulating.  The
+    ``eps_tail`` (otherwise :class:`InsufficientHorizonError`); a deviation
+    is simulated by passing ``policy.with_player_indices(...)``.  The
     estimate is bitwise the one :func:`nash_deviation_test` reports for the
     same policy and seed.
     """
     if not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")
-    if override_player is not None:
-        policy = policy.with_player_indices(override_player, override_indices)
     job = _job(model, spec, policy, player, seed, kind, horizon, burn_in, alpha, eps_tail)
     return _estimate_jobs(model, spec, [job], horizon, step, n_paths, "estimate_payoff")[0]
 

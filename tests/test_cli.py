@@ -240,6 +240,23 @@ def test_sweep_budget_exhaustion_exits_2(tmp_path):
                      "--out", str(tmp_path / "x"), "--quiet"]) == 2
 
 
+def test_discount_sweep_applies_damping(tmp_path):
+    alphas = [0.5, 0.2]
+    cfg = {"seed": 0, "alphas": alphas, "model": {}, "grid": dict(TINY_GRID),
+           "game": {"name": "quadratic_decoupled"},
+           "solver": {"tol": 1.0e-4, "damping": 0.5}}
+    out = tmp_path / "sweep"
+    assert cli.main(["discount-sweep", "--config", write_cfg(tmp_path, "sweep.yaml", cfg),
+                     "--out", str(out), "--quiet"]) == 0
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    args = (ergodic_games.ou_model(), ergodic_games.quadratic_decoupled(),
+            ergodic_games.Grid1D(**TINY_GRID), alphas)
+    damped = ergodic_games.vanishing_discount_sweep(*args, tol=1.0e-4, damping=0.5)
+    plain = ergodic_games.vanishing_discount_sweep(*args, tol=1.0e-4)
+    assert damped.as_dicts() != plain.as_dicts()
+    assert rows == damped.as_dicts()
+
+
 def test_version_flag(capsys):
     assert cli.main(["--version"]) == 0
     assert "ergodic-games" in capsys.readouterr().out

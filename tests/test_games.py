@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import ergodic_games as eg
 from ergodic_games.catalog import BUMP_LIP, bump
-from ergodic_games.games import _best_response_search
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -151,16 +150,6 @@ def test_grid_reorder_does_not_change_selected_values(g0):
         assert g0.control_values(a) == flipped.control_values(b)
 
 
-def test_best_response_fallback_agrees_with_enumeration(g0):
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        x, z = rng.normal(), tuple(rng.normal(scale=2.0, size=2))
-        full = eg.isaac_fixed_point(g0, x, z)
-        # the cyclic best-response path that joint grids above the cap take
-        fallback = _best_response_search(g0, x, z, max_rounds=10_000)
-        assert full == fallback
-
-
 def _stable_controls(spec, x, z):
     """Every joint control no player can improve on: the argwhere reference for the search."""
     drift = spec.drift_table()
@@ -212,6 +201,23 @@ def test_search_matches_argwhere_reference(build):
     assert ties > 0
 
 
+def test_search_matches_reference_above_a_million_joint_points():
+    # 101^3 joint controls: grids above a million points take the same search and tie rule
+    spec = eg.three_player_symmetric(n_controls=101)
+    assert spec.product_size() > 1_000_000
+    rng = np.random.default_rng(1)  # two of its lattice draws tie after rounding
+    ties = 0
+    for k in range(8):
+        x = float(rng.normal(scale=3.0))
+        # every other z on a lattice of quarters, where minimisers tie before rounding
+        z = rng.normal(scale=2.0, size=3) if k % 2 else 0.25 * rng.integers(-8, 9, size=3)
+        z = tuple(float(v) for v in z)
+        hits = _stable_controls(spec, x, z)
+        ties += len(hits) > 1
+        assert eg.isaac_fixed_point(spec, x, z) == min(hits, key=lambda u: _value_key(spec, u))
+    assert ties > 0
+
+
 def test_unsorted_grid_tie_goes_to_smallest_values():
     spec = _unsorted_tie_game()
     assert spec.control_values(eg.isaac_fixed_point(spec, 0.0, (0.0, 0.0))) == [-0.5, -0.5]
@@ -221,8 +227,6 @@ def test_no_pure_nash_raises():
     spec = _pennies()
     with pytest.raises(eg.NoPureNashError):
         eg.isaac_fixed_point(spec, 0.0, (0.0, 0.0))
-    with pytest.raises(eg.BestResponseCycleError):
-        _best_response_search(spec, 0.0, (0.0, 0.0), max_rounds=100)
 
 
 def test_verify_isaacs_on_bundled_games(g0):

@@ -24,11 +24,11 @@ def test_comparison_bound_is_cost_sup(model, coarse_grid):
     for name in ("quadratic_decoupled", "coupled_cross_cost",
                  "three_player_symmetric"):
         spec = eg.make_game({"name": name})
-        assert eg.comparison_bound(model, spec, coarse_grid) == spec.cost_sup
+        assert eg.comparison_bound(spec) == spec.cost_sup
 
 
 def test_lambdas_respect_comparison_bound(model, g0, coarse_grid, g0_nash_coarse):
-    bound = eg.comparison_bound(model, g0, coarse_grid)
+    bound = eg.comparison_bound(g0)
     for lam in g0_nash_coarse.lambdas:
         assert lam <= bound + 1e-6
 
@@ -72,7 +72,7 @@ def test_coupled_game_converges(model, coarse_grid):
     spec = eg.make_game({"name": "coupled_cross_cost", "coupling": 0.25})
     nash = eg.picard_solve(model, spec, coarse_grid, tol=1e-4)
     assert nash.converged
-    bound = eg.comparison_bound(model, spec, coarse_grid)
+    bound = eg.comparison_bound(spec)
     assert all(lam <= bound + 1e-6 for lam in nash.lambdas)
     # cross cost breaks the symmetry between the value fields and the
     # decoupled solution, but not between the two (symmetric) players
