@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Run every bundled config through the CLI and print a digest per artifact.
+
+Usage: python scripts/artifact_digests.py DIR
+
+Each (config, subcommand) pair of RUNS writes into DIR/<config>/<subcommand>.
+Every report and CSV is then listed as one ``sha256  path`` line, with paths
+relative to DIR; manifests are skipped, since they hold wall times.  The
+library is imported from the ``src`` directory of the checkout holding this
+script, so running a copy of it in two checkouts and diffing the two
+listings shows whether a change kept every artifact byte-identical.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+from ergodic_games import cli  # noqa: E402
+
+CONFIGS = REPO / "configs"
+
+RUNS = (
+    ("ebsde_bump", "solve-ebsde"),
+    ("continuous_sqrt", "continuous-ebsde"),
+    ("g0", "solve-game"),
+    ("g0", "verify-nash"),
+    ("g0", "simulate"),
+    ("g0", "check-assumptions"),
+    ("g0_coupled", "solve-game"),
+    ("g0_asymmetric", "asymmetric"),
+    ("discount_sweep", "discount-sweep"),
+    ("three_player", "solve-game"),
+    ("three_player", "check-assumptions"),
+)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 1
+    root = Path(argv[0])
+    missing = {p.stem for p in CONFIGS.glob("*.yaml")} - {name for name, _ in RUNS}
+    if missing:
+        print(f"configs without a run: {', '.join(sorted(missing))}", file=sys.stderr)
+        return 1
+    failed = False
+    for name, command in RUNS:
+        out = root / name / command
+        rc = cli.main([command, "--config", str(CONFIGS / f"{name}.yaml"),
+                       "--out", str(out), "--quiet"])
+        if rc != 0:
+            print(f"{name} {command}: exit code {rc}", file=sys.stderr)
+            failed = True
+        for path in sorted(out.iterdir()):
+            if path.name != "manifest.json":
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{digest}  {path.relative_to(root)}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

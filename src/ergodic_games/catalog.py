@@ -51,17 +51,13 @@ def ou_model(x0: float = 0.0, noise: float = SQRT2) -> SdeModel:
     With the default noise ``sqrt(2)`` the invariant law is standard normal;
     a constant drift shift ``b`` moves its mean to ``sqrt(2) * b``.
     """
-    combo = noise + 1.0 / noise
     return SdeModel(
-        dim=1,
         lin_drift=-1.0,
         dissipation=1.0,
         bounded_drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         bounded_drift_sup=0.0,
         bounded_drift_lip=0.0,
-        sigma=lambda x: noise,
-        sigma_lo=0.5 * combo,
-        sigma_hi=2.0 * combo,
+        sigma=noise,
         x0=x0,
     )
 
@@ -78,26 +74,33 @@ def _residual_drift(name: str, params: dict) -> Tuple[Callable, float, float]:
     raise KeyError(f"unknown bounded_drift name {name!r}")
 
 
+_MODEL_KEYS = ("lin_drift", "dissipation", "bounded_drift", "sigma", "x0", "dim")
+
+
 def make_model(cfg: dict) -> SdeModel:
-    """Model from a config mapping (see the bundled YAML files)."""
+    """Model from a config mapping (see the bundled YAML files).
+
+    Unknown keys raise ``KeyError`` naming the known ones; ``dim`` may only
+    be 1.
+    """
+    unknown = [k for k in cfg if k not in _MODEL_KEYS]
+    if unknown:
+        raise KeyError(f"unknown model key {unknown[0]!r}; known keys: {', '.join(_MODEL_KEYS)}")
+    if int(cfg.get("dim", 1)) != 1:
+        raise ValueError(f"models are one-dimensional, got dim={cfg['dim']}")
     res_cfg = dict(cfg.get("bounded_drift", {"name": "zero"}))
     fn, f_sup, f_lip = _residual_drift(res_cfg.pop("name", "zero"), res_cfg)
     sig_cfg = dict(cfg.get("sigma", {"name": "constant", "value": SQRT2}))
     sig_name = sig_cfg.pop("name", "constant")
     if sig_name != "constant":
         raise KeyError(f"unknown sigma name {sig_name!r}")
-    s = float(sig_cfg.get("value", SQRT2))
-    combo = abs(s) + 1.0 / abs(s)
     return SdeModel(
-        dim=int(cfg.get("dim", 1)),
         lin_drift=float(cfg.get("lin_drift", -1.0)),
         dissipation=float(cfg.get("dissipation", 1.0)),
         bounded_drift=fn,
         bounded_drift_sup=f_sup,
         bounded_drift_lip=f_lip,
-        sigma=lambda x, _s=s: _s,
-        sigma_lo=float(cfg.get("sigma_lo", 0.5 * combo)),
-        sigma_hi=float(cfg.get("sigma_hi", 2.0 * combo)),
+        sigma=float(sig_cfg.get("value", SQRT2)),
         x0=float(cfg.get("x0", 0.0)),
     )
 

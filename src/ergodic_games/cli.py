@@ -283,7 +283,7 @@ def _cmd_simulate(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     horizon = float(sim.get("horizon", 10.0))
     step = float(sim.get("step", 0.01))
     n_paths = int(sim.get("n_paths", 1))
-    states = sample_paths(model, None, horizon, step, seed, n_paths)[:, :, 0]
+    states = sample_paths(model, None, horizon, step, seed, n_paths)
     times = (np.arange(states.shape[1]) * step).tolist()
     write_csv(out / "paths.csv", ("path", "t", "x_1"),
               ((p, t, x) for p, row in enumerate(states.tolist()) for t, x in zip(times, row)))

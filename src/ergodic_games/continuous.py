@@ -36,6 +36,8 @@ logger = logging.getLogger(__name__)
 
 _CHECK_SLACK = 1e-9
 _CHECK_SEED = 17
+# sampled (x, z) pairs of decompose's growth check
+_CHECK_SAMPLES = 10_000
 
 
 class GrowthViolationError(ValueError):
@@ -104,21 +106,17 @@ class Decomposition:
         return 2.0 * self.kappa
 
 
-def decompose(
-    f: Callable,
-    kappa: float,
-    check_samples: int = 10_000,
-) -> Decomposition:
+def decompose(f: Callable, kappa: float) -> Decomposition:
     """Split ``f`` against its declared growth constant ``kappa``.
 
-    Samples ``(x, z)`` pairs and raises :class:`GrowthViolationError` when
+    Samples ``_CHECK_SAMPLES`` ``(x, z)`` pairs and raises :class:`GrowthViolationError` when
     ``|f(x, z)| > kappa (1 + |z|)`` anywhere in the sample.
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     rng = np.random.default_rng([_CHECK_SEED, 0xDEC0])
-    xs = rng.normal(scale=3.0, size=int(check_samples))
-    zs = rng.normal(scale=3.0, size=int(check_samples))
+    xs = rng.normal(scale=3.0, size=_CHECK_SAMPLES)
+    zs = rng.normal(scale=3.0, size=_CHECK_SAMPLES)
     fv = np.broadcast_to(np.asarray(f(xs, zs), dtype=float), xs.shape)
     growth = kappa * (1.0 + np.abs(zs))
     if np.any(np.abs(fv) > growth * (1.0 + _CHECK_SLACK) + 1e-12):

@@ -2,11 +2,12 @@
 
 The ergodic problem looks for a pair ``(v, lam)`` with
 
-    0.5 sigma(x)^2 v'' + drift(x) v' + f(x, v' sigma(x)) = lam
+    0.5 sigma^2 v'' + drift(x) v' + f(x, v' sigma) = lam
 
-on a truncated interval, where ``drift`` is the uncontrolled model drift and
-``f`` is a driver that is Lipschitz in its gradient argument.  ``v`` is only
-determined up to an additive constant and is pinned to ``v(x_ref) = 0``.
+on a truncated interval, where ``drift`` is the uncontrolled model drift,
+``sigma`` the model's constant noise coefficient and ``f`` a driver that is
+Lipschitz in its gradient argument.  ``v`` is only determined up to an
+additive constant and is pinned to ``v(x_ref) = 0``.
 
 The discounted variant replaces the constant ``lam`` by ``alpha * v``.  Both
 share one discrete equation: central differences in space, mirrored Neumann
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -89,6 +90,35 @@ class MaxSweepsExceededError(RuntimeError):
         self.residual_history = list(residual_history)
 
 
+def node_lookup(nodes: np.ndarray) -> Tuple[float, float, int]:
+    """``(lo, inv_dx, top)`` of :func:`nearest_node` on the uniform grid ``nodes``."""
+    inv_dx = 1.0 / (nodes[1] - nodes[0]) if len(nodes) > 1 else 1.0
+    return float(nodes[0]), inv_dx, len(nodes) - 1
+
+
+def nearest_node(x, lookup: Tuple[float, float, int], out: Optional[tuple] = None) -> np.ndarray:
+    """Index of the grid node nearest each state.
+
+    ``rint((x - lo) * inv_dx)`` clamped to ``[0, top]``, with ``(lo, inv_dx,
+    top) = node_lookup(nodes)``: the one rule of every state-to-node lookup
+    (grid drivers, feedback policies and the path engine's drift shift).
+    ``out = (scaled, idx)``, float and ``intp`` arrays of ``x``'s shape, lets
+    a caller that looks up every step reuse its buffers; the result is then
+    ``idx``.
+    """
+    lo, inv_dx, top = lookup
+    if out is None:
+        idx = np.asarray(np.rint((np.asarray(x, dtype=float) - lo) * inv_dx).astype(np.intp))
+    else:
+        scaled, idx = out
+        np.subtract(x, lo, out=scaled)
+        np.multiply(scaled, inv_dx, out=scaled)
+        np.rint(scaled, out=scaled)
+        idx[...] = scaled
+    np.maximum(idx, 0, out=idx)
+    return np.minimum(idx, top, out=idx)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform truncation grid for the 1-d state.
@@ -129,8 +159,8 @@ class Grid1D:
         return slice(self.interior_margin, self.m - self.interior_margin)
 
     def nearest_index(self, x) -> np.ndarray:
-        raw = np.rint((np.asarray(x, dtype=float) - self.x_min) / self.dx).astype(int)
-        return np.clip(raw, 0, self.m - 1)
+        """Nearest node of each state, clamped to the grid (:func:`nearest_node`)."""
+        return nearest_node(x, node_lookup(self.nodes()))
 
 
 @dataclass(frozen=True)
@@ -187,7 +217,7 @@ class ErgodicSolution:
     """Grid solution of the ergodic equation.
 
     ``v`` is normalized to zero at the reference node, ``xi`` approximates
-    ``v'(x) sigma(x)`` (central differences inside, one-sided at the ends),
+    ``v'(x) sigma`` (central differences inside, one-sided at the ends),
     ``lam`` is the long-run constant and ``residual_sup`` the recomputed
     interior equation residual.  ``growth_constant`` is the smallest ``C``
     with ``|v(x)| <= C (1 + x^2)`` on the grid.
@@ -321,9 +351,9 @@ def _solve_pinned(model, driver: DriverSpec, grid: Grid1D, alpha: float, tol: fl
     Newton system.  Returns ``(v, c, iterations)``.
     """
     x, dx, iref = grid.nodes(), grid.dx, grid.x_ref_index
-    sig = model.sigma_1d(x).astype(float)
+    sig = model.sigma
     sig2 = sig**2
-    diff = 0.5 * sig2 / dx**2
+    diff = np.full(grid.m, 0.5 * sig2 / dx**2)
     drift = model.drift_1d(x).astype(float)
     f = driver.f
     v = np.zeros(grid.m) if v_init is None else np.array(v_init, dtype=float)
@@ -347,12 +377,12 @@ def _solve_pinned(model, driver: DriverSpec, grid: Grid1D, alpha: float, tol: fl
         slope = (np.asarray(f(x, z + h), dtype=float)
                  - np.asarray(f(x, z - h), dtype=float)) / (2.0 * h)
         adv = drift + sig * slope
-        excess = np.abs(adv[inner]) * dx - sig2[inner]
+        excess = np.abs(adv[inner]) * dx - sig2
         if np.max(excess) >= 0.0:
             k = inner.start + int(np.argmax(excess))
             raise NonMonotoneSchemeError(
                 f"central scheme is not monotone at x={x[k]:.6g}: |drift + sigma*slope| dx "
-                f"= {abs(adv[k]) * dx:.6g} >= sigma^2 = {sig2[k]:.6g}; refine the grid")
+                f"= {abs(adv[k]) * dx:.6g} >= sigma^2 = {sig2:.6g}; refine the grid")
         lower, upper = diff - adv / (2.0 * dx), diff + adv / (2.0 * dx)
         lower[-1], upper[0] = 2.0 * diff[-1], 2.0 * diff[0]
         try:
@@ -366,14 +396,12 @@ def _solve_pinned(model, driver: DriverSpec, grid: Grid1D, alpha: float, tol: fl
 
 
 def _xi_from_v(model, grid: Grid1D, v: np.ndarray) -> np.ndarray:
-    x = grid.nodes()
-    sig = model.sigma_1d(x)
     dx = grid.dx
     xi = np.empty_like(v)
     xi[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
     xi[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)
     xi[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dx)
-    return sig * xi
+    return model.sigma * xi
 
 
 def hjb_residual(model, driver, grid: Grid1D, v: np.ndarray,
@@ -386,7 +414,7 @@ def hjb_residual(model, driver, grid: Grid1D, v: np.ndarray,
     """
     f = driver.f if isinstance(driver, DriverSpec) else driver
     x = grid.nodes()
-    sig2 = model.sigma_1d(x) ** 2
+    sig2 = model.sigma**2
     drift = model.drift_1d(x)
     d1, d2 = _derivatives(v, grid.dx)
     field = 0.5 * sig2 * d2 + drift * d1 + np.asarray(f(x, xi), dtype=float) - lam - alpha * v

@@ -18,6 +18,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .ebsde import nearest_node, node_lookup
+
 __all__ = [
     "NoPureNashError",
     "ControlGrid",
@@ -35,6 +37,8 @@ JointControl = Tuple[int, ...]
 
 _CHECK_SLACK = 1e-9
 _CHECK_SEED = 11
+# sampled states of GameSpec's construction-time cost checks
+_CHECK_SAMPLES = 64
 
 
 class NoPureNashError(RuntimeError):
@@ -96,7 +100,6 @@ class GameSpec:
     cost_sup: float
     cost_x_lip: float
     name: str = ""
-    check_samples: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "grids", tuple(self.grids))
@@ -165,8 +168,8 @@ class GameSpec:
                 f"drift_map check failed: |drift_map|={float(mag.max()):.6g} exceeds "
                 f"drift_bound={self.drift_bound:.6g} on the control grids"
             )
-        xs = rng.normal(scale=3.0, size=self.check_samples)
-        ys = rng.normal(scale=3.0, size=self.check_samples)
+        xs = rng.normal(scale=3.0, size=_CHECK_SAMPLES)
+        ys = rng.normal(scale=3.0, size=_CHECK_SAMPLES)
         for i in range(self.n_players):
             for x, y in zip(xs, ys):
                 # compact arrays: broadcasting repeats values but drops none
@@ -340,10 +343,8 @@ class FeedbackPolicy:
         return self.indices.shape[1]
 
     def node_index(self, x) -> np.ndarray:
-        """Nearest state-node lookup, clamped to the grid."""
-        dx = self.nodes[1] - self.nodes[0] if len(self.nodes) > 1 else 1.0
-        raw = np.rint((np.asarray(x, dtype=float) - self.nodes[0]) / dx).astype(int)
-        return np.clip(raw, 0, len(self.nodes) - 1)
+        """Nearest state-node lookup, clamped to the grid (:func:`nearest_node`)."""
+        return nearest_node(x, node_lookup(self.nodes))
 
     def at_state(self, x) -> JointControl:
         return tuple(int(v) for v in self.indices[int(self.node_index(x))])

@@ -2,14 +2,14 @@
 
 Models have the form
 
-    dX_t = (lin_drift * X_t + bounded_drift(X_t)) dt + sigma(X_t) dW_t
+    dX_t = (lin_drift * X_t + bounded_drift(X_t)) dt + sigma dW_t
 
 on the real line, with a linear part that pulls the state back toward the
-origin, a bounded Lipschitz residual drift, and a nonvanishing noise
+origin, a bounded Lipschitz residual drift, and a constant nonzero noise
 coefficient.  Paths are produced by Euler-Maruyama stepping in
 :func:`run_paths`, which steps many paths at once and hands their states to
 a consumer window by window, so estimates need no array of size paths x
-steps.  A change of measure is applied as an extra ``sigma(x) * shift(x)``
+steps.  A change of measure is applied as an extra ``sigma * shift(x)``
 drift term, so controlled dynamics reuse the same integrator.
 
 Randomness is drawn from one generator per path, keyed by
@@ -49,6 +49,9 @@ logger = logging.getLogger(__name__)
 # Relative slack applied to sampled inequality checks; absorbs roundoff only.
 _CHECK_SLACK = 1e-9
 _CHECK_SEED = 7
+# samples of the construction-time checks of SdeModel and DriftShift
+_MODEL_CHECK_SAMPLES = 10_000
+_SHIFT_CHECK_SAMPLES = 1_000
 
 
 class SimulationDivergedError(RuntimeError):
@@ -89,70 +92,51 @@ class SdeModel:
 
     Parameters
     ----------
-    dim : int
-        State dimension; must be 1 (every solver and engine works on the
-        real line).
     lin_drift : float
-        Linear drift coefficient (a 1x1 array is accepted).  Must satisfy
-        ``lin_drift * x^2 <= -dissipation * x^2`` (checked on random samples
-        at construction).
+        Linear drift coefficient (a one-element array is accepted).  Must
+        satisfy ``lin_drift <= -dissipation`` (checked at construction).
     dissipation : float
         Strictly positive dissipativity rate of the linear part.
     bounded_drift : callable
         Residual drift; must broadcast over numpy arrays.  Bounded by
         ``bounded_drift_sup`` and Lipschitz with constant
         ``bounded_drift_lip`` (both sampled at construction).
-    sigma : callable
-        Noise coefficient; must broadcast over numpy arrays, never vanish,
-        and satisfy ``sigma_lo <= |sigma(x)| + 1 / |sigma(x)| <= sigma_hi``
-        (sampled at construction).
+    sigma : float
+        Additive noise coefficient; finite and nonzero.
     x0 : float
-        Initial state, stored as a one-element array.
-    check_samples : int
-        Sample count for the construction-time assumption checks.
+        Initial state.
     """
 
-    dim: int
     lin_drift: float
     dissipation: float
     bounded_drift: Callable
     bounded_drift_sup: float
     bounded_drift_lip: float
-    sigma: Callable
-    sigma_lo: float
-    sigma_hi: float
-    x0: np.ndarray
-    check_samples: int = 10_000
+    sigma: float
+    x0: float
 
     def __post_init__(self):
-        if self.dim != 1:
-            raise ValueError(f"models are one-dimensional, got dim={self.dim}")
+        for name in ("lin_drift", "sigma", "x0"):
+            value = getattr(self, name)
+            if np.size(value) != 1:
+                raise ValueError(f"models are one-dimensional: {name} must be a scalar")
+            object.__setattr__(self, name, float(np.asarray(value).item()))
         if self.dissipation <= 0.0:
             raise ValueError("dissipation must be positive")
-        if np.size(self.lin_drift) != 1 or np.size(self.x0) != 1:
-            raise ValueError("lin_drift and x0 must be scalars for a one-dimensional model")
-        object.__setattr__(self, "lin_drift", float(np.asarray(self.lin_drift).item()))
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(1))
-        self._run_assumption_checks()
-
-    # -- sampled assumption checks -------------------------------------------------
-
-    def _run_assumption_checks(self) -> None:
-        rng = path_stream(_CHECK_SEED, 0xA55)
-        n = int(self.check_samples)
-        xs = rng.normal(scale=3.0, size=n)
-        ys = rng.normal(scale=3.0, size=n)
-
-        quad = self.lin_drift * xs * xs
-        bound = -self.dissipation * (xs * xs)
-        slack = _CHECK_SLACK * (1.0 + np.abs(bound))
-        if np.any(quad > bound + slack):
-            k = int(np.argmax(quad - bound))
+        if self.lin_drift > -self.dissipation + _CHECK_SLACK * (1.0 + self.dissipation):
             raise ValueError(
-                "dissipativity check failed: lin_drift*x^2 > -dissipation*x^2 "
-                f"at sampled x={xs[k]!r}"
+                f"dissipativity check failed: lin_drift={self.lin_drift!r} > "
+                f"-dissipation={-self.dissipation!r}"
             )
+        if self.sigma == 0.0 or not math.isfinite(self.sigma):
+            raise ValueError(f"sigma check failed: noise must be finite and nonzero, "
+                             f"got sigma={self.sigma!r}")
+        self._check_bounded_drift()
 
+    def _check_bounded_drift(self) -> None:
+        rng = path_stream(_CHECK_SEED, 0xA55)
+        xs = rng.normal(scale=3.0, size=_MODEL_CHECK_SAMPLES)
+        ys = rng.normal(scale=3.0, size=_MODEL_CHECK_SAMPLES)
         fx = _broadcast(self.bounded_drift, xs)
         fy = _broadcast(self.bounded_drift, ys)
         norm_f = np.abs(fx)
@@ -171,33 +155,14 @@ class SdeModel:
                 f"x={xs[k]!r}, y={ys[k]!r}"
             )
 
-        lo, hi = self.sigma_lo, self.sigma_hi
-        s = _broadcast(self.sigma, xs)
-        if np.any(s == 0.0) or not np.all(np.isfinite(s)):
-            raise ValueError("sigma check failed: non-invertible (zero or non-finite) value")
-        combo = np.abs(s) + 1.0 / np.abs(s)
-        slack = _CHECK_SLACK * (1.0 + np.abs(combo))
-        if np.any(combo > hi + slack) or np.any(combo < lo - slack):
-            k = int(np.argmax(np.maximum(combo - hi, lo - combo)))
-            raise ValueError(
-                f"sigma check failed: |sigma|+|sigma^-1|={combo[k]:.6g} outside "
-                f"[sigma_lo={lo:.6g}, sigma_hi={hi:.6g}] at sample {k}"
-            )
-
-    # -- grid-facing helpers -------------------------------------------------------
-
     def drift_1d(self, x: np.ndarray) -> np.ndarray:
         """Uncontrolled drift ``lin_drift*x + bounded_drift(x)`` on an array of states."""
         return self.lin_drift * x + _broadcast(self.bounded_drift, x)
 
-    def sigma_1d(self, x: np.ndarray) -> np.ndarray:
-        """Noise coefficient on an array of states."""
-        return _broadcast(self.sigma, x)
-
 
 @dataclass(frozen=True)
 class DriftShift:
-    """Feedback drift shift entering the dynamics as ``sigma(x) * shift(x)``.
+    """Feedback drift shift entering the dynamics as ``sigma * shift(x)``.
 
     ``shift`` must broadcast over arrays.  ``bound`` is a sup bound on
     ``|shift|``, sampled at construction.
@@ -205,11 +170,10 @@ class DriftShift:
 
     shift: Callable
     bound: float
-    check_samples: int = 1_000
 
     def __post_init__(self):
         rng = path_stream(_CHECK_SEED, 0x5F1)
-        xs = rng.normal(scale=3.0, size=int(self.check_samples))
+        xs = rng.normal(scale=3.0, size=_SHIFT_CHECK_SAMPLES)
         vals = np.abs(_broadcast(self.shift, xs))
         if np.any(vals > self.bound * (1.0 + _CHECK_SLACK) + 1e-12):
             k = int(np.argmax(vals))
@@ -224,14 +188,14 @@ class Path:
     """One simulated trajectory on a uniform time grid."""
 
     times: np.ndarray
-    states: np.ndarray  # shape (n_steps + 1, 1)
+    states: np.ndarray  # shape (n_steps + 1,)
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
+    def final_state(self) -> float:
+        return float(self.states[-1])
 
     def to_csv(self, path) -> None:
         """Write columns ``t, x_1``."""
-        write_csv(path, ("t", "x_1"), zip(self.times.tolist(), self.states[:, 0].tolist()))
+        write_csv(path, ("t", "x_1"), zip(self.times.tolist(), self.states.tolist()))
 
 
 @dataclass(frozen=True)
@@ -397,14 +361,15 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
     a = model.lin_drift
     sqrt_h = math.sqrt(step)
     has_residual = model.bounded_drift_sup != 0.0
-    sigma = model.sigma
+    # a 0-d array: ufuncs take it without converting a Python float every step
+    sigma = np.array(model.sigma)
     streams = [path_stream(*stream_key(j)) for j in range(cols.start, cols.stop)]
     p = len(streams)
     width = min(_BLOCK_STEPS, n_steps)
     drawn = np.empty((p, width))  # path-major, as each stream draws
     noise = np.empty((width, p))
     states = np.empty((width + 1, p))
-    states[0] = float(model.x0[0])
+    states[0] = model.x0
     tmp = np.empty(p)
     shift_fn = shift_for(cols) if shift_for is not None else None
     seconds[0] += clock() - t0
@@ -423,19 +388,16 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
             stop = min(c0 + _FINITE_CHECK_STEPS, n_blk)
             try:
                 for k in range(c0, stop):
-                    # the products below broadcast sigma; a broadcast_to view per
-                    # step would cost more than the step's arithmetic on narrow batches
-                    sig = np.asarray(sigma(x), dtype=float)
                     nxt = states[k + 1]
                     np.multiply(x, a, out=nxt)
                     if has_residual:
                         nxt += np.asarray(model.bounded_drift(x), dtype=float)
                     if shift_fn is not None:
-                        np.multiply(sig, np.asarray(shift_fn(x), dtype=float), out=tmp)
+                        np.multiply(sigma, np.asarray(shift_fn(x), dtype=float), out=tmp)
                         nxt += tmp
                     nxt *= step
                     nxt += x
-                    np.multiply(sig, noise[k], out=tmp)
+                    np.multiply(sigma, noise[k], out=tmp)
                     tmp *= sqrt_h
                     nxt += tmp
                     x = nxt
@@ -474,7 +436,7 @@ def _all_states(
     """Keep every window: states ``(n_paths, n_steps + 1)`` and, on request, noise."""
     n = _n_steps(horizon, step)
     states = np.empty((n_paths, n + 1))
-    states[:, 0] = float(model.x0[0])
+    states[:, 0] = model.x0
     noise = np.empty((n_paths, n)) if return_noise else None
 
     def keep(cols, start, block, drawn):
@@ -503,7 +465,7 @@ def simulate(
     states, _ = _all_states(model, shift, horizon, step, 1, lambda j: (seed, path_index),
                             False, "simulate")
     times = np.arange(states.shape[1]) * step
-    return Path(times=times, states=states[0][:, None])
+    return Path(times=times, states=states[0])
 
 
 def sample_paths(
@@ -515,7 +477,7 @@ def sample_paths(
     n_paths: int,
     return_noise: bool = False,
 ):
-    """States of ``n_paths`` independent paths, shape ``(n_paths, n_steps+1, 1)``.
+    """States of ``n_paths`` independent paths, shape ``(n_paths, n_steps+1)``.
 
     Row ``k`` equals ``simulate(..., path_index=k)`` bitwise.  With
     ``return_noise`` the ``(n_paths, n_steps)`` standard normals that drove
@@ -523,9 +485,7 @@ def sample_paths(
     """
     states, noise = _all_states(model, shift, horizon, step, n_paths, lambda j: (seed, j),
                                 return_noise, "sample_paths")
-    if return_noise:
-        return states[:, :, None], noise
-    return states[:, :, None]
+    return (states, noise) if return_noise else states
 
 
 def moment_bound_check(
@@ -536,7 +496,7 @@ def moment_bound_check(
     seed: int = 0,
     growth_slack: float = 0.10,
 ) -> MomentReport:
-    """Largest mean squared state norm over the time grid, at ``horizon`` and
+    """Largest mean squared state over the time grid, at ``horizon`` and
     ``2 * horizon``.
 
     Dissipativity keeps this quantity bounded uniformly in the horizon, so the
@@ -545,12 +505,11 @@ def moment_bound_check(
     ``sup_second_moment / (1 + |x0|^2)``.
     """
     states = sample_paths(model, None, 2.0 * horizon, step, seed, n_paths)
-    sq = np.sum(states**2, axis=2)  # (n_paths, n_steps+1)
-    mean_sq = sq.mean(axis=0)
+    mean_sq = (states**2).mean(axis=0)
     n_half = _n_steps(horizon, step)
     sup_t = float(np.max(mean_sq[: n_half + 1]))
     sup_2t = float(np.max(mean_sq))
-    c = sup_t / (1.0 + float(np.sum(model.x0**2)))
+    c = sup_t / (1.0 + model.x0**2)
     return MomentReport(
         sup_second_moment=sup_t,
         sup_second_moment_doubled=sup_2t,

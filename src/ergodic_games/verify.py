@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._csv import write_csv
-from .ebsde import DiscountedSolution
+from .ebsde import DiscountedSolution, nearest_node, node_lookup
 from .games import FeedbackPolicy, GameSpec
 from .picard import NashSolution
 from .sde import (
@@ -61,45 +61,25 @@ def _policy_drift_nodes(spec: GameSpec, policy: FeedbackPolicy) -> np.ndarray:
     return spec.drift_table()[joint]
 
 
-def _lookup(nodes: np.ndarray) -> Tuple[float, float, int]:
-    """``(lo, inv_dx, top)`` of the nearest-node lookup on a uniform grid."""
-    m = len(nodes)
-    return float(nodes[0]), (1.0 / (nodes[1] - nodes[0]) if m > 1 else 1.0), m - 1
-
-
-def _nearest_node(x: np.ndarray, lo: float, inv_dx: float, top: int) -> np.ndarray:
-    """Nearest node of every state, clamped to the grid: the drift shift's lookup."""
-    idx = np.rint((x - lo) * inv_dx).astype(np.intp)
-    np.maximum(idx, 0, out=idx)
-    return np.minimum(idx, top, out=idx)
-
-
 def _stacked_shift(spec: GameSpec, policies: Sequence[FeedbackPolicy], n_paths: int):
     """``shift_for(cols)`` of the engine for ``n_paths`` paths per policy.
 
     The policies' node drift tables are stacked end to end, and every path
     column carries its policy's offset into the stack, so a batch mixing many
-    policies resolves its drift shift by one gather: the nearest node,
-    clamped to the grid, plus the column's offset (:func:`_nearest_node`
-    with preallocated buffers).
+    policies resolves its drift shift by one gather: the nearest node
+    (:func:`nearest_node` with preallocated buffers) plus the column's offset.
     """
-    lo, inv_dx, top = _lookup(policies[0].nodes)
-    m = top + 1
+    m = len(policies[0].nodes)
+    lookup = node_lookup(policies[0].nodes)
     r_flat = np.concatenate([_policy_drift_nodes(spec, p) for p in policies])
     offsets = np.repeat(np.arange(len(policies), dtype=np.intp) * m, n_paths)
 
     def shift_for(cols):
         off = offsets[cols]
-        scaled = np.empty(len(off))
-        idx = np.empty(len(off), dtype=np.intp)
+        buffers = (np.empty(len(off)), np.empty(len(off), dtype=np.intp))
 
         def shift(x):
-            np.subtract(x, lo, out=scaled)
-            np.multiply(scaled, inv_dx, out=scaled)
-            np.rint(scaled, out=scaled)
-            idx[...] = scaled
-            np.maximum(idx, 0, out=idx)
-            np.minimum(idx, top, out=idx)
+            idx = nearest_node(x, lookup, out=buffers)
             np.add(idx, off, out=idx)
             return r_flat.take(idx)
 
@@ -162,7 +142,7 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
     n = _n_steps(horizon, step)
     first_step = [int(round(job.burn_in / step)) for job in jobs]
     columns = [job.policy.control_columns(spec) for job in jobs]
-    lookup = _lookup(jobs[0].policy.nodes)
+    lookup = node_lookup(jobs[0].policy.nodes)
     sums = np.zeros(len(jobs) * n_paths)
 
     def accumulate(cols, start, states, noise):
@@ -175,7 +155,7 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
             xs = states[skip:-1, c0 - cols.start:c1 - cols.start]
             if not len(xs):
                 continue
-            node = _nearest_node(xs, *lookup)
+            node = nearest_node(xs, lookup)
             controls = [col.take(node) for col in columns[j]]
             costs = np.broadcast_to(
                 np.asarray(spec.costs[job.player](xs, *controls), dtype=float), xs.shape)
@@ -298,7 +278,7 @@ class DeviationReport:
 def _reference_value(nash: NashSolution, player: int, model: SdeModel) -> Tuple[float, str, Optional[float]]:
     sol = nash.solutions[player]
     if isinstance(sol, DiscountedSolution):
-        return float(sol.value_at(float(model.x0[0]))), "discounted", sol.alpha
+        return float(sol.value_at(model.x0)), "discounted", sol.alpha
     return float(nash.lambdas[player]), "ergodic", None
 
 
@@ -416,7 +396,7 @@ def bsde_path_residual(
     policy = nash.policy
     n = _n_steps(horizon, step)
     nodes = policy.nodes
-    lookup = _lookup(nodes)
+    lookup = node_lookup(nodes)
     r_nodes = _policy_drift_nodes(spec, policy)
     columns = policy.control_columns(spec)
     sqrt_h = math.sqrt(step)
@@ -431,7 +411,7 @@ def bsde_path_residual(
         v_t = np.interp(x_t, nodes, sol.v)
         v_next = np.interp(x_next, nodes, sol.v)
         xi_t = np.interp(x_t, nodes, sol.xi)
-        node = _nearest_node(x_t, *lookup)
+        node = nearest_node(x_t, lookup)
         r_t = r_nodes.take(node)
         controls = [col.take(node) for col in columns]
         cost_t = np.broadcast_to(

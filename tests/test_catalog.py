@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ergodic_games as eg
+from ergodic_games import cli
 from ergodic_games.catalog import BUMP_LIP, BUMP_SUP, SQRT2
 
 
@@ -27,15 +28,26 @@ def test_make_model_defaults_match_reference(model):
     built = eg.make_model({})
     assert built.lin_drift == model.lin_drift
     assert built.dissipation == model.dissipation
-    assert built.sigma(0.0) == SQRT2
-    assert built.sigma_lo == model.sigma_lo
-    assert built.sigma_hi == model.sigma_hi
-    assert np.array_equal(built.x0, model.x0)
+    assert built.sigma == model.sigma == SQRT2
+    assert built.x0 == model.x0 == 0.0
 
 
 def test_make_model_rejects_other_dims():
     with pytest.raises(ValueError, match="one-dimensional"):
         eg.make_model({"dim": 2})
+    assert eg.make_model({"dim": 1}).lin_drift == -1.0
+
+
+@pytest.mark.parametrize("key", ["sigma_lo", "sigma_hi", "lin_drfit"])
+def test_unknown_model_keys_rejected(key, tmp_path):
+    # removed band constants and typos fail loudly instead of being ignored
+    with pytest.raises(KeyError, match=f"unknown model key '{key}'; known keys: lin_drift, "):
+        eg.make_model({key: 1.0})
+    cfg = tmp_path / "model.yaml"
+    cfg.write_text(f"model:\n  {key}: 1.0\n")
+    for command in ("simulate", "check-assumptions"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command),
+                         "--quiet"]) == 1
 
 
 def test_make_model_tanh_residual_drift():

@@ -9,6 +9,9 @@ from ergodic_games.continuous import decompose, solve_continuous_ebsde
 
 SQRT_DRIVER = eg.make_growth_driver({"name": "sqrt_z_plus_bump", "slope": 0.5})
 TANH_DRIVER = eg.make_growth_driver({"name": "tanh_z_plus_bump", "scale": 0.7})
+# split once: the split is a pure function of (f, kappa)
+SQRT_SPLIT = decompose(*SQRT_DRIVER)
+TANH_SPLIT = decompose(*TANH_DRIVER)
 
 finite = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -18,22 +21,22 @@ finite = st.floats(min_value=-50.0, max_value=50.0,
 @given(x=finite, z=finite)
 def test_split_reconstructs_driver_bitwise(x, z):
     f, kappa = SQRT_DRIVER
-    d = decompose(f, kappa, check_samples=8)
+    d = SQRT_SPLIT
     assert d.reconstruct(x, z) == f(np.float64(x), np.float64(z))
 
 
 @settings(max_examples=200, deadline=None)
 @given(x=finite, z=finite)
 def test_split_components_bounded(x, z):
-    f, kappa = TANH_DRIVER
-    d = decompose(f, kappa, check_samples=8)
+    kappa = TANH_DRIVER[1]
+    d = TANH_SPLIT
     assert abs(d.phi(x, z)) <= 2.0 * kappa
     assert abs(d.psi(x, z)) <= 2.0 * kappa
 
 
 def test_split_gate_semantics():
-    f, kappa = SQRT_DRIVER
-    d = decompose(f, kappa, check_samples=8)
+    f = SQRT_DRIVER[0]
+    d = SQRT_SPLIT
     # below the gate the slope is switched off and the offset carries f
     z_small = np.array([0.0, 0.4, -0.9])
     x = np.zeros(3)

@@ -25,6 +25,13 @@ def test_comparison_bound_is_cost_sup(model, coarse_grid):
                  "three_player_symmetric"):
         spec = eg.make_game({"name": name})
         assert eg.comparison_bound(spec) == spec.cost_sup
+        # the grid solver agrees: the dominating driver drift_bound*|z| +
+        # cost_sup has the exact solution lam = cost_sup with a flat profile
+        dominating = eg.make_driver({"name": "dominating", "lipschitz": spec.drift_bound,
+                                     "offset": spec.cost_sup})
+        sol = eg.solve_ergodic(model, dominating, coarse_grid)
+        assert sol.lam == spec.cost_sup
+        assert not sol.v.any()
 
 
 def test_lambdas_respect_comparison_bound(model, g0, coarse_grid, g0_nash_coarse):

@@ -1,7 +1,10 @@
 """Smoke runs of the bundled pipeline scripts, as a user would start them."""
 
 import csv
+import hashlib
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +43,34 @@ def test_discount_sweep(tmp_path):
     rows = _rows(out / "sweep.csv")
     assert len(rows) == 5
     assert [r for r in rows if r["status"] != "ok"] == []
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], REPO / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_artifact_digests_cover_every_config_and_command():
+    from ergodic_games import cli
+
+    runs = _load_script("artifact_digests.py").RUNS
+    assert {name for name, _ in runs} == {p.stem for p in (REPO / "configs").glob("*.yaml")}
+    assert {command for _, command in runs} == set(cli._HANDLERS)
+    assert ("g0", "verify-nash") in runs
+
+
+def test_artifact_digests_list_reports_not_manifests(tmp_path, monkeypatch, capsys):
+    digests = _load_script("artifact_digests.py")
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    shutil.copy(REPO / "configs" / "ebsde_bump.yaml", configs)
+    monkeypatch.setattr(digests, "CONFIGS", configs)
+    monkeypatch.setattr(digests, "RUNS", (("ebsde_bump", "solve-ebsde"),))
+    out = tmp_path / "out"
+    assert digests.main([str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    files = ["ebsde_bump/solve-ebsde/report.json", "ebsde_bump/solve-ebsde/solution.csv"]
+    assert lines == [f"{hashlib.sha256((out / f).read_bytes()).hexdigest()}  {f}" for f in files]
+    assert (out / "ebsde_bump" / "solve-ebsde" / "manifest.json").is_file()

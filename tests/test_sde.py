@@ -55,14 +55,13 @@ def test_any_seed_reproduces(seed, idx):
 
 
 def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
-    # x-dependent noise and residual drift, a shift, several time blocks and
+    # non-unit noise, a residual drift, a shift, several time blocks and
     # (with the width cap lowered) several batches: every row stays bitwise
     # the single path
     rough = eg.SdeModel(
-        dim=1, lin_drift=-1.0, dissipation=1.0,
+        lin_drift=-1.0, dissipation=1.0,
         bounded_drift=lambda x: 0.5 * np.tanh(x), bounded_drift_sup=0.5,
-        bounded_drift_lip=0.5, sigma=lambda x: 1.2 + 0.3 * np.cos(x),
-        sigma_lo=1.0, sigma_hi=4.0, x0=0.3,
+        bounded_drift_lip=0.5, sigma=1.2, x0=0.3,
     )
     shift = eg.DriftShift(shift=lambda x: 0.8 * np.sin(x), bound=0.8)
     horizon = 0.01 * (2 * sde._BLOCK_STEPS + 37)
@@ -80,8 +79,8 @@ def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
 
 def test_zero_horizon_returns_initial_state(model):
     p = eg.simulate(model, None, horizon=0.0, step=0.5)
-    assert p.states.shape == (1, 1)
-    assert p.states[0, 0] == 0.0
+    assert p.states.shape == (1,)
+    assert p.states[0] == 0.0
 
 
 def test_n_steps_validation():
@@ -117,7 +116,7 @@ def test_divergence_step_found_late_in_a_long_run(model):
     thr = 3.0
     bad = eg.DriftShift(
         shift=lambda x: np.where(np.abs(x) > thr, np.nan, 0.0), bound=1.0)
-    free = eg.sample_paths(model, None, 200.0, 0.01, 1, 5)[:, :, 0]
+    free = eg.sample_paths(model, None, 200.0, 0.01, 1, 5)
     first_out = int(np.argmax(np.any(np.abs(free) > thr, axis=0)))
     assert first_out > 300  # well past the first few hundred steps
     with pytest.raises(eg.SimulationDivergedError) as exc:
@@ -136,7 +135,7 @@ def test_divergence_reported_when_a_callback_rejects_non_finite_states(model):
             raise ValueError("non-finite state")
         return np.where(np.abs(x) > thr, np.nan, 0.0)
 
-    free = eg.sample_paths(model, None, 200.0, 0.01, 1, 5)[:, :, 0]
+    free = eg.sample_paths(model, None, 200.0, 0.01, 1, 5)
     first_out = int(np.argmax(np.any(np.abs(free) > thr, axis=0)))
     with pytest.raises(eg.SimulationDivergedError) as exc:
         eg.sample_paths(model, eg.DriftShift(shift=shift, bound=1.0), 200.0, 0.01, 1, 5)
@@ -176,49 +175,54 @@ def test_engine_logs_one_trace_line_per_run(model, caplog):
 
 def test_simulation_rejects_multi_dimensional_models():
     # the model itself refuses, so no solver or engine ever sees one
-    with pytest.raises(ValueError, match="one-dimensional"):
-        eg.SdeModel(
-            dim=2, lin_drift=-1.0, dissipation=1.0,
-            bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0, bounded_drift_lip=0.0,
-            sigma=lambda x: np.eye(2), sigma_lo=1.0, sigma_hi=4.0, x0=[0.0, 0.0],
-            check_samples=50,
-        )
-    with pytest.raises(ValueError, match="one-dimensional"):
-        eg.SdeModel(
-            dim=1, lin_drift=-np.eye(2), dissipation=1.0,
-            bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0, bounded_drift_lip=0.0,
-            sigma=lambda x: 1.0, sigma_lo=1.0, sigma_hi=4.0, x0=0.0,
-        )
+    scalars = dict(lin_drift=-1.0, sigma=1.0, x0=0.0)
+    for name, value in (("x0", [0.0, 0.0]), ("sigma", np.eye(2)), ("lin_drift", -np.eye(2))):
+        with pytest.raises(ValueError, match=f"one-dimensional: {name}"):
+            eg.SdeModel(
+                dissipation=1.0, bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
+                bounded_drift_lip=0.0, **{**scalars, name: value},
+            )
+    built = eg.SdeModel(
+        dissipation=1.0, bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
+        bounded_drift_lip=0.0, lin_drift=np.array([[-1.0]]), sigma=np.float32(2.0),
+        x0=np.array([0.5]),
+    )
+    assert (built.lin_drift, built.sigma, built.x0) == (-1.0, 2.0, 0.5)
+    assert all(type(v) is float for v in (built.lin_drift, built.sigma, built.x0))
 
 
 def test_model_rejects_non_dissipative_drift():
-    with pytest.raises(ValueError, match="dissipativity"):
-        eg.SdeModel(
-            dim=1, lin_drift=1.0, dissipation=1.0,
+    def model(lin_drift):
+        return eg.SdeModel(
+            lin_drift=lin_drift, dissipation=1.0,
             bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
-            bounded_drift_lip=0.0, sigma=lambda x: 1.0,
-            sigma_lo=1.0, sigma_hi=3.0, x0=0.0,
+            bounded_drift_lip=0.0, sigma=1.0, x0=0.0,
         )
+
+    for lin_drift in (1.0, -0.999):
+        with pytest.raises(ValueError, match="dissipativity"):
+            model(lin_drift)
+    # the declared rate may be attained exactly
+    assert model(-1.0).lin_drift == -1.0
 
 
 def test_model_rejects_understated_drift_bound():
     with pytest.raises(ValueError, match="bounded_drift"):
         eg.SdeModel(
-            dim=1, lin_drift=-1.0, dissipation=1.0,
+            lin_drift=-1.0, dissipation=1.0,
             bounded_drift=np.tanh, bounded_drift_sup=0.5,
-            bounded_drift_lip=1.0, sigma=lambda x: 1.0,
-            sigma_lo=1.0, sigma_hi=3.0, x0=0.0,
+            bounded_drift_lip=1.0, sigma=1.0, x0=0.0,
         )
 
 
 def test_model_rejects_singular_noise():
-    with pytest.raises(ValueError, match="sigma"):
-        eg.SdeModel(
-            dim=1, lin_drift=-1.0, dissipation=1.0,
-            bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
-            bounded_drift_lip=0.0, sigma=lambda x: 0.0 * x,
-            sigma_lo=0.0, sigma_hi=3.0, x0=0.0,
-        )
+    for sigma in (0.0, -0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            eg.SdeModel(
+                lin_drift=-1.0, dissipation=1.0,
+                bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
+                bounded_drift_lip=0.0, sigma=sigma, x0=0.0,
+            )
 
 
 def test_drift_shift_bound_checked():
@@ -300,4 +304,4 @@ def test_path_csv_roundtrip(model, tmp_path):
     assert lines[0] == "t,x_1"
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], p.times)
-    assert np.array_equal(data[:, 1], p.states[:, 0])  # repr roundtrips float64
+    assert np.array_equal(data[:, 1], p.states)  # repr roundtrips float64

@@ -9,6 +9,7 @@ import pytest
 
 import ergodic_games as eg
 from ergodic_games import sde, verify
+from ergodic_games.ebsde import nearest_node, node_lookup
 from ergodic_games.verify import (
     SCOPE_NOTE,
     bsde_path_residual,
@@ -167,7 +168,7 @@ def _reference_shift(spec, policy):
         idx = np.rint((x - lo) * inv_dx).astype(np.intp)
         return r_nodes.take(idx, mode="clip")
 
-    return eg.DriftShift(shift=shift, bound=spec.drift_bound, check_samples=64)
+    return eg.DriftShift(shift=shift, bound=spec.drift_bound)
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +207,26 @@ def test_deviation_rows_equal_estimates_alone(model, g0, g0_nash_coarse, g0_asym
         assert alone == row.estimate
 
 
+def test_nearest_node_lookups_agree_at_half_way_states(g0, coarse_grid):
+    # the 80 midpoints of Grid1D(-6, 6, 81) and their float neighbours, where
+    # differently rounded formulas pick different nodes (x = -5.925 is one)
+    nodes = coarse_grid.nodes()
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    xs = np.concatenate([np.nextafter(mid, -np.inf), mid, np.nextafter(mid, np.inf)])
+    # node k plays u + v = -2 + 0.05 k, so the drift shift names its node
+    i = np.minimum(np.arange(81), 40)
+    policy = eg.FeedbackPolicy(nodes=nodes, indices=np.column_stack([i, np.arange(81) - i]),
+                               z_values=np.zeros((81, 2)))
+    r_nodes = verify._policy_drift_nodes(g0, policy)
+    assert len(np.unique(r_nodes)) == 81
+    grid_idx = coarse_grid.nearest_index(xs)
+    shift = verify._stacked_shift(g0, [policy], len(xs))(slice(0, len(xs)))
+    np.testing.assert_array_equal(policy.node_index(xs), grid_idx)
+    np.testing.assert_array_equal(shift(xs), r_nodes[grid_idx])
+    np.testing.assert_array_equal(nearest_node(xs, node_lookup(nodes)), grid_idx)
+    assert coarse_grid.nearest_index(-5.925) == policy.node_index(-5.925) == 0
+
+
 def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
     grid = eg.Grid1D(-1.5, 1.5, 13)  # paths leave it, so the lookup clamps
     rng = np.random.default_rng(3)
@@ -217,7 +238,7 @@ def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
     seeds, n_paths, step = (11, 12, 13), 4, 0.01
     n = sde._BLOCK_STEPS + 300
     out = np.empty((len(seeds) * n_paths, n + 1))
-    out[:, 0] = model.x0[0]
+    out[:, 0] = model.x0
 
     def keep(cols, start, states, noise):
         out[cols, start + 1:start + len(states)] = states[1:].T
@@ -230,7 +251,7 @@ def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
         shift = _reference_shift(g0, policy)
         for k in range(n_paths):
             alone = eg.simulate(model, shift, n * step, step, seed=seed, path_index=k)
-            assert np.array_equal(alone.states[:, 0], out[j * n_paths + k])
+            assert np.array_equal(alone.states, out[j * n_paths + k])
 
 
 # values of the full-array implementation the batched engine replaced; only
