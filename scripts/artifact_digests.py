@@ -31,6 +31,7 @@ RUNS = (
     ("g0", "check-assumptions"),
     ("g0_coupled", "solve-game"),
     ("g0_asymmetric", "asymmetric"),
+    ("g0_asymmetric", "verify-nash"),
     ("discount_sweep", "discount-sweep"),
     ("three_player", "solve-game"),
     ("three_player", "check-assumptions"),

@@ -7,8 +7,9 @@ Monte Carlo loops.
 
 from __future__ import annotations
 
+import inspect
 import math
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +54,6 @@ def ou_model(x0: float = 0.0, noise: float = SQRT2) -> SdeModel:
     """
     return SdeModel(
         lin_drift=-1.0,
-        dissipation=1.0,
         bounded_drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         bounded_drift_sup=0.0,
         bounded_drift_lip=0.0,
@@ -65,16 +65,29 @@ def ou_model(x0: float = 0.0, noise: float = SQRT2) -> SdeModel:
 # -- config-facing factories -----------------------------------------------------
 
 
+def _entry(kind: str, cfg: dict, params: dict, default: Optional[str] = None
+           ) -> Tuple[str, dict]:
+    """Name and parameters of a named catalogue entry; ``params`` maps each known name to
+    its parameter names, and an unknown name or parameter raises ``KeyError``."""
+    cfg = dict(cfg)
+    name = cfg.pop("name", default)
+    if name not in params:
+        raise KeyError(f"unknown {kind} name {name!r}; known names: {', '.join(params)}")
+    unknown = [k for k in cfg if k not in params[name]]
+    if unknown:
+        raise KeyError(f"unknown parameter {unknown[0]!r} of {kind} {name!r}; known "
+                       f"parameters: {', '.join(params[name]) or 'none'}")
+    return name, cfg
+
+
 def _residual_drift(name: str, params: dict) -> Tuple[Callable, float, float]:
     if name == "zero":
         return (lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.0, 0.0)
-    if name == "tanh":
-        scale = float(params.get("scale", 0.5))
-        return (lambda x: scale * np.tanh(x), abs(scale), abs(scale))
-    raise KeyError(f"unknown bounded_drift name {name!r}")
+    scale = float(params.get("scale", 0.5))  # tanh
+    return (lambda x: scale * np.tanh(x), abs(scale), abs(scale))
 
 
-_MODEL_KEYS = ("lin_drift", "dissipation", "bounded_drift", "sigma", "x0", "dim")
+_MODEL_KEYS = ("lin_drift", "bounded_drift", "sigma", "x0", "dim")
 
 
 def make_model(cfg: dict) -> SdeModel:
@@ -88,21 +101,26 @@ def make_model(cfg: dict) -> SdeModel:
         raise KeyError(f"unknown model key {unknown[0]!r}; known keys: {', '.join(_MODEL_KEYS)}")
     if int(cfg.get("dim", 1)) != 1:
         raise ValueError(f"models are one-dimensional, got dim={cfg['dim']}")
-    res_cfg = dict(cfg.get("bounded_drift", {"name": "zero"}))
-    fn, f_sup, f_lip = _residual_drift(res_cfg.pop("name", "zero"), res_cfg)
-    sig_cfg = dict(cfg.get("sigma", {"name": "constant", "value": SQRT2}))
-    sig_name = sig_cfg.pop("name", "constant")
-    if sig_name != "constant":
-        raise KeyError(f"unknown sigma name {sig_name!r}")
+    fn, f_sup, f_lip = _residual_drift(*_entry("bounded_drift", cfg.get("bounded_drift", {}),
+                                                {"zero": (), "tanh": ("scale",)}, "zero"))
+    _, sig = _entry("sigma", cfg.get("sigma", {}), {"constant": ("value",)}, "constant")
     return SdeModel(
         lin_drift=float(cfg.get("lin_drift", -1.0)),
-        dissipation=float(cfg.get("dissipation", 1.0)),
         bounded_drift=fn,
         bounded_drift_sup=f_sup,
         bounded_drift_lip=f_lip,
-        sigma=float(sig_cfg.get("value", SQRT2)),
+        sigma=float(sig.get("value", SQRT2)),
         x0=float(cfg.get("x0", 0.0)),
     )
+
+
+_DRIVER_PARAMS = {
+    "constant": ("value",),
+    "bump": (),
+    "linear_z_plus_bump": ("slope",),
+    "tanh_z_plus_bump": ("scale",),
+    "dominating": ("lipschitz", "offset"),
+}
 
 
 def make_driver(cfg: dict) -> DriverSpec:
@@ -111,8 +129,7 @@ def make_driver(cfg: dict) -> DriverSpec:
     Names: ``constant`` (value), ``bump``, ``linear_z_plus_bump`` (slope),
     ``tanh_z_plus_bump`` (scale), ``dominating`` (lipschitz, offset).
     """
-    cfg = dict(cfg)
-    name = cfg.pop("name")
+    name, cfg = _entry("driver", cfg, _DRIVER_PARAMS)
     if name == "constant":
         c = float(cfg.get("value", 1.0))
         return DriverSpec(lambda x, z: c + 0.0 * z, lipschitz_z=0.0, bound_at_zero=abs(c))
@@ -128,15 +145,13 @@ def make_driver(cfg: dict) -> DriverSpec:
         return DriverSpec(
             lambda x, z: a * np.tanh(z) + bump(x), lipschitz_z=abs(a), bound_at_zero=BUMP_SUP
         )
-    if name == "dominating":
-        lip = float(cfg["lipschitz"])
-        off = float(cfg["offset"])
-        return DriverSpec(
-            lambda x, z: lip * np.abs(z) + off + 0.0 * x,
-            lipschitz_z=lip,
-            bound_at_zero=off,
-        )
-    raise KeyError(f"unknown driver name {name!r}")
+    lip = float(cfg["lipschitz"])  # dominating
+    off = float(cfg["offset"])
+    return DriverSpec(
+        lambda x, z: lip * np.abs(z) + off + 0.0 * x,
+        lipschitz_z=lip,
+        bound_at_zero=off,
+    )
 
 
 def make_growth_driver(cfg: dict) -> Tuple[Callable, float]:
@@ -145,16 +160,14 @@ def make_growth_driver(cfg: dict) -> Tuple[Callable, float]:
     Names: ``tanh_z_plus_bump`` (scale), ``sqrt_z_plus_bump`` (slope; square
     root in the gradient, so continuous but not Lipschitz at zero).
     """
-    cfg = dict(cfg)
-    name = cfg.pop("name")
+    name, cfg = _entry("growth driver", cfg,
+                       {"tanh_z_plus_bump": ("scale",), "sqrt_z_plus_bump": ("slope",)})
     if name == "tanh_z_plus_bump":
         a = float(cfg.get("scale", 0.5))
         return (lambda x, z: a * np.tanh(z) + bump(x)), abs(a) + BUMP_SUP
-    if name == "sqrt_z_plus_bump":
-        c = float(cfg.get("slope", 0.5))
-        # c*sqrt(|z|) <= (c/2)(1 + |z|)
-        return (lambda x, z: c * np.sqrt(np.abs(z)) + bump(x)), 0.5 * abs(c) + BUMP_SUP
-    raise KeyError(f"unknown growth driver name {name!r}")
+    c = float(cfg.get("slope", 0.5))
+    # c*sqrt(|z|) <= (c/2)(1 + |z|)
+    return (lambda x, z: c * np.sqrt(np.abs(z)) + bump(x)), 0.5 * abs(c) + BUMP_SUP
 
 
 # -- bundled games -----------------------------------------------------------------
@@ -170,7 +183,6 @@ def quadratic_decoupled(n_controls: int = 41, control_bound: float = 1.0) -> Gam
     return GameSpec(
         grids=(grid, grid),
         drift_map=lambda u, v: u + v,
-        drift_bound=2.0 * control_bound,
         costs=(
             lambda x, u, v: u**2 + bump(x),
             lambda x, u, v: v**2 + bump(x),
@@ -197,7 +209,6 @@ def coupled_cross_cost(
     return GameSpec(
         grids=(grid, grid),
         drift_map=lambda u, v: u + v,
-        drift_bound=2.0 * control_bound,
         costs=(
             lambda x, u, v: u**2 + coupling * u * v + bump(x),
             lambda x, u, v: v**2 + coupling * u * v + bump(x),
@@ -214,7 +225,6 @@ def three_player_symmetric(n_controls: int = 21, control_bound: float = 1.0) -> 
     return GameSpec(
         grids=(grid, grid, grid),
         drift_map=lambda u, v, w: u + v + w,
-        drift_bound=3.0 * control_bound,
         costs=(
             lambda x, u, v, w: u**2 + bump(x),
             lambda x, u, v, w: v**2 + bump(x),
@@ -234,11 +244,7 @@ GAME_BUILDERS = {
 
 
 def make_game(cfg: dict) -> GameSpec:
-    """Game from a config mapping: either a named bundle or explicit parts."""
-    cfg = dict(cfg)
-    name = cfg.pop("name", None)
-    if name is not None:
-        if name not in GAME_BUILDERS:
-            raise KeyError(f"unknown game name {name!r}")
-        return GAME_BUILDERS[name](**cfg)
-    raise KeyError("game config needs a 'name' from the bundled catalogue")
+    """Game from a named bundle of :data:`GAME_BUILDERS` and its builder's parameters."""
+    params = {n: tuple(inspect.signature(b).parameters) for n, b in GAME_BUILDERS.items()}
+    name, cfg = _entry("game", cfg, params)
+    return GAME_BUILDERS[name](**cfg)

@@ -376,8 +376,7 @@ _HANDLERS = {
 def load_nash(nash_dir) -> NashSolution:
     """Rebuild a solved equilibrium from a ``solve-game``/``asymmetric`` output directory.
 
-    Reads ``nash.csv`` and ``report.json``.  The per-node gradient fields of
-    the reloaded policy are the per-player solution fields from the CSV.
+    Reads ``nash.csv`` and ``report.json``.
     """
     d = FsPath(nash_dir)
     csv_path = d / "nash.csv"
@@ -403,13 +402,11 @@ def load_nash(nash_dir) -> NashSolution:
     sols = []
     values = []
     idx_cols = []
-    xi_cols = []
     for i, pd in enumerate(players):
         v = data[:, 1 + 4 * i]
         xi = data[:, 2 + 4 * i]
         values.append(data[:, 3 + 4 * i])
         idx_cols.append(data[:, 4 + 4 * i].astype(int))
-        xi_cols.append(xi)
         if pd["kind"] == "discounted":
             sols.append(
                 DiscountedSolution(
@@ -427,11 +424,7 @@ def load_nash(nash_dir) -> NashSolution:
                     growth_constant=float(pd["growth_constant"]),
                 )
             )
-    policy = FeedbackPolicy(
-        nodes=grid.nodes(),
-        indices=np.column_stack(idx_cols),
-        z_values=np.column_stack(xi_cols),
-    )
+    policy = FeedbackPolicy(nodes=grid.nodes(), indices=np.column_stack(idx_cols))
     return NashSolution(
         spec_name=report["game"],
         solutions=tuple(sols),

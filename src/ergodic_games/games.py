@@ -13,7 +13,7 @@ own Hamiltonian by a unilateral grid move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,19 +87,19 @@ class GameSpec:
     (one axis per player, as ``np.meshgrid(..., sparse=True)``), their output
     must broadcast to the joint grid's shape (else ``ValueError``).  Nothing
     is cached per state, so tabulation memory is O(|U|^n), independent of the
-    state grid.  ``drift_bound`` bounds
-    ``|drift_map|`` over the grids, ``cost_sup`` bounds ``|cost_i|`` and
-    ``cost_x_lip`` is a Lipschitz constant of the costs in the state; all
-    three are verified on samples at construction.
+    state grid.  ``cost_sup`` bounds ``|cost_i|`` and ``cost_x_lip`` is a
+    Lipschitz constant of the costs in the state; both are verified on
+    samples at construction.  ``drift_bound``, ``max |drift_map|`` over the
+    grids, is computed once at construction.
     """
 
     grids: Tuple[ControlGrid, ...]
     drift_map: Callable
-    drift_bound: float
     costs: Tuple[Callable, ...]
     cost_sup: float
     cost_x_lip: float
     name: str = ""
+    drift_bound: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "grids", tuple(self.grids))
@@ -108,12 +108,15 @@ class GameSpec:
             raise ValueError("at least one player required")
         if len(self.costs) != len(self.grids):
             raise ValueError("need exactly one cost per player")
-        object.__setattr__(self, "_drift_cache", None)
         mesh = np.meshgrid(*[g.points for g in self.grids], indexing="ij", sparse=True)
         for a in mesh:
             a.flags.writeable = False
         object.__setattr__(self, "_mesh", mesh)
         object.__setattr__(self, "_value_order", _value_order(self.grids))
+        drift = self._compact(self.drift_map)
+        # compact array: broadcasting repeats values but drops none
+        object.__setattr__(self, "drift_bound", float(np.abs(drift).max()))
+        object.__setattr__(self, "_drift_table", np.broadcast_to(drift, self._shape()))
         self._run_checks()
 
     @property
@@ -144,11 +147,8 @@ class GameSpec:
         return raw
 
     def drift_table(self) -> np.ndarray:
-        """``drift_map`` on the full joint grid (cached, read-only)."""
-        if getattr(self, "_drift_cache") is None:
-            table = np.broadcast_to(self._compact(self.drift_map), self._shape())
-            object.__setattr__(self, "_drift_cache", table)
-        return getattr(self, "_drift_cache")
+        """``drift_map`` on the full joint grid (read-only, tabulated at construction)."""
+        return getattr(self, "_drift_table")
 
     def cost_table(self, player: int, x) -> np.ndarray:
         """``costs[player]`` at state ``x`` on the full joint grid (read-only, not cached)."""
@@ -161,13 +161,6 @@ class GameSpec:
 
     def _run_checks(self) -> None:
         rng = np.random.default_rng(_CHECK_SEED)
-        tab = self.drift_table()
-        mag = np.abs(tab)
-        if np.any(mag > self.drift_bound * (1.0 + _CHECK_SLACK) + 1e-12):
-            raise ValueError(
-                f"drift_map check failed: |drift_map|={float(mag.max()):.6g} exceeds "
-                f"drift_bound={self.drift_bound:.6g} on the control grids"
-            )
         xs = rng.normal(scale=3.0, size=_CHECK_SAMPLES)
         ys = rng.normal(scale=3.0, size=_CHECK_SAMPLES)
         for i in range(self.n_players):
@@ -320,23 +313,20 @@ class FeedbackPolicy:
     """Joint feedback control tabulated on a uniform state grid.
 
     ``indices[k, i]`` is player ``i``'s control grid index at state node
-    ``k``; ``z_values[k, i]`` records the gradient value that produced it.
-    Off-node states are resolved to the nearest node, clamped to the grid.
+    ``k``.  Off-node states are resolved to the nearest node, clamped to the
+    grid.
     """
 
     nodes: np.ndarray
     indices: np.ndarray  # (n_nodes, n_players) int
-    z_values: np.ndarray  # (n_nodes, n_players) float
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         idx = np.asarray(self.indices, dtype=int)
-        zv = np.asarray(self.z_values, dtype=float)
-        if idx.shape != (len(nodes), zv.shape[1]) or zv.shape[0] != len(nodes):
-            raise ValueError("indices and z_values must be (n_nodes, n_players)")
+        if idx.ndim != 2 or len(idx) != len(nodes):
+            raise ValueError("indices must be (n_nodes, n_players)")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "z_values", zv)
 
     @property
     def n_players(self) -> int:
@@ -359,4 +349,4 @@ class FeedbackPolicy:
     def with_player_indices(self, player: int, new_indices: np.ndarray) -> "FeedbackPolicy":
         idx = self.indices.copy()
         idx[:, player] = np.asarray(new_indices, dtype=int)
-        return FeedbackPolicy(nodes=self.nodes, indices=idx, z_values=self.z_values)
+        return FeedbackPolicy(nodes=self.nodes, indices=idx)

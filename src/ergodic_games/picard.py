@@ -295,7 +295,7 @@ def _picard_loop(solver: str, model: SdeModel, spec: GameSpec, grid: Grid1D,
     if not converged:
         logger.warning("%s: no fixed point after %d iterations%s", solver, it, cycle)
     final_idx = _policy_from_xi(spec, nodes, xi, searched, idx)
-    policy = FeedbackPolicy(nodes=nodes, indices=final_idx, z_values=xi.copy())
+    policy = FeedbackPolicy(nodes=nodes, indices=final_idx)
     rates = {a for a in alphas if a is not None}
     return NashSolution(
         spec_name=spec.name,

@@ -93,10 +93,9 @@ class SdeModel:
     Parameters
     ----------
     lin_drift : float
-        Linear drift coefficient (a one-element array is accepted).  Must
-        satisfy ``lin_drift <= -dissipation`` (checked at construction).
-    dissipation : float
-        Strictly positive dissipativity rate of the linear part.
+        Linear drift coefficient (a one-element array is accepted); finite
+        and strictly negative, so the linear part is dissipative with rate
+        :attr:`dissipation` ``= -lin_drift``.
     bounded_drift : callable
         Residual drift; must broadcast over numpy arrays.  Bounded by
         ``bounded_drift_sup`` and Lipschitz with constant
@@ -104,11 +103,10 @@ class SdeModel:
     sigma : float
         Additive noise coefficient; finite and nonzero.
     x0 : float
-        Initial state.
+        Initial state; finite.
     """
 
     lin_drift: float
-    dissipation: float
     bounded_drift: Callable
     bounded_drift_sup: float
     bounded_drift_lip: float
@@ -121,17 +119,20 @@ class SdeModel:
             if np.size(value) != 1:
                 raise ValueError(f"models are one-dimensional: {name} must be a scalar")
             object.__setattr__(self, name, float(np.asarray(value).item()))
-        if self.dissipation <= 0.0:
-            raise ValueError("dissipation must be positive")
-        if self.lin_drift > -self.dissipation + _CHECK_SLACK * (1.0 + self.dissipation):
-            raise ValueError(
-                f"dissipativity check failed: lin_drift={self.lin_drift!r} > "
-                f"-dissipation={-self.dissipation!r}"
-            )
+        if not -math.inf < self.lin_drift < 0.0:
+            raise ValueError(f"dissipativity check failed: lin_drift={self.lin_drift!r} "
+                             "must be negative and finite")
         if self.sigma == 0.0 or not math.isfinite(self.sigma):
             raise ValueError(f"sigma check failed: noise must be finite and nonzero, "
                              f"got sigma={self.sigma!r}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got x0={self.x0!r}")
         self._check_bounded_drift()
+
+    @property
+    def dissipation(self) -> float:
+        """Dissipativity rate of the linear part, ``-lin_drift``."""
+        return -self.lin_drift
 
     def _check_bounded_drift(self) -> None:
         rng = path_stream(_CHECK_SEED, 0xA55)
@@ -189,9 +190,6 @@ class Path:
 
     times: np.ndarray
     states: np.ndarray  # shape (n_steps + 1,)
-
-    def final_state(self) -> float:
-        return float(self.states[-1])
 
     def to_csv(self, path) -> None:
         """Write columns ``t, x_1``."""

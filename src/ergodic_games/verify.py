@@ -105,27 +105,25 @@ class _Job:
 
 
 def _job(model: SdeModel, spec: GameSpec, policy: FeedbackPolicy, player: int, seed: int,
-         kind: str, horizon: float, burn_in: Optional[float], alpha: Optional[float],
+         horizon: float, burn_in: Optional[float], alpha: Optional[float],
          eps_tail: float) -> _Job:
-    """Validate one estimate's criterion; the burn-in of a discounted payoff is zero."""
-    if kind == "ergodic":
+    """Validate one estimate's criterion (``alpha`` None: long-run average, else discounted);
+    the burn-in of a discounted payoff is zero."""
+    if alpha is None:
         if burn_in is None:
             burn_in = 20.0 / model.dissipation
         if not 0.0 <= burn_in < horizon:
             raise ValueError("burn_in must satisfy 0 <= burn_in < horizon")
-    elif kind == "discounted":
-        if alpha is None or alpha <= 0.0:
-            raise ValueError("discounted payoffs need a positive alpha")
-        needed = _required_horizon(spec, alpha, eps_tail)
-        if horizon < needed:
-            raise InsufficientHorizonError(
-                f"horizon {horizon:.6g} below the discounted tail requirement "
-                f"{needed:.6g} for alpha={alpha:.6g}, eps_tail={eps_tail:.6g}"
-            )
-        burn_in = 0.0
-    else:
-        raise ValueError(f"unknown payoff kind {kind!r}")
-    return _Job(player, policy, seed, kind, burn_in, alpha)
+        return _Job(player, policy, seed, "ergodic", burn_in, None)
+    if not alpha > 0.0:
+        raise ValueError("discounted payoffs need a positive alpha")
+    needed = _required_horizon(spec, alpha, eps_tail)
+    if horizon < needed:
+        raise InsufficientHorizonError(
+            f"horizon {horizon:.6g} below the discounted tail requirement "
+            f"{needed:.6g} for alpha={alpha:.6g}, eps_tail={eps_tail:.6g}"
+        )
+    return _Job(player, policy, seed, "discounted", 0.0, alpha)
 
 
 def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizon: float,
@@ -194,7 +192,6 @@ def estimate_payoff(
     spec: GameSpec,
     policy: FeedbackPolicy,
     player: int,
-    kind: str = "ergodic",
     horizon: float = 200.0,
     step: float = 0.01,
     n_paths: int = 200,
@@ -205,9 +202,9 @@ def estimate_payoff(
 ) -> PayoffEstimate:
     """Monte Carlo payoff of one player under a joint feedback policy.
 
-    ``kind="ergodic"`` time-averages the player's cost over
-    ``[burn_in, horizon)`` (default burn-in ``20 / dissipation``);
-    ``kind="discounted"`` accumulates ``exp(-alpha t) cost dt`` from the
+    With ``alpha=None`` the player's cost is time-averaged over
+    ``[burn_in, horizon)`` (default burn-in ``20 / dissipation``); a positive
+    ``alpha`` accumulates ``exp(-alpha t) cost dt`` from the
     model's start state and requires the horizon to push the tail below
     ``eps_tail`` (otherwise :class:`InsufficientHorizonError`); a deviation
     is simulated by passing ``policy.with_player_indices(...)``.  The
@@ -216,7 +213,7 @@ def estimate_payoff(
     """
     if not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")
-    job = _job(model, spec, policy, player, seed, kind, horizon, burn_in, alpha, eps_tail)
+    job = _job(model, spec, policy, player, seed, horizon, burn_in, alpha, eps_tail)
     return _estimate_jobs(model, spec, [job], horizon, step, n_paths, "estimate_payoff")[0]
 
 
@@ -275,11 +272,12 @@ class DeviationReport:
         write_csv(path, cols, ([d[c] for c in cols] for d in map(DeviationRow.as_dict, self.rows)))
 
 
-def _reference_value(nash: NashSolution, player: int, model: SdeModel) -> Tuple[float, str, Optional[float]]:
+def _reference_value(nash: NashSolution, player: int,
+                     model: SdeModel) -> Tuple[float, Optional[float]]:
     sol = nash.solutions[player]
     if isinstance(sol, DiscountedSolution):
-        return float(sol.value_at(model.x0)), "discounted", sol.alpha
-    return float(nash.lambdas[player]), "ergodic", None
+        return float(sol.value_at(model.x0)), sol.alpha
+    return float(nash.lambdas[player]), None
 
 
 def nash_deviation_test(
@@ -311,9 +309,8 @@ def nash_deviation_test(
     m = len(nash.policy.nodes)
     jobs, labels = [], []
     for player in range(spec.n_players):
-        ref, ref_kind, alpha = _reference_value(nash, player, model)
-        criterion = dict(kind=ref_kind, horizon=horizon, burn_in=burn_in, alpha=alpha,
-                         eps_tail=eps_tail)
+        ref, alpha = _reference_value(nash, player, model)
+        criterion = dict(horizon=horizon, burn_in=burn_in, alpha=alpha, eps_tail=eps_tail)
         eq_seed = int(path_stream(seed, 0xE0, player).integers(2**32))
         jobs.append(_job(model, spec, nash.policy, player, eq_seed, **criterion))
         labels.append(("equilibrium", "equilibrium policy", ref))

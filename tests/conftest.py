@@ -51,6 +51,4 @@ def policy_of_constant_control(spec, grid, index):
     """Joint policy playing one fixed control index at every node."""
     m = grid.m
     idx = np.full((m, spec.n_players), index, dtype=int)
-    return eg.FeedbackPolicy(
-        nodes=grid.nodes(), indices=idx, z_values=np.zeros((m, spec.n_players))
-    )
+    return eg.FeedbackPolicy(nodes=grid.nodes(), indices=idx)

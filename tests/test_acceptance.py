@@ -200,7 +200,7 @@ def test_criterion_10_vanishing_discount(model, g0, grid201):
 def test_criterion_11_cost_shift_localizes(model, g0, grid201, nash201):
     base_cost = g0.costs[0]
     shifted = eg.GameSpec(
-        grids=g0.grids, drift_map=g0.drift_map, drift_bound=g0.drift_bound,
+        grids=g0.grids, drift_map=g0.drift_map,
         costs=(lambda x, u, v, _b=base_cost: _b(x, u, v) + 1.0,) + g0.costs[1:],
         cost_sup=g0.cost_sup + 1.0, cost_x_lip=g0.cost_x_lip,
     )

@@ -102,5 +102,34 @@ def test_bundled_games_pass_their_own_checks():
     for name in eg.GAME_BUILDERS:
         spec = eg.make_game({"name": name})
         assert spec.cost_sup > 0.0
-        assert spec.drift_bound > 0.0
         assert spec.name == name
+    # max |drift_map| over the control grids, derived at construction
+    assert [eg.make_game({"name": name}).drift_bound for name in eg.GAME_BUILDERS] == [
+        2.0, 2.0, 3.0]
+
+
+NESTED_TYPOS = [
+    (eg.make_model, {"bounded_drift": {"name": "tanh", "scael": 0.3}}, "'scael' of bounded_drift"),
+    (eg.make_model, {"sigma": {"vlaue": 0.5}}, "'vlaue' of sigma 'constant'"),
+    (eg.make_driver, {"name": "linear_z_plus_bump", "slpoe": 0.3}, "known parameters: slope"),
+    (eg.make_growth_driver, {"name": "sqrt_z_plus_bump", "slpoe": 3.0},
+     "known parameters: slope"),
+    (eg.make_game, {"name": "quadratic_decoupled", "n_control": 5},
+     "known parameters: n_controls, control_bound"),
+]
+
+
+@pytest.mark.parametrize("factory, cfg, message", NESTED_TYPOS)
+def test_unknown_entry_parameters_rejected(factory, cfg, message):
+    # a misspelt parameter used to be ignored (or, for a game, raise TypeError)
+    with pytest.raises(KeyError, match=message):
+        factory(cfg)
+
+
+def test_unknown_game_parameter_is_a_config_error(tmp_path):
+    cfg = tmp_path / "game.yaml"
+    cfg.write_text("model: {}\ngrid: {x_min: -4.0, x_max: 4.0, m: 21}\n"
+                   "game: {name: quadratic_decoupled, n_control: 5}\n")
+    for command in ("solve-game", "check-assumptions"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command),
+                         "--quiet"]) == 1

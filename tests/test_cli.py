@@ -141,7 +141,7 @@ def test_check_assumptions_flags_weak_dissipation(tmp_path):
     # mean reversion too slow for the horizon: the doubled-horizon second
     # moment keeps growing, so the boundedness check must fail
     cfg = write_cfg(tmp_path, "weak.yaml", {
-        "model": {"lin_drift": -0.05, "dissipation": 0.05},
+        "model": {"lin_drift": -0.05},
         "mc": {"horizon": 10.0, "n_paths": 128},
     })
     out = tmp_path / "run"

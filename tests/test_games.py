@@ -19,7 +19,6 @@ def _pennies():
     return eg.GameSpec(
         grids=(g, g),
         drift_map=lambda u, v: 0.0 * u + 0.0 * v,
-        drift_bound=0.0,
         costs=(lambda x, u, v: u * v + 0.0 * x, lambda x, u, v: -u * v + 0.0 * x),
         cost_sup=1.0,
         cost_x_lip=0.0,
@@ -47,14 +46,14 @@ def test_game_spec_rejects_non_broadcasting_callables():
     with pytest.raises(ValueError, match="broadcast"):
         # one value per player-1 control only: (5, 3) does not broadcast to (5, 5)
         eg.GameSpec(
-            grids=(g, g), drift_map=lambda u, v: u + v, drift_bound=2.0,
+            grids=(g, g), drift_map=lambda u, v: u + v,
             costs=(lambda x, u, v: u**2, lambda x, u, v: np.zeros((5, 3))),
             cost_sup=1.0, cost_x_lip=0.0,
         )
     with pytest.raises(ValueError, match="broadcast"):
         # a vector drift per joint control
         eg.GameSpec(
-            grids=(g, g), drift_map=lambda u, v: np.stack([u, v], axis=-1), drift_bound=2.0,
+            grids=(g, g), drift_map=lambda u, v: np.stack([u, v], axis=-1),
             costs=(lambda x, u, v: u**2, lambda x, u, v: v**2),
             cost_sup=1.0, cost_x_lip=0.0,
         )
@@ -65,28 +64,22 @@ def test_game_spec_validation(g0):
     assert g0.product_size() == 41 * 41
     with pytest.raises(ValueError, match="one cost per player"):
         eg.GameSpec(
-            grids=g0.grids, drift_map=g0.drift_map, drift_bound=2.0,
+            grids=g0.grids, drift_map=g0.drift_map,
             costs=(g0.costs[0],), cost_sup=2.0, cost_x_lip=BUMP_LIP,
         )
 
 
 def test_game_spec_rejects_understated_bounds():
     g = eg.ControlGrid.uniform(-1.0, 1.0, 5)
-    with pytest.raises(ValueError, match="drift_map"):
-        eg.GameSpec(
-            grids=(g, g), drift_map=lambda u, v: u + v, drift_bound=1.0,
-            costs=(lambda x, u, v: u**2, lambda x, u, v: v**2),
-            cost_sup=1.0, cost_x_lip=0.0,
-        )
     with pytest.raises(ValueError, match="cost_sup"):
         eg.GameSpec(
-            grids=(g, g), drift_map=lambda u, v: u + v, drift_bound=2.0,
+            grids=(g, g), drift_map=lambda u, v: u + v,
             costs=(lambda x, u, v: u**2 + 5.0, lambda x, u, v: v**2),
             cost_sup=1.0, cost_x_lip=0.0,
         )
     with pytest.raises(ValueError, match="cost_x_lip"):
         eg.GameSpec(
-            grids=(g, g), drift_map=lambda u, v: u + v, drift_bound=2.0,
+            grids=(g, g), drift_map=lambda u, v: u + v,
             costs=(lambda x, u, v: u**2 + x, lambda x, u, v: v**2),
             cost_sup=1e9, cost_x_lip=0.1,
         )
@@ -129,7 +122,7 @@ def test_decoupled_nash_matches_per_player_argmin(g0, z0, z1, x):
 def test_tie_breaks_toward_smaller_control_value():
     g = eg.ControlGrid(np.array([-1.0, 1.0]))
     spec = eg.GameSpec(
-        grids=(g,), drift_map=lambda u: u, drift_bound=1.0,
+        grids=(g,), drift_map=lambda u: u,
         costs=(lambda x, u: u**2 + 0.0 * x,), cost_sup=1.0, cost_x_lip=0.0,
     )
     # z = 0: both controls give H = 1, the smaller value wins
@@ -140,7 +133,7 @@ def test_grid_reorder_does_not_change_selected_values(g0):
     rng = np.random.default_rng(0)
     desc = eg.ControlGrid(g0.grids[0].points[::-1].copy())
     flipped = eg.GameSpec(
-        grids=(desc, desc), drift_map=g0.drift_map, drift_bound=g0.drift_bound,
+        grids=(desc, desc), drift_map=g0.drift_map,
         costs=g0.costs, cost_sup=g0.cost_sup, cost_x_lip=g0.cost_x_lip,
     )
     for _ in range(25):
@@ -169,7 +162,7 @@ def _unsorted_tie_game(coupling=0.0):
     # at z = 0 the controls -0.5 and 0.5 tie exactly for each player
     g = eg.ControlGrid(np.array([0.5, -1.0, 1.0, 0.0, -0.5]))
     return eg.GameSpec(
-        grids=(g, g), drift_map=lambda u, v: u + v, drift_bound=2.0,
+        grids=(g, g), drift_map=lambda u, v: u + v,
         costs=(lambda x, u, v: (u * u - 0.25) ** 2 + coupling * u * v + 0.0 * x,
                lambda x, u, v: (v * v - 0.25) ** 2 + coupling * u * v + 0.0 * x),
         cost_sup=2.0, cost_x_lip=0.0, name="unsorted_tie",
@@ -275,7 +268,7 @@ def test_verify_isaacs_memory_bounded():
 def test_feedback_policy_lookup():
     nodes = np.linspace(-1.0, 1.0, 5)
     idx = np.arange(10).reshape(5, 2) % 3
-    pol = eg.FeedbackPolicy(nodes=nodes, indices=idx, z_values=np.zeros((5, 2)))
+    pol = eg.FeedbackPolicy(nodes=nodes, indices=idx)
     assert pol.n_players == 2
     assert pol.node_index(-2.0) == 0  # clamped
     assert pol.node_index(2.0) == 4
@@ -286,8 +279,10 @@ def test_feedback_policy_lookup():
 
 def test_with_player_indices_copies():
     nodes = np.linspace(-1.0, 1.0, 5)
-    pol = eg.FeedbackPolicy(nodes=nodes, indices=np.zeros((5, 2), dtype=int),
-                            z_values=np.zeros((5, 2)))
+    pol = eg.FeedbackPolicy(nodes=nodes, indices=np.zeros((5, 2), dtype=int))
+    for bad in (np.zeros(5, dtype=int), np.zeros((4, 2), dtype=int)):
+        with pytest.raises(ValueError, match="n_nodes, n_players"):
+            eg.FeedbackPolicy(nodes=nodes, indices=bad)
     new = pol.with_player_indices(1, np.ones(5, dtype=int))
     assert np.all(new.indices[:, 1] == 1)
     assert np.all(pol.indices[:, 1] == 0)

@@ -61,7 +61,6 @@ def test_cost_shift_moves_one_lambda(model, g0, coarse_grid, g0_nash_coarse):
     shifted = eg.GameSpec(
         grids=g0.grids,
         drift_map=g0.drift_map,
-        drift_bound=g0.drift_bound,
         costs=(lambda x, u, v, _b=base_cost: _b(x, u, v) + 1.0,) + g0.costs[1:],
         cost_sup=g0.cost_sup + 1.0,
         cost_x_lip=g0.cost_x_lip,

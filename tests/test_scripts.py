@@ -59,6 +59,8 @@ def test_artifact_digests_cover_every_config_and_command():
     assert {name for name, _ in runs} == {p.stem for p in (REPO / "configs").glob("*.yaml")}
     assert {command for _, command in runs} == set(cli._HANDLERS)
     assert ("g0", "verify-nash") in runs
+    # the discounted payoff path of the deviation harness
+    assert ("g0_asymmetric", "verify-nash") in runs
 
 
 def test_artifact_digests_list_reports_not_manifests(tmp_path, monkeypatch, capsys):

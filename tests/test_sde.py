@@ -59,7 +59,7 @@ def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
     # (with the width cap lowered) several batches: every row stays bitwise
     # the single path
     rough = eg.SdeModel(
-        lin_drift=-1.0, dissipation=1.0,
+        lin_drift=-1.0,
         bounded_drift=lambda x: 0.5 * np.tanh(x), bounded_drift_sup=0.5,
         bounded_drift_lip=0.5, sigma=1.2, x0=0.3,
     )
@@ -179,11 +179,11 @@ def test_simulation_rejects_multi_dimensional_models():
     for name, value in (("x0", [0.0, 0.0]), ("sigma", np.eye(2)), ("lin_drift", -np.eye(2))):
         with pytest.raises(ValueError, match=f"one-dimensional: {name}"):
             eg.SdeModel(
-                dissipation=1.0, bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
+                bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
                 bounded_drift_lip=0.0, **{**scalars, name: value},
             )
     built = eg.SdeModel(
-        dissipation=1.0, bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
+        bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
         bounded_drift_lip=0.0, lin_drift=np.array([[-1.0]]), sigma=np.float32(2.0),
         x0=np.array([0.5]),
     )
@@ -191,25 +191,37 @@ def test_simulation_rejects_multi_dimensional_models():
     assert all(type(v) is float for v in (built.lin_drift, built.sigma, built.x0))
 
 
-def test_model_rejects_non_dissipative_drift():
-    def model(lin_drift):
-        return eg.SdeModel(
-            lin_drift=lin_drift, dissipation=1.0,
-            bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
-            bounded_drift_lip=0.0, sigma=1.0, x0=0.0,
-        )
+def _flat_model(lin_drift=-1.0, x0=0.0):
+    return eg.SdeModel(
+        lin_drift=lin_drift, bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
+        bounded_drift_lip=0.0, sigma=1.0, x0=x0,
+    )
 
-    for lin_drift in (1.0, -0.999):
+
+def test_model_rejects_non_dissipative_drift():
+    for lin_drift in (1.0, 0.0, np.nan, -np.inf):
         with pytest.raises(ValueError, match="dissipativity"):
-            model(lin_drift)
-    # the declared rate may be attained exactly
-    assert model(-1.0).lin_drift == -1.0
+            _flat_model(lin_drift)
+    # the rate is derived from the linear part, however small
+    assert _flat_model(-0.999).dissipation == 0.999
+
+
+def test_model_rejects_non_finite_start():
+    for x0 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            _flat_model(x0=x0)
+
+
+def test_step_guard_uses_the_derived_rate():
+    # 1 - 0.3 * 4 < 0: each Euler step would flip the state's sign and scale it by 0.2
+    with pytest.raises(ValueError, match="too large for dissipation 4.0"):
+        eg.simulate(_flat_model(-4.0), None, horizon=1.0, step=0.3)
 
 
 def test_model_rejects_understated_drift_bound():
     with pytest.raises(ValueError, match="bounded_drift"):
         eg.SdeModel(
-            lin_drift=-1.0, dissipation=1.0,
+            lin_drift=-1.0,
             bounded_drift=np.tanh, bounded_drift_sup=0.5,
             bounded_drift_lip=1.0, sigma=1.0, x0=0.0,
         )
@@ -219,7 +231,7 @@ def test_model_rejects_singular_noise():
     for sigma in (0.0, -0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="sigma"):
             eg.SdeModel(
-                lin_drift=-1.0, dissipation=1.0,
+                lin_drift=-1.0,
                 bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
                 bounded_drift_lip=0.0, sigma=sigma, x0=0.0,
             )

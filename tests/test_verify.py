@@ -57,26 +57,35 @@ def test_payoff_argument_validation(model, g0, coarse_grid):
     policy = policy_of_constant_control(g0, coarse_grid, 20)
     with pytest.raises(ValueError, match="player"):
         estimate_payoff(model, g0, policy, player=7)
-    with pytest.raises(ValueError, match="kind"):
-        estimate_payoff(model, g0, policy, 0, kind="averaged")
     with pytest.raises(ValueError, match="burn"):
         estimate_payoff(model, g0, policy, 0, horizon=10.0, burn_in=10.0)
     with pytest.raises(eg.InsufficientHorizonError):
-        estimate_payoff(model, g0, policy, 0, kind="discounted", alpha=0.05,
-                        horizon=20.0)
+        estimate_payoff(model, g0, policy, 0, alpha=0.05, horizon=20.0)
+
+
+def test_alpha_alone_selects_the_criterion(model, g0, coarse_grid):
+    policy = policy_of_constant_control(g0, coarse_grid, 20)
+    kw = dict(horizon=100.0, step=0.1, n_paths=2)
+    ergodic = estimate_payoff(model, g0, policy, 0, **kw)
+    assert (ergodic.kind, ergodic.alpha) == ("ergodic", None)
+    discounted = estimate_payoff(model, g0, policy, 0, alpha=0.1, **kw)
+    assert (discounted.kind, discounted.alpha, discounted.burn_in) == ("discounted", 0.1, 0.0)
+    for alpha in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="positive alpha"):
+            estimate_payoff(model, g0, policy, 0, alpha=alpha, **kw)
 
 
 def test_discounted_payoff_of_constant_cost(model, g0, coarse_grid):
     # a flat cost c integrates to c / alpha regardless of the path
     base = g0.costs[0]
     flat = eg.GameSpec(
-        grids=g0.grids, drift_map=g0.drift_map, drift_bound=g0.drift_bound,
+        grids=g0.grids, drift_map=g0.drift_map,
         costs=(lambda x, u, v: 0.5 + 0.0 * x, g0.costs[1]),
         cost_sup=g0.cost_sup, cost_x_lip=g0.cost_x_lip,
     )
     policy = policy_of_constant_control(flat, coarse_grid, 20)
-    est = estimate_payoff(model, flat, policy, 0, kind="discounted",
-                          alpha=0.25, horizon=60.0, n_paths=8, seed=3)
+    est = estimate_payoff(model, flat, policy, 0, alpha=0.25, horizon=60.0, n_paths=8,
+                          seed=3)
     assert est.value == pytest.approx(0.5 / 0.25, rel=2e-3)
     assert est.stderr < 1e-12
     del base
@@ -202,7 +211,7 @@ def test_deviation_rows_equal_estimates_alone(model, g0, g0_nash_coarse, g0_asym
     kinds = {job.kind for job in jobs}
     assert kinds == ({"ergodic"} if game == "ergodic" else {"ergodic", "discounted"})
     for job, row in zip(jobs, rep.rows):
-        alone = estimate_payoff(model, g0, job.policy, job.player, kind=job.kind,
+        alone = estimate_payoff(model, g0, job.policy, job.player,
                                 burn_in=job.burn_in, alpha=job.alpha, seed=job.seed, **kw)
         assert alone == row.estimate
 
@@ -215,8 +224,7 @@ def test_nearest_node_lookups_agree_at_half_way_states(g0, coarse_grid):
     xs = np.concatenate([np.nextafter(mid, -np.inf), mid, np.nextafter(mid, np.inf)])
     # node k plays u + v = -2 + 0.05 k, so the drift shift names its node
     i = np.minimum(np.arange(81), 40)
-    policy = eg.FeedbackPolicy(nodes=nodes, indices=np.column_stack([i, np.arange(81) - i]),
-                               z_values=np.zeros((81, 2)))
+    policy = eg.FeedbackPolicy(nodes=nodes, indices=np.column_stack([i, np.arange(81) - i]))
     r_nodes = verify._policy_drift_nodes(g0, policy)
     assert len(np.unique(r_nodes)) == 81
     grid_idx = coarse_grid.nearest_index(xs)
@@ -231,8 +239,7 @@ def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
     grid = eg.Grid1D(-1.5, 1.5, 13)  # paths leave it, so the lookup clamps
     rng = np.random.default_rng(3)
     policies = [
-        eg.FeedbackPolicy(nodes=grid.nodes(), indices=rng.integers(0, 41, size=(13, 2)),
-                          z_values=np.zeros((13, 2)))
+        eg.FeedbackPolicy(nodes=grid.nodes(), indices=rng.integers(0, 41, size=(13, 2)))
         for _ in range(3)
     ]
     seeds, n_paths, step = (11, 12, 13), 4, 0.01
@@ -281,8 +288,8 @@ def test_estimates_match_parent_values(model, g0, g0_nash_coarse, g0_asymmetric)
     got = {
         "ergodic": estimate_payoff(model, g0, g0_nash_coarse.policy, 0, horizon=30.0,
                                    step=0.02, n_paths=16, seed=9),
-        "discounted": estimate_payoff(model, g0, g0_asymmetric.policy, 1, kind="discounted",
-                                      alpha=0.2, horizon=50.0, step=0.02, n_paths=16, seed=3),
+        "discounted": estimate_payoff(model, g0, g0_asymmetric.policy, 1, alpha=0.2,
+                                      horizon=50.0, step=0.02, n_paths=16, seed=3),
     }
     for key, est in got.items():
         assert (est.value, est.stderr) == pytest.approx(PARENT_ESTIMATES[key], **close)
@@ -341,8 +348,7 @@ def test_divergence_of_one_job_inside_a_batch(model, g0, coarse_grid):
     # |x| = 2 diverges when its first path gets there; the other jobs do not
     spec = eg.GameSpec(
         grids=g0.grids, drift_map=lambda u, v: np.where(u >= 1.0, np.nan, u + v),
-        drift_bound=g0.drift_bound, costs=g0.costs, cost_sup=g0.cost_sup,
-        cost_x_lip=g0.cost_x_lip,
+        costs=g0.costs, cost_sup=g0.cost_sup, cost_x_lip=g0.cost_x_lip,
     )
     nodes = coarse_grid.nodes()
     calm = policy_of_constant_control(spec, coarse_grid, 20)
