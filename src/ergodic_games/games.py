@@ -89,8 +89,9 @@ class GameSpec:
     is cached per state, so tabulation memory is O(|U|^n), independent of the
     state grid.  ``cost_sup`` bounds ``|cost_i|`` and ``cost_x_lip`` is a
     Lipschitz constant of the costs in the state; both are verified on
-    samples at construction.  ``drift_bound``, ``max |drift_map|`` over the
-    grids, is computed once at construction.
+    samples at construction.  ``drift_map`` must be finite on the grids (else
+    ``ValueError``); ``drift_bound``, ``max |drift_map|`` over the grids, is
+    computed once at construction.
     """
 
     grids: Tuple[ControlGrid, ...]
@@ -114,9 +115,15 @@ class GameSpec:
         object.__setattr__(self, "_mesh", mesh)
         object.__setattr__(self, "_value_order", _value_order(self.grids))
         drift = self._compact(self.drift_map)
+        table = np.broadcast_to(drift, self._shape())
         # compact array: broadcasting repeats values but drops none
+        if not np.isfinite(drift).all():
+            u = np.unravel_index(int(np.argmin(np.isfinite(table))), table.shape)
+            controls = tuple(float(v) for v in self.control_values(u))
+            raise ValueError(f"drift_map check failed: value {float(table[u])} at joint "
+                             f"control {controls} is not finite")
         object.__setattr__(self, "drift_bound", float(np.abs(drift).max()))
-        object.__setattr__(self, "_drift_table", np.broadcast_to(drift, self._shape()))
+        object.__setattr__(self, "_drift_table", table)
         self._run_checks()
 
     @property

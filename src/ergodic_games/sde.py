@@ -13,9 +13,12 @@ steps.  A change of measure is applied as an extra ``sigma * shift(x)``
 drift term, so controlled dynamics reuse the same integrator.
 
 Randomness is drawn from one generator per path, keyed by
-``(seed, path_index)``, in fixed time blocks.  Path ``k`` of a batch is
-bitwise identical to the same path simulated alone, so Monte Carlo estimates
-do not depend on how paths are batched or scheduled.
+``(seed, path_index)``.  Each path's normals are drawn a block of steps at a
+time, which only amortises the per-generator calls; stepping, the scan for
+divergence and the consumer all work one fixed window of steps at a time, so
+no number depends on the block size.  Path ``k`` of a batch is bitwise
+identical to the same path simulated alone, so Monte Carlo estimates do not
+depend on how paths are batched or scheduled.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class SimulationDivergedError(RuntimeError):
         First Euler step at which a non-finite value appeared.  The engine
         scans once per ``_FINITE_CHECK_STEPS`` steps, so callbacks may
         see (and numpy may warn about) non-finite states for the rest of that
-        block; a callback raising on them is reported as this error.
+        window; a callback raising on them is reported as this error.
     """
 
     def __init__(self, step_index: int):
@@ -250,15 +253,18 @@ def _n_steps(horizon: float, step: float) -> int:
     return int(math.ceil(horizon / step - 1e-9))
 
 
-# steps simulated between two scans for non-finite states
+# steps of one window: stepped, scanned for non-finite states and handed to
+# the consumer together; a path's windows start at multiples of it whatever
+# the batch, so every sum over them is the same as for the path alone
 _FINITE_CHECK_STEPS = 256
-# steps drawn and stepped per time block: fixed (and independent of the batch
-# width) so a path's numbers, and every sum over its blocks, do not depend on
-# the batch it runs in; a multiple of _FINITE_CHECK_STEPS, so divergence is
-# scanned on the same step grid as a single path
+# steps of normals drawn per call on each path's generator, a multiple of
+# _FINITE_CHECK_STEPS so windows tile a block; it only amortises those calls,
+# and no number depends on it
 _BLOCK_STEPS = 1024
-# most paths stepped together: memory is a few block buffers of
-# _BLOCK_STEPS x _MAX_BATCH_PATHS floats, whatever the horizon or path count
+# most paths stepped together: memory is one path-major draw block of
+# _BLOCK_STEPS x _MAX_BATCH_PATHS floats plus two window buffers (noise and
+# states) of _FINITE_CHECK_STEPS x _MAX_BATCH_PATHS, whatever the horizon or
+# path count
 _MAX_BATCH_PATHS = 2048
 # paths handed to the consumer at a time, one scan window of steps each: its
 # temporaries (256 x 32 floats, 64 KB) stay in cache and below the 128 KB at
@@ -317,11 +323,14 @@ def run_paths(
     with_noise: bool = False,
     label: str = "run_paths",
 ) -> None:
-    """Euler-Maruyama for many paths of a model, streamed in time blocks.
+    """Euler-Maruyama for many paths of a model, streamed window by window.
 
     Path ``j`` draws its normals from ``path_stream(*stream_key(j))``.  Paths
-    are stepped together in batches of at most ``_MAX_BATCH_PATHS`` columns,
-    each batch draws its normals in time blocks of ``_BLOCK_STEPS`` steps.
+    are stepped together in batches of at most ``_MAX_BATCH_PATHS`` columns.
+    A batch draws each path's normals ``_BLOCK_STEPS`` steps per generator
+    call into one path-major block, then transposes, scales and steps them one
+    window of ``_FINITE_CHECK_STEPS`` steps at a time; its buffers are that
+    block and two window-sized ones, and no number depends on the block size.
     ``shift_for(cols)`` returns the drift shift callback of the batch holding
     paths ``cols`` (a slice of ``range(n_paths)``).  Every
     ``_FINITE_CHECK_STEPS`` steps, once they are checked finite, the engine
@@ -363,10 +372,10 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
     sigma = np.array(model.sigma)
     streams = [path_stream(*stream_key(j)) for j in range(cols.start, cols.stop)]
     p = len(streams)
-    width = min(_BLOCK_STEPS, n_steps)
-    drawn = np.empty((p, width))  # path-major, as each stream draws
-    noise = np.empty((width, p))
-    states = np.empty((width + 1, p))
+    drawn = np.empty((p, min(_BLOCK_STEPS, n_steps)))  # path-major, as each stream draws
+    win = min(_FINITE_CHECK_STEPS, n_steps)
+    noise = np.empty((win, p))  # one window, time-major, scaled by sigma * sqrt(step)
+    states = np.empty((win + 1, p))
     states[0] = model.x0
     tmp = np.empty(p)
     shift_fn = shift_for(cols) if shift_for is not None else None
@@ -377,15 +386,21 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
         n_blk = min(_BLOCK_STEPS, n_steps - start)
         for row, stream in zip(drawn, streams):
             stream.standard_normal(out=row[:n_blk])
-        # time-major layout keeps every per-step slice contiguous
-        copy_transposed(noise[:n_blk], drawn[:, :n_blk])
         seconds[0] += clock() - t0
-        x = states[0]
         for c0 in range(0, n_blk, _FINITE_CHECK_STEPS):
+            t0 = clock()
+            stop = min(_FINITE_CHECK_STEPS, n_blk - c0)
+            dw = noise[:stop]
+            # time-major layout keeps every per-step slice contiguous
+            copy_transposed(dw, drawn[:, c0:c0 + stop])
             t1 = clock()
-            stop = min(c0 + _FINITE_CHECK_STEPS, n_blk)
+            seconds[0] += t1 - t0
+            # (sigma * z) * sqrt_h, in this order: every path's bits depend on it
+            dw *= sigma
+            dw *= sqrt_h
+            x = states[0]
             try:
-                for k in range(c0, stop):
+                for k in range(stop):
                     nxt = states[k + 1]
                     np.multiply(x, a, out=nxt)
                     if has_residual:
@@ -395,28 +410,27 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
                         nxt += tmp
                     nxt *= step
                     nxt += x
-                    np.multiply(sigma, noise[k], out=tmp)
-                    tmp *= sqrt_h
-                    nxt += tmp
+                    nxt += dw[k]
                     x = nxt
             except Exception:
                 # a callback may reject the states of a path that already diverged
                 stop = k
-                if np.isfinite(states[c0 + 1:stop + 1]).all():
+                if np.isfinite(states[1:stop + 1]).all():
                     raise
             # any non-finite entry makes its step's sum non-finite; the first such
             # step is where the batch diverged
-            bad = ~np.isfinite(states[c0 + 1:stop + 1].sum(axis=1))
+            bad = ~np.isfinite(states[1:stop + 1].sum(axis=1))
             if bad.any():
                 raise SimulationDivergedError(start + c0 + 1 + int(np.argmax(bad)))
             t2 = clock()
             for p0 in range(0, p, _CONSUME_PATHS):
                 p1 = min(p0 + _CONSUME_PATHS, p)
                 consume(slice(cols.start + p0, cols.start + p1), start + c0,
-                        states[c0:stop + 1, p0:p1], drawn[p0:p1, c0:stop] if with_noise else None)
+                        states[:stop + 1, p0:p1],
+                        drawn[p0:p1, c0:c0 + stop] if with_noise else None)
             seconds[1] += t2 - t1
             seconds[2] += clock() - t2
-        states[0] = states[n_blk]
+            states[0] = states[stop]
         n_blocks += 1
     return n_blocks
 

@@ -85,6 +85,18 @@ def test_game_spec_rejects_understated_bounds():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_game_spec_rejects_non_finite_drift(bad):
+    # a NaN bound would make every comparison against drift_bound pass
+    g = eg.ControlGrid.uniform(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match=r"drift_map .* joint control \(0\.5, -1\.0\)"):
+        eg.GameSpec(
+            grids=(g, g), drift_map=lambda u, v: np.where(u == 0.5, bad, u + v),
+            costs=(lambda x, u, v: u**2, lambda x, u, v: v**2),
+            cost_sup=1.0, cost_x_lip=0.0,
+        )
+
+
 @settings(max_examples=60, deadline=None)
 @given(x=finite, z=finite, i0=st.integers(0, 40), i1=st.integers(0, 40),
        player=st.integers(0, 1))

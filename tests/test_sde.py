@@ -77,6 +77,29 @@ def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
                               eg.path_stream(4, k).standard_normal(wide.shape[1] - 1))
 
 
+@pytest.mark.parametrize("block_steps", [256, 512])
+def test_block_size_changes_no_number(model, monkeypatch, block_steps):
+    # the draw block only amortises generator calls: paths, their noise and
+    # where a run diverges are bitwise those of the default block
+    shift = eg.DriftShift(shift=lambda x: 0.8 * np.sin(x), bound=0.8)
+    horizon = 0.01 * (2 * sde._BLOCK_STEPS + 37)
+    bad = eg.DriftShift(shift=lambda x: np.where(np.abs(x) > 3.0, np.nan, 0.0), bound=1.0)
+
+    def run():
+        states, noise = eg.sample_paths(model, shift, horizon, 0.01, seed=4, n_paths=5,
+                                        return_noise=True)
+        with pytest.raises(eg.SimulationDivergedError) as exc:
+            eg.sample_paths(model, bad, 200.0, 0.01, 1, 5)
+        return states, noise, exc.value.step_index
+
+    default = run()
+    monkeypatch.setattr(sde, "_BLOCK_STEPS", block_steps)
+    states, noise, step_index = run()
+    assert np.array_equal(states, default[0])
+    assert np.array_equal(noise, default[1])
+    assert step_index == default[2] > sde._FINITE_CHECK_STEPS
+
+
 def test_zero_horizon_returns_initial_state(model):
     p = eg.simulate(model, None, horizon=0.0, step=0.5)
     assert p.states.shape == (1,)
@@ -300,6 +323,22 @@ def test_invariant_average_memory_flat_in_horizon(model):
     short, long = run(60.0), run(480.0)  # 1,200 and 9,600 steps
     # a paths x steps array at the long horizon alone would be 4.9 MB
     assert long <= short + 256 * 1024, (short, long)
+
+
+def test_engine_memory_is_one_draw_block_and_two_windows(model):
+    # a full batch over two draw blocks, with a drift shift and a consumer
+    # that keeps nothing: besides the path-major draw block and one
+    # generator per path, the time-major noise and the states are one window
+    # each, so three block-sized buffers (48 MiB) would fail this bound
+    p = n = 2 * sde._BLOCK_STEPS
+    assert p == sde._MAX_BATCH_PATHS
+    peak = _peak_bytes(lambda: sde.run_paths(
+        model, n, 0.01, p, lambda j: (0, j), lambda *args: None,
+        shift_for=lambda cols: np.tanh))
+    block = 8 * p * sde._BLOCK_STEPS
+    window = 8 * p * (sde._FINITE_CHECK_STEPS + 1)
+    streams = _peak_bytes(lambda: [eg.path_stream(0, j) for j in range(p)])
+    assert peak < block + 2 * window + streams + 2**20, (peak, streams)
 
 
 def test_invariant_average_rejects_bad_burn_in(model):

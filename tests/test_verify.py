@@ -343,11 +343,14 @@ def test_harness_memory_flat_in_deviations(model, g0, g0_nash_coarse):
 
 # the drift lookups cast the non-finite states of the diverged job to indices
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 def test_divergence_of_one_job_inside_a_batch(model, g0, coarse_grid):
-    # player 0's top control has no drift value, so a job playing it beyond
-    # |x| = 2 diverges when its first path gets there; the other jobs do not
+    # player 0's top control has a finite drift whose shift sigma * r overflows,
+    # so a job playing it beyond |x| = 2 diverges when its first path gets
+    # there; the other jobs do not
+    assert model.sigma * 1.5e308 == np.inf
     spec = eg.GameSpec(
-        grids=g0.grids, drift_map=lambda u, v: np.where(u >= 1.0, np.nan, u + v),
+        grids=g0.grids, drift_map=lambda u, v: np.where(u >= 1.0, 1.5e308, u + v),
         costs=g0.costs, cost_sup=g0.cost_sup, cost_x_lip=g0.cost_x_lip,
     )
     nodes = coarse_grid.nodes()
@@ -360,6 +363,19 @@ def test_divergence_of_one_job_inside_a_batch(model, g0, coarse_grid):
     with pytest.raises(eg.SimulationDivergedError) as alone:
         eg.sample_paths(model, _reference_shift(spec, wild), 40.0, 0.01, 2, 6)
     assert batched.value.step_index == alone.value.step_index > 1
+
+
+@pytest.mark.parametrize("block_steps", [256, 512])
+def test_block_size_changes_no_deviation_row(model, g0, g0_nash_coarse, monkeypatch,
+                                             block_steps):
+    def rows():
+        rep = nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=3, horizon=25.0,
+                                  step=0.02, n_paths=8, seed=0)
+        return [(r.estimate.value, r.estimate.stderr) for r in rep.rows]
+
+    default = rows()
+    monkeypatch.setattr(sde, "_BLOCK_STEPS", block_steps)
+    assert rows() == default
 
 
 def test_harness_logs_one_engine_line(model, g0, g0_nash_coarse, caplog):
