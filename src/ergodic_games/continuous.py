@@ -16,11 +16,13 @@ drivers and is reproducible from any supplied initial field.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._samples import check_states
 from .ebsde import ErgodicSolution, Grid1D, frozen_driver, hjb_residual, solve_ergodic
 
 __all__ = [
@@ -35,8 +37,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _CHECK_SLACK = 1e-9
-_CHECK_SEED = 17
-# sampled (x, z) pairs of decompose's growth check
+# fixed (x, z) pairs of decompose's growth check
 _CHECK_SAMPLES = 10_000
 
 
@@ -109,17 +110,19 @@ class Decomposition:
 def decompose(f: Callable, kappa: float) -> Decomposition:
     """Split ``f`` against its declared growth constant ``kappa``.
 
-    Samples ``_CHECK_SAMPLES`` ``(x, z)`` pairs and raises :class:`GrowthViolationError` when
-    ``|f(x, z)| > kappa (1 + |z|)`` anywhere in the sample.
+    ``kappa`` must be positive and finite.  ``f`` is checked on
+    ``_CHECK_SAMPLES`` fixed ``(x, z)`` pairs
+    (:func:`~ergodic_games._samples.check_states`); a value that is not finite
+    or exceeds ``kappa (1 + |z|)`` raises :class:`GrowthViolationError`.
     """
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    rng = np.random.default_rng([_CHECK_SEED, 0xDEC0])
-    xs = rng.normal(scale=3.0, size=_CHECK_SAMPLES)
-    zs = rng.normal(scale=3.0, size=_CHECK_SAMPLES)
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got kappa={kappa!r}")
+    xs = check_states(_CHECK_SAMPLES, 0)
+    zs = check_states(_CHECK_SAMPLES, 1)
     fv = np.broadcast_to(np.asarray(f(xs, zs), dtype=float), xs.shape)
     growth = kappa * (1.0 + np.abs(zs))
-    if np.any(np.abs(fv) > growth * (1.0 + _CHECK_SLACK) + 1e-12):
+    # written as "not within the bound" so that a NaN value fails too
+    if not np.all(np.abs(fv) <= growth * (1.0 + _CHECK_SLACK) + 1e-12):
         k = int(np.argmax(np.abs(fv) - growth))
         raise GrowthViolationError(
             f"sampled |f(x, z)|={abs(fv[k]):.6g} exceeds kappa*(1+|z|)="

@@ -27,12 +27,14 @@ derivatives of ``v``).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ._csv import write_csv
+from ._samples import check_states
 
 __all__ = [
     "MaxSweepsExceededError",
@@ -50,7 +52,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _CHECK_SLACK = 1e-9
-_CHECK_SEED = 13
 # residual evaluations per grid solve; Newton needs a handful, affine drivers two
 _MAX_NEWTON_ITERATIONS = 50
 # relative step of the central difference that gives the driver's slope in z
@@ -100,23 +101,27 @@ def nearest_node(x, lookup: Tuple[float, float, int], out: Optional[tuple] = Non
     """Index of the grid node nearest each state.
 
     ``rint((x - lo) * inv_dx)`` clamped to ``[0, top]``, with ``(lo, inv_dx,
-    top) = node_lookup(nodes)``: the one rule of every state-to-node lookup
+    top) = node_lookup(nodes)``; every state above the grid, ``+inf`` and NaN
+    map to ``top``: the one rule of every state-to-node lookup
     (grid drivers, feedback policies and the path engine's drift shift).
     ``out = (scaled, idx)``, float and ``intp`` arrays of ``x``'s shape, lets
     a caller that looks up every step reuse its buffers; the result is then
     ``idx``.
     """
     lo, inv_dx, top = lookup
+    # the upper clamp comes before the cast, in floating point: a state past the
+    # intp range (or +inf, or NaN) would otherwise cast to a negative index
     if out is None:
-        idx = np.asarray(np.rint((np.asarray(x, dtype=float) - lo) * inv_dx).astype(np.intp))
+        scaled = np.fmin(np.rint((np.asarray(x, dtype=float) - lo) * inv_dx), top)
+        idx = np.asarray(scaled.astype(np.intp))
     else:
         scaled, idx = out
         np.subtract(x, lo, out=scaled)
         np.multiply(scaled, inv_dx, out=scaled)
         np.rint(scaled, out=scaled)
+        np.fmin(scaled, top, out=scaled)
         idx[...] = scaled
-    np.maximum(idx, 0, out=idx)
-    return np.minimum(idx, top, out=idx)
+    return np.maximum(idx, 0, out=idx)
 
 
 @dataclass(frozen=True)
@@ -167,9 +172,11 @@ class Grid1D:
 class DriverSpec:
     """Driver ``f(x, z)`` with declared gradient-Lipschitz and size constants.
 
-    ``f`` must act elementwise on numpy arrays.  At construction the two
-    declared constants are probed on random samples:
-    ``|f(x, z) - f(x, z')| <= lipschitz_z |z - z'|`` and
+    ``f`` must act elementwise on numpy arrays.  Both declared constants must
+    be finite, and at construction they are checked on ``check_samples``
+    fixed states and gradient values
+    (:func:`~ergodic_games._samples.check_states`), where ``f`` must also be
+    finite: ``|f(x, z) - f(x, z')| <= lipschitz_z |z - z'|`` and
     ``|f(x, 0)| <= bound_at_zero``.
     """
 
@@ -179,22 +186,25 @@ class DriverSpec:
     check_samples: int = 1_000
 
     def __post_init__(self):
-        rng = np.random.default_rng([_CHECK_SEED, 0xD21])
+        if not (math.isfinite(self.lipschitz_z) and math.isfinite(self.bound_at_zero)):
+            raise ValueError(f"driver check failed: lipschitz_z={self.lipschitz_z!r} and "
+                             f"bound_at_zero={self.bound_at_zero!r} must be finite")
         n = int(self.check_samples)
-        xs = rng.normal(scale=3.0, size=n)
-        za = rng.normal(scale=3.0, size=n)
-        zb = rng.normal(scale=3.0, size=n)
+        xs = check_states(n, 0)
+        za = check_states(n, 1)
+        zb = check_states(n, 2)
         fa = np.broadcast_to(np.asarray(self.f(xs, za), dtype=float), (n,))
         fb = np.broadcast_to(np.asarray(self.f(xs, zb), dtype=float), (n,))
         lip = self.lipschitz_z * np.abs(za - zb)
-        if np.any(np.abs(fa - fb) > lip + _CHECK_SLACK * (1.0 + lip) + 1e-12):
+        # written as "not within the bound" so that a NaN value fails too
+        if not np.all(np.abs(fa - fb) <= lip + _CHECK_SLACK * (1.0 + lip) + 1e-12):
             k = int(np.argmax(np.abs(fa - fb) - lip))
             raise ValueError(
                 f"driver check failed: gradient Lipschitz constant {self.lipschitz_z:.6g} "
                 f"violated at sampled x={xs[k]:.6g}, z={za[k]:.6g}, z'={zb[k]:.6g}"
             )
         f0 = np.broadcast_to(np.asarray(self.f(xs, np.zeros(n)), dtype=float), (n,))
-        if np.any(np.abs(f0) > self.bound_at_zero * (1.0 + _CHECK_SLACK) + 1e-12):
+        if not np.all(np.abs(f0) <= self.bound_at_zero * (1.0 + _CHECK_SLACK) + 1e-12):
             k = int(np.argmax(np.abs(f0)))
             raise ValueError(
                 f"driver check failed: |f(x, 0)|={abs(f0[k]):.6g} exceeds "

@@ -13,11 +13,13 @@ own Hamiltonian by a unilateral grid move.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._samples import check_states
 from .ebsde import nearest_node, node_lookup
 
 __all__ = [
@@ -36,9 +38,11 @@ __all__ = [
 JointControl = Tuple[int, ...]
 
 _CHECK_SLACK = 1e-9
-_CHECK_SEED = 11
-# sampled states of GameSpec's construction-time cost checks
+# fixed states of GameSpec's construction-time cost checks
 _CHECK_SAMPLES = 64
+# floats in one step of the Lipschitz check's difference: below the 128 KB at
+# which glibc's malloc maps fresh pages
+_GAP_CHUNK = 16_384
 
 
 class NoPureNashError(RuntimeError):
@@ -65,7 +69,7 @@ class ControlGrid:
             raise ValueError("control grid must be nonempty")
         if not np.all(np.isfinite(pts)):
             raise ValueError("control grid points must be finite")
-        if len(np.unique(pts)) != len(pts):
+        if not np.all(np.diff(np.sort(pts)) > 0.0):
             raise ValueError("control grid points must be distinct")
         object.__setattr__(self, "points", pts)
 
@@ -88,8 +92,10 @@ class GameSpec:
     must broadcast to the joint grid's shape (else ``ValueError``).  Nothing
     is cached per state, so tabulation memory is O(|U|^n), independent of the
     state grid.  ``cost_sup`` bounds ``|cost_i|`` and ``cost_x_lip`` is a
-    Lipschitz constant of the costs in the state; both are verified on
-    samples at construction.  ``drift_map`` must be finite on the grids (else
+    Lipschitz constant of the costs in the state; both must be finite and are
+    verified at construction on fixed states
+    (:func:`~ergodic_games._samples.check_states`), where the costs must also
+    be finite.  ``drift_map`` must be finite on the grids (else
     ``ValueError``); ``drift_bound``, ``max |drift_map|`` over the grids, is
     computed once at construction.
     """
@@ -141,13 +147,14 @@ class GameSpec:
     def _shape(self) -> Tuple[int, ...]:
         return tuple(len(g) for g in self.grids)
 
-    def _compact(self, fn, *args) -> np.ndarray:
+    def _compact(self, fn, *args, lead: Tuple[int, ...] = ()) -> np.ndarray:
         """``fn(*args, *meshes)`` in one call on the open meshes, checked to broadcast
-        to the joint grid but kept in its own (often much smaller) shape."""
+        to the joint grid (after ``lead`` axes of the arguments) but kept in its own
+        (often much smaller) shape."""
         shape = self._shape()
         try:
             raw = np.asarray(fn(*args, *getattr(self, "_mesh")), dtype=float)
-            np.broadcast_to(raw, shape)
+            np.broadcast_to(raw, lead + shape)
         except (TypeError, ValueError) as err:
             raise ValueError(f"game callables must broadcast over the joint control grid of "
                              f"shape {shape}: {err}") from err
@@ -164,28 +171,90 @@ class GameSpec:
     def control_values(self, u: JointControl) -> list:
         return [g.points[j] for g, j in zip(self.grids, u)]
 
-    # -- sampled construction checks ------------------------------------------------
+    # -- construction checks on fixed states -----------------------------------------
+
+    def _cost_block(self, cost: Callable, xs: np.ndarray) -> np.ndarray:
+        """``cost`` at the states ``xs`` in one call: compact, with a leading sample
+        axis (of length 1 where the cost does not depend on the state)."""
+        n = self.n_players
+        if len(xs) == 1:
+            # a lone state goes in as a float, as in a search, so numpy can reuse
+            # the cost's own table-sized temporaries
+            raw = self._compact(cost, float(xs[0]))
+        else:
+            raw = self._compact(cost, xs.reshape((-1,) + (1,) * n), lead=(len(xs),))
+        return raw.reshape((1,) * (n + 1 - raw.ndim) + raw.shape)
 
     def _run_checks(self) -> None:
-        rng = np.random.default_rng(_CHECK_SEED)
-        xs = rng.normal(scale=3.0, size=_CHECK_SAMPLES)
-        ys = rng.normal(scale=3.0, size=_CHECK_SAMPLES)
+        """Check ``cost_sup`` at each state and ``cost_x_lip`` between paired states.
+
+        Each cost is called on a block of states at once.  The first state runs
+        alone; its compact size sets the block, so that a block's compact array
+        holds at most one joint table.
+        """
+        if not (math.isfinite(self.cost_sup) and math.isfinite(self.cost_x_lip)):
+            raise ValueError(f"cost check failed: cost_sup={self.cost_sup!r} and "
+                             f"cost_x_lip={self.cost_x_lip!r} must be finite")
+        xs = check_states(_CHECK_SAMPLES, 0)
+        ys = check_states(_CHECK_SAMPLES, 1)
+        lip_bound = self.cost_x_lip * np.abs(xs - ys)
+        lip_bound += _CHECK_SLACK * (1.0 + lip_bound) + 1e-12
         for i in range(self.n_players):
-            for x, y in zip(xs, ys):
-                # compact arrays: broadcasting repeats values but drops none
-                cx = self._compact(self.costs[i], float(x))
-                cy = self._compact(self.costs[i], float(y))
-                if np.any(np.abs(cx) > self.cost_sup * (1.0 + _CHECK_SLACK) + 1e-12):
-                    raise ValueError(
-                        f"cost check failed: |cost_{i}| exceeds cost_sup={self.cost_sup:.6g} "
-                        f"at sampled x={float(x):.6g}"
-                    )
-                lip = self.cost_x_lip * abs(float(x) - float(y))
-                if np.any(np.abs(cx - cy) > lip + _CHECK_SLACK * (1.0 + lip) + 1e-12):
-                    raise ValueError(
-                        f"cost check failed: cost_{i} violates cost_x_lip={self.cost_x_lip:.6g} "
-                        f"between sampled states x={float(x):.6g}, y={float(y):.6g}"
-                    )
+            start, block = 0, 1
+            while start < _CHECK_SAMPLES:
+                stop = min(start + block, _CHECK_SAMPLES)
+                size = self._check_block(i, xs[start:stop], ys[start:stop], lip_bound[start:stop])
+                if start == 0:
+                    block = max(1, self.product_size() // size)
+                start = stop
+
+    def _check_block(self, i: int, xs: np.ndarray, ys: np.ndarray,
+                     lip_bound: np.ndarray) -> int:
+        """Both checks of ``costs[i]`` on one block; the compact size of its values.
+
+        The error names the block's first failing state, the bound on
+        ``|cost_i(x)|`` before the Lipschitz bound between ``x`` and ``y``.
+        """
+        cx = self._cost_block(self.costs[i], xs)
+        cy = self._cost_block(self.costs[i], ys)
+        axes = tuple(range(1, cx.ndim))
+        # reductions instead of np.abs(cx): no table-sized temporary; NaN propagates;
+        # one value per state, or one for all where the cost ignores the state
+        largest = np.maximum(cx.max(axis=axes), -cx.min(axis=axes))
+        # "not within the bound", so that a NaN value fails too
+        over = ~(largest <= self.cost_sup * (1.0 + _CHECK_SLACK) + 1e-12)
+        bad = over | ~(_max_abs_gap(cx, cy) <= lip_bound)
+        if bad.any():
+            k = int(np.argmax(bad))
+            j = k if len(largest) > 1 else 0
+            if over[j]:
+                raise ValueError(
+                    f"cost check failed: |cost_{i}|={float(largest[j]):.6g} exceeds "
+                    f"cost_sup={self.cost_sup:.6g} at sampled x={float(xs[k]):.6g}"
+                )
+            raise ValueError(
+                f"cost check failed: cost_{i} violates cost_x_lip={self.cost_x_lip:.6g} "
+                f"between sampled states x={float(xs[k]):.6g}, y={float(ys[k]):.6g}"
+            )
+        return cx.size
+
+
+def _max_abs_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``max |a - b|`` over every axis but the first (NaN if any entry is NaN).
+
+    Taken a few slabs of the second axis at a time, so the temporaries stay
+    near ``_GAP_CHUNK`` floats, never a joint table.
+    """
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    rest = tuple(range(1, a.ndim))
+    step = max(1, _GAP_CHUNK * a.shape[1] // a.size)
+    gap = np.zeros(len(a))
+    for j in range(0, a.shape[1], step):
+        d = a[:, j:j + step] - b[:, j:j + step]
+        np.abs(d, out=d)
+        np.maximum(gap, d.max(axis=rest), out=gap)
+    return gap
 
 
 def hamiltonian(spec: GameSpec, player: int, x, z_i, u: JointControl) -> float:

@@ -32,6 +32,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._csv import write_csv
+from ._samples import check_states
 
 __all__ = [
     "SimulationDivergedError",
@@ -51,8 +52,7 @@ logger = logging.getLogger(__name__)
 
 # Relative slack applied to sampled inequality checks; absorbs roundoff only.
 _CHECK_SLACK = 1e-9
-_CHECK_SEED = 7
-# samples of the construction-time checks of SdeModel and DriftShift
+# fixed check states of the construction-time checks of SdeModel and DriftShift
 _MODEL_CHECK_SAMPLES = 10_000
 _SHIFT_CHECK_SAMPLES = 1_000
 
@@ -102,7 +102,10 @@ class SdeModel:
     bounded_drift : callable
         Residual drift; must broadcast over numpy arrays.  Bounded by
         ``bounded_drift_sup`` and Lipschitz with constant
-        ``bounded_drift_lip`` (both sampled at construction).
+        ``bounded_drift_lip``; both constants must be finite, and both bounds
+        are checked at construction on fixed states
+        (:func:`~ergodic_games._samples.check_states`), where the drift must
+        also be finite.
     sigma : float
         Additive noise coefficient; finite and nonzero.
     x0 : float
@@ -138,25 +141,28 @@ class SdeModel:
         return -self.lin_drift
 
     def _check_bounded_drift(self) -> None:
-        rng = path_stream(_CHECK_SEED, 0xA55)
-        xs = rng.normal(scale=3.0, size=_MODEL_CHECK_SAMPLES)
-        ys = rng.normal(scale=3.0, size=_MODEL_CHECK_SAMPLES)
+        sup, lip = self.bounded_drift_sup, self.bounded_drift_lip
+        if not (math.isfinite(sup) and math.isfinite(lip)):
+            raise ValueError(f"bounded_drift check failed: bounded_drift_sup={sup!r} and "
+                             f"bounded_drift_lip={lip!r} must be finite")
+        xs = check_states(_MODEL_CHECK_SAMPLES, 0)
+        ys = check_states(_MODEL_CHECK_SAMPLES, 1)
         fx = _broadcast(self.bounded_drift, xs)
         fy = _broadcast(self.bounded_drift, ys)
         norm_f = np.abs(fx)
-        if np.any(norm_f > self.bounded_drift_sup * (1.0 + _CHECK_SLACK) + 1e-12):
+        # written as "not within the bound" so that a NaN value fails too
+        if not np.all(norm_f <= sup * (1.0 + _CHECK_SLACK) + 1e-12):
             k = int(np.argmax(norm_f))
             raise ValueError(
                 f"bounded_drift check failed: |bounded_drift(x)|={norm_f[k]:.6g} exceeds "
-                f"bounded_drift_sup={self.bounded_drift_sup:.6g} at sampled x={xs[k]!r}"
+                f"bounded_drift_sup={sup:.6g} at sampled x={float(xs[k])!r}"
             )
-        gap = np.abs(fx - fy) - self.bounded_drift_lip * np.abs(xs - ys)
-        if np.any(gap > _CHECK_SLACK * (1.0 + np.abs(xs - ys))):
+        gap = np.abs(fx - fy) - lip * np.abs(xs - ys)
+        if not np.all(gap <= _CHECK_SLACK * (1.0 + np.abs(xs - ys))):
             k = int(np.argmax(gap))
             raise ValueError(
                 "bounded_drift check failed: Lipschitz bound bounded_drift_lip="
-                f"{self.bounded_drift_lip:.6g} violated at sampled pair "
-                f"x={xs[k]!r}, y={ys[k]!r}"
+                f"{lip:.6g} violated at sampled pair x={float(xs[k])!r}, y={float(ys[k])!r}"
             )
 
     def drift_1d(self, x: np.ndarray) -> np.ndarray:
@@ -168,22 +174,25 @@ class SdeModel:
 class DriftShift:
     """Feedback drift shift entering the dynamics as ``sigma * shift(x)``.
 
-    ``shift`` must broadcast over arrays.  ``bound`` is a sup bound on
-    ``|shift|``, sampled at construction.
+    ``shift`` must broadcast over arrays.  ``bound`` is a finite sup bound on
+    ``|shift|``, checked at construction on fixed states
+    (:func:`~ergodic_games._samples.check_states`), where the shift must also
+    be finite.
     """
 
     shift: Callable
     bound: float
 
     def __post_init__(self):
-        rng = path_stream(_CHECK_SEED, 0x5F1)
-        xs = rng.normal(scale=3.0, size=_SHIFT_CHECK_SAMPLES)
+        if not math.isfinite(self.bound):
+            raise ValueError(f"drift shift check failed: bound={self.bound!r} must be finite")
+        xs = check_states(_SHIFT_CHECK_SAMPLES, 0)
         vals = np.abs(_broadcast(self.shift, xs))
-        if np.any(vals > self.bound * (1.0 + _CHECK_SLACK) + 1e-12):
+        if not np.all(vals <= self.bound * (1.0 + _CHECK_SLACK) + 1e-12):
             k = int(np.argmax(vals))
             raise ValueError(
                 f"drift shift check failed: |shift(x)|={vals[k]:.6g} exceeds bound={self.bound:.6g} "
-                f"at sampled x={xs[k]!r}"
+                f"at sampled x={float(xs[k])!r}"
             )
 
 

@@ -58,6 +58,15 @@ def test_nonpositive_kappa_rejected():
         decompose(lambda x, z: 0.0 * x * z, kappa=0.0)
 
 
+def test_non_finite_kappa_and_values_rejected():
+    for kappa in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            decompose(lambda x, z: 0.0 * x * z, kappa=kappa)
+    # x > nan is False: a NaN value must fail the growth check, not pass it
+    with pytest.raises(eg.GrowthViolationError, match="=nan"):
+        decompose(lambda x, z: np.where(z > 6.0, np.nan, 0.0 * x), kappa=1.0)
+
+
 def test_matches_direct_solve(model, mid_grid):
     f, kappa = SQRT_DRIVER
     cont = solve_continuous_ebsde(model, f, kappa, mid_grid, tol=1e-5)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import ergodic_games as eg
-from ergodic_games.ebsde import DriverSpec, _bordered_solve, frozen_driver, hjb_residual
+from ergodic_games.ebsde import (DriverSpec, _bordered_solve, frozen_driver, hjb_residual,
+                                 nearest_node, node_lookup)
 
 from conftest import E_BUMP_STANDARD, E_BUMP_SHIFTED
 
@@ -33,6 +34,36 @@ def test_driver_spec_checks():
         DriverSpec(lambda x, z: 2.0 * z, lipschitz_z=1.0, bound_at_zero=0.0)
     with pytest.raises(ValueError, match="bound_at_zero"):
         DriverSpec(lambda x, z: 0.0 * z + 5.0, lipschitz_z=0.0, bound_at_zero=1.0)
+
+
+def test_driver_spec_rejects_non_finite_constants_and_values():
+    # each would pass the sampled comparisons vacuously (x > nan is False)
+    for lip, b0 in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)):
+        with pytest.raises(ValueError, match="lipschitz_z=.* must be finite"):
+            DriverSpec(lambda x, z: 0.5 * z, lipschitz_z=lip, bound_at_zero=b0)
+    # NaN away from z = 0 breaks the Lipschitz check, NaN at z = 0 the bound
+    with pytest.raises(ValueError, match="Lipschitz"):
+        DriverSpec(lambda x, z: np.where(z > 5.0, np.nan, 0.5 * z), lipschitz_z=1.0,
+                   bound_at_zero=1.0)
+    with pytest.raises(ValueError, match=r"\|f\(x, 0\)\|=nan"):
+        DriverSpec(lambda x, z: np.where((z == 0.0) & (x > 5.0), np.nan, 0.5 * z),
+                   lipschitz_z=1.0, bound_at_zero=1.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+def test_nearest_node_clamps_states_beyond_the_index_range():
+    # states past the intp range, infinities and NaN: above the grid is the
+    # top node (NaN included), below it node 0, with or without buffers
+    xs = np.array([1e300, 1e19, -1e19, np.inf, -np.inf, -1e300, np.nan])
+    lookup = node_lookup(np.linspace(-6.0, 6.0, 81))
+    expected = [80, 80, 0, 80, 0, 0, 80]
+    np.testing.assert_array_equal(nearest_node(xs, lookup), expected)
+    buffers = (np.empty(len(xs)), np.empty(len(xs), dtype=np.intp))
+    out = nearest_node(xs, lookup, out=buffers)
+    assert out is buffers[1]
+    np.testing.assert_array_equal(out, expected)
+    for x, k in zip(xs, expected):
+        assert nearest_node(x, lookup) == k
 
 
 def test_constant_driver_is_exact(model, coarse_grid):

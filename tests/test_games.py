@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ergodic_games as eg
-from ergodic_games.catalog import BUMP_LIP, bump
+from ergodic_games import games
+from ergodic_games._samples import check_states
+from ergodic_games.catalog import BUMP_LIP, BUMP_SUP, bump
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -95,6 +97,90 @@ def test_game_spec_rejects_non_finite_drift(bad):
             costs=(lambda x, u, v: u**2, lambda x, u, v: v**2),
             cost_sup=1.0, cost_x_lip=0.0,
         )
+
+
+def _first_failure(grids, costs, cost_sup, cost_x_lip):
+    """The cost checks as a loop over single states: the first ``(player, bound, x)``
+    that fails, the bound on ``|cost_i(x)|`` before the Lipschitz bound at (x, y)."""
+    mesh = np.meshgrid(*[g.points for g in grids], indexing="ij", sparse=True)
+    xs = check_states(games._CHECK_SAMPLES, 0).tolist()
+    ys = check_states(games._CHECK_SAMPLES, 1).tolist()
+    for i, cost in enumerate(costs):
+        for x, y in zip(xs, ys):
+            cx = np.asarray(cost(x, *mesh), dtype=float)
+            cy = np.asarray(cost(y, *mesh), dtype=float)
+            if not np.all(np.abs(cx) <= cost_sup * (1.0 + 1e-9) + 1e-12):
+                return i, "cost_sup", x
+            lip = cost_x_lip * abs(x - y)
+            if not np.all(np.abs(cx - cy) <= lip + 1e-9 * (1.0 + lip) + 1e-12):
+                return i, "cost_x_lip", x
+    return None
+
+
+_BREAKS = {
+    # |cost| exceeds cost_sup = 1 only beyond |x| = 5, Lipschitz in x with constant 1
+    "sup_beyond_5": (lambda x: np.clip(np.abs(x) - 5.0, 0.0, None), 1.0, 1.0),
+    # bounded by 1.5 but steeper in x than cost_x_lip = 0.2
+    "lipschitz": (lambda x: 0.5 * np.sin(x), 1.5, 0.2),
+    # NaN above x = 4 fails the bound on |cost|
+    "nan_above_4": (lambda x: np.where(x > 4.0, np.nan, 0.0), 1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("n_players, n_controls", [(1, 5), (2, 41), (3, 21)])
+@pytest.mark.parametrize("brk", list(_BREAKS))
+def test_cost_checks_name_the_first_failing_state(n_players, n_controls, brk):
+    # blocks of states (one state, then as many as one joint table holds) report
+    # the same first failure as checking one state at a time; the last player's
+    # cost carries the break
+    extra, cost_sup, cost_x_lip = _BREAKS[brk]
+    grids = (eg.ControlGrid.uniform(-1.0, 1.0, n_controls),) * n_players
+    costs = tuple((lambda x, *u, i=i: u[i] ** 2 + 0.0 * x) for i in range(n_players - 1))
+    costs += (lambda x, *u: u[-1] ** 2 + extra(x),)
+    player, bound, x = _first_failure(grids, costs, cost_sup, cost_x_lip)
+    assert player == n_players - 1
+    assert bound == ("cost_x_lip" if brk == "lipschitz" else "cost_sup")
+    assert brk != "sup_beyond_5" or abs(x) > 5.0
+    with pytest.raises(ValueError, match=rf"cost_{player}\b.*{bound}=") as exc:
+        eg.GameSpec(grids=grids, drift_map=lambda *u: sum(u), costs=costs,
+                    cost_sup=cost_sup, cost_x_lip=cost_x_lip)
+    assert f" x={x:.6g}" in str(exc.value), (str(exc.value), x)
+
+
+@pytest.mark.parametrize("field", ["cost_sup", "cost_x_lip"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_game_spec_rejects_non_finite_declared_constants(field, bad):
+    # a NaN bound would pass every sampled comparison
+    g = eg.ControlGrid.uniform(-1.0, 1.0, 5)
+    kwargs = {"cost_sup": 1.0, "cost_x_lip": 0.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field}={bad!r}"):
+        eg.GameSpec(grids=(g, g), drift_map=lambda u, v: u + v,
+                    costs=(lambda x, u, v: u**2, lambda x, u, v: v**2), **kwargs)
+
+
+def test_coupled_game_checks_hold_few_joint_tables():
+    # every cost depends on all three controls, so one state's compact cost array
+    # is a whole joint table and the checks go one state at a time; a block of
+    # all 64 states would hold 64 tables
+    g = eg.ControlGrid.uniform(-1.0, 1.0, 41)
+    table = 8 * 41**3
+
+    def build():
+        return eg.GameSpec(
+            grids=(g, g, g), drift_map=lambda u, v, w: u + v + w,
+            costs=tuple((lambda x, u, v, w, c=c: c * u * v * w + bump(x))
+                        for c in (0.5, 0.25, 0.125)),
+            cost_sup=0.5 + BUMP_SUP, cost_x_lip=BUMP_LIP)
+
+    build()  # first calls allocate once-only caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table + 2**20, (peak, table)
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,6 +16,18 @@ from ergodic_games.sde import _n_steps
 
 from conftest import E_BUMP_STANDARD
 
+# finite, so it passes the shift's bound check, but sigma * _HUGE overflows to
+# inf (sigma > 1), so a path that meets it turns non-finite on that step
+_HUGE = np.finfo(float).max
+# the steps after the overflow warn about inf arithmetic
+ignore_overflow = pytest.mark.filterwarnings(
+    "ignore:(overflow|invalid value) encountered:RuntimeWarning")
+
+
+def _shift_beyond(thr):
+    """Zero on [-thr, thr] and ``_HUGE`` outside."""
+    return lambda x: np.where(np.abs(x) > thr, _HUGE, 0.0)
+
 
 def test_path_stream_reproducible():
     a = eg.path_stream(7, 3).standard_normal(16)
@@ -77,13 +89,14 @@ def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
                               eg.path_stream(4, k).standard_normal(wide.shape[1] - 1))
 
 
+@ignore_overflow
 @pytest.mark.parametrize("block_steps", [256, 512])
 def test_block_size_changes_no_number(model, monkeypatch, block_steps):
     # the draw block only amortises generator calls: paths, their noise and
     # where a run diverges are bitwise those of the default block
     shift = eg.DriftShift(shift=lambda x: 0.8 * np.sin(x), bound=0.8)
     horizon = 0.01 * (2 * sde._BLOCK_STEPS + 37)
-    bad = eg.DriftShift(shift=lambda x: np.where(np.abs(x) > 3.0, np.nan, 0.0), bound=1.0)
+    bad = eg.DriftShift(shift=_shift_beyond(3.0), bound=_HUGE)
 
     def run():
         states, noise = eg.sample_paths(model, shift, horizon, 0.01, seed=4, n_paths=5,
@@ -123,22 +136,22 @@ def test_step_stability_guard(model):
         eg.simulate(model, None, horizon=10.0, step=1.5)
 
 
+@ignore_overflow
 def test_divergence_detected(model):
-    # nan shift passes the sampled bound check (nan > bound is False) but
-    # must be caught on the first Euler step
-    bad = eg.DriftShift(shift=lambda x: np.full_like(np.asarray(x, float), np.nan),
-                        bound=1.0)
+    # a shift whose sigma-multiple overflows everywhere must be caught on the
+    # first Euler step
+    bad = eg.DriftShift(shift=_shift_beyond(-1.0), bound=_HUGE)
     with pytest.raises(eg.SimulationDivergedError) as exc:
         eg.simulate(model, bad, horizon=1.0, step=0.01)
     assert exc.value.step_index == 1
 
 
+@ignore_overflow
 def test_divergence_step_found_late_in_a_long_run(model):
     # the shift is zero until some path leaves [-3, 3], so the batch follows
     # the unshifted paths up to that step and turns non-finite one step later
     thr = 3.0
-    bad = eg.DriftShift(
-        shift=lambda x: np.where(np.abs(x) > thr, np.nan, 0.0), bound=1.0)
+    bad = eg.DriftShift(shift=_shift_beyond(thr), bound=_HUGE)
     free = eg.sample_paths(model, None, 200.0, 0.01, 1, 5)
     first_out = int(np.argmax(np.any(np.abs(free) > thr, axis=0)))
     assert first_out > 300  # well past the first few hundred steps
@@ -147,6 +160,7 @@ def test_divergence_step_found_late_in_a_long_run(model):
     assert exc.value.step_index == first_out + 1
 
 
+@ignore_overflow
 def test_divergence_reported_when_a_callback_rejects_non_finite_states(model):
     # the shift turns a path non-finite once it leaves [-3, 3] and raises as
     # soon as it is handed a non-finite state; the caller still sees the
@@ -156,12 +170,12 @@ def test_divergence_reported_when_a_callback_rejects_non_finite_states(model):
     def shift(x):
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite state")
-        return np.where(np.abs(x) > thr, np.nan, 0.0)
+        return _shift_beyond(thr)(x)
 
     free = eg.sample_paths(model, None, 200.0, 0.01, 1, 5)
     first_out = int(np.argmax(np.any(np.abs(free) > thr, axis=0)))
     with pytest.raises(eg.SimulationDivergedError) as exc:
-        eg.sample_paths(model, eg.DriftShift(shift=shift, bound=1.0), 200.0, 0.01, 1, 5)
+        eg.sample_paths(model, eg.DriftShift(shift=shift, bound=_HUGE), 200.0, 0.01, 1, 5)
     assert exc.value.step_index == first_out + 1
 
 
@@ -263,6 +277,25 @@ def test_model_rejects_singular_noise():
 def test_drift_shift_bound_checked():
     with pytest.raises(ValueError, match="shift"):
         eg.DriftShift(shift=lambda x: 2.0 * np.tanh(x), bound=1.0)
+
+
+def test_model_rejects_non_finite_drift_bounds():
+    # each would pass the sampled comparisons vacuously (x > nan is False)
+    for sup, lip in ((np.nan, 1.0), (0.5, np.nan), (np.nan, np.nan), (np.inf, 1.0)):
+        with pytest.raises(ValueError, match="bounded_drift_sup=.* must be finite"):
+            eg.SdeModel(lin_drift=-1.0, bounded_drift=lambda x: 0.5 * np.tanh(x),
+                        bounded_drift_sup=sup, bounded_drift_lip=lip, sigma=1.0, x0=0.0)
+    with pytest.raises(ValueError, match=r"\|bounded_drift\(x\)\|=nan"):
+        eg.SdeModel(lin_drift=-1.0, bounded_drift=lambda x: np.where(x > 8.0, np.nan, 0.0),
+                    bounded_drift_sup=1.0, bounded_drift_lip=1.0, sigma=1.0, x0=0.0)
+
+
+def test_drift_shift_rejects_non_finite_bound_and_values():
+    for bound in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="bound=.* must be finite"):
+            eg.DriftShift(shift=np.tanh, bound=bound)
+    with pytest.raises(ValueError, match=r"\|shift\(x\)\|=nan"):
+        eg.DriftShift(shift=lambda x: np.where(x < -6.0, np.nan, 0.0), bound=1.0)
 
 
 def test_moment_bound_near_stationary_value(model):
