@@ -109,19 +109,19 @@ def nearest_node(x, lookup: Tuple[float, float, int], out: Optional[tuple] = Non
     ``idx``.
     """
     lo, inv_dx, top = lookup
-    # the upper clamp comes before the cast, in floating point: a state past the
-    # intp range (or +inf, or NaN) would otherwise cast to a negative index
+    # both clamps come before the cast, in floating point: a state past the intp
+    # range or infinite would otherwise cast out of range (fmin sends NaN to top)
     if out is None:
         scaled = np.fmin(np.rint((np.asarray(x, dtype=float) - lo) * inv_dx), top)
-        idx = np.asarray(scaled.astype(np.intp))
-    else:
-        scaled, idx = out
-        np.subtract(x, lo, out=scaled)
-        np.multiply(scaled, inv_dx, out=scaled)
-        np.rint(scaled, out=scaled)
-        np.fmin(scaled, top, out=scaled)
-        idx[...] = scaled
-    return np.maximum(idx, 0, out=idx)
+        return np.asarray(np.fmax(scaled, 0.0).astype(np.intp))
+    scaled, idx = out
+    np.subtract(x, lo, out=scaled)
+    np.multiply(scaled, inv_dx, out=scaled)
+    np.rint(scaled, out=scaled)
+    np.fmin(scaled, top, out=scaled)
+    np.fmax(scaled, 0.0, out=scaled)
+    idx[...] = scaled
+    return idx
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ JointControl = Tuple[int, ...]
 _CHECK_SLACK = 1e-9
 # fixed states of GameSpec's construction-time cost checks
 _CHECK_SAMPLES = 64
-# floats in one step of the Lipschitz check's difference: below the 128 KB at
-# which glibc's malloc maps fresh pages
+# floats in one slab of the Lipschitz check's difference: small beside a joint
+# table, so the check holds no table-sized temporary besides the two cost blocks
 _GAP_CHUNK = 16_384
 
 
@@ -147,17 +147,17 @@ class GameSpec:
     def _shape(self) -> Tuple[int, ...]:
         return tuple(len(g) for g in self.grids)
 
-    def _compact(self, fn, *args, lead: Tuple[int, ...] = ()) -> np.ndarray:
-        """``fn(*args, *meshes)`` in one call on the open meshes, checked to broadcast
-        to the joint grid (after ``lead`` axes of the arguments) but kept in its own
-        (often much smaller) shape."""
-        shape = self._shape()
+    def _compact(self, fn, *args, lead: Tuple[int, ...] = (), check: bool = True) -> np.ndarray:
+        """``fn(*args, *meshes)`` in one call on the open meshes, checked (unless
+        ``check`` is false) to broadcast to the joint grid after ``lead`` axes of the
+        arguments, but kept in its own (often much smaller) shape."""
         try:
             raw = np.asarray(fn(*args, *getattr(self, "_mesh")), dtype=float)
-            np.broadcast_to(raw, lead + shape)
+            if check:
+                np.broadcast_to(raw, lead + self._shape())
         except (TypeError, ValueError) as err:
             raise ValueError(f"game callables must broadcast over the joint control grid of "
-                             f"shape {shape}: {err}") from err
+                             f"shape {self._shape()}: {err}") from err
         return raw
 
     def drift_table(self) -> np.ndarray:
@@ -173,16 +173,16 @@ class GameSpec:
 
     # -- construction checks on fixed states -----------------------------------------
 
-    def _cost_block(self, cost: Callable, xs: np.ndarray) -> np.ndarray:
+    def _cost_block(self, cost: Callable, xs: np.ndarray, check: bool) -> np.ndarray:
         """``cost`` at the states ``xs`` in one call: compact, with a leading sample
         axis (of length 1 where the cost does not depend on the state)."""
         n = self.n_players
         if len(xs) == 1:
-            # a lone state goes in as a float, as in a search, so numpy can reuse
-            # the cost's own table-sized temporaries
-            raw = self._compact(cost, float(xs[0]))
+            # a lone state goes in as a float, as in a search: the result then has
+            # the shape of the cost's own temporaries, which numpy can reuse
+            raw = self._compact(cost, float(xs[0]), check=check)
         else:
-            raw = self._compact(cost, xs.reshape((-1,) + (1,) * n), lead=(len(xs),))
+            raw = self._compact(cost, xs.reshape((-1,) + (1,) * n), lead=(len(xs),), check=check)
         return raw.reshape((1,) * (n + 1 - raw.ndim) + raw.shape)
 
     def _run_checks(self) -> None:
@@ -190,7 +190,8 @@ class GameSpec:
 
         Each cost is called on a block of states at once.  The first state runs
         alone; its compact size sets the block, so that a block's compact array
-        holds at most one joint table.
+        holds at most one joint table.  The broadcast over the joint grid is
+        validated on the first call of each block size.
         """
         if not (math.isfinite(self.cost_sup) and math.isfinite(self.cost_x_lip)):
             raise ValueError(f"cost check failed: cost_sup={self.cost_sup!r} and "
@@ -200,27 +201,28 @@ class GameSpec:
         lip_bound = self.cost_x_lip * np.abs(xs - ys)
         lip_bound += _CHECK_SLACK * (1.0 + lip_bound) + 1e-12
         for i in range(self.n_players):
-            start, block = 0, 1
+            start, block, checked = 0, 1, set()
             while start < _CHECK_SAMPLES:
                 stop = min(start + block, _CHECK_SAMPLES)
-                size = self._check_block(i, xs[start:stop], ys[start:stop], lip_bound[start:stop])
+                size = self._check_block(i, xs[start:stop], ys[start:stop],
+                                         lip_bound[start:stop], stop - start not in checked)
+                checked.add(stop - start)
                 if start == 0:
                     block = max(1, self.product_size() // size)
                 start = stop
 
     def _check_block(self, i: int, xs: np.ndarray, ys: np.ndarray,
-                     lip_bound: np.ndarray) -> int:
+                     lip_bound: np.ndarray, check: bool) -> int:
         """Both checks of ``costs[i]`` on one block; the compact size of its values.
 
         The error names the block's first failing state, the bound on
         ``|cost_i(x)|`` before the Lipschitz bound between ``x`` and ``y``.
         """
-        cx = self._cost_block(self.costs[i], xs)
-        cy = self._cost_block(self.costs[i], ys)
-        axes = tuple(range(1, cx.ndim))
-        # reductions instead of np.abs(cx): no table-sized temporary; NaN propagates;
-        # one value per state, or one for all where the cost ignores the state
-        largest = np.maximum(cx.max(axis=axes), -cx.min(axis=axes))
+        cx = self._cost_block(self.costs[i], xs, check)
+        # one value per state, or one for all where the cost ignores the state;
+        # taken before cy exists, so no more than two block-sized arrays are live
+        largest = np.abs(cx).max(axis=tuple(range(1, cx.ndim)))
+        cy = self._cost_block(self.costs[i], ys, check)
         # "not within the bound", so that a NaN value fails too
         over = ~(largest <= self.cost_sup * (1.0 + _CHECK_SLACK) + 1e-12)
         bad = over | ~(_max_abs_gap(cx, cy) <= lip_bound)
@@ -242,8 +244,8 @@ class GameSpec:
 def _max_abs_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``max |a - b|`` over every axis but the first (NaN if any entry is NaN).
 
-    Taken a few slabs of the second axis at a time, so the temporaries stay
-    near ``_GAP_CHUNK`` floats, never a joint table.
+    Taken in slabs of the second axis, each of about ``_GAP_CHUNK`` floats, or
+    of one index of that axis where that holds more.
     """
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)

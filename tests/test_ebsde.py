@@ -50,7 +50,6 @@ def test_driver_spec_rejects_non_finite_constants_and_values():
                    lipschitz_z=1.0, bound_at_zero=1.0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 def test_nearest_node_clamps_states_beyond_the_index_range():
     # states past the intp range, infinities and NaN: above the grid is the
     # top node (NaN included), below it node 0, with or without buffers

@@ -59,6 +59,15 @@ def test_game_spec_rejects_non_broadcasting_callables():
             costs=(lambda x, u, v: u**2, lambda x, u, v: v**2),
             cost_sup=1.0, cost_x_lip=0.0,
         )
+    with pytest.raises(ValueError, match="broadcast"):
+        # fine at a lone state but not on a block of states: block calls are
+        # validated too
+        eg.GameSpec(
+            grids=(g, g), drift_map=lambda u, v: u + v,
+            costs=(lambda x, u, v: u**2 + (np.zeros(7) if np.ndim(x) else 0.0),
+                   lambda x, u, v: v**2),
+            cost_sup=1.0, cost_x_lip=0.0,
+        )
 
 
 def test_game_spec_validation(g0):
