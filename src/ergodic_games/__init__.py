@@ -62,13 +62,10 @@ from .picard import (
     vanishing_discount_sweep,
 )
 from .sde import (
-    DriftShift,
     MomentReport,
     Path,
-    PayoffEstimate,
     SdeModel,
     SimulationDivergedError,
-    invariant_average,
     moment_bound_check,
     path_stream,
     sample_paths,
@@ -78,6 +75,7 @@ from .verify import (
     DeviationReport,
     DeviationRow,
     InsufficientHorizonError,
+    PayoffEstimate,
     bsde_path_residual,
     estimate_payoff,
     nash_deviation_test,
@@ -89,16 +87,13 @@ __all__ = [
     "__version__",
     # model and simulation
     "SdeModel",
-    "DriftShift",
     "Path",
-    "PayoffEstimate",
     "MomentReport",
     "SimulationDivergedError",
     "path_stream",
     "simulate",
     "sample_paths",
     "moment_bound_check",
-    "invariant_average",
     # static games
     "ControlGrid",
     "GameSpec",
@@ -138,6 +133,7 @@ __all__ = [
     "DeviationRow",
     "DeviationReport",
     "InsufficientHorizonError",
+    "PayoffEstimate",
     "estimate_payoff",
     "nash_deviation_test",
     "bsde_path_residual",

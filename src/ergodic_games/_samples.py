@@ -1,15 +1,15 @@
 """Fixed states behind every construction-time check of a declared constant.
 
-``SdeModel``, ``DriftShift``, ``GameSpec``, ``DriverSpec`` and
-``continuous.decompose`` probe their declared bounds on a fixed set of
-states.  The probes need spread, not randomness, so the states come from a
-Kronecker sequence, ``frac(k * a)`` for ``k = 1, 2, ...``, pushed through the
-logistic quantile function.  The generators ``a`` are the three of Roberts'
-generalized golden ratio in three dimensions (``1 / g**j`` with
-``g**4 = g + 1``; the golden ratio is the one-dimensional case): each axis on
-its own is evenly spread, and the states of different axes taken together
-fill the plane or the cube, so a check that pairs a state with a gradient
-value, or two states, sees every quadrant.  Building them needs no random
+``SdeModel``, ``GameSpec``, ``DriverSpec`` and ``continuous.decompose``
+probe their declared bounds on a fixed set of states.  The probes need
+spread, not randomness, so the states come from a Kronecker sequence,
+``frac(k * a)`` for ``k = 1, 2, ...``, pushed through the logistic quantile
+function.  The generators ``a`` are the three of Roberts' generalized
+golden ratio in three dimensions (``1 / g**j`` with ``g**4 = g + 1``; the
+golden ratio is the one-dimensional case): each axis on its own is evenly
+spread, and the states of different axes taken together fill the plane or
+the cube, so a check that pairs a state with a gradient value, or two
+states, sees every quadrant.  Building them needs no random
 generator, which keeps ``numpy.random`` out of runs that only solve.
 """
 

@@ -10,7 +10,8 @@ coefficient.  Paths are produced by Euler-Maruyama stepping in
 :func:`run_paths`, which steps many paths at once and hands their states to
 a consumer window by window, so estimates need no array of size paths x
 steps.  A change of measure is applied as an extra ``sigma * shift(x)``
-drift term, so controlled dynamics reuse the same integrator.
+drift term, ``shift`` a plain callable on arrays of states, so controlled
+dynamics reuse the same integrator.
 
 Randomness is drawn from one generator per path, keyed by
 ``(seed, path_index)``.  Each path's normals are drawn a block of steps at a
@@ -37,24 +38,20 @@ from ._samples import check_states
 __all__ = [
     "SimulationDivergedError",
     "SdeModel",
-    "DriftShift",
     "Path",
-    "PayoffEstimate",
     "MomentReport",
     "path_stream",
     "simulate",
     "sample_paths",
     "moment_bound_check",
-    "invariant_average",
 ]
 
 logger = logging.getLogger(__name__)
 
 # Relative slack applied to sampled inequality checks; absorbs roundoff only.
 _CHECK_SLACK = 1e-9
-# fixed check states of the construction-time checks of SdeModel and DriftShift
+# fixed check states of SdeModel's construction-time check
 _MODEL_CHECK_SAMPLES = 10_000
-_SHIFT_CHECK_SAMPLES = 1_000
 
 
 class SimulationDivergedError(RuntimeError):
@@ -171,32 +168,6 @@ class SdeModel:
 
 
 @dataclass(frozen=True)
-class DriftShift:
-    """Feedback drift shift entering the dynamics as ``sigma * shift(x)``.
-
-    ``shift`` must broadcast over arrays.  ``bound`` is a finite sup bound on
-    ``|shift|``, checked at construction on fixed states
-    (:func:`~ergodic_games._samples.check_states`), where the shift must also
-    be finite.
-    """
-
-    shift: Callable
-    bound: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.bound):
-            raise ValueError(f"drift shift check failed: bound={self.bound!r} must be finite")
-        xs = check_states(_SHIFT_CHECK_SAMPLES, 0)
-        vals = np.abs(_broadcast(self.shift, xs))
-        if not np.all(vals <= self.bound * (1.0 + _CHECK_SLACK) + 1e-12):
-            k = int(np.argmax(vals))
-            raise ValueError(
-                f"drift shift check failed: |shift(x)|={vals[k]:.6g} exceeds bound={self.bound:.6g} "
-                f"at sampled x={float(xs[k])!r}"
-            )
-
-
-@dataclass(frozen=True)
 class Path:
     """One simulated trajectory on a uniform time grid."""
 
@@ -209,36 +180,6 @@ class Path:
 
 
 @dataclass(frozen=True)
-class PayoffEstimate:
-    """Monte Carlo payoff (or observable) estimate with its standard error."""
-
-    value: float
-    stderr: float
-    kind: str  # "ergodic" or "discounted"
-    horizon: float
-    burn_in: float
-    n_paths: int
-    step: float
-    player: Optional[int] = None
-    alpha: Optional[float] = None
-    seed: Optional[int] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "kind": self.kind,
-            "horizon": self.horizon,
-            "burn_in": self.burn_in,
-            "n_paths": self.n_paths,
-            "step": self.step,
-            "player": self.player,
-            "alpha": self.alpha,
-            "seed": self.seed,
-        }
-
-
-@dataclass(frozen=True)
 class MomentReport:
     """Sampled second-moment diagnostic for the uncontrolled dynamics."""
 
@@ -248,6 +189,11 @@ class MomentReport:
     horizon: float
     n_paths: int
     bounded_in_horizon: bool
+
+
+def _check_n_paths(n_paths: int) -> None:
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
 
 
 def _n_steps(horizon: float, step: float) -> int:
@@ -352,8 +298,9 @@ def run_paths(
     Path ``j`` is bitwise the same as when simulated alone.  One INFO line
     per call reports paths, steps, batches, blocks and the seconds spent
     drawing normals (``rng_s``), stepping (``euler_s``) and in ``consume``
-    (``cost_s``).
+    (``cost_s``).  ``n_paths`` must be at least 1.
     """
+    _check_n_paths(n_paths)
     if n_steps > 0:
         _check_stability(model, step)
     seconds = [0.0, 0.0, 0.0]  # rng, euler, consume
@@ -446,7 +393,7 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
 
 def _all_states(
     model: SdeModel,
-    shift: Optional[DriftShift],
+    shift: Optional[Callable],
     horizon: float,
     step: float,
     n_paths: int,
@@ -456,6 +403,7 @@ def _all_states(
 ):
     """Keep every window: states ``(n_paths, n_steps + 1)`` and, on request, noise."""
     n = _n_steps(horizon, step)
+    _check_n_paths(n_paths)
     states = np.empty((n_paths, n + 1))
     states[:, 0] = model.x0
     noise = np.empty((n_paths, n)) if return_noise else None
@@ -465,14 +413,14 @@ def _all_states(
         if drawn is not None:
             noise[cols, start:start + drawn.shape[1]] = drawn
 
-    shift_for = (lambda cols: shift.shift) if shift is not None else None
+    shift_for = (lambda cols: shift) if shift is not None else None
     run_paths(model, n, step, n_paths, stream_key, keep, shift_for, return_noise, label)
     return states, noise
 
 
 def simulate(
     model: SdeModel,
-    shift: Optional[DriftShift] = None,
+    shift: Optional[Callable] = None,
     horizon: float = 1.0,
     step: float = 0.01,
     seed: int = 0,
@@ -480,7 +428,9 @@ def simulate(
 ) -> Path:
     """Euler-Maruyama path with ``ceil(horizon/step)`` steps.
 
-    With ``horizon == 0`` the path holds the single initial state.  The same
+    ``shift`` (None for the uncontrolled dynamics) maps an array of states to
+    drift shifts of the same shape, added as ``sigma * shift(x)``.  With
+    ``horizon == 0`` the path holds the single initial state.  The same
     ``(seed, path_index)`` always reproduces the same path.
     """
     states, _ = _all_states(model, shift, horizon, step, 1, lambda j: (seed, path_index),
@@ -491,7 +441,7 @@ def simulate(
 
 def sample_paths(
     model: SdeModel,
-    shift: Optional[DriftShift],
+    shift: Optional[Callable],
     horizon: float,
     step: float,
     seed: int,
@@ -500,7 +450,8 @@ def sample_paths(
 ):
     """States of ``n_paths`` independent paths, shape ``(n_paths, n_steps+1)``.
 
-    Row ``k`` equals ``simulate(..., path_index=k)`` bitwise.  With
+    ``shift`` is as for :func:`simulate`, and row ``k`` equals
+    ``simulate(..., path_index=k)`` bitwise.  With
     ``return_noise`` the ``(n_paths, n_steps)`` standard normals that drove
     them come back too.
     """
@@ -540,51 +491,3 @@ def moment_bound_check(
         bounded_in_horizon=bool(sup_2t <= sup_t * (1.0 + growth_slack)),
     )
 
-
-def invariant_average(
-    model: SdeModel,
-    g: Callable,
-    horizon: float,
-    burn_in: float,
-    step: float,
-    n_paths: int,
-    seed: int = 0,
-    shift: Optional[DriftShift] = None,
-) -> PayoffEstimate:
-    """Long-run average of ``g`` along the (optionally shifted) dynamics.
-
-    Time-averages ``g(X_t)`` over ``[burn_in, horizon)`` for each path, then
-    averages across paths.  ``stderr`` is the standard error of the per-path
-    averages, so a constant ``g`` yields ``stderr == 0`` exactly.
-    """
-    if not 0.0 <= burn_in < horizon:
-        raise ValueError("burn_in must satisfy 0 <= burn_in < horizon")
-    n = _n_steps(horizon, step)
-    k0 = int(round(burn_in / step))
-    sums = np.zeros(n_paths)
-
-    def accumulate(cols, start, states, noise):
-        first = max(k0 - start, 0)
-        xs = states[first:-1]
-        if len(xs):
-            vals = np.broadcast_to(np.asarray(g(xs), dtype=float), xs.shape)
-            sums[cols] += window_sum(vals)
-
-    shift_for = (lambda cols: shift.shift) if shift is not None else None
-    run_paths(model, n, step, n_paths, lambda j: (seed, j), accumulate, shift_for,
-              label="invariant_average")
-    per_path = sums / (n - k0)
-    value = float(per_path.mean())
-    stderr = 0.0
-    if n_paths > 1:
-        stderr = float(per_path.std(ddof=1) / math.sqrt(n_paths))
-    return PayoffEstimate(
-        value=value,
-        stderr=stderr,
-        kind="ergodic",
-        horizon=horizon,
-        burn_in=burn_in,
-        n_paths=n_paths,
-        step=step,
-        seed=seed,
-    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,8 +24,8 @@ from .ebsde import DiscountedSolution, nearest_node, node_lookup
 from .games import FeedbackPolicy, GameSpec
 from .picard import NashSolution
 from .sde import (
-    PayoffEstimate,
     SdeModel,
+    _check_n_paths,
     _n_steps,
     path_stream,
     run_paths,
@@ -54,6 +54,25 @@ SCOPE_NOTE = (
 
 class InsufficientHorizonError(ValueError):
     """Horizon too short for the requested discounted tail accuracy."""
+
+
+@dataclass(frozen=True)
+class PayoffEstimate:
+    """Monte Carlo payoff estimate with its standard error."""
+
+    value: float
+    stderr: float
+    kind: str  # "ergodic" or "discounted"
+    horizon: float
+    burn_in: float
+    n_paths: int
+    step: float
+    player: Optional[int] = None
+    alpha: Optional[float] = None
+    seed: Optional[int] = None
+
+    def as_dict(self) -> dict:
+        return asdict(self)
 
 
 def _policy_drift_nodes(spec: GameSpec, policy: FeedbackPolicy) -> np.ndarray:
@@ -138,6 +157,7 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
     does not depend on the other jobs in the run.
     """
     n = _n_steps(horizon, step)
+    _check_n_paths(n_paths)
     first_step = [int(round(job.burn_in / step)) for job in jobs]
     columns = [job.policy.control_columns(spec) for job in jobs]
     lookup = node_lookup(jobs[0].policy.nodes)
@@ -302,8 +322,17 @@ def nash_deviation_test(
     when it does not *undercut* the player's reference value by more than
     ``3 * stderr + grid_error_budget``.  Ergodic players are referenced to
     their long-run constant, a discounted player to their value function at
-    the start state.
+    the start state.  An equilibrium solved for another game (another player
+    count, or control indices outside the control grids) is a ValueError.
     """
+    if nash.n_players != spec.n_players:
+        raise ValueError(f"equilibrium has {nash.n_players} players, "
+                         f"the game {spec.n_players}")
+    for i, grid_i in enumerate(spec.grids):
+        idx = nash.policy.indices[:, i]
+        if idx.min() < 0 or idx.max() >= len(grid_i):
+            raise ValueError(f"player {i}'s policy uses control indices {idx.min()} to "
+                             f"{idx.max()}, outside their {len(grid_i)}-point control grid")
     # every job is built (and its arguments checked) before any path is
     # simulated; the deviation draws do not depend on the estimates
     m = len(nash.policy.nodes)
@@ -392,6 +421,7 @@ def bsde_path_residual(
     sol = nash.solutions[player]
     policy = nash.policy
     n = _n_steps(horizon, step)
+    _check_n_paths(n_paths)
     nodes = policy.nodes
     lookup = node_lookup(nodes)
     r_nodes = _policy_drift_nodes(spec, policy)

@@ -109,6 +109,34 @@ def test_verify_without_nash_dir_solves_inline(tmp_path):
                      "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("game, message", [
+    ({"name": "three_player_symmetric"}, "equilibrium has 2 players, the game 3"),
+    ({"name": "quadratic_decoupled", "n_controls": 5}, "outside their 5-point control grid"),
+])
+def test_verify_nash_rejects_equilibrium_of_another_game(tmp_path, caplog, game, message):
+    nash_dir = tmp_path / "nash"
+    assert cli.main(["solve-game", "--config", game_cfg(tmp_path), "--out", str(nash_dir),
+                     "--quiet"]) == 0
+    cfg = write_cfg(tmp_path, "other.yaml", {
+        "model": {}, "game": game, "mc": {"horizon": 40.0, "n_paths": 4, "n_deviations": 3},
+    })
+    assert cli.main(["verify-nash", "--config", cfg, "--out", str(tmp_path / "verify"),
+                     "--nash", str(nash_dir), "--quiet"]) == 1
+    assert "config error" in caplog.text and message in caplog.text
+
+
+@pytest.mark.parametrize("command, section", [("simulate", "sim"),
+                                              ("check-assumptions", "mc")])
+def test_zero_paths_exit_1(tmp_path, caplog, command, section):
+    # no NaN statistics and no report: the engine refuses an empty path set
+    cfg = write_cfg(tmp_path, "zero.yaml", {"model": {}, section: {"horizon": 1.0,
+                                                                   "n_paths": 0}})
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert "n_paths must be at least 1" in caplog.text
+    assert not (out / "report.json").exists()
+
+
 def test_simulate_row_count(tmp_path):
     cfg = write_cfg(tmp_path, "sim.yaml", {
         "model": {},

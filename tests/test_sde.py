@@ -1,7 +1,6 @@
-"""Forward simulation: reproducibility, guards, and invariant-law oracles."""
+"""Forward simulation: reproducibility, guards, divergence, memory and tracing."""
 
 import logging
-import math
 import re
 import tracemalloc
 
@@ -14,10 +13,10 @@ import ergodic_games as eg
 from ergodic_games import sde
 from ergodic_games.sde import _n_steps
 
-from conftest import E_BUMP_STANDARD
+from conftest import policy_of_constant_control
 
-# finite, so it passes the shift's bound check, but sigma * _HUGE overflows to
-# inf (sigma > 1), so a path that meets it turns non-finite on that step
+# finite, but sigma * _HUGE overflows to inf (sigma > 1), so a path that
+# meets it turns non-finite on that step
 _HUGE = np.finfo(float).max
 # the steps after the overflow warn about inf arithmetic
 ignore_overflow = pytest.mark.filterwarnings(
@@ -44,7 +43,7 @@ def test_path_stream_folds_negative_keys():
 
 
 def test_batch_row_matches_single_path(model):
-    shift = eg.DriftShift(shift=lambda x: np.tanh(x), bound=1.0)
+    shift = np.tanh
     batch = eg.sample_paths(model, shift, 2.0, 0.01, seed=5, n_paths=8)
     for k in (0, 3, 7):
         single = eg.simulate(model, shift, 2.0, 0.01, seed=5, path_index=k)
@@ -75,7 +74,9 @@ def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
         bounded_drift=lambda x: 0.5 * np.tanh(x), bounded_drift_sup=0.5,
         bounded_drift_lip=0.5, sigma=1.2, x0=0.3,
     )
-    shift = eg.DriftShift(shift=lambda x: 0.8 * np.sin(x), bound=0.8)
+    def shift(x):
+        return 0.8 * np.sin(x)
+
     horizon = 0.01 * (2 * sde._BLOCK_STEPS + 37)
     wide, wide_noise = eg.sample_paths(rough, shift, horizon, 0.01, seed=4, n_paths=5,
                                        return_noise=True)
@@ -94,9 +95,11 @@ def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
 def test_block_size_changes_no_number(model, monkeypatch, block_steps):
     # the draw block only amortises generator calls: paths, their noise and
     # where a run diverges are bitwise those of the default block
-    shift = eg.DriftShift(shift=lambda x: 0.8 * np.sin(x), bound=0.8)
+    def shift(x):
+        return 0.8 * np.sin(x)
+
     horizon = 0.01 * (2 * sde._BLOCK_STEPS + 37)
-    bad = eg.DriftShift(shift=_shift_beyond(3.0), bound=_HUGE)
+    bad = _shift_beyond(3.0)
 
     def run():
         states, noise = eg.sample_paths(model, shift, horizon, 0.01, seed=4, n_paths=5,
@@ -136,11 +139,22 @@ def test_step_stability_guard(model):
         eg.simulate(model, None, horizon=10.0, step=1.5)
 
 
+def test_path_count_must_be_positive(model):
+    # numpy would return NaN means for no paths and reject negative shapes
+    for n_paths in (0, -3):
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            eg.sample_paths(model, None, 1.0, 0.01, 0, n_paths)
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            eg.moment_bound_check(model, horizon=1.0, n_paths=n_paths)
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            sde.run_paths(model, 10, 0.01, n_paths, lambda j: (0, j), lambda *args: None)
+
+
 @ignore_overflow
 def test_divergence_detected(model):
     # a shift whose sigma-multiple overflows everywhere must be caught on the
     # first Euler step
-    bad = eg.DriftShift(shift=_shift_beyond(-1.0), bound=_HUGE)
+    bad = _shift_beyond(-1.0)
     with pytest.raises(eg.SimulationDivergedError) as exc:
         eg.simulate(model, bad, horizon=1.0, step=0.01)
     assert exc.value.step_index == 1
@@ -151,7 +165,7 @@ def test_divergence_step_found_late_in_a_long_run(model):
     # the shift is zero until some path leaves [-3, 3], so the batch follows
     # the unshifted paths up to that step and turns non-finite one step later
     thr = 3.0
-    bad = eg.DriftShift(shift=_shift_beyond(thr), bound=_HUGE)
+    bad = _shift_beyond(thr)
     free = eg.sample_paths(model, None, 200.0, 0.01, 1, 5)
     first_out = int(np.argmax(np.any(np.abs(free) > thr, axis=0)))
     assert first_out > 300  # well past the first few hundred steps
@@ -175,7 +189,7 @@ def test_divergence_reported_when_a_callback_rejects_non_finite_states(model):
     free = eg.sample_paths(model, None, 200.0, 0.01, 1, 5)
     first_out = int(np.argmax(np.any(np.abs(free) > thr, axis=0)))
     with pytest.raises(eg.SimulationDivergedError) as exc:
-        eg.sample_paths(model, eg.DriftShift(shift=shift, bound=_HUGE), 200.0, 0.01, 1, 5)
+        eg.sample_paths(model, shift, 200.0, 0.01, 1, 5)
     assert exc.value.step_index == first_out + 1
 
 
@@ -190,22 +204,21 @@ def test_divergence_overrun_bounded_by_the_scan_not_the_block(model):
             calls["after"] += 1
         return np.full_like(x, np.nan) if calls["total"] == 300 else np.zeros_like(x)
 
-    bad = eg.DriftShift(shift=shift, bound=1.0)
-    calls.update(total=0, after=0)  # forget the construction-time bound check
     with pytest.raises(eg.SimulationDivergedError) as exc:
-        eg.sample_paths(model, bad, 50.0, 0.01, 0, 3)
+        eg.sample_paths(model, shift, 50.0, 0.01, 0, 3)
     assert exc.value.step_index == 300
     assert 0 < calls["after"] < sde._FINITE_CHECK_STEPS < sde._BLOCK_STEPS
     assert sde._BLOCK_STEPS % sde._FINITE_CHECK_STEPS == 0
 
 
-def test_engine_logs_one_trace_line_per_run(model, caplog):
+def test_engine_logs_one_trace_line_per_run(model, g0, coarse_grid, caplog):
+    policy = policy_of_constant_control(g0, coarse_grid, 20)
     with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
-        eg.invariant_average(model, eg.bump, horizon=25.0, burn_in=1.0, step=0.01,
-                             n_paths=6, seed=1)
+        eg.estimate_payoff(model, g0, policy, 0, horizon=25.0, burn_in=1.0, step=0.01,
+                           n_paths=6, seed=1)
     lines = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
     assert len(lines) == 1
-    m = re.fullmatch(r"invariant_average engine: paths=6 steps=2500 batches=1 blocks=3 "
+    m = re.fullmatch(r"estimate_payoff engine: paths=6 steps=2500 batches=1 blocks=3 "
                      r"rng_s=\d+\.\d{4} euler_s=\d+\.\d{4} cost_s=\d+\.\d{4}", lines[0])
     assert m is not None, lines[0]
 
@@ -274,11 +287,6 @@ def test_model_rejects_singular_noise():
             )
 
 
-def test_drift_shift_bound_checked():
-    with pytest.raises(ValueError, match="shift"):
-        eg.DriftShift(shift=lambda x: 2.0 * np.tanh(x), bound=1.0)
-
-
 def test_model_rejects_non_finite_drift_bounds():
     # each would pass the sampled comparisons vacuously (x > nan is False)
     for sup, lip in ((np.nan, 1.0), (0.5, np.nan), (np.nan, np.nan), (np.inf, 1.0)):
@@ -288,14 +296,6 @@ def test_model_rejects_non_finite_drift_bounds():
     with pytest.raises(ValueError, match=r"\|bounded_drift\(x\)\|=nan"):
         eg.SdeModel(lin_drift=-1.0, bounded_drift=lambda x: np.where(x > 8.0, np.nan, 0.0),
                     bounded_drift_sup=1.0, bounded_drift_lip=1.0, sigma=1.0, x0=0.0)
-
-
-def test_drift_shift_rejects_non_finite_bound_and_values():
-    for bound in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="bound=.* must be finite"):
-            eg.DriftShift(shift=np.tanh, bound=bound)
-    with pytest.raises(ValueError, match=r"\|shift\(x\)\|=nan"):
-        eg.DriftShift(shift=lambda x: np.where(x < -6.0, np.nan, 0.0), bound=1.0)
 
 
 def test_moment_bound_near_stationary_value(model):
@@ -308,28 +308,6 @@ def test_moment_bound_near_stationary_value(model):
     assert rep.bound_constant == pytest.approx(rep.sup_second_moment)  # x0 = 0
 
 
-def test_invariant_average_matches_quadrature(model):
-    est = eg.invariant_average(model, eg.bump, horizon=150.0, burn_in=15.0,
-                               step=0.01, n_paths=120, seed=3)
-    assert est.kind == "ergodic"
-    assert abs(est.value - E_BUMP_STANDARD) <= 3.0 * est.stderr + 0.01
-
-
-def test_invariant_average_shifted_mean(model):
-    # constant shift b moves the invariant mean to sqrt(2) * b
-    shift = eg.DriftShift(shift=lambda x: 0.5 + 0.0 * x, bound=0.5)
-    est = eg.invariant_average(model, lambda x: x, horizon=150.0, burn_in=15.0,
-                               step=0.01, n_paths=120, seed=4, shift=shift)
-    assert abs(est.value - math.sqrt(2.0) * 0.5) <= 3.0 * est.stderr + 0.01
-
-
-def test_invariant_average_constant_has_zero_stderr(model):
-    est = eg.invariant_average(model, lambda x: 1.0 + 0.0 * x, horizon=5.0,
-                               burn_in=1.0, step=0.05, n_paths=16)
-    assert est.value == 1.0
-    assert est.stderr == 0.0
-
-
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -337,25 +315,6 @@ def _peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_invariant_average_matches_parent_values(model):
-    # values of the full-array implementation this engine replaced; only the
-    # order of the time sums differs
-    est = eg.invariant_average(model, eg.bump, horizon=30.0, burn_in=5.0, step=0.02,
-                               n_paths=16, seed=3)
-    assert est.value == pytest.approx(0.3570573054102584, rel=1e-12)
-    assert est.stderr == pytest.approx(0.010462162973639411, rel=1e-12)
-
-
-def test_invariant_average_memory_flat_in_horizon(model):
-    def run(horizon):
-        return _peak_bytes(lambda: eg.invariant_average(
-            model, eg.bump, horizon=horizon, burn_in=1.0, step=0.05, n_paths=64, seed=0))
-
-    short, long = run(60.0), run(480.0)  # 1,200 and 9,600 steps
-    # a paths x steps array at the long horizon alone would be 4.9 MB
-    assert long <= short + 256 * 1024, (short, long)
 
 
 def test_engine_memory_is_one_draw_block_and_two_windows(model):
@@ -372,12 +331,6 @@ def test_engine_memory_is_one_draw_block_and_two_windows(model):
     window = 8 * p * (sde._FINITE_CHECK_STEPS + 1)
     streams = _peak_bytes(lambda: [eg.path_stream(0, j) for j in range(p)])
     assert peak < block + 2 * window + streams + 2**20, (peak, streams)
-
-
-def test_invariant_average_rejects_bad_burn_in(model):
-    with pytest.raises(ValueError, match="burn_in"):
-        eg.invariant_average(model, eg.bump, horizon=1.0, burn_in=2.0,
-                             step=0.01, n_paths=2)
 
 
 def test_path_csv_roundtrip(model, tmp_path):

@@ -63,6 +63,30 @@ def test_payoff_argument_validation(model, g0, coarse_grid):
         estimate_payoff(model, g0, policy, 0, alpha=0.05, horizon=20.0)
 
 
+def test_payoff_path_count_must_be_positive(model, g0, coarse_grid, g0_nash_coarse):
+    policy = policy_of_constant_control(g0, coarse_grid, 20)
+    for n_paths in (0, -3):
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            estimate_payoff(model, g0, policy, 0, horizon=30.0, n_paths=n_paths)
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=3, horizon=30.0,
+                                n_paths=n_paths)
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            bsde_path_residual(model, g0, g0_nash_coarse, horizon=30.0, n_paths=n_paths)
+
+
+def test_deviation_test_rejects_equilibrium_of_another_game(model, g0_nash_coarse):
+    # another player count, or policy indices beyond the game's control grid
+    kw = dict(n_deviations=3, horizon=30.0, n_paths=2)
+    with pytest.raises(ValueError, match="equilibrium has 2 players, the game 3"):
+        nash_deviation_test(model, eg.three_player_symmetric(), g0_nash_coarse, **kw)
+    top = int(g0_nash_coarse.policy.indices[:, 0].max())
+    assert top >= 5
+    with pytest.raises(ValueError, match=f"control indices .* to {top}, outside their "
+                                         "5-point control grid"):
+        nash_deviation_test(model, eg.quadratic_decoupled(n_controls=5), g0_nash_coarse, **kw)
+
+
 def test_alpha_alone_selects_the_criterion(model, g0, coarse_grid):
     policy = policy_of_constant_control(g0, coarse_grid, 20)
     kw = dict(horizon=100.0, step=0.1, n_paths=2)
@@ -77,7 +101,6 @@ def test_alpha_alone_selects_the_criterion(model, g0, coarse_grid):
 
 def test_discounted_payoff_of_constant_cost(model, g0, coarse_grid):
     # a flat cost c integrates to c / alpha regardless of the path
-    base = g0.costs[0]
     flat = eg.GameSpec(
         grids=g0.grids, drift_map=g0.drift_map,
         costs=(lambda x, u, v: 0.5 + 0.0 * x, g0.costs[1]),
@@ -88,7 +111,12 @@ def test_discounted_payoff_of_constant_cost(model, g0, coarse_grid):
                           seed=3)
     assert est.value == pytest.approx(0.5 / 0.25, rel=2e-3)
     assert est.stderr < 1e-12
-    del base
+    # and averages to exactly c over any window: every path sums the same
+    # dyadic values in the same order
+    est = estimate_payoff(model, flat, policy, 0, horizon=5.0, burn_in=1.0, step=0.05,
+                          n_paths=16)
+    assert est.value == 0.5
+    assert est.stderr == 0.0
 
 
 def test_deviation_report_shape_and_kinds(model, g0, g0_nash_coarse):
@@ -177,7 +205,7 @@ def _reference_shift(spec, policy):
         idx = np.rint((x - lo) * inv_dx).astype(np.intp)
         return r_nodes.take(idx, mode="clip")
 
-    return eg.DriftShift(shift=shift, bound=spec.drift_bound)
+    return shift
 
 
 @pytest.fixture(scope="module")
@@ -341,8 +369,9 @@ def test_harness_memory_flat_in_deviations(model, g0, g0_nash_coarse):
     assert many <= few + 1024 * 1024, (few, many)
 
 
-# the drift lookups cast the non-finite states of the diverged job to indices
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+# sigma * r overflows to inf, the diverged job's Euler update then meets
+# inf - inf, and the per-policy reference shift casts its non-finite states
+@pytest.mark.filterwarnings("ignore:invalid value encountered in (add|cast):RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 def test_divergence_of_one_job_inside_a_batch(model, g0, coarse_grid):
     # player 0's top control has a finite drift whose shift sigma * r overflows,
