@@ -1,6 +1,8 @@
-"""Forward simulation: reproducibility, guards, divergence, memory and tracing."""
+"""Forward simulation: reproducibility, guards, divergence, invariant-law oracles,
+memory and tracing."""
 
 import logging
+import math
 import re
 import tracemalloc
 
@@ -13,7 +15,7 @@ import ergodic_games as eg
 from ergodic_games import sde
 from ergodic_games.sde import _n_steps
 
-from conftest import policy_of_constant_control
+from conftest import E_BUMP_STANDARD, policy_of_constant_control
 
 # finite, but sigma * _HUGE overflows to inf (sigma > 1), so a path that
 # meets it turns non-finite on that step
@@ -308,6 +310,58 @@ def test_moment_bound_near_stationary_value(model):
     assert rep.bound_constant == pytest.approx(rep.sup_second_moment)  # x0 = 0
 
 
+def _invariant_average(model, g0, grid, g, control=0.0, **kw):
+    """Long-run average of ``g`` along the dynamics with both players of ``g0``
+    holding ``control``: the ergodic payoff of a player whose cost is ``g``,
+    bounded by 20 in size and 1-Lipschitz."""
+    spec = eg.GameSpec(grids=g0.grids, drift_map=g0.drift_map,
+                       costs=(lambda x, u, v: g(x), g0.costs[1]),
+                       cost_sup=20.0, cost_x_lip=1.0)
+    points = np.asarray(g0.grids[0].points)
+    idx = int(np.argmin(np.abs(points - control)))
+    assert points[idx] == control
+    policy = policy_of_constant_control(spec, grid, idx)
+    return eg.estimate_payoff(model, spec, policy, 0, **kw)
+
+
+def test_invariant_average_matches_quadrature(model, g0, coarse_grid):
+    est = _invariant_average(model, g0, coarse_grid, eg.bump, horizon=150.0, burn_in=15.0,
+                             step=0.01, n_paths=120, seed=3)
+    assert est.kind == "ergodic"
+    assert abs(est.value - E_BUMP_STANDARD) <= 3.0 * est.stderr + 0.01
+
+
+def test_invariant_average_shifted_mean(model, g0, coarse_grid):
+    # both players at +0.25 shift the drift by b = 0.5, which moves the
+    # invariant mean to sqrt(2) * b; the clip at 20 is never reached
+    est = _invariant_average(model, g0, coarse_grid, lambda x: np.clip(x, -20.0, 20.0),
+                             control=0.25, horizon=150.0, burn_in=15.0, step=0.01,
+                             n_paths=120, seed=4)
+    assert abs(est.value - math.sqrt(2.0) * 0.5) <= 3.0 * est.stderr + 0.01
+
+
+def test_invariant_average_constant_has_zero_stderr(model, g0, coarse_grid):
+    est = _invariant_average(model, g0, coarse_grid, lambda x: 1.0 + 0.0 * x, horizon=5.0,
+                             burn_in=1.0, step=0.05, n_paths=16)
+    assert est.value == 1.0
+    assert est.stderr == 0.0
+
+
+def test_invariant_average_matches_parent_values(model, g0, coarse_grid):
+    # values of the full-array implementation the path engine replaced; only
+    # the order of the time sums differs, and a zero shift changes no state
+    est = _invariant_average(model, g0, coarse_grid, eg.bump, horizon=30.0, burn_in=5.0,
+                             step=0.02, n_paths=16, seed=3)
+    assert est.value == pytest.approx(0.3570573054102584, rel=1e-12)
+    assert est.stderr == pytest.approx(0.010462162973639411, rel=1e-12)
+
+
+def test_invariant_average_rejects_bad_burn_in(model, g0, coarse_grid):
+    with pytest.raises(ValueError, match="burn_in"):
+        _invariant_average(model, g0, coarse_grid, eg.bump, horizon=1.0, burn_in=2.0,
+                           step=0.01, n_paths=2)
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -315,6 +369,17 @@ def _peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_invariant_average_memory_flat_in_horizon(model, g0, coarse_grid):
+    def run(horizon):
+        return _peak_bytes(lambda: _invariant_average(
+            model, g0, coarse_grid, eg.bump, horizon=horizon, burn_in=1.0, step=0.05,
+            n_paths=64, seed=0))
+
+    short, long = run(60.0), run(480.0)  # 1,200 and 9,600 steps
+    # a paths x steps array at the long horizon alone would be 4.9 MB
+    assert long <= short + 256 * 1024, (short, long)
 
 
 def test_engine_memory_is_one_draw_block_and_two_windows(model):
