@@ -94,30 +94,41 @@ def _scalar(cfg: dict, name: str):
     return cfg[name]
 
 
-# every solver key some command reads; a config may be shared between commands
-_SOLVER_KEYS = ("tol", "max_iter", "damping", "inner_tol", "residual_ceiling")
+# every key some command reads, per section: a config may be shared between commands
+# (mc serves verify-nash and check-assumptions), and --nash sets nash_dir
+_KNOWN_KEYS = {
+    "top-level": ("seed", "alpha", "alphas", "model", "grid", "driver", "game", "solver", "mc",
+                  "sim", "nash_dir"),
+    "grid": ("x_min", "x_max", "m", "interior_margin", "x_ref_index"),
+    "solver": ("tol", "max_iter", "damping", "inner_tol", "residual_ceiling"),
+    "mc": ("horizon", "step", "n_paths", "n_deviations", "grid_error_budget", "burn_in",
+           "eps_tail", "growth_slack", "isaacs_samples", "isaacs_delta"),
+    "sim": ("horizon", "step", "n_paths"),
+}
+
+
+def _checked_section(cfg: dict, name: str) -> dict:
+    """Section ``name`` (``{}`` when absent); a key no command reads is a config error."""
+    s = cfg if name == "top-level" else _section(cfg, name) if name in cfg else {}
+    for key in s:
+        if name == "solver" and key in ("dtau", "max_sweeps"):  # knobs of the old iteration
+            raise ConfigError(f"solver key {key} no longer exists: the grid "
+                              "equation is solved directly")
+        if key not in _KNOWN_KEYS[name]:
+            raise ConfigError(f"unknown {name} key {key!r}; known keys: "
+                              f"{', '.join(_KNOWN_KEYS[name])}")
+    return s
 
 
 def _solver_section(cfg: dict) -> dict:
-    s = _section(cfg, "solver") if "solver" in cfg else {}
-    for key in s:
-        if key in ("dtau", "max_sweeps"):  # knobs of the replaced explicit iteration
-            raise ConfigError(f"solver key {key} no longer exists: the grid "
-                              "equation is solved directly")
-        if key not in _SOLVER_KEYS:
-            raise ConfigError(f"unknown solver key {key!r}; known keys: {', '.join(_SOLVER_KEYS)}")
-    return s
+    return _checked_section(cfg, "solver")
 
 
 def _make_grid(gcfg: dict) -> Grid1D:
     for k in ("x_min", "x_max", "m"):
         if k not in gcfg:
             raise ConfigError(f"missing config field 'grid.{k}'")
-    kwargs = {}
-    if "interior_margin" in gcfg:
-        kwargs["interior_margin"] = int(gcfg["interior_margin"])
-    if "x_ref_index" in gcfg:
-        kwargs["x_ref_index"] = int(gcfg["x_ref_index"])
+    kwargs = {k: int(gcfg[k]) for k in ("interior_margin", "x_ref_index") if k in gcfg}
     return Grid1D(float(gcfg["x_min"]), float(gcfg["x_max"]), int(gcfg["m"]), **kwargs)
 
 
@@ -195,13 +206,12 @@ def _cmd_continuous_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]
 
 def _solver_kwargs(cfg: dict) -> dict:
     s = _solver_section(cfg)
-    kwargs = dict(
+    return dict(
         tol=float(s.get("tol", 1e-4)),
         max_iter=int(s.get("max_iter", 50)),
         damping=float(s.get("damping", 1.0)),
         inner_tol=float(s.get("inner_tol", 1e-6)),
     )
-    return kwargs
 
 
 def _solve_nash(cfg: dict) -> NashSolution:
@@ -253,12 +263,8 @@ def _cmd_discount_sweep(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
 def _cmd_verify_nash(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
     spec = make_game(_section(cfg, "game"))
-    nash_dir = cfg.get("nash_dir")
-    if nash_dir:
-        nash = load_nash(nash_dir)
-    else:
-        nash = _solve_nash(cfg)
-    mc = _section(cfg, "mc") if "mc" in cfg else {}
+    nash = load_nash(cfg["nash_dir"]) if cfg.get("nash_dir") else _solve_nash(cfg)
+    mc = _checked_section(cfg, "mc")
     report = nash_deviation_test(
         model, spec, nash,
         n_deviations=int(mc.get("n_deviations", 60)),
@@ -279,7 +285,7 @@ def _cmd_verify_nash(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
 
 def _cmd_simulate(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
-    sim = _section(cfg, "sim") if "sim" in cfg else {}
+    sim = _checked_section(cfg, "sim")
     horizon = float(sim.get("horizon", 10.0))
     step = float(sim.get("step", 0.01))
     n_paths = int(sim.get("n_paths", 1))
@@ -304,7 +310,7 @@ def _cmd_simulate(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
 
 
 def _cmd_check_assumptions(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
-    mc = _section(cfg, "mc") if "mc" in cfg else {}
+    mc = _checked_section(cfg, "mc")
     checks: dict = {}
     model = None
     try:
@@ -440,7 +446,8 @@ def load_nash(nash_dir) -> NashSolution:
 
 
 def _run_command(command: str, cfg: dict, out_dir, seed: int) -> int:
-    _solver_section(cfg)  # reject unknown solver keys even where the command reads none
+    for name in _KNOWN_KEYS:  # reject unknown keys even where the command reads none
+        _checked_section(cfg, name)
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

@@ -98,14 +98,6 @@ class Decomposition:
     def reconstruct(self, x, z):
         return self.phi(x, z) * np.asarray(z, dtype=float) + self.psi(x, z)
 
-    @property
-    def slope_bound(self) -> float:
-        return 2.0 * self.kappa
-
-    @property
-    def offset_bound(self) -> float:
-        return 2.0 * self.kappa
-
 
 def decompose(f: Callable, kappa: float) -> Decomposition:
     """Split ``f`` against its declared growth constant ``kappa``.
@@ -164,8 +156,8 @@ def solve_continuous_ebsde(
     history = []
     sol: Optional[ErgodicSolution] = None
     for it in range(1, max_iter + 1):
-        driver = frozen_driver(grid, dec.phi(nodes, xi), dec.psi(nodes, xi),
-                               dec.slope_bound, dec.offset_bound)
+        driver = frozen_driver(dec.phi(nodes, xi), dec.psi(nodes, xi),
+                               2.0 * dec.kappa, 2.0 * dec.kappa)
         sol = solve_ergodic(model, driver, grid, tol=inner_tol, v_init=v_warm)
         v_warm = sol.v
         d_lam = None if lam_prev is None else abs(sol.lam - lam_prev)

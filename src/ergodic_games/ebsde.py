@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -103,7 +103,7 @@ def nearest_node(x, lookup: Tuple[float, float, int], out: Optional[tuple] = Non
     ``rint((x - lo) * inv_dx)`` clamped to ``[0, top]``, with ``(lo, inv_dx,
     top) = node_lookup(nodes)``; every state above the grid, ``+inf`` and NaN
     map to ``top``: the one rule of every state-to-node lookup
-    (grid drivers, feedback policies and the path engine's drift shift).
+    (feedback policies along paths and the path engine's drift shift).
     ``out = (scaled, idx)``, float and ``intp`` arrays of ``x``'s shape, lets
     a caller that looks up every step reuse its buffers; the result is then
     ``idx``.
@@ -163,18 +163,14 @@ class Grid1D:
     def interior(self) -> slice:
         return slice(self.interior_margin, self.m - self.interior_margin)
 
-    def nearest_index(self, x) -> np.ndarray:
-        """Nearest node of each state, clamped to the grid (:func:`nearest_node`)."""
-        return nearest_node(x, node_lookup(self.nodes()))
-
 
 @dataclass(frozen=True)
 class DriverSpec:
     """Driver ``f(x, z)`` with declared gradient-Lipschitz and size constants.
 
     ``f`` must act elementwise on numpy arrays.  Both declared constants must
-    be finite, and at construction they are checked on ``check_samples``
-    fixed states and gradient values
+    be finite, and at construction they are checked on 1,000 fixed states
+    and gradient values
     (:func:`~ergodic_games._samples.check_states`), where ``f`` must also be
     finite: ``|f(x, z) - f(x, z')| <= lipschitz_z |z - z'|`` and
     ``|f(x, 0)| <= bound_at_zero``.
@@ -183,13 +179,12 @@ class DriverSpec:
     f: Callable
     lipschitz_z: float
     bound_at_zero: float
-    check_samples: int = 1_000
 
     def __post_init__(self):
         if not (math.isfinite(self.lipschitz_z) and math.isfinite(self.bound_at_zero)):
             raise ValueError(f"driver check failed: lipschitz_z={self.lipschitz_z!r} and "
                              f"bound_at_zero={self.bound_at_zero!r} must be finite")
-        n = int(self.check_samples)
+        n = 1_000
         xs = check_states(n, 0)
         za = check_states(n, 1)
         zb = check_states(n, 2)
@@ -212,14 +207,23 @@ class DriverSpec:
             )
 
 
-def frozen_driver(grid: Grid1D, slope: np.ndarray, offset: np.ndarray,
-                  lipschitz_z: float, bound_at_zero: float) -> DriverSpec:
-    """Affine driver ``slope[k] * z + offset[k]`` at the grid node ``k`` nearest ``x``."""
-    def f(x, z):
-        k = grid.nearest_index(x)
-        return slope[k] * z + offset[k]
+def frozen_driver(slope: np.ndarray, offset: np.ndarray,
+                  lipschitz_z: float, bound_at_zero: float) -> Callable:
+    """Affine driver ``slope * z + offset`` over node tables; ``x`` is not read.
 
-    return DriverSpec(f, lipschitz_z=lipschitz_z, bound_at_zero=bound_at_zero, check_samples=200)
+    The solvers evaluate drivers at ``grid.nodes()`` only.  Both bounds must
+    be finite, and every node must satisfy ``|slope| <= lipschitz_z`` and
+    ``|offset| <= bound_at_zero``.
+    """
+    for name, table, bound in (("slope", slope, lipschitz_z), ("offset", offset, bound_at_zero)):
+        if not math.isfinite(bound):
+            raise ValueError(f"driver check failed: the {name} bound {bound!r} must be finite")
+        excess = np.abs(table) - bound * (1.0 + _CHECK_SLACK) - 1e-12
+        if not np.all(excess <= 0.0):  # a NaN fails too, and argmax finds the first one
+            k = int(np.argmax(excess))
+            raise ValueError(f"driver check failed: |{name}|={abs(table[k]):.6g} exceeds "
+                             f"{bound:.6g} at node {k}")
+    return lambda x, z: slope * z + offset
 
 
 @dataclass(frozen=True)
@@ -250,13 +254,7 @@ class ErgodicSolution:
             "residual_sup": self.residual_sup,
             "iterations": self.iterations,
             "growth_constant": self.growth_constant,
-            "grid": {
-                "x_min": self.grid.x_min,
-                "x_max": self.grid.x_max,
-                "m": self.grid.m,
-                "interior_margin": self.grid.interior_margin,
-                "x_ref_index": self.grid.x_ref_index,
-            },
+            "grid": asdict(self.grid),
         }
 
 
@@ -349,7 +347,7 @@ def _bordered_solve(lower, diag, upper, rhs, iref: int):
     return np.array(y[:m]) + c * np.array(w[:m]), c
 
 
-def _solve_pinned(model, driver: DriverSpec, grid: Grid1D, alpha: float, tol: float,
+def _solve_pinned(model, driver, grid: Grid1D, alpha: float, tol: float,
                   v_init: Optional[np.ndarray]):
     """Newton iteration shared by the ergodic and discounted solvers.
 
@@ -358,14 +356,15 @@ def _solve_pinned(model, driver: DriverSpec, grid: Grid1D, alpha: float, tol: fl
     node and stops once the interior sup-norm of the rest is below ``tol``;
     otherwise it linearizes the driver at the current gradient (central
     difference in ``z``, a subgradient at kinks) and solves the bordered
-    Newton system.  Returns ``(v, c, iterations)``.
+    Newton system.  ``driver`` may be a :class:`DriverSpec` or a bare
+    callable ``f(x, z)``.  Returns ``(v, c, iterations)``.
     """
     x, dx, iref = grid.nodes(), grid.dx, grid.x_ref_index
     sig = model.sigma
     sig2 = sig**2
     diff = np.full(grid.m, 0.5 * sig2 / dx**2)
     drift = model.drift_1d(x).astype(float)
-    f = driver.f
+    f = driver.f if isinstance(driver, DriverSpec) else driver
     v = np.zeros(grid.m) if v_init is None else np.array(v_init, dtype=float)
     if v.shape != (grid.m,):
         raise ValueError(f"v_init must have shape ({grid.m},)")
@@ -433,7 +432,7 @@ def hjb_residual(model, driver, grid: Grid1D, v: np.ndarray,
 
 def solve_ergodic(
     model,
-    driver: DriverSpec,
+    driver: Union[DriverSpec, Callable],
     grid: Grid1D,
     tol: float = 1e-6,
     v_init: Optional[np.ndarray] = None,
@@ -466,7 +465,7 @@ def solve_ergodic(
 
 def solve_discounted(
     model,
-    driver: DriverSpec,
+    driver: Union[DriverSpec, Callable],
     grid: Grid1D,
     alpha: float,
     tol: float = 1e-6,

@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._samples import check_states
-from .ebsde import nearest_node, node_lookup
 
 __all__ = [
     "NoPureNashError",
@@ -392,7 +391,7 @@ class FeedbackPolicy:
 
     ``indices[k, i]`` is player ``i``'s control grid index at state node
     ``k``.  Off-node states are resolved to the nearest node, clamped to the
-    grid.
+    grid, by :func:`~ergodic_games.ebsde.nearest_node`.
     """
 
     nodes: np.ndarray
@@ -409,13 +408,6 @@ class FeedbackPolicy:
     @property
     def n_players(self) -> int:
         return self.indices.shape[1]
-
-    def node_index(self, x) -> np.ndarray:
-        """Nearest state-node lookup, clamped to the grid (:func:`nearest_node`)."""
-        return nearest_node(x, node_lookup(self.nodes))
-
-    def at_state(self, x) -> JointControl:
-        return tuple(int(v) for v in self.indices[int(self.node_index(x))])
 
     def control_columns(self, spec: GameSpec) -> list:
         """Per-player arrays of control values along the state nodes."""

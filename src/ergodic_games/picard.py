@@ -264,7 +264,7 @@ def _picard_loop(solver: str, model: SdeModel, spec: GameSpec, grid: Grid1D,
         r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
         t1 = time.perf_counter()
         for i, alpha in enumerate(alphas):
-            driver = frozen_driver(grid, r_nodes, c_nodes[i], spec.drift_bound, spec.cost_sup)
+            driver = frozen_driver(r_nodes, c_nodes[i], spec.drift_bound, spec.cost_sup)
             if alpha is None:
                 sols[i] = solve_ergodic(model, driver, grid, tol=inner_tol, v_init=v_warm[i])
             else:

@@ -159,6 +159,10 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
     n = _n_steps(horizon, step)
     _check_n_paths(n_paths)
     first_step = [int(round(job.burn_in / step)) for job in jobs]
+    for job, first in zip(jobs, first_step):
+        if first >= n:  # the average would have no step to count
+            raise ValueError(f"burn_in {job.burn_in:.6g} rounds to step {first} of the {n} "
+                             f"steps of size {step:.6g} up to horizon {horizon:.6g}")
     columns = [job.policy.control_columns(spec) for job in jobs]
     lookup = node_lookup(jobs[0].policy.nodes)
     sums = np.zeros(len(jobs) * n_paths)
@@ -345,7 +349,7 @@ def nash_deviation_test(
         labels.append(("equilibrium", "equilibrium policy", ref))
         grid_i = spec.grids[player]
         n_controls = len(grid_i)
-        for k in range(n_deviations):
+        for k in range(n_deviations if n_controls > 1 else 0):  # one control: no deviation
             rng = path_stream(seed, 0xDE, player, k)
             mode = k % 3
             if mode == 0:

@@ -236,6 +236,22 @@ def test_unknown_solver_key_exits_1(tmp_path, caplog, command):
     assert "unknown solver key 'inner_tl'" in caplog.text
 
 
+@pytest.mark.parametrize("command", ["simulate", "solve-ebsde"])
+@pytest.mark.parametrize("section, key", [("sim", "n_path"), ("mc", "n_path"),
+                                          ("grid", "interior_margn"), ("top-level", "solvr")])
+def test_unknown_section_key_exits_1(tmp_path, caplog, command, section, key):
+    # each misspelling used to run with the default value and exit 0
+    cfg = {"seed": 0, "model": {}, "grid": dict(TINY_GRID), "driver": {"name": "bump"},
+           "sim": {"n_paths": 2}, "mc": {"n_paths": 2}}
+    (cfg if section == "top-level" else cfg[section])[key] = 3
+    out = tmp_path / "x"
+    assert cli.main([command, "--config", write_cfg(tmp_path, "c.yaml", cfg),
+                     "--out", str(out), "--quiet"]) == 1
+    assert f"unknown {section} key {key!r}; known keys: " in caplog.text
+    assert ", ".join(cli._KNOWN_KEYS[section]) in caplog.text
+    assert not out.exists()
+
+
 def test_enumeration_cap_is_no_longer_a_solver_key(tmp_path, caplog):
     cfg = ebsde_cfg(tmp_path, solver={"tol": 1.0e-6, "enumeration_cap": 1000})
     assert cli.main(["solve-ebsde", "--config", cfg, "--out", str(tmp_path / "x"),
@@ -260,6 +276,8 @@ def test_bundled_configs_pass_the_solver_key_check():
     assert len(paths) > 1
     for p in paths:
         cli._solver_section(cli.load_config(p))
+        for name in cli._KNOWN_KEYS:
+            cli._checked_section(cli.load_config(p), name)
 
 
 def test_sweep_budget_exhaustion_exits_2(tmp_path):

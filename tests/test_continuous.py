@@ -105,3 +105,12 @@ def test_final_residual_is_against_original_driver(model, coarse_grid):
     sol = solve_continuous_ebsde(model, f, kappa, coarse_grid, tol=1e-6)
     spec_res = eg.hjb_residual(model, f, coarse_grid, sol.v, sol.xi, sol.lam)
     assert spec_res == pytest.approx(sol.residual_sup, rel=1e-9)
+
+
+def test_sqrt_driver_solve_is_pinned(model, coarse_grid):
+    # the values of the nearest-node frozen driver that node tables replaced
+    f, kappa = SQRT_DRIVER
+    sol = solve_continuous_ebsde(model, f, kappa, coarse_grid)
+    assert sol.lam == 0.5865352813889547
+    assert sol.iterations == 9
+    assert sol.residual_sup == 2.0539468570390795e-08

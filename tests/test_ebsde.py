@@ -26,7 +26,7 @@ def test_grid_validation():
 def test_grid_reference_defaults_to_origin():
     g = eg.Grid1D(-2.0, 6.0, 81)
     assert g.nodes()[g.x_ref_index] == pytest.approx(0.0, abs=g.dx / 2)
-    np.testing.assert_array_equal(g.nearest_index([-99.0, 99.0]), [0, 80])
+    np.testing.assert_array_equal(nearest_node([-99.0, 99.0], node_lookup(g.nodes())), [0, 80])
 
 
 def test_driver_spec_checks():
@@ -145,9 +145,34 @@ def test_zero_pivot_on_a_margin_row_raises_non_monotone():
     slope[1] = -6.0
     offset = np.zeros(grid.m)
     offset[grid.x_ref_index] = 1.0
-    driver = frozen_driver(grid, slope, offset, lipschitz_z=6.0, bound_at_zero=1.0)
+    driver = frozen_driver(slope, offset, lipschitz_z=6.0, bound_at_zero=1.0)
     with pytest.raises(eg.NonMonotoneSchemeError, match="zero pivot"):
         eg.solve_ergodic(model, driver, grid)
+
+
+@pytest.mark.parametrize("node", [0, 40, 80])
+@pytest.mark.parametrize("table, value", [("slope", 2.5), ("slope", np.nan),
+                                          ("offset", -1.5), ("offset", np.nan)])
+def test_frozen_driver_checks_every_node(node, table, value):
+    tables = {"slope": np.full(81, -2.0), "offset": np.ones(81)}
+    frozen_driver(tables["slope"], tables["offset"], lipschitz_z=2.0, bound_at_zero=1.0)
+    tables[table][node] = value
+    with pytest.raises(ValueError, match=f"driver check failed: \\|{table}\\|=.* at node {node}"):
+        frozen_driver(tables["slope"], tables["offset"], lipschitz_z=2.0, bound_at_zero=1.0)
+
+
+def test_frozen_driver_rejects_non_finite_bounds():
+    # an infinite bound would pass every node vacuously, as DriverSpec's check forbids
+    for lip, b0, name in ((np.inf, 1.0, "slope"), (2.0, np.inf, "offset"), (np.nan, 1.0, "slope")):
+        with pytest.raises(ValueError, match=f"driver check failed: the {name} bound"):
+            frozen_driver(np.zeros(3), np.zeros(3), lipschitz_z=lip, bound_at_zero=b0)
+
+
+def test_frozen_driver_is_affine_in_the_node_tables():
+    slope, offset = np.array([1.0, -2.0, 0.5]), np.array([0.25, 0.0, -1.0])
+    f = frozen_driver(slope, offset, lipschitz_z=2.0, bound_at_zero=1.0)
+    z = np.array([3.0, 1.0, -4.0])
+    np.testing.assert_array_equal(f(np.full(3, np.nan), z), slope * z + offset)
 
 
 def test_max_sweeps_carries_diagnostics(model, coarse_grid):

@@ -11,6 +11,7 @@ import ergodic_games as eg
 from ergodic_games import games
 from ergodic_games._samples import check_states
 from ergodic_games.catalog import BUMP_LIP, BUMP_SUP, bump
+from ergodic_games.ebsde import nearest_node, node_lookup
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -377,11 +378,11 @@ def test_feedback_policy_lookup():
     idx = np.arange(10).reshape(5, 2) % 3
     pol = eg.FeedbackPolicy(nodes=nodes, indices=idx)
     assert pol.n_players == 2
-    assert pol.node_index(-2.0) == 0  # clamped
-    assert pol.node_index(2.0) == 4
-    assert pol.node_index(0.26) == 3  # nearest of 0.0 / 0.5
-    assert pol.at_state(-1.0) == tuple(idx[0])
-    np.testing.assert_array_equal(pol.node_index(np.array([-1.0, 1.0])), [0, 4])
+    lookup = node_lookup(pol.nodes)
+    assert nearest_node(-2.0, lookup) == 0  # clamped
+    assert nearest_node(2.0, lookup) == 4
+    assert nearest_node(0.26, lookup) == 3  # nearest of 0.0 / 0.5
+    np.testing.assert_array_equal(nearest_node(np.array([-1.0, 1.0]), lookup), [0, 4])
 
 
 def test_with_player_indices_copies():

@@ -255,12 +255,11 @@ def test_nearest_node_lookups_agree_at_half_way_states(g0, coarse_grid):
     policy = eg.FeedbackPolicy(nodes=nodes, indices=np.column_stack([i, np.arange(81) - i]))
     r_nodes = verify._policy_drift_nodes(g0, policy)
     assert len(np.unique(r_nodes)) == 81
-    grid_idx = coarse_grid.nearest_index(xs)
+    grid_idx = nearest_node(xs, node_lookup(coarse_grid.nodes()))
     shift = verify._stacked_shift(g0, [policy], len(xs))(slice(0, len(xs)))
-    np.testing.assert_array_equal(policy.node_index(xs), grid_idx)
+    np.testing.assert_array_equal(nearest_node(xs, node_lookup(policy.nodes)), grid_idx)
     np.testing.assert_array_equal(shift(xs), r_nodes[grid_idx])
-    np.testing.assert_array_equal(nearest_node(xs, node_lookup(nodes)), grid_idx)
-    assert coarse_grid.nearest_index(-5.925) == policy.node_index(-5.925) == 0
+    assert nearest_node(-5.925, node_lookup(nodes)) == 0
 
 
 def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
@@ -420,3 +419,36 @@ def test_harness_logs_one_engine_line(model, g0, g0_nash_coarse, caplog):
     assert [int(v) for v in m.groups()[:4]] == [2 * 4 * 8, 1250, 1, 2]
     assert float(m.group(5)) > 0.0 and float(m.group(6)) > 0.0
     assert "engine" not in str(rep.as_dict()) and "_s=" not in str(rep.as_dict())
+
+
+def test_burn_in_that_rounds_to_the_horizon_is_rejected(model, g0, g0_nash_coarse, coarse_grid,
+                                                         monkeypatch):
+    # round(9.996 / 0.01) = 1000 of 1000 steps: the average would count no step
+    spec = eg.quadratic_decoupled(n_controls=5)
+    policy = policy_of_constant_control(spec, coarse_grid, 2)
+    kw = dict(horizon=10.0, step=0.01, n_paths=2)
+    ok = estimate_payoff(model, spec, policy, 0, burn_in=9.994, **kw)
+    assert np.isfinite(ok.value) and np.isfinite(ok.stderr)
+    rep = nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=3,
+                              burn_in=9.994, **kw)
+    assert all(np.isfinite(r.estimate.value) for r in rep.rows)
+
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the burn-in check")
+
+    monkeypatch.setattr(verify, "run_paths", no_paths)
+    message = "burn_in 9.996 rounds to step 1000 of the 1000 steps of size 0.01 up to horizon 10"
+    with pytest.raises(ValueError, match=message):
+        estimate_payoff(model, spec, policy, 0, burn_in=9.996, **kw)
+    with pytest.raises(ValueError, match=message):
+        nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=3,
+                            burn_in=9.996, **kw)
+
+
+def test_a_player_with_one_control_has_no_deviation(model):
+    spec = eg.quadratic_decoupled(n_controls=1)
+    nash = eg.picard_solve(model, spec, eg.Grid1D(-6.0, 6.0, 81))
+    rep = nash_deviation_test(model, spec, nash, n_deviations=3, horizon=30.0, n_paths=4)
+    assert [(r.player, r.kind) for r in rep.rows] == [(0, "equilibrium"), (1, "equilibrium")]
+    assert rep.all_passed
+    assert rep.n_deviations_per_player == 3
