@@ -5,7 +5,10 @@ Usage: python scripts/artifact_digests.py DIR
 
 Each (config, subcommand) pair of RUNS writes into DIR/<config>/<subcommand>.
 Every report and CSV is then listed as one ``sha256  path`` line, with paths
-relative to DIR; manifests are skipped, since they hold wall times.  The
+relative to DIR; manifests are skipped, since they hold wall times.  No
+command writes a pathwise backward-equation residual, so each of RESIDUALS
+is computed on the equilibrium its run saved and listed as the digest of
+its ``repr``, under ``<config>/<subcommand>/residual_player<i>_step<h>``.  The
 library is imported from the ``src`` directory of the checkout holding this
 script, so running a copy of it in two checkouts and diffing the two
 listings shows whether a change kept every artifact byte-identical.
@@ -18,7 +21,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from ergodic_games import cli  # noqa: E402
+from ergodic_games import bsde_path_residual, cli  # noqa: E402
 
 CONFIGS = REPO / "configs"
 
@@ -35,6 +38,14 @@ RUNS = (
     ("discount_sweep", "discount-sweep"),
     ("three_player", "solve-game"),
     ("three_player", "check-assumptions"),
+)
+
+# (config, subcommand whose saved equilibrium is checked, player, step); the
+# residual uses the config's seed and its own defaults otherwise
+RESIDUALS = (
+    ("g0", "solve-game", 0, 0.02),
+    ("g0", "solve-game", 0, 0.01),
+    ("g0_asymmetric", "asymmetric", 1, 0.02),
 )
 
 
@@ -60,6 +71,15 @@ def main(argv=None) -> int:
             if path.name != "manifest.json":
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {path.relative_to(root)}")
+    for name, command, player, step in RESIDUALS:
+        if (name, command) not in RUNS:
+            continue
+        cfg = cli.load_config(CONFIGS / f"{name}.yaml")
+        value = bsde_path_residual(cli.make_model(cfg["model"] or {}), cli.make_game(cfg["game"]),
+                                   cli.load_nash(root / name / command), player=player,
+                                   step=step, seed=cfg.get("seed", 0))
+        digest = hashlib.sha256(repr(value).encode()).hexdigest()
+        print(f"{digest}  {name}/{command}/residual_player{player}_step{step}")
     return 1 if failed else 0
 
 

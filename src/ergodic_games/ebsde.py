@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -122,6 +122,63 @@ def nearest_node(x, lookup: Tuple[float, float, int], out: Optional[tuple] = Non
     np.fmax(scaled, 0.0, out=scaled)
     idx[...] = scaled
     return idx
+
+
+class InterpTable(NamedTuple):
+    """Segment tables of :func:`uniform_interp` for ``np.interp(x, nodes, values)``.
+
+    Entry ``j < m - 1`` holds segment ``j``: its left node, the slope
+    ``np.interp`` computes for it, ``(values[j+1] - values[j]) / (nodes[j+1] -
+    nodes[j])``, and ``values[j]``.  Entry ``m - 1`` (states at or above the
+    last node) and entry ``m``, reached as ``-1`` (states below the first),
+    hold the end values with a zero slope whose sign makes ``slope * offset``
+    a ``-0.0`` there, which adds to any value without changing its bits.
+    ``signed_zero`` records a ``-0.0`` in ``values``, the one value that a
+    ``+0.0`` product on an interior node would change.
+    """
+
+    left: np.ndarray
+    slope: np.ndarray
+    base: np.ndarray
+    signed_zero: bool
+
+
+def interp_table(nodes: np.ndarray, values: np.ndarray) -> InterpTable:
+    """Tables of :func:`uniform_interp` for ``values`` at the uniform grid ``nodes``."""
+    values = np.asarray(values, dtype=float)
+    slope = np.zeros(len(values) + 1)
+    slope[:len(values) - 1] = np.diff(values) / np.diff(nodes)
+    slope[len(values) - 1] = -0.0  # offsets at or above the last node are >= +0.0
+    return InterpTable(np.append(nodes, nodes[0]), slope, np.append(values, values[0]),
+                       bool(np.any(np.signbit(values) & (values == 0.0))))
+
+
+def uniform_interp(x: np.ndarray, node: np.ndarray, *tables: InterpTable) -> list:
+    """``np.interp(x, nodes, values)``, bitwise, for every table, from one segment lookup.
+
+    ``node = nearest_node(x, node_lookup(nodes))`` is within half a cell of
+    each finite state, so one comparison with it gives the segment
+    ``np.interp`` uses: ``node - (x < nodes[node])``, ``-1`` below the grid
+    and ``m - 1`` at or above the last node.  Each value is then ``slope *
+    (x - left) + base`` from the segment's row, which is ``np.interp``'s
+    formula inside the grid and its end value outside.  On an interior node
+    the offset is ``+0.0``; where a table holds ``-0.0`` the product is made
+    ``-0.0`` there, so the sum is the node value, sign included, as in
+    ``np.interp``.
+    """
+    left = tables[0].left
+    seg = node - (x < left.take(node))
+    offset = left.take(seg)
+    np.subtract(x, offset, out=offset)
+    out = []
+    for table in tables:
+        y = table.slope.take(seg)
+        y *= offset
+        if table.signed_zero:
+            np.copyto(y, -0.0, where=offset == 0.0)
+        y += table.base.take(seg)
+        out.append(y)
+    return out
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._samples import check_states
+from .sde import path_stream
 
 __all__ = [
     "NoPureNashError",
@@ -344,7 +345,7 @@ def verify_isaacs(
     Hamiltonian values is recorded (``delta == 0`` reproduces the same
     point, so the jump is zero).
     """
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x15AAC])
+    rng = path_stream(seed, 0x15AAC)
     hits = 0
     max_jump = 0.0
     failures = []

@@ -14,7 +14,9 @@ drift term, ``shift`` a plain callable on arrays of states, so controlled
 dynamics reuse the same integrator.
 
 Randomness is drawn from one generator per path, keyed by
-``(seed, path_index)``.  Each path's normals are drawn a block of steps at a
+``(seed, path_index)``: numpy's ``default_rng`` of those words, whose seed
+hashing a batch does for all of its paths in one pass of array arithmetic.
+Each path's normals are drawn a block of steps at a
 time, which only amortises the per-generator calls; stepping, the scan for
 divergence and the consumer all work one fixed window of steps at a time, so
 no number depends on the block size.  Path ``k`` of a batch is bitwise
@@ -74,11 +76,20 @@ class SimulationDivergedError(RuntimeError):
 def path_stream(seed: int, *key: int) -> np.random.Generator:
     """Generator for one Monte Carlo stream, keyed by ``(seed, *key)``.
 
-    Each distinct key tuple yields an independent, reproducible stream.
-    Negative entries are folded into unsigned 64-bit words.
+    Each distinct key tuple yields an independent, reproducible stream, the
+    one ``np.random.default_rng`` gives for the same list of words.  Negative
+    entries are folded into unsigned 64-bit words.
     """
-    words = [int(v) & 0xFFFFFFFFFFFFFFFF for v in (seed, *key)]
-    return np.random.default_rng(words)
+    return _streams([(seed, *key)])[0]
+
+
+def _streams(keys: list) -> list:
+    """The generators :func:`path_stream` gives for ``keys``, seeded in one pass
+    (:mod:`._seeding`, imported on first use: it loads ``numpy.random``, which
+    solve-only runs never need)."""
+    from ._seeding import streams
+
+    return streams(keys)
 
 
 def _broadcast(fn: Callable, x) -> np.ndarray:
@@ -280,14 +291,17 @@ def run_paths(
 ) -> None:
     """Euler-Maruyama for many paths of a model, streamed window by window.
 
-    Path ``j`` draws its normals from ``path_stream(*stream_key(j))``.  Paths
+    Path ``j`` draws its normals from ``path_stream(*stream_key(j))``; a
+    batch seeds all of its paths' generators together.  Paths
     are stepped together in batches of at most ``_MAX_BATCH_PATHS`` columns.
     A batch draws each path's normals ``_BLOCK_STEPS`` steps per generator
     call into one path-major block, then transposes, scales and steps them one
     window of ``_FINITE_CHECK_STEPS`` steps at a time; its buffers are that
     block and two window-sized ones, and no number depends on the block size.
-    ``shift_for(cols)`` returns the drift shift callback of the batch holding
-    paths ``cols`` (a slice of ``range(n_paths)``).  Every
+    ``shift_for(cols)`` returns the drift term callback of the batch holding
+    paths ``cols`` (a slice of ``range(n_paths)``): the float array
+    ``sigma * shift(x)`` of its states ``x``, added to each Euler step as it
+    is, so a caller scales a node table by ``sigma`` once.  Every
     ``_FINITE_CHECK_STEPS`` steps, once they are checked finite, the engine
     calls ``consume(cols, start, states, noise)`` for each run of at most
     ``_CONSUME_PATHS`` paths ``cols``: ``states`` holds their states at
@@ -326,15 +340,14 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
     has_residual = model.bounded_drift_sup != 0.0
     # a 0-d array: ufuncs take it without converting a Python float every step
     sigma = np.array(model.sigma)
-    streams = [path_stream(*stream_key(j)) for j in range(cols.start, cols.stop)]
+    streams = _streams([stream_key(j) for j in range(cols.start, cols.stop)])
     p = len(streams)
     drawn = np.empty((p, min(_BLOCK_STEPS, n_steps)))  # path-major, as each stream draws
     win = min(_FINITE_CHECK_STEPS, n_steps)
     noise = np.empty((win, p))  # one window, time-major, scaled by sigma * sqrt(step)
     states = np.empty((win + 1, p))
     states[0] = model.x0
-    tmp = np.empty(p)
-    shift_fn = shift_for(cols) if shift_for is not None else None
+    drift_term = shift_for(cols) if shift_for is not None else None
     seconds[0] += clock() - t0
     n_blocks = 0
     for start in range(0, n_steps, _BLOCK_STEPS):
@@ -361,9 +374,8 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
                     np.multiply(x, a, out=nxt)
                     if has_residual:
                         nxt += np.asarray(model.bounded_drift(x), dtype=float)
-                    if shift_fn is not None:
-                        np.multiply(sigma, np.asarray(shift_fn(x), dtype=float), out=tmp)
-                        nxt += tmp
+                    if drift_term is not None:
+                        nxt += drift_term(x)
                     nxt *= step
                     nxt += x
                     nxt += dw[k]
@@ -413,7 +425,9 @@ def _all_states(
         if drawn is not None:
             noise[cols, start:start + drawn.shape[1]] = drawn
 
-    shift_for = (lambda cols: shift) if shift is not None else None
+    sigma = model.sigma
+    shift_for = ((lambda cols: lambda x: sigma * np.asarray(shift(x), dtype=float))
+                 if shift is not None else None)
     run_paths(model, n, step, n_paths, stream_key, keep, shift_for, return_noise, label)
     return states, noise
 

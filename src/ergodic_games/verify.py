@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._csv import write_csv
-from .ebsde import DiscountedSolution, nearest_node, node_lookup
+from .ebsde import DiscountedSolution, interp_table, nearest_node, node_lookup, uniform_interp
 from .games import FeedbackPolicy, GameSpec
 from .picard import NashSolution
 from .sde import (
@@ -80,17 +80,19 @@ def _policy_drift_nodes(spec: GameSpec, policy: FeedbackPolicy) -> np.ndarray:
     return spec.drift_table()[joint]
 
 
-def _stacked_shift(spec: GameSpec, policies: Sequence[FeedbackPolicy], n_paths: int):
+def _stacked_shift(spec: GameSpec, policies: Sequence[FeedbackPolicy], n_paths: int,
+                   sigma: float):
     """``shift_for(cols)`` of the engine for ``n_paths`` paths per policy.
 
-    The policies' node drift tables are stacked end to end, and every path
-    column carries its policy's offset into the stack, so a batch mixing many
-    policies resolves its drift shift by one gather: the nearest node
+    The policies' node drift tables are stacked end to end and scaled by the
+    noise coefficient ``sigma`` once, and every path column carries its
+    policy's offset into the stack, so a batch mixing many policies resolves
+    its drift term ``sigma * shift(x)`` by one gather: the nearest node
     (:func:`nearest_node` with preallocated buffers) plus the column's offset.
     """
     m = len(policies[0].nodes)
     lookup = node_lookup(policies[0].nodes)
-    r_flat = np.concatenate([_policy_drift_nodes(spec, p) for p in policies])
+    r_flat = sigma * np.concatenate([_policy_drift_nodes(spec, p) for p in policies])
     offsets = np.repeat(np.arange(len(policies), dtype=np.intp) * m, n_paths)
 
     def shift_for(cols):
@@ -186,7 +188,7 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
                 costs = costs * (np.exp(-job.alpha * t) * step)[:, None]
             sums[c0:c1] += window_sum(costs)
 
-    shift_for = _stacked_shift(spec, [job.policy for job in jobs], n_paths)
+    shift_for = _stacked_shift(spec, [job.policy for job in jobs], n_paths, model.sigma)
     run_paths(model, n, step, len(jobs) * n_paths,
               lambda j: (jobs[j // n_paths].seed, j % n_paths), accumulate, shift_for,
               label=label)
@@ -327,8 +329,11 @@ def nash_deviation_test(
     ``3 * stderr + grid_error_budget``.  Ergodic players are referenced to
     their long-run constant, a discounted player to their value function at
     the start state.  An equilibrium solved for another game (another player
-    count, or control indices outside the control grids) is a ValueError.
+    count, or control indices outside the control grids) is a ValueError, as
+    is a negative ``n_deviations``.
     """
+    if n_deviations < 0:
+        raise ValueError(f"n_deviations must be nonnegative, got {n_deviations}")
     if nash.n_players != spec.n_players:
         raise ValueError(f"equilibrium has {nash.n_players} players, "
                          f"the game {spec.n_players}")
@@ -420,29 +425,37 @@ def bsde_path_residual(
     with ``v`` and ``xi`` linearly interpolated from the player's grid
     solution and the policy resolved at the nearest node.  For a discounted
     player the constant is replaced by ``alpha v(X_t)``.  The returned value
-    is ``sqrt(mean(residual^2)) / sqrt(step)``.
+    is ``sqrt(mean(residual^2)) / sqrt(step)``.  A player index outside
+    ``range(spec.n_players)``, or a horizon that gives no step, is a
+    ValueError.
     """
+    if not 0 <= player < spec.n_players:
+        raise ValueError(f"player index {player} out of range")
     sol = nash.solutions[player]
     policy = nash.policy
     n = _n_steps(horizon, step)
+    if n == 0:
+        raise ValueError(f"horizon {horizon:.6g} and step {step:.6g} give no step")
     _check_n_paths(n_paths)
-    nodes = policy.nodes
-    lookup = node_lookup(nodes)
+    lookup = node_lookup(policy.nodes)
+    v_table = interp_table(policy.nodes, sol.v)
+    xi_table = interp_table(policy.nodes, sol.xi)
     r_nodes = _policy_drift_nodes(spec, policy)
     columns = policy.control_columns(spec)
     sqrt_h = math.sqrt(step)
     sq_sums = np.zeros(n_paths)
 
     def accumulate(cols, start, states, noise):
-        # path-major, so consecutive states of one path are neighbours and
-        # np.interp's search starts next to its answer
+        # path-major, as the noise; both interpolants share one segment lookup
+        # over the window's L + 1 states, whose first L are the steps' X_t
         xs = np.ascontiguousarray(states.T)
+        node = nearest_node(xs, lookup)
+        v, xi = uniform_interp(xs, node, v_table, xi_table)
         x_t = xs[:, :-1]
-        x_next = xs[:, 1:]
-        v_t = np.interp(x_t, nodes, sol.v)
-        v_next = np.interp(x_next, nodes, sol.v)
-        xi_t = np.interp(x_t, nodes, sol.xi)
-        node = nearest_node(x_t, lookup)
+        v_t = v[:, :-1]
+        v_next = v[:, 1:]
+        xi_t = xi[:, :-1]
+        node = node[:, :-1]
         r_t = r_nodes.take(node)
         controls = [col.take(node) for col in columns]
         cost_t = np.broadcast_to(
@@ -459,6 +472,6 @@ def bsde_path_residual(
         sq_sums[cols] += window_sum((residual**2).T)
 
     run_paths(model, n, step, n_paths, lambda j: (seed, j), accumulate,
-              _stacked_shift(spec, [policy], n_paths), with_noise=True,
+              _stacked_shift(spec, [policy], n_paths, model.sigma), with_noise=True,
               label="bsde_path_residual")
     return float(np.sqrt(sq_sums.sum() / (n_paths * n)) / math.sqrt(step))

@@ -109,6 +109,15 @@ def test_verify_without_nash_dir_solves_inline(tmp_path):
                      "--quiet"]) == 0
 
 
+def test_verify_nash_rejects_a_negative_deviation_count(tmp_path, caplog):
+    # it used to run, with no deviation rows and n_deviations_per_player -1
+    out = tmp_path / "verify"
+    assert cli.main(["verify-nash", "--config", game_cfg(tmp_path, n_deviations=-1),
+                     "--out", str(out), "--quiet"]) == 1
+    assert "n_deviations must be nonnegative, got -1" in caplog.text
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("game, message", [
     ({"name": "three_player_symmetric"}, "equilibrium has 2 players, the game 3"),
     ({"name": "quadratic_decoupled", "n_controls": 5}, "outside their 5-point control grid"),

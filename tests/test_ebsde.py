@@ -5,7 +5,7 @@ import pytest
 
 import ergodic_games as eg
 from ergodic_games.ebsde import (DriverSpec, _bordered_solve, frozen_driver, hjb_residual,
-                                 nearest_node, node_lookup)
+                                 interp_table, nearest_node, node_lookup, uniform_interp)
 
 from conftest import E_BUMP_STANDARD, E_BUMP_SHIFTED
 
@@ -63,6 +63,45 @@ def test_nearest_node_clamps_states_beyond_the_index_range():
     np.testing.assert_array_equal(out, expected)
     for x, k in zip(xs, expected):
         assert nearest_node(x, lookup) == k
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _uniform_interp_is_np_interp(x, nodes, *values):
+    got = uniform_interp(x, nearest_node(x, node_lookup(nodes)),
+                         *(interp_table(nodes, f) for f in values))
+    for y, f in zip(got, values):
+        np.testing.assert_array_equal(_bits(y), _bits(np.interp(x, nodes, f)))
+
+
+def test_uniform_interp_is_np_interp_on_simulated_paths(model, bump_solution_mid, mid_grid):
+    # slowly reverting paths with sigma = 3 leave the grid's [-6, 6] on both sides
+    wide = eg.SdeModel(lin_drift=-0.05, bounded_drift=lambda x: 0.0 * x, bounded_drift_sup=0.0,
+                       bounded_drift_lip=0.0, sigma=3.0, x0=0.0)
+    xs = eg.sample_paths(wide, None, 20.0, 0.01, seed=3, n_paths=16)
+    assert xs.min() < -6.0 and xs.max() > 6.0
+    _uniform_interp_is_np_interp(xs, mid_grid.nodes(), bump_solution_mid.v, bump_solution_mid.xi)
+
+
+@pytest.mark.parametrize("m", [7, 81, 201])
+def test_uniform_interp_is_np_interp_on_and_around_nodes(m):
+    nodes = np.linspace(-6.0, 6.0, m)
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    x = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+                        mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf),
+                        [-1e300, -7.5, nodes[0] - 1e-9, nodes[-1], nodes[-1] + 1e-9, 7.5,
+                         1e300]])
+    f = np.sin(3.0 * nodes) + 0.1 * nodes
+    # -0.0 at the ends and inside, with rising and falling neighbours: np.interp
+    # returns it on its node, where slope * 0.0 + (-0.0) can be +0.0
+    signed = f.copy()
+    signed[[0, 2, 3, m // 2, -1]] = -0.0
+    signed[4] = 1.0
+    _uniform_interp_is_np_interp(x, nodes, f, signed, -np.zeros(m), np.zeros(m))
+    assert np.signbit(uniform_interp(nodes, nearest_node(nodes, node_lookup(nodes)),
+                                     interp_table(nodes, signed))[0][[0, 2, 3, -1]]).all()
 
 
 def test_constant_driver_is_exact(model, coarse_grid):

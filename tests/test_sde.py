@@ -44,6 +44,32 @@ def test_path_stream_folds_negative_keys():
     assert np.array_equal(a, b)
 
 
+# one- and two-word seeds, 0, -1 (folded) and 2**63, each with a path index,
+# and the 3- and 4-word keys of the deviation draws
+_KEYS = [(seed, k) for seed in (0, 1, 7, 2**32 - 1, 2**32, 2**63, -1, 2**64 - 1)
+         for k in (0, 1, 2**32 - 1)] + [
+    (0, 0xE0, 1), (5, 0xE0, 0), (2**40, 0xE0, 1),
+    (5, 0xDE, 0, 2), (2**40, 0xDE, 1, 59), (-1, 0xDE, 0, 0),
+    (3,), (2**63,), (2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1),
+]
+
+
+@pytest.mark.parametrize("keys", [_KEYS, _KEYS[::-1], [_KEYS[0]]],
+                         ids=["mixed_word_counts", "reversed", "one_key"])
+def test_batch_keying_is_default_rng(keys):
+    # default_rng on the folded words is the reference; a batch mixes word counts
+    streams = sde._streams(keys)
+    for key, stream in zip(keys, streams):
+        words = [int(v) & 0xFFFFFFFFFFFFFFFF for v in key]
+        reference = np.random.default_rng(words)
+        assert np.array_equal(stream.standard_normal(5), reference.standard_normal(5)), key
+        assert np.array_equal(stream.integers(2**32, size=3), reference.integers(2**32, size=3))
+    for key in keys:
+        assert np.array_equal(eg.path_stream(*key).standard_normal(4),
+                              np.random.default_rng(
+                                  [int(v) & 0xFFFFFFFFFFFFFFFF for v in key]).standard_normal(4))
+
+
 def test_batch_row_matches_single_path(model):
     shift = np.tanh
     batch = eg.sample_paths(model, shift, 2.0, 0.01, seed=5, n_paths=8)

@@ -244,7 +244,7 @@ def test_deviation_rows_equal_estimates_alone(model, g0, g0_nash_coarse, g0_asym
         assert alone == row.estimate
 
 
-def test_nearest_node_lookups_agree_at_half_way_states(g0, coarse_grid):
+def test_nearest_node_lookups_agree_at_half_way_states(model, g0, coarse_grid):
     # the 80 midpoints of Grid1D(-6, 6, 81) and their float neighbours, where
     # differently rounded formulas pick different nodes (x = -5.925 is one)
     nodes = coarse_grid.nodes()
@@ -256,9 +256,9 @@ def test_nearest_node_lookups_agree_at_half_way_states(g0, coarse_grid):
     r_nodes = verify._policy_drift_nodes(g0, policy)
     assert len(np.unique(r_nodes)) == 81
     grid_idx = nearest_node(xs, node_lookup(coarse_grid.nodes()))
-    shift = verify._stacked_shift(g0, [policy], len(xs))(slice(0, len(xs)))
+    drift_term = verify._stacked_shift(g0, [policy], len(xs), model.sigma)(slice(0, len(xs)))
     np.testing.assert_array_equal(nearest_node(xs, node_lookup(policy.nodes)), grid_idx)
-    np.testing.assert_array_equal(shift(xs), r_nodes[grid_idx])
+    np.testing.assert_array_equal(drift_term(xs), model.sigma * r_nodes[grid_idx])
     assert nearest_node(-5.925, node_lookup(nodes)) == 0
 
 
@@ -279,7 +279,7 @@ def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
 
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 5)
     sde.run_paths(model, n, step, len(out), lambda j: (seeds[j // n_paths], j % n_paths), keep,
-                  verify._stacked_shift(g0, policies, n_paths))
+                  verify._stacked_shift(g0, policies, n_paths, model.sigma))
     assert np.abs(out).max() > 1.5
     for j, (policy, seed) in enumerate(zip(policies, seeds)):
         shift = _reference_shift(g0, policy)
@@ -452,3 +452,81 @@ def test_a_player_with_one_control_has_no_deviation(model):
     assert [(r.player, r.kind) for r in rep.rows] == [(0, "equilibrium"), (1, "equilibrium")]
     assert rep.all_passed
     assert rep.n_deviations_per_player == 3
+
+
+@pytest.mark.parametrize("player", [-1, 2])
+def test_path_residual_rejects_a_player_outside_the_game(model, g0, g0_nash_coarse, player):
+    # -1 used to give the last player's residual, 2 a bare IndexError
+    with pytest.raises(ValueError, match=f"player index {player} out of range"):
+        bsde_path_residual(model, g0, g0_nash_coarse, player=player, horizon=5.0, n_paths=2)
+
+
+def test_path_residual_needs_a_step(model, g0, g0_nash_coarse, monkeypatch):
+    # horizon 0 used to average over no step: 0/0, NaN and a RuntimeWarning
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the step check")
+
+    monkeypatch.setattr(verify, "run_paths", no_paths)
+    with pytest.raises(ValueError, match="horizon 0 and step 0.01 give no step"):
+        bsde_path_residual(model, g0, g0_nash_coarse, horizon=0.0, step=0.01, n_paths=2)
+
+
+def test_deviation_count_must_be_nonnegative(model, g0, g0_nash_coarse, monkeypatch):
+    # -2 used to run, draw no deviation and report n_deviations_per_player=-2
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the deviation count check")
+
+    monkeypatch.setattr(verify, "run_paths", no_paths)
+    with pytest.raises(ValueError, match="n_deviations must be nonnegative, got -2"):
+        nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=-2, horizon=30.0,
+                            n_paths=2)
+
+
+# bitwise values of the parent of the batch-keyed, sigma-scaled and uniformly
+# interpolating engine: exact speed-ups must leave every bit where it was
+PINNED_RESIDUALS = {
+    "ergodic": 0.039850692442062415,
+    "ergodic_two_word_seed": 0.030982152148756013,
+    "discounted": 0.03569927681500891,
+}
+PINNED_ROWS = {
+    5: [
+        ("equilibrium policy", 0.28639629701661024, 0.01743110843922682),
+        ("constant control #12 (-0.4)", 0.5445646453741695, 0.01890698071962313),
+        ("node 34 control -> #38 (0.9)", 0.3183079717252493, 0.01781823042525234),
+        ("random feedback field", 0.43654004033313826, 0.02346736461445997),
+        ("equilibrium policy", 0.295043944988567, 0.013806621216066182),
+        ("constant control #24 (0.2)", 0.3844695994539444, 0.02696458737876794),
+        ("node 25 control -> #36 (0.8)", 0.30664110300011244, 0.020597724261533057),
+        ("random feedback field", 0.7666347805524767, 0.013939435259766604),
+    ],
+    2**40: [
+        ("equilibrium policy", 0.31784650336407233, 0.020347573250933525),
+        ("constant control #29 (0.45)", 0.5539815128870533, 0.016899821950267287),
+        ("node 8 control -> #10 (-0.5)", 0.2981372840439059, 0.021477512562601702),
+        ("random feedback field", 0.5213894889444982, 0.012902198008459811),
+        ("equilibrium policy", 0.3277360110217374, 0.01666600166840697),
+        ("constant control #9 (-0.55)", 0.743218358790127, 0.026559486266116667),
+        ("node 37 control -> #9 (-0.55)", 0.3548493308570366, 0.012793340779381056),
+        ("random feedback field", 0.7247684176593809, 0.03007173243153924),
+    ],
+}
+
+
+def test_residuals_are_pinned_bitwise(model, g0, g0_nash_coarse, g0_asymmetric):
+    assert bsde_path_residual(model, g0, g0_nash_coarse, player=0, horizon=25.0, step=0.02,
+                              n_paths=32, seed=4) == PINNED_RESIDUALS["ergodic"]
+    # seed -1 folds to two words per key; step 0.01 and a partial last window
+    assert bsde_path_residual(model, g0, g0_nash_coarse, player=0, horizon=5.0, step=0.01,
+                              n_paths=5, seed=-1) == PINNED_RESIDUALS["ergodic_two_word_seed"]
+    assert bsde_path_residual(model, g0, g0_asymmetric, player=1, horizon=10.0, step=0.02,
+                              n_paths=8, seed=8) == PINNED_RESIDUALS["discounted"]
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_ROWS))
+def test_deviation_rows_are_pinned_bitwise(model, g0, g0_nash_coarse, seed):
+    # seed 2**40 keys the deviation draws with two-word seeds
+    rep = nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=3, horizon=30.0,
+                              step=0.02, n_paths=12, seed=seed)
+    got = [(r.description, r.estimate.value, r.estimate.stderr) for r in rep.rows]
+    assert got == PINNED_ROWS[seed]
