@@ -89,7 +89,9 @@ class GameSpec:
     as separate positional arguments (``costs[i]`` gets the state first) and
     must broadcast over numpy arrays: called on the open joint control meshes
     (one axis per player, as ``np.meshgrid(..., sparse=True)``), their output
-    must broadcast to the joint grid's shape (else ``ValueError``).  Nothing
+    must broadcast to the joint grid's shape (else ``ValueError``).  They must
+    act elementwise: a search also calls them with player 0's mesh cut to a
+    subset of its rows, so no value may depend on the meshes' shapes.  Nothing
     is cached per state, so tabulation memory is O(|U|^n), independent of the
     state grid.  ``cost_sup`` bounds ``|cost_i|`` and ``cost_x_lip`` is a
     Lipschitz constant of the costs in the state; both must be finite and are
@@ -285,12 +287,14 @@ def _value_order(grids) -> Optional[tuple]:
 def isaac_fixed_point(spec: GameSpec, x, z) -> JointControl:
     """Joint control at which every Hamiltonian is unilaterally minimal.
 
-    The whole joint grid is enumerated: one pass per player marks where that
-    player's Hamiltonian is minimal along their own axis, and the first
-    control marked by every player in the lexicographic order of control
-    *values* wins, so ties go to the smallest tuple of values and reordering
-    a grid cannot change the selected control.  Time and memory are
-    O(|U|^n) per call, whatever the size of the joint grid.
+    One pass per player marks where that player's Hamiltonian is minimal
+    along their own axis: player 0's over the whole joint grid, the others'
+    only on player 0's *rows* (indices marked for some choice of the others),
+    which hold every stable control.  The first control marked by every player
+    in the lexicographic order of control *values* wins, so ties go to the
+    smallest tuple of values and reordering a grid cannot change the selected
+    control.  Time and memory are O(|U|^n) per call, for the later passes too
+    when every row survives.
 
     Raises :class:`NoPureNashError` when no joint control is stable.
     """
@@ -298,25 +302,31 @@ def isaac_fixed_point(spec: GameSpec, x, z) -> JointControl:
         raise ValueError(f"need one gradient value per player, got {len(z)}")
     drift = spec.drift_table()
     mesh = getattr(spec, "_mesh")
-    shape = spec._shape()
+    order = getattr(spec, "_value_order")
     # one Hamiltonian buffer per call: fresh arrays per player cost more than the arithmetic
-    h = np.empty(shape)
-    mask = np.ones(shape, dtype=bool)
+    h = np.empty(spec._shape())
     for i in range(spec.n_players):
         np.multiply(drift, float(z[i]), out=h)
         # the raw cost broadcasts into the buffer: no table-sized temporary
         h += spec.costs[i](x, *mesh)
-        mask &= h <= h.min(axis=i, keepdims=True)
-    order = getattr(spec, "_value_order")
+        best = h <= h.min(axis=i, keepdims=True)
+        if i:
+            mask &= best
+            continue
+        # player 0's rows in ascending control value; none when z[0] or the cost is NaN
+        keep = best.any(axis=tuple(range(1, spec.n_players)))
+        rows = keep.nonzero()[0] if order is None else order[0][keep[order[0]]]
+        mask, drift = best.take(rows, axis=0), drift.take(rows, axis=0)
+        mesh = [mesh[0].take(rows, axis=0), *mesh[1:]]
+        h = h.reshape(-1)[:mask.size].reshape(mask.shape)
     if order is not None:
-        mask = mask[np.ix_(*order)]
-    first = int(mask.argmax())
-    if not mask.flat[first]:
+        mask = mask[np.ix_(np.arange(len(rows)), *order[1:])]
+    # per-axis indices of the marked controls, the first in row-major order
+    hits = mask.nonzero()
+    if not hits[0].size:
         raise NoPureNashError(x, z)
-    u = np.unravel_index(first, mask.shape)
-    if order is not None:
-        u = [o[j] for o, j in zip(order, u)]
-    return tuple(int(j) for j in u)
+    picks = (rows,) + (order or (None,) * len(hits))[1:]
+    return tuple(int(a[0] if p is None else p[a[0]]) for p, a in zip(picks, hits))
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,17 @@ def _reference_value(nash: NashSolution, player: int,
     return float(nash.lambdas[player]), None
 
 
+def _check_same_game(spec: GameSpec, nash: NashSolution) -> None:
+    if nash.n_players != spec.n_players:
+        raise ValueError(f"equilibrium has {nash.n_players} players, "
+                         f"the game {spec.n_players}")
+    for i, grid_i in enumerate(spec.grids):
+        idx = nash.policy.indices[:, i]
+        if idx.min() < 0 or idx.max() >= len(grid_i):
+            raise ValueError(f"player {i}'s policy uses control indices {idx.min()} to "
+                             f"{idx.max()}, outside their {len(grid_i)}-point control grid")
+
+
 def nash_deviation_test(
     model: SdeModel,
     spec: GameSpec,
@@ -334,14 +345,7 @@ def nash_deviation_test(
     """
     if n_deviations < 0:
         raise ValueError(f"n_deviations must be nonnegative, got {n_deviations}")
-    if nash.n_players != spec.n_players:
-        raise ValueError(f"equilibrium has {nash.n_players} players, "
-                         f"the game {spec.n_players}")
-    for i, grid_i in enumerate(spec.grids):
-        idx = nash.policy.indices[:, i]
-        if idx.min() < 0 or idx.max() >= len(grid_i):
-            raise ValueError(f"player {i}'s policy uses control indices {idx.min()} to "
-                             f"{idx.max()}, outside their {len(grid_i)}-point control grid")
+    _check_same_game(spec, nash)
     # every job is built (and its arguments checked) before any path is
     # simulated; the deviation draws do not depend on the estimates
     m = len(nash.policy.nodes)
@@ -426,11 +430,12 @@ def bsde_path_residual(
     solution and the policy resolved at the nearest node.  For a discounted
     player the constant is replaced by ``alpha v(X_t)``.  The returned value
     is ``sqrt(mean(residual^2)) / sqrt(step)``.  A player index outside
-    ``range(spec.n_players)``, or a horizon that gives no step, is a
-    ValueError.
+    ``range(spec.n_players)``, an equilibrium of another game, or a horizon
+    that gives no step, is a ValueError.
     """
     if not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")
+    _check_same_game(spec, nash)
     sol = nash.solutions[player]
     policy = nash.policy
     n = _n_steps(horizon, step)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ergodic_games as eg
-from ergodic_games import games
+from ergodic_games import games, picard
 from ergodic_games._samples import check_states
 from ergodic_games.catalog import BUMP_LIP, BUMP_SUP, bump
 from ergodic_games.ebsde import nearest_node, node_lookup
@@ -317,6 +317,41 @@ def test_search_matches_reference_above_a_million_joint_points():
         ties += len(hits) > 1
         assert eg.isaac_fixed_point(spec, x, z) == min(hits, key=lambda u: _value_key(spec, u))
     assert ties > 0
+
+
+def test_search_matches_reference_on_a_picard_solve(model, monkeypatch):
+    # every (x, z) the loop searches in the three-player solve at 41^3 joint controls
+    # and m=101, where player 0's rows leave the others a small sub-box
+    seen = []
+    search = picard.isaac_fixed_point
+
+    def recorded(spec, x, z):
+        u = search(spec, x, z)
+        seen.append((x, z, u))
+        return u
+
+    monkeypatch.setattr(picard, "isaac_fixed_point", recorded)
+    spec = eg.three_player_symmetric(n_controls=41)
+    nash = eg.picard_solve(model, spec, eg.Grid1D(-6.0, 6.0, 101))
+    assert nash.converged and len(seen) >= 101
+    for x, z, u in seen:
+        assert u == min(_stable_controls(spec, x, z), key=lambda v: _value_key(spec, v))
+
+
+@pytest.mark.parametrize("build", [eg.quadratic_decoupled,
+                                   lambda: eg.three_player_symmetric(n_controls=9)],
+                         ids=["two_player", "three_player"])
+def test_nan_gradient_or_state_has_no_pure_nash(build):
+    # a NaN z_0, or a NaN cost for player 0, leaves player 0 no row to search;
+    # a NaN z_i for a later player marks nothing on the rows
+    spec = build()
+    for i in range(spec.n_players):
+        z = [0.25] * spec.n_players
+        z[i] = np.nan
+        with pytest.raises(eg.NoPureNashError):
+            eg.isaac_fixed_point(spec, 0.0, tuple(z))
+    with pytest.raises(eg.NoPureNashError):
+        eg.isaac_fixed_point(spec, np.nan, (0.25,) * spec.n_players)
 
 
 def test_unsorted_grid_tie_goes_to_smallest_values():

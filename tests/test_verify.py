@@ -461,6 +461,22 @@ def test_path_residual_rejects_a_player_outside_the_game(model, g0, g0_nash_coar
         bsde_path_residual(model, g0, g0_nash_coarse, player=player, horizon=5.0, n_paths=2)
 
 
+def test_path_residual_rejects_equilibrium_of_another_game(model, g0_nash_coarse, monkeypatch):
+    # both used to fail with a bare IndexError, as the deviation harness's checks did not run
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the equilibrium check")
+
+    monkeypatch.setattr(verify, "run_paths", no_paths)
+    kw = dict(player=0, horizon=5.0, n_paths=2)
+    with pytest.raises(ValueError, match="equilibrium has 2 players, the game 3"):
+        bsde_path_residual(model, eg.three_player_symmetric(n_controls=9), g0_nash_coarse, **kw)
+    top = int(g0_nash_coarse.policy.indices[:, 0].max())
+    assert top >= 5
+    with pytest.raises(ValueError, match=f"control indices .* to {top}, outside their "
+                                         "5-point control grid"):
+        bsde_path_residual(model, eg.quadratic_decoupled(n_controls=5), g0_nash_coarse, **kw)
+
+
 def test_path_residual_needs_a_step(model, g0, g0_nash_coarse, monkeypatch):
     # horizon 0 used to average over no step: 0/0, NaN and a RuntimeWarning
     def no_paths(*args, **kwargs):
