@@ -63,13 +63,11 @@ from .picard import (
 )
 from .sde import (
     MomentReport,
-    Path,
     SdeModel,
     SimulationDivergedError,
     moment_bound_check,
     path_stream,
     sample_paths,
-    simulate,
 )
 from .verify import (
     DeviationReport,
@@ -87,11 +85,9 @@ __all__ = [
     "__version__",
     # model and simulation
     "SdeModel",
-    "Path",
     "MomentReport",
     "SimulationDivergedError",
     "path_stream",
-    "simulate",
     "sample_paths",
     "moment_bound_check",
     # static games

@@ -528,7 +528,8 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigError as err:
         logger.error("config error: %s", err)
         return 1
-    except (KeyError, ValueError, OSError) as err:
+    except (KeyError, ValueError, TypeError, OSError) as err:
+        # TypeError: a null or list where a number was expected (int(None), float([1]))
         logger.error("config error: %s", err)
         return 1
 

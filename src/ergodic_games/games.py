@@ -166,10 +166,6 @@ class GameSpec:
         """``drift_map`` on the full joint grid (read-only, tabulated at construction)."""
         return getattr(self, "_drift_table")
 
-    def cost_table(self, player: int, x) -> np.ndarray:
-        """``costs[player]`` at state ``x`` on the full joint grid (read-only, not cached)."""
-        return np.broadcast_to(self._compact(self.costs[player], x), self._shape())
-
     def control_values(self, u: JointControl) -> list:
         return [g.points[j] for g, j in zip(self.grids, u)]
 
@@ -353,8 +349,11 @@ def verify_isaacs(
     with scale 2.  For each sample the search is retried at a
     ``delta``-perturbed ``z`` and the largest change of the per-player
     Hamiltonian values is recorded (``delta == 0`` reproduces the same
-    point, so the jump is zero).
+    point, so the jump is zero).  ``n_samples`` must be at least 1: no
+    sample would certify nothing.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = path_stream(seed, 0x15AAC)
     hits = 0
     max_jump = 0.0
@@ -387,7 +386,7 @@ def verify_isaacs(
         )
         max_jump = max(max_jump, jump)
     return IsaacsReport(
-        fraction_with_pure_nash=hits / n_samples if n_samples else 1.0,
+        fraction_with_pure_nash=hits / n_samples,
         max_continuity_jump=max_jump,
         n_samples=n_samples,
         delta=delta,

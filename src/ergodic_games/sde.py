@@ -16,12 +16,15 @@ dynamics reuse the same integrator.
 Randomness is drawn from one generator per path, keyed by
 ``(seed, path_index)``: numpy's ``default_rng`` of those words, whose seed
 hashing a batch does for all of its paths in one pass of array arithmetic.
-Each path's normals are drawn a block of steps at a
-time, which only amortises the per-generator calls; stepping, the scan for
-divergence and the consumer all work one fixed window of steps at a time, so
-no number depends on the block size.  Path ``k`` of a batch is bitwise
-identical to the same path simulated alone, so Monte Carlo estimates do not
-depend on how paths are batched or scheduled.
+:func:`run_paths` alone applies the keying rule: given a list of seeds and
+``n_paths``, column ``j`` is path ``j % n_paths`` of ``seeds[j // n_paths]``.
+Each path's normals are drawn a block of steps at a time, which only
+amortises the per-generator calls; stepping, the scan for divergence and the
+consumer all work one fixed window of steps at a time, so no number depends
+on the block size.  Path ``k`` of a batch is bitwise identical to the same
+path simulated alone, so Monte Carlo estimates do not depend on how paths are
+batched or scheduled.  :func:`sample_paths` records every state of the paths
+of one seed; the checks in :mod:`.verify` consume windows as they come.
 """
 
 from __future__ import annotations
@@ -30,20 +33,17 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._csv import write_csv
 from ._samples import check_states
 
 __all__ = [
     "SimulationDivergedError",
     "SdeModel",
-    "Path",
     "MomentReport",
     "path_stream",
-    "simulate",
     "sample_paths",
     "moment_bound_check",
 ]
@@ -179,18 +179,6 @@ class SdeModel:
 
 
 @dataclass(frozen=True)
-class Path:
-    """One simulated trajectory on a uniform time grid."""
-
-    times: np.ndarray
-    states: np.ndarray  # shape (n_steps + 1,)
-
-    def to_csv(self, path) -> None:
-        """Write columns ``t, x_1``."""
-        write_csv(path, ("t", "x_1"), zip(self.times.tolist(), self.states.tolist()))
-
-
-@dataclass(frozen=True)
 class MomentReport:
     """Sampled second-moment diagnostic for the uncontrolled dynamics."""
 
@@ -282,34 +270,35 @@ def run_paths(
     model: SdeModel,
     n_steps: int,
     step: float,
+    seeds: Sequence[int],
     n_paths: int,
-    stream_key: Callable[[int], Tuple[int, int]],
     consume: Callable,
     shift_for: Optional[Callable] = None,
     with_noise: bool = False,
     label: str = "run_paths",
 ) -> None:
-    """Euler-Maruyama for many paths of a model, streamed window by window.
+    """Euler-Maruyama for ``n_paths`` paths of each seed, streamed window by window.
 
-    Path ``j`` draws its normals from ``path_stream(*stream_key(j))``; a
-    batch seeds all of its paths' generators together.  Paths
-    are stepped together in batches of at most ``_MAX_BATCH_PATHS`` columns.
+    Column ``j`` (of ``len(seeds) * n_paths``) is path ``j % n_paths`` of
+    ``seeds[j // n_paths]``: it draws its normals from
+    ``path_stream(seeds[j // n_paths], j % n_paths)``, and a batch seeds all
+    of its paths' generators together.  Columns are stepped together in
+    batches of at most ``_MAX_BATCH_PATHS``.
     A batch draws each path's normals ``_BLOCK_STEPS`` steps per generator
     call into one path-major block, then transposes, scales and steps them one
     window of ``_FINITE_CHECK_STEPS`` steps at a time; its buffers are that
     block and two window-sized ones, and no number depends on the block size.
     ``shift_for(cols)`` returns the drift term callback of the batch holding
-    paths ``cols`` (a slice of ``range(n_paths)``): the float array
-    ``sigma * shift(x)`` of its states ``x``, added to each Euler step as it
-    is, so a caller scales a node table by ``sigma`` once.  Every
-    ``_FINITE_CHECK_STEPS`` steps, once they are checked finite, the engine
-    calls ``consume(cols, start, states, noise)`` for each run of at most
-    ``_CONSUME_PATHS`` paths ``cols``: ``states`` holds their states at
+    columns ``cols`` (a slice): the float array ``sigma * shift(x)`` of its
+    states ``x``, added to each Euler step as it is, so a caller scales a
+    node table by ``sigma`` once.  Every ``_FINITE_CHECK_STEPS`` steps, once
+    they are checked finite, the engine calls ``consume(cols, start, states,
+    noise)`` for each run of at most ``_CONSUME_PATHS`` columns ``cols``: ``states`` holds their states at
     steps ``start`` to ``start + L`` time-major, shape ``(L + 1, width)``,
     and ``noise`` the standard normals of those steps path-major, shape
     ``(width, L)``, when ``with_noise`` (else None).  Both are views of
     buffers the engine reuses, so nothing of size paths x steps is built.
-    Path ``j`` is bitwise the same as when simulated alone.  One INFO line
+    Each path is bitwise the same as when simulated alone.  One INFO line
     per call reports paths, steps, batches, blocks and the seconds spent
     drawing normals (``rng_s``), stepping (``euler_s``) and in ``consume``
     (``cost_s``).  ``n_paths`` must be at least 1.
@@ -317,21 +306,22 @@ def run_paths(
     _check_n_paths(n_paths)
     if n_steps > 0:
         _check_stability(model, step)
+    total = len(seeds) * n_paths
     seconds = [0.0, 0.0, 0.0]  # rng, euler, consume
     n_batches = n_blocks = 0
-    for b0 in range(0, n_paths if n_steps > 0 else 0, _MAX_BATCH_PATHS):
-        cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, n_paths))
-        n_blocks += _run_batch(model, n_steps, step, cols, stream_key, consume, shift_for,
-                               with_noise, seconds)
+    for b0 in range(0, total if n_steps > 0 else 0, _MAX_BATCH_PATHS):
+        cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
+        n_blocks += _run_batch(model, n_steps, step, seeds, n_paths, cols, consume,
+                               shift_for, with_noise, seconds)
         n_batches += 1
     logger.info("%s engine: paths=%d steps=%d batches=%d blocks=%d rng_s=%.4f "
-                "euler_s=%.4f cost_s=%.4f", label, n_paths, n_steps, n_batches, n_blocks,
+                "euler_s=%.4f cost_s=%.4f", label, total, n_steps, n_batches, n_blocks,
                 *seconds)
 
 
-def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
-               stream_key: Callable, consume: Callable, shift_for: Optional[Callable],
-               with_noise: bool, seconds: list) -> int:
+def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
+               n_paths: int, cols: slice, consume: Callable,
+               shift_for: Optional[Callable], with_noise: bool, seconds: list) -> int:
     """One batch of :func:`run_paths`; its buffers are freed when it returns."""
     clock = time.perf_counter
     t0 = clock()
@@ -340,7 +330,9 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
     has_residual = model.bounded_drift_sup != 0.0
     # a 0-d array: ufuncs take it without converting a Python float every step
     sigma = np.array(model.sigma)
-    streams = _streams([stream_key(j) for j in range(cols.start, cols.stop)])
+    # only this batch's keys: all columns' key tuples at once grow with the run
+    streams = _streams([(seeds[j // n_paths], j % n_paths)
+                        for j in range(cols.start, cols.stop)])
     p = len(streams)
     drawn = np.empty((p, min(_BLOCK_STEPS, n_steps)))  # path-major, as each stream draws
     win = min(_FINITE_CHECK_STEPS, n_steps)
@@ -403,17 +395,24 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, cols: slice,
     return n_blocks
 
 
-def _all_states(
+def sample_paths(
     model: SdeModel,
     shift: Optional[Callable],
     horizon: float,
     step: float,
+    seed: int,
     n_paths: int,
-    stream_key: Callable[[int], Tuple[int, int]],
-    return_noise: bool,
-    label: str,
+    return_noise: bool = False,
 ):
-    """Keep every window: states ``(n_paths, n_steps + 1)`` and, on request, noise."""
+    """States of ``n_paths`` independent paths, shape ``(n_paths, n_steps+1)``.
+
+    ``shift`` (None for the uncontrolled dynamics) maps an array of states to
+    drift shifts of the same shape, added as ``sigma * shift(x)``; with
+    ``horizon == 0`` each row holds the single initial state.  Row ``k`` is
+    path ``k`` of ``seed`` (stream ``(seed, k)``), bitwise the same for any
+    ``n_paths`` above ``k``.  With ``return_noise`` the ``(n_paths, n_steps)``
+    standard normals that drove them come back too.
+    """
     n = _n_steps(horizon, step)
     _check_n_paths(n_paths)
     states = np.empty((n_paths, n + 1))
@@ -428,49 +427,7 @@ def _all_states(
     sigma = model.sigma
     shift_for = ((lambda cols: lambda x: sigma * np.asarray(shift(x), dtype=float))
                  if shift is not None else None)
-    run_paths(model, n, step, n_paths, stream_key, keep, shift_for, return_noise, label)
-    return states, noise
-
-
-def simulate(
-    model: SdeModel,
-    shift: Optional[Callable] = None,
-    horizon: float = 1.0,
-    step: float = 0.01,
-    seed: int = 0,
-    path_index: int = 0,
-) -> Path:
-    """Euler-Maruyama path with ``ceil(horizon/step)`` steps.
-
-    ``shift`` (None for the uncontrolled dynamics) maps an array of states to
-    drift shifts of the same shape, added as ``sigma * shift(x)``.  With
-    ``horizon == 0`` the path holds the single initial state.  The same
-    ``(seed, path_index)`` always reproduces the same path.
-    """
-    states, _ = _all_states(model, shift, horizon, step, 1, lambda j: (seed, path_index),
-                            False, "simulate")
-    times = np.arange(states.shape[1]) * step
-    return Path(times=times, states=states[0])
-
-
-def sample_paths(
-    model: SdeModel,
-    shift: Optional[Callable],
-    horizon: float,
-    step: float,
-    seed: int,
-    n_paths: int,
-    return_noise: bool = False,
-):
-    """States of ``n_paths`` independent paths, shape ``(n_paths, n_steps+1)``.
-
-    ``shift`` is as for :func:`simulate`, and row ``k`` equals
-    ``simulate(..., path_index=k)`` bitwise.  With
-    ``return_noise`` the ``(n_paths, n_steps)`` standard normals that drove
-    them come back too.
-    """
-    states, noise = _all_states(model, shift, horizon, step, n_paths, lambda j: (seed, j),
-                                return_noise, "sample_paths")
+    run_paths(model, n, step, [seed], n_paths, keep, shift_for, return_noise, "sample_paths")
     return (states, noise) if return_noise else states
 
 

@@ -152,11 +152,11 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
     """Every job's payoff from one run of the path engine.
 
     Job ``j`` owns path columns ``j * n_paths`` to ``(j + 1) * n_paths - 1``,
-    driven by the streams ``(job.seed, 0..n_paths-1)``.  Each path's cost is
-    summed over the steps after the job's burn-in (``exp(-alpha t) dt``
-    weighted for discounted jobs) as the engine hands over each window of
-    steps, so no array of size paths x steps is built and a job's estimate
-    does not depend on the other jobs in the run.
+    paths ``0..n_paths-1`` of ``job.seed`` (the keying of :func:`run_paths`).
+    Each path's cost is summed over the steps after the job's burn-in
+    (``exp(-alpha t) dt`` weighted for discounted jobs) as the engine hands
+    over each window of steps, so no array of size paths x steps is built and
+    a job's estimate does not depend on the other jobs in the run.
     """
     n = _n_steps(horizon, step)
     _check_n_paths(n_paths)
@@ -189,8 +189,7 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
             sums[c0:c1] += window_sum(costs)
 
     shift_for = _stacked_shift(spec, [job.policy for job in jobs], n_paths, model.sigma)
-    run_paths(model, n, step, len(jobs) * n_paths,
-              lambda j: (jobs[j // n_paths].seed, j % n_paths), accumulate, shift_for,
+    run_paths(model, n, step, [job.seed for job in jobs], n_paths, accumulate, shift_for,
               label=label)
 
     out = []
@@ -476,7 +475,7 @@ def bsde_path_residual(
         residual = v_next - v_t + (hamilton - const) * step - xi_t * dw
         sq_sums[cols] += window_sum((residual**2).T)
 
-    run_paths(model, n, step, n_paths, lambda j: (seed, j), accumulate,
+    run_paths(model, n, step, [seed], n_paths, accumulate,
               _stacked_shift(spec, [policy], n_paths, model.sigma), with_noise=True,
               label="bsde_path_residual")
     return float(np.sqrt(sq_sums.sum() / (n_paths * n)) / math.sqrt(step))

@@ -146,6 +146,35 @@ def test_zero_paths_exit_1(tmp_path, caplog, command, section):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"seed": None},
+    {"grid": {**TINY_GRID, "m": None}},
+    {"solver": {"tol": [1]}},
+], ids=["seed-null", "grid-m-null", "solver-tol-list"])
+def test_non_numeric_value_is_a_config_error(tmp_path, caplog, capsys, overrides):
+    # int(None) and float([1]) raise TypeError, which used to escape as a traceback
+    cfg = ebsde_cfg(tmp_path, **overrides)
+    assert cli.main(["solve-ebsde", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--quiet"]) == 1
+    assert "config error" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+def test_check_assumptions_fails_the_game_row_without_samples(tmp_path):
+    # zero samples used to report fraction_with_pure_nash 1.0 and pass
+    cfg = write_cfg(tmp_path, "chk.yaml", {
+        "model": {},
+        "game": {"name": "quadratic_decoupled", "n_controls": 11},
+        "mc": {"horizon": 1.0, "n_paths": 8, "isaacs_samples": 0},
+    })
+    out = tmp_path / "run"
+    assert cli.main(["check-assumptions", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 3
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["game"] == {"passed": False, "detail": "n_samples must be at least 1, got 0"}
+    assert rep["all_passed"] is False
+
+
 def test_simulate_row_count(tmp_path):
     cfg = write_cfg(tmp_path, "sim.yaml", {
         "model": {},

@@ -254,10 +254,10 @@ def test_grid_reorder_does_not_change_selected_values(g0):
 def _stable_controls(spec, x, z):
     """Every joint control no player can improve on: the argwhere reference for the search."""
     drift = spec.drift_table()
-    shape = tuple(len(g) for g in spec.grids)
-    mask = np.ones(shape, dtype=bool)
+    dense = np.meshgrid(*[g.points for g in spec.grids], indexing="ij")
+    mask = np.ones(drift.shape, dtype=bool)
     for i in range(spec.n_players):
-        h = float(z[i]) * drift + spec.cost_table(i, x)
+        h = float(z[i]) * drift + spec.costs[i](x, *dense)
         mask &= h <= h.min(axis=i, keepdims=True)
     return [tuple(int(j) for j in row) for row in np.argwhere(mask)]
 
@@ -383,17 +383,19 @@ def test_verify_isaacs_records_failures():
     assert len(rep.example_failures) == 5
 
 
-def test_drift_and_cost_tables_cached(g0):
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_verify_isaacs_needs_a_sample(g0, n_samples):
+    # no sample used to read as a full pure-Nash fraction (1.0, or -0.0 for -3)
+    with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n_samples}"):
+        eg.verify_isaacs(g0, n_samples=n_samples)
+
+
+def test_drift_table_cached(g0):
     t1 = g0.drift_table()
     assert g0.drift_table() is t1
     assert t1.shape == (41, 41)
     # drift of (u, v) is u + v
     assert t1[0, 0] == -2.0 and t1[-1, -1] == 2.0
-    # cost tables are evaluated on demand, as read-only views of the dense tabulation
-    c1 = g0.cost_table(0, 0.5)
-    dense = np.meshgrid(*[g.points for g in g0.grids], indexing="ij")
-    np.testing.assert_array_equal(c1, np.broadcast_to(g0.costs[0](0.5, *dense), (41, 41)))
-    assert c1.shape == (41, 41) and not c1.flags.writeable
 
 
 def test_verify_isaacs_memory_bounded():

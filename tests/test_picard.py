@@ -144,8 +144,11 @@ def test_gathered_frozen_costs_match_stacked_tables(model, coarse_grid):
     r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
     joint = tuple(idx[:, i] for i in range(3))
     np.testing.assert_array_equal(r_nodes, spec.drift_table()[joint])
+    dense = np.meshgrid(*[g.points for g in spec.grids], indexing="ij")
     for i in range(3):
-        stacked = np.stack([spec.cost_table(i, float(x)) for x in nodes])
+        # the dense cost table at each node, as float
+        stacked = np.stack([np.broadcast_to(spec.costs[i](float(x), *dense), dense[0].shape)
+                            for x in nodes]).astype(float)
         expected = stacked[(np.arange(len(nodes)),) + joint]
         assert c_nodes[i].dtype == expected.dtype
         np.testing.assert_array_equal(c_nodes[i], expected)

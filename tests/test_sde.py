@@ -70,12 +70,18 @@ def test_batch_keying_is_default_rng(keys):
                                   [int(v) & 0xFFFFFFFFFFFFFFFF for v in key]).standard_normal(4))
 
 
-def test_batch_row_matches_single_path(model):
+def _alone(monkeypatch, model, shift, horizon, step, seed, k):
+    """Path ``k`` of ``seed`` stepped in a batch of its own."""
+    with monkeypatch.context() as m:
+        m.setattr(sde, "_MAX_BATCH_PATHS", 1)
+        return eg.sample_paths(model, shift, horizon, step, seed, n_paths=k + 1)[k]
+
+
+def test_batch_row_matches_single_path(model, monkeypatch):
     shift = np.tanh
     batch = eg.sample_paths(model, shift, 2.0, 0.01, seed=5, n_paths=8)
     for k in (0, 3, 7):
-        single = eg.simulate(model, shift, 2.0, 0.01, seed=5, path_index=k)
-        assert np.array_equal(single.states, batch[k])
+        assert np.array_equal(_alone(monkeypatch, model, shift, 2.0, 0.01, 5, k), batch[k])
 
 
 def test_batch_independent_of_batch_size(model):
@@ -112,8 +118,7 @@ def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
     narrow = eg.sample_paths(rough, shift, horizon, 0.01, seed=4, n_paths=5)
     assert np.array_equal(wide, narrow)
     for k in range(5):
-        single = eg.simulate(rough, shift, horizon, 0.01, seed=4, path_index=k)
-        assert np.array_equal(single.states, wide[k])
+        assert np.array_equal(_alone(monkeypatch, rough, shift, horizon, 0.01, 4, k), wide[k])
         assert np.array_equal(wide_noise[k],
                               eg.path_stream(4, k).standard_normal(wide.shape[1] - 1))
 
@@ -145,9 +150,9 @@ def test_block_size_changes_no_number(model, monkeypatch, block_steps):
 
 
 def test_zero_horizon_returns_initial_state(model):
-    p = eg.simulate(model, None, horizon=0.0, step=0.5)
-    assert p.states.shape == (1,)
-    assert p.states[0] == 0.0
+    states = eg.sample_paths(model, None, 0.0, 0.5, 0, n_paths=1)
+    assert states.shape == (1, 1)
+    assert states[0, 0] == 0.0
 
 
 def test_n_steps_validation():
@@ -164,7 +169,7 @@ def test_n_steps_validation():
 def test_step_stability_guard(model):
     # explicit Euler contraction requires 1 - step * dissipation > 0
     with pytest.raises(ValueError, match="dissipation"):
-        eg.simulate(model, None, horizon=10.0, step=1.5)
+        eg.sample_paths(model, None, 10.0, 1.5, 0, n_paths=1)
 
 
 def test_path_count_must_be_positive(model):
@@ -175,7 +180,7 @@ def test_path_count_must_be_positive(model):
         with pytest.raises(ValueError, match="n_paths must be at least 1"):
             eg.moment_bound_check(model, horizon=1.0, n_paths=n_paths)
         with pytest.raises(ValueError, match="n_paths must be at least 1"):
-            sde.run_paths(model, 10, 0.01, n_paths, lambda j: (0, j), lambda *args: None)
+            sde.run_paths(model, 10, 0.01, [0], n_paths, lambda *args: None)
 
 
 @ignore_overflow
@@ -184,7 +189,7 @@ def test_divergence_detected(model):
     # first Euler step
     bad = _shift_beyond(-1.0)
     with pytest.raises(eg.SimulationDivergedError) as exc:
-        eg.simulate(model, bad, horizon=1.0, step=0.01)
+        eg.sample_paths(model, bad, 1.0, 0.01, 0, n_paths=1)
     assert exc.value.step_index == 1
 
 
@@ -293,7 +298,7 @@ def test_model_rejects_non_finite_start():
 def test_step_guard_uses_the_derived_rate():
     # 1 - 0.3 * 4 < 0: each Euler step would flip the state's sign and scale it by 0.2
     with pytest.raises(ValueError, match="too large for dissipation 4.0"):
-        eg.simulate(_flat_model(-4.0), None, horizon=1.0, step=0.3)
+        eg.sample_paths(_flat_model(-4.0), None, 1.0, 0.3, 0, n_paths=1)
 
 
 def test_model_rejects_understated_drift_bound():
@@ -416,20 +421,9 @@ def test_engine_memory_is_one_draw_block_and_two_windows(model):
     p = n = 2 * sde._BLOCK_STEPS
     assert p == sde._MAX_BATCH_PATHS
     peak = _peak_bytes(lambda: sde.run_paths(
-        model, n, 0.01, p, lambda j: (0, j), lambda *args: None,
+        model, n, 0.01, [0], p, lambda *args: None,
         shift_for=lambda cols: np.tanh))
     block = 8 * p * sde._BLOCK_STEPS
     window = 8 * p * (sde._FINITE_CHECK_STEPS + 1)
     streams = _peak_bytes(lambda: [eg.path_stream(0, j) for j in range(p)])
     assert peak < block + 2 * window + streams + 2**20, (peak, streams)
-
-
-def test_path_csv_roundtrip(model, tmp_path):
-    p = eg.simulate(model, None, horizon=0.1, step=0.05, seed=1)
-    out = tmp_path / "path.csv"
-    p.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,x_1"
-    data = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], p.times)
-    assert np.array_equal(data[:, 1], p.states)  # repr roundtrips float64

@@ -278,14 +278,16 @@ def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
         out[cols, start + 1:start + len(states)] = states[1:].T
 
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 5)
-    sde.run_paths(model, n, step, len(out), lambda j: (seeds[j // n_paths], j % n_paths), keep,
+    sde.run_paths(model, n, step, seeds, n_paths, keep,
                   verify._stacked_shift(g0, policies, n_paths, model.sigma))
     assert np.abs(out).max() > 1.5
+    # every path alone: a batch of one column each
+    monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 1)
     for j, (policy, seed) in enumerate(zip(policies, seeds)):
         shift = _reference_shift(g0, policy)
         for k in range(n_paths):
-            alone = eg.simulate(model, shift, n * step, step, seed=seed, path_index=k)
-            assert np.array_equal(alone.states, out[j * n_paths + k])
+            alone = eg.sample_paths(model, shift, n * step, step, seed, n_paths=k + 1)[k]
+            assert np.array_equal(alone, out[j * n_paths + k])
 
 
 # values of the full-array implementation the batched engine replaced; only
