@@ -87,29 +87,29 @@ def _residual_drift(name: str, params: dict) -> Tuple[Callable, float, float]:
     return (lambda x: scale * np.tanh(x), abs(scale), abs(scale))
 
 
-_MODEL_KEYS = ("lin_drift", "bounded_drift", "sigma", "x0", "dim")
+_MODEL_KEYS = ("lin_drift", "bounded_drift", "sigma", "x0")
 
 
 def make_model(cfg: dict) -> SdeModel:
     """Model from a config mapping (see the bundled YAML files).
 
-    Unknown keys raise ``KeyError`` naming the known ones; ``dim`` may only
-    be 1.
+    Unknown keys raise ``KeyError`` naming the known ones; ``sigma`` is a
+    number, and anything else raises ``TypeError``.
     """
     unknown = [k for k in cfg if k not in _MODEL_KEYS]
     if unknown:
         raise KeyError(f"unknown model key {unknown[0]!r}; known keys: {', '.join(_MODEL_KEYS)}")
-    if int(cfg.get("dim", 1)) != 1:
-        raise ValueError(f"models are one-dimensional, got dim={cfg['dim']}")
+    sigma = cfg.get("sigma", SQRT2)
+    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
+        raise TypeError(f"model key 'sigma' must be a number, got {sigma!r}")
     fn, f_sup, f_lip = _residual_drift(*_entry("bounded_drift", cfg.get("bounded_drift", {}),
                                                 {"zero": (), "tanh": ("scale",)}, "zero"))
-    _, sig = _entry("sigma", cfg.get("sigma", {}), {"constant": ("value",)}, "constant")
     return SdeModel(
         lin_drift=float(cfg.get("lin_drift", -1.0)),
         bounded_drift=fn,
         bounded_drift_sup=f_sup,
         bounded_drift_lip=f_lip,
-        sigma=float(sig.get("value", SQRT2)),
+        sigma=sigma,
         x0=float(cfg.get("x0", 0.0)),
     )
 

@@ -100,7 +100,7 @@ _KNOWN_KEYS = {
     "top-level": ("seed", "alpha", "alphas", "model", "grid", "driver", "game", "solver", "mc",
                   "sim", "nash_dir"),
     "grid": ("x_min", "x_max", "m", "interior_margin", "x_ref_index"),
-    "solver": ("tol", "max_iter", "damping", "inner_tol", "residual_ceiling"),
+    "solver": ("tol", "max_iter", "inner_tol", "residual_ceiling"),
     "mc": ("horizon", "step", "n_paths", "n_deviations", "grid_error_budget", "burn_in",
            "eps_tail", "growth_slack", "isaacs_samples", "isaacs_delta"),
     "sim": ("horizon", "step", "n_paths"),
@@ -111,17 +111,21 @@ def _checked_section(cfg: dict, name: str) -> dict:
     """Section ``name`` (``{}`` when absent); a key no command reads is a config error."""
     s = cfg if name == "top-level" else _section(cfg, name) if name in cfg else {}
     for key in s:
-        if name == "solver" and key in ("dtau", "max_sweeps"):  # knobs of the old iteration
-            raise ConfigError(f"solver key {key} no longer exists: the grid "
-                              "equation is solved directly")
         if key not in _KNOWN_KEYS[name]:
             raise ConfigError(f"unknown {name} key {key!r}; known keys: "
                               f"{', '.join(_KNOWN_KEYS[name])}")
     return s
 
 
-def _solver_section(cfg: dict) -> dict:
-    return _checked_section(cfg, "solver")
+def _set_keys(cfg: dict, name: str, **casts) -> dict:
+    """``{key: cast(s[key])}`` for each key of ``casts`` that section ``name`` sets: the
+    keyword arguments of a library call, whose own defaults hold for the other keys."""
+    s = _checked_section(cfg, name)
+    return {key: cast(s[key]) for key, cast in casts.items() if key in s}
+
+
+# the solver keys of picard_solve, asymmetric_solve and vanishing_discount_sweep
+_PICARD_KEYS = {"tol": float, "max_iter": int, "inner_tol": float}
 
 
 def _make_grid(gcfg: dict) -> Grid1D:
@@ -173,8 +177,7 @@ def _cmd_solve_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
     grid = _make_grid(_section(cfg, "grid"))
     driver = make_driver(_section(cfg, "driver"))
-    s = _solver_section(cfg)
-    sol = solve_ergodic(model, driver, grid, tol=float(s.get("tol", 1e-6)))
+    sol = solve_ergodic(model, driver, grid, **_set_keys(cfg, "solver", tol=float))
     sol.to_csv(out / "solution.csv")
     _write_json(out / "report.json", sol.report_dict())
     logger.info("solve-ebsde: lambda=%.9g residual=%.3e", sol.lam, sol.residual_sup)
@@ -184,18 +187,9 @@ def _cmd_solve_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
 def _cmd_continuous_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
     grid = _make_grid(_section(cfg, "grid"))
-    dcfg = dict(_section(cfg, "driver"))
-    kappa_override = dcfg.pop("kappa", None)
-    f, kappa = make_growth_driver(dcfg)
-    if kappa_override is not None:
-        kappa = float(kappa_override)
-    s = _solver_section(cfg)
-    sol = solve_continuous_ebsde(
-        model, f, kappa, grid,
-        tol=float(s.get("tol", 1e-6)),
-        max_iter=int(s.get("max_iter", 80)),
-        residual_ceiling=float(s["residual_ceiling"]) if "residual_ceiling" in s else None,
-    )
+    f, kappa = make_growth_driver(_section(cfg, "driver"))
+    sol = solve_continuous_ebsde(model, f, kappa, grid, **_set_keys(
+        cfg, "solver", tol=float, max_iter=int, residual_ceiling=float))
     sol.to_csv(out / "solution.csv")
     report = sol.report_dict()
     report["kappa"] = kappa
@@ -204,21 +198,11 @@ def _cmd_continuous_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]
     return 0, ["solution.csv", "report.json"]
 
 
-def _solver_kwargs(cfg: dict) -> dict:
-    s = _solver_section(cfg)
-    return dict(
-        tol=float(s.get("tol", 1e-4)),
-        max_iter=int(s.get("max_iter", 50)),
-        damping=float(s.get("damping", 1.0)),
-        inner_tol=float(s.get("inner_tol", 1e-6)),
-    )
-
-
 def _solve_nash(cfg: dict) -> NashSolution:
     model = make_model(_section(cfg, "model"))
     grid = _make_grid(_section(cfg, "grid"))
     spec = make_game(_section(cfg, "game"))
-    kwargs = _solver_kwargs(cfg)
+    kwargs = _set_keys(cfg, "solver", **_PICARD_KEYS)
     if "alpha" in cfg and cfg["alpha"] is not None:
         return asymmetric_solve(model, spec, grid, float(cfg["alpha"]), **kwargs)
     return picard_solve(model, spec, grid, **kwargs)
@@ -251,7 +235,7 @@ def _cmd_discount_sweep(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     if not isinstance(alphas, (list, tuple)) or not alphas:
         raise ConfigError("config field 'alphas' must be a nonempty list")
     sweep = vanishing_discount_sweep(model, spec, grid, [float(a) for a in alphas],
-                                     **_solver_kwargs(cfg))
+                                     **_set_keys(cfg, "solver", **_PICARD_KEYS))
     sweep.to_csv(out / "sweep.csv")
     _write_json(out / "report.json", {"game": spec.name, "rows": sweep.as_dicts()})
     bad = [r for r in sweep.rows if r.status != "ok"]
@@ -264,18 +248,9 @@ def _cmd_verify_nash(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
     spec = make_game(_section(cfg, "game"))
     nash = load_nash(cfg["nash_dir"]) if cfg.get("nash_dir") else _solve_nash(cfg)
-    mc = _checked_section(cfg, "mc")
-    report = nash_deviation_test(
-        model, spec, nash,
-        n_deviations=int(mc.get("n_deviations", 60)),
-        horizon=float(mc.get("horizon", 200.0)),
-        step=float(mc.get("step", 0.01)),
-        n_paths=int(mc.get("n_paths", 200)),
-        seed=seed,
-        grid_error_budget=float(mc.get("grid_error_budget", 0.05)),
-        burn_in=float(mc["burn_in"]) if "burn_in" in mc else None,
-        eps_tail=float(mc.get("eps_tail", 1e-3)),
-    )
+    report = nash_deviation_test(model, spec, nash, seed=seed, **_set_keys(
+        cfg, "mc", n_deviations=int, horizon=float, step=float, n_paths=int,
+        grid_error_budget=float, burn_in=float, eps_tail=float))
     report.to_csv(out / "deviations.csv")
     _write_json(out / "report.json", {"game": spec.name, **report.as_dict()})
     n_fail = len(report.failures())
@@ -319,14 +294,8 @@ def _cmd_check_assumptions(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list
     except ValueError as err:
         checks["model"] = {"passed": False, "detail": str(err)}
     if model is not None:
-        rep = moment_bound_check(
-            model,
-            horizon=float(mc.get("horizon", 10.0)),
-            step=float(mc.get("step", 0.01)),
-            n_paths=int(mc.get("n_paths", 256)),
-            seed=seed,
-            growth_slack=float(mc.get("growth_slack", 0.10)),
-        )
+        rep = moment_bound_check(model, seed=seed, **_set_keys(
+            cfg, "mc", horizon=float, step=float, n_paths=int, growth_slack=float))
         checks["moment"] = {
             "passed": rep.bounded_in_horizon,
             "sup_second_moment": rep.sup_second_moment,

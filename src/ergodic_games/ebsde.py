@@ -105,19 +105,19 @@ def nearest_node(x, lookup: Tuple[float, float, int], out: Optional[tuple] = Non
     map to ``top``: the one rule of every state-to-node lookup
     (feedback policies along paths and the path engine's drift shift).
     ``out = (scaled, idx)``, float and ``intp`` arrays of ``x``'s shape, lets
-    a caller that looks up every step reuse its buffers; the result is then
-    ``idx``.
+    a caller that looks up every step reuse its buffers (allocated when
+    None); the result is ``idx``.
     """
     lo, inv_dx, top = lookup
-    # both clamps come before the cast, in floating point: a state past the intp
-    # range or infinite would otherwise cast out of range (fmin sends NaN to top)
     if out is None:
-        scaled = np.fmin(np.rint((np.asarray(x, dtype=float) - lo) * inv_dx), top)
-        return np.asarray(np.fmax(scaled, 0.0).astype(np.intp))
+        x = np.asarray(x, dtype=float)
+        out = (np.empty(x.shape), np.empty(x.shape, dtype=np.intp))
     scaled, idx = out
     np.subtract(x, lo, out=scaled)
     np.multiply(scaled, inv_dx, out=scaled)
     np.rint(scaled, out=scaled)
+    # both clamps come before the cast, in floating point: a state past the intp
+    # range or infinite would otherwise cast out of range (fmin sends NaN to top)
     np.fmin(scaled, top, out=scaled)
     np.fmax(scaled, 0.0, out=scaled)
     idx[...] = scaled

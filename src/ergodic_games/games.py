@@ -349,7 +349,8 @@ def verify_isaacs(
     with scale 2.  For each sample the search is retried at a
     ``delta``-perturbed ``z`` and the largest change of the per-player
     Hamiltonian values is recorded (``delta == 0`` reproduces the same
-    point, so the jump is zero).  ``n_samples`` must be at least 1: no
+    point, so the jump is zero).  A sample counts as a hit only when both
+    searches find a pure Nash point.  ``n_samples`` must be at least 1: no
     sample would certify nothing.
     """
     if n_samples < 1:
@@ -369,7 +370,6 @@ def verify_isaacs(
             if len(failures) < 5:
                 failures.append((x, z))
             continue
-        hits += 1
         z_near = tuple(z_i + delta * d for z_i, d in zip(z, direction))
         try:
             u_near = isaac_fixed_point(spec, x, z_near)
@@ -377,6 +377,7 @@ def verify_isaacs(
             if len(failures) < 5:
                 failures.append((x, z_near))
             continue
+        hits += 1
         jump = max(
             abs(
                 hamiltonian(spec, i, x, z_near[i], u_near)

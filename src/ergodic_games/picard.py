@@ -7,8 +7,8 @@ linear-in-gradient backward equation per player:
     f_i(x, z) = z * drift_map(u*(x)) + cost_i(x, u*(x))
 
 These are solved directly on the grid (one Newton step each, as the frozen
-drivers are affine in ``z``), the gradient fields are (optionally damped
-and) updated, and the loop stops once every player's long-run constant and
+drivers are affine in ``z``), the gradient fields are replaced by the new
+ones, and the loop stops once every player's long-run constant and
 interior gradient field are stationary to tolerance.  All frozen drivers
 share the z-Lipschitz constant ``drift_bound`` of the game, which is what
 makes the iteration well posed uniformly in the iteration count.
@@ -150,14 +150,13 @@ def _interior_sup(grid: Grid1D, a: np.ndarray) -> float:
     return float(np.max(np.abs(a[grid.interior])))
 
 
-def _log_iteration(solver: str, deltas: dict, idx, prev_idx, sols,
-                   policy_s: float, inner_s: float) -> None:
+def _log_iteration(deltas: dict, idx, prev_idx, sols, policy_s: float, inner_s: float) -> None:
     """One INFO trace line per outer iteration: deltas, wall times, policy changes, inner work."""
     moves = " ".join(f"d_{key}=[" + ", ".join("-" if d is None else f"{d:.3e}" for d in vals)
                      + "]" for key, vals in deltas.items() if key != "iteration")
     changed = "-" if prev_idx is None else np.count_nonzero(np.any(idx != prev_idx, axis=1))
-    logger.info("%s iteration %d: %s policy_search_s=%.4f inner_solve_s=%.4f "
-                "policy_changed_nodes=%s inner_iterations=%s", solver, deltas["iteration"],
+    logger.info("picard_solve iteration %d: %s policy_search_s=%.4f inner_solve_s=%.4f "
+                "policy_changed_nodes=%s inner_iterations=%s", deltas["iteration"],
                 moves, policy_s, inner_s, changed, [s.iterations for s in sols])
 
 
@@ -167,7 +166,6 @@ def picard_solve(
     grid: Grid1D,
     tol: float = 1e-4,
     max_iter: int = 50,
-    damping: float = 1.0,
     inner_tol: float = 1e-6,
     v_init: Optional[Sequence[np.ndarray]] = None,
     xi_init: Optional[np.ndarray] = None,
@@ -181,8 +179,8 @@ def picard_solve(
     converged field takes two iterations, as the first one has no delta of
     the constants yet).  Each iteration searches the pointwise Nash control
     again at the nodes whose gradient row moved, solves every player's frozen
-    equation directly to ``inner_tol`` (warm-started), applies
-    ``damping`` to the gradient update, and records the per-player deltas:
+    equation directly to ``inner_tol`` (warm-started), takes the new gradient
+    fields as they are, and records the per-player deltas:
     ``|lam_new - lam_old|`` of an ergodic player under ``"lambda"``, the
     interior ``sup |v_new - v_old|`` of a discounted one under ``"value"``
     (a key present only when some player discounts) and the interior
@@ -200,43 +198,6 @@ def picard_solve(
         raise ValueError(f"need one criterion per player, got {len(alphas)}")
     if any(a is not None and not a > 0.0 for a in alphas):
         raise ValueError("discount rates must be positive")
-    return _picard_loop("picard_solve", model, spec, grid, alphas, tol, max_iter, damping,
-                        inner_tol, v_init, xi_init)
-
-
-def asymmetric_solve(
-    model: SdeModel,
-    spec: GameSpec,
-    grid: Grid1D,
-    alpha: float,
-    tol: float = 1e-4,
-    max_iter: int = 50,
-    damping: float = 1.0,
-    inner_tol: float = 1e-6,
-    v_init: Optional[Sequence[np.ndarray]] = None,
-    xi_init: Optional[np.ndarray] = None,
-) -> NashSolution:
-    """Two-player fixed point with an ergodic player 1 and a discounted player 2.
-
-    :func:`picard_solve` with ``alphas=(None, alpha)``: player 2's deltas
-    are the interior sups of the profile and gradient changes, and
-    ``lambdas[1]`` is ``None``; the discounted value is in ``solutions[1]``.
-    """
-    if spec.n_players != 2:
-        raise ValueError("asymmetric_solve requires exactly two players")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    return _picard_loop("asymmetric_solve", model, spec, grid, (None, alpha), tol, max_iter,
-                        damping, inner_tol, v_init, xi_init)
-
-
-def _picard_loop(solver: str, model: SdeModel, spec: GameSpec, grid: Grid1D,
-                 alphas: Tuple[Optional[float], ...], tol: float, max_iter: int,
-                 damping: float, inner_tol: float, v_init: Optional[Sequence[np.ndarray]],
-                 xi_init: Optional[np.ndarray]) -> NashSolution:
-    """The frozen-policy iteration of :func:`picard_solve`; ``solver`` prefixes its log lines."""
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = spec.n_players
@@ -273,8 +234,6 @@ def _picard_loop(solver: str, model: SdeModel, spec: GameSpec, grid: Grid1D,
             v_warm[i] = sols[i].v
         t2 = time.perf_counter()
         xi_new = np.column_stack([sol.xi for sol in sols])
-        if damping < 1.0:
-            xi_new = (1.0 - damping) * xi + damping * xi_new
         deltas = {
             "iteration": it,
             "lambda": [None if a is not None or p is None else abs(sol.lam - p)
@@ -285,7 +244,7 @@ def _picard_loop(solver: str, model: SdeModel, spec: GameSpec, grid: Grid1D,
                                for a, p, sol in zip(alphas, prev, sols)]
         deltas["xi"] = [_interior_sup(grid, xi_new[:, i] - xi[:, i]) for i in range(n)]
         history.append(deltas)
-        _log_iteration(solver, deltas, idx, prev_idx, sols, t1 - t0, t2 - t1)
+        _log_iteration(deltas, idx, prev_idx, sols, t1 - t0, t2 - t1)
         xi = xi_new
         prev = [sol.lam if a is None else sol.v for a, sol in zip(alphas, sols)]
         criterion = [deltas["lambda" if a is None else "value"][i] for i, a in enumerate(alphas)]
@@ -293,7 +252,7 @@ def _picard_loop(solver: str, model: SdeModel, spec: GameSpec, grid: Grid1D,
             converged = True
             break
     if not converged:
-        logger.warning("%s: no fixed point after %d iterations%s", solver, it, cycle)
+        logger.warning("picard_solve: no fixed point after %d iterations%s", it, cycle)
     final_idx = _policy_from_xi(spec, nodes, xi, searched, idx)
     policy = FeedbackPolicy(nodes=nodes, indices=final_idx)
     rates = {a for a in alphas if a is not None}
@@ -309,6 +268,27 @@ def _picard_loop(solver: str, model: SdeModel, spec: GameSpec, grid: Grid1D,
         deltas_history=tuple(history),
         alpha=rates.pop() if len(rates) == 1 else None,
     )
+
+
+def asymmetric_solve(
+    model: SdeModel,
+    spec: GameSpec,
+    grid: Grid1D,
+    alpha: float,
+    **kwargs,
+) -> NashSolution:
+    """Two-player fixed point with an ergodic player 1 and a discounted player 2.
+
+    :func:`picard_solve` with ``alphas=(None, alpha)`` and the other keyword
+    arguments: player 2's deltas are the interior sups of the profile and
+    gradient changes, and ``lambdas[1]`` is ``None``; the discounted value is
+    in ``solutions[1]``.
+    """
+    if spec.n_players != 2:
+        raise ValueError("asymmetric_solve requires exactly two players")
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    return picard_solve(model, spec, grid, alphas=(None, alpha), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -338,9 +318,6 @@ def vanishing_discount_sweep(
     spec: GameSpec,
     grid: Grid1D,
     alphas: Sequence[float],
-    tol: float = 1e-4,
-    max_iter: int = 50,
-    inner_tol: float = 1e-6,
     **kwargs,
 ) -> SweepResult:
     """Asymmetric solves along a list of discount rates.
@@ -349,17 +326,15 @@ def vanishing_discount_sweep(
     node, and the interior sup-distance between consecutive centered player-2
     profiles ``v2 - v2(x_ref)``.  Solver failures mark the row's ``status``
     and leave the remaining columns empty rather than aborting the sweep.
+    Keyword arguments go to every :func:`asymmetric_solve`, each warm-started
+    from the previous row's profiles.
     """
     rows = []
     prev_centered: Optional[np.ndarray] = None
     warm = None
     for a in alphas:
         try:
-            nash = asymmetric_solve(
-                model, spec, grid, float(a),
-                tol=tol, max_iter=max_iter, inner_tol=inner_tol,
-                v_init=warm, **kwargs,
-            )
+            nash = asymmetric_solve(model, spec, grid, float(a), v_init=warm, **kwargs)
         except (MaxSweepsExceededError, NonMonotoneSchemeError, NoPureNashError) as err:
             rows.append(SweepRow(float(a), None, None, None, f"error: {err}"))
             prev_centered = None

@@ -445,10 +445,22 @@ def moment_bound_check(
     Dissipativity keeps this quantity bounded uniformly in the horizon, so the
     doubled-horizon estimate must not exceed the base one by more than
     ``growth_slack`` (relative).  The implied constant is
-    ``sup_second_moment / (1 + |x0|^2)``.
+    ``sup_second_moment / (1 + |x0|^2)``.  Paths stream through
+    :func:`run_paths`: memory holds one sum per step, not every state.
     """
-    states = sample_paths(model, None, 2.0 * horizon, step, seed, n_paths)
-    mean_sq = (states**2).mean(axis=0)
+    n = _n_steps(2.0 * horizon, step)
+    # each step's squares are added path by path in column order, as a mean over
+    # the axis of paths of a (paths, steps) array adds them: the same bits
+    mean_sq = np.zeros(n + 1)
+
+    def add_squares(cols, start, states, noise):
+        acc = mean_sq[start + 1:start + len(states)]
+        for col in np.square(states[1:]).T:
+            acc += col
+
+    run_paths(model, n, step, [seed], n_paths, add_squares, label="moment_bound_check")
+    mean_sq[0] = np.full(n_paths, model.x0 * model.x0).cumsum()[-1]  # cumsum: in order
+    mean_sq /= n_paths
     n_half = _n_steps(horizon, step)
     sup_t = float(np.max(mean_sq[: n_half + 1]))
     sup_2t = float(np.max(mean_sq))

@@ -33,9 +33,10 @@ def test_make_model_defaults_match_reference(model):
 
 
 def test_make_model_rejects_other_dims():
-    with pytest.raises(ValueError, match="one-dimensional"):
-        eg.make_model({"dim": 2})
-    assert eg.make_model({"dim": 1}).lin_drift == -1.0
+    # models are one-dimensional, so there is no dimension to set
+    for dim in (1, 2):
+        with pytest.raises(KeyError, match="unknown model key 'dim'"):
+            eg.make_model({"dim": dim})
 
 
 @pytest.mark.parametrize("key", ["sigma_lo", "sigma_hi", "lin_drfit"])
@@ -56,8 +57,10 @@ def test_make_model_tanh_residual_drift():
     assert m.bounded_drift(2.0) == pytest.approx(0.3 * math.tanh(2.0))
     with pytest.raises(KeyError, match="bounded_drift"):
         eg.make_model({"bounded_drift": {"name": "cubic"}})
-    with pytest.raises(KeyError, match="sigma"):
-        eg.make_model({"sigma": {"name": "state_dependent"}})
+    assert eg.make_model({"sigma": 0.5}).sigma == 0.5
+    for sigma in ({"name": "constant", "value": 0.5}, "0.5", True):
+        with pytest.raises(TypeError, match="model key 'sigma' must be a number"):
+            eg.make_model({"sigma": sigma})
 
 
 def test_make_driver_catalogue():
@@ -110,7 +113,7 @@ def test_bundled_games_pass_their_own_checks():
 
 NESTED_TYPOS = [
     (eg.make_model, {"bounded_drift": {"name": "tanh", "scael": 0.3}}, "'scael' of bounded_drift"),
-    (eg.make_model, {"sigma": {"vlaue": 0.5}}, "'vlaue' of sigma 'constant'"),
+    (eg.make_model, {"bounded_drift": {"scale": 0.3}}, "'scale' of bounded_drift 'zero'"),
     (eg.make_driver, {"name": "linear_z_plus_bump", "slpoe": 0.3}, "known parameters: slope"),
     (eg.make_growth_driver, {"name": "sqrt_z_plus_bump", "slpoe": 3.0},
      "known parameters: slope"),

@@ -264,7 +264,7 @@ def test_removed_solver_keys_exit_1(tmp_path, caplog, key):
     cfg = ebsde_cfg(tmp_path, solver={"tol": 1.0e-6, key: 100.0})
     assert cli.main(["solve-ebsde", "--config", cfg,
                      "--out", str(tmp_path / "x"), "--quiet"]) == 1
-    assert f"solver key {key} no longer exists" in caplog.text
+    assert f"unknown solver key {key!r}" in caplog.text
 
 
 @pytest.mark.parametrize("command", ["solve-ebsde", "simulate"])
@@ -313,7 +313,6 @@ def test_bundled_configs_pass_the_solver_key_check():
     paths = sorted((root / "configs").glob("*.yaml")) + [root / "perfbench" / "g0_bench.yaml"]
     assert len(paths) > 1
     for p in paths:
-        cli._solver_section(cli.load_config(p))
         for name in cli._KNOWN_KEYS:
             cli._checked_section(cli.load_config(p), name)
 
@@ -324,21 +323,44 @@ def test_sweep_budget_exhaustion_exits_2(tmp_path):
                      "--out", str(tmp_path / "x"), "--quiet"]) == 2
 
 
-def test_discount_sweep_applies_damping(tmp_path):
-    alphas = [0.5, 0.2]
-    cfg = {"seed": 0, "alphas": alphas, "model": {}, "grid": dict(TINY_GRID),
-           "game": {"name": "quadratic_decoupled"},
-           "solver": {"tol": 1.0e-4, "damping": 0.5}}
-    out = tmp_path / "sweep"
-    assert cli.main(["discount-sweep", "--config", write_cfg(tmp_path, "sweep.yaml", cfg),
-                     "--out", str(out), "--quiet"]) == 0
-    rows = json.loads((out / "report.json").read_text())["rows"]
-    args = (ergodic_games.ou_model(), ergodic_games.quadratic_decoupled(),
-            ergodic_games.Grid1D(**TINY_GRID), alphas)
-    damped = ergodic_games.vanishing_discount_sweep(*args, tol=1.0e-4, damping=0.5)
-    plain = ergodic_games.vanishing_discount_sweep(*args, tol=1.0e-4)
-    assert damped.as_dicts() != plain.as_dicts()
-    assert rows == damped.as_dicts()
+def _continuous_report(model, grid):
+    f, kappa = ergodic_games.make_growth_driver({"name": "sqrt_z_plus_bump"})
+    return {**ergodic_games.solve_continuous_ebsde(model, f, kappa, grid).report_dict(),
+            "kappa": kappa}
+
+
+@pytest.mark.parametrize("command, section, library_report", [
+    ("solve-ebsde", {"driver": {"name": "bump"}}, lambda model, grid: ergodic_games.solve_ergodic(
+        model, ergodic_games.make_driver({"name": "bump"}), grid).report_dict()),
+    ("continuous-ebsde", {"driver": {"name": "sqrt_z_plus_bump"}}, _continuous_report),
+    ("solve-game", {"game": {"name": "quadratic_decoupled"}}, lambda model, grid:
+     ergodic_games.picard_solve(model, ergodic_games.quadratic_decoupled(), grid).report_dict()),
+])
+def test_empty_solver_section_takes_the_library_defaults(tmp_path, command, section,
+                                                         library_report):
+    # every bundled config sets every solver key, so only this runs the defaults
+    cfg = {"seed": 0, "model": {}, "grid": dict(TINY_GRID), "solver": {}, **section}
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", write_cfg(tmp_path, "c.yaml", cfg), "--out", str(out),
+                     "--quiet"]) == 0
+    expected = library_report(ergodic_games.ou_model(), ergodic_games.Grid1D(**TINY_GRID))
+    assert json.loads((out / "report.json").read_text()) == json.loads(json.dumps(expected))
+
+
+def test_check_assumptions_fails_the_game_row_on_a_failed_perturbed_search(tmp_path):
+    # a NaN perturbation fails every second search; those samples used to count as hits
+    cfg = write_cfg(tmp_path, "chk.yaml", {
+        "model": {},
+        "game": {"name": "quadratic_decoupled", "n_controls": 11},
+        "mc": {"horizon": 1.0, "n_paths": 8, "isaacs_samples": 5, "isaacs_delta": float("nan")},
+    })
+    out = tmp_path / "run"
+    assert cli.main(["check-assumptions", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 3
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["game"]["passed"] is False
+    assert rep["game"]["fraction_with_pure_nash"] == 0.0
+    assert rep["all_passed"] is False
 
 
 def test_version_flag(capsys):

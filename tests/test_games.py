@@ -383,6 +383,15 @@ def test_verify_isaacs_records_failures():
     assert len(rep.example_failures) == 5
 
 
+def test_verify_isaacs_counts_failures_at_the_perturbed_gradient():
+    # every first search succeeds and every NaN-perturbed one fails; such a sample
+    # used to count as a hit while listed among the failures
+    rep = eg.verify_isaacs(eg.quadratic_decoupled(), n_samples=5, delta=np.nan, seed=0)
+    assert rep.fraction_with_pure_nash == 0.0
+    assert rep.n_failures == 5
+    assert len(rep.example_failures) == 5
+
+
 @pytest.mark.parametrize("n_samples", [0, -3])
 def test_verify_isaacs_needs_a_sample(g0, n_samples):
     # no sample used to read as a full pure-Nash fraction (1.0, or -0.0 for -3)

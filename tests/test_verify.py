@@ -356,6 +356,16 @@ def test_estimate_memory_flat_in_horizon(model, g0, g0_nash_coarse):
     assert long <= short + 128 * 1024, (short, long)
 
 
+def test_moment_check_memory_flat_in_horizon(model):
+    def run(horizon):
+        return _peak_bytes(lambda: eg.moment_bound_check(model, horizon=horizon, step=0.02,
+                                                         n_paths=64, seed=1))
+
+    short, long = run(25.0), run(200.0)  # 2,500 and 20,000 steps
+    # the long run's states alone would be 10.2 MB; what grows is one sum per step
+    assert long <= short + 2 * 8 * 20_000, (short, long)
+
+
 def test_harness_memory_flat_in_deviations(model, g0, g0_nash_coarse):
     # 8 jobs of 256 paths fill one batch; 62 jobs run as eight batches
     def run(n_deviations):
