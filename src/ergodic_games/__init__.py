@@ -23,7 +23,6 @@ from .catalog import (
     three_player_symmetric,
 )
 from .continuous import (
-    Decomposition,
     GrowthViolationError,
     LinearizationDidNotConvergeError,
     ResidualCeilingError,
@@ -119,7 +118,6 @@ __all__ = [
     "asymmetric_solve",
     "vanishing_discount_sweep",
     # continuous linear-growth drivers
-    "Decomposition",
     "GrowthViolationError",
     "LinearizationDidNotConvergeError",
     "ResidualCeilingError",

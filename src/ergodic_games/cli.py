@@ -99,10 +99,10 @@ def _scalar(cfg: dict, name: str):
 _KNOWN_KEYS = {
     "top-level": ("seed", "alpha", "alphas", "model", "grid", "driver", "game", "solver", "mc",
                   "sim", "nash_dir"),
-    "grid": ("x_min", "x_max", "m", "interior_margin", "x_ref_index"),
-    "solver": ("tol", "max_iter", "inner_tol", "residual_ceiling"),
+    "grid": ("x_min", "x_max", "m", "interior_margin"),
+    "solver": ("tol", "max_iter", "inner_tol"),
     "mc": ("horizon", "step", "n_paths", "n_deviations", "grid_error_budget", "burn_in",
-           "eps_tail", "growth_slack", "isaacs_samples", "isaacs_delta"),
+           "isaacs_samples", "isaacs_delta"),
     "sim": ("horizon", "step", "n_paths"),
 }
 
@@ -132,7 +132,7 @@ def _make_grid(gcfg: dict) -> Grid1D:
     for k in ("x_min", "x_max", "m"):
         if k not in gcfg:
             raise ConfigError(f"missing config field 'grid.{k}'")
-    kwargs = {k: int(gcfg[k]) for k in ("interior_margin", "x_ref_index") if k in gcfg}
+    kwargs = {"interior_margin": int(gcfg["interior_margin"])} if "interior_margin" in gcfg else {}
     return Grid1D(float(gcfg["x_min"]), float(gcfg["x_max"]), int(gcfg["m"]), **kwargs)
 
 
@@ -189,7 +189,7 @@ def _cmd_continuous_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]
     grid = _make_grid(_section(cfg, "grid"))
     f, kappa = make_growth_driver(_section(cfg, "driver"))
     sol = solve_continuous_ebsde(model, f, kappa, grid, **_set_keys(
-        cfg, "solver", tol=float, max_iter=int, residual_ceiling=float))
+        cfg, "solver", tol=float, max_iter=int))
     sol.to_csv(out / "solution.csv")
     report = sol.report_dict()
     report["kappa"] = kappa
@@ -250,7 +250,7 @@ def _cmd_verify_nash(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     nash = load_nash(cfg["nash_dir"]) if cfg.get("nash_dir") else _solve_nash(cfg)
     report = nash_deviation_test(model, spec, nash, seed=seed, **_set_keys(
         cfg, "mc", n_deviations=int, horizon=float, step=float, n_paths=int,
-        grid_error_budget=float, burn_in=float, eps_tail=float))
+        grid_error_budget=float, burn_in=float))
     report.to_csv(out / "deviations.csv")
     _write_json(out / "report.json", {"game": spec.name, **report.as_dict()})
     n_fail = len(report.failures())
@@ -295,7 +295,7 @@ def _cmd_check_assumptions(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list
         checks["model"] = {"passed": False, "detail": str(err)}
     if model is not None:
         rep = moment_bound_check(model, seed=seed, **_set_keys(
-            cfg, "mc", horizon=float, step=float, n_paths=int, growth_slack=float))
+            cfg, "mc", horizon=float, step=float, n_paths=int))
         checks["moment"] = {
             "passed": rep.bounded_in_horizon,
             "sup_second_moment": rep.sup_second_moment,
@@ -366,14 +366,8 @@ def load_nash(nash_dir) -> NashSolution:
     players = report["players"]
     if len(players) != n_players:
         raise ConfigError("nash.csv and report.json disagree on the player count")
-    grid_dict = next(p["grid"] for p in players if "grid" in p)
-    grid = Grid1D(
-        x_min=float(grid_dict["x_min"]),
-        x_max=float(grid_dict["x_max"]),
-        m=int(grid_dict["m"]),
-        interior_margin=int(grid_dict["interior_margin"]),
-        x_ref_index=int(grid_dict["x_ref_index"]),
-    )
+    # the grid as report.json records it; its x_ref_index is derived again
+    grid = _make_grid(next(p["grid"] for p in players if "grid" in p))
     sols = []
     values = []
     idx_cols = []

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "GrowthViolationError",
     "LinearizationDidNotConvergeError",
     "ResidualCeilingError",
-    "Decomposition",
     "decompose",
     "solve_continuous_ebsde",
 ]
@@ -39,6 +38,8 @@ logger = logging.getLogger(__name__)
 _CHECK_SLACK = 1e-9
 # fixed (x, z) pairs of decompose's growth check
 _CHECK_SAMPLES = 10_000
+# the converged iterate's residual against the original driver, in units of tol
+_RESIDUAL_CEILING = 10.0
 
 
 class GrowthViolationError(ValueError):
@@ -63,47 +64,25 @@ class ResidualCeilingError(RuntimeError):
     """Converged iterate fails the residual ceiling against the original driver."""
 
 
-def _phi_values(f: Callable, x, z) -> np.ndarray:
+def _split(f: Callable, x, z) -> Tuple[np.ndarray, np.ndarray]:
+    """``(phi, psi)`` at ``(x, z)`` from one call of ``f``.  ``psi = f - phi * z``
+    is ``f`` on the gate ``|z| < 1`` and zero to one rounding unit off it, and
+    makes ``phi * z + psi`` reproduce ``f(x, z)`` bitwise."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     gate = np.abs(z) >= 1.0
     denom = np.where(gate, z * z, 1.0)
     fv = np.asarray(f(x, z), dtype=float)
-    return np.where(gate, fv * z / denom, 0.0)
+    phi = np.where(gate, fv * z / denom, 0.0)
+    return phi, fv - phi * z
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Slope/offset split of a linear-growth driver along the gradient axis.
+def decompose(f: Callable, kappa: float) -> Callable:
+    """The split ``(x, z) -> (phi, psi)`` of ``f``, after checking its growth.
 
-    ``phi`` and ``psi`` act elementwise.  ``psi`` is evaluated as
-    ``f - phi * z``: on the gate ``|z| < 1`` this is exactly ``f``, on the
-    complement it agrees with the gated formula (which is zero there) to one
-    rounding unit, and it makes ``phi(x, z) * z + psi(x, z)`` reproduce
-    ``f(x, z)`` bitwise.
-    """
-
-    f: Callable
-    kappa: float
-
-    def phi(self, x, z):
-        return _phi_values(self.f, x, z)
-
-    def psi(self, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        fv = np.asarray(self.f(x, z), dtype=float)
-        return fv - _phi_values(self.f, x, z) * z
-
-    def reconstruct(self, x, z):
-        return self.phi(x, z) * np.asarray(z, dtype=float) + self.psi(x, z)
-
-
-def decompose(f: Callable, kappa: float) -> Decomposition:
-    """Split ``f`` against its declared growth constant ``kappa``.
-
-    ``kappa`` must be positive and finite.  ``f`` is checked on
-    ``_CHECK_SAMPLES`` fixed ``(x, z)`` pairs
+    The split acts elementwise with one call of ``f``; ``phi * z + psi`` is
+    ``f(x, z)`` bitwise and ``|phi|, |psi| <= 2 kappa``.  ``kappa`` must be
+    positive and finite.  ``f`` is checked on ``_CHECK_SAMPLES`` fixed pairs
     (:func:`~ergodic_games._samples.check_states`); a value that is not finite
     or exceeds ``kappa (1 + |z|)`` raises :class:`GrowthViolationError`.
     """
@@ -120,7 +99,7 @@ def decompose(f: Callable, kappa: float) -> Decomposition:
             f"sampled |f(x, z)|={abs(fv[k]):.6g} exceeds kappa*(1+|z|)="
             f"{growth[k]:.6g} at x={xs[k]:.6g}, z={zs[k]:.6g}"
         )
-    return Decomposition(f=f, kappa=float(kappa))
+    return partial(_split, f)
 
 
 def solve_continuous_ebsde(
@@ -131,7 +110,6 @@ def solve_continuous_ebsde(
     tol: float = 1e-6,
     max_iter: int = 80,
     xi_init: Optional[np.ndarray] = None,
-    residual_ceiling: Optional[float] = None,
 ) -> ErgodicSolution:
     """Ergodic solve for a continuous linear-growth driver.
 
@@ -141,23 +119,21 @@ def solve_continuous_ebsde(
     equation to ``tol / 10`` (warm started), and stops once the constant and
     the interior gradient field move less than ``tol``.  The returned
     ``residual_sup`` is recomputed against the *original* driver and must
-    stay below ``residual_ceiling`` (default ``10 * tol``).
+    be at most ``10 * tol`` (else :class:`ResidualCeilingError`).
     """
-    dec = decompose(f, kappa)
+    split = decompose(f, kappa)
     nodes = grid.nodes()
     xi = np.zeros(grid.m) if xi_init is None else np.asarray(xi_init, dtype=float).copy()
     if xi.shape != (grid.m,):
         raise ValueError(f"xi_init must have shape ({grid.m},)")
-    if residual_ceiling is None:
-        residual_ceiling = 10.0 * tol
+    residual_ceiling = _RESIDUAL_CEILING * tol
     inner_tol = 0.1 * tol
     lam_prev: Optional[float] = None
     v_warm: Optional[np.ndarray] = None
     history = []
     sol: Optional[ErgodicSolution] = None
     for it in range(1, max_iter + 1):
-        driver = frozen_driver(dec.phi(nodes, xi), dec.psi(nodes, xi),
-                               2.0 * dec.kappa, 2.0 * dec.kappa)
+        driver = frozen_driver(*split(nodes, xi), 2.0 * kappa, 2.0 * kappa)
         sol = solve_ergodic(model, driver, grid, tol=inner_tol, v_init=v_warm)
         v_warm = sol.v
         d_lam = None if lam_prev is None else abs(sol.lam - lam_prev)

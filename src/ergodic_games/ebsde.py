@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -186,15 +186,16 @@ class Grid1D:
     """Uniform truncation grid for the 1-d state.
 
     ``interior_margin`` nodes at each end are excluded from all sup-norms
-    (boundary closures pollute them).  The reference node defaults to the
-    node nearest the origin and must lie in the retained interior.
+    (boundary closures pollute them).  ``x_ref_index``, the reference node
+    that pins the value functions, is derived: the node nearest the origin,
+    which must lie in the retained interior.
     """
 
     x_min: float
     x_max: float
     m: int
     interior_margin: int = 5
-    x_ref_index: Optional[int] = None
+    x_ref_index: int = field(init=False)
 
     def __post_init__(self):
         if not self.x_min < 0.0 < self.x_max:
@@ -203,9 +204,7 @@ class Grid1D:
             raise ValueError("need at least 7 grid nodes")
         if not 1 <= self.interior_margin or self.m - 2 * self.interior_margin < 3:
             raise ValueError("interior_margin leaves no interior nodes")
-        if self.x_ref_index is None:
-            nodes = np.linspace(self.x_min, self.x_max, self.m)
-            object.__setattr__(self, "x_ref_index", int(np.argmin(np.abs(nodes))))
+        object.__setattr__(self, "x_ref_index", int(np.argmin(np.abs(self.nodes()))))
         if not self.interior_margin <= self.x_ref_index < self.m - self.interior_margin:
             raise ValueError("reference node must lie in the retained interior")
 

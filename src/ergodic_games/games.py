@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +56,8 @@ class NoPureNashError(RuntimeError):
 
 @dataclass(frozen=True)
 class ControlGrid:
-    """Finite list of admissible scalar control points for one player."""
+    """Strictly ascending, finite list of admissible scalar control points for
+    one player: grid indices order the controls as their values do."""
 
     points: np.ndarray
 
@@ -69,8 +70,8 @@ class ControlGrid:
             raise ValueError("control grid must be nonempty")
         if not np.all(np.isfinite(pts)):
             raise ValueError("control grid points must be finite")
-        if not np.all(np.diff(np.sort(pts)) > 0.0):
-            raise ValueError("control grid points must be distinct")
+        if not np.all(np.diff(pts) > 0.0):
+            raise ValueError("control grid points must be strictly ascending")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -85,14 +86,16 @@ class ControlGrid:
 class GameSpec:
     """Immutable description of an n-player game on finite control grids.
 
-    ``drift_map`` and each ``costs[i]`` receive the per-player control values
-    as separate positional arguments (``costs[i]`` gets the state first) and
-    must broadcast over numpy arrays: called on the open joint control meshes
-    (one axis per player, as ``np.meshgrid(..., sparse=True)``), their output
-    must broadcast to the joint grid's shape (else ``ValueError``).  They must
-    act elementwise: a search also calls them with player 0's mesh cut to a
-    subset of its rows, so no value may depend on the meshes' shapes.  Nothing
-    is cached per state, so tabulation memory is O(|U|^n), independent of the
+    Each of ``grids`` is ascending (:class:`ControlGrid`), so joint control
+    indices order the controls as their values do.  ``drift_map`` and each
+    ``costs[i]`` receive the per-player control values as separate positional
+    arguments (``costs[i]`` gets the state first) and must broadcast over
+    numpy arrays: called on the open joint control meshes (one axis per
+    player, as ``np.meshgrid(..., sparse=True)``), their output must broadcast
+    to the joint grid's shape (else ``ValueError``).  They must act
+    elementwise: a search also calls them with player 0's mesh cut to a subset
+    of its rows, so no value may depend on the meshes' shapes.  Nothing is
+    cached per state, so tabulation memory is O(|U|^n), independent of the
     state grid.  ``cost_sup`` bounds ``|cost_i|`` and ``cost_x_lip`` is a
     Lipschitz constant of the costs in the state; both must be finite and are
     verified at construction on fixed states
@@ -121,7 +124,6 @@ class GameSpec:
         for a in mesh:
             a.flags.writeable = False
         object.__setattr__(self, "_mesh", mesh)
-        object.__setattr__(self, "_value_order", _value_order(self.grids))
         drift = self._compact(self.drift_map)
         table = np.broadcast_to(drift, self._shape())
         # compact array: broadcasting repeats values but drops none
@@ -274,12 +276,6 @@ def _validate_joint(spec: GameSpec, u: Sequence[int]) -> None:
             raise ValueError(f"control index {idx} out of range for player {j}")
 
 
-def _value_order(grids) -> Optional[tuple]:
-    """Per-grid index permutations into ascending value order; ``None`` if all ascending."""
-    orders = tuple(np.argsort(g.points, kind="stable") for g in grids)
-    return None if all(np.array_equal(o, np.arange(len(o))) for o in orders) else orders
-
-
 def isaac_fixed_point(spec: GameSpec, x, z) -> JointControl:
     """Joint control at which every Hamiltonian is unilaterally minimal.
 
@@ -287,10 +283,9 @@ def isaac_fixed_point(spec: GameSpec, x, z) -> JointControl:
     along their own axis: player 0's over the whole joint grid, the others'
     only on player 0's *rows* (indices marked for some choice of the others),
     which hold every stable control.  The first control marked by every player
-    in the lexicographic order of control *values* wins, so ties go to the
-    smallest tuple of values and reordering a grid cannot change the selected
-    control.  Time and memory are O(|U|^n) per call, for the later passes too
-    when every row survives.
+    in row-major index order wins; grids are ascending, so ties go to the
+    smallest tuple of control values.  Time and memory are O(|U|^n) per call,
+    for the later passes too when every row survives.
 
     Raises :class:`NoPureNashError` when no joint control is stable.
     """
@@ -298,7 +293,6 @@ def isaac_fixed_point(spec: GameSpec, x, z) -> JointControl:
         raise ValueError(f"need one gradient value per player, got {len(z)}")
     drift = spec.drift_table()
     mesh = getattr(spec, "_mesh")
-    order = getattr(spec, "_value_order")
     # one Hamiltonian buffer per call: fresh arrays per player cost more than the arithmetic
     h = np.empty(spec._shape())
     for i in range(spec.n_players):
@@ -309,20 +303,16 @@ def isaac_fixed_point(spec: GameSpec, x, z) -> JointControl:
         if i:
             mask &= best
             continue
-        # player 0's rows in ascending control value; none when z[0] or the cost is NaN
-        keep = best.any(axis=tuple(range(1, spec.n_players)))
-        rows = keep.nonzero()[0] if order is None else order[0][keep[order[0]]]
+        # player 0's rows; none when z[0] or the cost is NaN
+        rows = best.any(axis=tuple(range(1, spec.n_players))).nonzero()[0]
         mask, drift = best.take(rows, axis=0), drift.take(rows, axis=0)
         mesh = [mesh[0].take(rows, axis=0), *mesh[1:]]
         h = h.reshape(-1)[:mask.size].reshape(mask.shape)
-    if order is not None:
-        mask = mask[np.ix_(np.arange(len(rows)), *order[1:])]
     # per-axis indices of the marked controls, the first in row-major order
     hits = mask.nonzero()
     if not hits[0].size:
         raise NoPureNashError(x, z)
-    picks = (rows,) + (order or (None,) * len(hits))[1:]
-    return tuple(int(a[0] if p is None else p[a[0]]) for p, a in zip(picks, hits))
+    return (int(rows[hits[0][0]]),) + tuple(int(a[0]) for a in hits[1:])
 
 
 @dataclass(frozen=True)

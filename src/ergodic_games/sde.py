@@ -54,6 +54,8 @@ logger = logging.getLogger(__name__)
 _CHECK_SLACK = 1e-9
 # fixed check states of SdeModel's construction-time check
 _MODEL_CHECK_SAMPLES = 10_000
+# relative growth of the sampled second moment allowed when the horizon doubles
+_GROWTH_SLACK = 0.10
 
 
 class SimulationDivergedError(RuntimeError):
@@ -437,16 +439,15 @@ def moment_bound_check(
     step: float = 0.01,
     n_paths: int = 256,
     seed: int = 0,
-    growth_slack: float = 0.10,
 ) -> MomentReport:
     """Largest mean squared state over the time grid, at ``horizon`` and
     ``2 * horizon``.
 
     Dissipativity keeps this quantity bounded uniformly in the horizon, so the
-    doubled-horizon estimate must not exceed the base one by more than
-    ``growth_slack`` (relative).  The implied constant is
-    ``sup_second_moment / (1 + |x0|^2)``.  Paths stream through
-    :func:`run_paths`: memory holds one sum per step, not every state.
+    doubled-horizon estimate must not exceed the base one by more than 10%.
+    The implied constant is ``sup_second_moment / (1 + |x0|^2)``.  Paths
+    stream through :func:`run_paths`: memory holds one sum per step, not
+    every state.
     """
     n = _n_steps(2.0 * horizon, step)
     # each step's squares are added path by path in column order, as a mean over
@@ -471,6 +472,6 @@ def moment_bound_check(
         bound_constant=c,
         horizon=horizon,
         n_paths=n_paths,
-        bounded_in_horizon=bool(sup_2t <= sup_t * (1.0 + growth_slack)),
+        bounded_in_horizon=bool(sup_2t <= sup_t * (1.0 + _GROWTH_SLACK)),
     )
 

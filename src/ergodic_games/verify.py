@@ -45,6 +45,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# a discounted payoff's horizon must push the tail below this
+_EPS_TAIL = 1e-3
+
 SCOPE_NOTE = (
     "Deviation classes sampled: constant controls, single-node perturbations, "
     "random feedback fields. This certifies stability against the sampled "
@@ -109,10 +112,6 @@ def _stacked_shift(spec: GameSpec, policies: Sequence[FeedbackPolicy], n_paths: 
     return shift_for
 
 
-def _required_horizon(spec: GameSpec, alpha: float, eps_tail: float) -> float:
-    return math.log(spec.cost_sup / (alpha * eps_tail)) / alpha
-
-
 @dataclass(frozen=True)
 class _Job:
     """One payoff estimate: a player's cost along one joint policy's paths."""
@@ -126,8 +125,7 @@ class _Job:
 
 
 def _job(model: SdeModel, spec: GameSpec, policy: FeedbackPolicy, player: int, seed: int,
-         horizon: float, burn_in: Optional[float], alpha: Optional[float],
-         eps_tail: float) -> _Job:
+         horizon: float, burn_in: Optional[float], alpha: Optional[float]) -> _Job:
     """Validate one estimate's criterion (``alpha`` None: long-run average, else discounted);
     the burn-in of a discounted payoff is zero."""
     if alpha is None:
@@ -138,11 +136,11 @@ def _job(model: SdeModel, spec: GameSpec, policy: FeedbackPolicy, player: int, s
         return _Job(player, policy, seed, "ergodic", burn_in, None)
     if not alpha > 0.0:
         raise ValueError("discounted payoffs need a positive alpha")
-    needed = _required_horizon(spec, alpha, eps_tail)
+    needed = math.log(spec.cost_sup / (alpha * _EPS_TAIL)) / alpha
     if horizon < needed:
         raise InsufficientHorizonError(
             f"horizon {horizon:.6g} below the discounted tail requirement "
-            f"{needed:.6g} for alpha={alpha:.6g}, eps_tail={eps_tail:.6g}"
+            f"{needed:.6g} for alpha={alpha:.6g} and a tail below {_EPS_TAIL:.6g}"
         )
     return _Job(player, policy, seed, "discounted", 0.0, alpha)
 
@@ -223,7 +221,6 @@ def estimate_payoff(
     burn_in: Optional[float] = None,
     alpha: Optional[float] = None,
     seed: int = 0,
-    eps_tail: float = 1e-3,
 ) -> PayoffEstimate:
     """Monte Carlo payoff of one player under a joint feedback policy.
 
@@ -231,14 +228,14 @@ def estimate_payoff(
     ``[burn_in, horizon)`` (default burn-in ``20 / dissipation``); a positive
     ``alpha`` accumulates ``exp(-alpha t) cost dt`` from the
     model's start state and requires the horizon to push the tail below
-    ``eps_tail`` (otherwise :class:`InsufficientHorizonError`); a deviation
+    ``1e-3`` (otherwise :class:`InsufficientHorizonError`); a deviation
     is simulated by passing ``policy.with_player_indices(...)``.  The
     estimate is bitwise the one :func:`nash_deviation_test` reports for the
     same policy and seed.
     """
     if not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")
-    job = _job(model, spec, policy, player, seed, horizon, burn_in, alpha, eps_tail)
+    job = _job(model, spec, policy, player, seed, horizon, burn_in, alpha)
     return _estimate_jobs(model, spec, [job], horizon, step, n_paths, "estimate_payoff")[0]
 
 
@@ -301,6 +298,11 @@ def _reference_value(nash: NashSolution, player: int,
                      model: SdeModel) -> Tuple[float, Optional[float]]:
     sol = nash.solutions[player]
     if isinstance(sol, DiscountedSolution):
+        grid = sol.grid
+        # np.interp would clamp an off-grid start to the end node's value
+        if not grid.x_min <= model.x0 <= grid.x_max:
+            raise ValueError(f"start state x0={model.x0!r} lies outside the grid "
+                             f"[{grid.x_min!r}, {grid.x_max!r}] of player {player}'s value")
         return float(sol.value_at(model.x0)), sol.alpha
     return float(nash.lambdas[player]), None
 
@@ -314,6 +316,9 @@ def _check_same_game(spec: GameSpec, nash: NashSolution) -> None:
         if idx.min() < 0 or idx.max() >= len(grid_i):
             raise ValueError(f"player {i}'s policy uses control indices {idx.min()} to "
                              f"{idx.max()}, outside their {len(grid_i)}-point control grid")
+    if nash.spec_name != spec.name:
+        raise ValueError(f"equilibrium was solved for game {nash.spec_name!r}, "
+                         f"not {spec.name!r}")
 
 
 def nash_deviation_test(
@@ -327,7 +332,6 @@ def nash_deviation_test(
     seed: int = 0,
     grid_error_budget: float = 0.05,
     burn_in: Optional[float] = None,
-    eps_tail: float = 1e-3,
 ) -> DeviationReport:
     """Estimate payoffs under sampled unilateral deviations of every player.
 
@@ -338,9 +342,10 @@ def nash_deviation_test(
     when it does not *undercut* the player's reference value by more than
     ``3 * stderr + grid_error_budget``.  Ergodic players are referenced to
     their long-run constant, a discounted player to their value function at
-    the start state.  An equilibrium solved for another game (another player
-    count, or control indices outside the control grids) is a ValueError, as
-    is a negative ``n_deviations``.
+    the start state, which must lie on their grid.  An equilibrium solved for
+    another game (another name or player count, or control indices outside
+    the control grids) is a ValueError, as is a negative ``n_deviations``.
+    A discounted payoff's horizon must push its tail below ``1e-3``.
     """
     if n_deviations < 0:
         raise ValueError(f"n_deviations must be nonnegative, got {n_deviations}")
@@ -351,7 +356,7 @@ def nash_deviation_test(
     jobs, labels = [], []
     for player in range(spec.n_players):
         ref, alpha = _reference_value(nash, player, model)
-        criterion = dict(horizon=horizon, burn_in=burn_in, alpha=alpha, eps_tail=eps_tail)
+        criterion = dict(horizon=horizon, burn_in=burn_in, alpha=alpha)
         eq_seed = int(path_stream(seed, 0xE0, player).integers(2**32))
         jobs.append(_job(model, spec, nash.policy, player, eq_seed, **criterion))
         labels.append(("equilibrium", "equilibrium policy", ref))
@@ -429,8 +434,9 @@ def bsde_path_residual(
     solution and the policy resolved at the nearest node.  For a discounted
     player the constant is replaced by ``alpha v(X_t)``.  The returned value
     is ``sqrt(mean(residual^2)) / sqrt(step)``.  A player index outside
-    ``range(spec.n_players)``, an equilibrium of another game, or a horizon
-    that gives no step, is a ValueError.
+    ``range(spec.n_players)``, an equilibrium of another game (as in
+    :func:`nash_deviation_test`), or a horizon that gives no step, is a
+    ValueError.
     """
     if not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")

@@ -98,6 +98,9 @@ def test_make_game_names_and_params():
         eg.make_game({"name": "rock_paper_scissors"})
     with pytest.raises(KeyError):
         eg.make_game({})
+    # a negative bound would build a descending control grid
+    with pytest.raises(ValueError, match="strictly ascending"):
+        eg.make_game({"name": "quadratic_decoupled", "control_bound": -1.0})
 
 
 def test_bundled_games_pass_their_own_checks():

@@ -121,6 +121,9 @@ def test_verify_nash_rejects_a_negative_deviation_count(tmp_path, caplog):
 @pytest.mark.parametrize("game, message", [
     ({"name": "three_player_symmetric"}, "equilibrium has 2 players, the game 3"),
     ({"name": "quadratic_decoupled", "n_controls": 5}, "outside their 5-point control grid"),
+    # as many players and controls as the solved game
+    ({"name": "coupled_cross_cost"},
+     "solved for game 'quadratic_decoupled', not 'coupled_cross_cost'"),
 ])
 def test_verify_nash_rejects_equilibrium_of_another_game(tmp_path, caplog, game, message):
     nash_dir = tmp_path / "nash"
@@ -132,6 +135,18 @@ def test_verify_nash_rejects_equilibrium_of_another_game(tmp_path, caplog, game,
     assert cli.main(["verify-nash", "--config", cfg, "--out", str(tmp_path / "verify"),
                      "--nash", str(nash_dir), "--quiet"]) == 1
     assert "config error" in caplog.text and message in caplog.text
+
+
+def test_verify_nash_rejects_a_discounted_start_off_the_grid(tmp_path, caplog):
+    # the discounted player's reference used to be the value at the end node 6;
+    # the horizon is long enough for the discounted tail, so only x0 is wrong
+    cfg = yaml.safe_load(Path(game_cfg(tmp_path, horizon=120.0)).read_text())
+    cfg.update(alpha=0.1, model={"x0": 10.0})
+    out = tmp_path / "verify"
+    assert cli.main(["verify-nash", "--config", write_cfg(tmp_path, "far.yaml", cfg),
+                     "--out", str(out), "--quiet"]) == 1
+    assert "x0=10.0 lies outside the grid [-6.0, 6.0]" in caplog.text
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("command, section", [("simulate", "sim"),
@@ -259,7 +274,7 @@ def test_cfl_violation_exits_2(tmp_path):
                      "--out", str(tmp_path / "x"), "--quiet"]) == 2
 
 
-@pytest.mark.parametrize("key", ["dtau", "max_sweeps"])
+@pytest.mark.parametrize("key", ["dtau", "max_sweeps", "residual_ceiling"])
 def test_removed_solver_keys_exit_1(tmp_path, caplog, key):
     cfg = ebsde_cfg(tmp_path, solver={"tol": 1.0e-6, key: 100.0})
     assert cli.main(["solve-ebsde", "--config", cfg,
@@ -276,7 +291,10 @@ def test_unknown_solver_key_exits_1(tmp_path, caplog, command):
 
 @pytest.mark.parametrize("command", ["simulate", "solve-ebsde"])
 @pytest.mark.parametrize("section, key", [("sim", "n_path"), ("mc", "n_path"),
-                                          ("grid", "interior_margn"), ("top-level", "solvr")])
+                                          ("grid", "interior_margn"), ("top-level", "solvr"),
+                                          # settings that are fixed, not configured
+                                          ("grid", "x_ref_index"), ("mc", "eps_tail"),
+                                          ("mc", "growth_slack")])
 def test_unknown_section_key_exits_1(tmp_path, caplog, command, section, key):
     # each misspelling used to run with the default value and exit 0
     cfg = {"seed": 0, "model": {}, "grid": dict(TINY_GRID), "driver": {"name": "bump"},

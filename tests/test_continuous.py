@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ergodic_games as eg
+from ergodic_games import continuous
 from ergodic_games.continuous import decompose, solve_continuous_ebsde
 
 SQRT_DRIVER = eg.make_growth_driver({"name": "sqrt_z_plus_bump", "slope": 0.5})
@@ -21,31 +22,32 @@ finite = st.floats(min_value=-50.0, max_value=50.0,
 @given(x=finite, z=finite)
 def test_split_reconstructs_driver_bitwise(x, z):
     f, kappa = SQRT_DRIVER
-    d = SQRT_SPLIT
-    assert d.reconstruct(x, z) == f(np.float64(x), np.float64(z))
+    phi, psi = SQRT_SPLIT(x, z)
+    assert phi * z + psi == f(np.float64(x), np.float64(z))
 
 
 @settings(max_examples=200, deadline=None)
 @given(x=finite, z=finite)
 def test_split_components_bounded(x, z):
     kappa = TANH_DRIVER[1]
-    d = TANH_SPLIT
-    assert abs(d.phi(x, z)) <= 2.0 * kappa
-    assert abs(d.psi(x, z)) <= 2.0 * kappa
+    phi, psi = TANH_SPLIT(x, z)
+    assert abs(phi) <= 2.0 * kappa
+    assert abs(psi) <= 2.0 * kappa
 
 
 def test_split_gate_semantics():
     f = SQRT_DRIVER[0]
-    d = SQRT_SPLIT
     # below the gate the slope is switched off and the offset carries f
     z_small = np.array([0.0, 0.4, -0.9])
     x = np.zeros(3)
-    np.testing.assert_array_equal(d.phi(x, z_small), np.zeros(3))
-    np.testing.assert_array_equal(d.psi(x, z_small), f(x, z_small))
+    phi, psi = SQRT_SPLIT(x, z_small)
+    np.testing.assert_array_equal(phi, np.zeros(3))
+    np.testing.assert_array_equal(psi, f(x, z_small))
     # above the gate the slope carries f / z and the offset nearly vanishes
     z_big = np.array([1.0, 3.7, -12.0])
-    np.testing.assert_allclose(d.phi(x, z_big), f(x, z_big) / z_big, rtol=1e-15)
-    assert np.max(np.abs(d.psi(x, z_big))) < 1e-12
+    phi, psi = SQRT_SPLIT(x, z_big)
+    np.testing.assert_allclose(phi, f(x, z_big) / z_big, rtol=1e-15)
+    assert np.max(np.abs(psi)) < 1e-12
 
 
 def test_superlinear_driver_rejected():
@@ -93,11 +95,12 @@ def test_iteration_cap_raises_with_history(model, coarse_grid):
     assert len(exc.value.deltas_history) == 1
 
 
-def test_residual_ceiling_enforced(model, coarse_grid):
+def test_residual_ceiling_enforced(model, coarse_grid, monkeypatch):
     f, kappa = SQRT_DRIVER
+    # a ceiling of 1e-15 at tol=1e-4
+    monkeypatch.setattr(continuous, "_RESIDUAL_CEILING", 1e-11)
     with pytest.raises(eg.ResidualCeilingError):
-        solve_continuous_ebsde(model, f, kappa, coarse_grid, tol=1e-4,
-                               residual_ceiling=1e-15)
+        solve_continuous_ebsde(model, f, kappa, coarse_grid, tol=1e-4)
 
 
 def test_final_residual_is_against_original_driver(model, coarse_grid):

@@ -19,8 +19,9 @@ def test_grid_validation():
         eg.Grid1D(-1.0, 1.0, 5)
     with pytest.raises(ValueError, match="interior"):
         eg.Grid1D(-1.0, 1.0, 9, interior_margin=4)
+    # the node nearest the origin (index 1) falls in the 5-node margin
     with pytest.raises(ValueError, match="reference"):
-        eg.Grid1D(-1.0, 1.0, 21, x_ref_index=1)
+        eg.Grid1D(-0.1, 10.0, 101)
 
 
 def test_grid_reference_defaults_to_origin():

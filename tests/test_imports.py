@@ -1,7 +1,9 @@
-"""Every import of a library module is used by the module or exported in its ``__all__``.
+"""Every import of a library module is used by the module or exported in its ``__all__``,
+and every module-level private name of the library is read somewhere in it.
 
-A stand-in for a linter's unused-import rule, built on ``ast`` alone.  A name
-imported on a line marked ``# noqa: F401`` is kept on purpose and skipped.
+Stand-ins for a linter's unused-import and dead-code rules, built on ``ast``
+alone.  A name imported on a line marked ``# noqa: F401`` is kept on purpose
+and skipped.
 """
 
 import ast
@@ -43,6 +45,45 @@ def unused_imports(source: str) -> list:
                   if name not in used and name not in exported)
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unused_private_names(sources: dict) -> list:
+    """``(module, line, name)`` of every module-level private function, class or
+    constant of ``sources`` (module label to source) that no module reads.
+
+    A read is a loaded name, an attribute name, a name imported with ``from``
+    or a string passed to ``getattr``.
+    """
+    defined, read = [], set()
+    for label, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for target in node.targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined.extend((label, node.lineno, n) for n in names if _is_private(n))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return sorted(d for d in defined if d[2] not in read)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -52,6 +93,19 @@ def test_the_check_sees_an_unused_import():
     source = ("import math\nimport os\nfrom typing import (\n    Optional,\n    Tuple,\n)\n"
               "from x import kept  # noqa: F401\n__all__ = ['Tuple']\nmath.pi\n")
     assert unused_imports(source) == [(2, "os"), (4, "Optional")]
+
+
+def test_no_unused_private_names():
+    assert unused_private_names({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_the_check_sees_an_unused_private_name():
+    a = ("_READ = 1\n_DEAD = 2\n_x, _y = 3, 4\n__version__ = '1'\n"
+         "def _helper():\n    return _READ + _x\nclass _Gone:\n    pass\n"
+         "def _by_name():\n    pass\ndef public():\n    return getattr(a, '_by_name')\n")
+    b = "from a import _helper\nobj._attr_read\n_attr_read = 5\n"
+    assert unused_private_names({"a": a, "b": b}) == [("a", 2, "_DEAD"), ("a", 3, "_y"),
+                                                      ("a", 7, "_Gone")]
 
 
 def test_the_library_has_modules_to_check():

@@ -87,6 +87,32 @@ def test_deviation_test_rejects_equilibrium_of_another_game(model, g0_nash_coars
         nash_deviation_test(model, eg.quadratic_decoupled(n_controls=5), g0_nash_coarse, **kw)
 
 
+def test_equilibrium_of_a_same_shaped_game_is_rejected(model, g0_nash_coarse, monkeypatch):
+    # the coupled game also has 2 players x 41 controls: only the names differ
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the equilibrium check")
+
+    monkeypatch.setattr(verify, "run_paths", no_paths)
+    coupled = eg.coupled_cross_cost()
+    message = "solved for game 'quadratic_decoupled', not 'coupled_cross_cost'"
+    with pytest.raises(ValueError, match=message):
+        nash_deviation_test(model, coupled, g0_nash_coarse, n_deviations=3, horizon=30.0,
+                            n_paths=2)
+    with pytest.raises(ValueError, match=message):
+        bsde_path_residual(model, coupled, g0_nash_coarse, horizon=5.0, n_paths=2)
+
+
+def test_discounted_reference_needs_the_start_on_its_grid(g0, g0_asymmetric, monkeypatch):
+    # np.interp used to clamp x0=10 to the value at the grid's end node 6
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the start state check")
+
+    monkeypatch.setattr(verify, "run_paths", no_paths)
+    with pytest.raises(ValueError, match=r"x0=10\.0 lies outside the grid \[-6\.0, 6\.0\]"):
+        nash_deviation_test(eg.ou_model(x0=10.0), g0, g0_asymmetric, n_deviations=3,
+                            horizon=100.0, n_paths=2)
+
+
 def test_alpha_alone_selects_the_criterion(model, g0, coarse_grid):
     policy = policy_of_constant_control(g0, coarse_grid, 20)
     kw = dict(horizon=100.0, step=0.1, n_paths=2)
