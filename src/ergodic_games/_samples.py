@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+# relative slack of every check of a declared bound on these states; absorbs roundoff only
+_CHECK_SLACK = 1e-9
 # g > 1 with g**4 = g + 1: the generalized golden ratio of the R_3 sequence
 _G3 = 1.2207440846057596
 # one generator per axis; 1, a_0, a_1, a_2 are rationally independent

@@ -13,6 +13,7 @@ or diverged simulation, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -99,7 +100,7 @@ def _scalar(cfg: dict, name: str):
 _KNOWN_KEYS = {
     "top-level": ("seed", "alpha", "alphas", "model", "grid", "driver", "game", "solver", "mc",
                   "sim", "nash_dir"),
-    "grid": ("x_min", "x_max", "m", "interior_margin"),
+    "grid": ("x_min", "x_max", "m"),
     "solver": ("tol", "max_iter", "inner_tol"),
     "mc": ("horizon", "step", "n_paths", "n_deviations", "grid_error_budget", "burn_in",
            "isaacs_samples", "isaacs_delta"),
@@ -132,8 +133,7 @@ def _make_grid(gcfg: dict) -> Grid1D:
     for k in ("x_min", "x_max", "m"):
         if k not in gcfg:
             raise ConfigError(f"missing config field 'grid.{k}'")
-    kwargs = {"interior_margin": int(gcfg["interior_margin"])} if "interior_margin" in gcfg else {}
-    return Grid1D(float(gcfg["x_min"]), float(gcfg["x_max"]), int(gcfg["m"]), **kwargs)
+    return Grid1D(float(gcfg["x_min"]), float(gcfg["x_max"]), int(gcfg["m"]))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -198,32 +198,27 @@ def _cmd_continuous_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]
     return 0, ["solution.csv", "report.json"]
 
 
-def _solve_nash(cfg: dict) -> NashSolution:
+def _solve_nash(cfg: dict, alpha) -> NashSolution:
+    """All-ergodic equilibrium, or the one with player 2 discounted at a set ``alpha``."""
     model = make_model(_section(cfg, "model"))
     grid = _make_grid(_section(cfg, "grid"))
     spec = make_game(_section(cfg, "game"))
     kwargs = _set_keys(cfg, "solver", **_PICARD_KEYS)
-    if "alpha" in cfg and cfg["alpha"] is not None:
-        return asymmetric_solve(model, spec, grid, float(cfg["alpha"]), **kwargs)
+    if alpha is not None:
+        return asymmetric_solve(model, spec, grid, float(alpha), **kwargs)
     return picard_solve(model, spec, grid, **kwargs)
 
 
-def _cmd_solve_game(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
-    nash = _solve_nash(dict(cfg, alpha=None))
-    nash.to_csv(out / "nash.csv")
-    _write_json(out / "report.json", nash.report_dict())
-    logger.info("solve-game: lambdas=%s converged=%s", nash.lambdas, nash.converged)
-    return (0 if nash.converged else 2), ["nash.csv", "report.json"]
-
-
-def _cmd_asymmetric(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
-    if "alpha" not in cfg or cfg["alpha"] is None:
+def _cmd_solve_game(cfg: dict, out: FsPath, seed: int,
+                    asymmetric: bool = False) -> Tuple[int, list]:
+    """``solve-game`` ignores ``alpha``; ``asymmetric`` requires it."""
+    if asymmetric and cfg.get("alpha") is None:
         raise ConfigError("missing config field 'alpha'")
-    nash = _solve_nash(cfg)
+    nash = _solve_nash(cfg, cfg["alpha"] if asymmetric else None)
     nash.to_csv(out / "nash.csv")
     _write_json(out / "report.json", nash.report_dict())
-    logger.info("asymmetric: lambda1=%s alpha=%s converged=%s",
-                nash.lambdas[0], nash.alpha, nash.converged)
+    logger.info("game solve: lambdas=%s alpha=%s converged=%s",
+                nash.lambdas, nash.alpha, nash.converged)
     return (0 if nash.converged else 2), ["nash.csv", "report.json"]
 
 
@@ -247,7 +242,8 @@ def _cmd_discount_sweep(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
 def _cmd_verify_nash(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
     spec = make_game(_section(cfg, "game"))
-    nash = load_nash(cfg["nash_dir"]) if cfg.get("nash_dir") else _solve_nash(cfg)
+    nash = (load_nash(cfg["nash_dir"]) if cfg.get("nash_dir")
+            else _solve_nash(cfg, cfg.get("alpha")))
     report = nash_deviation_test(model, spec, nash, seed=seed, **_set_keys(
         cfg, "mc", n_deviations=int, horizon=float, step=float, n_paths=int,
         grid_error_budget=float, burn_in=float))
@@ -284,8 +280,11 @@ def _cmd_simulate(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     return 0, ["paths.csv", "report.json"]
 
 
+# the verify_isaacs keyword of each mc key that sets it
+_ISAACS_KEYWORDS = {"isaacs_samples": "n_samples", "isaacs_delta": "delta"}
+
+
 def _cmd_check_assumptions(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
-    mc = _checked_section(cfg, "mc")
     checks: dict = {}
     model = None
     try:
@@ -309,12 +308,9 @@ def _cmd_check_assumptions(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list
     if "game" in cfg:
         try:
             spec = make_game(_section(cfg, "game"))
-            rep = verify_isaacs(
-                spec,
-                n_samples=int(mc.get("isaacs_samples", 300)),
-                delta=float(mc.get("isaacs_delta", 1e-3)),
-                seed=seed,
-            )
+            isaacs = _set_keys(cfg, "mc", isaacs_samples=int, isaacs_delta=float)
+            rep = verify_isaacs(spec, seed=seed,
+                                **{_ISAACS_KEYWORDS[k]: v for k, v in isaacs.items()})
             checks["game"] = {
                 "passed": rep.fraction_with_pure_nash == 1.0,
                 "fraction_with_pure_nash": rep.fraction_with_pure_nash,
@@ -340,7 +336,7 @@ _HANDLERS = {
     "solve-ebsde": _cmd_solve_ebsde,
     "continuous-ebsde": _cmd_continuous_ebsde,
     "solve-game": _cmd_solve_game,
-    "asymmetric": _cmd_asymmetric,
+    "asymmetric": functools.partial(_cmd_solve_game, asymmetric=True),
     "discount-sweep": _cmd_discount_sweep,
     "verify-nash": _cmd_verify_nash,
     "simulate": _cmd_simulate,

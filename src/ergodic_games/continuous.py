@@ -22,7 +22,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._samples import check_states
+from ._samples import _CHECK_SLACK, check_states
 from .ebsde import ErgodicSolution, Grid1D, frozen_driver, hjb_residual, solve_ergodic
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_CHECK_SLACK = 1e-9
 # fixed (x, z) pairs of decompose's growth check
 _CHECK_SAMPLES = 10_000
 # the converged iterate's residual against the original driver, in units of tol

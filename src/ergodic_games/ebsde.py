@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from ._csv import write_csv
-from ._samples import check_states
+from ._samples import _CHECK_SLACK, check_states
 
 __all__ = [
     "MaxSweepsExceededError",
@@ -51,7 +51,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_CHECK_SLACK = 1e-9
 # residual evaluations per grid solve; Newton needs a handful, affine drivers two
 _MAX_NEWTON_ITERATIONS = 50
 # relative step of the central difference that gives the driver's slope in z
@@ -185,25 +184,24 @@ def uniform_interp(x: np.ndarray, node: np.ndarray, *tables: InterpTable) -> lis
 class Grid1D:
     """Uniform truncation grid for the 1-d state.
 
-    ``interior_margin`` nodes at each end are excluded from all sup-norms
-    (boundary closures pollute them).  ``x_ref_index``, the reference node
-    that pins the value functions, is derived: the node nearest the origin,
-    which must lie in the retained interior.
+    Two settings are fixed, not chosen.  ``interior_margin``, the 5 nodes at
+    each end that all sup-norms exclude (boundary closures pollute them),
+    leaves at least 3 interior nodes, so ``m`` must be at least 13.
+    ``x_ref_index``, the reference node that pins the value functions, is
+    the node nearest the origin, which must lie in the retained interior.
     """
 
     x_min: float
     x_max: float
     m: int
-    interior_margin: int = 5
+    interior_margin: int = field(default=5, init=False)
     x_ref_index: int = field(init=False)
 
     def __post_init__(self):
         if not self.x_min < 0.0 < self.x_max:
             raise ValueError("grid must bracket the origin: x_min < 0 < x_max")
-        if self.m < 7:
-            raise ValueError("need at least 7 grid nodes")
-        if not 1 <= self.interior_margin or self.m - 2 * self.interior_margin < 3:
-            raise ValueError("interior_margin leaves no interior nodes")
+        if self.m < 2 * self.interior_margin + 3:
+            raise ValueError(f"need at least {2 * self.interior_margin + 3} grid nodes")
         object.__setattr__(self, "x_ref_index", int(np.argmin(np.abs(self.nodes()))))
         if not self.interior_margin <= self.x_ref_index < self.m - self.interior_margin:
             raise ValueError("reference node must lie in the retained interior")
@@ -327,7 +325,11 @@ class DiscountedSolution:
     sup_v: float
 
     def value_at(self, x: float) -> float:
-        return float(np.interp(x, self.grid.nodes(), self.v))
+        """``v`` interpolated linearly at ``x``, which must lie on the grid."""
+        g = self.grid
+        if not g.x_min <= x <= g.x_max:  # np.interp would clamp it to an end node
+            raise ValueError(f"state x={x!r} lies outside the grid [{g.x_min!r}, {g.x_max!r}]")
+        return float(np.interp(x, g.nodes(), self.v))
 
     def to_csv(self, path) -> None:
         write_csv(path, ("x", "v", "xi"), zip(self.grid.nodes(), self.v, self.xi))

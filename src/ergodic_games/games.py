@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from ._samples import check_states
+from ._samples import _CHECK_SLACK, check_states
 from .sde import path_stream
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
 # A joint control is one grid index per player.
 JointControl = Tuple[int, ...]
 
-_CHECK_SLACK = 1e-9
 # fixed states of GameSpec's construction-time cost checks
 _CHECK_SAMPLES = 64
 # floats in one slab of the Lipschitz check's difference: small beside a joint
@@ -329,7 +328,7 @@ class IsaacsReport:
 
 def verify_isaacs(
     spec: GameSpec,
-    n_samples: int = 1_000,
+    n_samples: int = 300,
     delta: float = 1e-3,
     seed: int = 0,
 ) -> IsaacsReport:
@@ -341,7 +340,9 @@ def verify_isaacs(
     Hamiltonian values is recorded (``delta == 0`` reproduces the same
     point, so the jump is zero).  A sample counts as a hit only when both
     searches find a pure Nash point.  ``n_samples`` must be at least 1: no
-    sample would certify nothing.
+    sample would certify nothing.  These defaults are also the CLI's:
+    ``check-assumptions`` passes ``mc.isaacs_samples`` and ``mc.isaacs_delta``
+    only when a config sets them.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")

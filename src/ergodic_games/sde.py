@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._samples import check_states
+from ._samples import _CHECK_SLACK, check_states
 
 __all__ = [
     "SimulationDivergedError",
@@ -50,8 +50,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Relative slack applied to sampled inequality checks; absorbs roundoff only.
-_CHECK_SLACK = 1e-9
 # fixed check states of SdeModel's construction-time check
 _MODEL_CHECK_SAMPLES = 10_000
 # relative growth of the sampled second moment allowed when the horizon doubles

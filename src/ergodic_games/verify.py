@@ -299,7 +299,7 @@ def _reference_value(nash: NashSolution, player: int,
     sol = nash.solutions[player]
     if isinstance(sol, DiscountedSolution):
         grid = sol.grid
-        # np.interp would clamp an off-grid start to the end node's value
+        # value_at rejects an off-grid state too; this message names the player
         if not grid.x_min <= model.x0 <= grid.x_max:
             raise ValueError(f"start state x0={model.x0!r} lies outside the grid "
                              f"[{grid.x_min!r}, {grid.x_max!r}] of player {player}'s value")

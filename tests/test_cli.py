@@ -1,5 +1,7 @@
 """Command-line layer: exit codes, artifacts, manifests, reruns."""
 
+import csv
+import inspect
 import json
 import os
 import subprocess
@@ -100,6 +102,52 @@ def test_game_solve_then_verify(tmp_path):
     assert dev["all_passed"] is True
     n_lines = len((verify_dir / "deviations.csv").read_text().splitlines())
     assert n_lines == 1 + len(dev["rows"])
+
+
+def game_cfg_with(tmp_path, **top):
+    """``game_cfg`` with top-level keys such as ``alpha`` or ``alphas`` set."""
+    cfg = yaml.safe_load(Path(game_cfg(tmp_path)).read_text())
+    return write_cfg(tmp_path, "game_top.yaml", {**cfg, **top})
+
+
+@pytest.mark.parametrize("top", [{}, {"alpha": None}])
+def test_asymmetric_requires_alpha(tmp_path, caplog, top):
+    out = tmp_path / "run"
+    assert cli.main(["asymmetric", "--config", game_cfg_with(tmp_path, **top),
+                     "--out", str(out), "--quiet"]) == 1
+    assert "missing config field 'alpha'" in caplog.text
+    assert not (out / "report.json").exists()
+
+
+def test_solve_game_ignores_alpha_and_asymmetric_discounts_player_2(tmp_path):
+    plain, ergodic, asym = tmp_path / "plain", tmp_path / "ergodic", tmp_path / "asym"
+    assert cli.main(["solve-game", "--config", game_cfg(tmp_path), "--out", str(plain),
+                     "--quiet"]) == 0
+    cfg = game_cfg_with(tmp_path, alpha=0.2)
+    assert cli.main(["solve-game", "--config", cfg, "--out", str(ergodic), "--quiet"]) == 0
+    report = json.loads((ergodic / "report.json").read_text())
+    assert report["alpha"] is None
+    assert [p["kind"] for p in report["players"]] == ["ergodic", "ergodic"]
+    assert None not in report["lambdas"]
+    for name in ("nash.csv", "report.json"):
+        assert (ergodic / name).read_bytes() == (plain / name).read_bytes()
+
+    assert cli.main(["asymmetric", "--config", cfg, "--out", str(asym), "--quiet"]) == 0
+    report = json.loads((asym / "report.json").read_text())
+    assert report["alpha"] == 0.2
+    lambda1, lambda2 = report["lambdas"]
+    assert isinstance(lambda1, float) and lambda2 is None
+    assert [p["kind"] for p in report["players"]] == ["ergodic", "discounted"]
+
+
+def test_discount_sweep_writes_one_ok_row_per_alpha(tmp_path):
+    out = tmp_path / "sweep"
+    cfg = game_cfg_with(tmp_path, alphas=[0.5, 0.2, 0.1])
+    assert cli.main(["discount-sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["alpha"]) for r in rows] == [0.5, 0.2, 0.1]
+    assert [r["status"] for r in rows] == ["ok"] * 3
 
 
 def test_verify_without_nash_dir_solves_inline(tmp_path):
@@ -266,10 +314,10 @@ def test_unknown_subcommand_exits_1(tmp_path, capsys):
 
 
 def test_cfl_violation_exits_2(tmp_path):
-    # dx=1 is too coarse for the drift: the central scheme is not monotone
-    # inside the retained interior
-    cfg = ebsde_cfg(tmp_path, grid={"x_min": -6.0, "x_max": 6.0, "m": 13,
-                                    "interior_margin": 1})
+    # dx=1 is too coarse for the drift under unit noise: the central scheme is
+    # not monotone inside the retained interior
+    cfg = ebsde_cfg(tmp_path, model={"sigma": 1.0},
+                    grid={"x_min": -6.0, "x_max": 6.0, "m": 13})
     assert cli.main(["solve-ebsde", "--config", cfg,
                      "--out", str(tmp_path / "x"), "--quiet"]) == 2
 
@@ -293,7 +341,8 @@ def test_unknown_solver_key_exits_1(tmp_path, caplog, command):
 @pytest.mark.parametrize("section, key", [("sim", "n_path"), ("mc", "n_path"),
                                           ("grid", "interior_margn"), ("top-level", "solvr"),
                                           # settings that are fixed, not configured
-                                          ("grid", "x_ref_index"), ("mc", "eps_tail"),
+                                          ("grid", "x_ref_index"),
+                                          ("grid", "interior_margin"), ("mc", "eps_tail"),
                                           ("mc", "growth_slack")])
 def test_unknown_section_key_exits_1(tmp_path, caplog, command, section, key):
     # each misspelling used to run with the default value and exit 0
@@ -333,6 +382,24 @@ def test_bundled_configs_pass_the_solver_key_check():
     for p in paths:
         for name in cli._KNOWN_KEYS:
             cli._checked_section(cli.load_config(p), name)
+
+
+def test_config_keys_are_library_keywords():
+    # each key sets a keyword of a library call its section feeds, so a key
+    # outlives no keyword and names no setting the library fixes
+    feeds = {
+        "grid": (ergodic_games.Grid1D,),
+        "solver": (ergodic_games.picard_solve, ergodic_games.solve_ergodic,
+                   ergodic_games.solve_continuous_ebsde),
+        "mc": (ergodic_games.nash_deviation_test, ergodic_games.moment_bound_check,
+               ergodic_games.verify_isaacs),
+        "sim": (ergodic_games.sample_paths,),
+    }
+    renamed = {"isaacs_samples": "n_samples", "isaacs_delta": "delta"}
+    for section, callables in feeds.items():
+        keywords = {p for c in callables for p in inspect.signature(c).parameters}
+        for key in cli._KNOWN_KEYS[section]:
+            assert renamed.get(key, key) in keywords, f"{section}.{key}"
 
 
 def test_sweep_budget_exhaustion_exits_2(tmp_path):

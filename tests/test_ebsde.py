@@ -1,5 +1,7 @@
 """Grid solver: exactness oracles, convergence order, guards."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,11 @@ TWO_OVER_E = 0.7357588823428847  # 2/e, an arbitrary non-round constant
 def test_grid_validation():
     with pytest.raises(ValueError, match="bracket"):
         eg.Grid1D(1.0, 2.0, 11)
-    with pytest.raises(ValueError, match="at least 7"):
+    # the fixed five-node margin at each end leaves at least 3 interior nodes
+    with pytest.raises(ValueError, match="at least 13"):
         eg.Grid1D(-1.0, 1.0, 5)
-    with pytest.raises(ValueError, match="interior"):
-        eg.Grid1D(-1.0, 1.0, 9, interior_margin=4)
+    with pytest.raises(ValueError, match="at least 13"):
+        eg.Grid1D(-1.0, 1.0, 12)
     # the node nearest the origin (index 1) falls in the 5-node margin
     with pytest.raises(ValueError, match="reference"):
         eg.Grid1D(-0.1, 10.0, 101)
@@ -28,6 +31,16 @@ def test_grid_reference_defaults_to_origin():
     g = eg.Grid1D(-2.0, 6.0, 81)
     assert g.nodes()[g.x_ref_index] == pytest.approx(0.0, abs=g.dx / 2)
     np.testing.assert_array_equal(nearest_node([-99.0, 99.0], node_lookup(g.nodes())), [0, 80])
+
+
+def test_discounted_value_at_rejects_off_grid_states(model, coarse_grid):
+    # np.interp used to return the end node's value for any state beyond it
+    sol = eg.solve_discounted(model, eg.make_driver({"name": "bump"}), coarse_grid, 0.2)
+    assert sol.value_at(6.0) == sol.v[-1] and sol.value_at(-6.0) == sol.v[0]
+    for x in (10.0, -50.0, float("nan")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"state x={x!r} lies outside the grid [-6.0, 6.0]")):
+            sol.value_at(x)
 
 
 def test_driver_spec_checks():
@@ -159,13 +172,13 @@ def test_second_order_grid_convergence(model):
 
 
 def test_cfl_guard(model, coarse_grid):
-    # m=13 on [-6, 6]: dx=1, so |drift| dx = |x| reaches sigma^2 = 2 for
-    # |x| >= 2 and the central scheme is no M-matrix there.  With a one-node
-    # margin those rows lie in the retained interior and the solve refuses.
-    with pytest.raises(eg.NonMonotoneSchemeError, match="not monotone at x=-5"):
-        eg.solve_ergodic(model, eg.make_driver({"name": "bump"}),
-                         eg.Grid1D(-6.0, 6.0, 13, interior_margin=1))
-    # With the default five-node margin they are all margin rows: the central
+    # m=13 on [-6, 6]: dx=1, so |drift| dx = |x| reaches sigma^2 for |x| >= sigma^2
+    # and the central scheme is no M-matrix there.  With unit noise that holds
+    # at x=-1, a node of the retained interior x in {-1, 0, 1}: the solve refuses.
+    with pytest.raises(eg.NonMonotoneSchemeError, match="not monotone at x=-1"):
+        eg.solve_ergodic(eg.ou_model(noise=1.0), eg.make_driver({"name": "bump"}),
+                         eg.Grid1D(-6.0, 6.0, 13))
+    # With the default noise sqrt(2) they are all margin rows: the central
     # equation is solved as it is, and lambda is the one the superseded
     # relative value iteration gave there (commit 7a0c325, tol=1e-8).
     sol = eg.solve_ergodic(model, eg.make_driver({"name": "bump"}), eg.Grid1D(-6.0, 6.0, 13))
