@@ -14,11 +14,12 @@ drift term, ``shift`` a plain callable on arrays of states, so controlled
 dynamics reuse the same integrator.
 
 Randomness is drawn from one generator per path, keyed by
-``(seed, path_index)``: numpy's ``default_rng`` of those words, whose seed
-hashing a batch does for all of its paths in one pass of array arithmetic.
+``(seed, path_index)``: numpy's ``default_rng`` of those words.
 :func:`run_paths` alone applies the keying rule: given a list of seeds and
 ``n_paths``, column ``j`` is path ``j % n_paths`` of ``seeds[j // n_paths]``.
-Each path's normals are drawn a block of steps at a time, which only
+A batch seeds and draws each distinct key once, and every column of that key
+reads the same normals, so jobs listing one seed share their paths' noise.
+Each key's normals are drawn a block of steps at a time, which only
 amortises the per-generator calls; stepping, the scan for divergence and the
 consumer all work one fixed window of steps at a time, so no number depends
 on the block size.  Path ``k`` of a batch is bitwise identical to the same
@@ -76,20 +77,11 @@ class SimulationDivergedError(RuntimeError):
 def path_stream(seed: int, *key: int) -> np.random.Generator:
     """Generator for one Monte Carlo stream, keyed by ``(seed, *key)``.
 
-    Each distinct key tuple yields an independent, reproducible stream, the
-    one ``np.random.default_rng`` gives for the same list of words.  Negative
-    entries are folded into unsigned 64-bit words.
+    Each distinct key tuple yields an independent, reproducible stream:
+    ``np.random.default_rng`` of the key's entries, each folded into an
+    unsigned 64-bit word (so ``-1`` and ``2**64 - 1`` name the same stream).
     """
-    return _streams([(seed, *key)])[0]
-
-
-def _streams(keys: list) -> list:
-    """The generators :func:`path_stream` gives for ``keys``, seeded in one pass
-    (:mod:`._seeding`, imported on first use: it loads ``numpy.random``, which
-    solve-only runs never need)."""
-    from ._seeding import streams
-
-    return streams(keys)
+    return np.random.default_rng([int(v) & 0xFFFFFFFFFFFFFFFF for v in (seed, *key)])
 
 
 def _broadcast(fn: Callable, x) -> np.ndarray:
@@ -236,14 +228,17 @@ def _check_stability(model: SdeModel, step: float) -> None:
         )
 
 
-def copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
-    """``dst[...] = src.T``, copied in bands of 64 rows of ``src``.
+def copy_transposed(dst: np.ndarray, src: np.ndarray,
+                    rows: Optional[np.ndarray] = None) -> None:
+    """``dst[...] = src.T``, or ``src[rows].T`` when ``rows`` is given, copied
+    in bands of 64 columns of ``dst``.
 
     A band of both arrays stays in cache, which makes the copy about three
-    times faster than one strided ``copyto`` of a wide block.
+    times faster than one strided ``copyto`` of a wide block; ``rows`` is
+    gathered band by band, so no temporary beyond one band is made.
     """
-    for r in range(0, len(src), 64):
-        np.copyto(dst[:, r:r + 64], src[r:r + 64].T)
+    for r in range(0, dst.shape[1], 64):
+        np.copyto(dst[:, r:r + 64], (src[r:r + 64] if rows is None else src[rows[r:r + 64]]).T)
 
 
 def window_sum(values: np.ndarray) -> np.ndarray:
@@ -280,49 +275,57 @@ def run_paths(
     """Euler-Maruyama for ``n_paths`` paths of each seed, streamed window by window.
 
     Column ``j`` (of ``len(seeds) * n_paths``) is path ``j % n_paths`` of
-    ``seeds[j // n_paths]``: it draws its normals from
-    ``path_stream(seeds[j // n_paths], j % n_paths)``, and a batch seeds all
-    of its paths' generators together.  Columns are stepped together in
-    batches of at most ``_MAX_BATCH_PATHS``.
-    A batch draws each path's normals ``_BLOCK_STEPS`` steps per generator
-    call into one path-major block, then transposes, scales and steps them one
-    window of ``_FINITE_CHECK_STEPS`` steps at a time; its buffers are that
-    block and two window-sized ones, and no number depends on the block size.
+    ``seeds[j // n_paths]``: it is driven by the normals of
+    ``path_stream(seeds[j // n_paths], j % n_paths)``, so columns of equal
+    keys (a seed listed twice) follow the same noise.  Columns are stepped
+    together in batches of at most ``_MAX_BATCH_PATHS``.  A batch seeds one
+    stream per distinct key and draws its normals once, ``_BLOCK_STEPS``
+    steps per generator call, into one path-major block of a row per key;
+    every column then gathers its key's row as the block is transposed,
+    scaled and stepped one window of ``_FINITE_CHECK_STEPS`` steps at a time.
+    Its buffers are that block and two window-sized ones, and no number
+    depends on the block size.
     ``shift_for(cols)`` returns the drift term callback of the batch holding
     columns ``cols`` (a slice): the float array ``sigma * shift(x)`` of its
     states ``x``, added to each Euler step as it is, so a caller scales a
     node table by ``sigma`` once.  Every ``_FINITE_CHECK_STEPS`` steps, once
     they are checked finite, the engine calls ``consume(cols, start, states,
-    noise)`` for each run of at most ``_CONSUME_PATHS`` columns ``cols``: ``states`` holds their states at
-    steps ``start`` to ``start + L`` time-major, shape ``(L + 1, width)``,
-    and ``noise`` the standard normals of those steps path-major, shape
-    ``(width, L)``, when ``with_noise`` (else None).  Both are views of
-    buffers the engine reuses, so nothing of size paths x steps is built.
-    Each path is bitwise the same as when simulated alone.  One INFO line
-    per call reports paths, steps, batches, blocks and the seconds spent
-    drawing normals (``rng_s``), stepping (``euler_s``) and in ``consume``
-    (``cost_s``).  ``n_paths`` must be at least 1.
+    noise)`` for each run of at most ``_CONSUME_PATHS`` columns ``cols``:
+    ``states`` holds their states at steps ``start`` to ``start + L``
+    time-major, shape ``(L + 1, width)``, and ``noise`` the standard normals
+    of those steps path-major, shape ``(width, L)``, when ``with_noise``
+    (else None).  ``states`` is a view of a buffer the engine reuses and
+    ``noise`` is gathered from the draw block per call, so nothing of size
+    paths x steps is built.  Each path is bitwise the same as when simulated
+    alone.  One INFO line per call reports paths, steps, batches, blocks, the
+    streams seeded and drawn (each batch's distinct keys, summed over
+    batches), the seconds spent drawing normals (``rng_s``), stepping
+    (``euler_s``) and in ``consume`` (``cost_s``).  ``n_paths`` must be at
+    least 1.
     """
     _check_n_paths(n_paths)
     if n_steps > 0:
         _check_stability(model, step)
     total = len(seeds) * n_paths
     seconds = [0.0, 0.0, 0.0]  # rng, euler, consume
-    n_batches = n_blocks = 0
+    n_batches = n_blocks = n_streams = 0
     for b0 in range(0, total if n_steps > 0 else 0, _MAX_BATCH_PATHS):
         cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
-        n_blocks += _run_batch(model, n_steps, step, seeds, n_paths, cols, consume,
-                               shift_for, with_noise, seconds)
+        blocks, streams = _run_batch(model, n_steps, step, seeds, n_paths, cols, consume,
+                                     shift_for, with_noise, seconds)
+        n_blocks += blocks
+        n_streams += streams
         n_batches += 1
-    logger.info("%s engine: paths=%d steps=%d batches=%d blocks=%d rng_s=%.4f "
+    logger.info("%s engine: paths=%d steps=%d batches=%d blocks=%d streams=%d rng_s=%.4f "
                 "euler_s=%.4f cost_s=%.4f", label, total, n_steps, n_batches, n_blocks,
-                *seconds)
+                n_streams, *seconds)
 
 
 def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                n_paths: int, cols: slice, consume: Callable,
-               shift_for: Optional[Callable], with_noise: bool, seconds: list) -> int:
-    """One batch of :func:`run_paths`; its buffers are freed when it returns."""
+               shift_for: Optional[Callable], with_noise: bool, seconds: list) -> tuple:
+    """One batch of :func:`run_paths`, returning its blocks and streams drawn; its
+    buffers are freed when it returns."""
     clock = time.perf_counter
     t0 = clock()
     a = model.lin_drift
@@ -330,11 +333,14 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
     has_residual = model.bounded_drift_sup != 0.0
     # a 0-d array: ufuncs take it without converting a Python float every step
     sigma = np.array(model.sigma)
-    # only this batch's keys: all columns' key tuples at once grow with the run
-    streams = _streams([(seeds[j // n_paths], j % n_paths)
-                        for j in range(cols.start, cols.stop)])
-    p = len(streams)
-    drawn = np.empty((p, min(_BLOCK_STEPS, n_steps)))  # path-major, as each stream draws
+    # only this batch's keys: all columns' key tuples at once grow with the run;
+    # rows[c] is the row of drawn that column c reads, one row per distinct key
+    key_row = {}
+    rows = np.array([key_row.setdefault((seeds[j // n_paths], j % n_paths), len(key_row))
+                     for j in range(cols.start, cols.stop)], dtype=np.intp)
+    streams = [path_stream(*key) for key in key_row]
+    p = len(rows)
+    drawn = np.empty((len(streams), min(_BLOCK_STEPS, n_steps)))  # path-major, as drawn
     win = min(_FINITE_CHECK_STEPS, n_steps)
     noise = np.empty((win, p))  # one window, time-major, scaled by sigma * sqrt(step)
     states = np.empty((win + 1, p))
@@ -353,7 +359,7 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
             stop = min(_FINITE_CHECK_STEPS, n_blk - c0)
             dw = noise[:stop]
             # time-major layout keeps every per-step slice contiguous
-            copy_transposed(dw, drawn[:, c0:c0 + stop])
+            copy_transposed(dw, drawn[:, c0:c0 + stop], rows)
             t1 = clock()
             seconds[0] += t1 - t0
             # (sigma * z) * sqrt_h, in this order: every path's bits depend on it
@@ -387,12 +393,12 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                 p1 = min(p0 + _CONSUME_PATHS, p)
                 consume(slice(cols.start + p0, cols.start + p1), start + c0,
                         states[:stop + 1, p0:p1],
-                        drawn[p0:p1, c0:c0 + stop] if with_noise else None)
+                        drawn[rows[p0:p1], c0:c0 + stop] if with_noise else None)
             seconds[1] += t2 - t1
             seconds[2] += clock() - t2
             states[0] = states[stop]
         n_blocks += 1
-    return n_blocks
+    return n_blocks, len(streams)
 
 
 def sample_paths(

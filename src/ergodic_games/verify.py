@@ -5,9 +5,10 @@ feedback policy enters as a drift shift through the noise map) and averaging
 the deviating player's running cost: time-averaged over a window for ergodic
 payoffs, discounted from the start state otherwise.  The Nash property is
 probed by re-estimating a player's payoff under sampled unilateral
-deviations; none may undercut the equilibrium value by more than a noise-
-plus-grid allowance.  A pathwise residual of the backward equation gives an
-independent consistency check that shrinks with the step size.
+deviations, on the paths of that player's equilibrium estimate; none may
+undercut the equilibrium value by more than a noise-plus-grid allowance.  A
+pathwise residual of the backward equation gives an independent consistency
+check that shrinks with the step size.
 """
 
 from __future__ import annotations
@@ -230,8 +231,9 @@ def estimate_payoff(
     model's start state and requires the horizon to push the tail below
     ``1e-3`` (otherwise :class:`InsufficientHorizonError`); a deviation
     is simulated by passing ``policy.with_player_indices(...)``.  The
-    estimate is bitwise the one :func:`nash_deviation_test` reports for the
-    same policy and seed.
+    estimate is bitwise the row :func:`nash_deviation_test` reports for the
+    same policy, player and seed (``PayoffEstimate.seed``; every row of a
+    player carries that player's equilibrium seed).
     """
     if not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")
@@ -338,7 +340,10 @@ def nash_deviation_test(
     For each player the harness first re-estimates the equilibrium payoff
     (its margin must vanish within threshold), then samples ``n_deviations``
     deviations split evenly over three kinds: constant controls, a single
-    perturbed node, and fully random feedback fields.  A deviation passes
+    perturbed node, and fully random feedback fields.  Every row of a player
+    is simulated on the equilibrium row's paths (its seed, so its streams),
+    so a deviation that changes no visited node repeats the equilibrium
+    row's value and stderr.  A deviation passes
     when it does not *undercut* the player's reference value by more than
     ``3 * stderr + grid_error_budget``.  Ergodic players are referenced to
     their long-run constant, a discounted player to their value function at
@@ -385,7 +390,7 @@ def nash_deviation_test(
                 desc = "random feedback field"
                 kind = "random_feedback"
             jobs.append(_job(model, spec, nash.policy.with_player_indices(player, idx), player,
-                             int(rng.integers(2**32)), **criterion))
+                             eq_seed, **criterion))
             labels.append((kind, desc, ref))
 
     estimates = _estimate_jobs(model, spec, jobs, horizon, step, n_paths, "nash_deviation_test")

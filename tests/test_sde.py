@@ -52,22 +52,58 @@ _KEYS = [(seed, k) for seed in (0, 1, 7, 2**32 - 1, 2**32, 2**63, -1, 2**64 - 1)
     (5, 0xDE, 0, 2), (2**40, 0xDE, 1, 59), (-1, 0xDE, 0, 0),
     (3,), (2**63,), (2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1),
 ]
+# engine keys (seed, path): one-word, two-word (2**40, -1) and 2**64 - 1 seeds,
+# where -1 and 2**64 - 1 fold to the same words
+_MIXED_SEEDS = [0, 2**40, 7, -1, 2**64 - 1, 2**32 - 1]
 
 
-@pytest.mark.parametrize("keys", [_KEYS, _KEYS[::-1], [_KEYS[0]]],
+def _folded(*key):
+    return [int(v) & 0xFFFFFFFFFFFFFFFF for v in key]
+
+
+@pytest.mark.parametrize("seeds, n_paths", [(_MIXED_SEEDS, 3), (_MIXED_SEEDS[::-1], 3),
+                                            ([_MIXED_SEEDS[0]], 1)],
                          ids=["mixed_word_counts", "reversed", "one_key"])
-def test_batch_keying_is_default_rng(keys):
+def test_batch_keying_is_default_rng(model, seeds, n_paths):
     # default_rng on the folded words is the reference; a batch mixes word counts
-    streams = sde._streams(keys)
-    for key, stream in zip(keys, streams):
-        words = [int(v) & 0xFFFFFFFFFFFFFFFF for v in key]
-        reference = np.random.default_rng(words)
-        assert np.array_equal(stream.standard_normal(5), reference.standard_normal(5)), key
-        assert np.array_equal(stream.integers(2**32, size=3), reference.integers(2**32, size=3))
-    for key in keys:
+    n = sde._BLOCK_STEPS + 37
+    noise = np.empty((len(seeds) * n_paths, n))
+
+    def keep(cols, start, states, drawn):
+        noise[cols, start:start + drawn.shape[1]] = drawn
+
+    sde.run_paths(model, n, 0.01, seeds, n_paths, keep, with_noise=True)
+    for j, row in enumerate(noise):
+        key = (seeds[j // n_paths], j % n_paths)
+        assert np.array_equal(row, np.random.default_rng(_folded(*key)).standard_normal(n)), key
+    for key in _KEYS:
         assert np.array_equal(eg.path_stream(*key).standard_normal(4),
-                              np.random.default_rng(
-                                  [int(v) & 0xFFFFFFFFFFFFFFFF for v in key]).standard_normal(4))
+                              np.random.default_rng(_folded(*key)).standard_normal(4))
+
+
+@pytest.mark.parametrize("max_batch, n_streams", [(2048, 6), (4, 4 + 4 + 1)],
+                         ids=["one_batch", "split_batches"])
+def test_equal_keys_share_noise_and_states(model, monkeypatch, caplog, max_batch, n_streams):
+    # seeds [s, t, s]: columns 0-2 and 6-8 are the same three keys, and with a
+    # width cap of 4 they fall in different batches; a batch seeds and draws
+    # each of its distinct keys once
+    monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", max_batch)
+    n, n_paths = sde._BLOCK_STEPS + 37, 3
+    states = np.empty((3 * n_paths, n + 1))
+    noise = np.empty((3 * n_paths, n))
+
+    def keep(cols, start, block, drawn):
+        states[cols, start:start + len(block)] = block.T
+        noise[cols, start:start + drawn.shape[1]] = drawn
+
+    with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
+        sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, keep,
+                      shift_for=lambda cols: np.tanh, with_noise=True)
+    assert f" paths=9 steps={n} " in caplog.text and f" streams={n_streams} " in caplog.text
+    assert np.array_equal(noise[:3], noise[6:]) and np.array_equal(states[:3], states[6:])
+    assert not np.array_equal(noise[:3], noise[3:6])
+    for k in range(n_paths):
+        assert np.array_equal(noise[k], eg.path_stream(5, k).standard_normal(n))
 
 
 def _alone(monkeypatch, model, shift, horizon, step, seed, k):
@@ -252,7 +288,7 @@ def test_engine_logs_one_trace_line_per_run(model, g0, coarse_grid, caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
     assert len(lines) == 1
     m = re.fullmatch(r"estimate_payoff engine: paths=6 steps=2500 batches=1 blocks=3 "
-                     r"rng_s=\d+\.\d{4} euler_s=\d+\.\d{4} cost_s=\d+\.\d{4}", lines[0])
+                     r"streams=6 rng_s=\d+\.\d{4} euler_s=\d+\.\d{4} cost_s=\d+\.\d{4}", lines[0])
     assert m is not None, lines[0]
 
 
@@ -427,3 +463,16 @@ def test_engine_memory_is_one_draw_block_and_two_windows(model):
     window = 8 * p * (sde._FINITE_CHECK_STEPS + 1)
     streams = _peak_bytes(lambda: [eg.path_stream(0, j) for j in range(p)])
     assert peak < block + 2 * window + streams + 2**20, (peak, streams)
+
+
+def test_engine_draws_each_shared_key_once(model):
+    # eight seeds listed as one: a full batch of 2,048 columns over 256
+    # distinct keys draws a 256-row block, not one row per column
+    n_paths = 256
+    assert 8 * n_paths == sde._MAX_BATCH_PATHS
+    n = 2 * sde._BLOCK_STEPS
+    peak = _peak_bytes(lambda: sde.run_paths(model, n, 0.01, [0] * 8, n_paths,
+                                             lambda *args: None))
+    block = 8 * n_paths * sde._BLOCK_STEPS
+    window = 8 * sde._MAX_BATCH_PATHS * (sde._FINITE_CHECK_STEPS + 1)
+    assert peak < block + 2 * window + 2**20, peak

@@ -270,6 +270,22 @@ def test_deviation_rows_equal_estimates_alone(model, g0, g0_nash_coarse, g0_asym
         assert alone == row.estimate
 
 
+def test_deviation_rows_reuse_the_equilibrium_paths(model, g0, g0_nash_coarse, coarse_grid):
+    # seed 59 perturbs player 0's policy at node 0 (x = -6), which no path
+    # visits, so that row repeats the equilibrium row's numbers bitwise
+    rep = nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=3, horizon=30.0,
+                              step=0.02, n_paths=12, seed=59)
+    for player in (0, 1):
+        rows = [r for r in rep.rows if r.player == player]
+        assert rows[0].kind == "equilibrium"
+        assert {r.estimate.seed for r in rows} == {rows[0].estimate.seed}
+    eq, node = rep.rows[0], rep.rows[2]
+    assert node.description.startswith("node 0 control")
+    assert coarse_grid.nodes()[0] == -6.0
+    assert (node.estimate.value, node.estimate.stderr) == (eq.estimate.value, eq.estimate.stderr)
+    assert rep.rows[1].estimate.value != eq.estimate.value
+
+
 def test_nearest_node_lookups_agree_at_half_way_states(model, g0, coarse_grid):
     # the 80 midpoints of Grid1D(-6, 6, 81) and their float neighbours, where
     # differently rounded formulas pick different nodes (x = -5.925 is one)
@@ -322,16 +338,16 @@ PARENT_ESTIMATES = {
     "ergodic": (0.32378403622676716, 0.016858841542713544),
     "discounted": (1.424558511584157, 0.062103705765653536),
     "rows": [
-        (0.28639629701661024, 0.017431108439226798), (0.5445646453741696, 0.018906980719623136),
-        (0.3183079717252492, 0.01781823042525232), (0.43654004033313826, 0.023467364614459946),
-        (0.29504394498856695, 0.013806621216066182), (0.3844695994539445, 0.026964587378767953),
-        (0.30664110300011244, 0.020597724261533085), (0.7666347805524766, 0.013939435259766627),
+        (0.28639629701661024, 0.017431108439226798), (0.5029385092682429, 0.020231982634290428),
+        (0.31136117355448756, 0.018319991047765678), (0.40359658482721256, 0.021913015672103513),
+        (0.29504394498856695, 0.013806621216066182), (0.34656770025176864, 0.01629979154928888),
+        (0.29543115264641023, 0.01393434170607134), (0.7846554222775713, 0.013321587059961313),
     ],
     "asymmetric_rows": [
-        (0.3156261947809798, 0.009446479382522202), (0.5355687889705932, 0.015595789536932162),
-        (0.3343732165991067, 0.012796645300436508), (0.42196072229053744, 0.015373382889660232),
-        (1.5306439739313633, 0.10666624028749633), (1.8603999883175417, 0.0871914531704074),
-        (1.4900589719587962, 0.10054800782223204), (3.798120225094977, 0.045716172332030756),
+        (0.3156261947809798, 0.009446479382522202), (0.5196898489670934, 0.012852834589875406),
+        (0.33658154919176336, 0.010019204550835601), (0.44584563660446164, 0.01216574736254202),
+        (1.5306439739313633, 0.10666624028749633), (1.758990497730142, 0.09840847815584063),
+        (1.5378962009099917, 0.1087565744434612), (3.9885674463387226, 0.08451851411997595),
     ],
     "residual": 0.039850692442062415,
     "residual_discounted": 0.03569927681500891,
@@ -451,11 +467,12 @@ def test_harness_logs_one_engine_line(model, g0, g0_nash_coarse, caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
     assert len(lines) == 1
     m = re.fullmatch(r"nash_deviation_test engine: paths=(\d+) steps=(\d+) batches=(\d+) "
-                     r"blocks=(\d+) rng_s=(\d+\.\d{4}) euler_s=(\d+\.\d{4}) "
+                     r"blocks=(\d+) streams=(\d+) rng_s=(\d+\.\d{4}) euler_s=(\d+\.\d{4}) "
                      r"cost_s=(\d+\.\d{4})", lines[0])
     assert m is not None, lines[0]
-    assert [int(v) for v in m.groups()[:4]] == [2 * 4 * 8, 1250, 1, 2]
-    assert float(m.group(5)) > 0.0 and float(m.group(6)) > 0.0
+    # a player's four rows share the equilibrium row's 8 streams
+    assert [int(v) for v in m.groups()[:5]] == [2 * 4 * 8, 1250, 1, 2, 2 * 8]
+    assert float(m.group(6)) > 0.0 and float(m.group(7)) > 0.0
     assert "engine" not in str(rep.as_dict()) and "_s=" not in str(rep.as_dict())
 
 
@@ -546,23 +563,23 @@ PINNED_RESIDUALS = {
 PINNED_ROWS = {
     5: [
         ("equilibrium policy", 0.28639629701661024, 0.01743110843922682),
-        ("constant control #12 (-0.4)", 0.5445646453741695, 0.01890698071962313),
-        ("node 34 control -> #38 (0.9)", 0.3183079717252493, 0.01781823042525234),
-        ("random feedback field", 0.43654004033313826, 0.02346736461445997),
+        ("constant control #12 (-0.4)", 0.5029385092682429, 0.020231982634290428),
+        ("node 34 control -> #38 (0.9)", 0.31136117355448756, 0.018319991047765678),
+        ("random feedback field", 0.40359658482721256, 0.021913015672103513),
         ("equilibrium policy", 0.295043944988567, 0.013806621216066182),
-        ("constant control #24 (0.2)", 0.3844695994539444, 0.02696458737876794),
-        ("node 25 control -> #36 (0.8)", 0.30664110300011244, 0.020597724261533057),
-        ("random feedback field", 0.7666347805524767, 0.013939435259766604),
+        ("constant control #24 (0.2)", 0.34656770025176864, 0.01629979154928888),
+        ("node 25 control -> #36 (0.8)", 0.29543115264641023, 0.01393434170607134),
+        ("random feedback field", 0.7846554222775713, 0.013321587059961313),
     ],
     2**40: [
         ("equilibrium policy", 0.31784650336407233, 0.020347573250933525),
-        ("constant control #29 (0.45)", 0.5539815128870533, 0.016899821950267287),
-        ("node 8 control -> #10 (-0.5)", 0.2981372840439059, 0.021477512562601702),
-        ("random feedback field", 0.5213894889444982, 0.012902198008459811),
+        ("constant control #29 (0.45)", 0.5964172542290341, 0.029913486540871795),
+        ("node 8 control -> #10 (-0.5)", 0.31784650336407233, 0.020347573250933525),
+        ("random feedback field", 0.5399637677916387, 0.024101628401339496),
         ("equilibrium policy", 0.3277360110217374, 0.01666600166840697),
-        ("constant control #9 (-0.55)", 0.743218358790127, 0.026559486266116667),
-        ("node 37 control -> #9 (-0.55)", 0.3548493308570366, 0.012793340779381056),
-        ("random feedback field", 0.7247684176593809, 0.03007173243153924),
+        ("constant control #9 (-0.55)", 0.7194406194914768, 0.028700470149933863),
+        ("node 37 control -> #9 (-0.55)", 0.3554643449214605, 0.013693529108378722),
+        ("random feedback field", 0.6967180299526713, 0.024636301313379672),
     ],
 }
 
