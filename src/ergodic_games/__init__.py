@@ -30,10 +30,9 @@ from .continuous import (
     solve_continuous_ebsde,
 )
 from .ebsde import (
-    DiscountedSolution,
     DriverSpec,
-    ErgodicSolution,
     Grid1D,
+    GridSolution,
     MaxSweepsExceededError,
     NonMonotoneSchemeError,
     hjb_residual,
@@ -102,8 +101,7 @@ __all__ = [
     # single-player grid solves
     "Grid1D",
     "DriverSpec",
-    "ErgodicSolution",
-    "DiscountedSolution",
+    "GridSolution",
     "MaxSweepsExceededError",
     "NonMonotoneSchemeError",
     "hjb_residual",

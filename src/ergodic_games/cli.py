@@ -35,9 +35,8 @@ from .continuous import (
     solve_continuous_ebsde,
 )
 from .ebsde import (
-    DiscountedSolution,
-    ErgodicSolution,
     Grid1D,
+    GridSolution,
     MaxSweepsExceededError,
     NonMonotoneSchemeError,
     solve_ergodic,
@@ -347,7 +346,10 @@ _HANDLERS = {
 def load_nash(nash_dir) -> NashSolution:
     """Rebuild a solved equilibrium from a ``solve-game``/``asymmetric`` output directory.
 
-    Reads ``nash.csv`` and ``report.json``.
+    Reads ``nash.csv`` and ``report.json``.  The grid is rebuilt from the
+    ``x`` column (``linspace`` stores both ends and CSV floats round-trip),
+    so it needs no ergodic player; growth constants, ``sup_v``, ``lambdas``
+    and ``alpha`` are derived again from the solutions, not read back.
     """
     d = FsPath(nash_dir)
     csv_path = d / "nash.csv"
@@ -362,45 +364,30 @@ def load_nash(nash_dir) -> NashSolution:
     players = report["players"]
     if len(players) != n_players:
         raise ConfigError("nash.csv and report.json disagree on the player count")
-    # the grid as report.json records it; its x_ref_index is derived again
-    grid = _make_grid(next(p["grid"] for p in players if "grid" in p))
+    x = data[:, 0]
+    grid = Grid1D(float(x[0]), float(x[-1]), len(x))
     sols = []
-    values = []
-    idx_cols = []
-    for i, pd in enumerate(players):
-        v = data[:, 1 + 4 * i]
-        xi = data[:, 2 + 4 * i]
-        values.append(data[:, 3 + 4 * i])
-        idx_cols.append(data[:, 4 + 4 * i].astype(int))
-        if pd["kind"] == "discounted":
-            sols.append(
-                DiscountedSolution(
-                    grid=grid, v=v, xi=xi, alpha=float(pd["alpha"]),
-                    residual_sup=float(pd["residual_sup"]),
-                    iterations=int(pd["iterations"]), sup_v=float(pd["sup_v"]),
-                )
+    for pd, v, xi in zip(players, data[:, 1::4].T, data[:, 2::4].T):
+        discounted = pd["kind"] == "discounted"
+        sols.append(
+            GridSolution(
+                grid=grid, v=v, xi=xi,
+                lam=None if discounted else float(pd["lambda"]),
+                alpha=float(pd["alpha"]) if discounted else None,
+                residual_sup=float(pd["residual_sup"]),
+                iterations=int(pd["iterations"]),
             )
-        else:
-            sols.append(
-                ErgodicSolution(
-                    grid=grid, v=v, xi=xi, lam=float(pd["lambda"]),
-                    residual_sup=float(pd["residual_sup"]),
-                    iterations=int(pd["iterations"]),
-                    growth_constant=float(pd["growth_constant"]),
-                )
-            )
-    policy = FeedbackPolicy(nodes=grid.nodes(), indices=np.column_stack(idx_cols))
+        )
+    policy = FeedbackPolicy(nodes=grid.nodes(), indices=data[:, 4::4].astype(int))
     return NashSolution(
         spec_name=report["game"],
         solutions=tuple(sols),
-        lambdas=tuple(None if v is None else float(v) for v in report["lambdas"]),
         policy=policy,
-        policy_values=tuple(values),
+        policy_values=tuple(data[:, 3::4].T),
         comparison=float(report["comparison_bound"]),
         converged=bool(report["converged"]),
         iterations=int(report["iterations"]),
         deltas_history=tuple(report["deltas_history"]),
-        alpha=None if report.get("alpha") is None else float(report["alpha"]),
     )
 
 

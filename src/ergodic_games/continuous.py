@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import logging
 import math
+from dataclasses import replace
 from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ._samples import _CHECK_SLACK, check_states
-from .ebsde import ErgodicSolution, Grid1D, frozen_driver, hjb_residual, solve_ergodic
+from .ebsde import Grid1D, GridSolution, frozen_driver, hjb_residual, solve_ergodic
 
 __all__ = [
     "GrowthViolationError",
@@ -109,7 +110,7 @@ def solve_continuous_ebsde(
     tol: float = 1e-6,
     max_iter: int = 80,
     xi_init: Optional[np.ndarray] = None,
-) -> ErgodicSolution:
+) -> GridSolution:
     """Ergodic solve for a continuous linear-growth driver.
 
     Starting from ``xi_init`` (zero by default; alternative fields probe
@@ -130,7 +131,6 @@ def solve_continuous_ebsde(
     lam_prev: Optional[float] = None
     v_warm: Optional[np.ndarray] = None
     history = []
-    sol: Optional[ErgodicSolution] = None
     for it in range(1, max_iter + 1):
         driver = frozen_driver(*split(nodes, xi), 2.0 * kappa, 2.0 * kappa)
         sol = solve_ergodic(model, driver, grid, tol=inner_tol, v_init=v_warm)
@@ -149,9 +149,5 @@ def solve_continuous_ebsde(
                 )
             logger.debug("continuous solve: lam=%.9g residual=%.3e outer=%d",
                          sol.lam, res, it)
-            return ErgodicSolution(
-                grid=grid, v=sol.v, xi=sol.xi, lam=sol.lam,
-                residual_sup=res, iterations=it,
-                growth_constant=sol.growth_constant,
-            )
+            return replace(sol, residual_sup=res, iterations=it)
     raise LinearizationDidNotConvergeError(max_iter, history)

@@ -21,7 +21,8 @@ and continuous solvers -- converge in one step; Lipschitz drivers with kinks
 use a subgradient.  For the discounted equation the constant is reinstated
 exactly afterwards (adding a constant ``c`` to ``v`` changes the equation
 residual by ``-alpha * c`` and nothing else, because the driver only sees
-derivatives of ``v``).
+derivatives of ``v``).  Both solvers return a :class:`GridSolution`, whose
+``alpha`` is None for the ergodic equation and ``lam`` None for the other.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ __all__ = [
     "Grid1D",
     "DriverSpec",
     "frozen_driver",
-    "ErgodicSolution",
-    "DiscountedSolution",
+    "GridSolution",
     "solve_ergodic",
     "solve_discounted",
     "hjb_residual",
@@ -281,48 +281,33 @@ def frozen_driver(slope: np.ndarray, offset: np.ndarray,
 
 
 @dataclass(frozen=True)
-class ErgodicSolution:
-    """Grid solution of the ergodic equation.
+class GridSolution:
+    """Grid solution of the ergodic (``alpha is None``) or discounted equation.
 
-    ``v`` is normalized to zero at the reference node, ``xi`` approximates
-    ``v'(x) sigma`` (central differences inside, one-sided at the ends),
-    ``lam`` is the long-run constant and ``residual_sup`` the recomputed
-    interior equation residual.  ``growth_constant`` is the smallest ``C``
-    with ``|v(x)| <= C (1 + x^2)`` on the grid.
+    ``xi`` approximates ``v'(x) sigma`` (central differences inside,
+    one-sided at the ends) and ``residual_sup`` is the recomputed interior
+    equation residual.  An ergodic ``v`` is normalized to zero at the
+    reference node and ``lam`` is the long-run constant; a discounted ``v``
+    is not normalized and ``lam`` is None.  ``growth_constant``, the smallest
+    ``C`` with ``|v(x)| <= C (1 + x^2)`` on the grid, and ``sup_v`` are read
+    off ``v``.
     """
 
     grid: Grid1D
     v: np.ndarray
     xi: np.ndarray
-    lam: float
+    lam: Optional[float]
+    alpha: Optional[float]
     residual_sup: float
     iterations: int
-    growth_constant: float
 
-    def to_csv(self, path) -> None:
-        write_csv(path, ("x", "v", "xi"), zip(self.grid.nodes(), self.v, self.xi))
+    @property
+    def growth_constant(self) -> float:
+        return float(np.max(np.abs(self.v) / (1.0 + self.grid.nodes() ** 2)))
 
-    def report_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "residual_sup": self.residual_sup,
-            "iterations": self.iterations,
-            "growth_constant": self.growth_constant,
-            "grid": asdict(self.grid),
-        }
-
-
-@dataclass(frozen=True)
-class DiscountedSolution:
-    """Grid solution of the discounted equation (no normalization)."""
-
-    grid: Grid1D
-    v: np.ndarray
-    xi: np.ndarray
-    alpha: float
-    residual_sup: float
-    iterations: int
-    sup_v: float
+    @property
+    def sup_v(self) -> float:
+        return float(np.max(np.abs(self.v)))
 
     def value_at(self, x: float) -> float:
         """``v`` interpolated linearly at ``x``, which must lie on the grid."""
@@ -335,13 +320,13 @@ class DiscountedSolution:
         write_csv(path, ("x", "v", "xi"), zip(self.grid.nodes(), self.v, self.xi))
 
     def report_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "residual_sup": self.residual_sup,
-            "iterations": self.iterations,
-            "sup_v": self.sup_v,
-            "alpha_times_sup_v": self.alpha * self.sup_v,
-        }
+        if self.alpha is None:
+            own = {"lambda": self.lam, "growth_constant": self.growth_constant,
+                    "grid": asdict(self.grid)}
+        else:
+            own = {"alpha": self.alpha, "sup_v": self.sup_v,
+                    "alpha_times_sup_v": self.alpha * self.sup_v}
+        return {"residual_sup": self.residual_sup, "iterations": self.iterations, **own}
 
 
 def _derivatives(v: np.ndarray, dx: float):
@@ -494,7 +479,7 @@ def solve_ergodic(
     grid: Grid1D,
     tol: float = 1e-6,
     v_init: Optional[np.ndarray] = None,
-) -> ErgodicSolution:
+) -> GridSolution:
     """Solve the ergodic equation for ``(v, lam)`` on the grid.
 
     Takes Newton steps on the discrete equation until the interior residual
@@ -513,12 +498,9 @@ def solve_ergodic(
     v = v - v[grid.x_ref_index]
     xi = _xi_from_v(model, grid, v)
     res = hjb_residual(model, driver, grid, v, xi, lam)
-    growth = float(np.max(np.abs(v) / (1.0 + grid.nodes() ** 2)))
     logger.debug("ergodic solve: lam=%.9g residual=%.3e iterations=%d", lam, res, iterations)
-    return ErgodicSolution(
-        grid=grid, v=v, xi=xi, lam=lam, residual_sup=res,
-        iterations=iterations, growth_constant=growth,
-    )
+    return GridSolution(grid=grid, v=v, xi=xi, lam=lam, alpha=None, residual_sup=res,
+                        iterations=iterations)
 
 
 def solve_discounted(
@@ -528,7 +510,7 @@ def solve_discounted(
     alpha: float,
     tol: float = 1e-6,
     v_init: Optional[np.ndarray] = None,
-) -> DiscountedSolution:
+) -> GridSolution:
     """Solve the discounted equation ``L v + f(x, v' sigma) = alpha v``.
 
     Runs the ergodic solver's Newton iteration on the operator with the
@@ -546,7 +528,5 @@ def solve_discounted(
     res = hjb_residual(model, driver, grid, v, xi, 0.0, alpha=alpha)
     logger.debug("discounted solve: alpha=%.3g v(ref)=%.9g residual=%.3e iterations=%d",
                  alpha, lam / alpha, res, iterations)
-    return DiscountedSolution(
-        grid=grid, v=v, xi=xi, alpha=alpha, residual_sup=res,
-        iterations=iterations, sup_v=float(np.max(np.abs(v))),
-    )
+    return GridSolution(grid=grid, v=v, xi=xi, lam=None, alpha=alpha, residual_sup=res,
+                        iterations=iterations)

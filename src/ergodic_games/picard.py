@@ -24,15 +24,14 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import asdict, astuple, dataclass, fields
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._csv import write_csv
 from .ebsde import (
-    DiscountedSolution,
-    ErgodicSolution,
     Grid1D,
+    GridSolution,
     MaxSweepsExceededError,
     NonMonotoneSchemeError,
     frozen_driver,
@@ -60,27 +59,35 @@ class NashSolution:
     """Converged (or best-effort) feedback Nash point of the grid game.
 
     ``solutions[i]`` is the per-player grid solution (ergodic, or discounted
-    for a discounting player), ``lambdas[i]`` the long-run cost of each
-    ergodic player (``None`` for a discounting one), and ``policy`` the joint
-    feedback control generated by the final gradient fields.  ``comparison``
-    is the upper bound from the dominating driver and ``alpha`` the discount
-    rate of the discounting players when they share one.
+    for a discounting player), ``policy`` the joint feedback control
+    generated by the final gradient fields and ``comparison`` the upper bound
+    from the dominating driver.  ``lambdas[i]``, the long-run cost of each
+    ergodic player (``None`` for a discounting one), and ``alpha``, the
+    discount rate of the discounting players when they share one, are read
+    off the solutions.
     """
 
     spec_name: str
-    solutions: Tuple[Union[ErgodicSolution, DiscountedSolution], ...]
-    lambdas: Tuple[Optional[float], ...]
+    solutions: Tuple[GridSolution, ...]
     policy: FeedbackPolicy
     policy_values: Tuple[np.ndarray, ...]  # per player, control value per node
     comparison: float
     converged: bool
     iterations: int
     deltas_history: Tuple[dict, ...]
-    alpha: Optional[float] = None
 
     @property
     def n_players(self) -> int:
         return len(self.solutions)
+
+    @property
+    def lambdas(self) -> Tuple[Optional[float], ...]:
+        return tuple(sol.lam for sol in self.solutions)
+
+    @property
+    def alpha(self) -> Optional[float]:
+        rates = {sol.alpha for sol in self.solutions if sol.alpha is not None}
+        return rates.pop() if len(rates) == 1 else None
 
     @property
     def grid(self) -> Grid1D:
@@ -99,7 +106,7 @@ class NashSolution:
         for i, sol in enumerate(self.solutions):
             d = sol.report_dict()
             d["player"] = i
-            d["kind"] = "discounted" if isinstance(sol, DiscountedSolution) else "ergodic"
+            d["kind"] = "ergodic" if sol.alpha is None else "discounted"
             per_player.append(d)
         return {
             "game": self.spec_name,
@@ -255,18 +262,15 @@ def picard_solve(
         logger.warning("picard_solve: no fixed point after %d iterations%s", it, cycle)
     final_idx = _policy_from_xi(spec, nodes, xi, searched, idx)
     policy = FeedbackPolicy(nodes=nodes, indices=final_idx)
-    rates = {a for a in alphas if a is not None}
     return NashSolution(
         spec_name=spec.name,
         solutions=tuple(sols),
-        lambdas=tuple(p if a is None else None for a, p in zip(alphas, prev)),
         policy=policy,
         policy_values=tuple(policy.control_columns(spec)),
         comparison=comparison_bound(spec),
         converged=converged,
         iterations=it,
         deltas_history=tuple(history),
-        alpha=rates.pop() if len(rates) == 1 else None,
     )
 
 

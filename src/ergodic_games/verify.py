@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._csv import write_csv
-from .ebsde import DiscountedSolution, interp_table, nearest_node, node_lookup, uniform_interp
+from .ebsde import interp_table, nearest_node, node_lookup, uniform_interp
 from .games import FeedbackPolicy, GameSpec
 from .picard import NashSolution
 from .sde import (
@@ -299,14 +299,14 @@ class DeviationReport:
 def _reference_value(nash: NashSolution, player: int,
                      model: SdeModel) -> Tuple[float, Optional[float]]:
     sol = nash.solutions[player]
-    if isinstance(sol, DiscountedSolution):
-        grid = sol.grid
-        # value_at rejects an off-grid state too; this message names the player
-        if not grid.x_min <= model.x0 <= grid.x_max:
-            raise ValueError(f"start state x0={model.x0!r} lies outside the grid "
-                             f"[{grid.x_min!r}, {grid.x_max!r}] of player {player}'s value")
-        return float(sol.value_at(model.x0)), sol.alpha
-    return float(nash.lambdas[player]), None
+    if sol.alpha is None:
+        return float(sol.lam), None
+    grid = sol.grid
+    # value_at rejects an off-grid state too; this message names the player
+    if not grid.x_min <= model.x0 <= grid.x_max:
+        raise ValueError(f"start state x0={model.x0!r} lies outside the grid "
+                         f"[{grid.x_min!r}, {grid.x_max!r}] of player {player}'s value")
+    return float(sol.value_at(model.x0)), sol.alpha
 
 
 def _check_same_game(spec: GameSpec, nash: NashSolution) -> None:
@@ -477,10 +477,7 @@ def bsde_path_residual(
             np.asarray(spec.costs[player](x_t, *controls), dtype=float), x_t.shape
         )
         hamilton = xi_t * r_t + cost_t
-        if isinstance(sol, DiscountedSolution):
-            const = sol.alpha * v_t
-        else:
-            const = nash.lambdas[player]
+        const = sol.lam if sol.alpha is None else sol.alpha * v_t
         # increments of the unshifted Brownian motion
         dw = sqrt_h * noise + r_t * step
         residual = v_next - v_t + (hamilton - const) * step - xi_t * dw

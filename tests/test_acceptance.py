@@ -264,3 +264,23 @@ def test_criterion_13_byte_identical_reports(model, tmp_path):
     _report(13, "same seed gives byte-identical reports",
             all(same.values()) and verdict,
             " ".join(f"{k}={v}" for k, v in same.items()))
+
+
+def test_criterion_14_control_grid_error(model, grid201, nash201):
+    # quadratic_decoupled's pointwise Nash control is clip(-z/2, +-1) in closed form, so the
+    # symmetric continuous-control equilibrium solves one ergodic equation with this driver
+    def continuous_control(x, z):
+        u = np.clip(-0.5 * z, -1.0, 1.0)
+        return 2.0 * z * u + u**2 + eg.bump(x)
+
+    oracle = eg.solve_ergodic(model, continuous_control, grid201, tol=1e-11).lam
+    ratios = {}
+    for n in (41, 81, 161, 321, 641):
+        # n=161 cycles without a fixed point; its last iterate is scored all the same
+        nash = nash201 if n == 41 else eg.picard_solve(model, eg.quadratic_decoupled(n),
+                                                         grid201, tol=1e-4)
+        ratios[n] = max(abs(lam - oracle) for lam in nash.lambdas) / (2.0 / (n - 1))
+    ok = abs(oracle - 0.30754958) < 1e-8 and all(r <= 0.02 for r in ratios.values())
+    _report(14, "control-grid error of the constants is within 0.02 du of the oracle",
+            ok, f"oracle={oracle:.8f} error/du="
+                + " ".join(f"n{n}:{r:.1e}" for n, r in ratios.items()))

@@ -157,6 +157,39 @@ def test_verify_without_nash_dir_solves_inline(tmp_path):
                      "--quiet"]) == 0
 
 
+def test_verify_nash_loads_an_equilibrium_without_ergodic_players(tmp_path):
+    # load_nash used to take its grid from an ergodic player's report entry
+    # and raised StopIteration out of main when there was none
+    nash = ergodic_games.picard_solve(ergodic_games.ou_model(),
+                                      ergodic_games.quadratic_decoupled(),
+                                      ergodic_games.Grid1D(**TINY_GRID), tol=1e-4,
+                                      alphas=(0.5, 0.5))
+    nash_dir = tmp_path / "nash"
+    nash_dir.mkdir()
+    nash.to_csv(nash_dir / "nash.csv")
+    cli._write_json(nash_dir / "report.json", nash.report_dict())
+    out = tmp_path / "verify"
+    assert cli.main(["verify-nash", "--config", game_cfg(tmp_path, n_paths=16),
+                     "--out", str(out), "--nash", str(nash_dir), "--quiet"]) == 0
+    kinds = {p["kind"] for p in json.loads((nash_dir / "report.json").read_text())["players"]}
+    assert kinds == {"discounted"}
+
+
+def test_verify_nash_without_nash_dir_discounts_player_2_at_alpha(tmp_path):
+    # without --nash, verify-nash solves the asymmetric equilibrium when alpha is set
+    cfg = yaml.safe_load(Path(game_cfg(tmp_path, horizon=60.0, n_paths=16)).read_text())
+    cfg = write_cfg(tmp_path, "alpha.yaml", {**cfg, "alpha": 0.2})
+    asym, out = tmp_path / "asym", tmp_path / "verify"
+    assert cli.main(["asymmetric", "--config", cfg, "--out", str(asym), "--quiet"]) == 0
+    assert cli.main(["verify-nash", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    eq = {r["player"]: r["reference"] for r in rows if r["kind"] == "equilibrium"}
+    nash = cli.load_nash(asym)
+    assert eq[1] == nash.solutions[1].value_at(0.0)  # v_2(x0), x0 = 0
+    assert eq[0] == nash.lambdas[0]
+    assert eq[1] != eq[0]
+
+
 def test_verify_nash_rejects_a_negative_deviation_count(tmp_path, caplog):
     # it used to run, with no deviation rows and n_deviations_per_player -1
     out = tmp_path / "verify"

@@ -154,7 +154,11 @@ def test_symmetric_game_symmetric_policy(g0, g0_nash_coarse):
     np.testing.assert_array_equal(cols[0], cols[1])
 
 
-def test_nash_csv_roundtrip(g0_nash_coarse, coarse_grid, tmp_path):
+@pytest.mark.parametrize("alphas", [(None, None), (None, 0.1), (0.5, 0.5)],
+                         ids=["ergodic", "mixed", "discounted"])
+def test_nash_csv_roundtrip(model, g0, coarse_grid, tmp_path, alphas):
+    # an equilibrium without an ergodic player has no grid in its report
+    g0_nash_coarse = eg.picard_solve(model, g0, coarse_grid, tol=1e-4, alphas=alphas)
     out = tmp_path / "run"
     out.mkdir()
     g0_nash_coarse.to_csv(out / "nash.csv")
@@ -168,6 +172,7 @@ def test_nash_csv_roundtrip(g0_nash_coarse, coarse_grid, tmp_path):
         np.testing.assert_array_equal(a.xi, b.xi)
     assert loaded.grid.m == coarse_grid.m
     assert loaded.grid.dx == coarse_grid.dx
+    assert loaded.report_dict() == g0_nash_coarse.report_dict()
 
 
 def test_asymmetric_solve_mixes_criteria(model, g0, coarse_grid):
