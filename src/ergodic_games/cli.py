@@ -164,6 +164,9 @@ def _write_manifest(out: FsPath, command: str, cfg: dict, seed: int,
             },
             "wall_time_s": time.perf_counter() - t0,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            # the largest child waited for (Monte Carlo workers), 0 if none
+            "peak_rss_children_mb":
+                resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
         },
     )
 

@@ -59,6 +59,9 @@ class LinearizationDidNotConvergeError(RuntimeError):
         self.max_iter = max_iter
         self.deltas_history = deltas_history
 
+    def __reduce__(self):
+        return type(self), (self.max_iter, self.deltas_history)
+
 
 class ResidualCeilingError(RuntimeError):
     """Converged iterate fails the residual ceiling against the original driver."""

@@ -89,6 +89,10 @@ class MaxSweepsExceededError(RuntimeError):
         self.v = v
         self.residual_history = list(residual_history)
 
+    def __reduce__(self):
+        return type(self), (self.sup_residual, self.sweeps, self.lam, self.v,
+                            self.residual_history)
+
 
 def node_lookup(nodes: np.ndarray) -> Tuple[float, float, int]:
     """``(lo, inv_dx, top)`` of :func:`nearest_node` on the uniform grid ``nodes``."""

@@ -52,6 +52,9 @@ class NoPureNashError(RuntimeError):
         self.x = x
         self.z = z
 
+    def __reduce__(self):
+        return type(self), (self.x, self.z)
+
 
 @dataclass(frozen=True)
 class ControlGrid:

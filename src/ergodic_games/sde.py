@@ -26,12 +26,18 @@ on the block size.  Path ``k`` of a batch is bitwise identical to the same
 path simulated alone, so Monte Carlo estimates do not depend on how paths are
 batched or scheduled.  :func:`sample_paths` records every state of the paths
 of one seed; the checks in :mod:`.verify` consume windows as they come.
+
+For the same reason an estimate may split its paths into contiguous ranges
+and run each range in a forked worker process (:func:`_run_ranges`): every
+range keeps its paths' keys through ``first_path``, so the per-path sums the
+parent reassembles in path order are the bits one process would have made.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -72,6 +78,10 @@ class SimulationDivergedError(RuntimeError):
     def __init__(self, step_index: int):
         super().__init__(f"simulation diverged: non-finite state at step {step_index}")
         self.step_index = step_index
+
+    def __reduce__(self):
+        # rebuilt from the step, not the message, when a worker process sends it
+        return type(self), (self.step_index,)
 
 
 def path_stream(seed: int, *key: int) -> np.random.Generator:
@@ -270,14 +280,16 @@ def run_paths(
     consume: Callable,
     shift_for: Optional[Callable] = None,
     with_noise: bool = False,
-    label: str = "run_paths",
-) -> None:
+    first_path: int = 0,
+) -> dict:
     """Euler-Maruyama for ``n_paths`` paths of each seed, streamed window by window.
 
-    Column ``j`` (of ``len(seeds) * n_paths``) is path ``j % n_paths`` of
-    ``seeds[j // n_paths]``: it is driven by the normals of
-    ``path_stream(seeds[j // n_paths], j % n_paths)``, so columns of equal
-    keys (a seed listed twice) follow the same noise.  Columns are stepped
+    Column ``j`` (of ``len(seeds) * n_paths``) is path ``first_path + j %
+    n_paths`` of ``seeds[j // n_paths]``: it is driven by the normals of
+    ``path_stream(seeds[j // n_paths], first_path + j % n_paths)``, so
+    columns of equal keys (a seed listed twice) follow the same noise, and a
+    range of paths run on its own (``first_path > 0``) gives those paths'
+    bits.  Columns are stepped
     together in batches of at most ``_MAX_BATCH_PATHS``.  A batch seeds one
     stream per distinct key and draws its normals once, ``_BLOCK_STEPS``
     steps per generator call, into one path-major block of a row per key;
@@ -297,11 +309,11 @@ def run_paths(
     (else None).  ``states`` is a view of a buffer the engine reuses and
     ``noise`` is gathered from the draw block per call, so nothing of size
     paths x steps is built.  Each path is bitwise the same as when simulated
-    alone.  One INFO line per call reports paths, steps, batches, blocks, the
-    streams seeded and drawn (each batch's distinct keys, summed over
-    batches), the seconds spent drawing normals (``rng_s``), stepping
-    (``euler_s``) and in ``consume`` (``cost_s``).  ``n_paths`` must be at
-    least 1.
+    alone.  Returns the run's counters: ``paths``, ``steps``, ``batches``,
+    ``blocks``, the ``streams`` seeded and drawn (each batch's distinct
+    keys, summed over batches), and the seconds spent drawing normals
+    (``rng_s``), stepping (``euler_s``) and in ``consume`` (``cost_s``);
+    :func:`_log_engine` reports them.  ``n_paths`` must be at least 1.
     """
     _check_n_paths(n_paths)
     if n_steps > 0:
@@ -311,18 +323,92 @@ def run_paths(
     n_batches = n_blocks = n_streams = 0
     for b0 in range(0, total if n_steps > 0 else 0, _MAX_BATCH_PATHS):
         cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
-        blocks, streams = _run_batch(model, n_steps, step, seeds, n_paths, cols, consume,
-                                     shift_for, with_noise, seconds)
+        blocks, streams = _run_batch(model, n_steps, step, seeds, n_paths, first_path, cols,
+                                     consume, shift_for, with_noise, seconds)
         n_blocks += blocks
         n_streams += streams
         n_batches += 1
-    logger.info("%s engine: paths=%d steps=%d batches=%d blocks=%d streams=%d rng_s=%.4f "
-                "euler_s=%.4f cost_s=%.4f", label, total, n_steps, n_batches, n_blocks,
-                n_streams, *seconds)
+    return {"paths": total, "steps": n_steps, "batches": n_batches, "blocks": n_blocks,
+            "streams": n_streams, "rng_s": seconds[0], "euler_s": seconds[1],
+            "cost_s": seconds[2]}
+
+
+def _log_engine(label: str, workers: int, *counters: dict) -> None:
+    """One INFO line for the engine runs of one call: every counter of
+    :func:`run_paths` summed over ``counters`` (one per path range; each
+    range steps the same ``steps``), and the ``workers`` that ran them."""
+    total = {key: sum(c[key] for c in counters) for key in counters[0]}
+    logger.info("%s engine: paths=%d steps=%d batches=%d blocks=%d streams=%d workers=%d "
+                "rng_s=%.4f euler_s=%.4f cost_s=%.4f", label, total["paths"],
+                counters[0]["steps"], total["batches"], total["blocks"], total["streams"],
+                workers, total["rng_s"], total["euler_s"], total["cost_s"])
+
+
+# path-steps of engine work a worker process must get: about 50 ms of Euler
+# steps (more with a costly consumer), against the 15-25 ms a 2-process fork
+# pool takes to start and join
+_MIN_WORKER_PATH_STEPS = 1_000_000
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (``taskset -c 0`` pins it to one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# a forked worker's ``work``, set by the pool's initializer in the worker only
+_range_work: Optional[Callable] = None
+
+
+def _set_range_work(work: Callable) -> None:
+    global _range_work
+    _range_work = work
+
+
+def _call_range_work(k0: int, k1: int):
+    return _range_work(k0, k1)
+
+
+def _run_ranges(label: str, n_paths: int, path_steps: int, work: Callable) -> list:
+    """``work(k0, k1)`` over contiguous ranges of paths ``0..n_paths-1``, in range order.
+
+    ``work`` returns ``(result, counters)``, the counters of its
+    :func:`run_paths` call on paths ``k0..k1-1``; this returns the results,
+    and :func:`_log_engine` reports the counters summed as one ``label``
+    line with ``workers=N``.  The run uses ``min(CPUs, n_paths, path_steps
+    // _MIN_WORKER_PATH_STEPS)`` workers, ``path_steps`` the call's engine
+    work: with one, with no ``fork`` on the platform, or in a daemonic
+    process (which may have no children), ``work(0, n_paths)`` runs in this
+    process.  Otherwise each range runs in a process of a forked pool, which
+    inherits ``work`` (closures need no pickling) and sends back its result;
+    a worker's exception is raised here, the lowest range's first, and a
+    killed worker raises ``BrokenProcessPool``.  No worker outlives the call.
+    """
+    workers = max(1, min(_cpu_count(), n_paths, path_steps // _MIN_WORKER_PATH_STEPS))
+    if workers > 1:
+        import multiprocessing  # only runs big enough to split pay for the import
+
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            workers = 1
+    if workers == 1:
+        done = [work(0, n_paths)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        bounds = [n_paths * w // workers for w in range(workers + 1)]
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_set_range_work, initargs=(work,)) as pool:
+            futures = [pool.submit(_call_range_work, k0, k1)
+                       for k0, k1 in zip(bounds, bounds[1:])]
+            done = [f.result() for f in futures]
+    _log_engine(label, workers, *(counters for _, counters in done))
+    return [result for result, _ in done]
 
 
 def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
-               n_paths: int, cols: slice, consume: Callable,
+               n_paths: int, first_path: int, cols: slice, consume: Callable,
                shift_for: Optional[Callable], with_noise: bool, seconds: list) -> tuple:
     """One batch of :func:`run_paths`, returning its blocks and streams drawn; its
     buffers are freed when it returns."""
@@ -336,7 +422,8 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
     # only this batch's keys: all columns' key tuples at once grow with the run;
     # rows[c] is the row of drawn that column c reads, one row per distinct key
     key_row = {}
-    rows = np.array([key_row.setdefault((seeds[j // n_paths], j % n_paths), len(key_row))
+    rows = np.array([key_row.setdefault((seeds[j // n_paths], first_path + j % n_paths),
+                                        len(key_row))
                      for j in range(cols.start, cols.stop)], dtype=np.intp)
     streams = [path_stream(*key) for key in key_row]
     p = len(rows)
@@ -433,7 +520,8 @@ def sample_paths(
     sigma = model.sigma
     shift_for = ((lambda cols: lambda x: sigma * np.asarray(shift(x), dtype=float))
                  if shift is not None else None)
-    run_paths(model, n, step, [seed], n_paths, keep, shift_for, return_noise, "sample_paths")
+    _log_engine("sample_paths", 1,
+                run_paths(model, n, step, [seed], n_paths, keep, shift_for, return_noise))
     return (states, noise) if return_noise else states
 
 
@@ -463,7 +551,7 @@ def moment_bound_check(
         for col in np.square(states[1:]).T:
             acc += col
 
-    run_paths(model, n, step, [seed], n_paths, add_squares, label="moment_bound_check")
+    _log_engine("moment_bound_check", 1, run_paths(model, n, step, [seed], n_paths, add_squares))
     mean_sq[0] = np.full(n_paths, model.x0 * model.x0).cumsum()[-1]  # cumsum: in order
     mean_sq /= n_paths
     n_half = _n_steps(horizon, step)

@@ -28,6 +28,7 @@ from .sde import (
     SdeModel,
     _check_n_paths,
     _n_steps,
+    _run_ranges,
     path_stream,
     run_paths,
     sample_paths,  # noqa: F401  (perfbench/tracing.py wraps verify.sample_paths)
@@ -150,12 +151,16 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
                    step: float, n_paths: int, label: str) -> list:
     """Every job's payoff from one run of the path engine.
 
-    Job ``j`` owns path columns ``j * n_paths`` to ``(j + 1) * n_paths - 1``,
-    paths ``0..n_paths-1`` of ``job.seed`` (the keying of :func:`run_paths`).
-    Each path's cost is summed over the steps after the job's burn-in
-    (``exp(-alpha t) dt`` weighted for discounted jobs) as the engine hands
-    over each window of steps, so no array of size paths x steps is built and
-    a job's estimate does not depend on the other jobs in the run.
+    Job ``j`` runs paths ``0..n_paths-1`` of ``job.seed`` (the keying of
+    :func:`run_paths`).  Each path's cost is summed over the steps after the
+    job's burn-in (``exp(-alpha t) dt`` weighted for discounted jobs) as the
+    engine hands over each window of steps, so no array of size paths x steps
+    is built and a job's estimate does not depend on the other jobs in the
+    run.  The paths are split into contiguous ranges (:func:`_run_ranges`),
+    each run for every job at once, in a worker process when the run is
+    big enough: a range fills its paths' sums, the ranges' sums are joined
+    in path order, and means and standard errors come from the joined
+    sums, so they are the same bits however many processes ran.
     """
     n = _n_steps(horizon, step)
     _check_n_paths(n_paths)
@@ -166,34 +171,41 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
                              f"steps of size {step:.6g} up to horizon {horizon:.6g}")
     columns = [job.policy.control_columns(spec) for job in jobs]
     lookup = node_lookup(jobs[0].policy.nodes)
-    sums = np.zeros(len(jobs) * n_paths)
 
-    def accumulate(cols, start, states, noise):
-        for j in range(cols.start // n_paths, (cols.stop - 1) // n_paths + 1):
-            job = jobs[j]
-            c0 = max(j * n_paths, cols.start)
-            c1 = min((j + 1) * n_paths, cols.stop)
-            # left endpoints of the window's steps that the payoff counts
-            skip = max(first_step[j] - start, 0)
-            xs = states[skip:-1, c0 - cols.start:c1 - cols.start]
-            if not len(xs):
-                continue
-            node = nearest_node(xs, lookup)
-            controls = [col.take(node) for col in columns[j]]
-            costs = np.broadcast_to(
-                np.asarray(spec.costs[job.player](xs, *controls), dtype=float), xs.shape)
-            if job.kind == "discounted":
-                t = np.arange(start + skip, start + len(states) - 1) * step
-                costs = costs * (np.exp(-job.alpha * t) * step)[:, None]
-            sums[c0:c1] += window_sum(costs)
+    def run_range(k0, k1):
+        # job j owns columns j * width to (j + 1) * width - 1: its paths k0..k1-1
+        width = k1 - k0
+        sums = np.zeros(len(jobs) * width)
 
-    shift_for = _stacked_shift(spec, [job.policy for job in jobs], n_paths, model.sigma)
-    run_paths(model, n, step, [job.seed for job in jobs], n_paths, accumulate, shift_for,
-              label=label)
+        def accumulate(cols, start, states, noise):
+            for j in range(cols.start // width, (cols.stop - 1) // width + 1):
+                job = jobs[j]
+                c0 = max(j * width, cols.start)
+                c1 = min((j + 1) * width, cols.stop)
+                # left endpoints of the window's steps that the payoff counts
+                skip = max(first_step[j] - start, 0)
+                xs = states[skip:-1, c0 - cols.start:c1 - cols.start]
+                if not len(xs):
+                    continue
+                node = nearest_node(xs, lookup)
+                controls = [col.take(node) for col in columns[j]]
+                costs = np.broadcast_to(
+                    np.asarray(spec.costs[job.player](xs, *controls), dtype=float), xs.shape)
+                if job.kind == "discounted":
+                    t = np.arange(start + skip, start + len(states) - 1) * step
+                    costs = costs * (np.exp(-job.alpha * t) * step)[:, None]
+                sums[c0:c1] += window_sum(costs)
 
+        shift_for = _stacked_shift(spec, [job.policy for job in jobs], width, model.sigma)
+        counters = run_paths(model, n, step, [job.seed for job in jobs], width, accumulate,
+                             shift_for, first_path=k0)
+        return sums.reshape(len(jobs), width), counters
+
+    sums = np.concatenate(_run_ranges(label, n_paths, len(jobs) * n_paths * n, run_range),
+                          axis=1)
     out = []
     for j, job in enumerate(jobs):
-        per_path = sums[j * n_paths:(j + 1) * n_paths]
+        per_path = sums[j]
         if job.kind == "ergodic":
             per_path = per_path / (n - first_step[j])
         out.append(PayoffEstimate(
@@ -350,7 +362,10 @@ def nash_deviation_test(
     the start state, which must lie on their grid.  An equilibrium solved for
     another game (another name or player count, or control indices outside
     the control grids) is a ValueError, as is a negative ``n_deviations``.
-    A discounted payoff's horizon must push its tail below ``1e-3``.
+    A discounted payoff's horizon must push its tail below ``1e-3``.  All
+    rows are estimated by one engine run whose paths may be split over CPUs
+    (as in ``_estimate_jobs``); the report is byte-identical whatever the
+    split.
     """
     if n_deviations < 0:
         raise ValueError(f"n_deviations must be nonnegative, got {n_deviations}")
@@ -441,7 +456,9 @@ def bsde_path_residual(
     is ``sqrt(mean(residual^2)) / sqrt(step)``.  A player index outside
     ``range(spec.n_players)``, an equilibrium of another game (as in
     :func:`nash_deviation_test`), or a horizon that gives no step, is a
-    ValueError.
+    ValueError.  A long run splits its paths into ranges over CPUs, each
+    filling its paths' sums of squares; the joined sums give the same bits
+    as one process.
     """
     if not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")
@@ -458,32 +475,38 @@ def bsde_path_residual(
     r_nodes = _policy_drift_nodes(spec, policy)
     columns = policy.control_columns(spec)
     sqrt_h = math.sqrt(step)
-    sq_sums = np.zeros(n_paths)
 
-    def accumulate(cols, start, states, noise):
-        # path-major, as the noise; both interpolants share one segment lookup
-        # over the window's L + 1 states, whose first L are the steps' X_t
-        xs = np.ascontiguousarray(states.T)
-        node = nearest_node(xs, lookup)
-        v, xi = uniform_interp(xs, node, v_table, xi_table)
-        x_t = xs[:, :-1]
-        v_t = v[:, :-1]
-        v_next = v[:, 1:]
-        xi_t = xi[:, :-1]
-        node = node[:, :-1]
-        r_t = r_nodes.take(node)
-        controls = [col.take(node) for col in columns]
-        cost_t = np.broadcast_to(
-            np.asarray(spec.costs[player](x_t, *controls), dtype=float), x_t.shape
-        )
-        hamilton = xi_t * r_t + cost_t
-        const = sol.lam if sol.alpha is None else sol.alpha * v_t
-        # increments of the unshifted Brownian motion
-        dw = sqrt_h * noise + r_t * step
-        residual = v_next - v_t + (hamilton - const) * step - xi_t * dw
-        sq_sums[cols] += window_sum((residual**2).T)
+    def run_range(k0, k1):
+        sq_sums = np.zeros(k1 - k0)
 
-    run_paths(model, n, step, [seed], n_paths, accumulate,
-              _stacked_shift(spec, [policy], n_paths, model.sigma), with_noise=True,
-              label="bsde_path_residual")
+        def accumulate(cols, start, states, noise):
+            # path-major, as the noise; both interpolants share one segment lookup
+            # over the window's L + 1 states, whose first L are the steps' X_t
+            xs = np.ascontiguousarray(states.T)
+            node = nearest_node(xs, lookup)
+            v, xi = uniform_interp(xs, node, v_table, xi_table)
+            x_t = xs[:, :-1]
+            v_t = v[:, :-1]
+            v_next = v[:, 1:]
+            xi_t = xi[:, :-1]
+            node = node[:, :-1]
+            r_t = r_nodes.take(node)
+            controls = [col.take(node) for col in columns]
+            cost_t = np.broadcast_to(
+                np.asarray(spec.costs[player](x_t, *controls), dtype=float), x_t.shape
+            )
+            hamilton = xi_t * r_t + cost_t
+            const = sol.lam if sol.alpha is None else sol.alpha * v_t
+            # increments of the unshifted Brownian motion
+            dw = sqrt_h * noise + r_t * step
+            residual = v_next - v_t + (hamilton - const) * step - xi_t * dw
+            sq_sums[cols] += window_sum((residual**2).T)
+
+        counters = run_paths(model, n, step, [seed], k1 - k0, accumulate,
+                             _stacked_shift(spec, [policy], k1 - k0, model.sigma),
+                             with_noise=True, first_path=k0)
+        return sq_sums, counters
+
+    # the ranges' per-path sums, joined in path order, are added as one array
+    sq_sums = np.concatenate(_run_ranges("bsde_path_residual", n_paths, n_paths * n, run_range))
     return float(np.sqrt(sq_sums.sum() / (n_paths * n)) / math.sqrt(step))

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import ergodic_games
-from ergodic_games import cli
+from ergodic_games import cli, sde
 
 TINY_GRID = {"x_min": -6.0, "x_max": 6.0, "m": 81}
 
@@ -65,6 +65,7 @@ def test_solve_ebsde_artifacts_and_manifest(tmp_path):
     assert man["config_sha256"] == cli._config_hash(man["config"])
     assert man["versions"]["ergodic_games"]
     assert man["wall_time_s"] > 0 and man["peak_rss_mb"] > 0
+    assert man["peak_rss_children_mb"] >= 0
 
 
 def test_rerun_from_manifest_is_byte_identical(tmp_path):
@@ -102,6 +103,26 @@ def test_game_solve_then_verify(tmp_path):
     assert dev["all_passed"] is True
     n_lines = len((verify_dir / "deviations.csv").read_text().splitlines())
     assert n_lines == 1 + len(dev["rows"])
+
+
+def test_verify_on_two_workers_writes_the_same_reports(tmp_path, monkeypatch):
+    # the manifest adds the workers' peak memory; the reports keep every byte
+    cfg = game_cfg(tmp_path)
+    nash_dir = tmp_path / "nash"
+    assert cli.main(["solve-game", "--config", cfg, "--out", str(nash_dir), "--quiet"]) == 0
+    outs = []
+    for workers in (1, 2):
+        if workers == 2:
+            monkeypatch.setattr(sde, "_cpu_count", lambda: 2)
+            monkeypatch.setattr(sde, "_MIN_WORKER_PATH_STEPS", 1)
+        out = tmp_path / f"verify{workers}"
+        assert cli.main(["verify-nash", "--config", cfg, "--out", str(out),
+                         "--nash", str(nash_dir), "--quiet"]) == 0
+        outs.append(out)
+    for name in ("report.json", "deviations.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+    man = json.loads((outs[1] / "manifest.json").read_text())
+    assert man["peak_rss_children_mb"] > 0 and man["peak_rss_mb"] > 0
 
 
 def game_cfg_with(tmp_path, **top):

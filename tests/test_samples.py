@@ -1,4 +1,5 @@
-"""Fixed check states, and the numpy modules that a run which only solves loads."""
+"""Fixed check states, and the modules that importing the package or a run which only
+solves loads."""
 
 import json
 import os
@@ -76,3 +77,15 @@ def test_solve_only_run_loads_neither_numpy_random_nor_numpy_ma():
     loaded = json.loads(out.splitlines()[-1])
     assert loaded == {"numpy.random": False, "numpy.ma": False,
                       "numpy.random after sample_paths": True}
+
+
+def test_import_loads_no_process_pool():
+    # the pool's modules load only when a run is big enough to split over
+    # workers; every command pays their import otherwise (set-up time)
+    code = ("import sys\nimport ergodic_games, ergodic_games.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -83,7 +83,7 @@ def test_batch_keying_is_default_rng(model, seeds, n_paths):
 
 @pytest.mark.parametrize("max_batch, n_streams", [(2048, 6), (4, 4 + 4 + 1)],
                          ids=["one_batch", "split_batches"])
-def test_equal_keys_share_noise_and_states(model, monkeypatch, caplog, max_batch, n_streams):
+def test_equal_keys_share_noise_and_states(model, monkeypatch, max_batch, n_streams):
     # seeds [s, t, s]: columns 0-2 and 6-8 are the same three keys, and with a
     # width cap of 4 they fall in different batches; a batch seeds and draws
     # each of its distinct keys once
@@ -96,10 +96,9 @@ def test_equal_keys_share_noise_and_states(model, monkeypatch, caplog, max_batch
         states[cols, start:start + len(block)] = block.T
         noise[cols, start:start + drawn.shape[1]] = drawn
 
-    with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
-        sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, keep,
-                      shift_for=lambda cols: np.tanh, with_noise=True)
-    assert f" paths=9 steps={n} " in caplog.text and f" streams={n_streams} " in caplog.text
+    counters = sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, keep,
+                             shift_for=lambda cols: np.tanh, with_noise=True)
+    assert (counters["paths"], counters["steps"], counters["streams"]) == (9, n, n_streams)
     assert np.array_equal(noise[:3], noise[6:]) and np.array_equal(states[:3], states[6:])
     assert not np.array_equal(noise[:3], noise[3:6])
     for k in range(n_paths):
@@ -288,7 +287,8 @@ def test_engine_logs_one_trace_line_per_run(model, g0, coarse_grid, caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
     assert len(lines) == 1
     m = re.fullmatch(r"estimate_payoff engine: paths=6 steps=2500 batches=1 blocks=3 "
-                     r"streams=6 rng_s=\d+\.\d{4} euler_s=\d+\.\d{4} cost_s=\d+\.\d{4}", lines[0])
+                     r"streams=6 workers=1 rng_s=\d+\.\d{4} euler_s=\d+\.\d{4} "
+                     r"cost_s=\d+\.\d{4}", lines[0])
     assert m is not None, lines[0]
 
 

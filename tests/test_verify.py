@@ -467,8 +467,8 @@ def test_harness_logs_one_engine_line(model, g0, g0_nash_coarse, caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
     assert len(lines) == 1
     m = re.fullmatch(r"nash_deviation_test engine: paths=(\d+) steps=(\d+) batches=(\d+) "
-                     r"blocks=(\d+) streams=(\d+) rng_s=(\d+\.\d{4}) euler_s=(\d+\.\d{4}) "
-                     r"cost_s=(\d+\.\d{4})", lines[0])
+                     r"blocks=(\d+) streams=(\d+) workers=1 rng_s=(\d+\.\d{4}) "
+                     r"euler_s=(\d+\.\d{4}) cost_s=(\d+\.\d{4})", lines[0])
     assert m is not None, lines[0]
     # a player's four rows share the equilibrium row's 8 streams
     assert [int(v) for v in m.groups()[:5]] == [2 * 4 * 8, 1250, 1, 2, 2 * 8]

@@ -1,0 +1,245 @@
+"""Path ranges in worker processes: the same bits, the same errors, no process left behind.
+
+Runs here are small, so the helper would keep them in-process; the tests
+force two workers by lowering its CPU count and per-worker threshold.
+"""
+
+import logging
+import multiprocessing
+import os
+import pickle
+import re
+import time
+
+import numpy as np
+import pytest
+
+import ergodic_games as eg
+from ergodic_games import catalog, cli, continuous, ebsde, games, picard, sde, verify
+
+from conftest import policy_of_constant_control
+
+# one instance of every exception class the package defines
+_ERRORS = {
+    sde.SimulationDivergedError: lambda: sde.SimulationDivergedError(300),
+    games.NoPureNashError: lambda: games.NoPureNashError(0.5, (1.25, -2.0)),
+    ebsde.MaxSweepsExceededError: lambda: ebsde.MaxSweepsExceededError(
+        3.5e-4, 50, 0.3075, np.linspace(-1.0, 1.0, 7), [1.0, 0.01, 3.5e-4]),
+    ebsde.NonMonotoneSchemeError: lambda: ebsde.NonMonotoneSchemeError("not monotone at node 4"),
+    continuous.LinearizationDidNotConvergeError:
+        lambda: continuous.LinearizationDidNotConvergeError(20, [(0.1, 0.2), (0.05, 0.1)]),
+    continuous.GrowthViolationError: lambda: continuous.GrowthViolationError("grows too fast"),
+    continuous.ResidualCeilingError: lambda: continuous.ResidualCeilingError("residual 1e-2"),
+    verify.InsufficientHorizonError: lambda: verify.InsufficientHorizonError("horizon 5"),
+    cli.ConfigError: lambda: cli.ConfigError("grid.m is missing"),
+}
+
+
+def _package_errors():
+    found = set()
+    for module in (catalog, cli, continuous, ebsde, games, picard, sde, verify):
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__.startswith("ergodic_games")):
+                found.add(obj)
+    return found
+
+
+def test_every_package_error_is_round_tripped():
+    assert _package_errors() == set(_ERRORS)
+
+
+@pytest.mark.parametrize("cls", sorted(_ERRORS, key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_errors_survive_pickling(cls):
+    # a worker process's error crosses to the caller pickled
+    err = _ERRORS[cls]()
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert str(back) == str(err) and back.args == err.args
+    assert sorted(vars(back)) == sorted(vars(err))
+    for name, value in vars(err).items():
+        np.testing.assert_equal(getattr(back, name), value)
+
+
+def _force_two_workers(monkeypatch):
+    """Every run of at least two paths splits over two forked workers."""
+    monkeypatch.setattr(sde, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sde, "_MIN_WORKER_PATH_STEPS", 1)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    _force_two_workers(monkeypatch)
+
+
+def _engine_line(caplog):
+    lines = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
+    assert len(lines) == 1, lines
+    return {k: v for k, v in re.findall(r" (\w+)=(\S+)", lines[0])}
+
+
+def _forked_and_in_process(monkeypatch, caplog, call):
+    """``call()`` in-process, then on two forced workers; results and engine lines."""
+    out = []
+    for workers in (1, 2):
+        if workers == 2:
+            _force_two_workers(monkeypatch)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
+            result = call()
+        out.append((result, _engine_line(caplog)))
+        assert multiprocessing.active_children() == []
+    return out
+
+
+@pytest.fixture(scope="module")
+def three_player_nash(model, coarse_grid):
+    spec = eg.three_player_symmetric(n_controls=9)
+    return spec, eg.picard_solve(model, spec, coarse_grid, tol=1e-4)
+
+
+def _nash_rows(model, spec, nash, n_paths, seed):
+    rep = eg.nash_deviation_test(model, spec, nash, n_deviations=3, horizon=12.0, step=0.02,
+                                 n_paths=n_paths, burn_in=2.0, seed=seed)
+    return rep.as_dict()
+
+
+@pytest.mark.parametrize("n_paths", [7, 1])
+@pytest.mark.parametrize("game", ["g0", "three_player_symmetric"])
+def test_deviation_rows_are_bitwise_those_of_one_process(model, g0, g0_nash_coarse,
+                                                         three_player_nash, monkeypatch,
+                                                         caplog, game, n_paths):
+    spec, nash = (g0, g0_nash_coarse) if game == "g0" else three_player_nash
+    seeds = (0, 11) if game == "g0" else (0, 5, 2**40)
+    for seed in seeds:
+        monkeypatch.undo()
+        (one, line1), (two, line2) = _forked_and_in_process(
+            monkeypatch, caplog, lambda: _nash_rows(model, spec, nash, n_paths, seed))
+        # repr of a float keeps every bit, and tells -0.0 from 0.0
+        assert repr(two) == repr(one)
+        assert line1["workers"] == "1"
+        assert line2["workers"] == ("2" if n_paths > 1 else "1")
+        assert (line2["paths"], line2["streams"]) == (line1["paths"], line1["streams"])
+
+
+@pytest.mark.parametrize("n_paths", [7, 1])
+def test_path_residual_is_bitwise_that_of_one_process(model, g0, g0_nash_coarse, monkeypatch,
+                                                      caplog, n_paths):
+    (one, line1), (two, line2) = _forked_and_in_process(
+        monkeypatch, caplog, lambda: eg.bsde_path_residual(
+            model, g0, g0_nash_coarse, horizon=10.0, step=0.02, n_paths=n_paths, seed=4))
+    assert repr(two) == repr(one)
+    assert line2["workers"] == ("2" if n_paths > 1 else "1")
+    assert (line2["paths"], line2["streams"]) == (line1["paths"], line1["streams"])
+
+
+def test_a_range_of_paths_keeps_its_keys(model):
+    # paths 3 and 4 of seeds 5 and 6, run as a range of their own
+    n = sde._BLOCK_STEPS + 37
+    noise = np.empty((4, n))
+
+    def keep(cols, start, states, drawn):
+        noise[cols, start:start + drawn.shape[1]] = drawn
+
+    sde.run_paths(model, n, 0.01, [5, 6], 2, keep, with_noise=True, first_path=3)
+    for j, key in enumerate([(5, 3), (5, 4), (6, 3), (6, 4)]):
+        assert np.array_equal(noise[j], eg.path_stream(*key).standard_normal(n)), key
+
+
+# sigma * r overflows to inf, and the diverged paths' Euler updates meet inf - inf
+@pytest.mark.filterwarnings("ignore:invalid value encountered in (add|cast):RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_divergence_in_a_worker_is_the_lowest_ranges(model, g0, coarse_grid, monkeypatch):
+    # the policy's top control beyond |x| = 2 has a drift shift that overflows;
+    # each path diverges when it first gets there
+    spec = eg.GameSpec(
+        grids=g0.grids, drift_map=lambda u, v: np.where(u >= 1.0, 1.5e308, u + v),
+        costs=g0.costs, cost_sup=g0.cost_sup, cost_x_lip=g0.cost_x_lip,
+    )
+    nodes = coarse_grid.nodes()
+    wild = policy_of_constant_control(spec, coarse_grid, 20).with_player_indices(
+        0, np.where(np.abs(nodes) > 2.0, 40, 20))
+    kw = dict(horizon=40.0, step=0.01, burn_in=1.0, seed=2)
+
+    def diverged(n_paths):
+        with pytest.raises(eg.SimulationDivergedError) as exc:
+            eg.estimate_payoff(model, spec, wild, 0, n_paths=n_paths, **kw)
+        return exc.value
+
+    first_range = diverged(3)  # in-process: paths 0-2, the first range of six
+    _force_two_workers(monkeypatch)
+    forked = diverged(6)
+    assert type(forked) is eg.SimulationDivergedError
+    assert str(forked) == str(first_range)
+    assert forked.step_index == first_range.step_index > 1
+    assert multiprocessing.active_children() == []
+
+
+def test_a_cost_error_in_a_worker_reaches_the_caller(model, g0, coarse_grid, two_workers):
+    refuse = {"on": False}
+
+    def cost(x, u, v):
+        if refuse["on"]:
+            raise ValueError("cost refused the states", x.shape[1])
+        return u**2 + eg.bump(x)
+
+    spec = eg.GameSpec(grids=g0.grids, drift_map=g0.drift_map, costs=(cost, g0.costs[1]),
+                       cost_sup=g0.cost_sup, cost_x_lip=g0.cost_x_lip)
+    refuse["on"] = True  # after the construction checks; the workers inherit it
+    policy = policy_of_constant_control(spec, coarse_grid, 20)
+    with pytest.raises(ValueError) as exc:
+        eg.estimate_payoff(model, spec, policy, 0, horizon=10.0, step=0.02, n_paths=6,
+                           burn_in=1.0)
+    assert type(exc.value) is ValueError
+    # each range hands over its own 3 paths at a time
+    assert exc.value.args == ("cost refused the states", 3)
+    assert multiprocessing.active_children() == []
+
+
+def _failing_range(k0, k1):
+    # the higher range fails first; the caller still reports the lowest
+    if k0 == 0:
+        time.sleep(0.2)
+        raise ValueError("range", k0, k1)
+    raise sde.SimulationDivergedError(k0)
+
+
+def test_the_lowest_ranges_error_wins(two_workers):
+    with pytest.raises(ValueError) as exc:
+        sde._run_ranges("test", 4, 4, _failing_range)
+    assert exc.value.args == ("range", 0, 2)
+    assert multiprocessing.active_children() == []
+
+
+def _killed_range(k0, k1):
+    if k0 > 0:
+        os._exit(3)
+    return None, {}
+
+
+def test_a_killed_worker_raises_instead_of_hanging(two_workers):
+    from concurrent.futures.process import BrokenProcessPool
+
+    with pytest.raises(BrokenProcessPool):
+        sde._run_ranges("test", 4, 4, _killed_range)
+    assert multiprocessing.active_children() == []
+
+
+def _ranges_in_this_process(conn):
+    counters = dict(paths=1, steps=1, batches=1, blocks=1, streams=1, rng_s=0.0, euler_s=0.0,
+                    cost_s=0.0)
+    conn.send(sde._run_ranges("test", 4, 4, lambda k0, k1: ((k0, k1, os.getpid()), counters)))
+
+
+def test_a_daemonic_caller_runs_its_ranges_itself(two_workers):
+    # a daemonic process may not start children: its run stays in-process
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_ranges_in_this_process, args=(send,), daemon=True)
+    proc.start()
+    assert recv.poll(60)
+    ranges = recv.recv()
+    proc.join(60)
+    assert proc.exitcode == 0
+    assert ranges == [(0, 4, proc.pid)]
