@@ -334,15 +334,18 @@ def _cmd_check_assumptions(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list
     return (0 if all_passed else 3), ["report.json"]
 
 
-_HANDLERS = {
-    "solve-ebsde": _cmd_solve_ebsde,
-    "continuous-ebsde": _cmd_continuous_ebsde,
-    "solve-game": _cmd_solve_game,
-    "asymmetric": functools.partial(_cmd_solve_game, asymmetric=True),
-    "discount-sweep": _cmd_discount_sweep,
-    "verify-nash": _cmd_verify_nash,
-    "simulate": _cmd_simulate,
-    "check-assumptions": _cmd_check_assumptions,
+_HANDLERS = {  # command: (handler, help)
+    "solve-ebsde": (_cmd_solve_ebsde, "solve one ergodic equation for a catalogued driver"),
+    "continuous-ebsde": (_cmd_continuous_ebsde,
+                         "solve one ergodic equation for a continuous linear-growth driver"),
+    "solve-game": (_cmd_solve_game, "Picard-solve the coupled equilibrium system"),
+    "asymmetric": (functools.partial(_cmd_solve_game, asymmetric=True),
+                   "equilibrium with an ergodic player 1 and a discounted player 2"),
+    "discount-sweep": (_cmd_discount_sweep, "asymmetric solves along a list of discount rates"),
+    "verify-nash": (_cmd_verify_nash, "Monte Carlo deviation test of a solved equilibrium"),
+    "simulate": (_cmd_simulate, "sample uncontrolled model paths"),
+    "check-assumptions": (_cmd_check_assumptions,
+                          "sampled checks of model, game and driver assumptions"),
 }
 
 
@@ -400,7 +403,7 @@ def _run_command(command: str, cfg: dict, out_dir, seed: int) -> int:
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    rc, outputs = _HANDLERS[command](cfg, out, seed)
+    rc, outputs = _HANDLERS[command][0](cfg, out, seed)
     _write_manifest(out, command, cfg, seed, outputs, t0)
     return rc
 
@@ -432,17 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {
-        "solve-ebsde": "solve one ergodic equation for a catalogued driver",
-        "continuous-ebsde": "solve one ergodic equation for a continuous linear-growth driver",
-        "solve-game": "Picard-solve the coupled equilibrium system",
-        "asymmetric": "equilibrium with an ergodic player 1 and a discounted player 2",
-        "discount-sweep": "asymmetric solves along a list of discount rates",
-        "verify-nash": "Monte Carlo deviation test of a solved equilibrium",
-        "simulate": "sample uncontrolled model paths",
-        "check-assumptions": "sampled checks of model, game and driver assumptions",
-    }
-    for name, help_text in helps.items():
+    for name, (_, help_text) in _HANDLERS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="YAML config file")
         sp.add_argument("--out", required=True, help="output directory (created if absent)")

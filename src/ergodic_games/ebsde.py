@@ -42,7 +42,6 @@ __all__ = [
     "NonMonotoneSchemeError",
     "Grid1D",
     "DriverSpec",
-    "frozen_driver",
     "GridSolution",
     "solve_ergodic",
     "solve_discounted",

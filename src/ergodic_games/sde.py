@@ -381,9 +381,12 @@ def _run_ranges(label: str, n_paths: int, path_steps: int, work: Callable) -> li
     work: with one, with no ``fork`` on the platform, or in a daemonic
     process (which may have no children), ``work(0, n_paths)`` runs in this
     process.  Otherwise each range runs in a process of a forked pool, which
-    inherits ``work`` (closures need no pickling) and sends back its result;
-    a worker's exception is raised here, the lowest range's first, and a
-    killed worker raises ``BrokenProcessPool``.  No worker outlives the call.
+    inherits ``work`` (closures need no pickling) and sends back its result.
+    Every range is waited for: if every failing range diverged, the
+    divergence at the earliest step is raised here, the step that one batch
+    of all the paths reports; otherwise the lowest failing range's exception
+    is.  A killed worker raises ``BrokenProcessPool``.  No worker outlives
+    the call.
     """
     workers = max(1, min(_cpu_count(), n_paths, path_steps // _MIN_WORKER_PATH_STEPS))
     if workers > 1:
@@ -402,6 +405,9 @@ def _run_ranges(label: str, n_paths: int, path_steps: int, work: Callable) -> li
                                  initializer=_set_range_work, initargs=(work,)) as pool:
             futures = [pool.submit(_call_range_work, k0, k1)
                        for k0, k1 in zip(bounds, bounds[1:])]
+            failed = [e for e in (f.exception() for f in futures) if e is not None]
+            if failed and all(isinstance(e, SimulationDivergedError) for e in failed):
+                raise min(failed, key=lambda e: e.step_index)
             done = [f.result() for f in futures]
     _log_engine(label, workers, *(counters for _, counters in done))
     return [result for result, _ in done]

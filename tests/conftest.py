@@ -52,3 +52,14 @@ def policy_of_constant_control(spec, grid, index):
     m = grid.m
     idx = np.full((m, spec.n_players), index, dtype=int)
     return eg.FeedbackPolicy(nodes=grid.nodes(), indices=idx)
+
+
+def continuous_control(x, z):
+    """Driver of ``quadratic_decoupled``'s symmetric continuous-control equilibrium.
+
+    The game's pointwise Nash control is ``clip(-z/2, +-1)`` in closed form, so
+    that equilibrium solves one ergodic equation with this driver: its constant
+    is the oracle of the control-grid error.
+    """
+    u = np.clip(-0.5 * z, -1.0, 1.0)
+    return 2.0 * z * u + u**2 + eg.bump(x)

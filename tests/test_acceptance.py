@@ -16,7 +16,7 @@ from ergodic_games import cli
 from ergodic_games.continuous import decompose, solve_continuous_ebsde
 from ergodic_games.verify import bsde_path_residual, nash_deviation_test
 
-from conftest import E_BUMP_STANDARD, E_BUMP_SHIFTED
+from conftest import E_BUMP_STANDARD, E_BUMP_SHIFTED, continuous_control
 
 TWO_OVER_E = 0.7357588823428847
 
@@ -267,12 +267,6 @@ def test_criterion_13_byte_identical_reports(model, tmp_path):
 
 
 def test_criterion_14_control_grid_error(model, grid201, nash201):
-    # quadratic_decoupled's pointwise Nash control is clip(-z/2, +-1) in closed form, so the
-    # symmetric continuous-control equilibrium solves one ergodic equation with this driver
-    def continuous_control(x, z):
-        u = np.clip(-0.5 * z, -1.0, 1.0)
-        return 2.0 * z * u + u**2 + eg.bump(x)
-
     oracle = eg.solve_ergodic(model, continuous_control, grid201, tol=1e-11).lam
     ratios = {}
     for n in (41, 81, 161, 321, 641):

@@ -9,7 +9,7 @@ import ergodic_games as eg
 from ergodic_games.ebsde import (DriverSpec, _bordered_solve, frozen_driver, hjb_residual,
                                  interp_table, nearest_node, node_lookup, uniform_interp)
 
-from conftest import E_BUMP_STANDARD, E_BUMP_SHIFTED
+from conftest import E_BUMP_STANDARD, E_BUMP_SHIFTED, continuous_control
 
 TWO_OVER_E = 0.7357588823428847  # 2/e, an arbitrary non-round constant
 
@@ -169,6 +169,13 @@ def test_second_order_grid_convergence(model):
         errs.append(abs(s.lam - E_BUMP_STANDARD))
     assert 3.0 < errs[0] / errs[1] < 5.0
     assert 3.0 < errs[1] / errs[2] < 5.0
+
+
+def test_continuous_control_oracle_converges_at_second_order(model):
+    # acceptance criterion 14's oracle, solved at m=201 there
+    lam = [eg.solve_ergodic(model, continuous_control, eg.Grid1D(-6.0, 6.0, m), tol=1e-11).lam
+           for m in (201, 401, 801)]
+    assert 3.9 <= (lam[0] - lam[1]) / (lam[1] - lam[2]) <= 4.1
 
 
 def test_cfl_guard(model, coarse_grid):

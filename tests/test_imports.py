@@ -108,5 +108,18 @@ def test_the_check_sees_an_unused_private_name():
                                                       ("a", 7, "_Gone")]
 
 
+def test_the_package_exports_each_modules_public_names_once():
+    import ergodic_games
+    from ergodic_games import catalog, continuous, ebsde, games, picard, sde, verify
+
+    modules = (catalog, continuous, ebsde, games, picard, sde, verify)
+    names = ergodic_games.__all__
+    assert names == ["__version__"] + [name for m in modules for name in m.__all__]
+    assert len(set(names)) == len(names)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(ergodic_games, name) is getattr(m, name), (m.__name__, name)
+
+
 def test_the_library_has_modules_to_check():
     assert len(MODULES) > 5

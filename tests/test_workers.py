@@ -150,7 +150,7 @@ def test_a_range_of_paths_keeps_its_keys(model):
 # sigma * r overflows to inf, and the diverged paths' Euler updates meet inf - inf
 @pytest.mark.filterwarnings("ignore:invalid value encountered in (add|cast):RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
-def test_divergence_in_a_worker_is_the_lowest_ranges(model, g0, coarse_grid, monkeypatch):
+def test_divergence_on_workers_is_that_of_one_process(model, g0, coarse_grid, monkeypatch):
     # the policy's top control beyond |x| = 2 has a drift shift that overflows;
     # each path diverges when it first gets there
     spec = eg.GameSpec(
@@ -167,12 +167,14 @@ def test_divergence_in_a_worker_is_the_lowest_ranges(model, g0, coarse_grid, mon
             eg.estimate_payoff(model, spec, wild, 0, n_paths=n_paths, **kw)
         return exc.value
 
-    first_range = diverged(3)  # in-process: paths 0-2, the first range of six
+    one = diverged(6)
+    # paths 0-2, the first of two workers' ranges, diverge later than paths 3-5
+    assert diverged(3).step_index > one.step_index > 1
     _force_two_workers(monkeypatch)
     forked = diverged(6)
     assert type(forked) is eg.SimulationDivergedError
-    assert str(forked) == str(first_range)
-    assert forked.step_index == first_range.step_index > 1
+    assert str(forked) == str(one)
+    assert forked.step_index == one.step_index
     assert multiprocessing.active_children() == []
 
 
@@ -209,6 +211,20 @@ def test_the_lowest_ranges_error_wins(two_workers):
     with pytest.raises(ValueError) as exc:
         sde._run_ranges("test", 4, 4, _failing_range)
     assert exc.value.args == ("range", 0, 2)
+    assert multiprocessing.active_children() == []
+
+
+def _diverging_range(k0, k1):
+    # the lower range diverges later, and reports first
+    if k0 > 0:
+        time.sleep(0.2)
+    raise sde.SimulationDivergedError(117 if k0 == 0 else 37)
+
+
+def test_the_earliest_divergence_wins(two_workers):
+    with pytest.raises(sde.SimulationDivergedError) as exc:
+        sde._run_ranges("test", 4, 4, _diverging_range)
+    assert exc.value.step_index == 37
     assert multiprocessing.active_children() == []
 
 
