@@ -1,6 +1,6 @@
 """Fixed states behind every construction-time check of a declared constant.
 
-``SdeModel``, ``GameSpec``, ``DriverSpec`` and ``continuous.decompose``
+``SdeModel``, ``GameSpec``, ``DriverSpec`` and ``solve_continuous_ebsde``
 probe their declared bounds on a fixed set of states.  The probes need
 spread, not randomness, so the states come from a Kronecker sequence,
 ``frac(k * a)`` for ``k = 1, 2, ...``, pushed through the logistic quantile

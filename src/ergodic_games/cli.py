@@ -29,11 +29,7 @@ import yaml
 
 from ._csv import write_csv
 from .catalog import make_driver, make_game, make_growth_driver, make_model
-from .continuous import (
-    LinearizationDidNotConvergeError,
-    ResidualCeilingError,
-    solve_continuous_ebsde,
-)
+from .continuous import solve_continuous_ebsde
 from .ebsde import (
     Grid1D,
     GridSolution,
@@ -55,8 +51,6 @@ _SOLVER_ERRORS = (
     MaxSweepsExceededError,
     NoPureNashError,
     SimulationDivergedError,
-    LinearizationDidNotConvergeError,
-    ResidualCeilingError,
 )
 
 
@@ -190,8 +184,7 @@ def _cmd_continuous_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]
     model = make_model(_section(cfg, "model"))
     grid = _make_grid(_section(cfg, "grid"))
     f, kappa = make_growth_driver(_section(cfg, "driver"))
-    sol = solve_continuous_ebsde(model, f, kappa, grid, **_set_keys(
-        cfg, "solver", tol=float, max_iter=int))
+    sol = solve_continuous_ebsde(model, f, kappa, grid, **_set_keys(cfg, "solver", tol=float))
     sol.to_csv(out / "solution.csv")
     report = sol.report_dict()
     report["kappa"] = kappa

@@ -17,8 +17,9 @@ method on the driver's slope in ``z``: linearizing ``f`` at the current
 gradient turns the equation into a tridiagonal system bordered by the one
 unknown constant, which one Thomas sweep through the two blocks that the
 pin cuts apart solves in O(m).  Drivers affine in ``z`` -- every frozen driver of the Picard
-and continuous solvers -- converge in one step; Lipschitz drivers with kinks
-use a subgradient.  For the discounted equation the constant is reinstated
+loop -- converge in one step; drivers with kinks use a subgradient, and
+drivers that are only continuous (:mod:`~ergodic_games.continuous`) are
+solved as they are.  For the discounted equation the constant is reinstated
 exactly afterwards (adding a constant ``c`` to ``v`` changes the equation
 residual by ``-alpha * c`` and nothing else, because the driver only sees
 derivatives of ``v``).  Both solvers return a :class:`GridSolution`, whose

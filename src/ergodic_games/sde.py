@@ -314,6 +314,9 @@ def run_paths(
     keys, summed over batches), and the seconds spent drawing normals
     (``rng_s``), stepping (``euler_s``) and in ``consume`` (``cost_s``);
     :func:`_log_engine` reports them.  ``n_paths`` must be at least 1.
+    A batch that diverges stops, the later ones still run, and the earliest
+    divergence step of all batches is raised: the one batch of all the
+    paths, or any split of them over workers, reports that step too.
     """
     _check_n_paths(n_paths)
     if n_steps > 0:
@@ -321,13 +324,21 @@ def run_paths(
     total = len(seeds) * n_paths
     seconds = [0.0, 0.0, 0.0]  # rng, euler, consume
     n_batches = n_blocks = n_streams = 0
+    diverged: Optional[SimulationDivergedError] = None
     for b0 in range(0, total if n_steps > 0 else 0, _MAX_BATCH_PATHS):
         cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
-        blocks, streams = _run_batch(model, n_steps, step, seeds, n_paths, first_path, cols,
-                                     consume, shift_for, with_noise, seconds)
+        try:
+            blocks, streams = _run_batch(model, n_steps, step, seeds, n_paths, first_path,
+                                         cols, consume, shift_for, with_noise, seconds)
+        except SimulationDivergedError as err:
+            if diverged is None or err.step_index < diverged.step_index:
+                diverged = err
+            continue
         n_blocks += blocks
         n_streams += streams
         n_batches += 1
+    if diverged is not None:
+        raise diverged
     return {"paths": total, "steps": n_steps, "batches": n_batches, "blocks": n_blocks,
             "streams": n_streams, "rng_s": seconds[0], "euler_s": seconds[1],
             "cost_s": seconds[2]}

@@ -13,7 +13,7 @@ import pytest
 
 import ergodic_games as eg
 from ergodic_games import cli
-from ergodic_games.continuous import decompose, solve_continuous_ebsde
+from ergodic_games.continuous import solve_continuous_ebsde
 from ergodic_games.verify import bsde_path_residual, nash_deviation_test
 
 from conftest import E_BUMP_STANDARD, E_BUMP_SHIFTED, continuous_control
@@ -157,26 +157,26 @@ def test_criterion_08_residual_halves_with_step(model, g0, nash401):
             ok, f"rms_ratio={rms_ratio:.3f}")
 
 
+# lambda of the superseded freeze-and-solve loop for sqrt_z_plus_bump(0.5) on
+# Grid1D(-6, 6, 401) at tol=1e-6, printed by running commit dfa66a6
+FREEZE_LOOP_LAM_SQRT_Z = 0.5886559827830766
+
+
 def test_criterion_09_continuous_driver(model):
     f, kappa = eg.make_growth_driver({"name": "sqrt_z_plus_bump", "slope": 0.5})
     grid = eg.Grid1D(-6.0, 6.0, 401)
     cont = solve_continuous_ebsde(model, f, kappa, grid, tol=1e-6)
-    direct = eg.solve_ergodic(
-        model, eg.DriverSpec(f, lipschitz_z=kappa, bound_at_zero=kappa),
-        grid, tol=1e-6)
-    lam_diff = abs(cont.lam - direct.lam)
-
-    rng = np.random.default_rng(99)
-    xs = rng.uniform(-6.0, 6.0, 10_000)
-    zs = rng.uniform(-10.0, 10.0, 10_000)
-    phi, psi = decompose(f, kappa)(xs, zs)
-    exact = np.array_equal(phi * zs + psi, f(xs, zs))
-    bounded = (np.max(np.abs(phi)) <= 2.0 * kappa
-               and np.max(np.abs(psi)) <= 2.0 * kappa)
-    ok = lam_diff < 2e-6 and exact and bounded
-    _report(9, "continuous-driver solve agrees with the direct solve",
-            ok, f"lam_diff={lam_diff:.2e} split_exact={exact} "
-                f"split_bounded={bounded}")
+    lam_diff = abs(cont.lam - FREEZE_LOOP_LAM_SQRT_Z)
+    residual = eg.hjb_residual(model, f, grid, cont.v, cont.xi, cont.lam)
+    try:
+        solve_continuous_ebsde(model, lambda x, z: z**2, 1.0, grid)
+        rejected = False
+    except eg.GrowthViolationError:
+        rejected = True
+    ok = lam_diff < 2e-6 and residual <= 1e-6 and rejected
+    _report(9, "continuous-driver solve agrees with the freeze-and-solve loop",
+            ok, f"lam_diff={lam_diff:.2e} residual={residual:.2e} "
+                f"superlinear_rejected={rejected}")
 
 
 def test_criterion_10_vanishing_discount(model, g0, grid201):

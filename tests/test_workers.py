@@ -26,10 +26,7 @@ _ERRORS = {
     ebsde.MaxSweepsExceededError: lambda: ebsde.MaxSweepsExceededError(
         3.5e-4, 50, 0.3075, np.linspace(-1.0, 1.0, 7), [1.0, 0.01, 3.5e-4]),
     ebsde.NonMonotoneSchemeError: lambda: ebsde.NonMonotoneSchemeError("not monotone at node 4"),
-    continuous.LinearizationDidNotConvergeError:
-        lambda: continuous.LinearizationDidNotConvergeError(20, [(0.1, 0.2), (0.05, 0.1)]),
     continuous.GrowthViolationError: lambda: continuous.GrowthViolationError("grows too fast"),
-    continuous.ResidualCeilingError: lambda: continuous.ResidualCeilingError("residual 1e-2"),
     verify.InsufficientHorizonError: lambda: verify.InsufficientHorizonError("horizon 5"),
     cli.ConfigError: lambda: cli.ConfigError("grid.m is missing"),
 }
@@ -147,12 +144,12 @@ def test_a_range_of_paths_keeps_its_keys(model):
         assert np.array_equal(noise[j], eg.path_stream(*key).standard_normal(n)), key
 
 
-# sigma * r overflows to inf, and the diverged paths' Euler updates meet inf - inf
-@pytest.mark.filterwarnings("ignore:invalid value encountered in (add|cast):RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
-def test_divergence_on_workers_is_that_of_one_process(model, g0, coarse_grid, monkeypatch):
-    # the policy's top control beyond |x| = 2 has a drift shift that overflows;
-    # each path diverges when it first gets there
+def _divergence(model, g0, coarse_grid):
+    """``diverged(n_paths)``: the error of an estimate on ``n_paths`` paths of seed 2.
+
+    The policy's top control beyond |x| = 2 has a drift shift that overflows;
+    each path diverges when it first gets there.
+    """
     spec = eg.GameSpec(
         grids=g0.grids, drift_map=lambda u, v: np.where(u >= 1.0, 1.5e308, u + v),
         costs=g0.costs, cost_sup=g0.cost_sup, cost_x_lip=g0.cost_x_lip,
@@ -160,13 +157,21 @@ def test_divergence_on_workers_is_that_of_one_process(model, g0, coarse_grid, mo
     nodes = coarse_grid.nodes()
     wild = policy_of_constant_control(spec, coarse_grid, 20).with_player_indices(
         0, np.where(np.abs(nodes) > 2.0, 40, 20))
-    kw = dict(horizon=40.0, step=0.01, burn_in=1.0, seed=2)
 
     def diverged(n_paths):
         with pytest.raises(eg.SimulationDivergedError) as exc:
-            eg.estimate_payoff(model, spec, wild, 0, n_paths=n_paths, **kw)
+            eg.estimate_payoff(model, spec, wild, 0, n_paths=n_paths, horizon=40.0, step=0.01,
+                               burn_in=1.0, seed=2)
         return exc.value
 
+    return diverged
+
+
+# sigma * r overflows to inf, and the diverged paths' Euler updates meet inf - inf
+@pytest.mark.filterwarnings("ignore:invalid value encountered in (add|cast):RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_divergence_on_workers_is_that_of_one_process(model, g0, coarse_grid, monkeypatch):
+    diverged = _divergence(model, g0, coarse_grid)
     one = diverged(6)
     # paths 0-2, the first of two workers' ranges, diverge later than paths 3-5
     assert diverged(3).step_index > one.step_index > 1
@@ -175,6 +180,20 @@ def test_divergence_on_workers_is_that_of_one_process(model, g0, coarse_grid, mo
     assert type(forked) is eg.SimulationDivergedError
     assert str(forked) == str(one)
     assert forked.step_index == one.step_index
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in (add|cast):RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_divergence_of_many_batches_is_that_of_one(model, g0, coarse_grid, monkeypatch):
+    # batches of 3 paths: the first batch diverges later than the second, which
+    # still runs, in one process as on two workers
+    diverged = _divergence(model, g0, coarse_grid)
+    assert diverged(6).step_index == 37
+    monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 3)
+    assert diverged(6).step_index == 37
+    _force_two_workers(monkeypatch)
+    assert diverged(6).step_index == 37
     assert multiprocessing.active_children() == []
 
 
