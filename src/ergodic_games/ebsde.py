@@ -105,8 +105,8 @@ def nearest_node(x, lookup: Tuple[float, float, int], out: Optional[tuple] = Non
 
     ``rint((x - lo) * inv_dx)`` clamped to ``[0, top]``, with ``(lo, inv_dx,
     top) = node_lookup(nodes)``; every state above the grid, ``+inf`` and NaN
-    map to ``top``: the one rule of every state-to-node lookup
-    (feedback policies along paths and the path engine's drift shift).
+    map to ``top``: the one rule of every state-to-node lookup (the path
+    engine's, once per state, whose nodes also give a policy's controls).
     ``out = (scaled, idx)``, float and ``intp`` arrays of ``x``'s shape, lets
     a caller that looks up every step reuse its buffers (allocated when
     None); the result is ``idx``.

@@ -9,9 +9,9 @@ origin, a bounded Lipschitz residual drift, and a constant nonzero noise
 coefficient.  Paths are produced by Euler-Maruyama stepping in
 :func:`run_paths`, which steps many paths at once and hands their states to
 a consumer window by window, so estimates need no array of size paths x
-steps.  A change of measure is applied as an extra ``sigma * shift(x)``
-drift term, ``shift`` a plain callable on arrays of states, so controlled
-dynamics reuse the same integrator.
+steps.  A change of measure is an extra ``sigma * shift`` drift term,
+``shift`` a table on uniform nodes read at each state's nearest node (which
+the consumer gets too), so controlled dynamics reuse the same integrator.
 
 Randomness is drawn from one generator per path, keyed by
 ``(seed, path_index)``: numpy's ``default_rng`` of those words.
@@ -45,6 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._samples import _CHECK_SLACK, check_states
+from .ebsde import nearest_node, node_lookup
 
 __all__ = [
     "SimulationDivergedError",
@@ -218,9 +219,9 @@ _FINITE_CHECK_STEPS = 256
 # and no number depends on it
 _BLOCK_STEPS = 1024
 # most paths stepped together: memory is one path-major draw block of
-# _BLOCK_STEPS x _MAX_BATCH_PATHS floats plus two window buffers (noise and
-# states) of _FINITE_CHECK_STEPS x _MAX_BATCH_PATHS, whatever the horizon or
-# path count
+# _BLOCK_STEPS x _MAX_BATCH_PATHS floats plus two window buffers (noise, whose
+# used rows also hold the nodes, and states) of _FINITE_CHECK_STEPS + 1 rows
+# of _MAX_BATCH_PATHS, whatever the horizon or path count
 _MAX_BATCH_PATHS = 2048
 # paths handed to the consumer at a time, one scan window of steps each: its
 # temporaries (256 x 32 floats, 64 KB) stay in cache and below the 128 KB at
@@ -278,7 +279,7 @@ def run_paths(
     seeds: Sequence[int],
     n_paths: int,
     consume: Callable,
-    shift_for: Optional[Callable] = None,
+    drift: Optional[tuple] = None,
     with_noise: bool = False,
     first_path: int = 0,
 ) -> dict:
@@ -296,20 +297,22 @@ def run_paths(
     every column then gathers its key's row as the block is transposed,
     scaled and stepped one window of ``_FINITE_CHECK_STEPS`` steps at a time.
     Its buffers are that block and two window-sized ones, and no number
-    depends on the block size.
-    ``shift_for(cols)`` returns the drift term callback of the batch holding
-    columns ``cols`` (a slice): the float array ``sigma * shift(x)`` of its
-    states ``x``, added to each Euler step as it is, so a caller scales a
-    node table by ``sigma`` once.  Every ``_FINITE_CHECK_STEPS`` steps, once
-    they are checked finite, the engine calls ``consume(cols, start, states,
-    noise)`` for each run of at most ``_CONSUME_PATHS`` columns ``cols``:
-    ``states`` holds their states at steps ``start`` to ``start + L``
-    time-major, shape ``(L + 1, width)``, and ``noise`` the standard normals
-    of those steps path-major, shape ``(width, L)``, when ``with_noise``
-    (else None).  ``states`` is a view of a buffer the engine reuses and
-    ``noise`` is gathered from the draw block per call, so nothing of size
-    paths x steps is built.  Each path is bitwise the same as when simulated
-    alone.  Returns the run's counters: ``paths``, ``steps``, ``batches``,
+    depends on the block size.  ``drift = (nodes, table)`` adds ``sigma *
+    table[s][i]`` to each Euler step of a column of ``seeds[s]``, ``i`` the
+    nearest of the uniform ``nodes`` to its state (:func:`nearest_node`): a
+    batch scales its rows by ``sigma`` once, and a step makes one lookup and
+    one gather.  Every ``_FINITE_CHECK_STEPS`` steps, once they are checked
+    finite, the engine calls ``consume(cols, start, states, nodes, noise)``
+    for each run of at most ``_CONSUME_PATHS`` columns ``cols``: ``states``
+    holds their states at steps ``start`` to ``start + L`` time-major, shape
+    ``(L + 1, width)``; ``nodes[k]`` is the node of ``states[k]``, shape
+    ``(L, width)`` (None without a ``drift``); and ``noise`` the standard
+    normals of those steps path-major, shape ``(width, L)``, when
+    ``with_noise`` (else None).  ``states`` and ``nodes`` (which share the
+    noise window) are views of buffers the engine reuses and ``noise`` is
+    gathered from the draw block per call, so nothing of size paths x steps
+    is built.  Each path is bitwise the same as when simulated alone.
+    Returns the run's counters: ``paths``, ``steps``, ``batches``,
     ``blocks``, the ``streams`` seeded and drawn (each batch's distinct
     keys, summed over batches), and the seconds spent drawing normals
     (``rng_s``), stepping (``euler_s``) and in ``consume`` (``cost_s``);
@@ -329,7 +332,7 @@ def run_paths(
         cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
         try:
             blocks, streams = _run_batch(model, n_steps, step, seeds, n_paths, first_path,
-                                         cols, consume, shift_for, with_noise, seconds)
+                                         cols, consume, drift, with_noise, seconds)
         except SimulationDivergedError as err:
             if diverged is None or err.step_index < diverged.step_index:
                 diverged = err
@@ -426,7 +429,7 @@ def _run_ranges(label: str, n_paths: int, path_steps: int, work: Callable) -> li
 
 def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                n_paths: int, first_path: int, cols: slice, consume: Callable,
-               shift_for: Optional[Callable], with_noise: bool, seconds: list) -> tuple:
+               drift: Optional[tuple], with_noise: bool, seconds: list) -> tuple:
     """One batch of :func:`run_paths`, returning its blocks and streams drawn; its
     buffers are freed when it returns."""
     clock = time.perf_counter
@@ -444,12 +447,26 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                      for j in range(cols.start, cols.stop)], dtype=np.intp)
     streams = [path_stream(*key) for key in key_row]
     p = len(rows)
+    if drift is not None:
+        # the batch's table rows end to end, scaled once; a column's offset
+        # into them plus its state's node is the index of its drift term.
+        # Made before the window buffers: made after them, they left glibc's
+        # heap so that g0's forked workers peaked 3 MiB higher in some runs
+        nodes, table = drift
+        lookup = node_lookup(nodes)
+        s0 = cols.start // n_paths
+        flat = sigma * np.concatenate(table[s0:(cols.stop - 1) // n_paths + 1])
+        offsets = (np.arange(cols.start, cols.stop) // n_paths - s0) * len(nodes)
+        scaled, at = np.empty(p), np.empty(p, dtype=np.intp)
     drawn = np.empty((len(streams), min(_BLOCK_STEPS, n_steps)))  # path-major, as drawn
     win = min(_FINITE_CHECK_STEPS, n_steps)
-    noise = np.empty((win, p))  # one window, time-major, scaled by sigma * sqrt(step)
+    # one window, time-major, scaled by sigma * sqrt(step): step k reads row k + 1
+    # and, with a drift, writes the node of its state into row k, whose noise
+    # step k - 1 has used
+    noise = np.empty((win + 1, p))
+    node_rows = noise.view(np.intp)
     states = np.empty((win + 1, p))
     states[0] = model.x0
-    drift_term = shift_for(cols) if shift_for is not None else None
     seconds[0] += clock() - t0
     n_blocks = 0
     for start in range(0, n_steps, _BLOCK_STEPS):
@@ -461,7 +478,7 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
         for c0 in range(0, n_blk, _FINITE_CHECK_STEPS):
             t0 = clock()
             stop = min(_FINITE_CHECK_STEPS, n_blk - c0)
-            dw = noise[:stop]
+            dw = noise[1:stop + 1]
             # time-major layout keeps every per-step slice contiguous
             copy_transposed(dw, drawn[:, c0:c0 + stop], rows)
             t1 = clock()
@@ -476,14 +493,16 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                     np.multiply(x, a, out=nxt)
                     if has_residual:
                         nxt += np.asarray(model.bounded_drift(x), dtype=float)
-                    if drift_term is not None:
-                        nxt += drift_term(x)
+                    if drift is not None:
+                        node = nearest_node(x, lookup, out=(scaled, node_rows[k]))
+                        np.add(node, offsets, out=at)
+                        nxt += flat.take(at)
                     nxt *= step
                     nxt += x
                     nxt += dw[k]
                     x = nxt
             except Exception:
-                # a callback may reject the states of a path that already diverged
+                # bounded_drift may reject the states of a path that already diverged
                 stop = k
                 if np.isfinite(states[1:stop + 1]).all():
                     raise
@@ -497,6 +516,7 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                 p1 = min(p0 + _CONSUME_PATHS, p)
                 consume(slice(cols.start + p0, cols.start + p1), start + c0,
                         states[:stop + 1, p0:p1],
+                        node_rows[:stop, p0:p1] if drift is not None else None,
                         drawn[rows[p0:p1], c0:c0 + stop] if with_noise else None)
             seconds[1] += t2 - t1
             seconds[2] += clock() - t2
@@ -507,7 +527,7 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
 
 def sample_paths(
     model: SdeModel,
-    shift: Optional[Callable],
+    shift: Optional[tuple],
     horizon: float,
     step: float,
     seed: int,
@@ -516,29 +536,35 @@ def sample_paths(
 ):
     """States of ``n_paths`` independent paths, shape ``(n_paths, n_steps+1)``.
 
-    ``shift`` (None for the uncontrolled dynamics) maps an array of states to
-    drift shifts of the same shape, added as ``sigma * shift(x)``; with
-    ``horizon == 0`` each row holds the single initial state.  Row ``k`` is
-    path ``k`` of ``seed`` (stream ``(seed, k)``), bitwise the same for any
-    ``n_paths`` above ``k``.  With ``return_noise`` the ``(n_paths, n_steps)``
-    standard normals that drove them come back too.
+    ``shift`` is None for the uncontrolled dynamics, or a table ``(nodes,
+    values)`` of drift shifts at the uniform grid ``nodes``: each step adds
+    ``sigma * values[i]``, ``i`` the node nearest its state, and ``values``
+    must be 1-d with one entry per node.  With ``horizon == 0`` each row
+    holds the single initial state.  Row ``k`` is path ``k`` of ``seed``
+    (stream ``(seed, k)``), bitwise the same for any ``n_paths`` above
+    ``k``.  With ``return_noise`` the ``(n_paths, n_steps)`` standard normals
+    that drove them come back too.
     """
     n = _n_steps(horizon, step)
     _check_n_paths(n_paths)
+    drift = None
+    if shift is not None:
+        nodes, values = shift
+        if np.ndim(values) != 1 or len(values) != len(nodes):
+            raise ValueError(f"shift values must be 1-d with one entry per node: got shape "
+                             f"{np.shape(values)} for {len(nodes)} nodes")
+        drift = (nodes, [values])
     states = np.empty((n_paths, n + 1))
     states[:, 0] = model.x0
     noise = np.empty((n_paths, n)) if return_noise else None
 
-    def keep(cols, start, block, drawn):
+    def keep(cols, start, block, nodes, drawn):
         copy_transposed(states[cols, start + 1:start + len(block)], block[1:])
         if drawn is not None:
             noise[cols, start:start + drawn.shape[1]] = drawn
 
-    sigma = model.sigma
-    shift_for = ((lambda cols: lambda x: sigma * np.asarray(shift(x), dtype=float))
-                 if shift is not None else None)
     _log_engine("sample_paths", 1,
-                run_paths(model, n, step, [seed], n_paths, keep, shift_for, return_noise))
+                run_paths(model, n, step, [seed], n_paths, keep, drift, return_noise))
     return (states, noise) if return_noise else states
 
 
@@ -563,7 +589,7 @@ def moment_bound_check(
     # the axis of paths of a (paths, steps) array adds them: the same bits
     mean_sq = np.zeros(n + 1)
 
-    def add_squares(cols, start, states, noise):
+    def add_squares(cols, start, states, nodes, noise):
         acc = mean_sq[start + 1:start + len(states)]
         for col in np.square(states[1:]).T:
             acc += col

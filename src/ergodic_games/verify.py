@@ -85,35 +85,6 @@ def _policy_drift_nodes(spec: GameSpec, policy: FeedbackPolicy) -> np.ndarray:
     return spec.drift_table()[joint]
 
 
-def _stacked_shift(spec: GameSpec, policies: Sequence[FeedbackPolicy], n_paths: int,
-                   sigma: float):
-    """``shift_for(cols)`` of the engine for ``n_paths`` paths per policy.
-
-    The policies' node drift tables are stacked end to end and scaled by the
-    noise coefficient ``sigma`` once, and every path column carries its
-    policy's offset into the stack, so a batch mixing many policies resolves
-    its drift term ``sigma * shift(x)`` by one gather: the nearest node
-    (:func:`nearest_node` with preallocated buffers) plus the column's offset.
-    """
-    m = len(policies[0].nodes)
-    lookup = node_lookup(policies[0].nodes)
-    r_flat = sigma * np.concatenate([_policy_drift_nodes(spec, p) for p in policies])
-    offsets = np.repeat(np.arange(len(policies), dtype=np.intp) * m, n_paths)
-
-    def shift_for(cols):
-        off = offsets[cols]
-        buffers = (np.empty(len(off)), np.empty(len(off), dtype=np.intp))
-
-        def shift(x):
-            idx = nearest_node(x, lookup, out=buffers)
-            np.add(idx, off, out=idx)
-            return r_flat.take(idx)
-
-        return shift
-
-    return shift_for
-
-
 @dataclass(frozen=True)
 class _Job:
     """One payoff estimate: a player's cost along one joint policy's paths."""
@@ -170,14 +141,14 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
             raise ValueError(f"burn_in {job.burn_in:.6g} rounds to step {first} of the {n} "
                              f"steps of size {step:.6g} up to horizon {horizon:.6g}")
     columns = [job.policy.control_columns(spec) for job in jobs]
-    lookup = node_lookup(jobs[0].policy.nodes)
+    drift = (jobs[0].policy.nodes, [_policy_drift_nodes(spec, job.policy) for job in jobs])
 
     def run_range(k0, k1):
         # job j owns columns j * width to (j + 1) * width - 1: its paths k0..k1-1
         width = k1 - k0
         sums = np.zeros(len(jobs) * width)
 
-        def accumulate(cols, start, states, noise):
+        def accumulate(cols, start, states, nodes, noise):
             for j in range(cols.start // width, (cols.stop - 1) // width + 1):
                 job = jobs[j]
                 c0 = max(j * width, cols.start)
@@ -187,7 +158,7 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
                 xs = states[skip:-1, c0 - cols.start:c1 - cols.start]
                 if not len(xs):
                     continue
-                node = nearest_node(xs, lookup)
+                node = nodes[skip:, c0 - cols.start:c1 - cols.start]
                 controls = [col.take(node) for col in columns[j]]
                 costs = np.broadcast_to(
                     np.asarray(spec.costs[job.player](xs, *controls), dtype=float), xs.shape)
@@ -196,9 +167,8 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
                     costs = costs * (np.exp(-job.alpha * t) * step)[:, None]
                 sums[c0:c1] += window_sum(costs)
 
-        shift_for = _stacked_shift(spec, [job.policy for job in jobs], width, model.sigma)
         counters = run_paths(model, n, step, [job.seed for job in jobs], width, accumulate,
-                             shift_for, first_path=k0)
+                             drift, first_path=k0)
         return sums.reshape(len(jobs), width), counters
 
     sums = np.concatenate(_run_ranges(label, n_paths, len(jobs) * n_paths * n, run_range),
@@ -479,17 +449,18 @@ def bsde_path_residual(
     def run_range(k0, k1):
         sq_sums = np.zeros(k1 - k0)
 
-        def accumulate(cols, start, states, noise):
-            # path-major, as the noise; both interpolants share one segment lookup
-            # over the window's L + 1 states, whose first L are the steps' X_t
-            xs = np.ascontiguousarray(states.T)
-            node = nearest_node(xs, lookup)
+        def accumulate(cols, start, states, nodes, noise):
+            # time-major, as the states; both interpolants share one segment lookup
+            # over the window's L + 1 states: the steps' X_t at the engine's
+            # nodes, then the last step's X_{t+h}, looked up here
+            xs = np.ascontiguousarray(states)
+            node = np.concatenate([nodes, nearest_node(xs[-1:], lookup)])
             v, xi = uniform_interp(xs, node, v_table, xi_table)
-            x_t = xs[:, :-1]
-            v_t = v[:, :-1]
-            v_next = v[:, 1:]
-            xi_t = xi[:, :-1]
-            node = node[:, :-1]
+            x_t = xs[:-1]
+            v_t = v[:-1]
+            v_next = v[1:]
+            xi_t = xi[:-1]
+            node = node[:-1]
             r_t = r_nodes.take(node)
             controls = [col.take(node) for col in columns]
             cost_t = np.broadcast_to(
@@ -498,13 +469,12 @@ def bsde_path_residual(
             hamilton = xi_t * r_t + cost_t
             const = sol.lam if sol.alpha is None else sol.alpha * v_t
             # increments of the unshifted Brownian motion
-            dw = sqrt_h * noise + r_t * step
+            dw = sqrt_h * noise.T + r_t * step
             residual = v_next - v_t + (hamilton - const) * step - xi_t * dw
-            sq_sums[cols] += window_sum((residual**2).T)
+            sq_sums[cols] += window_sum(residual**2)
 
         counters = run_paths(model, n, step, [seed], k1 - k0, accumulate,
-                             _stacked_shift(spec, [policy], k1 - k0, model.sigma),
-                             with_noise=True, first_path=k0)
+                             (policy.nodes, [r_nodes]), with_noise=True, first_path=k0)
         return sq_sums, counters
 
     # the ranges' per-path sums, joined in path order, are added as one array

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import ergodic_games as eg
 from ergodic_games import sde
+from ergodic_games.ebsde import nearest_node, node_lookup
 from ergodic_games.sde import _n_steps
 
 from conftest import E_BUMP_STANDARD, policy_of_constant_control
@@ -25,9 +26,25 @@ ignore_overflow = pytest.mark.filterwarnings(
     "ignore:(overflow|invalid value) encountered:RuntimeWarning")
 
 
+# uniform nodes -10.25, -9.75, ..., 10.25: every multiple of 0.5 is a cell
+# midpoint, so a state's node lies beyond such a threshold exactly when the
+# state does (ties aside)
+_NODES = 0.5 * np.arange(-20.5, 21.0)
+
+
+def _table(fn, nodes=_NODES):
+    """The drift shift table ``(nodes, fn(nodes))``."""
+    return nodes, fn(nodes)
+
+
 def _shift_beyond(thr):
-    """Zero on [-thr, thr] and ``_HUGE`` outside."""
-    return lambda x: np.where(np.abs(x) > thr, _HUGE, 0.0)
+    """Zero at the nodes in [-thr, thr] and ``_HUGE`` at the others; ``thr`` a
+    multiple of 0.5."""
+    return _table(lambda x: np.where(np.abs(x) > thr, _HUGE, 0.0))
+
+
+# a grid the paths of the tests below leave, so the lookup clamps
+_SMALL = np.linspace(-1.5, 1.5, 13)
 
 
 def test_path_stream_reproducible():
@@ -69,7 +86,7 @@ def test_batch_keying_is_default_rng(model, seeds, n_paths):
     n = sde._BLOCK_STEPS + 37
     noise = np.empty((len(seeds) * n_paths, n))
 
-    def keep(cols, start, states, drawn):
+    def keep(cols, start, states, nodes, drawn):
         noise[cols, start:start + drawn.shape[1]] = drawn
 
     sde.run_paths(model, n, 0.01, seeds, n_paths, keep, with_noise=True)
@@ -92,17 +109,53 @@ def test_equal_keys_share_noise_and_states(model, monkeypatch, max_batch, n_stre
     states = np.empty((3 * n_paths, n + 1))
     noise = np.empty((3 * n_paths, n))
 
-    def keep(cols, start, block, drawn):
+    def keep(cols, start, block, nodes, drawn):
         states[cols, start:start + len(block)] = block.T
         noise[cols, start:start + drawn.shape[1]] = drawn
 
+    tanh = np.tanh(_SMALL)
     counters = sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, keep,
-                             shift_for=lambda cols: np.tanh, with_noise=True)
+                             drift=(_SMALL, [tanh, tanh, tanh]), with_noise=True)
     assert (counters["paths"], counters["steps"], counters["streams"]) == (9, n, n_streams)
     assert np.array_equal(noise[:3], noise[6:]) and np.array_equal(states[:3], states[6:])
     assert not np.array_equal(noise[:3], noise[3:6])
     for k in range(n_paths):
         assert np.array_equal(noise[k], eg.path_stream(5, k).standard_normal(n))
+
+
+@pytest.mark.parametrize("max_batch, first_path", [(2048, 0), (4, 0), (4, 3)],
+                         ids=["one_batch", "split_batches", "range_of_paths"])
+def test_consumer_nodes_are_the_nearest_nodes_of_its_states(model, monkeypatch, max_batch,
+                                                            first_path):
+    # seeds [5, 6, 5] with three different table rows, over two draw blocks on
+    # a grid the paths leave: in every window nodes[k] is the node of states[k]
+    monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", max_batch)
+    n, n_paths = sde._BLOCK_STEPS + 37, 3
+    lookup = node_lookup(_SMALL)
+    table = [np.tanh(_SMALL), 0.5 * np.sin(3.0 * _SMALL), -np.tanh(_SMALL)]
+    states = np.empty((3 * n_paths, n + 1))
+    noise = np.empty((3 * n_paths, n))
+    seen = np.zeros((3 * n_paths, n), dtype=bool)
+
+    def keep(cols, start, block, nodes, drawn):
+        assert nodes.dtype == np.intp and nodes.shape == (len(block) - 1, block.shape[1])
+        assert np.array_equal(nodes, nearest_node(block[:-1], lookup))
+        states[cols, start:start + len(block)] = block.T
+        noise[cols, start:start + drawn.shape[1]] = drawn
+        seen[cols, start:start + len(nodes)] = True
+
+    sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, keep, drift=(_SMALL, table),
+                  with_noise=True, first_path=first_path)
+    assert seen.all()
+    assert np.abs(states).max() > 1.5
+    # equal keys share their noise, but their rows of the table differ
+    assert np.array_equal(noise[:3], noise[6:]) and not np.array_equal(states[:3], states[6:])
+    assert np.array_equal(noise[0], eg.path_stream(5, first_path).standard_normal(n))
+
+    def no_nodes(cols, start, block, nodes, drawn):
+        assert nodes is None
+
+    sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, no_nodes, first_path=first_path)
 
 
 def _alone(monkeypatch, model, shift, horizon, step, seed, k):
@@ -113,8 +166,9 @@ def _alone(monkeypatch, model, shift, horizon, step, seed, k):
 
 
 def test_batch_row_matches_single_path(model, monkeypatch):
-    shift = np.tanh
+    shift = _table(np.tanh, _SMALL)
     batch = eg.sample_paths(model, shift, 2.0, 0.01, seed=5, n_paths=8)
+    assert np.abs(batch).max() > 1.5
     for k in (0, 3, 7):
         assert np.array_equal(_alone(monkeypatch, model, shift, 2.0, 0.01, 5, k), batch[k])
 
@@ -143,14 +197,13 @@ def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
         bounded_drift=lambda x: 0.5 * np.tanh(x), bounded_drift_sup=0.5,
         bounded_drift_lip=0.5, sigma=1.2, x0=0.3,
     )
-    def shift(x):
-        return 0.8 * np.sin(x)
-
+    shift = _table(lambda x: 0.8 * np.sin(x), _SMALL)
     horizon = 0.01 * (2 * sde._BLOCK_STEPS + 37)
     wide, wide_noise = eg.sample_paths(rough, shift, horizon, 0.01, seed=4, n_paths=5,
                                        return_noise=True)
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 2)
     narrow = eg.sample_paths(rough, shift, horizon, 0.01, seed=4, n_paths=5)
+    assert np.abs(wide).max() > 1.5
     assert np.array_equal(wide, narrow)
     for k in range(5):
         assert np.array_equal(_alone(monkeypatch, rough, shift, horizon, 0.01, 4, k), wide[k])
@@ -163,9 +216,7 @@ def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
 def test_block_size_changes_no_number(model, monkeypatch, block_steps):
     # the draw block only amortises generator calls: paths, their noise and
     # where a run diverges are bitwise those of the default block
-    def shift(x):
-        return 0.8 * np.sin(x)
-
+    shift = _table(lambda x: 0.8 * np.sin(x), _SMALL)
     horizon = 0.01 * (2 * sde._BLOCK_STEPS + 37)
     bad = _shift_beyond(3.0)
 
@@ -177,6 +228,7 @@ def test_block_size_changes_no_number(model, monkeypatch, block_steps):
         return states, noise, exc.value.step_index
 
     default = run()
+    assert np.abs(default[0]).max() > 1.5
     monkeypatch.setattr(sde, "_BLOCK_STEPS", block_steps)
     states, noise, step_index = run()
     assert np.array_equal(states, default[0])
@@ -218,10 +270,19 @@ def test_path_count_must_be_positive(model):
             sde.run_paths(model, 10, 0.01, [0], n_paths, lambda *args: None)
 
 
+def test_shift_table_must_have_one_value_per_node(model):
+    # a longer table would be read in its first entries only, a shorter one
+    # would fail mid-run on the gather
+    for values in (np.zeros(len(_NODES) + 1), np.zeros(len(_NODES) - 1),
+                   np.zeros((len(_NODES), 1)), 0.0):
+        with pytest.raises(ValueError, match="one entry per node"):
+            eg.sample_paths(model, (_NODES, values), 1.0, 0.01, 0, n_paths=2)
+
+
 @ignore_overflow
 def test_divergence_detected(model):
-    # a shift whose sigma-multiple overflows everywhere must be caught on the
-    # first Euler step
+    # a shift whose sigma-multiple overflows at every node must be caught on
+    # the first Euler step
     bad = _shift_beyond(-1.0)
     with pytest.raises(eg.SimulationDivergedError) as exc:
         eg.sample_paths(model, bad, 1.0, 0.01, 0, n_paths=1)
@@ -230,8 +291,9 @@ def test_divergence_detected(model):
 
 @ignore_overflow
 def test_divergence_step_found_late_in_a_long_run(model):
-    # the shift is zero until some path leaves [-3, 3], so the batch follows
-    # the unshifted paths up to that step and turns non-finite one step later
+    # the shift is zero until some path leaves [-3, 3] (whose ends are cell
+    # midpoints of the table), so the batch follows the unshifted paths up to
+    # that step and turns non-finite one step later
     thr = 3.0
     bad = _shift_beyond(thr)
     free = eg.sample_paths(model, None, 200.0, 0.01, 1, 5)
@@ -242,38 +304,49 @@ def test_divergence_step_found_late_in_a_long_run(model):
     assert exc.value.step_index == first_out + 1
 
 
+def _model_with_residual(bounded_drift):
+    """The reference OU model with ``bounded_drift`` as its residual drift,
+    declared nonzero so that the engine calls it at every step."""
+    return eg.SdeModel(lin_drift=-1.0, bounded_drift=bounded_drift, bounded_drift_sup=1.0,
+                       bounded_drift_lip=0.0, sigma=math.sqrt(2.0), x0=0.0)
+
+
 @ignore_overflow
-def test_divergence_reported_when_a_callback_rejects_non_finite_states(model):
-    # the shift turns a path non-finite once it leaves [-3, 3] and raises as
-    # soon as it is handed a non-finite state; the caller still sees the
-    # typed error at the step where the batch diverged
+def test_divergence_reported_when_a_callback_rejects_non_finite_states():
+    # the shift turns a path non-finite once it leaves [-3, 3], and the model's
+    # residual drift raises as soon as it is handed a non-finite state; the
+    # caller still sees the typed error at the step where the batch diverged
     thr = 3.0
 
-    def shift(x):
+    def bounded_drift(x):
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite state")
-        return _shift_beyond(thr)(x)
+        return np.zeros_like(x)
 
-    free = eg.sample_paths(model, None, 200.0, 0.01, 1, 5)
+    strict = _model_with_residual(bounded_drift)
+    free = eg.sample_paths(strict, None, 200.0, 0.01, 1, 5)
     first_out = int(np.argmax(np.any(np.abs(free) > thr, axis=0)))
     with pytest.raises(eg.SimulationDivergedError) as exc:
-        eg.sample_paths(model, shift, 200.0, 0.01, 1, 5)
+        eg.sample_paths(strict, _shift_beyond(thr), 200.0, 0.01, 1, 5)
     assert exc.value.step_index == first_out + 1
 
 
-def test_divergence_overrun_bounded_by_the_scan_not_the_block(model):
+def test_divergence_overrun_bounded_by_the_scan_not_the_block():
     # after the batch turns non-finite the engine steps on only to the end of
-    # the current scan window, however long its time block is
+    # the current scan window, however long its time block is; the residual
+    # drift, called once per step, turns the batch non-finite at step 300
     calls = {"total": 0, "after": 0}
 
-    def shift(x):
+    def bounded_drift(x):
         calls["total"] += 1
         if not np.all(np.isfinite(x)):
             calls["after"] += 1
         return np.full_like(x, np.nan) if calls["total"] == 300 else np.zeros_like(x)
 
+    model = _model_with_residual(bounded_drift)
+    calls.update(total=0, after=0)  # the model's construction check called it too
     with pytest.raises(eg.SimulationDivergedError) as exc:
-        eg.sample_paths(model, shift, 50.0, 0.01, 0, 3)
+        eg.sample_paths(model, None, 50.0, 0.01, 0, 3)
     assert exc.value.step_index == 300
     assert 0 < calls["after"] < sde._FINITE_CHECK_STEPS < sde._BLOCK_STEPS
     assert sde._BLOCK_STEPS % sde._FINITE_CHECK_STEPS == 0
@@ -450,15 +523,15 @@ def test_invariant_average_memory_flat_in_horizon(model, g0, coarse_grid):
 
 
 def test_engine_memory_is_one_draw_block_and_two_windows(model):
-    # a full batch over two draw blocks, with a drift shift and a consumer
+    # a full batch over two draw blocks, with a drift table and a consumer
     # that keeps nothing: besides the path-major draw block and one
-    # generator per path, the time-major noise and the states are one window
-    # each, so three block-sized buffers (48 MiB) would fail this bound
+    # generator per path, the time-major noise (whose rows also hold the
+    # nodes) and the states are one window each, so three block-sized
+    # buffers (48 MiB) would fail this bound
     p = n = 2 * sde._BLOCK_STEPS
     assert p == sde._MAX_BATCH_PATHS
     peak = _peak_bytes(lambda: sde.run_paths(
-        model, n, 0.01, [0], p, lambda *args: None,
-        shift_for=lambda cols: np.tanh))
+        model, n, 0.01, [0], p, lambda *args: None, drift=(_SMALL, [np.tanh(_SMALL)])))
     block = 8 * p * sde._BLOCK_STEPS
     window = 8 * p * (sde._FINITE_CHECK_STEPS + 1)
     streams = _peak_bytes(lambda: [eg.path_stream(0, j) for j in range(p)])

@@ -1,6 +1,8 @@
 """Monte Carlo verification layer: payoff oracles, deviations, residuals."""
 
+import dataclasses
 import logging
+import math
 import re
 import tracemalloc
 
@@ -221,17 +223,9 @@ def test_scope_note_names_sampled_classes(model, g0, g0_nash_coarse):
 
 
 def _reference_shift(spec, policy):
-    """Per-policy nearest-node drift shift, as each estimate built it before batching."""
+    """One policy's drift shift table, built from the joint drift table directly."""
     joint = tuple(policy.indices[:, i] for i in range(spec.n_players))
-    r_nodes = spec.drift_table()[joint]
-    lo = float(policy.nodes[0])
-    inv_dx = 1.0 / (policy.nodes[1] - policy.nodes[0])
-
-    def shift(x):
-        idx = np.rint((x - lo) * inv_dx).astype(np.intp)
-        return r_nodes.take(idx, mode="clip")
-
-    return shift
+    return policy.nodes, spec.drift_table()[joint]
 
 
 @pytest.fixture(scope="module")
@@ -298,10 +292,22 @@ def test_nearest_node_lookups_agree_at_half_way_states(model, g0, coarse_grid):
     r_nodes = verify._policy_drift_nodes(g0, policy)
     assert len(np.unique(r_nodes)) == 81
     grid_idx = nearest_node(xs, node_lookup(coarse_grid.nodes()))
-    drift_term = verify._stacked_shift(g0, [policy], len(xs), model.sigma)(slice(0, len(xs)))
     np.testing.assert_array_equal(nearest_node(xs, node_lookup(policy.nodes)), grid_idx)
-    np.testing.assert_array_equal(drift_term(xs), model.sigma * r_nodes[grid_idx])
     assert nearest_node(-5.925, node_lookup(nodes)) == 0
+    # the engine's first Euler step from each state adds sigma * r at its node
+    step = 0.01
+    for x, k in zip(xs, grid_idx):
+        first = {}
+
+        def keep(cols, start, states, node, noise):
+            first.update(x=states[1, 0], node=node[0, 0], z=noise[0, 0])
+
+        sde.run_paths(dataclasses.replace(model, x0=x), 1, step, [0], 1, keep,
+                      (policy.nodes, [r_nodes]), with_noise=True)
+        drift_term = model.sigma * r_nodes[k]
+        dw = model.sigma * first["z"] * math.sqrt(step)
+        assert first["node"] == k, x
+        assert first["x"] == (model.lin_drift * x + drift_term) * step + x + dw, x
 
 
 def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
@@ -316,12 +322,12 @@ def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
     out = np.empty((len(seeds) * n_paths, n + 1))
     out[:, 0] = model.x0
 
-    def keep(cols, start, states, noise):
+    def keep(cols, start, states, nodes, noise):
         out[cols, start + 1:start + len(states)] = states[1:].T
 
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 5)
     sde.run_paths(model, n, step, seeds, n_paths, keep,
-                  verify._stacked_shift(g0, policies, n_paths, model.sigma))
+                  (grid.nodes(), [verify._policy_drift_nodes(g0, p) for p in policies]))
     assert np.abs(out).max() > 1.5
     # every path alone: a batch of one column each
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 1)
@@ -422,9 +428,9 @@ def test_harness_memory_flat_in_deviations(model, g0, g0_nash_coarse):
     assert many <= few + 1024 * 1024, (few, many)
 
 
-# sigma * r overflows to inf, the diverged job's Euler update then meets
-# inf - inf, and the per-policy reference shift casts its non-finite states
-@pytest.mark.filterwarnings("ignore:invalid value encountered in (add|cast):RuntimeWarning")
+# sigma * r overflows to inf, and the diverged job's Euler update then meets
+# inf - inf
+@pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 def test_divergence_of_one_job_inside_a_batch(model, g0, coarse_grid):
     # player 0's top control has a finite drift whose shift sigma * r overflows,

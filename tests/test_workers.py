@@ -136,7 +136,7 @@ def test_a_range_of_paths_keeps_its_keys(model):
     n = sde._BLOCK_STEPS + 37
     noise = np.empty((4, n))
 
-    def keep(cols, start, states, drawn):
+    def keep(cols, start, states, nodes, drawn):
         noise[cols, start:start + drawn.shape[1]] = drawn
 
     sde.run_paths(model, n, 0.01, [5, 6], 2, keep, with_noise=True, first_path=3)
