@@ -95,7 +95,13 @@ class MaxSweepsExceededError(RuntimeError):
 
 
 def node_lookup(nodes: np.ndarray) -> Tuple[float, float, int]:
-    """``(lo, inv_dx, top)`` of :func:`nearest_node` on the uniform grid ``nodes``."""
+    """``(lo, inv_dx, top)`` of :func:`nearest_node` on the uniform grid ``nodes``, whose
+    spacings must be positive and equal to 1e-9 of their mean (else a ValueError)."""
+    gaps = np.diff(nodes)
+    # written so that descending, repeated and NaN nodes fail too
+    if len(gaps) and not np.ptp(gaps) < 1e-9 * gaps.mean():
+        raise ValueError("nearest-node lookups need strictly ascending, equally spaced "
+                         f"nodes: got spacings {gaps.min():.6g} to {gaps.max():.6g}")
     inv_dx = 1.0 / (nodes[1] - nodes[0]) if len(nodes) > 1 else 1.0
     return float(nodes[0]), inv_dx, len(nodes) - 1
 

@@ -20,6 +20,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from ._samples import _CHECK_SLACK, check_states
+from .ebsde import node_lookup
 from .sde import path_stream
 
 __all__ = [
@@ -396,7 +397,7 @@ class FeedbackPolicy:
 
     ``indices[k, i]`` is player ``i``'s control grid index at state node
     ``k``.  Off-node states are resolved to the nearest node, clamped to the
-    grid, by :func:`~ergodic_games.ebsde.nearest_node`.
+    grid, by :func:`~ergodic_games.ebsde.nearest_node`, so ``nodes`` must be uniform.
     """
 
     nodes: np.ndarray
@@ -407,6 +408,7 @@ class FeedbackPolicy:
         idx = np.asarray(self.indices, dtype=int)
         if idx.ndim != 2 or len(idx) != len(nodes):
             raise ValueError("indices must be (n_nodes, n_players)")
+        node_lookup(nodes)  # rejects the grids that nearest_node would misread
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "indices", idx)
 

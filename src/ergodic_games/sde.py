@@ -280,46 +280,41 @@ def run_paths(
     n_paths: int,
     consume: Callable,
     drift: Optional[tuple] = None,
-    with_noise: bool = False,
     first_path: int = 0,
 ) -> dict:
     """Euler-Maruyama for ``n_paths`` paths of each seed, streamed window by window.
 
     Column ``j`` (of ``len(seeds) * n_paths``) is path ``first_path + j %
     n_paths`` of ``seeds[j // n_paths]``: it is driven by the normals of
-    ``path_stream(seeds[j // n_paths], first_path + j % n_paths)``, so
-    columns of equal keys (a seed listed twice) follow the same noise, and a
-    range of paths run on its own (``first_path > 0``) gives those paths'
-    bits.  Columns are stepped
-    together in batches of at most ``_MAX_BATCH_PATHS``.  A batch seeds one
-    stream per distinct key and draws its normals once, ``_BLOCK_STEPS``
-    steps per generator call, into one path-major block of a row per key;
-    every column then gathers its key's row as the block is transposed,
-    scaled and stepped one window of ``_FINITE_CHECK_STEPS`` steps at a time.
-    Its buffers are that block and two window-sized ones, and no number
-    depends on the block size.  ``drift = (nodes, table)`` adds ``sigma *
-    table[s][i]`` to each Euler step of a column of ``seeds[s]``, ``i`` the
-    nearest of the uniform ``nodes`` to its state (:func:`nearest_node`): a
-    batch scales its rows by ``sigma`` once, and a step makes one lookup and
-    one gather.  Every ``_FINITE_CHECK_STEPS`` steps, once they are checked
-    finite, the engine calls ``consume(cols, start, states, nodes, noise)``
-    for each run of at most ``_CONSUME_PATHS`` columns ``cols``: ``states``
-    holds their states at steps ``start`` to ``start + L`` time-major, shape
-    ``(L + 1, width)``; ``nodes[k]`` is the node of ``states[k]``, shape
-    ``(L, width)`` (None without a ``drift``); and ``noise`` the standard
-    normals of those steps path-major, shape ``(width, L)``, when
-    ``with_noise`` (else None).  ``states`` and ``nodes`` (which share the
-    noise window) are views of buffers the engine reuses and ``noise`` is
-    gathered from the draw block per call, so nothing of size paths x steps
-    is built.  Each path is bitwise the same as when simulated alone.
-    Returns the run's counters: ``paths``, ``steps``, ``batches``,
-    ``blocks``, the ``streams`` seeded and drawn (each batch's distinct
-    keys, summed over batches), and the seconds spent drawing normals
-    (``rng_s``), stepping (``euler_s``) and in ``consume`` (``cost_s``);
-    :func:`_log_engine` reports them.  ``n_paths`` must be at least 1.
-    A batch that diverges stops, the later ones still run, and the earliest
-    divergence step of all batches is raised: the one batch of all the
-    paths, or any split of them over workers, reports that step too.
+    ``path_stream(seeds[j // n_paths], first_path + j % n_paths)``, so columns
+    of equal keys (a seed listed twice) follow the same noise, and a range of
+    paths run on its own (``first_path > 0``) gives those paths' bits.
+    Columns are stepped together in batches of at most ``_MAX_BATCH_PATHS``.
+    A batch seeds one stream per distinct key and draws its normals once,
+    ``_BLOCK_STEPS`` steps per generator call, into one path-major block of a
+    row per key; every column then gathers its key's row as the block is
+    transposed, scaled and stepped one window of ``_FINITE_CHECK_STEPS`` steps
+    at a time.  Its buffers are that block and two window-sized ones, and no
+    number depends on the block size.  ``drift = (nodes, table)`` adds
+    ``sigma * table[s][i]`` to each Euler step of a column of ``seeds[s]``,
+    ``i`` the node nearest its state (:func:`nearest_node`): a batch scales
+    its rows by ``sigma`` once, and a step makes one lookup and one gather.
+    Every ``_FINITE_CHECK_STEPS`` steps, once they are checked finite, the
+    engine calls ``consume(cols, start, states, nodes)`` for each run of at
+    most ``_CONSUME_PATHS`` columns ``cols``: ``states`` holds their states at
+    steps ``start`` to ``start + L`` time-major, shape ``(L + 1, width)``, and
+    ``nodes[k]`` is the node of ``states[k]``, shape ``(L, width)`` (None
+    without a ``drift``): views of buffers the engine reuses (``nodes`` shares
+    the noise window), so nothing of size paths x steps is built.  Each path
+    is bitwise the same as when simulated alone.  Returns the run's counters:
+    ``paths``, ``steps``, ``batches``, ``blocks``, the ``streams`` seeded and
+    drawn (each batch's distinct keys, summed over batches), and the seconds
+    spent drawing normals (``rng_s``), stepping (``euler_s``) and in
+    ``consume`` (``cost_s``); :func:`_log_engine` reports them.  ``n_paths``
+    must be at least 1.  A batch that diverges stops, the later ones still
+    run, and the earliest divergence step of all batches is raised: the one
+    batch of all the paths, or any split of them over workers, reports that
+    step too.
     """
     _check_n_paths(n_paths)
     if n_steps > 0:
@@ -332,7 +327,7 @@ def run_paths(
         cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
         try:
             blocks, streams = _run_batch(model, n_steps, step, seeds, n_paths, first_path,
-                                         cols, consume, drift, with_noise, seconds)
+                                         cols, consume, drift, seconds)
         except SimulationDivergedError as err:
             if diverged is None or err.step_index < diverged.step_index:
                 diverged = err
@@ -429,9 +424,9 @@ def _run_ranges(label: str, n_paths: int, path_steps: int, work: Callable) -> li
 
 def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                n_paths: int, first_path: int, cols: slice, consume: Callable,
-               drift: Optional[tuple], with_noise: bool, seconds: list) -> tuple:
+               drift: Optional[tuple], seconds: list) -> tuple:
     """One batch of :func:`run_paths`, returning its blocks and streams drawn; its
-    buffers are freed when it returns."""
+    buffers are freed when it returns, and its consumer sees only its windows."""
     clock = time.perf_counter
     t0 = clock()
     a = model.lin_drift
@@ -516,8 +511,7 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                 p1 = min(p0 + _CONSUME_PATHS, p)
                 consume(slice(cols.start + p0, cols.start + p1), start + c0,
                         states[:stop + 1, p0:p1],
-                        node_rows[:stop, p0:p1] if drift is not None else None,
-                        drawn[rows[p0:p1], c0:c0 + stop] if with_noise else None)
+                        node_rows[:stop, p0:p1] if drift is not None else None)
             seconds[1] += t2 - t1
             seconds[2] += clock() - t2
             states[0] = states[stop]
@@ -532,8 +526,7 @@ def sample_paths(
     step: float,
     seed: int,
     n_paths: int,
-    return_noise: bool = False,
-):
+) -> np.ndarray:
     """States of ``n_paths`` independent paths, shape ``(n_paths, n_steps+1)``.
 
     ``shift`` is None for the uncontrolled dynamics, or a table ``(nodes,
@@ -542,8 +535,7 @@ def sample_paths(
     must be 1-d with one entry per node.  With ``horizon == 0`` each row
     holds the single initial state.  Row ``k`` is path ``k`` of ``seed``
     (stream ``(seed, k)``), bitwise the same for any ``n_paths`` above
-    ``k``.  With ``return_noise`` the ``(n_paths, n_steps)`` standard normals
-    that drove them come back too.
+    ``k``.
     """
     n = _n_steps(horizon, step)
     _check_n_paths(n_paths)
@@ -556,16 +548,12 @@ def sample_paths(
         drift = (nodes, [values])
     states = np.empty((n_paths, n + 1))
     states[:, 0] = model.x0
-    noise = np.empty((n_paths, n)) if return_noise else None
 
-    def keep(cols, start, block, nodes, drawn):
+    def keep(cols, start, block, nodes):
         copy_transposed(states[cols, start + 1:start + len(block)], block[1:])
-        if drawn is not None:
-            noise[cols, start:start + drawn.shape[1]] = drawn
 
-    _log_engine("sample_paths", 1,
-                run_paths(model, n, step, [seed], n_paths, keep, drift, return_noise))
-    return (states, noise) if return_noise else states
+    _log_engine("sample_paths", 1, run_paths(model, n, step, [seed], n_paths, keep, drift))
+    return states
 
 
 def moment_bound_check(
@@ -589,7 +577,7 @@ def moment_bound_check(
     # the axis of paths of a (paths, steps) array adds them: the same bits
     mean_sq = np.zeros(n + 1)
 
-    def add_squares(cols, start, states, nodes, noise):
+    def add_squares(cols, start, states, nodes):
         acc = mean_sq[start + 1:start + len(states)]
         for col in np.square(states[1:]).T:
             acc += col

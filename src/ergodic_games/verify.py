@@ -148,7 +148,7 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
         width = k1 - k0
         sums = np.zeros(len(jobs) * width)
 
-        def accumulate(cols, start, states, nodes, noise):
+        def accumulate(cols, start, states, nodes):
             for j in range(cols.start // width, (cols.stop - 1) // width + 1):
                 job = jobs[j]
                 c0 = max(j * width, cols.start)
@@ -215,10 +215,12 @@ def estimate_payoff(
     is simulated by passing ``policy.with_player_indices(...)``.  The
     estimate is bitwise the row :func:`nash_deviation_test` reports for the
     same policy, player and seed (``PayoffEstimate.seed``; every row of a
-    player carries that player's equilibrium seed).
+    player carries that player's equilibrium seed).  A policy whose player
+    count or control indices do not fit the game is a ValueError.
     """
     if not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")
+    _check_policy(spec, policy)
     job = _job(model, spec, policy, player, seed, horizon, burn_in, alpha)
     return _estimate_jobs(model, spec, [job], horizon, step, n_paths, "estimate_payoff")[0]
 
@@ -291,15 +293,18 @@ def _reference_value(nash: NashSolution, player: int,
     return float(sol.value_at(model.x0)), sol.alpha
 
 
-def _check_same_game(spec: GameSpec, nash: NashSolution) -> None:
-    if nash.n_players != spec.n_players:
-        raise ValueError(f"equilibrium has {nash.n_players} players, "
-                         f"the game {spec.n_players}")
+def _check_policy(spec: GameSpec, policy: FeedbackPolicy, owner: str = "policy") -> None:
+    if policy.n_players != spec.n_players:
+        raise ValueError(f"{owner} has {policy.n_players} players, the game {spec.n_players}")
     for i, grid_i in enumerate(spec.grids):
-        idx = nash.policy.indices[:, i]
+        idx = policy.indices[:, i]
         if idx.min() < 0 or idx.max() >= len(grid_i):
             raise ValueError(f"player {i}'s policy uses control indices {idx.min()} to "
                              f"{idx.max()}, outside their {len(grid_i)}-point control grid")
+
+
+def _check_same_game(spec: GameSpec, nash: NashSolution) -> None:
+    _check_policy(spec, nash.policy, "equilibrium")
     if nash.spec_name != spec.name:
         raise ValueError(f"equilibrium was solved for game {nash.spec_name!r}, "
                          f"not {spec.name!r}")
@@ -414,21 +419,21 @@ def bsde_path_residual(
 ) -> float:
     """Root-mean-square pathwise backward-equation residual, divided by sqrt(step).
 
-    Simulates the equilibrium dynamics, reconstructs the unshifted Brownian
-    increments, and accumulates per-step residuals
+    Simulates the equilibrium dynamics and accumulates per-step residuals
 
         v(X_{t+h}) - v(X_t) + (H_i(X_t, xi(X_t), u*(X_t)) - lam_i) h
             - xi(X_t) dW_t
 
     with ``v`` and ``xi`` linearly interpolated from the player's grid
-    solution and the policy resolved at the nearest node.  For a discounted
-    player the constant is replaced by ``alpha v(X_t)``.  The returned value
-    is ``sqrt(mean(residual^2)) / sqrt(step)``.  A player index outside
-    ``range(spec.n_players)``, an equilibrium of another game (as in
-    :func:`nash_deviation_test`), or a horizon that gives no step, is a
-    ValueError.  A long run splits its paths into ranges over CPUs, each
-    filling its paths' sums of squares; the joined sums give the same bits
-    as one process.
+    solution, the policy resolved at the nearest node, and ``dW_t = (X_{t+h}
+    - X_t - b(X_t) h) / sigma`` (``b = model.drift_1d``) read off the states.
+    For a discounted player the constant is replaced by ``alpha v(X_t)``.
+    The returned value is ``sqrt(mean(residual^2)) / sqrt(step)``.  A player
+    index outside ``range(spec.n_players)``, an equilibrium of another game
+    (as in :func:`nash_deviation_test`), or a horizon that gives no step, is
+    a ValueError.  A long run splits its paths into ranges over CPUs, each
+    filling its paths' sums of squares; the joined sums give the same bits as
+    one process.
     """
     if not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")
@@ -444,12 +449,11 @@ def bsde_path_residual(
     xi_table = interp_table(policy.nodes, sol.xi)
     r_nodes = _policy_drift_nodes(spec, policy)
     columns = policy.control_columns(spec)
-    sqrt_h = math.sqrt(step)
 
     def run_range(k0, k1):
         sq_sums = np.zeros(k1 - k0)
 
-        def accumulate(cols, start, states, nodes, noise):
+        def accumulate(cols, start, states, nodes):
             # time-major, as the states; both interpolants share one segment lookup
             # over the window's L + 1 states: the steps' X_t at the engine's
             # nodes, then the last step's X_{t+h}, looked up here
@@ -458,23 +462,22 @@ def bsde_path_residual(
             v, xi = uniform_interp(xs, node, v_table, xi_table)
             x_t = xs[:-1]
             v_t = v[:-1]
-            v_next = v[1:]
             xi_t = xi[:-1]
             node = node[:-1]
             r_t = r_nodes.take(node)
             controls = [col.take(node) for col in columns]
-            cost_t = np.broadcast_to(
-                np.asarray(spec.costs[player](x_t, *controls), dtype=float), x_t.shape
-            )
+            cost_t = np.broadcast_to(np.asarray(spec.costs[player](x_t, *controls), dtype=float),
+                                     x_t.shape)
             hamilton = xi_t * r_t + cost_t
             const = sol.lam if sol.alpha is None else sol.alpha * v_t
-            # increments of the unshifted Brownian motion
-            dw = sqrt_h * noise.T + r_t * step
-            residual = v_next - v_t + (hamilton - const) * step - xi_t * dw
+            # the uncontrolled equation's Brownian increments drive the backward
+            # equation: the controls enter only through the Hamiltonian's xi r
+            dw = (xs[1:] - x_t - model.drift_1d(x_t) * step) / model.sigma
+            residual = v[1:] - v_t + (hamilton - const) * step - xi_t * dw
             sq_sums[cols] += window_sum(residual**2)
 
         counters = run_paths(model, n, step, [seed], k1 - k0, accumulate,
-                             (policy.nodes, [r_nodes]), with_noise=True, first_path=k0)
+                             (policy.nodes, [r_nodes]), first_path=k0)
         return sq_sums, counters
 
     # the ranges' per-path sums, joined in path order, are added as one array

@@ -4,10 +4,13 @@ Session scope keeps the expensive solves to one run each; everything here is
 deterministic, so sharing cannot couple tests.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import ergodic_games as eg
+from ergodic_games.ebsde import nearest_node, node_lookup
 
 # Gauss-Hermite (n=160) values of E[x^2/(1+x^2)] under N(mu, 1)
 E_BUMP_STANDARD = 0.344320457621876  # mu = 0
@@ -63,3 +66,32 @@ def continuous_control(x, z):
     """
     u = np.clip(-0.5 * z, -1.0, 1.0)
     return 2.0 * z * u + u**2 + eg.bump(x)
+
+
+def euler_reference(model, step, normals, drift=None):
+    """States of paths driven by ``normals`` (one row per path), shape ``(paths,
+    steps + 1)``, stepped by a plain loop in the path engine's order of operations.
+
+    ``drift = (nodes, rows)`` adds ``sigma * rows[j][i]`` to path ``j``'s steps,
+    ``i`` the nearest node of its state.  Fed the normals of a path's key, this
+    is the bitwise reference for the engine's keying and stepping.
+    """
+    dw = np.array(normals, dtype=float).T  # time-major, as the engine steps
+    dw *= model.sigma
+    dw *= math.sqrt(step)
+    states = np.empty((len(dw) + 1, dw.shape[1]))
+    states[0] = model.x0
+    if drift is not None:
+        nodes, rows = drift
+        lookup, shift = node_lookup(nodes), model.sigma * np.asarray(rows, dtype=float)
+    for k, x in enumerate(states[:-1]):
+        nxt = x * model.lin_drift
+        if model.bounded_drift_sup != 0.0:
+            nxt += model.bounded_drift(x)
+        if drift is not None:
+            nxt += shift[np.arange(len(x)), nearest_node(x, lookup)]
+        nxt *= step
+        nxt += x
+        nxt += dw[k]
+        states[k + 1] = nxt
+    return states.T

@@ -429,6 +429,26 @@ def test_with_player_indices_copies():
     assert np.all(pol.indices[:, 1] == 0)
 
 
+@pytest.mark.parametrize("nodes", [[-2.0, -1.0, 1.0, 2.0], [2.0, 1.0, 0.0, -1.0]],
+                         ids=["non_uniform", "descending"])
+def test_node_grids_the_lookup_misreads_are_rejected(nodes):
+    # the lookup reads a grid off its first two nodes: on [-2, -1, 1, 2] the
+    # state 0.8 would go to node 3, not to node 2
+    with pytest.raises(ValueError, match="strictly ascending, equally spaced"):
+        node_lookup(nodes)
+    with pytest.raises(ValueError, match="strictly ascending, equally spaced"):
+        eg.FeedbackPolicy(nodes=nodes, indices=np.zeros((4, 2), dtype=int))
+
+
+def test_uniform_node_grids_are_accepted():
+    # linspace rounding stays far below the spacing tolerance; one node is a grid
+    for m in (13, 81, 201, 801):
+        eg.FeedbackPolicy(nodes=eg.Grid1D(-6.0, 6.0, m).nodes(), indices=np.zeros((m, 2)))
+    assert node_lookup(np.linspace(-1e3, 1e3, 1001))[2] == 1000
+    pol = eg.FeedbackPolicy(nodes=[0.5], indices=[[3, 1]])
+    assert nearest_node(np.array([-9.0, 9.0]), node_lookup(pol.nodes)).tolist() == [0, 0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(x=finite, y=finite)
 def test_bump_lipschitz_constant(x, y):

@@ -16,7 +16,7 @@ from ergodic_games import sde
 from ergodic_games.ebsde import nearest_node, node_lookup
 from ergodic_games.sde import _n_steps
 
-from conftest import E_BUMP_STANDARD, policy_of_constant_control
+from conftest import E_BUMP_STANDARD, euler_reference, policy_of_constant_control
 
 # finite, but sigma * _HUGE overflows to inf (sigma > 1), so a path that
 # meets it turns non-finite on that step
@@ -82,17 +82,19 @@ def _folded(*key):
                                             ([_MIXED_SEEDS[0]], 1)],
                          ids=["mixed_word_counts", "reversed", "one_key"])
 def test_batch_keying_is_default_rng(model, seeds, n_paths):
-    # default_rng on the folded words is the reference; a batch mixes word counts
+    # default_rng on the folded words is the reference; a batch mixes word counts.
+    # Each path is bitwise the Euler recursion fed by its key's normals
     n = sde._BLOCK_STEPS + 37
-    noise = np.empty((len(seeds) * n_paths, n))
+    states = np.empty((len(seeds) * n_paths, n + 1))
 
-    def keep(cols, start, states, nodes, drawn):
-        noise[cols, start:start + drawn.shape[1]] = drawn
+    def keep(cols, start, block, nodes):
+        states[cols, start:start + len(block)] = block.T
 
-    sde.run_paths(model, n, 0.01, seeds, n_paths, keep, with_noise=True)
-    for j, row in enumerate(noise):
+    sde.run_paths(model, n, 0.01, seeds, n_paths, keep)
+    for j, row in enumerate(states):
         key = (seeds[j // n_paths], j % n_paths)
-        assert np.array_equal(row, np.random.default_rng(_folded(*key)).standard_normal(n)), key
+        normals = np.random.default_rng(_folded(*key)).standard_normal(n)
+        assert np.array_equal(row, euler_reference(model, 0.01, [normals])[0]), key
     for key in _KEYS:
         assert np.array_equal(eg.path_stream(*key).standard_normal(4),
                               np.random.default_rng(_folded(*key)).standard_normal(4))
@@ -107,20 +109,20 @@ def test_equal_keys_share_noise_and_states(model, monkeypatch, max_batch, n_stre
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", max_batch)
     n, n_paths = sde._BLOCK_STEPS + 37, 3
     states = np.empty((3 * n_paths, n + 1))
-    noise = np.empty((3 * n_paths, n))
 
-    def keep(cols, start, block, nodes, drawn):
+    def keep(cols, start, block, nodes):
         states[cols, start:start + len(block)] = block.T
-        noise[cols, start:start + drawn.shape[1]] = drawn
 
     tanh = np.tanh(_SMALL)
     counters = sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, keep,
-                             drift=(_SMALL, [tanh, tanh, tanh]), with_noise=True)
+                             drift=(_SMALL, [tanh, tanh, tanh]))
     assert (counters["paths"], counters["steps"], counters["streams"]) == (9, n, n_streams)
-    assert np.array_equal(noise[:3], noise[6:]) and np.array_equal(states[:3], states[6:])
-    assert not np.array_equal(noise[:3], noise[3:6])
-    for k in range(n_paths):
-        assert np.array_equal(noise[k], eg.path_stream(5, k).standard_normal(n))
+    assert np.array_equal(states[:3], states[6:])
+    assert not np.array_equal(states[:3], states[3:6])
+    # every column is the Euler recursion fed by its key's normals
+    normals = [eg.path_stream(seed, k).standard_normal(n) for seed in (5, 6, 5)
+               for k in range(n_paths)]
+    assert np.array_equal(states, euler_reference(model, 0.01, normals, (_SMALL, [tanh] * 9)))
 
 
 @pytest.mark.parametrize("max_batch, first_path", [(2048, 0), (4, 0), (4, 3)],
@@ -134,25 +136,27 @@ def test_consumer_nodes_are_the_nearest_nodes_of_its_states(model, monkeypatch, 
     lookup = node_lookup(_SMALL)
     table = [np.tanh(_SMALL), 0.5 * np.sin(3.0 * _SMALL), -np.tanh(_SMALL)]
     states = np.empty((3 * n_paths, n + 1))
-    noise = np.empty((3 * n_paths, n))
     seen = np.zeros((3 * n_paths, n), dtype=bool)
 
-    def keep(cols, start, block, nodes, drawn):
+    def keep(cols, start, block, nodes):
         assert nodes.dtype == np.intp and nodes.shape == (len(block) - 1, block.shape[1])
         assert np.array_equal(nodes, nearest_node(block[:-1], lookup))
         states[cols, start:start + len(block)] = block.T
-        noise[cols, start:start + drawn.shape[1]] = drawn
         seen[cols, start:start + len(nodes)] = True
 
     sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, keep, drift=(_SMALL, table),
-                  with_noise=True, first_path=first_path)
+                  first_path=first_path)
     assert seen.all()
     assert np.abs(states).max() > 1.5
-    # equal keys share their noise, but their rows of the table differ
-    assert np.array_equal(noise[:3], noise[6:]) and not np.array_equal(states[:3], states[6:])
-    assert np.array_equal(noise[0], eg.path_stream(5, first_path).standard_normal(n))
+    # equal keys share their noise, but their rows of the table differ: each
+    # column is the Euler recursion fed by its key's normals and its own row
+    assert not np.array_equal(states[:3], states[6:])
+    normals = [eg.path_stream(seed, first_path + k).standard_normal(n) for seed in (5, 6, 5)
+               for k in range(n_paths)]
+    rows = [row for row in table for _ in range(n_paths)]
+    assert np.array_equal(states, euler_reference(model, 0.01, normals, (_SMALL, rows)))
 
-    def no_nodes(cols, start, block, nodes, drawn):
+    def no_nodes(cols, start, block, nodes):
         assert nodes is None
 
     sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, no_nodes, first_path=first_path)
@@ -199,41 +203,40 @@ def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
     )
     shift = _table(lambda x: 0.8 * np.sin(x), _SMALL)
     horizon = 0.01 * (2 * sde._BLOCK_STEPS + 37)
-    wide, wide_noise = eg.sample_paths(rough, shift, horizon, 0.01, seed=4, n_paths=5,
-                                       return_noise=True)
+    wide = eg.sample_paths(rough, shift, horizon, 0.01, seed=4, n_paths=5)
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 2)
     narrow = eg.sample_paths(rough, shift, horizon, 0.01, seed=4, n_paths=5)
     assert np.abs(wide).max() > 1.5
     assert np.array_equal(wide, narrow)
     for k in range(5):
         assert np.array_equal(_alone(monkeypatch, rough, shift, horizon, 0.01, 4, k), wide[k])
-        assert np.array_equal(wide_noise[k],
-                              eg.path_stream(4, k).standard_normal(wide.shape[1] - 1))
+    # and the Euler recursion fed by each key's normals, over three draw blocks
+    normals = [eg.path_stream(4, k).standard_normal(wide.shape[1] - 1) for k in range(5)]
+    assert np.array_equal(wide, euler_reference(rough, 0.01, normals,
+                                                (shift[0], [shift[1]] * 5)))
 
 
 @ignore_overflow
 @pytest.mark.parametrize("block_steps", [256, 512])
 def test_block_size_changes_no_number(model, monkeypatch, block_steps):
-    # the draw block only amortises generator calls: paths, their noise and
-    # where a run diverges are bitwise those of the default block
+    # the draw block only amortises generator calls: paths and where a run
+    # diverges are bitwise those of the default block
     shift = _table(lambda x: 0.8 * np.sin(x), _SMALL)
     horizon = 0.01 * (2 * sde._BLOCK_STEPS + 37)
     bad = _shift_beyond(3.0)
 
     def run():
-        states, noise = eg.sample_paths(model, shift, horizon, 0.01, seed=4, n_paths=5,
-                                        return_noise=True)
+        states = eg.sample_paths(model, shift, horizon, 0.01, seed=4, n_paths=5)
         with pytest.raises(eg.SimulationDivergedError) as exc:
             eg.sample_paths(model, bad, 200.0, 0.01, 1, 5)
-        return states, noise, exc.value.step_index
+        return states, exc.value.step_index
 
     default = run()
     assert np.abs(default[0]).max() > 1.5
     monkeypatch.setattr(sde, "_BLOCK_STEPS", block_steps)
-    states, noise, step_index = run()
+    states, step_index = run()
     assert np.array_equal(states, default[0])
-    assert np.array_equal(noise, default[1])
-    assert step_index == default[2] > sde._FINITE_CHECK_STEPS
+    assert step_index == default[1] > sde._FINITE_CHECK_STEPS
 
 
 def test_zero_horizon_returns_initial_state(model):
@@ -277,6 +280,12 @@ def test_shift_table_must_have_one_value_per_node(model):
                    np.zeros((len(_NODES), 1)), 0.0):
         with pytest.raises(ValueError, match="one entry per node"):
             eg.sample_paths(model, (_NODES, values), 1.0, 0.01, 0, n_paths=2)
+
+
+def test_shift_table_on_a_misread_grid_is_rejected(model):
+    for nodes in ([-2.0, -1.0, 1.0, 2.0], [2.0, 1.0, 0.0, -1.0]):
+        with pytest.raises(ValueError, match="strictly ascending, equally spaced"):
+            eg.sample_paths(model, (np.array(nodes), np.zeros(4)), 1.0, 0.01, 0, n_paths=2)
 
 
 @ignore_overflow

@@ -77,6 +77,24 @@ def test_payoff_path_count_must_be_positive(model, g0, coarse_grid, g0_nash_coar
             bsde_path_residual(model, g0, g0_nash_coarse, horizon=30.0, n_paths=n_paths)
 
 
+def test_payoff_rejects_a_policy_of_another_game(model, g0, coarse_grid, monkeypatch):
+    # an all -1 policy used to wrap round to the top control, and a third
+    # column was ignored on the 2-player game
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the policy check")
+
+    monkeypatch.setattr(verify, "run_paths", no_paths)
+    kw = dict(horizon=30.0, n_paths=2)
+    for index, shown in ((-1, "-1 to -1"), (41, "41 to 41")):
+        with pytest.raises(ValueError, match=f"control indices {shown}, outside their "
+                                             "41-point control grid"):
+            estimate_payoff(model, g0, policy_of_constant_control(g0, coarse_grid, index), 0,
+                            **kw)
+    three = eg.FeedbackPolicy(nodes=coarse_grid.nodes(), indices=np.zeros((81, 3), dtype=int))
+    with pytest.raises(ValueError, match="policy has 3 players, the game 2"):
+        estimate_payoff(model, g0, three, 0, **kw)
+
+
 def test_deviation_test_rejects_equilibrium_of_another_game(model, g0_nash_coarse):
     # another player count, or policy indices beyond the game's control grid
     kw = dict(n_deviations=3, horizon=30.0, n_paths=2)
@@ -294,18 +312,20 @@ def test_nearest_node_lookups_agree_at_half_way_states(model, g0, coarse_grid):
     grid_idx = nearest_node(xs, node_lookup(coarse_grid.nodes()))
     np.testing.assert_array_equal(nearest_node(xs, node_lookup(policy.nodes)), grid_idx)
     assert nearest_node(-5.925, node_lookup(nodes)) == 0
-    # the engine's first Euler step from each state adds sigma * r at its node
+    # the engine's first Euler step from each state adds sigma * r at its node;
+    # its noise is the first normal of path 0 of seed 0
     step = 0.01
+    z = eg.path_stream(0, 0).standard_normal(1)[0]
     for x, k in zip(xs, grid_idx):
         first = {}
 
-        def keep(cols, start, states, node, noise):
-            first.update(x=states[1, 0], node=node[0, 0], z=noise[0, 0])
+        def keep(cols, start, states, node):
+            first.update(x=states[1, 0], node=node[0, 0])
 
         sde.run_paths(dataclasses.replace(model, x0=x), 1, step, [0], 1, keep,
-                      (policy.nodes, [r_nodes]), with_noise=True)
+                      (policy.nodes, [r_nodes]))
         drift_term = model.sigma * r_nodes[k]
-        dw = model.sigma * first["z"] * math.sqrt(step)
+        dw = model.sigma * z * math.sqrt(step)
         assert first["node"] == k, x
         assert first["x"] == (model.lin_drift * x + drift_term) * step + x + dw, x
 
@@ -322,7 +342,7 @@ def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
     out = np.empty((len(seeds) * n_paths, n + 1))
     out[:, 0] = model.x0
 
-    def keep(cols, start, states, nodes, noise):
+    def keep(cols, start, states, nodes):
         out[cols, start + 1:start + len(states)] = states[1:].T
 
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 5)

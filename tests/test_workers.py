@@ -17,7 +17,7 @@ import pytest
 import ergodic_games as eg
 from ergodic_games import catalog, cli, continuous, ebsde, games, picard, sde, verify
 
-from conftest import policy_of_constant_control
+from conftest import euler_reference, policy_of_constant_control
 
 # one instance of every exception class the package defines
 _ERRORS = {
@@ -132,16 +132,18 @@ def test_path_residual_is_bitwise_that_of_one_process(model, g0, g0_nash_coarse,
 
 
 def test_a_range_of_paths_keeps_its_keys(model):
-    # paths 3 and 4 of seeds 5 and 6, run as a range of their own
+    # paths 3 and 4 of seeds 5 and 6, run as a range of their own: each is the
+    # Euler recursion fed by its key's normals
     n = sde._BLOCK_STEPS + 37
-    noise = np.empty((4, n))
+    states = np.empty((4, n + 1))
 
-    def keep(cols, start, states, nodes, drawn):
-        noise[cols, start:start + drawn.shape[1]] = drawn
+    def keep(cols, start, block, nodes):
+        states[cols, start:start + len(block)] = block.T
 
-    sde.run_paths(model, n, 0.01, [5, 6], 2, keep, with_noise=True, first_path=3)
+    sde.run_paths(model, n, 0.01, [5, 6], 2, keep, first_path=3)
     for j, key in enumerate([(5, 3), (5, 4), (6, 3), (6, 4)]):
-        assert np.array_equal(noise[j], eg.path_stream(*key).standard_normal(n)), key
+        normals = eg.path_stream(*key).standard_normal(n)
+        assert np.array_equal(states[j], euler_reference(model, 0.01, [normals])[0]), key
 
 
 def _divergence(model, g0, coarse_grid):
