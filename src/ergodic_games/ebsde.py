@@ -96,7 +96,10 @@ class MaxSweepsExceededError(RuntimeError):
 
 def node_lookup(nodes: np.ndarray) -> Tuple[float, float, int]:
     """``(lo, inv_dx, top)`` of :func:`nearest_node` on the uniform grid ``nodes``, whose
-    spacings must be positive and equal to 1e-9 of their mean (else a ValueError)."""
+    spacings must be positive and equal to 1e-9 of their mean, and which must
+    hold a node (else a ValueError)."""
+    if not len(nodes):
+        raise ValueError("nearest-node lookups need at least one node: got an empty grid")
     gaps = np.diff(nodes)
     # written so that descending, repeated and NaN nodes fail too
     if len(gaps) and not np.ptp(gaps) < 1e-9 * gaps.mean():

@@ -27,10 +27,11 @@ path simulated alone, so Monte Carlo estimates do not depend on how paths are
 batched or scheduled.  :func:`sample_paths` records every state of the paths
 of one seed; the checks in :mod:`.verify` consume windows as they come.
 
-For the same reason an estimate may split its paths into contiguous ranges
-and run each range in a forked worker process (:func:`_run_ranges`): every
-range keeps its paths' keys through ``first_path``, so the per-path sums the
-parent reassembles in path order are the bits one process would have made.
+For the same reason :func:`path_sums`, which adds up per-path terms over a
+run, may split the paths into contiguous ranges and run each range in a
+forked worker process: every range keeps its paths' keys through
+``first_path``, so the sums joined in path order are the bits one process
+would have made.
 """
 
 from __future__ import annotations
@@ -223,10 +224,10 @@ _BLOCK_STEPS = 1024
 # used rows also hold the nodes, and states) of _FINITE_CHECK_STEPS + 1 rows
 # of _MAX_BATCH_PATHS, whatever the horizon or path count
 _MAX_BATCH_PATHS = 2048
-# paths handed to the consumer at a time, one scan window of steps each: its
-# temporaries (256 x 32 floats, 64 KB) stay in cache and below the 128 KB at
-# which glibc's malloc maps fresh pages, which cuts the cost of a g0 payoff
-# from about 35 to 12 ns per path-step against whole windows
+# most paths of one job handed to the consumer at a time, one scan window of
+# steps each: its temporaries (256 x 32 floats, 64 KB) stay in cache and below
+# the 128 KB at which glibc's malloc maps fresh pages, which cuts the cost of a
+# g0 payoff from about 35 to 12 ns per path-step against whole windows
 _CONSUME_PATHS = 32
 
 
@@ -284,42 +285,53 @@ def run_paths(
 ) -> dict:
     """Euler-Maruyama for ``n_paths`` paths of each seed, streamed window by window.
 
-    Column ``j`` (of ``len(seeds) * n_paths``) is path ``first_path + j %
-    n_paths`` of ``seeds[j // n_paths]``: it is driven by the normals of
-    ``path_stream(seeds[j // n_paths], first_path + j % n_paths)``, so columns
-    of equal keys (a seed listed twice) follow the same noise, and a range of
-    paths run on its own (``first_path > 0``) gives those paths' bits.
-    Columns are stepped together in batches of at most ``_MAX_BATCH_PATHS``.
-    A batch seeds one stream per distinct key and draws its normals once,
-    ``_BLOCK_STEPS`` steps per generator call, into one path-major block of a
-    row per key; every column then gathers its key's row as the block is
-    transposed, scaled and stepped one window of ``_FINITE_CHECK_STEPS`` steps
-    at a time.  Its buffers are that block and two window-sized ones, and no
-    number depends on the block size.  ``drift = (nodes, table)`` adds
-    ``sigma * table[s][i]`` to each Euler step of a column of ``seeds[s]``,
-    ``i`` the node nearest its state (:func:`nearest_node`): a batch scales
-    its rows by ``sigma`` once, and a step makes one lookup and one gather.
-    Every ``_FINITE_CHECK_STEPS`` steps, once they are checked finite, the
-    engine calls ``consume(cols, start, states, nodes)`` for each run of at
-    most ``_CONSUME_PATHS`` columns ``cols``: ``states`` holds their states at
-    steps ``start`` to ``start + L`` time-major, shape ``(L + 1, width)``, and
-    ``nodes[k]`` is the node of ``states[k]``, shape ``(L, width)`` (None
-    without a ``drift``): views of buffers the engine reuses (``nodes`` shares
-    the noise window), so nothing of size paths x steps is built.  Each path
-    is bitwise the same as when simulated alone.  Returns the run's counters:
-    ``paths``, ``steps``, ``batches``, ``blocks``, the ``streams`` seeded and
-    drawn (each batch's distinct keys, summed over batches), and the seconds
-    spent drawing normals (``rng_s``), stepping (``euler_s``) and in
-    ``consume`` (``cost_s``); :func:`_log_engine` reports them.  ``n_paths``
-    must be at least 1.  A batch that diverges stops, the later ones still
-    run, and the earliest divergence step of all batches is raised: the one
-    batch of all the paths, or any split of them over workers, reports that
-    step too.
+    Job ``s`` owns columns ``s * n_paths`` to ``(s + 1) * n_paths - 1``, and
+    its path ``k`` is driven by the normals of ``path_stream(seeds[s],
+    first_path + k)``: jobs of equal seeds follow the same noise, and a range
+    of paths run on its own (``first_path > 0``) gives those paths' bits.
+    ``drift = (nodes, table)`` adds ``sigma * table[s][i]`` to each Euler step
+    of job ``s``, ``i`` the node nearest its state (:func:`nearest_node`).
+    The run is set up once, before any step: the node grid is checked, the
+    table's rows are joined and scaled by ``sigma``, and two window buffers
+    are allocated.  Columns are then stepped in batches of at most
+    ``_MAX_BATCH_PATHS``; a batch seeds one stream per distinct key, draws
+    its normals ``_BLOCK_STEPS`` steps per generator call into a path-major
+    block of a row per key, and transposes, scales and steps them one window
+    of ``_FINITE_CHECK_STEPS`` steps at a time, so no number depends on the
+    block size.  After each window, once checked finite, the engine calls
+    ``consume(job, paths, start, states, nodes)`` for each run of at most
+    ``_CONSUME_PATHS`` columns of one job: ``paths`` is a slice of
+    ``0..n_paths-1``, ``states`` their states at steps ``start`` to ``start +
+    L`` time-major, shape ``(L + 1, width)``, and ``nodes[k]`` the node of
+    ``states[k]`` (None without a ``drift``): views of the window buffers, so
+    nothing of size paths x steps is built.  Each path is bitwise the same as
+    when simulated alone.  Returns the counters ``paths``, ``steps``,
+    ``batches``, ``blocks``, ``streams`` (each batch's distinct keys, summed)
+    and the seconds spent drawing normals (``rng_s``), stepping (``euler_s``)
+    and in ``consume`` (``cost_s``), which :func:`_log_engine` reports.
+    ``n_paths`` must be at least 1.  A batch that diverges stops and the
+    later ones still run; the earliest divergence step of all batches is
+    raised, as one batch of all the paths, or any split of them over
+    workers, reports it.
     """
     _check_n_paths(n_paths)
     if n_steps > 0:
         _check_stability(model, step)
     total = len(seeds) * n_paths
+    width = min(total, _MAX_BATCH_PATHS)
+    if drift is not None:
+        # every job's row end to end, scaled once (in place: a freed temporary
+        # of its size raised glibc's mmap threshold and g0's workers' peak RSS
+        # by 1 MiB); job s's offset s * m plus its node indexes its drift term
+        nodes, table = drift
+        flat = np.concatenate(table, dtype=float)
+        flat *= model.sigma
+        drift = (node_lookup(nodes), flat, len(nodes), np.empty(width),
+                 np.empty(width, dtype=np.intp))
+    # one window each, time-major; a batch of p columns views the first
+    # (win + 1) * p entries as win + 1 rows of p
+    win = min(_FINITE_CHECK_STEPS, n_steps)
+    noise, states = np.empty((win + 1) * width), np.empty((win + 1) * width)
     seconds = [0.0, 0.0, 0.0]  # rng, euler, consume
     n_batches = n_blocks = n_streams = 0
     diverged: Optional[SimulationDivergedError] = None
@@ -327,7 +339,7 @@ def run_paths(
         cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
         try:
             blocks, streams = _run_batch(model, n_steps, step, seeds, n_paths, first_path,
-                                         cols, consume, drift, seconds)
+                                         cols, consume, drift, noise, states, seconds)
         except SimulationDivergedError as err:
             if diverged is None or err.step_index < diverged.step_index:
                 diverged = err
@@ -366,7 +378,7 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# a forked worker's ``work``, set by the pool's initializer in the worker only
+# a forked worker's range runner, set by the pool's initializer in the worker only
 _range_work: Optional[Callable] = None
 
 
@@ -379,24 +391,39 @@ def _call_range_work(k0: int, k1: int):
     return _range_work(k0, k1)
 
 
-def _run_ranges(label: str, n_paths: int, path_steps: int, work: Callable) -> list:
-    """``work(k0, k1)`` over contiguous ranges of paths ``0..n_paths-1``, in range order.
+def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
+              n_paths: int, terms: Callable, drift: Optional[tuple] = None) -> np.ndarray:
+    """Per-path sums of ``terms`` over one engine run, shape ``(len(seeds), n_paths)``.
 
-    ``work`` returns ``(result, counters)``, the counters of its
-    :func:`run_paths` call on paths ``k0..k1-1``; this returns the results,
-    and :func:`_log_engine` reports the counters summed as one ``label``
-    line with ``workers=N``.  The run uses ``min(CPUs, n_paths, path_steps
-    // _MIN_WORKER_PATH_STEPS)`` workers, ``path_steps`` the call's engine
-    work: with one, with no ``fork`` on the platform, or in a daemonic
-    process (which may have no children), ``work(0, n_paths)`` runs in this
-    process.  Otherwise each range runs in a process of a forked pool, which
-    inherits ``work`` (closures need no pickling) and sends back its result.
-    Every range is waited for: if every failing range diverged, the
-    divergence at the earliest step is raised here, the step that one batch
-    of all the paths reports; otherwise the lowest failing range's exception
-    is.  A killed worker raises ``BrokenProcessPool``.  No worker outlives
-    the call.
+    Entry ``[s, k]`` is path ``k`` of job ``s`` of :func:`run_paths`.
+    ``terms(job, start, states, nodes)`` gets each window of one job's paths
+    as a consumer does and returns their terms time-major, one row per step
+    it counts, or None; each window's rows are added along
+    :func:`window_sum`'s tree.  The run uses ``min(CPUs, n_paths,
+    path-steps // _MIN_WORKER_PATH_STEPS)`` workers: with one, with no
+    ``fork`` on the platform, or in a daemonic process (which may have no
+    children), it runs here.  Otherwise each contiguous range of paths runs
+    in a process of a forked pool, which inherits ``terms`` (closures need no
+    pickling), and the ranges' sums are joined in path order: the bits of one
+    process.  Every range is waited for: if every failing range diverged,
+    the earliest divergence is raised, the step one batch of all the paths
+    reports; otherwise the lowest failing range's exception is.  A killed
+    worker raises ``BrokenProcessPool``, and no worker outlives the call.
+    :func:`_log_engine` reports the run as one ``label`` line.
     """
+    _check_n_paths(n_paths)
+
+    def run_range(k0, k1):
+        sums = np.zeros((len(seeds), k1 - k0))
+
+        def add(job, paths, start, states, nodes):
+            values = terms(job, start, states, nodes)
+            if values is not None:
+                sums[job, paths] += window_sum(values)
+
+        return sums, run_paths(model, n_steps, step, seeds, k1 - k0, add, drift, first_path=k0)
+
+    path_steps = len(seeds) * n_paths * n_steps
     workers = max(1, min(_cpu_count(), n_paths, path_steps // _MIN_WORKER_PATH_STEPS))
     if workers > 1:
         import multiprocessing  # only runs big enough to split pay for the import
@@ -405,13 +432,13 @@ def _run_ranges(label: str, n_paths: int, path_steps: int, work: Callable) -> li
                 or multiprocessing.current_process().daemon):
             workers = 1
     if workers == 1:
-        done = [work(0, n_paths)]
+        done = [run_range(0, n_paths)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         bounds = [n_paths * w // workers for w in range(workers + 1)]
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_set_range_work, initargs=(work,)) as pool:
+                                 initializer=_set_range_work, initargs=(run_range,)) as pool:
             futures = [pool.submit(_call_range_work, k0, k1)
                        for k0, k1 in zip(bounds, bounds[1:])]
             failed = [e for e in (f.exception() for f in futures) if e is not None]
@@ -419,14 +446,15 @@ def _run_ranges(label: str, n_paths: int, path_steps: int, work: Callable) -> li
                 raise min(failed, key=lambda e: e.step_index)
             done = [f.result() for f in futures]
     _log_engine(label, workers, *(counters for _, counters in done))
-    return [result for result, _ in done]
+    return np.concatenate([sums for sums, _ in done], axis=1)
 
 
 def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                n_paths: int, first_path: int, cols: slice, consume: Callable,
-               drift: Optional[tuple], seconds: list) -> tuple:
-    """One batch of :func:`run_paths`, returning its blocks and streams drawn; its
-    buffers are freed when it returns, and its consumer sees only its windows."""
+               drift: Optional[tuple], noise: np.ndarray, states: np.ndarray,
+               seconds: list) -> tuple:
+    """One batch of :func:`run_paths` in views of its buffers, returning the
+    blocks and streams drawn; its consumer sees only its windows."""
     clock = time.perf_counter
     t0 = clock()
     a = model.lin_drift
@@ -442,25 +470,25 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                      for j in range(cols.start, cols.stop)], dtype=np.intp)
     streams = [path_stream(*key) for key in key_row]
     p = len(rows)
+    # runs of at most _CONSUME_PATHS columns of one job: (job, its paths, columns)
+    pieces = []
+    c = cols.start
+    while c < cols.stop:
+        job, k = divmod(c, n_paths)
+        w = min(_CONSUME_PATHS, n_paths - k, cols.stop - c)
+        pieces.append((job, slice(k, k + w), slice(c - cols.start, c - cols.start + w)))
+        c += w
     if drift is not None:
-        # the batch's table rows end to end, scaled once; a column's offset
-        # into them plus its state's node is the index of its drift term.
-        # Made before the window buffers: made after them, they left glibc's
-        # heap so that g0's forked workers peaked 3 MiB higher in some runs
-        nodes, table = drift
-        lookup = node_lookup(nodes)
-        s0 = cols.start // n_paths
-        flat = sigma * np.concatenate(table[s0:(cols.stop - 1) // n_paths + 1])
-        offsets = (np.arange(cols.start, cols.stop) // n_paths - s0) * len(nodes)
-        scaled, at = np.empty(p), np.empty(p, dtype=np.intp)
+        lookup, flat, m, scaled, at = drift
+        scaled, at = scaled[:p], at[:p]
+        offsets = np.arange(cols.start, cols.stop) // n_paths * m
     drawn = np.empty((len(streams), min(_BLOCK_STEPS, n_steps)))  # path-major, as drawn
     win = min(_FINITE_CHECK_STEPS, n_steps)
-    # one window, time-major, scaled by sigma * sqrt(step): step k reads row k + 1
-    # and, with a drift, writes the node of its state into row k, whose noise
-    # step k - 1 has used
-    noise = np.empty((win + 1, p))
+    # scaled by sigma * sqrt(step): step k reads row k + 1 and, with a drift,
+    # writes the node of its state into row k, whose noise step k - 1 has used
+    noise = noise[:(win + 1) * p].reshape(win + 1, p)
     node_rows = noise.view(np.intp)
-    states = np.empty((win + 1, p))
+    states = states[:(win + 1) * p].reshape(win + 1, p)
     states[0] = model.x0
     seconds[0] += clock() - t0
     n_blocks = 0
@@ -507,11 +535,9 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
             if bad.any():
                 raise SimulationDivergedError(start + c0 + 1 + int(np.argmax(bad)))
             t2 = clock()
-            for p0 in range(0, p, _CONSUME_PATHS):
-                p1 = min(p0 + _CONSUME_PATHS, p)
-                consume(slice(cols.start + p0, cols.start + p1), start + c0,
-                        states[:stop + 1, p0:p1],
-                        node_rows[:stop, p0:p1] if drift is not None else None)
+            for job, paths, at_cols in pieces:
+                consume(job, paths, start + c0, states[:stop + 1, at_cols],
+                        node_rows[:stop, at_cols] if drift is not None else None)
             seconds[1] += t2 - t1
             seconds[2] += clock() - t2
             states[0] = states[stop]
@@ -549,8 +575,8 @@ def sample_paths(
     states = np.empty((n_paths, n + 1))
     states[:, 0] = model.x0
 
-    def keep(cols, start, block, nodes):
-        copy_transposed(states[cols, start + 1:start + len(block)], block[1:])
+    def keep(job, paths, start, block, nodes):
+        copy_transposed(states[paths, start + 1:start + len(block)], block[1:])
 
     _log_engine("sample_paths", 1, run_paths(model, n, step, [seed], n_paths, keep, drift))
     return states
@@ -577,7 +603,7 @@ def moment_bound_check(
     # the axis of paths of a (paths, steps) array adds them: the same bits
     mean_sq = np.zeros(n + 1)
 
-    def add_squares(cols, start, states, nodes):
+    def add_squares(job, paths, start, states, nodes):
         acc = mean_sq[start + 1:start + len(states)]
         for col in np.square(states[1:]).T:
             acc += col

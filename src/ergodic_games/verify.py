@@ -26,13 +26,10 @@ from .games import FeedbackPolicy, GameSpec
 from .picard import NashSolution
 from .sde import (
     SdeModel,
-    _check_n_paths,
     _n_steps,
-    _run_ranges,
     path_stream,
-    run_paths,
+    path_sums,
     sample_paths,  # noqa: F401  (perfbench/tracing.py wraps verify.sample_paths)
-    window_sum,
 )
 
 __all__ = [
@@ -122,19 +119,15 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
                    step: float, n_paths: int, label: str) -> list:
     """Every job's payoff from one run of the path engine.
 
-    Job ``j`` runs paths ``0..n_paths-1`` of ``job.seed`` (the keying of
-    :func:`run_paths`).  Each path's cost is summed over the steps after the
-    job's burn-in (``exp(-alpha t) dt`` weighted for discounted jobs) as the
-    engine hands over each window of steps, so no array of size paths x steps
-    is built and a job's estimate does not depend on the other jobs in the
-    run.  The paths are split into contiguous ranges (:func:`_run_ranges`),
-    each run for every job at once, in a worker process when the run is
-    big enough: a range fills its paths' sums, the ranges' sums are joined
-    in path order, and means and standard errors come from the joined
-    sums, so they are the same bits however many processes ran.
+    Job ``j`` runs paths ``0..n_paths-1`` of ``job.seed``.  Each path's cost
+    is summed over the steps after the job's burn-in (``exp(-alpha t) dt``
+    weighted for discounted jobs) by :func:`path_sums`, as the engine hands
+    over each window of steps, so no array of size paths x steps is built
+    and a job's estimate does not depend on the other jobs in the run.
+    Means and standard errors come from the per-path sums, which are the
+    same bits however many processes ran.
     """
     n = _n_steps(horizon, step)
-    _check_n_paths(n_paths)
     first_step = [int(round(job.burn_in / step)) for job in jobs]
     for job, first in zip(jobs, first_step):
         if first >= n:  # the average would have no step to count
@@ -143,36 +136,22 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
     columns = [job.policy.control_columns(spec) for job in jobs]
     drift = (jobs[0].policy.nodes, [_policy_drift_nodes(spec, job.policy) for job in jobs])
 
-    def run_range(k0, k1):
-        # job j owns columns j * width to (j + 1) * width - 1: its paths k0..k1-1
-        width = k1 - k0
-        sums = np.zeros(len(jobs) * width)
+    def costs(j, start, states, nodes):
+        job = jobs[j]
+        # left endpoints of the window's steps that the payoff counts
+        skip = max(first_step[j] - start, 0)
+        xs = states[skip:-1]
+        if not len(xs):
+            return None
+        controls = [col.take(nodes[skip:]) for col in columns[j]]
+        cost = np.broadcast_to(
+            np.asarray(spec.costs[job.player](xs, *controls), dtype=float), xs.shape)
+        if job.kind == "discounted":
+            t = np.arange(start + skip, start + len(states) - 1) * step
+            cost = cost * (np.exp(-job.alpha * t) * step)[:, None]
+        return cost
 
-        def accumulate(cols, start, states, nodes):
-            for j in range(cols.start // width, (cols.stop - 1) // width + 1):
-                job = jobs[j]
-                c0 = max(j * width, cols.start)
-                c1 = min((j + 1) * width, cols.stop)
-                # left endpoints of the window's steps that the payoff counts
-                skip = max(first_step[j] - start, 0)
-                xs = states[skip:-1, c0 - cols.start:c1 - cols.start]
-                if not len(xs):
-                    continue
-                node = nodes[skip:, c0 - cols.start:c1 - cols.start]
-                controls = [col.take(node) for col in columns[j]]
-                costs = np.broadcast_to(
-                    np.asarray(spec.costs[job.player](xs, *controls), dtype=float), xs.shape)
-                if job.kind == "discounted":
-                    t = np.arange(start + skip, start + len(states) - 1) * step
-                    costs = costs * (np.exp(-job.alpha * t) * step)[:, None]
-                sums[c0:c1] += window_sum(costs)
-
-        counters = run_paths(model, n, step, [job.seed for job in jobs], width, accumulate,
-                             drift, first_path=k0)
-        return sums.reshape(len(jobs), width), counters
-
-    sums = np.concatenate(_run_ranges(label, n_paths, len(jobs) * n_paths * n, run_range),
-                          axis=1)
+    sums = path_sums(label, model, n, step, [job.seed for job in jobs], n_paths, costs, drift)
     out = []
     for j, job in enumerate(jobs):
         per_path = sums[j]
@@ -431,9 +410,8 @@ def bsde_path_residual(
     The returned value is ``sqrt(mean(residual^2)) / sqrt(step)``.  A player
     index outside ``range(spec.n_players)``, an equilibrium of another game
     (as in :func:`nash_deviation_test`), or a horizon that gives no step, is
-    a ValueError.  A long run splits its paths into ranges over CPUs, each
-    filling its paths' sums of squares; the joined sums give the same bits as
-    one process.
+    a ValueError.  The per-path sums of squares come from :func:`path_sums`,
+    so they are the same bits however many processes ran.
     """
     if not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")
@@ -443,43 +421,35 @@ def bsde_path_residual(
     n = _n_steps(horizon, step)
     if n == 0:
         raise ValueError(f"horizon {horizon:.6g} and step {step:.6g} give no step")
-    _check_n_paths(n_paths)
     lookup = node_lookup(policy.nodes)
     v_table = interp_table(policy.nodes, sol.v)
     xi_table = interp_table(policy.nodes, sol.xi)
     r_nodes = _policy_drift_nodes(spec, policy)
     columns = policy.control_columns(spec)
 
-    def run_range(k0, k1):
-        sq_sums = np.zeros(k1 - k0)
+    def squares(job, start, states, nodes):
+        # time-major, as the states; both interpolants share one segment lookup
+        # over the window's L + 1 states: the steps' X_t at the engine's
+        # nodes, then the last step's X_{t+h}, looked up here
+        xs = np.ascontiguousarray(states)
+        node = np.concatenate([nodes, nearest_node(xs[-1:], lookup)])
+        v, xi = uniform_interp(xs, node, v_table, xi_table)
+        x_t = xs[:-1]
+        v_t = v[:-1]
+        xi_t = xi[:-1]
+        node = node[:-1]
+        r_t = r_nodes.take(node)
+        controls = [col.take(node) for col in columns]
+        cost_t = np.broadcast_to(np.asarray(spec.costs[player](x_t, *controls), dtype=float),
+                                 x_t.shape)
+        hamilton = xi_t * r_t + cost_t
+        const = sol.lam if sol.alpha is None else sol.alpha * v_t
+        # the uncontrolled equation's Brownian increments drive the backward
+        # equation: the controls enter only through the Hamiltonian's xi r
+        dw = (xs[1:] - x_t - model.drift_1d(x_t) * step) / model.sigma
+        residual = v[1:] - v_t + (hamilton - const) * step - xi_t * dw
+        return residual**2
 
-        def accumulate(cols, start, states, nodes):
-            # time-major, as the states; both interpolants share one segment lookup
-            # over the window's L + 1 states: the steps' X_t at the engine's
-            # nodes, then the last step's X_{t+h}, looked up here
-            xs = np.ascontiguousarray(states)
-            node = np.concatenate([nodes, nearest_node(xs[-1:], lookup)])
-            v, xi = uniform_interp(xs, node, v_table, xi_table)
-            x_t = xs[:-1]
-            v_t = v[:-1]
-            xi_t = xi[:-1]
-            node = node[:-1]
-            r_t = r_nodes.take(node)
-            controls = [col.take(node) for col in columns]
-            cost_t = np.broadcast_to(np.asarray(spec.costs[player](x_t, *controls), dtype=float),
-                                     x_t.shape)
-            hamilton = xi_t * r_t + cost_t
-            const = sol.lam if sol.alpha is None else sol.alpha * v_t
-            # the uncontrolled equation's Brownian increments drive the backward
-            # equation: the controls enter only through the Hamiltonian's xi r
-            dw = (xs[1:] - x_t - model.drift_1d(x_t) * step) / model.sigma
-            residual = v[1:] - v_t + (hamilton - const) * step - xi_t * dw
-            sq_sums[cols] += window_sum(residual**2)
-
-        counters = run_paths(model, n, step, [seed], k1 - k0, accumulate,
-                             (policy.nodes, [r_nodes]), first_path=k0)
-        return sq_sums, counters
-
-    # the ranges' per-path sums, joined in path order, are added as one array
-    sq_sums = np.concatenate(_run_ranges("bsde_path_residual", n_paths, n_paths * n, run_range))
-    return float(np.sqrt(sq_sums.sum() / (n_paths * n)) / math.sqrt(step))
+    sq_sums = path_sums("bsde_path_residual", model, n, step, [seed], n_paths, squares,
+                        (policy.nodes, [r_nodes]))
+    return float(np.sqrt(sq_sums[0].sum() / (n_paths * n)) / math.sqrt(step))

@@ -440,6 +440,14 @@ def test_node_grids_the_lookup_misreads_are_rejected(nodes):
         eg.FeedbackPolicy(nodes=nodes, indices=np.zeros((4, 2), dtype=int))
 
 
+def test_an_empty_node_grid_is_rejected():
+    # both used to fail with a bare IndexError from the grid's first node
+    with pytest.raises(ValueError, match="at least one node: got an empty grid"):
+        node_lookup(np.array([]))
+    with pytest.raises(ValueError, match="at least one node: got an empty grid"):
+        eg.FeedbackPolicy(nodes=[], indices=np.zeros((0, 2)))
+
+
 def test_uniform_node_grids_are_accepted():
     # linspace rounding stays far below the spacing tolerance; one node is a grid
     for m in (13, 81, 201, 801):

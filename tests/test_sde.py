@@ -85,13 +85,13 @@ def test_batch_keying_is_default_rng(model, seeds, n_paths):
     # default_rng on the folded words is the reference; a batch mixes word counts.
     # Each path is bitwise the Euler recursion fed by its key's normals
     n = sde._BLOCK_STEPS + 37
-    states = np.empty((len(seeds) * n_paths, n + 1))
+    states = np.empty((len(seeds), n_paths, n + 1))
 
-    def keep(cols, start, block, nodes):
-        states[cols, start:start + len(block)] = block.T
+    def keep(job, paths, start, block, nodes):
+        states[job, paths, start:start + len(block)] = block.T
 
     sde.run_paths(model, n, 0.01, seeds, n_paths, keep)
-    for j, row in enumerate(states):
+    for j, row in enumerate(states.reshape(-1, n + 1)):
         key = (seeds[j // n_paths], j % n_paths)
         normals = np.random.default_rng(_folded(*key)).standard_normal(n)
         assert np.array_equal(row, euler_reference(model, 0.01, [normals])[0]), key
@@ -108,14 +108,15 @@ def test_equal_keys_share_noise_and_states(model, monkeypatch, max_batch, n_stre
     # each of its distinct keys once
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", max_batch)
     n, n_paths = sde._BLOCK_STEPS + 37, 3
-    states = np.empty((3 * n_paths, n + 1))
+    states = np.empty((3, n_paths, n + 1))
 
-    def keep(cols, start, block, nodes):
-        states[cols, start:start + len(block)] = block.T
+    def keep(job, paths, start, block, nodes):
+        states[job, paths, start:start + len(block)] = block.T
 
     tanh = np.tanh(_SMALL)
     counters = sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, keep,
                              drift=(_SMALL, [tanh, tanh, tanh]))
+    states = states.reshape(3 * n_paths, n + 1)
     assert (counters["paths"], counters["steps"], counters["streams"]) == (9, n, n_streams)
     assert np.array_equal(states[:3], states[6:])
     assert not np.array_equal(states[:3], states[3:6])
@@ -135,18 +136,19 @@ def test_consumer_nodes_are_the_nearest_nodes_of_its_states(model, monkeypatch, 
     n, n_paths = sde._BLOCK_STEPS + 37, 3
     lookup = node_lookup(_SMALL)
     table = [np.tanh(_SMALL), 0.5 * np.sin(3.0 * _SMALL), -np.tanh(_SMALL)]
-    states = np.empty((3 * n_paths, n + 1))
-    seen = np.zeros((3 * n_paths, n), dtype=bool)
+    states = np.empty((3, n_paths, n + 1))
+    seen = np.zeros((3, n_paths, n), dtype=bool)
 
-    def keep(cols, start, block, nodes):
+    def keep(job, paths, start, block, nodes):
         assert nodes.dtype == np.intp and nodes.shape == (len(block) - 1, block.shape[1])
         assert np.array_equal(nodes, nearest_node(block[:-1], lookup))
-        states[cols, start:start + len(block)] = block.T
-        seen[cols, start:start + len(nodes)] = True
+        states[job, paths, start:start + len(block)] = block.T
+        seen[job, paths, start:start + len(nodes)] = True
 
     sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, keep, drift=(_SMALL, table),
                   first_path=first_path)
     assert seen.all()
+    states = states.reshape(3 * n_paths, n + 1)
     assert np.abs(states).max() > 1.5
     # equal keys share their noise, but their rows of the table differ: each
     # column is the Euler recursion fed by its key's normals and its own row
@@ -156,7 +158,7 @@ def test_consumer_nodes_are_the_nearest_nodes_of_its_states(model, monkeypatch, 
     rows = [row for row in table for _ in range(n_paths)]
     assert np.array_equal(states, euler_reference(model, 0.01, normals, (_SMALL, rows)))
 
-    def no_nodes(cols, start, block, nodes):
+    def no_nodes(job, paths, start, block, nodes):
         assert nodes is None
 
     sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, no_nodes, first_path=first_path)
@@ -283,9 +285,36 @@ def test_shift_table_must_have_one_value_per_node(model):
 
 
 def test_shift_table_on_a_misread_grid_is_rejected(model):
+    # before any step: a zero horizon, which steps no path, used to return the
+    # initial states
     for nodes in ([-2.0, -1.0, 1.0, 2.0], [2.0, 1.0, 0.0, -1.0]):
-        with pytest.raises(ValueError, match="strictly ascending, equally spaced"):
-            eg.sample_paths(model, (np.array(nodes), np.zeros(4)), 1.0, 0.01, 0, n_paths=2)
+        for horizon in (0.0, 1.0):
+            with pytest.raises(ValueError, match="strictly ascending, equally spaced"):
+                eg.sample_paths(model, (np.array(nodes), np.zeros(4)), horizon, 0.01, 0,
+                                n_paths=2)
+
+
+@pytest.mark.parametrize("max_batch, ranges", [(2048, [(0, 7)]), (5, [(0, 7)]),
+                                               (4, [(0, 3), (3, 7)]), (1, [(0, 2), (2, 7)])],
+                         ids=["one_batch", "split_batches", "ranges", "one_column_batches"])
+def test_every_step_of_every_path_reaches_one_piece_of_one_job(model, monkeypatch, max_batch,
+                                                               ranges):
+    # three jobs of 7 paths in pieces of at most 3, over batches that cut jobs
+    # and ranges that run paths k0..k1-1 on their own: each (job, path, step)
+    # is handed over exactly once, in a piece of one job's paths
+    monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", max_batch)
+    monkeypatch.setattr(sde, "_CONSUME_PATHS", 3)
+    n, n_paths = sde._FINITE_CHECK_STEPS + 37, 7
+    hits = np.zeros((3, n_paths, n), dtype=int)
+    for k0, k1 in ranges:
+        def count(job, paths, start, states, nodes):
+            assert 0 <= paths.start < paths.stop <= k1 - k0 and paths.step is None
+            assert states.shape[1] == nodes.shape[1] == paths.stop - paths.start <= 3
+            hits[job, k0 + paths.start:k0 + paths.stop, start:start + len(nodes)] += 1
+
+        sde.run_paths(model, n, 0.01, [5, 6, 5], k1 - k0, count,
+                      (_SMALL, [np.tanh(_SMALL)] * 3), first_path=k0)
+    assert (hits == 1).all()
 
 
 @ignore_overflow

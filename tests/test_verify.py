@@ -83,7 +83,7 @@ def test_payoff_rejects_a_policy_of_another_game(model, g0, coarse_grid, monkeyp
     def no_paths(*args, **kwargs):
         raise AssertionError("paths simulated before the policy check")
 
-    monkeypatch.setattr(verify, "run_paths", no_paths)
+    monkeypatch.setattr(verify, "path_sums", no_paths)
     kw = dict(horizon=30.0, n_paths=2)
     for index, shown in ((-1, "-1 to -1"), (41, "41 to 41")):
         with pytest.raises(ValueError, match=f"control indices {shown}, outside their "
@@ -112,7 +112,7 @@ def test_equilibrium_of_a_same_shaped_game_is_rejected(model, g0_nash_coarse, mo
     def no_paths(*args, **kwargs):
         raise AssertionError("paths simulated before the equilibrium check")
 
-    monkeypatch.setattr(verify, "run_paths", no_paths)
+    monkeypatch.setattr(verify, "path_sums", no_paths)
     coupled = eg.coupled_cross_cost()
     message = "solved for game 'quadratic_decoupled', not 'coupled_cross_cost'"
     with pytest.raises(ValueError, match=message):
@@ -127,7 +127,7 @@ def test_discounted_reference_needs_the_start_on_its_grid(g0, g0_asymmetric, mon
     def no_paths(*args, **kwargs):
         raise AssertionError("paths simulated before the start state check")
 
-    monkeypatch.setattr(verify, "run_paths", no_paths)
+    monkeypatch.setattr(verify, "path_sums", no_paths)
     with pytest.raises(ValueError, match=r"x0=10\.0 lies outside the grid \[-6\.0, 6\.0\]"):
         nash_deviation_test(eg.ou_model(x0=10.0), g0, g0_asymmetric, n_deviations=3,
                             horizon=100.0, n_paths=2)
@@ -319,7 +319,7 @@ def test_nearest_node_lookups_agree_at_half_way_states(model, g0, coarse_grid):
     for x, k in zip(xs, grid_idx):
         first = {}
 
-        def keep(cols, start, states, node):
+        def keep(job, paths, start, states, node):
             first.update(x=states[1, 0], node=node[0, 0])
 
         sde.run_paths(dataclasses.replace(model, x0=x), 1, step, [0], 1, keep,
@@ -339,11 +339,11 @@ def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
     ]
     seeds, n_paths, step = (11, 12, 13), 4, 0.01
     n = sde._BLOCK_STEPS + 300
-    out = np.empty((len(seeds) * n_paths, n + 1))
-    out[:, 0] = model.x0
+    out = np.empty((len(seeds), n_paths, n + 1))
+    out[:, :, 0] = model.x0
 
-    def keep(cols, start, states, nodes):
-        out[cols, start + 1:start + len(states)] = states[1:].T
+    def keep(job, paths, start, states, nodes):
+        out[job, paths, start + 1:start + len(states)] = states[1:].T
 
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 5)
     sde.run_paths(model, n, step, seeds, n_paths, keep,
@@ -355,7 +355,7 @@ def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
         shift = _reference_shift(g0, policy)
         for k in range(n_paths):
             alone = eg.sample_paths(model, shift, n * step, step, seed, n_paths=k + 1)[k]
-            assert np.array_equal(alone, out[j * n_paths + k])
+            assert np.array_equal(alone, out[j, k])
 
 
 # values of the full-array implementation the batched engine replaced; only
@@ -517,7 +517,7 @@ def test_burn_in_that_rounds_to_the_horizon_is_rejected(model, g0, g0_nash_coars
     def no_paths(*args, **kwargs):
         raise AssertionError("paths simulated before the burn-in check")
 
-    monkeypatch.setattr(verify, "run_paths", no_paths)
+    monkeypatch.setattr(verify, "path_sums", no_paths)
     message = "burn_in 9.996 rounds to step 1000 of the 1000 steps of size 0.01 up to horizon 10"
     with pytest.raises(ValueError, match=message):
         estimate_payoff(model, spec, policy, 0, burn_in=9.996, **kw)
@@ -547,7 +547,7 @@ def test_path_residual_rejects_equilibrium_of_another_game(model, g0_nash_coarse
     def no_paths(*args, **kwargs):
         raise AssertionError("paths simulated before the equilibrium check")
 
-    monkeypatch.setattr(verify, "run_paths", no_paths)
+    monkeypatch.setattr(verify, "path_sums", no_paths)
     kw = dict(player=0, horizon=5.0, n_paths=2)
     with pytest.raises(ValueError, match="equilibrium has 2 players, the game 3"):
         bsde_path_residual(model, eg.three_player_symmetric(n_controls=9), g0_nash_coarse, **kw)
@@ -563,7 +563,7 @@ def test_path_residual_needs_a_step(model, g0, g0_nash_coarse, monkeypatch):
     def no_paths(*args, **kwargs):
         raise AssertionError("paths simulated before the step check")
 
-    monkeypatch.setattr(verify, "run_paths", no_paths)
+    monkeypatch.setattr(verify, "path_sums", no_paths)
     with pytest.raises(ValueError, match="horizon 0 and step 0.01 give no step"):
         bsde_path_residual(model, g0, g0_nash_coarse, horizon=0.0, step=0.01, n_paths=2)
 
@@ -573,7 +573,7 @@ def test_deviation_count_must_be_nonnegative(model, g0, g0_nash_coarse, monkeypa
     def no_paths(*args, **kwargs):
         raise AssertionError("paths simulated before the deviation count check")
 
-    monkeypatch.setattr(verify, "run_paths", no_paths)
+    monkeypatch.setattr(verify, "path_sums", no_paths)
     with pytest.raises(ValueError, match="n_deviations must be nonnegative, got -2"):
         nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=-2, horizon=30.0,
                             n_paths=2)

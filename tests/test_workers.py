@@ -135,15 +135,16 @@ def test_a_range_of_paths_keeps_its_keys(model):
     # paths 3 and 4 of seeds 5 and 6, run as a range of their own: each is the
     # Euler recursion fed by its key's normals
     n = sde._BLOCK_STEPS + 37
-    states = np.empty((4, n + 1))
+    states = np.empty((2, 2, n + 1))
 
-    def keep(cols, start, block, nodes):
-        states[cols, start:start + len(block)] = block.T
+    def keep(job, paths, start, block, nodes):
+        states[job, paths, start:start + len(block)] = block.T
 
     sde.run_paths(model, n, 0.01, [5, 6], 2, keep, first_path=3)
     for j, key in enumerate([(5, 3), (5, 4), (6, 3), (6, 4)]):
         normals = eg.path_stream(*key).standard_normal(n)
-        assert np.array_equal(states[j], euler_reference(model, 0.01, [normals])[0]), key
+        assert np.array_equal(states[j // 2, j % 2],
+                              euler_reference(model, 0.01, [normals])[0]), key
 
 
 def _divergence(model, g0, coarse_grid):
@@ -220,63 +221,87 @@ def test_a_cost_error_in_a_worker_reaches_the_caller(model, g0, coarse_grid, two
     assert multiprocessing.active_children() == []
 
 
-def _failing_range(k0, k1):
-    # the higher range fails first; the caller still reports the lowest
-    if k0 == 0:
-        time.sleep(0.2)
-        raise ValueError("range", k0, k1)
-    raise sde.SimulationDivergedError(k0)
+def _in_lower_range(model, seed):
+    """``lower(states)``: whether a window holds paths 0-1 of ``seed``, the lower
+    of the two ranges 4 paths split into; their states one step on name them."""
+    first = eg.sample_paths(model, None, 0.01, 0.01, seed, 2)[:, 1]
+    return lambda states: states[1, 0] in first
 
 
-def test_the_lowest_ranges_error_wins(two_workers):
+def test_the_lowest_ranges_error_wins(model, two_workers):
+    lower = _in_lower_range(model, 0)
+
+    def terms(job, start, states, nodes):
+        # the higher range fails first; the caller still reports the lowest
+        if lower(states):
+            time.sleep(0.2)
+            raise ValueError("lower range", states.shape[1])
+        raise sde.SimulationDivergedError(1)
+
     with pytest.raises(ValueError) as exc:
-        sde._run_ranges("test", 4, 4, _failing_range)
-    assert exc.value.args == ("range", 0, 2)
+        sde.path_sums("test", model, 10, 0.01, [0], 4, terms)
+    assert exc.value.args == ("lower range", 2)
     assert multiprocessing.active_children() == []
 
 
-def _diverging_range(k0, k1):
-    # the lower range diverges later, and reports first
-    if k0 > 0:
-        time.sleep(0.2)
-    raise sde.SimulationDivergedError(117 if k0 == 0 else 37)
+# the drift shift sigma * _HUGE overflows beyond |x| = 2.5
+_NODES = 0.5 * np.arange(-20.5, 21.0)
+_BEYOND = (_NODES, [np.where(np.abs(_NODES) > 2.5, np.finfo(float).max, 0.0)])
 
 
-def test_the_earliest_divergence_wins(two_workers):
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+def test_the_earliest_divergence_wins(model, two_workers):
+    # paths 0-1 of seed 3 diverge later than paths 2-3, after their first window
+    for first_path, step_index in ((0, 1700), (2, 775)):
+        with pytest.raises(sde.SimulationDivergedError) as exc:
+            sde.run_paths(model, 4000, 0.01, [3], 2, lambda *args: None, _BEYOND, first_path)
+        assert exc.value.step_index == step_index
+    lower = _in_lower_range(model, 3)
+
+    def terms(job, start, states, nodes):
+        # the higher range diverges earlier, and reports later
+        if not lower(states):
+            time.sleep(0.2)
+
     with pytest.raises(sde.SimulationDivergedError) as exc:
-        sde._run_ranges("test", 4, 4, _diverging_range)
-    assert exc.value.step_index == 37
+        sde.path_sums("test", model, 4000, 0.01, [3], 4, terms, _BEYOND)
+    assert exc.value.step_index == 775
     assert multiprocessing.active_children() == []
 
 
-def _killed_range(k0, k1):
-    if k0 > 0:
-        os._exit(3)
-    return None, {}
-
-
-def test_a_killed_worker_raises_instead_of_hanging(two_workers):
+def test_a_killed_worker_raises_instead_of_hanging(model, two_workers):
     from concurrent.futures.process import BrokenProcessPool
 
+    lower = _in_lower_range(model, 0)
+
+    def terms(job, start, states, nodes):
+        if not lower(states):
+            os._exit(3)
+
     with pytest.raises(BrokenProcessPool):
-        sde._run_ranges("test", 4, 4, _killed_range)
+        sde.path_sums("test", model, 10, 0.01, [0], 4, terms)
     assert multiprocessing.active_children() == []
 
 
-def _ranges_in_this_process(conn):
-    counters = dict(paths=1, steps=1, batches=1, blocks=1, streams=1, rng_s=0.0, euler_s=0.0,
-                    cost_s=0.0)
-    conn.send(sde._run_ranges("test", 4, 4, lambda k0, k1: ((k0, k1, os.getpid()), counters)))
+def _sums_in_this_process(model, conn):
+    pids = set()
+
+    def terms(job, start, states, nodes):
+        pids.add(os.getpid())
+        return np.ones_like(states[1:])
+
+    conn.send((sde.path_sums("test", model, 10, 0.01, [0], 4, terms), pids))
 
 
-def test_a_daemonic_caller_runs_its_ranges_itself(two_workers):
+def test_a_daemonic_caller_runs_its_ranges_itself(model, two_workers):
     # a daemonic process may not start children: its run stays in-process
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_ranges_in_this_process, args=(send,), daemon=True)
+    proc = ctx.Process(target=_sums_in_this_process, args=(model, send), daemon=True)
     proc.start()
     assert recv.poll(60)
-    ranges = recv.recv()
+    sums, pids = recv.recv()
     proc.join(60)
     assert proc.exitcode == 0
-    assert ranges == [(0, 4, proc.pid)]
+    assert pids == {proc.pid}
+    assert np.array_equal(sums, np.full((1, 4), 10.0))
