@@ -319,17 +319,16 @@ def run_paths(
         _check_stability(model, step)
     total = len(seeds) * n_paths
     width = min(total, _MAX_BATCH_PATHS)
+    prepared = None
     if drift is not None:
-        # every job's row end to end, scaled once (in place: a freed temporary
-        # of its size raised glibc's mmap threshold and g0's workers' peak RSS
-        # by 1 MiB); job s's offset s * m plus its node indexes its drift term
+        # every job's row end to end, scaled once in place (a freed temporary of its
+        # size raised g0's workers' peak RSS by 1 MiB); offset s * m indexes job s's row
         nodes, table = drift
         flat = np.concatenate(table, dtype=float)
         flat *= model.sigma
-        drift = (node_lookup(nodes), flat, len(nodes), np.empty(width),
-                 np.empty(width, dtype=np.intp))
-    # one window each, time-major; a batch of p columns views the first
-    # (win + 1) * p entries as win + 1 rows of p
+        prepared = (node_lookup(nodes), flat, len(nodes), np.empty(width),
+                    np.empty(width, dtype=np.intp))
+    # one window each, time-major: a batch of p columns views (win + 1) * p entries
     win = min(_FINITE_CHECK_STEPS, n_steps)
     noise, states = np.empty((win + 1) * width), np.empty((win + 1) * width)
     seconds = [0.0, 0.0, 0.0]  # rng, euler, consume
@@ -339,7 +338,7 @@ def run_paths(
         cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
         try:
             blocks, streams = _run_batch(model, n_steps, step, seeds, n_paths, first_path,
-                                         cols, consume, drift, noise, states, seconds)
+                                         cols, consume, prepared, noise, states, seconds)
         except SimulationDivergedError as err:
             if diverged is None or err.step_index < diverged.step_index:
                 diverged = err
@@ -451,10 +450,11 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
 
 def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                n_paths: int, first_path: int, cols: slice, consume: Callable,
-               drift: Optional[tuple], noise: np.ndarray, states: np.ndarray,
+               prepared: Optional[tuple], noise: np.ndarray, states: np.ndarray,
                seconds: list) -> tuple:
     """One batch of :func:`run_paths` in views of its buffers, returning the
-    blocks and streams drawn; its consumer sees only its windows."""
+    blocks and streams drawn; its consumer sees only its windows.  ``prepared``
+    is the run's drift set-up ``(lookup, flat, m, scaled, at)``, or None."""
     clock = time.perf_counter
     t0 = clock()
     a = model.lin_drift
@@ -478,8 +478,8 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
         w = min(_CONSUME_PATHS, n_paths - k, cols.stop - c)
         pieces.append((job, slice(k, k + w), slice(c - cols.start, c - cols.start + w)))
         c += w
-    if drift is not None:
-        lookup, flat, m, scaled, at = drift
+    if prepared is not None:
+        lookup, flat, m, scaled, at = prepared
         scaled, at = scaled[:p], at[:p]
         offsets = np.arange(cols.start, cols.stop) // n_paths * m
     drawn = np.empty((len(streams), min(_BLOCK_STEPS, n_steps)))  # path-major, as drawn
@@ -516,7 +516,7 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                     np.multiply(x, a, out=nxt)
                     if has_residual:
                         nxt += np.asarray(model.bounded_drift(x), dtype=float)
-                    if drift is not None:
+                    if prepared is not None:
                         node = nearest_node(x, lookup, out=(scaled, node_rows[k]))
                         np.add(node, offsets, out=at)
                         nxt += flat.take(at)
@@ -537,7 +537,7 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
             t2 = clock()
             for job, paths, at_cols in pieces:
                 consume(job, paths, start + c0, states[:stop + 1, at_cols],
-                        node_rows[:stop, at_cols] if drift is not None else None)
+                        node_rows[:stop, at_cols] if prepared is not None else None)
             seconds[1] += t2 - t1
             seconds[2] += clock() - t2
             states[0] = states[stop]

@@ -222,10 +222,17 @@ def test_a_cost_error_in_a_worker_reaches_the_caller(model, g0, coarse_grid, two
 
 
 def _in_lower_range(model, seed):
-    """``lower(states)``: whether a window holds paths 0-1 of ``seed``, the lower
-    of the two ranges 4 paths split into; their states one step on name them."""
+    """``lower(start, states)``: whether a range's first window (``start`` 0)
+    holds paths 0-1 of ``seed``, the lower of the two ranges 4 paths split
+    into; their states at step 1 name them.  A later window says nothing, and
+    asking about one is an error."""
     first = eg.sample_paths(model, None, 0.01, 0.01, seed, 2)[:, 1]
-    return lambda states: states[1, 0] in first
+
+    def lower(start, states):
+        assert start == 0, "only a range's first window holds step 1"
+        return states[1, 0] in first
+
+    return lower
 
 
 def test_the_lowest_ranges_error_wins(model, two_workers):
@@ -233,7 +240,7 @@ def test_the_lowest_ranges_error_wins(model, two_workers):
 
     def terms(job, start, states, nodes):
         # the higher range fails first; the caller still reports the lowest
-        if lower(states):
+        if lower(start, states):
             time.sleep(0.2)
             raise ValueError("lower range", states.shape[1])
         raise sde.SimulationDivergedError(1)
@@ -259,8 +266,9 @@ def test_the_earliest_divergence_wins(model, two_workers):
     lower = _in_lower_range(model, 3)
 
     def terms(job, start, states, nodes):
-        # the higher range diverges earlier, and reports later
-        if not lower(states):
+        # the lower range diverges later, and reports first: only the higher
+        # range waits, in its first window
+        if start == 0 and not lower(start, states):
             time.sleep(0.2)
 
     with pytest.raises(sde.SimulationDivergedError) as exc:
@@ -275,7 +283,7 @@ def test_a_killed_worker_raises_instead_of_hanging(model, two_workers):
     lower = _in_lower_range(model, 0)
 
     def terms(job, start, states, nodes):
-        if not lower(states):
+        if not lower(start, states):
             os._exit(3)
 
     with pytest.raises(BrokenProcessPool):
