@@ -43,6 +43,9 @@ _CHECK_SAMPLES = 64
 # floats in one slab of the Lipschitz check's difference: small beside a joint
 # table, so the check holds no table-sized temporary besides the two cost blocks
 _GAP_CHUNK = 16_384
+# floats in the Hamiltonian buffer of a batched search (at least one joint table or
+# one row of it): enough nodes per numpy call that dispatch no longer dominates
+_SEARCH_FLOATS = 2**15
 
 
 class NoPureNashError(RuntimeError):
@@ -95,11 +98,14 @@ class GameSpec:
     arguments (``costs[i]`` gets the state first) and must broadcast over
     numpy arrays: called on the open joint control meshes (one axis per
     player, as ``np.meshgrid(..., sparse=True)``), their output must broadcast
-    to the joint grid's shape (else ``ValueError``).  They must act
-    elementwise: a search also calls them with player 0's mesh cut to a subset
-    of its rows, so no value may depend on the meshes' shapes.  Nothing is
-    cached per state, so tabulation memory is O(|U|^n), independent of the
-    state grid.  ``cost_sup`` bounds ``|cost_i|`` and ``cost_x_lip`` is a
+    to the joint grid's shape (else ``ValueError``).  A search
+    (:func:`isaac_fixed_point`) passes the state as a ``(K, 1, ..., 1)`` array,
+    one entry per node or stacked row it searches at once, as the
+    construction checks do.  The callables must act elementwise: the later
+    players' pass also gets player 0's mesh cut to the stacked rows' indices,
+    so no value may depend on the meshes' shapes.  Nothing is cached per
+    state, so tabulation memory is O(max(|U|^n, _SEARCH_FLOATS)), independent
+    of the state grid.  ``cost_sup`` bounds ``|cost_i|`` and ``cost_x_lip`` is a
     Lipschitz constant of the costs in the state; both must be finite and are
     verified at construction on fixed states
     (:func:`~ergodic_games._samples.check_states`), where the costs must also
@@ -181,8 +187,8 @@ class GameSpec:
         axis (of length 1 where the cost does not depend on the state)."""
         n = self.n_players
         if len(xs) == 1:
-            # a lone state goes in as a float, as in a search: the result then has
-            # the shape of the cost's own temporaries, which numpy can reuse
+            # a lone state goes in as a float, as hamiltonian() passes it: the result
+            # then has the shape of the cost's own temporaries, which numpy can reuse
             raw = self._compact(cost, float(xs[0]), check=check)
         else:
             raw = self._compact(cost, xs.reshape((-1,) + (1,) * n), lead=(len(xs),), check=check)
@@ -279,43 +285,107 @@ def _validate_joint(spec: GameSpec, u: Sequence[int]) -> None:
             raise ValueError(f"control index {idx} out of range for player {j}")
 
 
-def isaac_fixed_point(spec: GameSpec, x, z) -> JointControl:
+def isaac_fixed_point(spec: GameSpec, x, z):
     """Joint control at which every Hamiltonian is unilaterally minimal.
 
-    One pass per player marks where that player's Hamiltonian is minimal
-    along their own axis: player 0's over the whole joint grid, the others'
-    only on player 0's *rows* (indices marked for some choice of the others),
-    which hold every stable control.  The first control marked by every player
-    in row-major index order wins; grids are ascending, so ties go to the
-    smallest tuple of control values.  Time and memory are O(|U|^n) per call,
-    for the later passes too when every row survives.
+    For a state ``x`` and one gradient value per player ``z`` it returns a
+    tuple of grid indices.  For states of shape ``(K,)`` and gradients of
+    shape ``(K, n)`` it returns a ``(K, n)`` ``intp`` array whose row ``k``
+    is the control of ``(x[k], z[k])``: the search runs once for the batch.
 
-    Raises :class:`NoPureNashError` when no joint control is stable.
+    One pass per player marks where that player's Hamiltonian is minimal
+    along their own axis: player 0's over whole joint tables, ``_SEARCH_FLOATS
+    // |U|^n`` nodes at a time (at least one), each node keeping its *rows*
+    (player-0 indices marked for some choice of the others), which hold every
+    stable control.  The others then run on the kept rows of many nodes,
+    stacked, ``_SEARCH_FLOATS // |U|^(n-1)`` rows at a time: a later player's
+    marks on a row depend on that row alone.  Both passes refill one
+    Hamiltonian buffer, so memory is O(max(|U|^n, _SEARCH_FLOATS)) floats
+    whatever the batch size.  A node's control is its first control
+    marked by every player in row-major index order; grids are ascending, so
+    ties go to the smallest tuple of control values.
+
+    Raises :class:`NoPureNashError` for the first state with no stable joint
+    control, NaN gradients and states included.
     """
-    if len(z) != spec.n_players:
-        raise ValueError(f"need one gradient value per player, got {len(z)}")
-    drift = spec.drift_table()
-    mesh = getattr(spec, "_mesh")
-    # one Hamiltonian buffer per call: fresh arrays per player cost more than the arithmetic
-    h = np.empty(spec._shape())
-    for i in range(spec.n_players):
-        np.multiply(drift, float(z[i]), out=h)
-        # the raw cost broadcasts into the buffer: no table-sized temporary
-        h += spec.costs[i](x, *mesh)
-        best = h <= h.min(axis=i, keepdims=True)
-        if i:
-            mask &= best
+    if np.ndim(x) == 0:
+        return tuple(int(j) for j in isaac_fixed_point(spec, np.array([x]), np.array([z]))[0])
+    n, shape, size = spec.n_players, spec._shape(), spec.product_size()
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    if x.ndim != 1 or z.shape != (len(x), n):
+        raise ValueError(f"need one gradient value per player ({n}) at each state, got "
+                         f"states of shape {x.shape} and gradients of shape {z.shape}")
+    if not len(x):
+        return np.empty((0, n), dtype=np.intp)
+    width = size // shape[0]
+    nodes_per, rows_per = max(1, _SEARCH_FLOATS // size), max(1, _SEARCH_FLOATS // width)
+    # one Hamiltonian buffer for both passes, each refilling its front
+    buf = np.empty(max(min(nodes_per, len(x)) * size, min(rows_per, len(x) * shape[0]) * width))
+    # the later players run once a chunk of kept rows is pending, or at the last node,
+    # so the marks held at once stay about one chunk's worth whatever the batch size
+    out = np.empty((len(x), n), dtype=np.intp)
+    pending, n_pending, done = [], 0, 0
+    for k0 in range(0, len(x), nodes_per):
+        xs, zs = x[k0:k0 + nodes_per], z[k0:k0 + nodes_per]
+        h = buf[:len(xs) * size].reshape((len(xs),) + shape)
+        nodes, rows, marks = _player0_rows(spec, xs, zs, h)
+        pending.append((nodes + k0, rows, marks))
+        n_pending += len(rows)
+        k1 = k0 + len(xs)
+        if n_pending < rows_per and k1 < len(x):
             continue
-        # player 0's rows; none when z[0] or the cost is NaN
-        rows = best.any(axis=tuple(range(1, spec.n_players))).nonzero()[0]
-        mask, drift = best.take(rows, axis=0), drift.take(rows, axis=0)
-        mesh = [mesh[0].take(rows, axis=0), *mesh[1:]]
-        h = h.reshape(-1)[:mask.size].reshape(mask.shape)
-    # per-axis indices of the marked controls, the first in row-major order
-    hits = mask.nonzero()
-    if not hits[0].size:
-        raise NoPureNashError(x, z)
-    return (int(rows[hits[0][0]]),) + tuple(int(a[0]) for a in hits[1:])
+        nodes, rows, marks = (np.concatenate(a) for a in zip(*pending))
+        found, first = _later_players(spec, x, z, nodes, rows, marks, buf)
+        # each node's first row with a mark: rows are stacked in ascending order per node
+        hit = found.nonzero()[0]
+        starts = np.ones(len(hit), dtype=bool)
+        np.not_equal(nodes[hit[1:]], nodes[hit[:-1]], out=starts[1:])
+        hit = hit[starts]
+        if len(hit) < k1 - done:
+            k = done + int(np.argmin(np.isin(np.arange(done, k1), nodes[hit])))
+            raise NoPureNashError(float(x[k]), tuple(float(v) for v in z[k]))
+        out[done:k1] = np.array(np.unravel_index(rows[hit] * width + first[hit], shape)).T
+        pending, n_pending, done = [], 0, k1
+    return out
+
+
+def _player0_rows(spec: GameSpec, x: np.ndarray, z: np.ndarray, h: np.ndarray) -> tuple:
+    """Player 0's pass over the joint tables ``h`` of the nodes ``x``, the state going to
+    the cost as a ``(c, 1, ..., 1)`` array: the node and row of each kept row (node-major,
+    rows ascending) and the row's player-0 marks."""
+    lead = (-1,) + (1,) * spec.n_players
+    np.multiply(spec.drift_table(), z[:, 0].reshape(lead), out=h)
+    # the raw cost broadcasts into the buffer: no table-sized temporary
+    h += spec.costs[0](x.reshape(lead), *getattr(spec, "_mesh"))
+    best = h <= h.min(axis=1, keepdims=True)
+    # none where z[0] or the cost is NaN
+    nodes, rows = best.any(axis=tuple(range(2, h.ndim))).nonzero()
+    return nodes, rows, best[nodes, rows]
+
+
+def _later_players(spec: GameSpec, x: np.ndarray, z: np.ndarray, nodes: np.ndarray,
+                   rows: np.ndarray, marks: np.ndarray, buf: np.ndarray) -> tuple:
+    """Players 1..n-1 on stacked rows, a chunk at a time: row ``r`` of node ``nodes[r]`` is
+    player 0's index ``rows[r]`` and ``marks[r]`` its player-0 marks, cut in place to the
+    controls every player marks.  A later player's marks on a row depend on that row
+    alone.  Whether each row has a marked control, and the first in row-major order."""
+    n, drift, mesh = spec.n_players, spec.drift_table(), getattr(spec, "_mesh")
+    width = math.prod(marks.shape[1:])
+    chunk = max(1, _SEARCH_FLOATS // width)
+    lead = (-1,) + (1,) * (n - 1)
+    found, first = np.empty(len(rows), dtype=bool), np.empty(len(rows), dtype=np.intp)
+    for r0 in range(0, len(rows), chunk):
+        at, row, mask = nodes[r0:r0 + chunk], rows[r0:r0 + chunk], marks[r0:r0 + chunk]
+        h = buf[:len(at) * width].reshape(mask.shape)
+        xr, u0 = x[at].reshape(lead), mesh[0].take(row, axis=0)
+        for i in range(1, n):
+            np.take(drift, row, axis=0, out=h)
+            h *= z[at, i].reshape(lead)
+            h += spec.costs[i](xr, u0, *mesh[1:])
+            mask &= h <= h.min(axis=i, keepdims=True)
+        mask = mask.reshape(len(at), width)
+        found[r0:r0 + chunk], first[r0:r0 + chunk] = mask.any(axis=1), mask.argmax(axis=1)
+    return found, first
 
 
 @dataclass(frozen=True)

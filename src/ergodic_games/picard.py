@@ -123,12 +123,14 @@ class NashSolution:
 def _policy_from_xi(spec: GameSpec, nodes: np.ndarray, xi: np.ndarray, searched: np.ndarray,
                     idx: np.ndarray) -> np.ndarray:
     """``idx`` searched again where a row of ``xi`` differs from ``searched``, the rows that set
-    it (NaN: never searched); a control is a function of its node and row, so the other nodes
-    keep theirs.  ``searched`` is updated in place."""
+    it (NaN: never searched), in one batch call of :func:`isaac_fixed_point` (none when no row
+    moved); a control is a function of its node and row, so the other nodes keep theirs.
+    ``searched`` is updated in place."""
     idx = idx.copy()
-    for k in np.flatnonzero(np.any(xi != searched, axis=1)):
-        idx[k] = isaac_fixed_point(spec, float(nodes[k]), tuple(xi[k]))
-        searched[k] = xi[k]
+    stale = np.flatnonzero(np.any(xi != searched, axis=1))
+    if len(stale):
+        idx[stale] = isaac_fixed_point(spec, nodes[stale], xi[stale])
+        searched[stale] = xi[stale]
     return idx
 
 
@@ -185,7 +187,10 @@ def picard_solve(
     Gradient fields start at zero (``xi_init`` overrides; a restart from a
     converged field takes two iterations, as the first one has no delta of
     the constants yet).  Each iteration searches the pointwise Nash control
-    again at the nodes whose gradient row moved, solves every player's frozen
+    again at the nodes whose gradient row moved, all of them in one batch call
+    of :func:`~ergodic_games.games.isaac_fixed_point` (a node with no stable
+    control raises :class:`~ergodic_games.games.NoPureNashError` naming its
+    state and gradient row), solves every player's frozen
     equation directly to ``inner_tol`` (warm-started), takes the new gradient
     fields as they are, and records the per-player deltas:
     ``|lam_new - lam_old|`` of an ergodic player under ``"lambda"``, the

@@ -293,12 +293,12 @@ def run_paths(
     of job ``s``, ``i`` the node nearest its state (:func:`nearest_node`).
     The run is set up once, before any step: the node grid is checked, the
     table's rows are joined and scaled by ``sigma``, and two window buffers
-    are allocated.  Columns are then stepped in batches of at most
-    ``_MAX_BATCH_PATHS``; a batch seeds one stream per distinct key, draws
-    its normals ``_BLOCK_STEPS`` steps per generator call into a path-major
-    block of a row per key, and transposes, scales and steps them one window
-    of ``_FINITE_CHECK_STEPS`` steps at a time, so no number depends on the
-    block size.  After each window, once checked finite, the engine calls
+    and the draw block are allocated.  Columns are then stepped in batches
+    of at most ``_MAX_BATCH_PATHS``; a batch seeds one stream per distinct
+    key, draws its normals ``_BLOCK_STEPS`` steps per generator call into the
+    path-major draw block, a row per key, and transposes, scales and steps
+    them one window of ``_FINITE_CHECK_STEPS`` steps at a time, so no number
+    depends on the block size.  After each window, once checked finite, the engine calls
     ``consume(job, paths, start, states, nodes)`` for each run of at most
     ``_CONSUME_PATHS`` columns of one job: ``paths`` is a slice of
     ``0..n_paths-1``, ``states`` their states at steps ``start`` to ``start +
@@ -331,14 +331,20 @@ def run_paths(
     # one window each, time-major: a batch of p columns views (win + 1) * p entries
     win = min(_FINITE_CHECK_STEPS, n_steps)
     noise, states = np.empty((win + 1) * width), np.empty((win + 1) * width)
+    batches = [slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
+               for b0 in range(0, total if n_steps > 0 else 0, _MAX_BATCH_PATHS)]
+    # the draw block, a row per distinct key, sized for the batch with the most: a block
+    # freed after each batch moved glibc's mmap threshold, and with it the workers' RSS
+    keys = max((len({(seeds[j // n_paths], j % n_paths) for j in range(c.start, c.stop)})
+                for c in batches), default=0)
+    drawn = np.empty((keys, min(_BLOCK_STEPS, n_steps)))
     seconds = [0.0, 0.0, 0.0]  # rng, euler, consume
     n_batches = n_blocks = n_streams = 0
     diverged: Optional[SimulationDivergedError] = None
-    for b0 in range(0, total if n_steps > 0 else 0, _MAX_BATCH_PATHS):
-        cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
+    for cols in batches:
         try:
-            blocks, streams = _run_batch(model, n_steps, step, seeds, n_paths, first_path,
-                                         cols, consume, prepared, noise, states, seconds)
+            blocks, streams = _run_batch(model, n_steps, step, seeds, n_paths, first_path, cols,
+                                         consume, prepared, drawn, noise, states, seconds)
         except SimulationDivergedError as err:
             if diverged is None or err.step_index < diverged.step_index:
                 diverged = err
@@ -450,11 +456,12 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
 
 def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                n_paths: int, first_path: int, cols: slice, consume: Callable,
-               prepared: Optional[tuple], noise: np.ndarray, states: np.ndarray,
-               seconds: list) -> tuple:
-    """One batch of :func:`run_paths` in views of its buffers, returning the
-    blocks and streams drawn; its consumer sees only its windows.  ``prepared``
-    is the run's drift set-up ``(lookup, flat, m, scaled, at)``, or None."""
+               prepared: Optional[tuple], drawn: np.ndarray, noise: np.ndarray,
+               states: np.ndarray, seconds: list) -> tuple:
+    """One batch of :func:`run_paths` in views of its buffers (``drawn``, the draw
+    block, has a row for each of the batch's distinct keys), returning the blocks
+    and streams drawn; its consumer sees only its windows.  ``prepared`` is the
+    run's drift set-up ``(lookup, flat, m, scaled, at)``, or None."""
     clock = time.perf_counter
     t0 = clock()
     a = model.lin_drift
@@ -482,7 +489,7 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
         lookup, flat, m, scaled, at = prepared
         scaled, at = scaled[:p], at[:p]
         offsets = np.arange(cols.start, cols.stop) // n_paths * m
-    drawn = np.empty((len(streams), min(_BLOCK_STEPS, n_steps)))  # path-major, as drawn
+    drawn = drawn[:len(streams)]  # path-major, as drawn
     win = min(_FINITE_CHECK_STEPS, n_steps)
     # scaled by sigma * sqrt(step): step k reads row k + 1 and, with a drift,
     # writes the node of its state into row k, whose noise step k - 1 has used

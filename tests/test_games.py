@@ -314,7 +314,8 @@ def test_search_matches_reference_on_a_picard_solve(model, monkeypatch):
 
     def recorded(spec, x, z):
         u = search(spec, x, z)
-        seen.append((x, z, u))
+        seen.extend((float(xk), tuple(zk), tuple(int(j) for j in uk))
+                    for xk, zk, uk in zip(x, z, u))
         return u
 
     monkeypatch.setattr(picard, "isaac_fixed_point", recorded)
@@ -325,6 +326,117 @@ def test_search_matches_reference_on_a_picard_solve(model, monkeypatch):
         assert u == min(_stable_controls(spec, x, z), key=lambda v: _value_key(spec, v))
 
 
+def _one_player():
+    # H = z * u + u^2 + bump(x): on the quarter lattice -z/2 falls half way between
+    # grid points, where two controls tie before rounding
+    return eg.GameSpec(
+        grids=(eg.ControlGrid.uniform(-1.0, 1.0, 41),), drift_map=lambda u: u,
+        costs=(lambda x, u: u**2 + bump(x),), cost_sup=1.0 + BUMP_SUP, cost_x_lip=BUMP_LIP,
+    )
+
+
+def _switched_pennies():
+    # H_0 = u (z_0 + v) and H_1 = v (z_1 - u) on {-1, 1}: matching pennies at z = 0,
+    # while z_0 = 5 fixes u = -1 and leaves (-1, -1) stable
+    g = eg.ControlGrid(np.array([-1.0, 1.0]))
+    return eg.GameSpec(
+        grids=(g, g), drift_map=lambda u, v: u + v,
+        costs=(lambda x, u, v: u * v + 0.0 * x, lambda x, u, v: -u * v + 0.0 * x),
+        cost_sup=1.0, cost_x_lip=0.0, name="switched pennies",
+    )
+
+
+@pytest.mark.parametrize("build, floats", [
+    (_one_player, 512),  # a one-player row is one float: the default holds 32,768 of them
+    (eg.quadratic_decoupled, None),
+    (eg.quadratic_decoupled, 512),
+    (eg.coupled_cross_cost, None),
+    (eg.coupled_cross_cost, 512),
+    (lambda: eg.three_player_symmetric(n_controls=9), None),
+    (lambda: eg.three_player_symmetric(n_controls=9), 512),
+], ids=["one_player", "decoupled", "decoupled_small_chunks", "coupled", "coupled_small_chunks",
+        "three_player", "three_player_small_chunks"])
+def test_batch_equals_scalar_calls_row_by_row(build, floats, monkeypatch):
+    spec = build()
+    n, k = spec.n_players, 900
+    rng = np.random.default_rng(11)
+    x = rng.normal(scale=3.0, size=k)
+    x[::3] = 0.25 * rng.integers(-12, 13, size=len(x[::3]))
+    z = rng.normal(scale=2.0, size=(k, n))
+    # every other row on a lattice of quarters, where minimisers tie before rounding
+    z[::2] = 0.25 * rng.integers(-6, 7, size=(len(z[::2]), n))
+    expected = [eg.isaac_fixed_point(spec, float(xk), tuple(zk)) for xk, zk in zip(x, z)]
+    ties = 0
+    for xk, zk, uk in zip(x[::2], z[::2], expected[::2]):
+        hits = _stable_controls(spec, xk, zk)
+        ties += len(hits) > 1
+        assert uk == min(hits, key=lambda u: _value_key(spec, u))
+    assert ties > 0
+    if floats is not None:
+        monkeypatch.setattr(games, "_SEARCH_FLOATS", floats)
+    # every node keeps at least one row, so more nodes than either chunk holds
+    # makes both passes run over several chunks
+    size, floats = spec.product_size(), games._SEARCH_FLOATS
+    assert k > max(1, floats // size) and k > max(1, floats * len(spec.grids[0]) // size)
+    u = eg.isaac_fixed_point(spec, x, z)
+    assert u.shape == (k, n) and u.dtype == np.intp
+    assert [tuple(uk) for uk in u] == expected
+    empty = eg.isaac_fixed_point(spec, np.empty(0), np.empty((0, n)))
+    assert empty.shape == (0, n) and empty.dtype == np.intp
+
+
+def test_batch_rejects_misshapen_gradients(g0):
+    with pytest.raises(ValueError, match="shape"):
+        eg.isaac_fixed_point(g0, np.zeros(3), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        eg.isaac_fixed_point(g0, np.zeros(3), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("floats", [None, 4], ids=["one_chunk", "one_node_chunks"])
+def test_batch_raises_for_its_first_row_without_pure_nash(floats, monkeypatch):
+    spec = _switched_pennies()
+    assert eg.isaac_fixed_point(spec, 0.0, (5.0, 0.0)) == (0, 0)
+    if floats is not None:
+        # one node per player-0 chunk: the later players run on nodes 0-1, then 2
+        monkeypatch.setattr(games, "_SEARCH_FLOATS", floats)
+    x = np.array([0.5, 1.5, 2.5, 3.5, 4.5])
+    z = np.array([[5.0, 0.0], [5.0, 0.0], [0.0, 0.0], [5.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(eg.NoPureNashError) as exc:
+        eg.isaac_fixed_point(spec, x, z)
+    assert (exc.value.x, exc.value.z) == (2.5, (0.0, 0.0))
+    assert type(exc.value.x) is float and all(type(v) is float for v in exc.value.z)
+    assert str(exc.value).endswith("at x=2.5, z=(0.0, 0.0)")
+    np.testing.assert_array_equal(eg.isaac_fixed_point(spec, x[[0, 1, 3]], z[[0, 1, 3]]),
+                                  [[0, 0]] * 3)
+
+
+def test_picard_failure_names_its_node_in_plain_floats(model):
+    with pytest.raises(eg.NoPureNashError) as exc:
+        eg.picard_solve(model, _pennies(), eg.Grid1D(-6.0, 6.0, 21))
+    assert str(exc.value) == "no pure Nash point on the control grids at x=-6.0, z=(0.0, 0.0)"
+
+
+@pytest.mark.parametrize("build, k", [(eg.coupled_cross_cost, 201),
+                                      (lambda: eg.three_player_symmetric(n_controls=41), 101)],
+                         ids=["two_player", "three_player"])
+def test_batch_search_memory_is_bounded(build, k):
+    # player 0's pass holds a chunk of joint tables and the later players' pass a
+    # chunk of rows, in one buffer: all 201 nodes' kept rows at once in the coupled
+    # game, or all 101 joint tables at once, would be several times this bound
+    spec = build()
+    rng = np.random.default_rng(3)
+    x, z = np.linspace(-6.0, 6.0, k), rng.normal(scale=2.0, size=(k, spec.n_players))
+    eg.isaac_fixed_point(spec, x, z)  # first calls allocate once-only caches
+    tracemalloc.start()
+    try:
+        eg.isaac_fixed_point(spec, x, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = 8 * max(spec.product_size(), games._SEARCH_FLOATS)
+    assert peak <= 5 * unit, (peak, unit)
+
+
 @pytest.mark.parametrize("build", [eg.quadratic_decoupled,
                                    lambda: eg.three_player_symmetric(n_controls=9)],
                          ids=["two_player", "three_player"])
@@ -332,13 +444,21 @@ def test_nan_gradient_or_state_has_no_pure_nash(build):
     # a NaN z_0, or a NaN cost for player 0, leaves player 0 no row to search;
     # a NaN z_i for a later player marks nothing on the rows
     spec = build()
+    good = (0.25,) * spec.n_players
     for i in range(spec.n_players):
         z = [0.25] * spec.n_players
         z[i] = np.nan
         with pytest.raises(eg.NoPureNashError):
             eg.isaac_fixed_point(spec, 0.0, tuple(z))
+        # in a batch, after a row that has one
+        with pytest.raises(eg.NoPureNashError) as exc:
+            eg.isaac_fixed_point(spec, np.array([0.0, 1.0]), np.array([good, z]))
+        assert exc.value.x == 1.0 and np.isnan(exc.value.z[i])
     with pytest.raises(eg.NoPureNashError):
-        eg.isaac_fixed_point(spec, np.nan, (0.25,) * spec.n_players)
+        eg.isaac_fixed_point(spec, np.nan, good)
+    with pytest.raises(eg.NoPureNashError) as exc:
+        eg.isaac_fixed_point(spec, np.array([0.0, np.nan]), np.array([good, good]))
+    assert np.isnan(exc.value.x) and exc.value.z == good
 
 
 def test_unsorted_grid_tie_goes_to_smallest_values():

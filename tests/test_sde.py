@@ -126,6 +126,25 @@ def test_equal_keys_share_noise_and_states(model, monkeypatch, max_batch, n_stre
     assert np.array_equal(states, euler_reference(model, 0.01, normals, (_SMALL, [tanh] * 9)))
 
 
+def test_a_later_batch_with_more_keys_draws_them_all(model, monkeypatch):
+    # seeds [5, 5, 6] in batches of 4 columns: the first batch holds 3 distinct
+    # keys, the second 4 and the last 1, so a draw block sized by the first
+    # batch would leave the second batch's last key undrawn
+    monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 4)
+    n, n_paths = 50, 3
+    states = np.empty((3, n_paths, n + 1))
+
+    def keep(job, paths, start, block, nodes):
+        states[job, paths, start:start + len(block)] = block.T
+
+    counters = sde.run_paths(model, n, 0.01, [5, 5, 6], n_paths, keep)
+    assert (counters["batches"], counters["streams"]) == (3, 3 + 4 + 1)
+    normals = [eg.path_stream(seed, k).standard_normal(n) for seed in (5, 5, 6)
+               for k in range(n_paths)]
+    assert np.array_equal(states.reshape(3 * n_paths, n + 1),
+                          euler_reference(model, 0.01, normals))
+
+
 @pytest.mark.parametrize("max_batch, first_path", [(2048, 0), (4, 0), (4, 3)],
                          ids=["one_batch", "split_batches", "range_of_paths"])
 def test_consumer_nodes_are_the_nearest_nodes_of_its_states(model, monkeypatch, max_batch,
