@@ -66,7 +66,21 @@ class NonMonotoneSchemeError(ValueError):
     reported.  Such rows in the boundary margins are solved as they are (the
     next residual shows an inaccurate step); the error is also raised if
     elimination without pivoting meets a zero pivot on them.
+
+    Carries the first failing node's ``x``, its ``advection_dx`` (``|drift +
+    sigma * slope| * dx``) and ``sigma2``, the two sides of the comparison; all
+    None for a zero pivot.
     """
+
+    def __init__(self, message: str, x: Optional[float] = None,
+                 advection_dx: Optional[float] = None, sigma2: Optional[float] = None):
+        super().__init__(message)
+        self.x = x
+        self.advection_dx = advection_dx
+        self.sigma2 = sigma2
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.x, self.advection_dx, self.sigma2)
 
 
 class MaxSweepsExceededError(RuntimeError):
@@ -445,9 +459,11 @@ def _solve_pinned(model, driver, grid: Grid1D, alpha: float, tol: float,
         excess = np.abs(adv[inner]) * dx - sig2
         if np.max(excess) >= 0.0:
             k = inner.start + int(np.argmax(excess))
+            adv_dx = float(abs(adv[k]) * dx)
             raise NonMonotoneSchemeError(
                 f"central scheme is not monotone at x={x[k]:.6g}: |drift + sigma*slope| dx "
-                f"= {abs(adv[k]) * dx:.6g} >= sigma^2 = {sig2:.6g}; refine the grid")
+                f"= {adv_dx:.6g} >= sigma^2 = {sig2:.6g}; refine the grid",
+                float(x[k]), adv_dx, float(sig2))
         lower, upper = diff - adv / (2.0 * dx), diff + adv / (2.0 * dx)
         lower[-1], upper[0] = 2.0 * diff[-1], 2.0 * diff[0]
         try:

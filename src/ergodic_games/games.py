@@ -103,7 +103,14 @@ class GameSpec:
     one entry per node or stacked row it searches at once, as the
     construction checks do.  The callables must act elementwise: the later
     players' pass also gets player 0's mesh cut to the stacked rows' indices,
-    so no value may depend on the meshes' shapes.  Nothing is cached per
+    so no value may depend on the meshes' shapes.  Where ``costs[0]``'s
+    compact values have length 1 on the other players' axes, player 0's
+    Hamiltonian reads their controls through the drift alone: the columns of
+    ``drift_table().reshape(|U_0|, -1)`` are then grouped at construction
+    into classes of bitwise equal columns, and the search evaluates one
+    column per class.  ``_classes`` holds ``(reps, cls)``, the first column of
+    each class (ascending) and each column's class, or None where no column
+    repeats or cost 0 reads the others.  Nothing is cached per
     state, so tabulation memory is O(max(|U|^n, _SEARCH_FLOATS)), independent
     of the state grid.  ``cost_sup`` bounds ``|cost_i|`` and ``cost_x_lip`` is a
     Lipschitz constant of the costs in the state; both must be finite and are
@@ -143,7 +150,11 @@ class GameSpec:
                              f"control {controls} is not finite")
         object.__setattr__(self, "drift_bound", float(np.abs(drift).max()))
         object.__setattr__(self, "_drift_table", table)
-        self._run_checks()
+        cost0 = self._run_checks()
+        # player 0's Hamiltonian reads the others' controls through the drift alone
+        # where cost 0's compact values have length 1 on their axes
+        classes = _column_classes(drift, self._shape()) if math.prod(cost0[2:]) == 1 else None
+        object.__setattr__(self, "_classes", classes)
 
     @property
     def n_players(self) -> int:
@@ -194,13 +205,14 @@ class GameSpec:
             raw = self._compact(cost, xs.reshape((-1,) + (1,) * n), lead=(len(xs),), check=check)
         return raw.reshape((1,) * (n + 1 - raw.ndim) + raw.shape)
 
-    def _run_checks(self) -> None:
+    def _run_checks(self) -> Tuple[int, ...]:
         """Check ``cost_sup`` at each state and ``cost_x_lip`` between paired states.
 
         Each cost is called on a block of states at once.  The first state runs
         alone; its compact size sets the block, so that a block's compact array
         holds at most one joint table.  The broadcast over the joint grid is
-        validated on the first call of each block size.
+        validated on the first call of each block size.  Returns the compact
+        shape of cost 0 at the first state, its sample axis first.
         """
         if not (math.isfinite(self.cost_sup) and math.isfinite(self.cost_x_lip)):
             raise ValueError(f"cost check failed: cost_sup={self.cost_sup!r} and "
@@ -209,20 +221,23 @@ class GameSpec:
         ys = check_states(_CHECK_SAMPLES, 1)
         lip_bound = self.cost_x_lip * np.abs(xs - ys)
         lip_bound += _CHECK_SLACK * (1.0 + lip_bound) + 1e-12
+        firsts = []
         for i in range(self.n_players):
             start, block, checked = 0, 1, set()
             while start < _CHECK_SAMPLES:
                 stop = min(start + block, _CHECK_SAMPLES)
-                size = self._check_block(i, xs[start:stop], ys[start:stop],
-                                         lip_bound[start:stop], stop - start not in checked)
+                shape = self._check_block(i, xs[start:stop], ys[start:stop],
+                                          lip_bound[start:stop], stop - start not in checked)
                 checked.add(stop - start)
                 if start == 0:
-                    block = max(1, self.product_size() // size)
+                    firsts.append(shape)
+                    block = max(1, self.product_size() // math.prod(shape))
                 start = stop
+        return firsts[0]
 
     def _check_block(self, i: int, xs: np.ndarray, ys: np.ndarray,
-                     lip_bound: np.ndarray, check: bool) -> int:
-        """Both checks of ``costs[i]`` on one block; the compact size of its values.
+                     lip_bound: np.ndarray, check: bool) -> Tuple[int, ...]:
+        """Both checks of ``costs[i]`` on one block; the compact shape of its values.
 
         The error names the block's first failing state, the bound on
         ``|cost_i(x)|`` before the Lipschitz bound between ``x`` and ``y``.
@@ -247,7 +262,30 @@ class GameSpec:
                 f"cost check failed: cost_{i} violates cost_x_lip={self.cost_x_lip:.6g} "
                 f"between sampled states x={float(xs[k]):.6g}, y={float(ys[k]):.6g}"
             )
-        return cx.size
+        return cx.shape
+
+
+def _column_classes(drift: np.ndarray, shape: Tuple[int, ...]):
+    """Classes of bitwise equal columns of player 0's view of the drift table,
+    ``drift_table().reshape(shape[0], -1)``, found on the compact ``drift``:
+    ``(reps, cls)``, the first column of each class in ascending order and the
+    class of each column, or None where every column is its own class."""
+    d = drift.reshape((1,) * (len(shape) - drift.ndim) + drift.shape)
+    # compact columns are equal exactly where the full columns they broadcast to are
+    bits = np.ascontiguousarray(d).view(np.int64).reshape(len(d), -1)
+    order = np.lexsort(bits)  # stable: each run of equal columns starts at its first
+    new = np.zeros(bits.shape[1], dtype=bool)
+    new[0] = True
+    for row in bits:
+        key = row[order]
+        new[1:] |= key[1:] != key[:-1]
+    first = np.empty_like(order)
+    first[order] = order[new][np.cumsum(new) - 1]
+    # each column labelled by its first equal compact column: the labels sort as the
+    # classes' first full columns do
+    full = np.broadcast_to(first.reshape(d.shape[1:]), shape[1:]).ravel()
+    _, reps, cls = np.unique(full, return_index=True, return_inverse=True)
+    return None if len(reps) == len(cls) else (reps, cls)
 
 
 def _max_abs_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -297,13 +335,18 @@ def isaac_fixed_point(spec: GameSpec, x, z):
     along their own axis: player 0's over whole joint tables, ``_SEARCH_FLOATS
     // |U|^n`` nodes at a time (at least one), each node keeping its *rows*
     (player-0 indices marked for some choice of the others), which hold every
-    stable control.  The others then run on the kept rows of many nodes,
-    stacked, ``_SEARCH_FLOATS // |U|^(n-1)`` rows at a time: a later player's
-    marks on a row depend on that row alone.  Both passes refill one
-    Hamiltonian buffer, so memory is O(max(|U|^n, _SEARCH_FLOATS)) floats
-    whatever the batch size.  A node's control is its first control
-    marked by every player in row-major index order; grids are ascending, so
-    ties go to the smallest tuple of control values.
+    stable control.  Where the spec has classes of equal drift columns (see
+    :class:`GameSpec`), the pass evaluates the ``|U_0| x C`` class table,
+    gathered once per call, ``_SEARCH_FLOATS // (|U_0| C)`` nodes at a time,
+    and gives each column its class's marks: equal columns have equal
+    Hamiltonian entries, so the marks are the full pass's bits.  The others
+    then run on the kept rows of many nodes, stacked, ``_SEARCH_FLOATS //
+    |U|^(n-1)`` rows at a time: a later player's marks on a row depend on
+    that row alone.  Both passes refill one Hamiltonian buffer, so memory is
+    O(max(|U|^n, _SEARCH_FLOATS)) floats whatever the batch size.  A node's
+    control is its first control marked by every player in row-major index
+    order; grids are ascending, so ties go to the smallest tuple of control
+    values.
 
     Raises :class:`NoPureNashError` for the first state with no stable joint
     control, NaN gradients and states included.
@@ -318,17 +361,26 @@ def isaac_fixed_point(spec: GameSpec, x, z):
     if not len(x):
         return np.empty((0, n), dtype=np.intp)
     width = size // shape[0]
-    nodes_per, rows_per = max(1, _SEARCH_FLOATS // size), max(1, _SEARCH_FLOATS // width)
+    classes = getattr(spec, "_classes")
+    if classes is None:
+        table, cls = spec.drift_table(), None
+    else:
+        # one column per class, in C order for the pass's strided reads; the reshape
+        # copies the drift table only where the drift ignores some player's control
+        table = np.take(spec.drift_table().reshape(shape[0], width), classes[0], axis=1)
+        table, cls = table.reshape(table.shape + (1,) * (n - 2)), classes[1]
+    nodes_per, rows_per = max(1, _SEARCH_FLOATS // table.size), max(1, _SEARCH_FLOATS // width)
     # one Hamiltonian buffer for both passes, each refilling its front
-    buf = np.empty(max(min(nodes_per, len(x)) * size, min(rows_per, len(x) * shape[0]) * width))
+    buf = np.empty(max(min(nodes_per, len(x)) * table.size,
+                       min(rows_per, len(x) * shape[0]) * width))
     # the later players run once a chunk of kept rows is pending, or at the last node,
     # so the marks held at once stay about one chunk's worth whatever the batch size
     out = np.empty((len(x), n), dtype=np.intp)
     pending, n_pending, done = [], 0, 0
     for k0 in range(0, len(x), nodes_per):
         xs, zs = x[k0:k0 + nodes_per], z[k0:k0 + nodes_per]
-        h = buf[:len(xs) * size].reshape((len(xs),) + shape)
-        nodes, rows, marks = _player0_rows(spec, xs, zs, h)
+        h = buf[:len(xs) * table.size].reshape((len(xs),) + table.shape)
+        nodes, rows, marks = _player0_rows(spec, xs, zs, table, cls, h)
         pending.append((nodes + k0, rows, marks))
         n_pending += len(rows)
         k1 = k0 + len(xs)
@@ -349,18 +401,26 @@ def isaac_fixed_point(spec: GameSpec, x, z):
     return out
 
 
-def _player0_rows(spec: GameSpec, x: np.ndarray, z: np.ndarray, h: np.ndarray) -> tuple:
-    """Player 0's pass over the joint tables ``h`` of the nodes ``x``, the state going to
-    the cost as a ``(c, 1, ..., 1)`` array: the node and row of each kept row (node-major,
-    rows ascending) and the row's player-0 marks."""
+def _player0_rows(spec: GameSpec, x: np.ndarray, z: np.ndarray, table: np.ndarray,
+                  cls, h: np.ndarray) -> tuple:
+    """Player 0's pass over the Hamiltonian tables ``h`` of the nodes ``x``, the state going
+    to the cost as a ``(c, 1, ..., 1)`` array.  ``table`` is the drift table, or one column
+    per class of equal drift columns (``(|U_0|, C, 1, ..., 1)``) with ``cls`` the class of
+    each column (else None).  The node and row of each kept row (node-major, rows ascending)
+    and the row's player-0 marks on the joint grid."""
     lead = (-1,) + (1,) * spec.n_players
-    np.multiply(spec.drift_table(), z[:, 0].reshape(lead), out=h)
+    np.multiply(table, z[:, 0].reshape(lead), out=h)
     # the raw cost broadcasts into the buffer: no table-sized temporary
     h += spec.costs[0](x.reshape(lead), *getattr(spec, "_mesh"))
     best = h <= h.min(axis=1, keepdims=True)
     # none where z[0] or the cost is NaN
     nodes, rows = best.any(axis=tuple(range(2, h.ndim))).nonzero()
-    return nodes, rows, best[nodes, rows]
+    marks = best[nodes, rows]
+    if cls is None:
+        return nodes, rows, marks
+    # a column has its class representative's Hamiltonian entries, so its marks
+    marks = marks.reshape(len(rows), table.shape[1]).take(cls, axis=1)
+    return nodes, rows, marks.reshape((len(rows),) + spec._shape()[1:])
 
 
 def _later_players(spec: GameSpec, x: np.ndarray, z: np.ndarray, nodes: np.ndarray,
@@ -379,7 +439,8 @@ def _later_players(spec: GameSpec, x: np.ndarray, z: np.ndarray, nodes: np.ndarr
         h = buf[:len(at) * width].reshape(mask.shape)
         xr, u0 = x[at].reshape(lead), mesh[0].take(row, axis=0)
         for i in range(1, n):
-            np.take(drift, row, axis=0, out=h)
+            # "clip" writes straight into h: the default mode buffers a copy of it
+            np.take(drift, row, axis=0, out=h, mode="clip")
             h *= z[at, i].reshape(lead)
             h += spec.costs[i](xr, u0, *mesh[1:])
             mask &= h <= h.min(axis=i, keepdims=True)

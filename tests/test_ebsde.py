@@ -194,6 +194,18 @@ def test_cfl_guard(model, coarse_grid):
     assert sol.residual_sup <= 1e-5
 
 
+def test_non_monotone_error_carries_its_node(model):
+    # slope 40 on dx = 0.3: the advection term outweighs the noise from x = -4.5 on
+    driver = eg.make_driver({"name": "linear_z_plus_bump", "slope": 40.0})
+    with pytest.raises(eg.NonMonotoneSchemeError) as exc:
+        eg.solve_ergodic(model, driver, eg.Grid1D(-6.0, 6.0, 41))
+    err = exc.value
+    assert err.x == -4.5 and err.sigma2 == pytest.approx(2.0)
+    assert err.advection_dx >= err.sigma2
+    assert str(err) == (f"central scheme is not monotone at x=-4.5: |drift + sigma*slope| dx "
+                        f"= {err.advection_dx:.6g} >= sigma^2 = 2; refine the grid")
+
+
 def test_zero_pivot_on_a_margin_row_raises_non_monotone():
     # unit noise and dx = 1 give sigma^2 / dx = 1; the frozen slope cancels the
     # drift -x except at x=-5, where drift + slope = 5 - 6 = -1 exactly: the
@@ -206,8 +218,9 @@ def test_zero_pivot_on_a_margin_row_raises_non_monotone():
     offset = np.zeros(grid.m)
     offset[grid.x_ref_index] = 1.0
     driver = frozen_driver(slope, offset, lipschitz_z=6.0, bound_at_zero=1.0)
-    with pytest.raises(eg.NonMonotoneSchemeError, match="zero pivot"):
+    with pytest.raises(eg.NonMonotoneSchemeError, match="zero pivot") as exc:
         eg.solve_ergodic(model, driver, grid)
+    assert exc.value.x is None and exc.value.advection_dx is None and exc.value.sigma2 is None
 
 
 @pytest.mark.parametrize("node", [0, 40, 80])

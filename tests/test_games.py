@@ -266,15 +266,60 @@ def _tie_game():
     )
 
 
-@pytest.mark.parametrize("build", [
-    eg.quadratic_decoupled,
-    eg.coupled_cross_cost,
-    lambda: eg.three_player_symmetric(n_controls=9),
-], ids=["decoupled", "coupled", "three_player"])
-def test_search_matches_argwhere_reference(build):
+def _three_player(sizes, drift_map=lambda u, v, w: u + v + w, coupled=False, state=True):
+    # own quadratic costs on uniform grids of [-1, 1]; ``coupled`` adds uv/4 to the first
+    # two costs, and ``state=False`` drops the bump, so the costs ignore the state
+    b = bump if state else (lambda x: 0.0)
+    c = (lambda u, v: 0.25 * u * v) if coupled else (lambda u, v: 0.0)
+    return eg.GameSpec(
+        grids=tuple(eg.ControlGrid.uniform(-1.0, 1.0, m) for m in sizes), drift_map=drift_map,
+        costs=(lambda x, u, v, w: u**2 + c(u, v) + b(x),
+               lambda x, u, v, w: v**2 + c(u, v) + b(x),
+               lambda x, u, v, w: w**2 + b(x)),
+        cost_sup=1.25 + BUMP_SUP, cost_x_lip=BUMP_LIP if state else 0.0,
+    )
+
+
+# (game, player-0 column classes or None, columns)
+_CLASSED_GAMES = {
+    "decoupled": (eg.quadratic_decoupled, None, 41),
+    "coupled": (eg.coupled_cross_cost, None, 41),
+    "tie": (_tie_game, None, 5),
+    "three_player": (lambda: eg.three_player_symmetric(n_controls=9), 17, 81),
+    "three_player_41": (lambda: eg.three_player_symmetric(n_controls=41), 781, 1681),
+    "unequal_grids": (lambda: _three_player((5, 7, 4)), 22, 28),
+    # the drift repeats its columns, but cost 0 reads player 1's control
+    "cost_reads_others": (lambda: _three_player((5, 7, 4), coupled=True), None, 28),
+    "stateless_cost": (lambda: _three_player((7, 7, 7), state=False), 34, 49),
+    # a drift that ignores player 2: its compact table has one column per v
+    "drift_ignores_w": (lambda: _three_player((5, 7, 4), lambda u, v, w: u + v), 7, 28),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLASSED_GAMES))
+def test_player0_column_classes(name):
+    # the first column of each class, ascending, and each column's class: columns of a
+    # class are bitwise equal, and columns of different classes differ
+    build, n_classes, n_columns = _CLASSED_GAMES[name]
+    spec = build()
+    classes = getattr(spec, "_classes")
+    if n_classes is None:
+        assert classes is None
+        return
+    reps, cls = classes
+    assert reps.dtype == cls.dtype == np.intp
+    assert (len(reps), len(cls)) == (n_classes, n_columns)
+    assert np.all(np.diff(reps) > 0) and np.array_equal(cls[reps], np.arange(n_classes))
+    bits = spec.drift_table().reshape(len(spec.grids[0]), -1).view(np.int64)
+    np.testing.assert_array_equal(bits[:, reps[cls]], bits)
+    assert len(np.unique(bits[:, reps], axis=1).T) == n_classes
+
+
+@pytest.mark.parametrize("name", list(_CLASSED_GAMES))
+def test_search_matches_argwhere_reference(name):
     # the reference takes the smallest value key over all stable controls;
     # the one-pass search must pick the same control, ties included
-    spec = build()
+    spec = _CLASSED_GAMES[name][0]()
     rng = np.random.default_rng(5)
     ties = 0
     for k in range(120):
@@ -287,6 +332,17 @@ def test_search_matches_argwhere_reference(build):
         ties += len(hits) > 1
         assert eg.isaac_fixed_point(spec, x, z) == min(hits, key=lambda u: _value_key(spec, u))
     assert ties > 0
+
+
+def test_search_raises_where_rounding_leaves_no_stable_control():
+    # z_0 = z_1 = 1.25 put players 0 and 1 half way between two grid points, and
+    # after rounding no joint control is stable at this state
+    spec = eg.three_player_symmetric(n_controls=41)
+    x, z = 0.5, (1.25, 1.25, 0.75)
+    assert _stable_controls(spec, x, z) == []
+    with pytest.raises(eg.NoPureNashError) as exc:
+        eg.isaac_fixed_point(spec, np.array([1.0, x]), np.array([z, z]))
+    assert (exc.value.x, exc.value.z) == (x, z)
 
 
 def test_search_matches_reference_above_a_million_joint_points():
@@ -435,11 +491,17 @@ def test_batch_search_memory_is_bounded(build, k):
         tracemalloc.stop()
     unit = 8 * max(spec.product_size(), games._SEARCH_FLOATS)
     assert peak <= 5 * unit, (peak, unit)
+    if spec.n_players == 3:
+        # player 0 searches 781 class columns, so buffer and class table hold 0.93 of
+        # a joint table: a joint-table-sized buffer beside the class table exceeds this
+        assert peak <= 1.4 * unit, (peak, unit)
 
 
 @pytest.mark.parametrize("build", [eg.quadratic_decoupled,
-                                   lambda: eg.three_player_symmetric(n_controls=9)],
-                         ids=["two_player", "three_player"])
+                                   lambda: eg.three_player_symmetric(n_controls=9),
+                                   lambda: eg.three_player_symmetric(n_controls=41),
+                                   lambda: _three_player((5, 7, 4))],
+                         ids=["two_player", "three_player", "three_player_41", "unequal_grids"])
 def test_nan_gradient_or_state_has_no_pure_nash(build):
     # a NaN z_0, or a NaN cost for player 0, leaves player 0 no row to search;
     # a NaN z_i for a later player marks nothing on the rows

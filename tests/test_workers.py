@@ -25,7 +25,8 @@ _ERRORS = {
     games.NoPureNashError: lambda: games.NoPureNashError(0.5, (1.25, -2.0)),
     ebsde.MaxSweepsExceededError: lambda: ebsde.MaxSweepsExceededError(
         3.5e-4, 50, 0.3075, np.linspace(-1.0, 1.0, 7), [1.0, 0.01, 3.5e-4]),
-    ebsde.NonMonotoneSchemeError: lambda: ebsde.NonMonotoneSchemeError("not monotone at node 4"),
+    ebsde.NonMonotoneSchemeError: lambda: ebsde.NonMonotoneSchemeError(
+        "not monotone at x=-4.5", -4.5, 18.3, 2.0),
     continuous.GrowthViolationError: lambda: continuous.GrowthViolationError("grows too fast"),
     verify.InsufficientHorizonError: lambda: verify.InsufficientHorizonError("horizon 5"),
     cli.ConfigError: lambda: cli.ConfigError("grid.m is missing"),
