@@ -308,6 +308,8 @@ def _max_abs_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def hamiltonian(spec: GameSpec, player: int, x, z_i, u: JointControl) -> float:
     """Player's Hamiltonian ``z_i * drift_map(u) + cost_i(x, u)`` at one point."""
+    if not 0 <= player < spec.n_players:
+        raise ValueError(f"player index {player} out of range")
     _validate_joint(spec, u)
     vals = spec.control_values(u)
     r = float(np.asarray(spec.drift_map(*vals)))
@@ -353,13 +355,25 @@ def isaac_fixed_point(spec: GameSpec, x, z):
     """
     if np.ndim(x) == 0:
         return tuple(int(j) for j in isaac_fixed_point(spec, np.array([x]), np.array([z]))[0])
-    n, shape, size = spec.n_players, spec._shape(), spec.product_size()
     x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    controls, stable = _search(spec, x, z)
+    if not stable.all():
+        k = int(np.argmin(stable))
+        raise NoPureNashError(float(x[k]), tuple(float(v) for v in z[k]))
+    return controls
+
+
+def _search(spec: GameSpec, x: np.ndarray, z: np.ndarray) -> tuple:
+    """The batch search of :func:`isaac_fixed_point` without its raise: the ``(K, n)``
+    controls and a ``(K,)`` flag, true where the row has a stable joint control.  A row
+    without one (NaN included) is flagged false and its controls are 0."""
+    n, shape, size = spec.n_players, spec._shape(), spec.product_size()
     if x.ndim != 1 or z.shape != (len(x), n):
         raise ValueError(f"need one gradient value per player ({n}) at each state, got "
                          f"states of shape {x.shape} and gradients of shape {z.shape}")
+    out, stable = np.zeros((len(x), n), dtype=np.intp), np.zeros(len(x), dtype=bool)
     if not len(x):
-        return np.empty((0, n), dtype=np.intp)
+        return out, stable
     width = size // shape[0]
     classes = getattr(spec, "_classes")
     if classes is None:
@@ -375,16 +389,14 @@ def isaac_fixed_point(spec: GameSpec, x, z):
                        min(rows_per, len(x) * shape[0]) * width))
     # the later players run once a chunk of kept rows is pending, or at the last node,
     # so the marks held at once stay about one chunk's worth whatever the batch size
-    out = np.empty((len(x), n), dtype=np.intp)
-    pending, n_pending, done = [], 0, 0
+    pending, n_pending = [], 0
     for k0 in range(0, len(x), nodes_per):
         xs, zs = x[k0:k0 + nodes_per], z[k0:k0 + nodes_per]
         h = buf[:len(xs) * table.size].reshape((len(xs),) + table.shape)
         nodes, rows, marks = _player0_rows(spec, xs, zs, table, cls, h)
         pending.append((nodes + k0, rows, marks))
         n_pending += len(rows)
-        k1 = k0 + len(xs)
-        if n_pending < rows_per and k1 < len(x):
+        if n_pending < rows_per and k0 + len(xs) < len(x):
             continue
         nodes, rows, marks = (np.concatenate(a) for a in zip(*pending))
         found, first = _later_players(spec, x, z, nodes, rows, marks, buf)
@@ -393,12 +405,10 @@ def isaac_fixed_point(spec: GameSpec, x, z):
         starts = np.ones(len(hit), dtype=bool)
         np.not_equal(nodes[hit[1:]], nodes[hit[:-1]], out=starts[1:])
         hit = hit[starts]
-        if len(hit) < k1 - done:
-            k = done + int(np.argmin(np.isin(np.arange(done, k1), nodes[hit])))
-            raise NoPureNashError(float(x[k]), tuple(float(v) for v in z[k]))
-        out[done:k1] = np.array(np.unravel_index(rows[hit] * width + first[hit], shape)).T
-        pending, n_pending, done = [], 0, k1
-    return out
+        out[nodes[hit]] = np.array(np.unravel_index(rows[hit] * width + first[hit], shape)).T
+        stable[nodes[hit]] = True
+        pending, n_pending = [], 0
+    return out, stable
 
 
 def _player0_rows(spec: GameSpec, x: np.ndarray, z: np.ndarray, table: np.ndarray,
@@ -449,6 +459,17 @@ def _later_players(spec: GameSpec, x: np.ndarray, z: np.ndarray, nodes: np.ndarr
     return found, first
 
 
+def _frozen_tables(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray):
+    """The drift and each player's cost at the joint control ``idx[k]``, per state
+    ``nodes[k]`` (each cost is called once on the states and the control columns:
+    elementwise, so the tables' entries)."""
+    joint = tuple(idx[:, i] for i in range(spec.n_players))
+    cols = [g.points[j] for g, j in zip(spec.grids, joint)]
+    c_nodes = [np.broadcast_to(np.asarray(cost(nodes, *cols), dtype=float), nodes.shape)
+               for cost in spec.costs]
+    return spec.drift_table()[joint], c_nodes
+
+
 @dataclass(frozen=True)
 class IsaacsReport:
     """Sampled diagnostic for existence and stability of pointwise Nash points."""
@@ -473,52 +494,40 @@ def verify_isaacs(
     with scale 2.  For each sample the search is retried at a
     ``delta``-perturbed ``z`` and the largest change of the per-player
     Hamiltonian values is recorded (``delta == 0`` reproduces the same
-    point, so the jump is zero).  A sample counts as a hit only when both
-    searches find a pure Nash point.  ``n_samples`` must be at least 1: no
-    sample would certify nothing.  These defaults are also the CLI's:
-    ``check-assumptions`` passes ``mc.isaacs_samples`` and ``mc.isaacs_delta``
-    only when a config sets them.
+    point, so the jump is zero).  Both searches of every sample run as one
+    batch search over ``2 * n_samples`` rows.  A sample counts as a hit only
+    when both find a pure Nash point; ``example_failures`` lists the first
+    five other samples, each at the first of its gradients without one.
+    ``n_samples`` must be at least 1: no sample would certify nothing.  These
+    defaults are also the CLI's: ``check-assumptions`` passes
+    ``mc.isaacs_samples`` and ``mc.isaacs_delta`` only when a config sets
+    them.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    rng = path_stream(seed, 0x15AAC)
-    hits = 0
-    max_jump = 0.0
-    failures = []
-    for _ in range(n_samples):
-        x = float(rng.normal(scale=2.0))
-        z = tuple(float(rng.normal(scale=2.0)) for _ in range(spec.n_players))
-        # a random unit direction per player: a sign
-        direction = np.sign(rng.standard_normal(len(z))).tolist()
-        try:
-            u = isaac_fixed_point(spec, x, z)
-        except NoPureNashError:
-            if len(failures) < 5:
-                failures.append((x, z))
-            continue
-        z_near = tuple(z_i + delta * d for z_i, d in zip(z, direction))
-        try:
-            u_near = isaac_fixed_point(spec, x, z_near)
-        except NoPureNashError:
-            if len(failures) < 5:
-                failures.append((x, z_near))
-            continue
-        hits += 1
-        jump = max(
-            abs(
-                hamiltonian(spec, i, x, z_near[i], u_near)
-                - hamiltonian(spec, i, x, z[i], u)
-            )
-            for i in range(spec.n_players)
-        )
-        max_jump = max(max_jump, jump)
+    n = spec.n_players
+    # per sample, in the stream's order: x, z, then a random unit direction per
+    # player (a sign); 2 g + 0.0 are the bits of normal(scale=2.0)
+    g = path_stream(seed, 0x15AAC).standard_normal((n_samples, 1 + 2 * n))
+    x, z = 2.0 * g[:, 0] + 0.0, 2.0 * g[:, 1:n + 1] + 0.0
+    z_near = z + delta * np.sign(g[:, n + 1:])
+    xs, zs = np.concatenate([x, x]), np.concatenate([z, z_near])
+    controls, stable = _search(spec, xs, zs)
+    first_ok = stable[:n_samples]
+    hit = first_ok & stable[n_samples:]
+    failures = tuple((float(x[k]), tuple(float(v) for v in (z_near if first_ok[k] else z)[k]))
+                     for k in np.flatnonzero(~hit)[:5])
+    r, c = _frozen_tables(spec, xs, controls)
+    h = zs * r[:, None] + np.stack(c, axis=1)
+    jump = np.abs(h[n_samples:] - h[:n_samples]).max(axis=1)
+    hits = int(np.count_nonzero(hit))
     return IsaacsReport(
         fraction_with_pure_nash=hits / n_samples,
-        max_continuity_jump=max_jump,
+        max_continuity_jump=float(jump[hit].max(initial=0.0)),
         n_samples=n_samples,
         delta=delta,
         n_failures=n_samples - hits,
-        example_failures=tuple(failures),
+        example_failures=failures,
     )
 
 

@@ -38,7 +38,7 @@ from .ebsde import (
     solve_discounted,
     solve_ergodic,
 )
-from .games import FeedbackPolicy, GameSpec, NoPureNashError, isaac_fixed_point
+from .games import FeedbackPolicy, GameSpec, NoPureNashError, _frozen_tables, isaac_fixed_point
 from .sde import SdeModel
 
 __all__ = [
@@ -132,16 +132,6 @@ def _policy_from_xi(spec: GameSpec, nodes: np.ndarray, xi: np.ndarray, searched:
         idx[stale] = isaac_fixed_point(spec, nodes[stale], xi[stale])
         searched[stale] = xi[stale]
     return idx
-
-
-def _frozen_tables(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray):
-    """Per-node drift values and per-player cost values under a fixed policy (each cost is
-    called once on the nodes and the control columns: elementwise, so the tables' entries)."""
-    joint = tuple(idx[:, i] for i in range(spec.n_players))
-    cols = [g.points[j] for g, j in zip(spec.grids, joint)]
-    c_nodes = [np.broadcast_to(np.asarray(cost(nodes, *cols), dtype=float), nodes.shape)
-               for cost in spec.costs]
-    return spec.drift_table()[joint], c_nodes
 
 
 def comparison_bound(spec: GameSpec) -> float:

@@ -12,6 +12,7 @@ from ergodic_games import games, picard
 from ergodic_games._samples import check_states
 from ergodic_games.catalog import BUMP_LIP, BUMP_SUP, bump
 from ergodic_games.ebsde import nearest_node, node_lookup
+from ergodic_games.sde import path_stream
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -211,6 +212,13 @@ def test_hamiltonian_validates_joint_control(g0):
         eg.hamiltonian(g0, 0, 0.0, 0.0, (0,))
     with pytest.raises(ValueError):
         eg.hamiltonian(g0, 0, 0.0, 0.0, (0, 99))
+
+
+@pytest.mark.parametrize("player", [-1, 2])
+def test_hamiltonian_validates_player(g0, player):
+    # -1 used to read player 1's cost, and 2 failed with a bare IndexError
+    with pytest.raises(ValueError, match=f"player index {player} out of range"):
+        eg.hamiltonian(g0, player, 0.3, 1.0, (3, 7))
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,6 +472,11 @@ def test_batch_raises_for_its_first_row_without_pure_nash(floats, monkeypatch):
     assert str(exc.value).endswith("at x=2.5, z=(0.0, 0.0)")
     np.testing.assert_array_equal(eg.isaac_fixed_point(spec, x[[0, 1, 3]], z[[0, 1, 3]]),
                                   [[0, 0]] * 3)
+    # the search itself flags the rows without a stable control and keeps the others
+    controls, stable = games._search(spec, x, z)
+    np.testing.assert_array_equal(stable, [True, True, False, True, False])
+    assert [tuple(u) for u in controls[stable]] == [
+        eg.isaac_fixed_point(spec, float(xk), tuple(zk)) for xk, zk in zip(x[stable], z[stable])]
 
 
 def test_picard_failure_names_its_node_in_plain_floats(model):
@@ -559,6 +572,53 @@ def test_verify_isaacs_counts_failures_at_the_perturbed_gradient():
     assert rep.fraction_with_pure_nash == 0.0
     assert rep.n_failures == 5
     assert len(rep.example_failures) == 5
+
+
+def _verify_isaacs_reference(spec, n_samples, delta, seed):
+    """verify_isaacs one sample at a time: two lone searches, then scalar Hamiltonians."""
+    rng = path_stream(seed, 0x15AAC)
+    hits, max_jump, failures = 0, 0.0, []
+    for _ in range(n_samples):
+        x = float(rng.normal(scale=2.0))
+        z = tuple(float(rng.normal(scale=2.0)) for _ in range(spec.n_players))
+        direction = np.sign(rng.standard_normal(len(z))).tolist()
+        z_near = tuple(z_i + delta * d for z_i, d in zip(z, direction))
+        try:
+            u = eg.isaac_fixed_point(spec, x, z)
+            try:
+                u_near = eg.isaac_fixed_point(spec, x, z_near)
+            except eg.NoPureNashError:
+                failures.append((x, z_near))
+                continue
+        except eg.NoPureNashError:
+            failures.append((x, z))
+            continue
+        hits += 1
+        max_jump = max(max_jump, max(
+            abs(eg.hamiltonian(spec, i, x, z_near[i], u_near) - eg.hamiltonian(spec, i, x, z[i], u))
+            for i in range(spec.n_players)))
+    return eg.IsaacsReport(fraction_with_pure_nash=hits / n_samples, max_continuity_jump=max_jump,
+                           n_samples=n_samples, delta=delta, n_failures=n_samples - hits,
+                           example_failures=tuple(failures[:5]))
+
+
+@pytest.mark.parametrize("build", [eg.quadratic_decoupled, eg.coupled_cross_cost,
+                                   eg.three_player_symmetric, _pennies, _switched_pennies],
+                         ids=["decoupled", "coupled", "three_player", "pennies",
+                              "switched_pennies"])
+@pytest.mark.parametrize("delta", [0.0, 1e-3, np.nan], ids=["zero", "small", "nan"])
+def test_verify_isaacs_equals_the_per_sample_reference(build, delta):
+    spec = build()
+    rep = eg.verify_isaacs(spec, n_samples=120, delta=delta, seed=7)
+    ref = _verify_isaacs_reference(spec, 120, delta, 7)
+    # every field, NaN delta included, and the failures as plain floats
+    assert repr(rep) == repr(ref)
+    assert type(rep.max_continuity_jump) is float
+    for x, z in rep.example_failures:
+        assert type(x) is float and all(type(v) is float for v in z)
+    if build is _switched_pennies and delta == 1e-3:
+        # its z draws give hits and failures together
+        assert 0 < rep.n_failures < rep.n_samples and rep.max_continuity_jump > 0.0
 
 
 @pytest.mark.parametrize("n_samples", [0, -3])
