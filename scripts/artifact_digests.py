@@ -8,7 +8,8 @@ Every report and CSV is then listed as one ``sha256  path`` line, with paths
 relative to DIR; manifests are skipped, since they hold wall times.  No
 command writes a pathwise backward-equation residual, so each of RESIDUALS
 is computed on the equilibrium its run saved and listed as the digest of
-its ``repr``, under ``<config>/<subcommand>/residual_player<i>_step<h>``.  The
+its ``repr``, under
+``<config>/<subcommand>/residual_player<i>_step<h>_paths<n>_horizon<T>``.  The
 library is imported from the ``src`` directory of the checkout holding this
 script, so running a copy of it in two checkouts and diffing the two
 listings shows whether a change kept every artifact byte-identical.
@@ -42,12 +43,14 @@ RUNS = (
     ("three_player", "check-assumptions"),
 )
 
-# (config, subcommand whose saved equilibrium is checked, player, step); the
-# residual uses the config's seed and its own defaults otherwise
+# (config, subcommand whose saved equilibrium is checked, player, step, paths,
+# horizon); the residual uses the config's seed
 RESIDUALS = (
-    ("g0", "solve-game", 0, 0.02),
-    ("g0", "solve-game", 0, 0.01),
-    ("g0_asymmetric", "asymmetric", 1, 0.02),
+    ("g0", "solve-game", 0, 0.02, 64, 50.0),
+    ("g0", "solve-game", 0, 0.01, 64, 50.0),
+    ("g0_asymmetric", "asymmetric", 1, 0.02, 64, 50.0),
+    # 1,000 keys of one seed over 1,000 steps, in one process: 16 bands of normals
+    ("g0", "solve-game", 0, 0.02, 1000, 20.0),
 )
 
 
@@ -73,15 +76,17 @@ def main(argv=None) -> int:
             if path.name != "manifest.json":
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {path.relative_to(root)}")
-    for name, command, player, step in RESIDUALS:
+    for name, command, player, step, n_paths, horizon in RESIDUALS:
         if (name, command) not in RUNS:
             continue
         cfg = cli.load_config(CONFIGS / f"{name}.yaml")
         value = bsde_path_residual(cli.make_model(cfg["model"] or {}), cli.make_game(cfg["game"]),
                                    cli.load_nash(root / name / command), player=player,
-                                   step=step, seed=cfg.get("seed", 0))
+                                   horizon=horizon, step=step, n_paths=n_paths,
+                                   seed=cfg.get("seed", 0))
         digest = hashlib.sha256(repr(value).encode()).hexdigest()
-        print(f"{digest}  {name}/{command}/residual_player{player}_step{step}")
+        print(f"{digest}  {name}/{command}/residual_player{player}_step{step}"
+              f"_paths{n_paths}_horizon{horizon}")
     return 1 if failed else 0
 
 

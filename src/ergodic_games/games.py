@@ -141,6 +141,7 @@ class GameSpec:
             a.flags.writeable = False
         object.__setattr__(self, "_mesh", mesh)
         drift = self._compact(self.drift_map)
+        drift = drift.reshape((1,) * (self.n_players - drift.ndim) + drift.shape)
         table = np.broadcast_to(drift, self._shape())
         # compact array: broadcasting repeats values but drops none
         if not np.isfinite(drift).all():
@@ -149,6 +150,7 @@ class GameSpec:
             raise ValueError(f"drift_map check failed: value {float(table[u])} at joint "
                              f"control {controls} is not finite")
         object.__setattr__(self, "drift_bound", float(np.abs(drift).max()))
+        object.__setattr__(self, "_drift", drift)
         object.__setattr__(self, "_drift_table", table)
         cost0 = self._run_checks()
         # player 0's Hamiltonian reads the others' controls through the drift alone
@@ -265,12 +267,11 @@ class GameSpec:
         return cx.shape
 
 
-def _column_classes(drift: np.ndarray, shape: Tuple[int, ...]):
+def _column_classes(d: np.ndarray, shape: Tuple[int, ...]):
     """Classes of bitwise equal columns of player 0's view of the drift table,
-    ``drift_table().reshape(shape[0], -1)``, found on the compact ``drift``:
+    ``drift_table().reshape(shape[0], -1)``, found on the compact drift ``d``:
     ``(reps, cls)``, the first column of each class in ascending order and the
     class of each column, or None where every column is its own class."""
-    d = drift.reshape((1,) * (len(shape) - drift.ndim) + drift.shape)
     # compact columns are equal exactly where the full columns they broadcast to are
     bits = np.ascontiguousarray(d).view(np.int64).reshape(len(d), -1)
     order = np.lexsort(bits)  # stable: each run of equal columns starts at its first
@@ -379,9 +380,12 @@ def _search(spec: GameSpec, x: np.ndarray, z: np.ndarray) -> tuple:
     if classes is None:
         table, cls = spec.drift_table(), None
     else:
-        # one column per class, in C order for the pass's strided reads; the reshape
-        # copies the drift table only where the drift ignores some player's control
-        table = np.take(spec.drift_table().reshape(shape[0], width), classes[0], axis=1)
+        # one column per class, in C order for the pass's strided reads, gathered from
+        # the compact drift (an index clipped to an axis of length 1 reads its entry)
+        d = getattr(spec, "_drift")
+        at = np.ravel_multi_index(np.unravel_index(classes[0], shape[1:]), d.shape[1:],
+                                  mode="clip")
+        table = np.broadcast_to(np.take(d.reshape(len(d), -1), at, axis=1), (shape[0], len(at)))
         table, cls = table.reshape(table.shape + (1,) * (n - 2)), classes[1]
     nodes_per, rows_per = max(1, _SEARCH_FLOATS // table.size), max(1, _SEARCH_FLOATS // width)
     # one Hamiltonian buffer for both passes, each refilling its front
@@ -439,7 +443,7 @@ def _later_players(spec: GameSpec, x: np.ndarray, z: np.ndarray, nodes: np.ndarr
     player 0's index ``rows[r]`` and ``marks[r]`` its player-0 marks, cut in place to the
     controls every player marks.  A later player's marks on a row depend on that row
     alone.  Whether each row has a marked control, and the first in row-major order."""
-    n, drift, mesh = spec.n_players, spec.drift_table(), getattr(spec, "_mesh")
+    n, drift, mesh = spec.n_players, getattr(spec, "_drift"), getattr(spec, "_mesh")
     width = math.prod(marks.shape[1:])
     chunk = max(1, _SEARCH_FLOATS // width)
     lead = (-1,) + (1,) * (n - 1)
@@ -448,10 +452,16 @@ def _later_players(spec: GameSpec, x: np.ndarray, z: np.ndarray, nodes: np.ndarr
         at, row, mask = nodes[r0:r0 + chunk], rows[r0:r0 + chunk], marks[r0:r0 + chunk]
         h = buf[:len(at) * width].reshape(mask.shape)
         xr, u0 = x[at].reshape(lead), mesh[0].take(row, axis=0)
+        # a compact drift's rows, gathered once per chunk, are smaller than h ("clip"
+        # maps every row to the only one where the drift ignores player 0's control)
+        compact = None if drift.shape == spec._shape() else np.take(drift, row, 0, mode="clip")
         for i in range(1, n):
-            # "clip" writes straight into h: the default mode buffers a copy of it
-            np.take(drift, row, axis=0, out=h, mode="clip")
-            h *= z[at, i].reshape(lead)
+            if compact is None:
+                # "clip" writes straight into h: the default mode buffers a copy of it
+                np.take(drift, row, axis=0, out=h, mode="clip")
+                h *= z[at, i].reshape(lead)
+            else:
+                np.multiply(compact, z[at, i].reshape(lead), out=h)
             h += spec.costs[i](xr, u0, *mesh[1:])
             mask &= h <= h.min(axis=i, keepdims=True)
         mask = mask.reshape(len(at), width)

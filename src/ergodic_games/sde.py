@@ -19,10 +19,10 @@ Randomness is drawn from one generator per path, keyed by
 ``n_paths``, column ``j`` is path ``j % n_paths`` of ``seeds[j // n_paths]``.
 A batch seeds and draws each distinct key once, and every column of that key
 reads the same normals, so jobs listing one seed share their paths' noise.
-Each key's normals are drawn a block of steps at a time, which only
-amortises the per-generator calls; stepping, the scan for divergence and the
-consumer all work one fixed window of steps at a time, so no number depends
-on the block size.  Path ``k`` of a batch is bitwise identical to the same
+Drawing, stepping, the scan for divergence and the consumer all work one
+fixed window of steps at a time; each window's normals are drawn and scaled
+a band of keys at a time, which only groups the work, so no number depends
+on the band size.  Path ``k`` of a batch is bitwise identical to the same
 path simulated alone, so Monte Carlo estimates do not depend on how paths are
 batched or scheduled.  :func:`sample_paths` records every state of the paths
 of one seed; the checks in :mod:`.verify` consume windows as they come.
@@ -211,18 +211,17 @@ def _n_steps(horizon: float, step: float) -> int:
     return int(math.ceil(horizon / step - 1e-9))
 
 
-# steps of one window: stepped, scanned for non-finite states and handed to
-# the consumer together; a path's windows start at multiples of it whatever
+# steps of one window: drawn, stepped, scanned for non-finite states and handed
+# to the consumer together; a path's windows start at multiples of it whatever
 # the batch, so every sum over them is the same as for the path alone
 _FINITE_CHECK_STEPS = 256
-# steps of normals drawn per call on each path's generator, a multiple of
-# _FINITE_CHECK_STEPS so windows tile a block; it only amortises those calls,
-# and no number depends on it
-_BLOCK_STEPS = 1024
-# most paths stepped together: memory is one path-major draw block of
-# _BLOCK_STEPS x _MAX_BATCH_PATHS floats plus two window buffers (noise, whose
-# used rows also hold the nodes, and states) of _FINITE_CHECK_STEPS + 1 rows
-# of _MAX_BATCH_PATHS, whatever the horizon or path count
+# keys whose window of normals is drawn and scaled in one (_BAND, window)
+# buffer (128 KiB), and columns per transposed copy: a band of both arrays
+# stays in cache; it only groups the work, and no number depends on it
+_BAND = 64
+# most paths stepped together: memory is two window buffers (noise, whose used
+# rows also hold the nodes, and states) of _FINITE_CHECK_STEPS + 1 rows of
+# _MAX_BATCH_PATHS, one band and a generator per key, whatever the horizon
 _MAX_BATCH_PATHS = 2048
 # most paths of one job handed to the consumer at a time, one scan window of
 # steps each: its temporaries (256 x 32 floats, 64 KB) stay in cache and below
@@ -240,17 +239,14 @@ def _check_stability(model: SdeModel, step: float) -> None:
         )
 
 
-def copy_transposed(dst: np.ndarray, src: np.ndarray,
-                    rows: Optional[np.ndarray] = None) -> None:
-    """``dst[...] = src.T``, or ``src[rows].T`` when ``rows`` is given, copied
-    in bands of 64 columns of ``dst``.
+def copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src.T``, copied in bands of ``_BAND`` columns of ``dst``.
 
     A band of both arrays stays in cache, which makes the copy about three
-    times faster than one strided ``copyto`` of a wide block; ``rows`` is
-    gathered band by band, so no temporary beyond one band is made.
+    times faster than one strided ``copyto`` of a wide block.
     """
-    for r in range(0, dst.shape[1], 64):
-        np.copyto(dst[:, r:r + 64], (src[r:r + 64] if rows is None else src[rows[r:r + 64]]).T)
+    for r in range(0, dst.shape[1], _BAND):
+        np.copyto(dst[:, r:r + _BAND], src[r:r + _BAND].T)
 
 
 def window_sum(values: np.ndarray) -> np.ndarray:
@@ -293,12 +289,15 @@ def run_paths(
     of job ``s``, ``i`` the node nearest its state (:func:`nearest_node`).
     The run is set up once, before any step: the node grid is checked, the
     table's rows are joined and scaled by ``sigma``, and two window buffers
-    and the draw block are allocated.  Columns are then stepped in batches
-    of at most ``_MAX_BATCH_PATHS``; a batch seeds one stream per distinct
-    key, draws its normals ``_BLOCK_STEPS`` steps per generator call into the
-    path-major draw block, a row per key, and transposes, scales and steps
-    them one window of ``_FINITE_CHECK_STEPS`` steps at a time, so no number
-    depends on the block size.  After each window, once checked finite, the engine calls
+    and one band of ``_BAND`` keys by one window are allocated: with a
+    generator per key, the engine's memory whatever the number of keys.
+    Columns are then stepped in batches of at most ``_MAX_BATCH_PATHS``; a
+    batch seeds one stream per distinct key and works one window of
+    ``_FINITE_CHECK_STEPS`` steps at a time: it draws and scales the
+    window's normals a band of keys at a time, copies each run of columns
+    that read consecutive keys into the time-major noise window with one
+    transposed copy, and steps them, so no number depends on the band size.
+    After each window, once checked finite, the engine calls
     ``consume(job, paths, start, states, nodes)`` for each run of at most
     ``_CONSUME_PATHS`` columns of one job: ``paths`` is a slice of
     ``0..n_paths-1``, ``states`` their states at steps ``start`` to ``start +
@@ -306,13 +305,13 @@ def run_paths(
     ``states[k]`` (None without a ``drift``): views of the window buffers, so
     nothing of size paths x steps is built.  Each path is bitwise the same as
     when simulated alone.  Returns the counters ``paths``, ``steps``,
-    ``batches``, ``blocks``, ``streams`` (each batch's distinct keys, summed)
-    and the seconds spent drawing normals (``rng_s``), stepping (``euler_s``)
-    and in ``consume`` (``cost_s``), which :func:`_log_engine` reports.
-    ``n_paths`` must be at least 1.  A batch that diverges stops and the
-    later ones still run; the earliest divergence step of all batches is
-    raised, as one batch of all the paths, or any split of them over
-    workers, reports it.
+    ``batches``, ``windows``, ``streams`` (each batch's distinct keys, summed)
+    and the seconds spent drawing, scaling and copying normals (``rng_s``),
+    stepping (``euler_s``) and in ``consume`` (``cost_s``), which
+    :func:`_log_engine` reports.  ``n_paths`` must be at least 1.  A batch
+    that diverges stops and the later ones still run; the earliest
+    divergence step of all batches is raised, as one batch of all the paths,
+    or any split of them over workers, reports it.
     """
     _check_n_paths(n_paths)
     if n_steps > 0:
@@ -328,33 +327,28 @@ def run_paths(
         flat *= model.sigma
         prepared = (node_lookup(nodes), flat, len(nodes), np.empty(width),
                     np.empty(width, dtype=np.intp))
-    # one window each, time-major: a batch of p columns views (win + 1) * p entries
+    # one window each, time-major (a batch of p columns views (win + 1) * p entries),
+    # and the band: buffers freed per batch moved glibc's mmap threshold and the RSS
     win = min(_FINITE_CHECK_STEPS, n_steps)
     noise, states = np.empty((win + 1) * width), np.empty((win + 1) * width)
-    batches = [slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
-               for b0 in range(0, total if n_steps > 0 else 0, _MAX_BATCH_PATHS)]
-    # the draw block, a row per distinct key, sized for the batch with the most: a block
-    # freed after each batch moved glibc's mmap threshold, and with it the workers' RSS
-    keys = max((len({(seeds[j // n_paths], j % n_paths) for j in range(c.start, c.stop)})
-                for c in batches), default=0)
-    drawn = np.empty((keys, min(_BLOCK_STEPS, n_steps)))
+    band = np.empty((min(_BAND, width), win))
     seconds = [0.0, 0.0, 0.0]  # rng, euler, consume
-    n_batches = n_blocks = n_streams = 0
+    n_batches = n_streams = 0
     diverged: Optional[SimulationDivergedError] = None
-    for cols in batches:
+    for b0 in range(0, total if n_steps > 0 else 0, _MAX_BATCH_PATHS):
+        cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
         try:
-            blocks, streams = _run_batch(model, n_steps, step, seeds, n_paths, first_path, cols,
-                                         consume, prepared, drawn, noise, states, seconds)
+            n_streams += _run_batch(model, n_steps, step, seeds, n_paths, first_path, cols,
+                                    consume, prepared, band, noise, states, seconds)
         except SimulationDivergedError as err:
             if diverged is None or err.step_index < diverged.step_index:
                 diverged = err
             continue
-        n_blocks += blocks
-        n_streams += streams
         n_batches += 1
     if diverged is not None:
         raise diverged
-    return {"paths": total, "steps": n_steps, "batches": n_batches, "blocks": n_blocks,
+    windows = n_batches * len(range(0, n_steps, _FINITE_CHECK_STEPS))
+    return {"paths": total, "steps": n_steps, "batches": n_batches, "windows": windows,
             "streams": n_streams, "rng_s": seconds[0], "euler_s": seconds[1],
             "cost_s": seconds[2]}
 
@@ -364,9 +358,9 @@ def _log_engine(label: str, workers: int, *counters: dict) -> None:
     :func:`run_paths` summed over ``counters`` (one per path range; each
     range steps the same ``steps``), and the ``workers`` that ran them."""
     total = {key: sum(c[key] for c in counters) for key in counters[0]}
-    logger.info("%s engine: paths=%d steps=%d batches=%d blocks=%d streams=%d workers=%d "
+    logger.info("%s engine: paths=%d steps=%d batches=%d windows=%d streams=%d workers=%d "
                 "rng_s=%.4f euler_s=%.4f cost_s=%.4f", label, total["paths"],
-                counters[0]["steps"], total["batches"], total["blocks"], total["streams"],
+                counters[0]["steps"], total["batches"], total["windows"], total["streams"],
                 workers, total["rng_s"], total["euler_s"], total["cost_s"])
 
 
@@ -456,12 +450,12 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
 
 def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                n_paths: int, first_path: int, cols: slice, consume: Callable,
-               prepared: Optional[tuple], drawn: np.ndarray, noise: np.ndarray,
-               states: np.ndarray, seconds: list) -> tuple:
-    """One batch of :func:`run_paths` in views of its buffers (``drawn``, the draw
-    block, has a row for each of the batch's distinct keys), returning the blocks
-    and streams drawn; its consumer sees only its windows.  ``prepared`` is the
-    run's drift set-up ``(lookup, flat, m, scaled, at)``, or None."""
+               prepared: Optional[tuple], band: np.ndarray, noise: np.ndarray,
+               states: np.ndarray, seconds: list) -> int:
+    """One batch of :func:`run_paths` in views of its buffers (``band`` holds one
+    window of normals of ``_BAND`` keys), returning the number of streams drawn;
+    its consumer sees only its windows.  ``prepared`` is the run's drift set-up
+    ``(lookup, flat, m, scaled, at)``, or None."""
     clock = time.perf_counter
     t0 = clock()
     a = model.lin_drift
@@ -470,13 +464,20 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
     # a 0-d array: ufuncs take it without converting a Python float every step
     sigma = np.array(model.sigma)
     # only this batch's keys: all columns' key tuples at once grow with the run;
-    # rows[c] is the row of drawn that column c reads, one row per distinct key
+    # rows[c] is the number of the distinct key that column c reads
     key_row = {}
     rows = np.array([key_row.setdefault((seeds[j // n_paths], first_path + j % n_paths),
                                         len(key_row))
                      for j in range(cols.start, cols.stop)], dtype=np.intp)
     streams = [path_stream(*key) for key in key_row]
     p = len(rows)
+    # each band's streams and its runs of columns that read consecutive keys: (the
+    # keys' rows in the band, the columns), one transposed copy each per window
+    edges = (np.flatnonzero((np.diff(rows) != 1) | (rows[1:] % _BAND == 0)) + 1).tolist()
+    bands = [(streams[b:b + _BAND], []) for b in range(0, len(streams), _BAND)]
+    for c0, c1 in zip([0] + edges, edges + [p]):
+        b, k = divmod(int(rows[c0]), _BAND)
+        bands[b][1].append((slice(k, k + c1 - c0), slice(c0, c1)))
     # runs of at most _CONSUME_PATHS columns of one job: (job, its paths, columns)
     pieces = []
     c = cols.start
@@ -489,7 +490,6 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
         lookup, flat, m, scaled, at = prepared
         scaled, at = scaled[:p], at[:p]
         offsets = np.arange(cols.start, cols.stop) // n_paths * m
-    drawn = drawn[:len(streams)]  # path-major, as drawn
     win = min(_FINITE_CHECK_STEPS, n_steps)
     # scaled by sigma * sqrt(step): step k reads row k + 1 and, with a drift,
     # writes the node of its state into row k, whose noise step k - 1 has used
@@ -498,58 +498,55 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
     states = states[:(win + 1) * p].reshape(win + 1, p)
     states[0] = model.x0
     seconds[0] += clock() - t0
-    n_blocks = 0
-    for start in range(0, n_steps, _BLOCK_STEPS):
+    for start in range(0, n_steps, _FINITE_CHECK_STEPS):
         t0 = clock()
-        n_blk = min(_BLOCK_STEPS, n_steps - start)
-        for row, stream in zip(drawn, streams):
-            stream.standard_normal(out=row[:n_blk])
-        seconds[0] += clock() - t0
-        for c0 in range(0, n_blk, _FINITE_CHECK_STEPS):
-            t0 = clock()
-            stop = min(_FINITE_CHECK_STEPS, n_blk - c0)
-            dw = noise[1:stop + 1]
-            # time-major layout keeps every per-step slice contiguous
-            copy_transposed(dw, drawn[:, c0:c0 + stop], rows)
-            t1 = clock()
-            seconds[0] += t1 - t0
+        stop = min(_FINITE_CHECK_STEPS, n_steps - start)
+        dw = noise[1:stop + 1]
+        for keys, runs in bands:
+            drawn = band[:len(keys), :stop]
+            for row, stream in zip(drawn, keys):
+                stream.standard_normal(out=row)
             # (sigma * z) * sqrt_h, in this order: every path's bits depend on it
-            dw *= sigma
-            dw *= sqrt_h
-            x = states[0]
-            try:
-                for k in range(stop):
-                    nxt = states[k + 1]
-                    np.multiply(x, a, out=nxt)
-                    if has_residual:
-                        nxt += np.asarray(model.bounded_drift(x), dtype=float)
-                    if prepared is not None:
-                        node = nearest_node(x, lookup, out=(scaled, node_rows[k]))
-                        np.add(node, offsets, out=at)
-                        nxt += flat.take(at)
-                    nxt *= step
-                    nxt += x
-                    nxt += dw[k]
-                    x = nxt
-            except Exception:
-                # bounded_drift may reject the states of a path that already diverged
-                stop = k
-                if np.isfinite(states[1:stop + 1]).all():
-                    raise
-            # any non-finite entry makes its step's sum non-finite; the first such
-            # step is where the batch diverged
-            bad = ~np.isfinite(states[1:stop + 1].sum(axis=1))
-            if bad.any():
-                raise SimulationDivergedError(start + c0 + 1 + int(np.argmax(bad)))
-            t2 = clock()
-            for job, paths, at_cols in pieces:
-                consume(job, paths, start + c0, states[:stop + 1, at_cols],
-                        node_rows[:stop, at_cols] if prepared is not None else None)
-            seconds[1] += t2 - t1
-            seconds[2] += clock() - t2
-            states[0] = states[stop]
-        n_blocks += 1
-    return n_blocks, len(streams)
+            drawn *= sigma
+            drawn *= sqrt_h
+            # time-major layout keeps every per-step slice contiguous
+            for at_keys, at_cols in runs:
+                np.copyto(dw[:, at_cols], drawn[at_keys].T)
+        t1 = clock()
+        seconds[0] += t1 - t0
+        x = states[0]
+        try:
+            for k in range(stop):
+                nxt = states[k + 1]
+                np.multiply(x, a, out=nxt)
+                if has_residual:
+                    nxt += np.asarray(model.bounded_drift(x), dtype=float)
+                if prepared is not None:
+                    node = nearest_node(x, lookup, out=(scaled, node_rows[k]))
+                    np.add(node, offsets, out=at)
+                    nxt += flat.take(at)
+                nxt *= step
+                nxt += x
+                nxt += dw[k]
+                x = nxt
+        except Exception:
+            # bounded_drift may reject the states of a path that already diverged
+            stop = k
+            if np.isfinite(states[1:stop + 1]).all():
+                raise
+        # any non-finite entry makes its step's sum non-finite; the first such
+        # step is where the batch diverged
+        bad = ~np.isfinite(states[1:stop + 1].sum(axis=1))
+        if bad.any():
+            raise SimulationDivergedError(start + 1 + int(np.argmax(bad)))
+        t2 = clock()
+        for job, paths, at_cols in pieces:
+            consume(job, paths, start, states[:stop + 1, at_cols],
+                    node_rows[:stop, at_cols] if prepared is not None else None)
+        seconds[1] += t2 - t1
+        seconds[2] += clock() - t2
+        states[0] = states[stop]
+    return len(streams)
 
 
 def sample_paths(

@@ -485,13 +485,17 @@ def test_picard_failure_names_its_node_in_plain_floats(model):
     assert str(exc.value) == "no pure Nash point on the control grids at x=-6.0, z=(0.0, 0.0)"
 
 
-@pytest.mark.parametrize("build, k", [(eg.coupled_cross_cost, 201),
-                                      (lambda: eg.three_player_symmetric(n_controls=41), 101)],
-                         ids=["two_player", "three_player"])
+@pytest.mark.parametrize("build, k", [
+    (eg.coupled_cross_cost, 201),
+    (lambda: eg.three_player_symmetric(n_controls=41), 101),
+    (lambda: _three_player((41, 41, 41), lambda u, v, w: u + v), 101),
+], ids=["two_player", "three_player", "drift_ignores_w"])
 def test_batch_search_memory_is_bounded(build, k):
     # player 0's pass holds a chunk of joint tables and the later players' pass a
     # chunk of rows, in one buffer: all 201 nodes' kept rows at once in the coupled
-    # game, or all 101 joint tables at once, would be several times this bound
+    # game, or all 101 joint tables at once, would be several times this bound; a
+    # drift that ignores player 2 is read from its compact table, so neither pass
+    # copies the whole joint table
     spec = build()
     rng = np.random.default_rng(3)
     x, z = np.linspace(-6.0, 6.0, k), rng.normal(scale=2.0, size=(k, spec.n_players))

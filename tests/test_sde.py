@@ -81,10 +81,12 @@ def _folded(*key):
 @pytest.mark.parametrize("seeds, n_paths", [(_MIXED_SEEDS, 3), (_MIXED_SEEDS[::-1], 3),
                                             ([_MIXED_SEEDS[0]], 1)],
                          ids=["mixed_word_counts", "reversed", "one_key"])
-def test_batch_keying_is_default_rng(model, seeds, n_paths):
+def test_batch_keying_is_default_rng(model, monkeypatch, seeds, n_paths):
     # default_rng on the folded words is the reference; a batch mixes word counts.
-    # Each path is bitwise the Euler recursion fed by its key's normals
-    n = sde._BLOCK_STEPS + 37
+    # Each path is bitwise the Euler recursion fed by its key's normals, over
+    # several windows and (bands of 4 keys) several bands
+    monkeypatch.setattr(sde, "_BAND", 4)
+    n = 4 * sde._FINITE_CHECK_STEPS + 37
     states = np.empty((len(seeds), n_paths, n + 1))
 
     def keep(job, paths, start, block, nodes):
@@ -105,9 +107,10 @@ def test_batch_keying_is_default_rng(model, seeds, n_paths):
 def test_equal_keys_share_noise_and_states(model, monkeypatch, max_batch, n_streams):
     # seeds [s, t, s]: columns 0-2 and 6-8 are the same three keys, and with a
     # width cap of 4 they fall in different batches; a batch seeds and draws
-    # each of its distinct keys once
+    # each of its distinct keys once, in bands of 4 keys over several windows
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", max_batch)
-    n, n_paths = sde._BLOCK_STEPS + 37, 3
+    monkeypatch.setattr(sde, "_BAND", 4)
+    n, n_paths = 4 * sde._FINITE_CHECK_STEPS + 37, 3
     states = np.empty((3, n_paths, n + 1))
 
     def keep(job, paths, start, block, nodes):
@@ -128,8 +131,8 @@ def test_equal_keys_share_noise_and_states(model, monkeypatch, max_batch, n_stre
 
 def test_a_later_batch_with_more_keys_draws_them_all(model, monkeypatch):
     # seeds [5, 5, 6] in batches of 4 columns: the first batch holds 3 distinct
-    # keys, the second 4 and the last 1, so a draw block sized by the first
-    # batch would leave the second batch's last key undrawn
+    # keys, the second 4 and the last 1, so a band sized by the first batch
+    # would leave the second batch's last key undrawn
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 4)
     n, n_paths = 50, 3
     states = np.empty((3, n_paths, n + 1))
@@ -149,10 +152,12 @@ def test_a_later_batch_with_more_keys_draws_them_all(model, monkeypatch):
                          ids=["one_batch", "split_batches", "range_of_paths"])
 def test_consumer_nodes_are_the_nearest_nodes_of_its_states(model, monkeypatch, max_batch,
                                                             first_path):
-    # seeds [5, 6, 5] with three different table rows, over two draw blocks on
-    # a grid the paths leave: in every window nodes[k] is the node of states[k]
+    # seeds [5, 6, 5] with three different table rows, over several windows and
+    # (bands of 4 keys) bands on a grid the paths leave: in every window
+    # nodes[k] is the node of states[k]
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", max_batch)
-    n, n_paths = sde._BLOCK_STEPS + 37, 3
+    monkeypatch.setattr(sde, "_BAND", 4)
+    n, n_paths = 4 * sde._FINITE_CHECK_STEPS + 37, 3
     lookup = node_lookup(_SMALL)
     table = [np.tanh(_SMALL), 0.5 * np.sin(3.0 * _SMALL), -np.tanh(_SMALL)]
     states = np.empty((3, n_paths, n + 1))
@@ -214,16 +219,17 @@ def test_any_seed_reproduces(seed, idx):
 
 
 def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
-    # non-unit noise, a residual drift, a shift, several time blocks and
-    # (with the width cap lowered) several batches: every row stays bitwise
-    # the single path
+    # non-unit noise, a residual drift, a shift, several windows, bands of 2
+    # keys and (with the width cap lowered) several batches: every row stays
+    # bitwise the single path
     rough = eg.SdeModel(
         lin_drift=-1.0,
         bounded_drift=lambda x: 0.5 * np.tanh(x), bounded_drift_sup=0.5,
         bounded_drift_lip=0.5, sigma=1.2, x0=0.3,
     )
     shift = _table(lambda x: 0.8 * np.sin(x), _SMALL)
-    horizon = 0.01 * (2 * sde._BLOCK_STEPS + 37)
+    horizon = 0.01 * (8 * sde._FINITE_CHECK_STEPS + 37)
+    monkeypatch.setattr(sde, "_BAND", 2)
     wide = eg.sample_paths(rough, shift, horizon, 0.01, seed=4, n_paths=5)
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 2)
     narrow = eg.sample_paths(rough, shift, horizon, 0.01, seed=4, n_paths=5)
@@ -231,30 +237,31 @@ def test_paths_identical_across_blocks_and_batches(model, monkeypatch):
     assert np.array_equal(wide, narrow)
     for k in range(5):
         assert np.array_equal(_alone(monkeypatch, rough, shift, horizon, 0.01, 4, k), wide[k])
-    # and the Euler recursion fed by each key's normals, over three draw blocks
+    # and the Euler recursion fed by each key's normals, over nine windows
     normals = [eg.path_stream(4, k).standard_normal(wide.shape[1] - 1) for k in range(5)]
     assert np.array_equal(wide, euler_reference(rough, 0.01, normals,
                                                 (shift[0], [shift[1]] * 5)))
 
 
 @ignore_overflow
-@pytest.mark.parametrize("block_steps", [256, 512])
-def test_block_size_changes_no_number(model, monkeypatch, block_steps):
-    # the draw block only amortises generator calls: paths and where a run
-    # diverges are bitwise those of the default block
+@pytest.mark.parametrize("band", [1, 7])
+def test_band_size_changes_no_number(model, monkeypatch, band):
+    # the band only groups the drawing, scaling and copying of normals: paths
+    # (20 keys: 20, or 3 bands of at most 7) and where a run diverges (9 keys)
+    # are bitwise those of the default band
     shift = _table(lambda x: 0.8 * np.sin(x), _SMALL)
-    horizon = 0.01 * (2 * sde._BLOCK_STEPS + 37)
+    horizon = 0.01 * (8 * sde._FINITE_CHECK_STEPS + 37)
     bad = _shift_beyond(3.0)
 
     def run():
-        states = eg.sample_paths(model, shift, horizon, 0.01, seed=4, n_paths=5)
+        states = eg.sample_paths(model, shift, horizon, 0.01, seed=4, n_paths=20)
         with pytest.raises(eg.SimulationDivergedError) as exc:
-            eg.sample_paths(model, bad, 200.0, 0.01, 1, 5)
+            eg.sample_paths(model, bad, 200.0, 0.01, 1, 9)
         return states, exc.value.step_index
 
     default = run()
     assert np.abs(default[0]).max() > 1.5
-    monkeypatch.setattr(sde, "_BLOCK_STEPS", block_steps)
+    monkeypatch.setattr(sde, "_BAND", band)
     states, step_index = run()
     assert np.array_equal(states, default[0])
     assert step_index == default[1] > sde._FINITE_CHECK_STEPS
@@ -390,8 +397,8 @@ def test_divergence_reported_when_a_callback_rejects_non_finite_states():
 
 def test_divergence_overrun_bounded_by_the_scan_not_the_block():
     # after the batch turns non-finite the engine steps on only to the end of
-    # the current scan window, however long its time block is; the residual
-    # drift, called once per step, turns the batch non-finite at step 300
+    # the current scan window; the residual drift, called once per step, turns
+    # the batch non-finite at step 300
     calls = {"total": 0, "after": 0}
 
     def bounded_drift(x):
@@ -405,8 +412,7 @@ def test_divergence_overrun_bounded_by_the_scan_not_the_block():
     with pytest.raises(eg.SimulationDivergedError) as exc:
         eg.sample_paths(model, None, 50.0, 0.01, 0, 3)
     assert exc.value.step_index == 300
-    assert 0 < calls["after"] < sde._FINITE_CHECK_STEPS < sde._BLOCK_STEPS
-    assert sde._BLOCK_STEPS % sde._FINITE_CHECK_STEPS == 0
+    assert 0 < calls["after"] < sde._FINITE_CHECK_STEPS
 
 
 def test_engine_logs_one_trace_line_per_run(model, g0, coarse_grid, caplog):
@@ -416,7 +422,7 @@ def test_engine_logs_one_trace_line_per_run(model, g0, coarse_grid, caplog):
                            n_paths=6, seed=1)
     lines = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
     assert len(lines) == 1
-    m = re.fullmatch(r"estimate_payoff engine: paths=6 steps=2500 batches=1 blocks=3 "
+    m = re.fullmatch(r"estimate_payoff engine: paths=6 steps=2500 batches=1 windows=10 "
                      r"streams=6 workers=1 rng_s=\d+\.\d{4} euler_s=\d+\.\d{4} "
                      r"cost_s=\d+\.\d{4}", lines[0])
     assert m is not None, lines[0]
@@ -579,30 +585,49 @@ def test_invariant_average_memory_flat_in_horizon(model, g0, coarse_grid):
     assert long <= short + 256 * 1024, (short, long)
 
 
-def test_engine_memory_is_one_draw_block_and_two_windows(model):
-    # a full batch over two draw blocks, with a drift table and a consumer
-    # that keeps nothing: besides the path-major draw block and one
-    # generator per path, the time-major noise (whose rows also hold the
-    # nodes) and the states are one window each, so three block-sized
-    # buffers (48 MiB) would fail this bound
-    p = n = 2 * sde._BLOCK_STEPS
-    assert p == sde._MAX_BATCH_PATHS
+def _engine_bound(width, n_keys):
+    """Bytes a run of ``width`` columns over ``n_keys`` distinct keys may hold: the
+    time-major noise (whose rows also hold the nodes) and states, one window each,
+    one band of normals and a generator per key, with 1 MiB to spare.  Taken before
+    the run: a process's first generator allocates once-only caches."""
+    eg.path_stream(0, 0)
+    window = 8 * width * (sde._FINITE_CHECK_STEPS + 1)
+    band = 8 * sde._BAND * sde._FINITE_CHECK_STEPS
+    streams = _peak_bytes(lambda: [eg.path_stream(0, j) for j in range(n_keys)])
+    return 2 * window + band + streams + 2**20
+
+
+def test_engine_memory_is_two_windows_and_one_band(model):
+    # a full batch over eight windows, with a drift table and a consumer that
+    # keeps nothing: a draw block of 1,024 steps per key (16 MiB) would fail
+    # this bound
+    p, n = sde._MAX_BATCH_PATHS, 8 * sde._FINITE_CHECK_STEPS
+    bound = _engine_bound(p, p)
     peak = _peak_bytes(lambda: sde.run_paths(
         model, n, 0.01, [0], p, lambda *args: None, drift=(_SMALL, [np.tanh(_SMALL)])))
-    block = 8 * p * sde._BLOCK_STEPS
-    window = 8 * p * (sde._FINITE_CHECK_STEPS + 1)
-    streams = _peak_bytes(lambda: [eg.path_stream(0, j) for j in range(p)])
-    assert peak < block + 2 * window + streams + 2**20, (peak, streams)
+    assert peak < bound, (peak, bound)
+
+
+def test_engine_memory_at_the_wide_residual_shape(model):
+    # 1,000 distinct keys over 1,000 steps with a drift table, as the coarse
+    # pathwise residual of a wide check runs: a draw block of 1,000 steps per
+    # key (8 MB) would fail this bound
+    p = n = 1000
+    bound = _engine_bound(p, p)
+    peak = _peak_bytes(lambda: sde.run_paths(
+        model, n, 0.01, [0], p, lambda *args: None, drift=(_SMALL, [np.tanh(_SMALL)])))
+    assert peak < bound, (peak, bound)
 
 
 def test_engine_draws_each_shared_key_once(model):
     # eight seeds listed as one: a full batch of 2,048 columns over 256
-    # distinct keys draws a 256-row block, not one row per column
+    # distinct keys seeds 256 generators, not one per column (2,048 of them
+    # would fail this bound), and draws each key's normals once per window
     n_paths = 256
     assert 8 * n_paths == sde._MAX_BATCH_PATHS
-    n = 2 * sde._BLOCK_STEPS
-    peak = _peak_bytes(lambda: sde.run_paths(model, n, 0.01, [0] * 8, n_paths,
-                                             lambda *args: None))
-    block = 8 * n_paths * sde._BLOCK_STEPS
-    window = 8 * sde._MAX_BATCH_PATHS * (sde._FINITE_CHECK_STEPS + 1)
-    assert peak < block + 2 * window + 2**20, peak
+    n = 8 * sde._FINITE_CHECK_STEPS
+    bound, counters = _engine_bound(sde._MAX_BATCH_PATHS, n_paths), {}
+    peak = _peak_bytes(lambda: counters.update(sde.run_paths(
+        model, n, 0.01, [0] * 8, n_paths, lambda *args: None)))
+    assert counters["streams"] == n_paths
+    assert peak < bound, (peak, bound)

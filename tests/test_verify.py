@@ -338,7 +338,9 @@ def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
         for _ in range(3)
     ]
     seeds, n_paths, step = (11, 12, 13), 4, 0.01
-    n = sde._BLOCK_STEPS + 300
+    # several windows, and bands of 3 of a batch's distinct keys
+    n = 4 * sde._FINITE_CHECK_STEPS + 300
+    monkeypatch.setattr(sde, "_BAND", 3)
     out = np.empty((len(seeds), n_paths, n + 1))
     out[:, :, 0] = model.x0
 
@@ -473,16 +475,16 @@ def test_divergence_of_one_job_inside_a_batch(model, g0, coarse_grid):
     assert batched.value.step_index == alone.value.step_index > 1
 
 
-@pytest.mark.parametrize("block_steps", [256, 512])
-def test_block_size_changes_no_deviation_row(model, g0, g0_nash_coarse, monkeypatch,
-                                             block_steps):
+@pytest.mark.parametrize("band", [1, 7])
+def test_band_size_changes_no_deviation_row(model, g0, g0_nash_coarse, monkeypatch, band):
+    # the engine's batch holds 16 distinct keys: 16, or 3 bands of at most 7
     def rows():
         rep = nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=3, horizon=25.0,
                                   step=0.02, n_paths=8, seed=0)
         return [(r.estimate.value, r.estimate.stderr) for r in rep.rows]
 
     default = rows()
-    monkeypatch.setattr(sde, "_BLOCK_STEPS", block_steps)
+    monkeypatch.setattr(sde, "_BAND", band)
     assert rows() == default
 
 
@@ -493,11 +495,11 @@ def test_harness_logs_one_engine_line(model, g0, g0_nash_coarse, caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
     assert len(lines) == 1
     m = re.fullmatch(r"nash_deviation_test engine: paths=(\d+) steps=(\d+) batches=(\d+) "
-                     r"blocks=(\d+) streams=(\d+) workers=1 rng_s=(\d+\.\d{4}) "
+                     r"windows=(\d+) streams=(\d+) workers=1 rng_s=(\d+\.\d{4}) "
                      r"euler_s=(\d+\.\d{4}) cost_s=(\d+\.\d{4})", lines[0])
     assert m is not None, lines[0]
     # a player's four rows share the equilibrium row's 8 streams
-    assert [int(v) for v in m.groups()[:5]] == [2 * 4 * 8, 1250, 1, 2, 2 * 8]
+    assert [int(v) for v in m.groups()[:5]] == [2 * 4 * 8, 1250, 1, 5, 2 * 8]
     assert float(m.group(6)) > 0.0 and float(m.group(7)) > 0.0
     assert "engine" not in str(rep.as_dict()) and "_s=" not in str(rep.as_dict())
 

@@ -132,10 +132,12 @@ def test_path_residual_is_bitwise_that_of_one_process(model, g0, g0_nash_coarse,
     assert (line2["paths"], line2["streams"]) == (line1["paths"], line1["streams"])
 
 
-def test_a_range_of_paths_keeps_its_keys(model):
+def test_a_range_of_paths_keeps_its_keys(model, monkeypatch):
     # paths 3 and 4 of seeds 5 and 6, run as a range of their own: each is the
-    # Euler recursion fed by its key's normals
-    n = sde._BLOCK_STEPS + 37
+    # Euler recursion fed by its key's normals, over several windows and (bands
+    # of 3 keys) two bands
+    monkeypatch.setattr(sde, "_BAND", 3)
+    n = 4 * sde._FINITE_CHECK_STEPS + 37
     states = np.empty((2, 2, n + 1))
 
     def keep(job, paths, start, block, nodes):
