@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every bundled config through the CLI and print a digest per artifact.
 
-Usage: python scripts/artifact_digests.py DIR
+Usage: python scripts/artifact_digests.py DIR [--expect LISTING]
 
 Each (config, subcommand) pair of RUNS writes into DIR/<config>/<subcommand>.
 Every report and CSV is then listed as one ``sha256  path`` line, with paths
@@ -12,7 +12,10 @@ its ``repr``, under
 ``<config>/<subcommand>/residual_player<i>_step<h>_paths<n>_horizon<T>``.  The
 library is imported from the ``src`` directory of the checkout holding this
 script, so running a copy of it in two checkouts and diffing the two
-listings shows whether a change kept every artifact byte-identical.
+listings shows whether a change kept every artifact byte-identical.  With
+``--expect LISTING``, a listing saved from an earlier run, the script also
+compares the two and exits 1, naming on standard error each path whose
+digest differs, is missing or is new.
 """
 
 import hashlib
@@ -54,12 +57,30 @@ RESIDUALS = (
 )
 
 
+def differences(listing: list, expected: list) -> list:
+    """``differs: path``, ``missing: path`` or ``new: path`` for each path of the
+    ``sha256  path`` lines of ``listing`` whose digest is not the one in ``expected``."""
+    fresh, saved = ({path: digest for digest, path in (line.split("  ", 1) for line in lines)}
+                    for lines in (listing, expected))
+    found = []
+    for path in sorted(fresh.keys() | saved.keys()):
+        if path not in fresh:
+            found.append(f"missing: {path}")
+        elif path not in saved:
+            found.append(f"new: {path}")
+        elif fresh[path] != saved[path]:
+            found.append(f"differs: {path}")
+    return found
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
+    if len(argv) not in (1, 3) or argv[1:2] not in ([], ["--expect"]):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 1
     root = Path(argv[0])
+    expected = Path(argv[2]).read_text().splitlines() if len(argv) == 3 else None
+    listing = []
     missing = {p.stem for p in CONFIGS.glob("*.yaml")} - {name for name, _ in RUNS}
     if missing:
         print(f"configs without a run: {', '.join(sorted(missing))}", file=sys.stderr)
@@ -75,7 +96,8 @@ def main(argv=None) -> int:
         for path in sorted(out.iterdir()):
             if path.name != "manifest.json":
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {path.relative_to(root)}")
+                listing.append(f"{digest}  {path.relative_to(root)}")
+                print(listing[-1])
     for name, command, player, step, n_paths, horizon in RESIDUALS:
         if (name, command) not in RUNS:
             continue
@@ -85,8 +107,13 @@ def main(argv=None) -> int:
                                    horizon=horizon, step=step, n_paths=n_paths,
                                    seed=cfg.get("seed", 0))
         digest = hashlib.sha256(repr(value).encode()).hexdigest()
-        print(f"{digest}  {name}/{command}/residual_player{player}_step{step}"
-              f"_paths{n_paths}_horizon{horizon}")
+        listing.append(f"{digest}  {name}/{command}/residual_player{player}_step{step}"
+                       f"_paths{n_paths}_horizon{horizon}")
+        print(listing[-1])
+    if expected is not None:
+        for line in differences(listing, expected):
+            print(line, file=sys.stderr)
+            failed = True
     return 1 if failed else 0
 
 

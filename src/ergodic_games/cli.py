@@ -4,7 +4,9 @@ Every subcommand reads one YAML config, writes its artifacts into ``--out``
 and finishes with a ``manifest.json`` that embeds the resolved config, the
 seed, a config hash and library versions.  Reports and CSV files depend only
 on the config and seed (floats with ``repr``, JSON keys sorted), so reruns
-are byte identical; wall time and peak RSS live in the manifest only.
+are byte identical; wall time and peak RSS live in the manifest only.  A
+run stopped by a solver error still writes its manifest, with an ``error``
+entry holding the error's type, message and diagnostic fields.
 
 Exit codes: 0 success, 1 config or usage problem, 2 solver non-convergence
 or diverged simulation, 3 verification failure.
@@ -140,12 +142,13 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _write_manifest(out: FsPath, command: str, cfg: dict, seed: int,
-                    outputs: list, t0: float) -> None:
+                    outputs: list, t0: float, error: Optional[dict] = None) -> None:
     from . import __version__
 
     _write_json(
         out / "manifest.json",
         {
+            **({} if error is None else {"error": error}),
             "command": command,
             "config": cfg,
             "config_sha256": _config_hash(cfg),
@@ -396,16 +399,28 @@ def _run_command(command: str, cfg: dict, out_dir, seed: int) -> int:
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    rc, outputs = _HANDLERS[command][0](cfg, out, seed)
+    try:
+        rc, outputs = _HANDLERS[command][0](cfg, out, seed)
+    except _SOLVER_ERRORS as err:
+        _write_manifest(out, command, cfg, seed, [], t0, _error_record(err))
+        raise
     _write_manifest(out, command, cfg, seed, outputs, t0)
     return rc
+
+
+def _error_record(err: Exception) -> dict:
+    """A solver error's type, message and own fields, as JSON values; a grid solve's
+    last iterate ``v`` is left out."""
+    fields = {name: np.asarray(value).tolist() for name, value in vars(err).items()
+              if name != "v"}
+    return {"type": type(err).__name__, "message": str(err), **fields}
 
 
 def rerun_from_manifest(manifest_path, out_dir) -> int:
     """Re-execute the command recorded in a manifest into a fresh directory.
 
     Uses the embedded config and seed, so reports and CSVs come out byte
-    identical to the original run.
+    identical to the original run, and a failed run fails with the same error.
     """
     man = json.loads(FsPath(manifest_path).read_text())
     return _run_command(man["command"], man["config"], out_dir, int(man["seed"]))

@@ -55,6 +55,8 @@ logger = logging.getLogger(__name__)
 _MAX_NEWTON_ITERATIONS = 50
 # relative step of the central difference that gives the driver's slope in z
 _SLOPE_STEP = 1e-6
+# nearest_node's lower clamp, 0-d: ufuncs convert a Python float on every call
+_ZERO = np.zeros(())
 
 
 class NonMonotoneSchemeError(ValueError):
@@ -132,20 +134,22 @@ def nearest_node(x, lookup: Tuple[float, float, int], out: Optional[tuple] = Non
     engine's, once per state, whose nodes also give a policy's controls).
     ``out = (scaled, idx)``, float and ``intp`` arrays of ``x``'s shape, lets
     a caller that looks up every step reuse its buffers (allocated when
-    None); the result is ``idx``.
+    None); the result is ``idx``.  Such a caller may pass ``lookup``'s entries
+    as 0-d float arrays, which ufuncs take without converting them each call.
     """
     lo, inv_dx, top = lookup
     if out is None:
         x = np.asarray(x, dtype=float)
         out = (np.empty(x.shape), np.empty(x.shape, dtype=np.intp))
     scaled, idx = out
-    np.subtract(x, lo, out=scaled)
-    np.multiply(scaled, inv_dx, out=scaled)
-    np.rint(scaled, out=scaled)
+    # out positionally: the keyword costs the engine's per-step calls more
+    np.subtract(x, lo, scaled)
+    np.multiply(scaled, inv_dx, scaled)
+    np.rint(scaled, scaled)
     # both clamps come before the cast, in floating point: a state past the intp
     # range or infinite would otherwise cast out of range (fmin sends NaN to top)
-    np.fmin(scaled, top, out=scaled)
-    np.fmax(scaled, 0.0, out=scaled)
+    np.fmin(scaled, top, scaled)
+    np.fmax(scaled, _ZERO, scaled)
     idx[...] = scaled
     return idx
 

@@ -46,6 +46,9 @@ _GAP_CHUNK = 16_384
 # floats in the Hamiltonian buffer of a batched search (at least one joint table or
 # one row of it): enough nodes per numpy call that dispatch no longer dominates
 _SEARCH_FLOATS = 2**15
+# samples verify_isaacs draws and searches at once (more than its default 300), so
+# its memory does not grow with n_samples
+_ISAACS_BLOCK = 1024
 
 
 class NoPureNashError(RuntimeError):
@@ -503,9 +506,9 @@ def verify_isaacs(
     ``x`` and every player's gradient value are drawn from centered normals with
     scale 2.  For each sample the search is retried at a ``delta``-perturbed ``z``
     and the largest change of the per-player Hamiltonian values is recorded
-    (``delta == 0`` reproduces the same point, so the jump is zero).  Both searches
-    of every sample run as one batch search over ``2 * n_samples`` rows, so memory
-    grows linearly with ``n_samples`` (about 0.4 KB a sample for three players).
+    (``delta == 0`` reproduces the same point, so the jump is zero).  Samples are
+    drawn and searched ``_ISAACS_BLOCK`` at a time, both searches of a block's
+    samples as one batch search, so memory does not grow with ``n_samples``.
     A sample counts as a hit only when both find a pure Nash point;
     ``example_failures`` lists the first five other samples, each at the first of
     its gradients without one.  ``n_samples`` must be at least 1: no sample would
@@ -515,28 +518,32 @@ def verify_isaacs(
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     n = spec.n_players
-    # per sample, in the stream's order: x, z, then a random unit direction per
-    # player (a sign); 2 g + 0.0 are the bits of normal(scale=2.0)
-    g = path_stream(seed, 0x15AAC).standard_normal((n_samples, 1 + 2 * n))
-    x, z = 2.0 * g[:, 0] + 0.0, 2.0 * g[:, 1:n + 1] + 0.0
-    z_near = z + delta * np.sign(g[:, n + 1:])
-    xs, zs = np.concatenate([x, x]), np.concatenate([z, z_near])
-    controls, stable = _search(spec, xs, zs)
-    first_ok = stable[:n_samples]
-    hit = first_ok & stable[n_samples:]
-    failures = tuple((float(x[k]), tuple(float(v) for v in (z_near if first_ok[k] else z)[k]))
-                     for k in np.flatnonzero(~hit)[:5])
-    r, c = _frozen_tables(spec, xs, controls)
-    h = zs * r[:, None] + np.stack(c, axis=1)
-    jump = np.abs(h[n_samples:] - h[:n_samples]).max(axis=1)
-    hits = int(np.count_nonzero(hit))
+    stream = path_stream(seed, 0x15AAC)
+    hits, jumps, failures = 0, [], []
+    for b0 in range(0, n_samples, _ISAACS_BLOCK):
+        b = min(_ISAACS_BLOCK, n_samples - b0)
+        # per sample, in the stream's order: x, z, then a random unit direction per
+        # player (a sign); 2 g + 0.0 are the bits of normal(scale=2.0)
+        g = stream.standard_normal((b, 1 + 2 * n))
+        x, z = 2.0 * g[:, 0] + 0.0, 2.0 * g[:, 1:n + 1] + 0.0
+        z_near = z + delta * np.sign(g[:, n + 1:])
+        xs, zs = np.concatenate([x, x]), np.concatenate([z, z_near])
+        controls, stable = _search(spec, xs, zs)
+        first_ok = stable[:b]
+        hit = first_ok & stable[b:]
+        failures += [(float(x[k]), tuple(float(v) for v in (z_near if first_ok[k] else z)[k]))
+                     for k in np.flatnonzero(~hit)[:5 - len(failures)]]
+        r, c = _frozen_tables(spec, xs, controls)
+        h = zs * r[:, None] + np.stack(c, axis=1)
+        jumps.append(np.abs(h[b:] - h[:b]).max(axis=1)[hit].max(initial=0.0))
+        hits += int(np.count_nonzero(hit))
     return IsaacsReport(
         fraction_with_pure_nash=hits / n_samples,
-        max_continuity_jump=float(jump[hit].max(initial=0.0)),
+        max_continuity_jump=float(np.max(jumps)),
         n_samples=n_samples,
         delta=delta,
         n_failures=n_samples - hits,
-        example_failures=failures,
+        example_failures=tuple(failures),
     )
 
 

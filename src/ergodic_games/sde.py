@@ -29,9 +29,9 @@ of one seed; the checks in :mod:`.verify` consume windows as they come.
 
 For the same reason :func:`path_sums`, which adds up per-path terms over a
 run, may split the paths into contiguous ranges and run each range in a
-forked worker process: every range keeps its paths' keys through
-``first_path``, so the sums joined in path order are the bits one process
-would have made.
+process of its own, started by ``os.fork`` and sending its sums back
+through a pipe: every range keeps its paths' keys through ``first_path``,
+so the sums joined in path order are the bits one process would have made.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -325,8 +326,8 @@ def run_paths(
         nodes, table = drift
         flat = np.concatenate(table, dtype=float)
         flat *= model.sigma
-        prepared = (node_lookup(nodes), flat, len(nodes), np.empty(width),
-                    np.empty(width, dtype=np.intp))
+        lookup = tuple(np.array(float(v)) for v in node_lookup(nodes))
+        prepared = (lookup, flat, len(nodes), np.empty(width), np.empty(width, dtype=np.intp))
     # one window each, time-major (a batch of p columns views (win + 1) * p entries),
     # and the band: buffers freed per batch moved glibc's mmap threshold and the RSS
     win = min(_FINITE_CHECK_STEPS, n_steps)
@@ -365,8 +366,8 @@ def _log_engine(label: str, workers: int, *counters: dict) -> None:
 
 
 # path-steps of engine work a worker process must get: about 50 ms of Euler
-# steps (more with a costly consumer), against the 15-25 ms a 2-process fork
-# pool takes to start and join
+# steps (more with a costly consumer), against the 7-14 ms a 2-process fork
+# split of a g0-sized process takes to start, send and reap (2-CPU host)
 _MIN_WORKER_PATH_STEPS = 1_000_000
 
 
@@ -375,19 +376,6 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-# a forked worker's range runner, set by the pool's initializer in the worker only
-_range_work: Optional[Callable] = None
-
-
-def _set_range_work(work: Callable) -> None:
-    global _range_work
-    _range_work = work
-
-
-def _call_range_work(k0: int, k1: int):
-    return _range_work(k0, k1)
 
 
 def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
@@ -402,12 +390,13 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
     path-steps // _MIN_WORKER_PATH_STEPS)`` workers: with one, with no
     ``fork`` on the platform, or in a daemonic process (which may have no
     children), it runs here.  Otherwise each contiguous range of paths runs
-    in a process of a forked pool, which inherits ``terms`` (closures need no
-    pickling), and the ranges' sums are joined in path order: the bits of one
-    process.  Every range is waited for: if every failing range diverged,
-    the earliest divergence is raised, the step one batch of all the paths
-    reports; otherwise the lowest failing range's exception is.  A killed
-    worker raises ``BrokenProcessPool``, and no worker outlives the call.
+    in a child of ``os.fork`` (:func:`._fork.forked`), which inherits ``terms``
+    (closures need no pickling), and the ranges' sums are joined in path
+    order: the bits of one process.  Every range is waited for: if every
+    failing range diverged, the earliest divergence is raised, the step one
+    batch of all the paths reports; otherwise the lowest failing range's
+    exception is.  A killed worker raises ``BrokenProcessPool``, no worker
+    outlives the call, and no process pool module is imported.
     :func:`_log_engine` reports the run as one ``label`` line.
     """
     _check_n_paths(n_paths)
@@ -424,26 +413,22 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
 
     path_steps = len(seeds) * n_paths * n_steps
     workers = max(1, min(_cpu_count(), n_paths, path_steps // _MIN_WORKER_PATH_STEPS))
-    if workers > 1:
-        import multiprocessing  # only runs big enough to split pay for the import
-
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon):
-            workers = 1
+    # a daemonic process may have no children; only a loaded multiprocessing can be one
+    mp = sys.modules.get("multiprocessing")
+    if not hasattr(os, "fork") or (mp is not None and mp.current_process().daemon):
+        workers = 1
     if workers == 1:
         done = [run_range(0, n_paths)]
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
         bounds = [n_paths * w // workers for w in range(workers + 1)]
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_set_range_work, initargs=(run_range,)) as pool:
-            futures = [pool.submit(_call_range_work, k0, k1)
-                       for k0, k1 in zip(bounds, bounds[1:])]
-            failed = [e for e in (f.exception() for f in futures) if e is not None]
-            if failed and all(isinstance(e, SimulationDivergedError) for e in failed):
-                raise min(failed, key=lambda e: e.step_index)
-            done = [f.result() for f in futures]
+        from ._fork import forked  # only runs that split load it
+
+        outcomes = forked(run_range, zip(bounds, bounds[1:]))
+        failed = [value for ok, value in outcomes if not ok]
+        if failed:
+            diverged = all(isinstance(e, SimulationDivergedError) for e in failed)
+            raise min(failed, key=lambda e: e.step_index) if diverged else failed[0]
+        done = [value for _, value in outcomes]
     _log_engine(label, workers, *(counters for _, counters in done))
     return np.concatenate([sums for sums, _ in done], axis=1)
 
@@ -458,11 +443,12 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
     ``(lookup, flat, m, scaled, at)``, or None."""
     clock = time.perf_counter
     t0 = clock()
-    a = model.lin_drift
     sqrt_h = math.sqrt(step)
     has_residual = model.bounded_drift_sup != 0.0
-    # a 0-d array: ufuncs take it without converting a Python float every step
-    sigma = np.array(model.sigma)
+    # 0-d arrays and a positional out: ufuncs take them without converting a
+    # Python float or parsing a keyword every step
+    a, h, sigma = np.array(model.lin_drift), np.array(step), np.array(model.sigma)
+    add, multiply = np.add, np.multiply
     # only this batch's keys: all columns' key tuples at once grow with the run;
     # rows[c] is the number of the distinct key that column c reads
     key_row = {}
@@ -489,7 +475,8 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
     if prepared is not None:
         lookup, flat, m, scaled, at = prepared
         scaled, at = scaled[:p], at[:p]
-        offsets = np.arange(cols.start, cols.stop) // n_paths * m
+        # one table needs no offset: its row is read at the nodes themselves
+        offsets = np.arange(cols.start, cols.stop) // n_paths * m if len(flat) > m else None
     win = min(_FINITE_CHECK_STEPS, n_steps)
     # scaled by sigma * sqrt(step): step k reads row k + 1 and, with a drift,
     # writes the node of its state into row k, whose noise step k - 1 has used
@@ -497,6 +484,8 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
     node_rows = noise.view(np.intp)
     states = states[:(win + 1) * p].reshape(win + 1, p)
     states[0] = model.x0
+    # each step's rows, as views built once: indexing makes a view every step
+    x_rows, dw_rows, node_at = list(states), list(noise[1:]), list(node_rows)
     seconds[0] += clock() - t0
     for start in range(0, n_steps, _FINITE_CHECK_STEPS):
         t0 = clock()
@@ -514,20 +503,22 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                 np.copyto(dw[:, at_cols], drawn[at_keys].T)
         t1 = clock()
         seconds[0] += t1 - t0
-        x = states[0]
+        x = x_rows[0]
         try:
             for k in range(stop):
-                nxt = states[k + 1]
-                np.multiply(x, a, out=nxt)
+                nxt = x_rows[k + 1]
+                multiply(x, a, nxt)
                 if has_residual:
                     nxt += np.asarray(model.bounded_drift(x), dtype=float)
                 if prepared is not None:
-                    node = nearest_node(x, lookup, out=(scaled, node_rows[k]))
-                    np.add(node, offsets, out=at)
-                    nxt += flat.take(at)
-                nxt *= step
-                nxt += x
-                nxt += dw[k]
+                    node = nearest_node(x, lookup, (scaled, node_at[k]))
+                    if offsets is not None:
+                        node = add(node, offsets, at)
+                    # take's out= would buffer a copy in its default mode
+                    add(nxt, flat.take(node), nxt)
+                multiply(nxt, h, nxt)
+                add(nxt, x, nxt)
+                add(nxt, dw_rows[k], nxt)
                 x = nxt
         except Exception:
             # bounded_drift may reject the states of a path that already diverged

@@ -462,6 +462,73 @@ def test_sweep_budget_exhaustion_exits_2(tmp_path):
                      "--out", str(tmp_path / "x"), "--quiet"]) == 2
 
 
+def _failed_run(tmp_path, command, cfg):
+    """The ``error`` entry of the manifest that a run of ``command`` on ``cfg`` leaves when
+    a solver error stops it; rerunning that manifest raises the same error again."""
+    out = tmp_path / "failed"
+    assert cli.main([command, "--config", write_cfg(tmp_path, "c.yaml", cfg), "--out", str(out),
+                     "--quiet"]) == 2
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["command"] == command and man["outputs"] == []
+    error = man["error"]
+    with pytest.raises(cli._SOLVER_ERRORS) as exc:
+        cli.rerun_from_manifest(out / "manifest.json", tmp_path / "again")
+    assert (type(exc.value).__name__, str(exc.value)) == (error["type"], error["message"])
+    assert "error" in json.loads((tmp_path / "again" / "manifest.json").read_text())
+    return error
+
+
+def test_a_non_monotone_scheme_leaves_its_node_in_the_manifest(tmp_path):
+    error = _failed_run(tmp_path, "solve-ebsde", {
+        "model": {}, "grid": {"x_min": -6.0, "x_max": 6.0, "m": 41},
+        "driver": {"name": "linear_z_plus_bump", "slope": 40.0}, "solver": {}})
+    assert sorted(error) == ["advection_dx", "message", "sigma2", "type", "x"]
+    assert error["type"] == "NonMonotoneSchemeError"
+    assert error["advection_dx"] >= error["sigma2"] > 0 and error["x"] == -4.5
+
+
+def test_an_unconverged_solve_leaves_its_residual_history_in_the_manifest(tmp_path):
+    # Newton stalls near 1e-9 on the square-root driver
+    error = _failed_run(tmp_path, "continuous-ebsde", {
+        "model": {}, "grid": dict(TINY_GRID),
+        "driver": {"name": "sqrt_z_plus_bump", "slope": 0.5}, "solver": {"tol": 1.0e-10}})
+    assert error["type"] == "MaxSweepsExceededError"
+    # the last iterate v stays out
+    assert sorted(error) == ["lam", "message", "residual_history", "sup_residual", "sweeps",
+                             "type"]
+    assert len(error["residual_history"]) == error["sweeps"]
+    assert error["residual_history"][-1] == error["sup_residual"] > 1.0e-10
+
+
+def test_a_game_without_a_pure_nash_point_leaves_it_in_the_manifest(tmp_path, monkeypatch):
+    # opposed bilinear costs on {-1, 1}: no joint control is unilaterally stable
+    grid = ergodic_games.ControlGrid(np.array([-1.0, 1.0]))
+    pennies = ergodic_games.GameSpec(
+        grids=(grid, grid), drift_map=lambda u, v: 0.0 * u + 0.0 * v,
+        costs=(lambda x, u, v: u * v + 0.0 * x, lambda x, u, v: -u * v + 0.0 * x),
+        cost_sup=1.0, cost_x_lip=0.0)
+    monkeypatch.setattr(cli, "make_game", lambda section: pennies)
+    error = _failed_run(tmp_path, "solve-game", {
+        "model": {}, "grid": dict(TINY_GRID), "game": {"name": "quadratic_decoupled"}})
+    assert error["type"] == "NoPureNashError"
+    assert sorted(error) == ["message", "type", "x", "z"]
+    assert type(error["x"]) is float and len(error["z"]) == 2
+
+
+def test_a_diverged_simulation_leaves_its_step_in_the_manifest(tmp_path, monkeypatch):
+    # the residual drift turns NaN once the model's construction checks are done
+    wild = {"on": False}
+    model = ergodic_games.SdeModel(
+        lin_drift=-1.0, bounded_drift=lambda x: np.full_like(x, np.nan if wild["on"] else 0.0),
+        bounded_drift_sup=1.0, bounded_drift_lip=1.0, sigma=1.0, x0=0.0)
+    wild["on"] = True
+    monkeypatch.setattr(cli, "make_model", lambda section: model)
+    error = _failed_run(tmp_path, "simulate", {
+        "model": {}, "sim": {"horizon": 1.0, "step": 0.1, "n_paths": 3}})
+    assert error == {"type": "SimulationDivergedError", "step_index": 1,
+                     "message": "simulation diverged: non-finite state at step 1"}
+
+
 def _continuous_report(model, grid):
     f, kappa = ergodic_games.make_growth_driver({"name": "sqrt_z_plus_bump"})
     return {**ergodic_games.solve_continuous_ebsde(model, f, kappa, grid).report_dict(),

@@ -625,6 +625,29 @@ def test_verify_isaacs_equals_the_per_sample_reference(build, delta):
         assert 0 < rep.n_failures < rep.n_samples and rep.max_continuity_jump > 0.0
 
 
+@pytest.mark.parametrize("build", [_pennies, _switched_pennies])
+def test_verify_isaacs_blocks_keep_every_bit(monkeypatch, build):
+    # blocks of 7 samples: the stream is drawn in the same order, and the failures
+    # and the largest jump are collected across blocks
+    spec = build()
+    whole = eg.verify_isaacs(spec, n_samples=45, seed=3)
+    monkeypatch.setattr(games, "_ISAACS_BLOCK", 7)
+    assert repr(eg.verify_isaacs(spec, n_samples=45, seed=3)) == repr(whole)
+    assert len(whole.example_failures) == 5
+
+
+def test_verify_isaacs_memory_is_flat_in_the_samples():
+    spec = eg.three_player_symmetric(21)
+    tracemalloc.start()
+    try:
+        eg.verify_isaacs(spec, n_samples=30_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # drawn and searched whole, the samples peaked at 11.6 MB; a block of them at 0.9 MB
+    assert peak <= 3e6, peak
+
+
 @pytest.mark.parametrize("n_samples", [0, -3])
 def test_verify_isaacs_needs_a_sample(g0, n_samples):
     # no sample used to read as a full pure-Nash fraction (1.0, or -0.0 for -3)

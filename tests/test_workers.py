@@ -4,12 +4,17 @@ Runs here are small, so the helper would keep them in-process; the tests
 force two workers by lowering its CPU count and per-worker threshold.
 """
 
+import json
 import logging
 import multiprocessing
 import os
 import pickle
 import re
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ import ergodic_games as eg
 from ergodic_games import catalog, cli, continuous, ebsde, games, picard, sde, verify
 
 from conftest import euler_reference, policy_of_constant_control
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # one instance of every exception class the package defines
 _ERRORS = {
@@ -316,3 +323,129 @@ def test_a_daemonic_caller_runs_its_ranges_itself(model, two_workers):
     assert proc.exitcode == 0
     assert pids == {proc.pid}
     assert np.array_equal(sums, np.full((1, 4), 10.0))
+
+
+def _no_child_left():
+    """Whether this process has no child, running or zombie."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _run_in_a_fresh_interpreter(code):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=120).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+_FORCE_TWO_WORKERS = """
+import json, os, sys
+from ergodic_games import sde
+sde._cpu_count = lambda: 2
+sde._MIN_WORKER_PATH_STEPS = 1
+"""
+
+
+def test_a_split_run_loads_no_process_pool():
+    # the run-time twin of test_samples' import check: the workers are plain forks
+    loaded = _run_in_a_fresh_interpreter(_FORCE_TWO_WORKERS + """
+import ergodic_games as eg
+pid = os.getpid()
+sums = sde.path_sums("t", eg.ou_model(), 10, 0.01, [0], 4,
+                     lambda job, start, states, nodes: states[1:] * 0.0 + os.getpid())
+print(json.dumps({"pids": sorted(set(sums[0] / 10) - {pid}),
+                  "modules": sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
+                                    or m == "concurrent.futures")}))
+""")
+    assert len(loaded["pids"]) == 2 and loaded["modules"] == []
+
+
+def test_a_split_verify_nash_records_its_workers_memory(tmp_path):
+    # a fresh interpreter has waited for no other child
+    cfg = tmp_path / "g.yaml"
+    cfg.write_text(json.dumps({
+        "model": {}, "grid": {"x_min": -6.0, "x_max": 6.0, "m": 41},
+        "game": {"name": "quadratic_decoupled", "n_controls": 11}, "solver": {"tol": 1.0e-4},
+        "mc": {"horizon": 10.0, "step": 0.02, "n_paths": 8, "n_deviations": 1, "burn_in": 1.0}}))
+    man = _run_in_a_fresh_interpreter(_FORCE_TWO_WORKERS + f"""
+from ergodic_games import cli
+assert cli.main(["verify-nash", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "v")!r},
+                 "--quiet"]) in (0, 3)
+print(open({str(tmp_path / "v" / "manifest.json")!r}).read().replace("\\n", " "))
+""")
+    assert man["peak_rss_children_mb"] > 0
+
+
+class _NeedsTwoArguments(Exception):
+    # pickles, but loading calls __init__ with one argument
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_an_error_that_does_not_pickle_is_named(model, two_workers):
+    class LocalError(Exception):
+        pass  # a local class does not pickle
+
+    for err, name in ((LocalError("kept here"), "LocalError"),
+                      (_NeedsTwoArguments(1, 2), "_NeedsTwoArguments")):
+        def terms(job, start, states, nodes):
+            raise err
+
+        with pytest.raises(RuntimeError, match=f"raised .*{name}.*does not pickle"):
+            sde.path_sums("test", model, 10, 0.01, [0], 4, terms)
+        assert _no_child_left()
+
+
+def test_a_result_larger_than_a_pipe_arrives_intact(model, monkeypatch):
+    # each worker sends 40 x 500 sums, 160 KB: more than a pipe holds
+    def terms(job, start, states, nodes):
+        return states[1:] + job
+
+    one = sde.path_sums("test", model, 2, 0.01, [0] * 40, 1000, terms)
+    _force_two_workers(monkeypatch)
+    assert np.array_equal(sde.path_sums("test", model, 2, 0.01, [0] * 40, 1000, terms), one)
+    assert _no_child_left()
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+def test_no_child_is_left_after_a_failure(model, two_workers):
+    lower = _in_lower_range(model, 0)
+
+    def raises(job, start, states, nodes):
+        raise ValueError("refused")
+
+    def dies(job, start, states, nodes):
+        if not lower(start, states):
+            os._exit(3)
+
+    from concurrent.futures.process import BrokenProcessPool
+
+    for terms, drift, error in ((raises, None, ValueError), (dies, None, BrokenProcessPool),
+                                (lambda *args: None, _BEYOND, sde.SimulationDivergedError)):
+        with pytest.raises(error):
+            sde.path_sums("test", model, 4000, 0.01, [3], 4, terms, drift)
+        assert _no_child_left()
+
+
+def test_an_interrupted_caller_leaves_no_child(model, two_workers):
+    def terms(job, start, states, nodes):
+        time.sleep(60)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    # the timer is not inherited: only this process is interrupted, while it waits
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            sde.path_sums("test", model, 10, 0.01, [0], 4, terms)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - t0 < 30
+    assert _no_child_left()
