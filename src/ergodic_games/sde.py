@@ -39,8 +39,11 @@ from __future__ import annotations
 import logging
 import math
 import os
+import pickle
+import signal
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -390,7 +393,7 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
     path-steps // _MIN_WORKER_PATH_STEPS)`` workers: with one, with no
     ``fork`` on the platform, or in a daemonic process (which may have no
     children), it runs here.  Otherwise each contiguous range of paths runs
-    in a child of ``os.fork`` (:func:`._fork.forked`), which inherits ``terms``
+    in a child of ``os.fork`` (:func:`_forked`), which inherits ``terms``
     (closures need no pickling), and the ranges' sums are joined in path
     order: the bits of one process.  Every range is waited for: if every
     failing range diverged, the earliest divergence is raised, the step one
@@ -421,9 +424,7 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
         done = [run_range(0, n_paths)]
     else:
         bounds = [n_paths * w // workers for w in range(workers + 1)]
-        from ._fork import forked  # only runs that split load it
-
-        outcomes = forked(run_range, zip(bounds, bounds[1:]))
+        outcomes = _forked(run_range, zip(bounds, bounds[1:]))
         failed = [value for ok, value in outcomes if not ok]
         if failed:
             diverged = all(isinstance(e, SimulationDivergedError) for e in failed)
@@ -431,6 +432,70 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
         done = [value for _, value in outcomes]
     _log_engine(label, workers, *(counters for _, counters in done))
     return np.concatenate([sums for sums, _ in done], axis=1)
+
+
+def _forked(work: Callable, ranges) -> list:
+    """``(ok, value)`` of ``work(k0, k1)`` for each range, run in a forked child that
+    sends it pickled through a pipe: the result, the exception raised (a RuntimeError
+    naming one that does not pickle), with the child's traceback as its cause, or, if
+    the child died first, a BrokenProcessPool.  The pipes are read to EOF in range
+    order, then every child is reaped, and killed first if this process was
+    interrupted, so none outlives the call."""
+    pids, pipes, sent = [], [], None
+    try:
+        for k0, k1 in ranges:
+            read, write = os.pipe()
+            try:
+                pipes.append(open(read, "rb"))
+                _flush_std_streams()  # else the child writes this process's buffered output again
+                pids.append(os.fork())  # recorded before anything else can raise
+                if pids[-1] == 0:  # the child, which never returns
+                    try:
+                        try:
+                            data = pickle.dumps((True, work(k0, k1), None))
+                        except BaseException as err:
+                            remote = traceback.format_exc()
+                            try:
+                                pickle.loads(data := pickle.dumps((False, err, remote)))
+                            except Exception as failure:
+                                data = pickle.dumps((False, RuntimeError(
+                                    f"a worker raised {err!r}, which does not pickle: "
+                                    f"{failure!r}"), remote))
+                        with open(write, "wb") as pipe:
+                            pipe.write(data)
+                        _flush_std_streams()
+                    finally:
+                        os._exit(0)
+            finally:
+                os.close(write)
+        sent = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if sent is None:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    outcomes = []
+    for data in sent:
+        try:
+            ok, value, remote = pickle.loads(data)
+        except Exception:  # none or a part of an outcome
+            from concurrent.futures.process import BrokenProcessPool
+
+            ok, remote = False, None
+            value = BrokenProcessPool("a worker died before sending its sums")
+        if remote is not None:
+            # pickling dropped the traceback: chain its text, as concurrent.futures does
+            value.__cause__ = Exception(f'\n"""\n{remote}"""')
+        outcomes.append((ok, value))
+    return outcomes
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None and not stream.closed:
+            stream.flush()
 
 
 def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
@@ -475,8 +540,7 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
     if prepared is not None:
         lookup, flat, m, scaled, at = prepared
         scaled, at = scaled[:p], at[:p]
-        # one table needs no offset: its row is read at the nodes themselves
-        offsets = np.arange(cols.start, cols.stop) // n_paths * m if len(flat) > m else None
+        offsets = np.arange(cols.start, cols.stop) // n_paths * m
     win = min(_FINITE_CHECK_STEPS, n_steps)
     # scaled by sigma * sqrt(step): step k reads row k + 1 and, with a drift,
     # writes the node of its state into row k, whose noise step k - 1 has used
@@ -511,11 +575,9 @@ def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
                 if has_residual:
                     nxt += np.asarray(model.bounded_drift(x), dtype=float)
                 if prepared is not None:
-                    node = nearest_node(x, lookup, (scaled, node_at[k]))
-                    if offsets is not None:
-                        node = add(node, offsets, at)
+                    add(nearest_node(x, lookup, (scaled, node_at[k])), offsets, at)
                     # take's out= would buffer a copy in its default mode
-                    add(nxt, flat.take(node), nxt)
+                    add(nxt, flat.take(at), nxt)
                 multiply(nxt, h, nxt)
                 add(nxt, x, nxt)
                 add(nxt, dw_rows[k], nxt)

@@ -399,6 +399,39 @@ def test_an_error_that_does_not_pickle_is_named(model, two_workers):
         assert _no_child_left()
 
 
+def test_a_workers_error_carries_its_traceback(model, two_workers):
+    def terms(job, start, states, nodes):
+        raise ValueError("refused in the worker")
+
+    with pytest.raises(ValueError, match="refused in the worker") as exc:
+        sde.path_sums("test", model, 10, 0.01, [0], 4, terms)
+    cause = str(exc.value.__cause__)
+    assert 'raise ValueError("refused in the worker")' in cause
+    assert "in terms" in cause
+    # a cause is no field of the error: cli's error record leaves it out
+    assert vars(exc.value) == {}
+    assert _no_child_left()
+
+
+def test_a_failed_fork_leaves_no_descriptor_or_child(model, two_workers, monkeypatch):
+    fork, calls = os.fork, []
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError("no process for the second range")
+        return fork()
+
+    fds = set(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", second_fails)
+    with pytest.raises(BlockingIOError):
+        sde.path_sums("test", model, 10, 0.01, [0], 4, lambda *args: None)
+    monkeypatch.setattr(os, "fork", fork)
+    assert len(calls) == 2
+    assert set(os.listdir("/proc/self/fd")) == fds
+    assert _no_child_left()
+
+
 def test_a_result_larger_than_a_pipe_arrives_intact(model, monkeypatch):
     # each worker sends 40 x 500 sums, 160 KB: more than a pipe holds
     def terms(job, start, states, nodes):
