@@ -16,6 +16,14 @@ listings shows whether a change kept every artifact byte-identical.  With
 ``--expect LISTING``, a listing saved from an earlier run, the script also
 compares the two and exits 1, naming on standard error each path whose
 digest differs, is missing or is new.
+
+``scripts/artifact_digests.txt`` is the listing of the current code, so
+
+    python3 scripts/artifact_digests.py DIR --expect scripts/artifact_digests.txt
+
+is the one-command check that a change kept every artifact byte-identical.  A
+change that moves an artifact on purpose updates that file, so its diff names
+the moved digests.
 """
 
 import hashlib

@@ -316,12 +316,12 @@ class GridSolution:
     """Grid solution of the ergodic (``alpha is None``) or discounted equation.
 
     ``xi`` approximates ``v'(x) sigma`` (central differences inside,
-    one-sided at the ends) and ``residual_sup`` is the recomputed interior
-    equation residual.  An ergodic ``v`` is normalized to zero at the
-    reference node and ``lam`` is the long-run constant; a discounted ``v``
-    is not normalized and ``lam`` is None.  ``growth_constant``, the smallest
-    ``C`` with ``|v(x)| <= C (1 + x^2)`` on the grid, and ``sup_v`` are read
-    off ``v``.
+    one-sided at the ends) and ``residual_sup`` is the interior equation
+    residual (Newton's last for an ergodic solution, else recomputed).  An
+    ergodic ``v`` is normalized to zero at the reference node and ``lam`` is
+    the long-run constant; a discounted ``v`` is not normalized and ``lam``
+    is None.  ``growth_constant``, the smallest ``C`` with ``|v(x)| <= C (1 +
+    x^2)`` on the grid, and ``sup_v`` are read off ``v``.
     """
 
     grid: Grid1D
@@ -421,9 +421,9 @@ def _bordered_solve(lower, diag, upper, rhs, iref: int):
     return np.array(y[:m]) + c * np.array(w[:m]), c
 
 
-def _solve_pinned(model, driver, grid: Grid1D, alpha: float, tol: float,
-                  v_init: Optional[np.ndarray]):
-    """Newton iteration shared by the ergodic and discounted solvers.
+def _solve(model, driver, grid: Grid1D, alpha: Optional[float], tol: float,
+           v_init: Optional[np.ndarray]) -> GridSolution:
+    """Newton iteration of the ergodic (``alpha`` None: rate 0.0) and discounted solves.
 
     Each iteration evaluates the residual of ``0.5 sigma^2 v'' + drift v' +
     f(x, sigma v') - alpha v``, takes ``c`` as its value at the reference
@@ -431,8 +431,11 @@ def _solve_pinned(model, driver, grid: Grid1D, alpha: float, tol: float,
     otherwise it linearizes the driver at the current gradient (central
     difference in ``z``, a subgradient at kinks) and solves the bordered
     Newton system.  ``driver`` may be a :class:`DriverSpec` or a bare
-    callable ``f(x, z)``.  Returns ``(v, c, iterations)``.
+    callable ``f(x, z)``.  ``v`` stays an exact +0.0 at the reference node and
+    inside ``sigma v'`` is ``xi`` bit for bit, so the last residual is an
+    ergodic ``residual_sup``; a discounted ``v`` moves by ``c / alpha``.
     """
+    rate = 0.0 if alpha is None else alpha
     x, dx, iref = grid.nodes(), grid.dx, grid.x_ref_index
     sig = model.sigma
     sig2 = sig**2
@@ -448,14 +451,14 @@ def _solve_pinned(model, driver, grid: Grid1D, alpha: float, tol: float,
     for it in range(1, _MAX_NEWTON_ITERATIONS + 1):
         d1, d2 = _derivatives(v, dx)
         z = sig * d1
-        r = 0.5 * sig2 * d2 + drift * d1 + np.asarray(f(x, z), dtype=float) - alpha * v
+        r = 0.5 * sig2 * d2 + drift * d1 + np.asarray(f(x, z), dtype=float) - rate * v
         lam = float(r[iref])
         r -= lam
         history.append(float(np.max(np.abs(r[inner]))))
         if history[-1] < tol * 0.999:
-            return v, lam, it
-        if it == _MAX_NEWTON_ITERATIONS:
             break
+        if it == _MAX_NEWTON_ITERATIONS:
+            raise MaxSweepsExceededError(history[-1], _MAX_NEWTON_ITERATIONS, lam, v, history)
         h = _SLOPE_STEP * (1.0 + np.abs(z))
         slope = (np.asarray(f(x, z + h), dtype=float)
                  - np.asarray(f(x, z - h), dtype=float)) / (2.0 * h)
@@ -471,13 +474,19 @@ def _solve_pinned(model, driver, grid: Grid1D, alpha: float, tol: float,
         lower, upper = diff - adv / (2.0 * dx), diff + adv / (2.0 * dx)
         lower[-1], upper[0] = 2.0 * diff[-1], 2.0 * diff[0]
         try:
-            v += _bordered_solve(lower, -2.0 * diff - alpha, upper, -r, iref)[0]
+            v += _bordered_solve(lower, -2.0 * diff - rate, upper, -r, iref)[0]
         except ZeroDivisionError as exc:
             # a zero pivot needs a row that is no M-matrix row: one in the margins
             raise NonMonotoneSchemeError(
                 "elimination hit a zero pivot on the non-monotone rows of the "
                 "boundary margins; refine the grid") from exc
-    raise MaxSweepsExceededError(history[-1], _MAX_NEWTON_ITERATIONS, lam, v, history)
+    if alpha is not None:
+        v += lam / alpha
+    xi = _xi_from_v(model, grid, v)
+    res = history[-1] if alpha is None else hjb_residual(model, driver, grid, v, xi, 0.0, alpha)
+    logger.debug("grid solve: alpha=%s c=%.9g residual=%.3e iterations=%d", alpha, lam, res, it)
+    return GridSolution(grid=grid, v=v, xi=xi, lam=lam if alpha is None else None, alpha=alpha,
+                        residual_sup=res, iterations=it)
 
 
 def _xi_from_v(model, grid: Grid1D, v: np.ndarray) -> np.ndarray:
@@ -495,7 +504,8 @@ def hjb_residual(model, driver, grid: Grid1D, v: np.ndarray,
 
     ``driver`` may be a :class:`DriverSpec` or a bare callable ``f(x, z)``.
     Recomputes the equation residual from the stored fields, so for a
-    converged solution it reproduces ``residual_sup`` up to roundoff.
+    converged solution it reproduces ``residual_sup`` (bitwise for an ergodic
+    one).
     """
     f = driver.f if isinstance(driver, DriverSpec) else driver
     x = grid.nodes()
@@ -517,23 +527,17 @@ def solve_ergodic(
 
     Takes Newton steps on the discrete equation until the interior residual
     sup-norm drops below ``tol``; ``lam`` is the residual constant at the
-    reference node.  ``v_init`` warm-starts the iteration (its value at the
-    reference node is subtracted).  ``iterations`` counts residual
-    evaluations: 1 when the start already solves the equation, 2 for a driver
-    affine in ``z``.
+    reference node and ``residual_sup`` Newton's last interior residual.
+    ``v_init`` warm-starts the iteration (its value at the reference node is
+    subtracted).  ``iterations`` counts residual evaluations: 1 when the
+    start already solves the equation, 2 for a driver affine in ``z``.
 
     Raises :class:`NonMonotoneSchemeError` when the grid is too coarse for
     the drift and driver slope, and :class:`MaxSweepsExceededError` (with
     diagnostics attached) if Newton does not converge within a fixed number
     of iterations.
     """
-    v, lam, iterations = _solve_pinned(model, driver, grid, 0.0, tol, v_init)
-    v = v - v[grid.x_ref_index]
-    xi = _xi_from_v(model, grid, v)
-    res = hjb_residual(model, driver, grid, v, xi, lam)
-    logger.debug("ergodic solve: lam=%.9g residual=%.3e iterations=%d", lam, res, iterations)
-    return GridSolution(grid=grid, v=v, xi=xi, lam=lam, alpha=None, residual_sup=res,
-                        iterations=iterations)
+    return _solve(model, driver, grid, None, tol, v_init)
 
 
 def solve_discounted(
@@ -555,11 +559,4 @@ def solve_discounted(
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    w, lam, iterations = _solve_pinned(model, driver, grid, alpha, tol, v_init)
-    v = (w - w[grid.x_ref_index]) + lam / alpha
-    xi = _xi_from_v(model, grid, v)
-    res = hjb_residual(model, driver, grid, v, xi, 0.0, alpha=alpha)
-    logger.debug("discounted solve: alpha=%.3g v(ref)=%.9g residual=%.3e iterations=%d",
-                 alpha, lam / alpha, res, iterations)
-    return GridSolution(grid=grid, v=v, xi=xi, lam=None, alpha=alpha, residual_sup=res,
-                        iterations=iterations)
+    return _solve(model, driver, grid, alpha, tol, v_init)

@@ -106,20 +106,21 @@ class GameSpec:
     one entry per node or stacked row it searches at once, as the
     construction checks do.  The callables must act elementwise: the later
     players' pass also gets player 0's mesh cut to the stacked rows' indices,
-    so no value may depend on the meshes' shapes.  Where ``costs[0]``'s
-    compact values have length 1 on the other players' axes, player 0's
-    Hamiltonian reads their controls through the drift alone: the columns of
-    ``drift_table().reshape(|U_0|, -1)`` are then grouped at construction
-    into classes of bitwise equal columns, and the search evaluates one
-    column per class.  ``_classes`` holds ``(reps, cls)``, the first column of
-    each class (ascending) and each column's class, or None where no column
-    repeats or cost 0 reads the others.  Nothing is cached per
-    state, so tabulation memory is O(max(|U|^n, _SEARCH_FLOATS)), independent
-    of the state grid.  ``cost_sup`` bounds ``|cost_i|`` and ``cost_x_lip`` is a
-    Lipschitz constant of the costs in the state; both must be finite and are
-    verified at construction on fixed states
-    (:func:`~ergodic_games._samples.check_states`), where the costs must also
-    be finite.  ``drift_map`` must be finite on the grids (else
+    so no value may depend on the meshes' shapes.  The drift is stored once,
+    as one joint table (:meth:`drift_table`), also where it ignores a player.
+    Where ``costs[0]``'s compact values have length 1 on the other players'
+    axes, player 0's Hamiltonian reads their controls through the drift
+    alone: the columns of ``drift_table().reshape(|U_0|, -1)`` are then
+    grouped at construction into classes of bitwise equal columns, and the
+    search evaluates one column per class.  ``_classes`` holds ``(reps,
+    cls)``, the first column of each class (ascending) and each column's
+    class, or None where no column repeats or cost 0 reads the others.
+    Nothing is cached per state, so tabulation memory is O(max(|U|^n,
+    _SEARCH_FLOATS)), independent of the state grid.  ``cost_sup`` bounds
+    ``|cost_i|`` and ``cost_x_lip`` is a Lipschitz constant of the costs in
+    the state; both must be finite and are verified at construction on fixed
+    states (:func:`~ergodic_games._samples.check_states`), where the costs
+    must also be finite.  ``drift_map`` must be finite on the grids (else
     ``ValueError``); ``drift_bound``, ``max |drift_map|`` over the grids, is
     computed once at construction.
     """
@@ -143,22 +144,20 @@ class GameSpec:
         for a in mesh:
             a.flags.writeable = False
         object.__setattr__(self, "_mesh", mesh)
-        drift = self._compact(self.drift_map)
-        drift = drift.reshape((1,) * (self.n_players - drift.ndim) + drift.shape)
-        table = np.broadcast_to(drift, self._shape())
-        # compact array: broadcasting repeats values but drops none
-        if not np.isfinite(drift).all():
+        table = np.ascontiguousarray(np.broadcast_to(self._compact(self.drift_map),
+                                                     self._shape()))
+        table.flags.writeable = False
+        if not np.isfinite(table).all():
             u = np.unravel_index(int(np.argmin(np.isfinite(table))), table.shape)
             controls = tuple(float(v) for v in self.control_values(u))
             raise ValueError(f"drift_map check failed: value {float(table[u])} at joint "
                              f"control {controls} is not finite")
-        object.__setattr__(self, "drift_bound", float(np.abs(drift).max()))
-        object.__setattr__(self, "_drift", drift)
+        object.__setattr__(self, "drift_bound", float(np.abs(table).max()))
         object.__setattr__(self, "_drift_table", table)
         cost0 = self._run_checks()
         # player 0's Hamiltonian reads the others' controls through the drift alone
         # where cost 0's compact values have length 1 on their axes
-        classes = _column_classes(drift, self._shape()) if math.prod(cost0[2:]) == 1 else None
+        classes = _column_classes(table) if math.prod(cost0[2:]) == 1 else None
         object.__setattr__(self, "_classes", classes)
 
     @property
@@ -190,7 +189,7 @@ class GameSpec:
         return raw
 
     def drift_table(self) -> np.ndarray:
-        """``drift_map`` on the full joint grid (read-only, tabulated at construction)."""
+        """``drift_map`` on the joint grid (read-only, C-ordered, tabulated at construction)."""
         return getattr(self, "_drift_table")
 
     def control_values(self, u: JointControl) -> list:
@@ -270,25 +269,23 @@ class GameSpec:
         return cx.shape
 
 
-def _column_classes(d: np.ndarray, shape: Tuple[int, ...]):
+def _column_classes(table: np.ndarray):
     """Classes of bitwise equal columns of player 0's view of the drift table,
-    ``drift_table().reshape(shape[0], -1)``, found on the compact drift ``d``:
-    ``(reps, cls)``, the first column of each class in ascending order and the
-    class of each column, or None where every column is its own class."""
-    # compact columns are equal exactly where the full columns they broadcast to are
-    bits = np.ascontiguousarray(d).view(np.int64).reshape(len(d), -1)
+    ``table.reshape(|U_0|, -1)``: ``(reps, cls)``, the first column of each class
+    in ascending order and the class of each column, or None where every column
+    is its own class."""
+    bits = table.reshape(len(table), -1).view(np.int64)
     order = np.lexsort(bits)  # stable: each run of equal columns starts at its first
     new = np.zeros(bits.shape[1], dtype=bool)
     new[0] = True
     for row in bits:
         key = row[order]
         new[1:] |= key[1:] != key[:-1]
+    # each column labelled by the first column of its class: the labels sort as the
+    # classes' first columns do
     first = np.empty_like(order)
     first[order] = order[new][np.cumsum(new) - 1]
-    # each column labelled by its first equal compact column: the labels sort as the
-    # classes' first full columns do
-    full = np.broadcast_to(first.reshape(d.shape[1:]), shape[1:]).ravel()
-    _, reps, cls = np.unique(full, return_index=True, return_inverse=True)
+    _, reps, cls = np.unique(first, return_index=True, return_inverse=True)
     return None if len(reps) == len(cls) else (reps, cls)
 
 
@@ -383,12 +380,8 @@ def _search(spec: GameSpec, x: np.ndarray, z: np.ndarray) -> tuple:
     if classes is None:
         table, cls = spec.drift_table(), None
     else:
-        # one column per class, in C order for the pass's strided reads, gathered from
-        # the compact drift (an index clipped to an axis of length 1 reads its entry)
-        d = getattr(spec, "_drift")
-        at = np.ravel_multi_index(np.unravel_index(classes[0], shape[1:]), d.shape[1:],
-                                  mode="clip")
-        table = np.broadcast_to(np.take(d.reshape(len(d), -1), at, axis=1), (shape[0], len(at)))
+        # one column per class, in C order for the pass's strided reads
+        table = np.take(spec.drift_table().reshape(shape[0], -1), classes[0], axis=1)
         table, cls = table.reshape(table.shape + (1,) * (n - 2)), classes[1]
     nodes_per, rows_per = max(1, _SEARCH_FLOATS // table.size), max(1, _SEARCH_FLOATS // width)
     # one Hamiltonian buffer for both passes, each refilling its front
@@ -446,7 +439,7 @@ def _later_players(spec: GameSpec, x: np.ndarray, z: np.ndarray, nodes: np.ndarr
     player 0's index ``rows[r]`` and ``marks[r]`` its player-0 marks, cut in place to the
     controls every player marks.  A later player's marks on a row depend on that row
     alone.  Whether each row has a marked control, and the first in row-major order."""
-    n, drift, mesh = spec.n_players, getattr(spec, "_drift"), getattr(spec, "_mesh")
+    n, drift, mesh = spec.n_players, spec.drift_table(), getattr(spec, "_mesh")
     width = math.prod(marks.shape[1:])
     chunk = max(1, _SEARCH_FLOATS // width)
     lead = (-1,) + (1,) * (n - 1)
@@ -455,16 +448,10 @@ def _later_players(spec: GameSpec, x: np.ndarray, z: np.ndarray, nodes: np.ndarr
         at, row, mask = nodes[r0:r0 + chunk], rows[r0:r0 + chunk], marks[r0:r0 + chunk]
         h = buf[:len(at) * width].reshape(mask.shape)
         xr, u0 = x[at].reshape(lead), mesh[0].take(row, axis=0)
-        # a compact drift's rows, gathered once per chunk, are smaller than h ("clip"
-        # maps every row to the only one where the drift ignores player 0's control)
-        compact = None if drift.shape == spec._shape() else np.take(drift, row, 0, mode="clip")
         for i in range(1, n):
-            if compact is None:
-                # "clip" writes straight into h: the default mode buffers a copy of it
-                np.take(drift, row, axis=0, out=h, mode="clip")
-                h *= z[at, i].reshape(lead)
-            else:
-                np.multiply(compact, z[at, i].reshape(lead), out=h)
+            # "clip" writes straight into h: the default mode buffers a copy of it
+            np.take(drift, row, axis=0, out=h, mode="clip")
+            h *= z[at, i].reshape(lead)
             h += spec.costs[i](xr, u0, *mesh[1:])
             mask &= h <= h.min(axis=i, keepdims=True)
         mask = mask.reshape(len(at), width)

@@ -220,8 +220,8 @@ def _n_steps(horizon: float, step: float) -> int:
 # the batch, so every sum over them is the same as for the path alone
 _FINITE_CHECK_STEPS = 256
 # keys whose window of normals is drawn and scaled in one (_BAND, window)
-# buffer (128 KiB), and columns per transposed copy: a band of both arrays
-# stays in cache; it only groups the work, and no number depends on it
+# buffer (128 KiB), which stays in cache; it only groups the work, and no
+# number depends on it
 _BAND = 64
 # most paths stepped together: memory is two window buffers (noise, whose used
 # rows also hold the nodes, and states) of _FINITE_CHECK_STEPS + 1 rows of
@@ -241,16 +241,6 @@ def _check_stability(model: SdeModel, step: float) -> None:
             f"step {step} too large for dissipation {model.dissipation}: "
             "1 - step*dissipation must stay positive"
         )
-
-
-def copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
-    """``dst[...] = src.T``, copied in bands of ``_BAND`` columns of ``dst``.
-
-    A band of both arrays stays in cache, which makes the copy about three
-    times faster than one strided ``copyto`` of a wide block.
-    """
-    for r in range(0, dst.shape[1], _BAND):
-        np.copyto(dst[:, r:r + _BAND], src[r:r + _BAND].T)
 
 
 def window_sum(values: np.ndarray) -> np.ndarray:
@@ -633,7 +623,7 @@ def sample_paths(
     states[:, 0] = model.x0
 
     def keep(job, paths, start, block, nodes):
-        copy_transposed(states[paths, start + 1:start + len(block)], block[1:])
+        states[paths, start + 1:start + len(block)] = block[1:].T
 
     _log_engine("sample_paths", 1, run_paths(model, n, step, [seed], n_paths, keep, drift))
     return states

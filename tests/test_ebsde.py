@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import ergodic_games as eg
+from ergodic_games import picard
+from ergodic_games.catalog import _DRIVER_PARAMS
+from ergodic_games.continuous import solve_continuous_ebsde
 from ergodic_games.ebsde import (DriverSpec, _bordered_solve, frozen_driver, hjb_residual,
                                  interp_table, nearest_node, node_lookup, uniform_interp)
 
@@ -270,6 +273,49 @@ def test_recomputed_residual_matches_report(model, bump_solution_mid, mid_grid):
     r2 = hjb_residual(model, d.f, mid_grid, sol.v, sol.xi, sol.lam)
     assert r2 == r
     assert sol.residual_sup <= 1e-8
+
+
+_DRIVER_CONFIGS = {
+    "constant": {"value": 0.7},
+    "bump": {},
+    "linear_z_plus_bump": {"slope": 0.5},
+    "tanh_z_plus_bump": {"scale": 0.5},
+    "dominating": {"lipschitz": 0.5, "offset": 1.0},
+}
+
+
+@pytest.mark.parametrize("name", list(_DRIVER_PARAMS))
+def test_ergodic_residual_is_newtons_last_exactly(model, coarse_grid, name):
+    # v stays an exact +0.0 at the reference node and sigma v' is xi inside, so the
+    # recomputed residual is the solve's own, bit for bit
+    d = eg.make_driver({"name": name, **_DRIVER_CONFIGS[name]})
+    sol = eg.solve_ergodic(model, d, coarse_grid, tol=1e-8)
+    assert sol.v[coarse_grid.x_ref_index] == 0.0
+    assert sol.residual_sup == hjb_residual(model, d, coarse_grid, sol.v, sol.xi, sol.lam)
+
+
+def test_continuous_residual_is_newtons_last_exactly(model, coarse_grid):
+    f, kappa = eg.make_growth_driver({"name": "sqrt_z_plus_bump", "slope": 0.5})
+    sol = solve_continuous_ebsde(model, f, kappa, coarse_grid)
+    assert sol.iterations > 2
+    assert sol.residual_sup == hjb_residual(model, f, coarse_grid, sol.v, sol.xi, sol.lam)
+
+
+def test_picard_players_residuals_are_newtons_last_exactly(model, g0, coarse_grid,
+                                                           monkeypatch):
+    solve, solves = picard.solve_ergodic, []
+
+    def record(model, driver, grid, **kwargs):
+        solves.append((driver, solve(model, driver, grid, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(picard, "solve_ergodic", record)
+    nash = eg.picard_solve(model, g0, coarse_grid, tol=1e-4)
+    # every player's solve of every iteration, the equilibrium's own last
+    assert all(a is b for (_, a), b in zip(solves[-g0.n_players:], nash.solutions))
+    for driver, sol in solves:
+        assert sol.residual_sup == hjb_residual(model, driver, coarse_grid, sol.v, sol.xi,
+                                                sol.lam)
 
 
 def test_solves_are_deterministic(model, coarse_grid):

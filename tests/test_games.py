@@ -299,7 +299,7 @@ _CLASSED_GAMES = {
     # the drift repeats its columns, but cost 0 reads player 1's control
     "cost_reads_others": (lambda: _three_player((5, 7, 4), coupled=True), None, 28),
     "stateless_cost": (lambda: _three_player((7, 7, 7), state=False), 34, 49),
-    # a drift that ignores player 2: its compact table has one column per v
+    # a drift that ignores player 2: its joint table repeats each column across w
     "drift_ignores_w": (lambda: _three_player((5, 7, 4), lambda u, v, w: u + v), 7, 28),
 }
 
@@ -321,6 +321,32 @@ def test_player0_column_classes(name):
     bits = spec.drift_table().reshape(len(spec.grids[0]), -1).view(np.int64)
     np.testing.assert_array_equal(bits[:, reps[cls]], bits)
     assert len(np.unique(bits[:, reps], axis=1).T) == n_classes
+
+
+@pytest.mark.parametrize("name", ["drift_ignores_w", "three_player_41"])
+def test_drift_is_stored_as_one_joint_table(name):
+    spec = _CLASSED_GAMES[name][0]()
+    table = spec.drift_table()
+    assert not table.flags.writeable and table.flags.c_contiguous
+    assert table.shape == tuple(len(g) for g in spec.grids)
+    mesh = np.meshgrid(*(g.points for g in spec.grids), indexing="ij", sparse=True)
+    np.testing.assert_array_equal(table, np.broadcast_to(spec.drift_map(*mesh), table.shape))
+
+
+def test_player0_class_table_is_c_ordered(monkeypatch):
+    # player 0's pass reads the class table row by row: a gather that leaves it in
+    # Fortran order makes those reads strided
+    spec = eg.three_player_symmetric(n_controls=41)
+    player0_rows, seen = games._player0_rows, []
+
+    def record(spec, x, z, table, cls, h):
+        seen.append((table.shape, table.flags.c_contiguous))
+        return player0_rows(spec, x, z, table, cls, h)
+
+    monkeypatch.setattr(games, "_player0_rows", record)
+    rng = np.random.default_rng(3)
+    games._search(spec, np.linspace(-6.0, 6.0, 101), rng.normal(scale=2.0, size=(101, 3)))
+    assert seen and all(shape == (41, 781, 1) and c_order for shape, c_order in seen)
 
 
 @pytest.mark.parametrize("name", list(_CLASSED_GAMES))
@@ -494,8 +520,8 @@ def test_batch_search_memory_is_bounded(build, k):
     # player 0's pass holds a chunk of joint tables and the later players' pass a
     # chunk of rows, in one buffer: all 201 nodes' kept rows at once in the coupled
     # game, or all 101 joint tables at once, would be several times this bound; a
-    # drift that ignores player 2 is read from its compact table, so neither pass
-    # copies the whole joint table
+    # drift that ignores player 2 is read from its stored joint table, so neither
+    # pass copies the whole joint table
     spec = build()
     rng = np.random.default_rng(3)
     x, z = np.linspace(-6.0, 6.0, k), rng.normal(scale=2.0, size=(k, spec.n_players))

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -24,6 +25,21 @@ def test_artifact_digests_cover_every_config_and_command():
     assert ("g0", "verify-nash") in runs
     # the discounted payoff path of the deviation harness
     assert ("g0_asymmetric", "verify-nash") in runs
+
+
+def test_saved_artifact_listing_matches_the_run_list():
+    # the committed listing of every artifact: each (config, command) pair of RUNS
+    # and one residual line per entry of RESIDUALS, in the script's order
+    digests = _load_script("artifact_digests.py")
+    lines = (REPO / "scripts" / "artifact_digests.txt").read_text().splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  [^ ]+", line) for line in lines)
+    paths = [line.split("  ", 1)[1] for line in lines]
+    assert len(set(paths)) == len(paths)
+    residuals = [p for p in paths if p.split("/")[2].startswith("residual_")]
+    assert residuals == [f"{name}/{command}/residual_player{player}_step{step}_paths{n_paths}"
+                         f"_horizon{horizon}"
+                         for name, command, player, step, n_paths, horizon in digests.RESIDUALS]
+    assert {tuple(p.split("/")[:2]) for p in paths if p not in residuals} == set(digests.RUNS)
 
 
 def test_artifact_digests_list_reports_not_manifests(tmp_path, monkeypatch, capsys):
