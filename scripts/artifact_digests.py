@@ -60,7 +60,7 @@ RESIDUALS = (
     ("g0", "solve-game", 0, 0.02, 64, 50.0),
     ("g0", "solve-game", 0, 0.01, 64, 50.0),
     ("g0_asymmetric", "asymmetric", 1, 0.02, 64, 50.0),
-    # 1,000 keys of one seed over 1,000 steps, in one process: 16 bands of normals
+    # 1,000 keys of one seed over 1,000 steps: on two CPUs, two workers of 8 bands each
     ("g0", "solve-game", 0, 0.02, 1000, 20.0),
 )
 

@@ -358,10 +358,11 @@ def _log_engine(label: str, workers: int, *counters: dict) -> None:
                 workers, total["rng_s"], total["euler_s"], total["cost_s"])
 
 
-# path-steps of engine work a worker process must get: about 50 ms of Euler
-# steps (more with a costly consumer), against the 7-14 ms a 2-process fork
-# split of a g0-sized process takes to start, send and reap (2-CPU host)
-_MIN_WORKER_PATH_STEPS = 1_000_000
+# path-steps of engine work a worker process must get.  A g0-sized process on a
+# 2-CPU host (no-op consumer, 3 medians of 15) ran 250k / 500k / 1M path-steps in
+# 31-43 / 47-54 / 53-67 ms in-process and 37-39 / 42-46 / 51-55 ms split in two:
+# a split wins once each worker gets 250k, and is a toss-up at 125k
+_MIN_WORKER_PATH_STEPS = 250_000
 
 
 def _cpu_count() -> int:
@@ -380,7 +381,8 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
     as a consumer does and returns their terms time-major, one row per step
     it counts, or None; each window's rows are added along
     :func:`window_sum`'s tree.  The run uses ``min(CPUs, n_paths,
-    path-steps // _MIN_WORKER_PATH_STEPS)`` workers: with one, with no
+    path-steps // _MIN_WORKER_PATH_STEPS)`` workers, so on two CPUs every run
+    of 500,000 path-steps or more splits: with one, with no
     ``fork`` on the platform, or in a daemonic process (which may have no
     children), it runs here.  Otherwise each contiguous range of paths runs
     in a child of ``os.fork`` (:func:`_forked`), which inherits ``terms``

@@ -84,3 +84,34 @@ def test_artifact_digests_reject_an_unknown_option(capsys):
     digests = _load_script("artifact_digests.py")
     assert digests.main(["out", "--expected", "saved.txt"]) == 1
     assert capsys.readouterr().err.startswith("Usage: python scripts/artifact_digests.py DIR")
+
+
+def test_bench_record_from_a_perfbench_run_and_manifests():
+    bench = _load_script("bench.py")
+    passes = [{"setup_s": 0.25, "total_s": 0.6, "peak_rss_mb": 37.0,
+               "wall_setup_s": wall_setup, "wall_total_s": wall_total}
+              for wall_setup, wall_total in ((0.3, 0.7), (0.2, 0.9), (0.4, 0.8))]
+    run = {"args": {"workload": "verify_wide", "seed": 41, "seconds": 20.0, "trace": 0},
+           "env": {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6"},
+           "passes": passes,
+           "result": {"correct": True, "attempted": 12, "failed": 0, "metrics": {
+               "setup_s": {"value": 0.25, "unit": "s"}, "total_s": {"value": 0.6, "unit": "s"},
+               "peak_rss_mb": {"value": 37.0, "unit": "MiB"}}}}
+    manifest = {"command": "verify-nash", "seed": 0, "outputs": ["deviations.csv"],
+                "wall_time_s": 11.5, "peak_rss_mb": 38.6, "peak_rss_children_mb": 37.0}
+    record = bench.bench_record("a", {"verify_wide": run}, {"verify-nash": manifest})
+    assert record == {
+        "label": "a",
+        "env": run["env"],
+        "perfbench": {"seed": 41, "seconds": 20.0, "workloads": {"verify_wide": {
+            "setup_s": 0.25, "total_s": 0.6, "peak_rss_mb": 37.0,
+            "wall_setup_s": 0.3, "wall_total_s": 0.8, "passes": 3, "failed": 0}}},
+        "g0": {"verify-nash": {"wall_time_s": 11.5, "peak_rss_mb": 38.6,
+                               "peak_rss_children_mb": 37.0}},
+    }
+
+
+def test_bench_takes_one_label(capsys):
+    bench = _load_script("bench.py")
+    assert bench.main([]) == 1 and bench.main(["a", "b"]) == 1 and bench.main(["--help"]) == 1
+    assert capsys.readouterr().err.startswith("Usage: python scripts/bench.py LABEL")

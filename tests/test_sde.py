@@ -574,7 +574,10 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_invariant_average_memory_flat_in_horizon(model, g0, coarse_grid):
+def test_invariant_average_memory_flat_in_horizon(model, g0, coarse_grid, monkeypatch):
+    # one worker keeps the engine in this process, where tracemalloc sees it
+    monkeypatch.setattr(sde, "_cpu_count", lambda: 1)
+
     def run(horizon):
         return _peak_bytes(lambda: _invariant_average(
             model, g0, coarse_grid, eg.bump, horizon=horizon, burn_in=1.0, step=0.05,
@@ -609,9 +612,10 @@ def test_engine_memory_is_two_windows_and_one_band(model):
 
 
 def test_engine_memory_at_the_wide_residual_shape(model):
-    # 1,000 distinct keys over 1,000 steps with a drift table, as the coarse
-    # pathwise residual of a wide check runs: a draw block of 1,000 steps per
-    # key (8 MB) would fail this bound
+    # 1,000 distinct keys over 1,000 steps with a drift table, the coarse
+    # pathwise residual of a wide check in one process (on two CPUs it runs as
+    # two workers of 500 keys): a draw block of 1,000 steps per key (8 MB)
+    # would fail this bound
     p = n = 1000
     bound = _engine_bound(p, p)
     peak = _peak_bytes(lambda: sde.run_paths(

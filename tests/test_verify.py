@@ -436,8 +436,11 @@ def test_moment_check_memory_flat_in_horizon(model):
     assert long <= short + 2 * 8 * 20_000, (short, long)
 
 
-def test_harness_memory_flat_in_deviations(model, g0, g0_nash_coarse):
-    # 8 jobs of 256 paths fill one batch; 62 jobs run as eight batches
+def test_harness_memory_flat_in_deviations(model, g0, g0_nash_coarse, monkeypatch):
+    # 8 jobs of 256 paths fill one batch; 62 jobs run as eight batches.  One
+    # worker keeps the engine in this process, where tracemalloc sees it
+    monkeypatch.setattr(sde, "_cpu_count", lambda: 1)
+
     def run(n_deviations):
         return _peak_bytes(lambda: nash_deviation_test(
             model, g0, g0_nash_coarse, n_deviations=n_deviations, horizon=2.0, step=0.02,

@@ -1,6 +1,6 @@
 """Path ranges in worker processes: the same bits, the same errors, no process left behind.
 
-Runs here are small, so the helper would keep them in-process; the tests
+Runs here are small, so the helper would keep them in-process; most tests
 force two workers by lowering its CPU count and per-worker threshold.
 """
 
@@ -137,6 +137,19 @@ def test_path_residual_is_bitwise_that_of_one_process(model, g0, g0_nash_coarse,
     assert repr(two) == repr(one)
     assert line2["workers"] == ("2" if n_paths > 1 else "1")
     assert (line2["paths"], line2["streams"]) == (line1["paths"], line1["streams"])
+
+
+@pytest.mark.parametrize("seeds, n_paths, n_steps, workers", [
+    ([0], 1000, 499, "1"), ([0], 1000, 500, "2"), ([0] * 1000, 1, 500, "1")])
+def test_two_cpus_split_every_run_of_half_a_million_path_steps(model, monkeypatch, caplog,
+                                                               seeds, n_paths, n_steps, workers):
+    # the rule min(CPUs, n_paths, path-steps // _MIN_WORKER_PATH_STEPS) at its
+    # own threshold: 499,000 path-steps stay here, 500,000 split, and one path
+    # (of however many jobs) is never split
+    monkeypatch.setattr(sde, "_cpu_count", lambda: 2)
+    with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
+        sde.path_sums("rule", model, n_steps, 0.02, seeds, n_paths, lambda *args: None)
+    assert _engine_line(caplog)["workers"] == workers
 
 
 def test_a_range_of_paths_keeps_its_keys(model, monkeypatch):
@@ -377,6 +390,41 @@ assert cli.main(["verify-nash", "--config", {str(cfg)!r}, "--out", {str(tmp_path
 print(open({str(tmp_path / "v" / "manifest.json")!r}).read().replace("\\n", " "))
 """)
     assert man["peak_rss_children_mb"] > 0
+
+
+def test_the_wide_coarse_residual_leaves_its_engine_to_the_workers():
+    # verify_wide's step-0.02 residual, 1,000 paths x 1,000 steps, on two CPUs:
+    # its windows, band and generators live in the two workers, so this
+    # process's peak RSS stays put (in one process it rises by about 6 MiB).
+    # An exec'd interpreter's peak starts at that of the process that started
+    # it (here pytest's), a forked child's at its own RSS: the run forks first
+    out = _run_in_a_fresh_interpreter("""
+import os
+if os.fork():
+    os._exit(os.waitstatus_to_exitcode(os.wait()[1]))
+import json, logging, resource
+import ergodic_games as eg
+from ergodic_games import sde
+sde._cpu_count = lambda: 2
+lines = []
+handler = logging.Handler()
+handler.emit = lambda record: lines.append(record.getMessage())
+logging.getLogger("ergodic_games.sde").addHandler(handler)
+logging.getLogger("ergodic_games.sde").setLevel(logging.INFO)
+model, g0 = eg.ou_model(), eg.quadratic_decoupled()
+nash = eg.picard_solve(model, g0, eg.Grid1D(-6.0, 6.0, 81), tol=1e-4)
+def residual():
+    return eg.bsde_path_residual(model, g0, nash, horizon=20.0, step=0.02, n_paths=1000, seed=0)
+eg.bsde_path_residual(model, g0, nash, horizon=2.0, step=0.02, n_paths=4, seed=0)  # loads numpy.random
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+split = residual()
+grown, line = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, lines[-1]
+sde._cpu_count = lambda: 1
+print(json.dumps({"grown_kib": grown, "line": line, "same": split == residual()}))
+""")
+    assert out["grown_kib"] < 1024, out
+    assert " workers=2 " in out["line"] and " paths=1000 steps=1000 " in out["line"], out
+    assert out["same"]
 
 
 class _NeedsTwoArguments(Exception):
