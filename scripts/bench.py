@@ -12,9 +12,12 @@ The record has two parts:
   ``wall_setup_s`` and ``wall_total_s``, which the run writes to
   ``.perfbench_out/``.  The scaled ``setup_s`` rides on a calibration whose
   speed can differ between builds; the raw one does not;
-* ``g0``: ``configs/g0.yaml`` run through ``solve-game`` and ``verify-nash``,
-  each in a fresh interpreter, and each command's ``wall_time_s``,
-  ``peak_rss_mb`` and ``peak_rss_children_mb`` from its manifest.
+* ``g0``: ``configs/g0.yaml`` run through ``solve-game`` and ``verify-nash``
+  in turn, G0_RUNS rounds, each run in a fresh interpreter.  Each command's
+  entry holds the medians over its runs of the manifest's ``wall_time_s``,
+  ``peak_rss_mb`` and ``peak_rss_children_mb``, the smallest and largest
+  ``wall_time_s`` and the number of runs: one run moves with the host's
+  speed far more than with a change.
 
 Bench files of two checkouts, each written by its own copy of this script,
 compare key by key.
@@ -31,6 +34,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SEED = 41
 G0_COMMANDS = ("solve-game", "verify-nash")
+G0_RUNS = 3
 MANIFEST_KEYS = ("wall_time_s", "peak_rss_mb", "peak_rss_children_mb")
 
 
@@ -44,17 +48,24 @@ def workload_entry(run: dict) -> dict:
     return entry
 
 
+def g0_entry(manifests: list) -> dict:
+    """One g0 command's entry, from the manifests of its runs."""
+    entry = {key: statistics.median(man[key] for man in manifests) for key in MANIFEST_KEYS}
+    walls = [man["wall_time_s"] for man in manifests]
+    entry.update(wall_time_min_s=min(walls), wall_time_max_s=max(walls), runs=len(manifests))
+    return entry
+
+
 def bench_record(label: str, runs: dict, manifests: dict) -> dict:
     """The bench file's contents: ``runs`` maps each workload to its perfbench
-    record, ``manifests`` each g0 command to its manifest."""
+    record, ``manifests`` each g0 command to the manifests of its runs."""
     first = next(iter(runs.values()))
     return {
         "label": label,
         "env": first["env"],
         "perfbench": {"seed": first["args"]["seed"], "seconds": first["args"]["seconds"],
                       "workloads": {name: workload_entry(run) for name, run in runs.items()}},
-        "g0": {command: {key: man[key] for key in MANIFEST_KEYS}
-               for command, man in manifests.items()},
+        "g0": {command: g0_entry(mans) for command, mans in manifests.items()},
     }
 
 
@@ -81,8 +92,11 @@ def main(argv=None) -> int:
         return 1
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     runs = {w["name"]: run_perfbench(w["name"], spec["run_seconds"]) for w in spec["workloads"]}
+    manifests = {command: [] for command in G0_COMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
-        manifests = {command: run_g0(command, Path(tmp) / command) for command in G0_COMMANDS}
+        for r in range(G0_RUNS):
+            for command in G0_COMMANDS:
+                manifests[command].append(run_g0(command, Path(tmp) / f"{command}-{r}"))
     record = bench_record(argv[0], runs, manifests)
     path = REPO / f"BENCH_{argv[0]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")

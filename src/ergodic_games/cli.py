@@ -39,9 +39,9 @@ from .ebsde import (
     NonMonotoneSchemeError,
     solve_ergodic,
 )
-from .games import FeedbackPolicy, NoPureNashError, verify_isaacs
+from .games import FeedbackPolicy, GameSpec, NoPureNashError, verify_isaacs
 from .picard import NashSolution, asymmetric_solve, picard_solve, vanishing_discount_sweep
-from .sde import SimulationDivergedError, moment_bound_check, sample_paths
+from .sde import SdeModel, SimulationDivergedError, moment_bound_check, sample_paths
 from .verify import nash_deviation_test
 
 __all__ = ["ConfigError", "main", "load_config", "load_nash", "rerun_from_manifest"]
@@ -196,11 +196,9 @@ def _cmd_continuous_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]
     return 0, ["solution.csv", "report.json"]
 
 
-def _solve_nash(cfg: dict, alpha) -> NashSolution:
+def _solve_nash(cfg: dict, model: SdeModel, spec: GameSpec, alpha) -> NashSolution:
     """All-ergodic equilibrium, or the one with player 2 discounted at a set ``alpha``."""
-    model = make_model(_section(cfg, "model"))
     grid = _make_grid(_section(cfg, "grid"))
-    spec = make_game(_section(cfg, "game"))
     kwargs = _set_keys(cfg, "solver", **_PICARD_KEYS)
     if alpha is not None:
         return asymmetric_solve(model, spec, grid, float(alpha), **kwargs)
@@ -212,7 +210,9 @@ def _cmd_solve_game(cfg: dict, out: FsPath, seed: int,
     """``solve-game`` ignores ``alpha``; ``asymmetric`` requires it."""
     if asymmetric and cfg.get("alpha") is None:
         raise ConfigError("missing config field 'alpha'")
-    nash = _solve_nash(cfg, cfg["alpha"] if asymmetric else None)
+    model = make_model(_section(cfg, "model"))
+    spec = make_game(_section(cfg, "game"))
+    nash = _solve_nash(cfg, model, spec, cfg["alpha"] if asymmetric else None)
     nash.to_csv(out / "nash.csv")
     _write_json(out / "report.json", nash.report_dict())
     logger.info("game solve: lambdas=%s alpha=%s converged=%s",
@@ -241,7 +241,7 @@ def _cmd_verify_nash(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
     spec = make_game(_section(cfg, "game"))
     nash = (load_nash(cfg["nash_dir"]) if cfg.get("nash_dir")
-            else _solve_nash(cfg, cfg.get("alpha")))
+            else _solve_nash(cfg, model, spec, cfg.get("alpha")))
     report = nash_deviation_test(model, spec, nash, seed=seed, **_set_keys(
         cfg, "mc", n_deviations=int, horizon=float, step=float, n_paths=int,
         grid_error_budget=float, burn_in=float))

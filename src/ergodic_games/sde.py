@@ -234,15 +234,6 @@ _MAX_BATCH_PATHS = 2048
 _CONSUME_PATHS = 32
 
 
-def _check_stability(model: SdeModel, step: float) -> None:
-    # Explicit Euler on the dissipative part must keep its contraction.
-    if 1.0 - step * model.dissipation <= 0.0:
-        raise ValueError(
-            f"step {step} too large for dissipation {model.dissipation}: "
-            "1 - step*dissipation must stay positive"
-        )
-
-
 def window_sum(values: np.ndarray) -> np.ndarray:
     """Column sums of a time-major block, added along a fixed pairwise tree.
 
@@ -308,11 +299,13 @@ def run_paths(
     or any split of them over workers, reports it.
     """
     _check_n_paths(n_paths)
-    if n_steps > 0:
-        _check_stability(model, step)
+    # explicit Euler on the dissipative part must keep its contraction
+    if n_steps > 0 and 1.0 - step * model.dissipation <= 0.0:
+        raise ValueError(f"step {step} too large for dissipation {model.dissipation}: "
+                         "1 - step*dissipation must stay positive")
+    clock = time.perf_counter
     total = len(seeds) * n_paths
     width = min(total, _MAX_BATCH_PATHS)
-    prepared = None
     if drift is not None:
         # every job's row end to end, scaled once in place (a freed temporary of its
         # size raised g0's workers' peak RSS by 1 MiB); offset s * m indexes job s's row
@@ -320,31 +313,119 @@ def run_paths(
         flat = np.concatenate(table, dtype=float)
         flat *= model.sigma
         lookup = tuple(np.array(float(v)) for v in node_lookup(nodes))
-        prepared = (lookup, flat, len(nodes), np.empty(width), np.empty(width, dtype=np.intp))
+        m, scaled_all, at_all = len(nodes), np.empty(width), np.empty(width, dtype=np.intp)
     # one window each, time-major (a batch of p columns views (win + 1) * p entries),
     # and the band: buffers freed per batch moved glibc's mmap threshold and the RSS
     win = min(_FINITE_CHECK_STEPS, n_steps)
-    noise, states = np.empty((win + 1) * width), np.empty((win + 1) * width)
+    noise_all, states_all = np.empty((win + 1) * width), np.empty((win + 1) * width)
     band = np.empty((min(_BAND, width), win))
-    seconds = [0.0, 0.0, 0.0]  # rng, euler, consume
+    sqrt_h = math.sqrt(step)
+    has_residual = model.bounded_drift_sup != 0.0
+    # 0-d arrays and a positional out: ufuncs take them without converting a
+    # Python float or parsing a keyword every step
+    a, h, sigma = np.array(model.lin_drift), np.array(step), np.array(model.sigma)
+    add, multiply = np.add, np.multiply
+    rng_s = euler_s = cost_s = 0.0
     n_batches = n_streams = 0
     diverged: Optional[SimulationDivergedError] = None
     for b0 in range(0, total if n_steps > 0 else 0, _MAX_BATCH_PATHS):
+        t0 = clock()
         cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
+        # only this batch's keys: all columns' key tuples at once grow with the run;
+        # rows[c] is the number of the distinct key that column c reads
+        key_row = {}
+        rows = np.array([key_row.setdefault((seeds[j // n_paths], first_path + j % n_paths),
+                                            len(key_row))
+                         for j in range(cols.start, cols.stop)], dtype=np.intp)
+        streams = [path_stream(*key) for key in key_row]
+        p = len(rows)
+        # each band's streams and its runs of columns that read consecutive keys: (the
+        # keys' rows in the band, the columns), one transposed copy each per window
+        edges = (np.flatnonzero((np.diff(rows) != 1) | (rows[1:] % _BAND == 0)) + 1).tolist()
+        bands = [(streams[b:b + _BAND], []) for b in range(0, len(streams), _BAND)]
+        for c0, c1 in zip([0] + edges, edges + [p]):
+            b, k = divmod(int(rows[c0]), _BAND)
+            bands[b][1].append((slice(k, k + c1 - c0), slice(c0, c1)))
+        # runs of at most _CONSUME_PATHS columns of one job: (job, its paths, columns)
+        pieces = []
+        c = cols.start
+        while c < cols.stop:
+            job, k = divmod(c, n_paths)
+            w = min(_CONSUME_PATHS, n_paths - k, cols.stop - c)
+            pieces.append((job, slice(k, k + w), slice(c - cols.start, c - cols.start + w)))
+            c += w
+        if drift is not None:
+            scaled, at = scaled_all[:p], at_all[:p]
+            offsets = np.arange(cols.start, cols.stop) // n_paths * m
+        # scaled by sigma * sqrt(step): step k reads row k + 1 and, with a drift,
+        # writes the node of its state into row k, whose noise step k - 1 has used
+        noise = noise_all[:(win + 1) * p].reshape(win + 1, p)
+        node_rows = noise.view(np.intp)
+        states = states_all[:(win + 1) * p].reshape(win + 1, p)
+        states[0] = model.x0
+        # each step's rows, as views built once: indexing makes a view every step
+        x_rows, dw_rows, node_at = list(states), list(noise[1:]), list(node_rows)
+        rng_s += clock() - t0
         try:
-            n_streams += _run_batch(model, n_steps, step, seeds, n_paths, first_path, cols,
-                                    consume, prepared, band, noise, states, seconds)
+            for start in range(0, n_steps, _FINITE_CHECK_STEPS):
+                t0 = clock()
+                stop = min(_FINITE_CHECK_STEPS, n_steps - start)
+                dw = noise[1:stop + 1]
+                for keys, runs in bands:
+                    drawn = band[:len(keys), :stop]
+                    for row, stream in zip(drawn, keys):
+                        stream.standard_normal(out=row)
+                    # (sigma * z) * sqrt_h, in this order: every path's bits depend on it
+                    drawn *= sigma
+                    drawn *= sqrt_h
+                    # time-major layout keeps every per-step slice contiguous
+                    for at_keys, at_cols in runs:
+                        np.copyto(dw[:, at_cols], drawn[at_keys].T)
+                t1 = clock()
+                rng_s += t1 - t0
+                x = x_rows[0]
+                try:
+                    for k in range(stop):
+                        nxt = x_rows[k + 1]
+                        multiply(x, a, nxt)
+                        if has_residual:
+                            nxt += np.asarray(model.bounded_drift(x), dtype=float)
+                        if drift is not None:
+                            add(nearest_node(x, lookup, (scaled, node_at[k])), offsets, at)
+                            # take's out= would buffer a copy in its default mode
+                            add(nxt, flat.take(at), nxt)
+                        multiply(nxt, h, nxt)
+                        add(nxt, x, nxt)
+                        add(nxt, dw_rows[k], nxt)
+                        x = nxt
+                except Exception:
+                    # bounded_drift may reject the states of a path that already diverged
+                    stop = k
+                    if np.isfinite(states[1:stop + 1]).all():
+                        raise
+                # any non-finite entry makes its step's sum non-finite; the first such
+                # step is where the batch diverged
+                bad = ~np.isfinite(states[1:stop + 1].sum(axis=1))
+                if bad.any():
+                    raise SimulationDivergedError(start + 1 + int(np.argmax(bad)))
+                t2 = clock()
+                for job, paths, at_cols in pieces:
+                    consume(job, paths, start, states[:stop + 1, at_cols],
+                            node_rows[:stop, at_cols] if drift is not None else None)
+                euler_s += t2 - t1
+                cost_s += clock() - t2
+                states[0] = states[stop]
         except SimulationDivergedError as err:
             if diverged is None or err.step_index < diverged.step_index:
                 diverged = err
-            continue
-        n_batches += 1
+        else:
+            n_batches += 1
+            n_streams += len(streams)
     if diverged is not None:
         raise diverged
     windows = n_batches * len(range(0, n_steps, _FINITE_CHECK_STEPS))
     return {"paths": total, "steps": n_steps, "batches": n_batches, "windows": windows,
-            "streams": n_streams, "rng_s": seconds[0], "euler_s": seconds[1],
-            "cost_s": seconds[2]}
+            "streams": n_streams, "rng_s": rng_s, "euler_s": euler_s, "cost_s": cost_s}
 
 
 def _log_engine(label: str, workers: int, *counters: dict) -> None:
@@ -488,110 +569,6 @@ def _flush_std_streams() -> None:
     for stream in (sys.stdout, sys.stderr):
         if stream is not None and not stream.closed:
             stream.flush()
-
-
-def _run_batch(model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
-               n_paths: int, first_path: int, cols: slice, consume: Callable,
-               prepared: Optional[tuple], band: np.ndarray, noise: np.ndarray,
-               states: np.ndarray, seconds: list) -> int:
-    """One batch of :func:`run_paths` in views of its buffers (``band`` holds one
-    window of normals of ``_BAND`` keys), returning the number of streams drawn;
-    its consumer sees only its windows.  ``prepared`` is the run's drift set-up
-    ``(lookup, flat, m, scaled, at)``, or None."""
-    clock = time.perf_counter
-    t0 = clock()
-    sqrt_h = math.sqrt(step)
-    has_residual = model.bounded_drift_sup != 0.0
-    # 0-d arrays and a positional out: ufuncs take them without converting a
-    # Python float or parsing a keyword every step
-    a, h, sigma = np.array(model.lin_drift), np.array(step), np.array(model.sigma)
-    add, multiply = np.add, np.multiply
-    # only this batch's keys: all columns' key tuples at once grow with the run;
-    # rows[c] is the number of the distinct key that column c reads
-    key_row = {}
-    rows = np.array([key_row.setdefault((seeds[j // n_paths], first_path + j % n_paths),
-                                        len(key_row))
-                     for j in range(cols.start, cols.stop)], dtype=np.intp)
-    streams = [path_stream(*key) for key in key_row]
-    p = len(rows)
-    # each band's streams and its runs of columns that read consecutive keys: (the
-    # keys' rows in the band, the columns), one transposed copy each per window
-    edges = (np.flatnonzero((np.diff(rows) != 1) | (rows[1:] % _BAND == 0)) + 1).tolist()
-    bands = [(streams[b:b + _BAND], []) for b in range(0, len(streams), _BAND)]
-    for c0, c1 in zip([0] + edges, edges + [p]):
-        b, k = divmod(int(rows[c0]), _BAND)
-        bands[b][1].append((slice(k, k + c1 - c0), slice(c0, c1)))
-    # runs of at most _CONSUME_PATHS columns of one job: (job, its paths, columns)
-    pieces = []
-    c = cols.start
-    while c < cols.stop:
-        job, k = divmod(c, n_paths)
-        w = min(_CONSUME_PATHS, n_paths - k, cols.stop - c)
-        pieces.append((job, slice(k, k + w), slice(c - cols.start, c - cols.start + w)))
-        c += w
-    if prepared is not None:
-        lookup, flat, m, scaled, at = prepared
-        scaled, at = scaled[:p], at[:p]
-        offsets = np.arange(cols.start, cols.stop) // n_paths * m
-    win = min(_FINITE_CHECK_STEPS, n_steps)
-    # scaled by sigma * sqrt(step): step k reads row k + 1 and, with a drift,
-    # writes the node of its state into row k, whose noise step k - 1 has used
-    noise = noise[:(win + 1) * p].reshape(win + 1, p)
-    node_rows = noise.view(np.intp)
-    states = states[:(win + 1) * p].reshape(win + 1, p)
-    states[0] = model.x0
-    # each step's rows, as views built once: indexing makes a view every step
-    x_rows, dw_rows, node_at = list(states), list(noise[1:]), list(node_rows)
-    seconds[0] += clock() - t0
-    for start in range(0, n_steps, _FINITE_CHECK_STEPS):
-        t0 = clock()
-        stop = min(_FINITE_CHECK_STEPS, n_steps - start)
-        dw = noise[1:stop + 1]
-        for keys, runs in bands:
-            drawn = band[:len(keys), :stop]
-            for row, stream in zip(drawn, keys):
-                stream.standard_normal(out=row)
-            # (sigma * z) * sqrt_h, in this order: every path's bits depend on it
-            drawn *= sigma
-            drawn *= sqrt_h
-            # time-major layout keeps every per-step slice contiguous
-            for at_keys, at_cols in runs:
-                np.copyto(dw[:, at_cols], drawn[at_keys].T)
-        t1 = clock()
-        seconds[0] += t1 - t0
-        x = x_rows[0]
-        try:
-            for k in range(stop):
-                nxt = x_rows[k + 1]
-                multiply(x, a, nxt)
-                if has_residual:
-                    nxt += np.asarray(model.bounded_drift(x), dtype=float)
-                if prepared is not None:
-                    add(nearest_node(x, lookup, (scaled, node_at[k])), offsets, at)
-                    # take's out= would buffer a copy in its default mode
-                    add(nxt, flat.take(at), nxt)
-                multiply(nxt, h, nxt)
-                add(nxt, x, nxt)
-                add(nxt, dw_rows[k], nxt)
-                x = nxt
-        except Exception:
-            # bounded_drift may reject the states of a path that already diverged
-            stop = k
-            if np.isfinite(states[1:stop + 1]).all():
-                raise
-        # any non-finite entry makes its step's sum non-finite; the first such
-        # step is where the batch diverged
-        bad = ~np.isfinite(states[1:stop + 1].sum(axis=1))
-        if bad.any():
-            raise SimulationDivergedError(start + 1 + int(np.argmax(bad)))
-        t2 = clock()
-        for job, paths, at_cols in pieces:
-            consume(job, paths, start, states[:stop + 1, at_cols],
-                    node_rows[:stop, at_cols] if prepared is not None else None)
-        seconds[1] += t2 - t1
-        seconds[2] += clock() - t2
-        states[0] = states[stop]
-    return len(streams)
 
 
 def sample_paths(

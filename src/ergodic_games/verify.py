@@ -23,7 +23,7 @@ import numpy as np
 from ._csv import write_csv
 from .ebsde import interp_table, nearest_node, node_lookup, uniform_interp
 from .games import FeedbackPolicy, GameSpec
-from .picard import NashSolution
+from .picard import NashSolution, comparison_bound
 from .sde import (
     SdeModel,
     _n_steps,
@@ -287,6 +287,13 @@ def _check_same_game(spec: GameSpec, nash: NashSolution) -> None:
     if nash.spec_name != spec.name:
         raise ValueError(f"equilibrium was solved for game {nash.spec_name!r}, "
                          f"not {spec.name!r}")
+    for i, values in enumerate(nash.policy.control_columns(spec)):
+        if not np.array_equal(nash.policy_values[i], values):
+            raise ValueError(f"player {i}'s equilibrium controls are not the game's controls "
+                             "at their indices: it was solved on other control grids")
+    if nash.comparison != comparison_bound(spec):
+        raise ValueError(f"equilibrium was solved under cost bound {nash.comparison!r}, "
+                         f"the game has {comparison_bound(spec)!r}")
 
 
 def nash_deviation_test(

@@ -211,6 +211,19 @@ def test_verify_nash_without_nash_dir_discounts_player_2_at_alpha(tmp_path):
     assert eq[1] != eq[0]
 
 
+def test_verify_nash_builds_its_model_and_game_once(tmp_path, monkeypatch):
+    # without --nash the solve reuses them; it used to build both again
+    calls = {"make_model": 0, "make_game": 0}
+    for name in calls:
+        def counted(section, build=getattr(cli, name), name=name):
+            calls[name] += 1
+            return build(section)
+        monkeypatch.setattr(cli, name, counted)
+    assert cli.main(["verify-nash", "--config", game_cfg(tmp_path, n_paths=4),
+                     "--out", str(tmp_path / "verify"), "--quiet"]) == 0
+    assert calls == {"make_model": 1, "make_game": 1}
+
+
 def test_verify_nash_rejects_a_negative_deviation_count(tmp_path, caplog):
     # it used to run, with no deviation rows and n_deviations_per_player -1
     out = tmp_path / "verify"
@@ -226,6 +239,12 @@ def test_verify_nash_rejects_a_negative_deviation_count(tmp_path, caplog):
     # as many players and controls as the solved game
     ({"name": "coupled_cross_cost"},
      "solved for game 'quadratic_decoupled', not 'coupled_cross_cost'"),
+    # same name, players and index ranges, other control values: a constant
+    # row used to play 1.2 on a game solved over [-1, 1]
+    ({"name": "quadratic_decoupled", "control_bound": 2.0},
+     "player 0's equilibrium controls are not the game's controls at their indices"),
+    ({"name": "quadratic_decoupled", "n_controls": 81},
+     "player 0's equilibrium controls are not the game's controls at their indices"),
 ])
 def test_verify_nash_rejects_equilibrium_of_another_game(tmp_path, caplog, game, message):
     nash_dir = tmp_path / "nash"
@@ -237,6 +256,20 @@ def test_verify_nash_rejects_equilibrium_of_another_game(tmp_path, caplog, game,
     assert cli.main(["verify-nash", "--config", cfg, "--out", str(tmp_path / "verify"),
                      "--nash", str(nash_dir), "--quiet"]) == 1
     assert "config error" in caplog.text and message in caplog.text
+
+
+def test_verify_nash_rejects_equilibrium_under_another_cost_bound(tmp_path, caplog):
+    # same controls, another coupling: only the saved comparison bound differs
+    game = {"name": "coupled_cross_cost", "n_controls": 41, "coupling": 0.25}
+    cfg = yaml.safe_load(Path(game_cfg(tmp_path)).read_text())
+    nash_dir = tmp_path / "nash"
+    solved = write_cfg(tmp_path, "coupled.yaml", {**cfg, "game": game})
+    assert cli.main(["solve-game", "--config", solved, "--out", str(nash_dir), "--quiet"]) == 0
+    other = write_cfg(tmp_path, "other.yaml", {**cfg, "game": {**game, "coupling": 0.5}})
+    assert cli.main(["verify-nash", "--config", other, "--out", str(tmp_path / "verify"),
+                     "--nash", str(nash_dir), "--quiet"]) == 1
+    assert "config error" in caplog.text
+    assert "equilibrium was solved under cost bound 2.25, the game has 2.5" in caplog.text
 
 
 def test_verify_nash_rejects_a_discounted_start_off_the_grid(tmp_path, caplog):

@@ -123,3 +123,20 @@ def test_the_package_exports_each_modules_public_names_once():
 
 def test_the_library_has_modules_to_check():
     assert len(MODULES) > 5
+
+
+def test_every_benchmark_wrap_point_resolves(monkeypatch):
+    # the benchmark's tracer wraps library names by attribute; install raises
+    # AttributeError (and wraps nothing) if one of them is gone
+    monkeypatch.syspath_prepend(str(SRC.parents[1] / "perfbench"))
+    import tracing
+    from ergodic_games import cli
+
+    main = cli.main
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main is not main
+    finally:
+        tracer.restore()
+    assert cli.main is main

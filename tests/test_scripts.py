@@ -97,9 +97,12 @@ def test_bench_record_from_a_perfbench_run_and_manifests():
            "result": {"correct": True, "attempted": 12, "failed": 0, "metrics": {
                "setup_s": {"value": 0.25, "unit": "s"}, "total_s": {"value": 0.6, "unit": "s"},
                "peak_rss_mb": {"value": 37.0, "unit": "MiB"}}}}
-    manifest = {"command": "verify-nash", "seed": 0, "outputs": ["deviations.csv"],
-                "wall_time_s": 11.5, "peak_rss_mb": 38.6, "peak_rss_children_mb": 37.0}
-    record = bench.bench_record("a", {"verify_wide": run}, {"verify-nash": manifest})
+    # three runs of one command: each key's median, whichever run it comes from
+    manifests = [{"command": "verify-nash", "seed": 0, "outputs": ["deviations.csv"],
+                  "wall_time_s": wall, "peak_rss_mb": rss, "peak_rss_children_mb": children}
+                 for wall, rss, children in ((12.5, 38.4, 36.9), (9.0, 38.7, 37.0),
+                                             (11.5, 38.6, 37.2))]
+    record = bench.bench_record("a", {"verify_wide": run}, {"verify-nash": manifests})
     assert record == {
         "label": "a",
         "env": run["env"],
@@ -107,7 +110,8 @@ def test_bench_record_from_a_perfbench_run_and_manifests():
             "setup_s": 0.25, "total_s": 0.6, "peak_rss_mb": 37.0,
             "wall_setup_s": 0.3, "wall_total_s": 0.8, "passes": 3, "failed": 0}}},
         "g0": {"verify-nash": {"wall_time_s": 11.5, "peak_rss_mb": 38.6,
-                               "peak_rss_children_mb": 37.0}},
+                               "peak_rss_children_mb": 37.0, "wall_time_min_s": 9.0,
+                               "wall_time_max_s": 12.5, "runs": 3}},
     }
 
 
