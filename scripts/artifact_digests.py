@@ -33,7 +33,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from ergodic_games import bsde_path_residual, cli  # noqa: E402
+from ergodic_games import NashSolution, bsde_path_residual, cli  # noqa: E402
 
 CONFIGS = REPO / "configs"
 
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
             continue
         cfg = cli.load_config(CONFIGS / f"{name}.yaml")
         value = bsde_path_residual(cli.make_model(cfg["model"] or {}), cli.make_game(cfg["game"]),
-                                   cli.load_nash(root / name / command), player=player,
+                                   NashSolution.read(root / name / command), player=player,
                                    horizon=horizon, step=step, n_paths=n_paths,
                                    seed=cfg.get("seed", 0))
         digest = hashlib.sha256(repr(value).encode()).hexdigest()

@@ -3,7 +3,7 @@
 
 Usage: python scripts/bench.py LABEL
 
-The record has two parts:
+The record has three parts:
 
 * ``perfbench``: for each workload of ``BENCHMARK.json``, ``perfbench/run.py
   --workload W --seed 41 --seconds S --trace 0`` is run unchanged (S is the
@@ -17,7 +17,15 @@ The record has two parts:
   entry holds the medians over its runs of the manifest's ``wall_time_s``,
   ``peak_rss_mb`` and ``peak_rss_children_mb``, the smallest and largest
   ``wall_time_s`` and the number of runs: one run moves with the host's
-  speed far more than with a change.
+  speed far more than with a change.  The runs log at INFO, and the
+  ``verify-nash`` entry also holds, under ``engine``, the counters of the
+  ``nash_deviation_test engine:`` line of its log (``paths``, ``steps``,
+  ``batches``, ``windows``, ``streams``, ``workers``), which must repeat in
+  every run, and the medians of its ``rng_s``, ``euler_s`` and ``cost_s``;
+* ``grid_ladder``: in one fresh interpreter, ``solve_ergodic`` of
+  ``linear_z_plus_bump`` (slope 0.5) on ``ou_model()`` at tol 1e-6, on
+  ``Grid1D(-6, 6, m)`` for each m of LADDER_SIZES: the median seconds of
+  LADDER_RUNS solves and the Newton iteration count, under ``m<m>``.
 
 Bench files of two checkouts, each written by its own copy of this script,
 compare key by key.
@@ -25,10 +33,12 @@ compare key by key.
 
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -36,6 +46,11 @@ SEED = 41
 G0_COMMANDS = ("solve-game", "verify-nash")
 G0_RUNS = 3
 MANIFEST_KEYS = ("wall_time_s", "peak_rss_mb", "peak_rss_children_mb")
+ENGINE_LINE = "nash_deviation_test engine:"
+ENGINE_COUNTERS = ("paths", "steps", "batches", "windows", "streams", "workers")
+ENGINE_SECONDS = ("rng_s", "euler_s", "cost_s")
+LADDER_SIZES = (101, 201, 401, 801)
+LADDER_RUNS = 5
 
 
 def workload_entry(run: dict) -> dict:
@@ -48,24 +63,63 @@ def workload_entry(run: dict) -> dict:
     return entry
 
 
-def g0_entry(manifests: list) -> dict:
-    """One g0 command's entry, from the manifests of its runs."""
+def engine_entry(logs: list) -> dict:
+    """The engine counters of the ``ENGINE_LINE`` in each of ``logs``, which must be the same
+    in every log, and the median of each of its seconds."""
+    lines = []
+    for log in logs:
+        found = [line for line in log.splitlines() if ENGINE_LINE in line]
+        if len(found) != 1:
+            raise ValueError(f"expected one {ENGINE_LINE!r} line in a log, found {len(found)}")
+        lines.append(dict(re.findall(r"(\w+)=(\S+)", found[0].split(ENGINE_LINE)[1])))
+    counters = {key: int(lines[0][key]) for key in ENGINE_COUNTERS}
+    for line in lines[1:]:
+        if {key: int(line[key]) for key in ENGINE_COUNTERS} != counters:
+            raise ValueError(f"engine counters differ between runs: {lines}")
+    return {**counters,
+            **{key: statistics.median(float(line[key]) for line in lines)
+               for key in ENGINE_SECONDS}}
+
+
+def g0_entry(manifests: list, logs: list) -> dict:
+    """One g0 command's entry, from the manifests and the logs of its runs."""
     entry = {key: statistics.median(man[key] for man in manifests) for key in MANIFEST_KEYS}
     walls = [man["wall_time_s"] for man in manifests]
     entry.update(wall_time_min_s=min(walls), wall_time_max_s=max(walls), runs=len(manifests))
+    if any(ENGINE_LINE in log for log in logs):
+        entry["engine"] = engine_entry(logs)
     return entry
 
 
-def bench_record(label: str, runs: dict, manifests: dict) -> dict:
+def grid_ladder(sizes=LADDER_SIZES, runs=LADDER_RUNS) -> dict:
+    """The ``grid_ladder`` part, measured in this interpreter."""
+    import ergodic_games as eg
+
+    model = eg.ou_model()
+    driver = eg.make_driver({"name": "linear_z_plus_bump", "slope": 0.5})
+    ladder = {}
+    for m in sizes:
+        grid, seconds = eg.Grid1D(-6.0, 6.0, m), []
+        for _ in range(runs):
+            t0 = time.perf_counter()
+            sol = eg.solve_ergodic(model, driver, grid, tol=1e-6)
+            seconds.append(time.perf_counter() - t0)
+        ladder[f"m{m}"] = {"solve_s": statistics.median(seconds), "iterations": sol.iterations}
+    return ladder
+
+
+def bench_record(label: str, runs: dict, manifests: dict, logs: dict, ladder: dict) -> dict:
     """The bench file's contents: ``runs`` maps each workload to its perfbench
-    record, ``manifests`` each g0 command to the manifests of its runs."""
+    record, ``manifests`` and ``logs`` each g0 command to the manifests and the
+    standard error of its runs, and ``ladder`` is :func:`grid_ladder`'s result."""
     first = next(iter(runs.values()))
     return {
         "label": label,
         "env": first["env"],
         "perfbench": {"seed": first["args"]["seed"], "seconds": first["args"]["seconds"],
                       "workloads": {name: workload_entry(run) for name, run in runs.items()}},
-        "g0": {command: g0_entry(mans) for command, mans in manifests.items()},
+        "g0": {command: g0_entry(mans, logs[command]) for command, mans in manifests.items()},
+        "grid_ladder": ladder,
     }
 
 
@@ -77,12 +131,19 @@ def run_perfbench(workload: str, seconds: float) -> dict:
     return json.loads(path.read_text())
 
 
-def run_g0(command: str, out: Path) -> dict:
-    code = "import sys; from ergodic_games import cli; sys.exit(cli.main(sys.argv[1:]))"
-    subprocess.run([sys.executable, "-c", code, command, "--config",
-                    str(REPO / "configs" / "g0.yaml"), "--out", str(out), "--quiet"],
-                   env={**os.environ, "PYTHONPATH": str(REPO / "src")}, check=True)
-    return json.loads((out / "manifest.json").read_text())
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run with ``args`` in a fresh interpreter that imports the library from this
+    checkout and this script as ``bench``, its output captured."""
+    path = os.pathsep.join(str(p) for p in (REPO / "src", REPO / "scripts"))
+    return subprocess.run([sys.executable, "-c", code, *args], check=True, text=True,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_g0(command: str, out: Path) -> tuple:
+    """The manifest and the log of one g0 run of ``command``."""
+    run = run_fresh("import sys; from ergodic_games import cli; sys.exit(cli.main(sys.argv[1:]))",
+                    command, "--config", str(REPO / "configs" / "g0.yaml"), "--out", str(out))
+    return json.loads((out / "manifest.json").read_text()), run.stderr
 
 
 def main(argv=None) -> int:
@@ -93,11 +154,15 @@ def main(argv=None) -> int:
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     runs = {w["name"]: run_perfbench(w["name"], spec["run_seconds"]) for w in spec["workloads"]}
     manifests = {command: [] for command in G0_COMMANDS}
+    logs = {command: [] for command in G0_COMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(G0_RUNS):
             for command in G0_COMMANDS:
-                manifests[command].append(run_g0(command, Path(tmp) / f"{command}-{r}"))
-    record = bench_record(argv[0], runs, manifests)
+                manifest, log = run_g0(command, Path(tmp) / f"{command}-{r}")
+                manifests[command].append(manifest)
+                logs[command].append(log)
+    ladder = run_fresh("import bench, json; print(json.dumps(bench.grid_ladder()))")
+    record = bench_record(argv[0], runs, manifests, logs, json.loads(ladder.stdout))
     path = REPO / f"BENCH_{argv[0]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)

@@ -1,13 +1,15 @@
-"""The one CSV writer behind every artifact table of the library and CLI.
+"""The one CSV and JSON writers behind every artifact of the library and CLI.
 
 Cells are formatted by type so reruns are byte identical: floats with
 ``repr`` (which round-trips float64), booleans as ``true``/``false``,
 integers in decimal, ``None`` as an empty cell, and strings with their
-commas replaced by ``;`` so a free-text cell never splits a row.
+commas replaced by ``;`` so a free-text cell never splits a row.  JSON
+reports have sorted keys, an indent of 2 and a final newline.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,3 +33,10 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as JSON with sorted keys."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")

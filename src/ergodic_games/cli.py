@@ -29,22 +29,16 @@ from typing import Optional, Tuple
 import numpy as np
 import yaml
 
-from ._csv import write_csv
+from ._csv import write_csv, write_json
 from .catalog import make_driver, make_game, make_growth_driver, make_model
 from .continuous import solve_continuous_ebsde
-from .ebsde import (
-    Grid1D,
-    GridSolution,
-    MaxSweepsExceededError,
-    NonMonotoneSchemeError,
-    solve_ergodic,
-)
-from .games import FeedbackPolicy, GameSpec, NoPureNashError, verify_isaacs
+from .ebsde import Grid1D, MaxSweepsExceededError, NonMonotoneSchemeError, solve_ergodic
+from .games import GameSpec, NoPureNashError, verify_isaacs
 from .picard import NashSolution, asymmetric_solve, picard_solve, vanishing_discount_sweep
 from .sde import SdeModel, SimulationDivergedError, moment_bound_check, sample_paths
 from .verify import nash_deviation_test
 
-__all__ = ["ConfigError", "main", "load_config", "load_nash", "rerun_from_manifest"]
+__all__ = ["ConfigError", "main", "load_config", "rerun_from_manifest"]
 
 logger = logging.getLogger(__name__)
 
@@ -90,16 +84,18 @@ def _scalar(cfg: dict, name: str):
     return cfg[name]
 
 
-# every key some command reads, per section: a config may be shared between commands
-# (mc serves verify-nash and check-assumptions), and --nash sets nash_dir
+# every key some command reads, per section, with the type it is cast to (the code that
+# reads a top-level key checks it): a config may be shared between commands (mc serves
+# verify-nash and check-assumptions), and --nash sets nash_dir
 _KNOWN_KEYS = {
-    "top-level": ("seed", "alpha", "alphas", "model", "grid", "driver", "game", "solver", "mc",
-                  "sim", "nash_dir"),
-    "grid": ("x_min", "x_max", "m"),
-    "solver": ("tol", "max_iter", "inner_tol"),
-    "mc": ("horizon", "step", "n_paths", "n_deviations", "grid_error_budget", "burn_in",
-           "isaacs_samples", "isaacs_delta"),
-    "sim": ("horizon", "step", "n_paths"),
+    "top-level": dict.fromkeys(("seed", "alpha", "alphas", "model", "grid", "driver", "game",
+                                "solver", "mc", "sim", "nash_dir")),
+    "grid": {"x_min": float, "x_max": float, "m": int},
+    "solver": {"tol": float, "max_iter": int, "inner_tol": float},
+    "mc": {"horizon": float, "step": float, "n_paths": int, "n_deviations": int,
+           "grid_error_budget": float, "burn_in": float, "isaacs_samples": int,
+           "isaacs_delta": float},
+    "sim": {"horizon": float, "step": float, "n_paths": int},
 }
 
 
@@ -113,28 +109,21 @@ def _checked_section(cfg: dict, name: str) -> dict:
     return s
 
 
-def _set_keys(cfg: dict, name: str, **casts) -> dict:
-    """``{key: cast(s[key])}`` for each key of ``casts`` that section ``name`` sets: the
-    keyword arguments of a library call, whose own defaults hold for the other keys."""
-    s = _checked_section(cfg, name)
-    return {key: cast(s[key]) for key, cast in casts.items() if key in s}
+def _set_keys(cfg: dict, name: str, *keys: str) -> dict:
+    """Each of ``keys`` (every known key of section ``name`` when none is given) that the
+    section sets, cast to its type: the keyword arguments of a library call, whose own
+    defaults hold for the other keys."""
+    s, types = _checked_section(cfg, name), _KNOWN_KEYS[name]
+    return {key: types[key](s[key]) for key in keys or types if key in s}
 
 
-# the solver keys of picard_solve, asymmetric_solve and vanishing_discount_sweep
-_PICARD_KEYS = {"tol": float, "max_iter": int, "inner_tol": float}
-
-
-def _make_grid(gcfg: dict) -> Grid1D:
-    for k in ("x_min", "x_max", "m"):
-        if k not in gcfg:
+def _make_grid(cfg: dict) -> Grid1D:
+    _section(cfg, "grid")  # a missing section is named as one
+    keys = _set_keys(cfg, "grid")
+    for k in _KNOWN_KEYS["grid"]:
+        if k not in keys:
             raise ConfigError(f"missing config field 'grid.{k}'")
-    return Grid1D(float(gcfg["x_min"]), float(gcfg["x_max"]), int(gcfg["m"]))
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    return Grid1D(**keys)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -145,7 +134,7 @@ def _write_manifest(out: FsPath, command: str, cfg: dict, seed: int,
                     outputs: list, t0: float, error: Optional[dict] = None) -> None:
     from . import __version__
 
-    _write_json(
+    write_json(
         out / "manifest.json",
         {
             **({} if error is None else {"error": error}),
@@ -172,34 +161,30 @@ def _write_manifest(out: FsPath, command: str, cfg: dict, seed: int,
 # Each returns (exit_code, list of artifact file names written into out/).
 
 
-def _cmd_solve_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
+def _cmd_solve_ebsde(cfg: dict, out: FsPath, seed: int,
+                     continuous: bool = False) -> Tuple[int, list]:
+    """``solve-ebsde`` solves a catalogued driver, ``continuous-ebsde`` a growth driver."""
     model = make_model(_section(cfg, "model"))
-    grid = _make_grid(_section(cfg, "grid"))
-    driver = make_driver(_section(cfg, "driver"))
-    sol = solve_ergodic(model, driver, grid, **_set_keys(cfg, "solver", tol=float))
+    grid = _make_grid(cfg)
+    tol = _set_keys(cfg, "solver", "tol")
+    if continuous:
+        f, kappa = make_growth_driver(_section(cfg, "driver"))
+        sol = solve_continuous_ebsde(model, f, kappa, grid, **tol)
+        report = {**sol.report_dict(), "kappa": kappa}
+    else:
+        sol = solve_ergodic(model, make_driver(_section(cfg, "driver")), grid, **tol)
+        report = sol.report_dict()
     sol.to_csv(out / "solution.csv")
-    _write_json(out / "report.json", sol.report_dict())
-    logger.info("solve-ebsde: lambda=%.9g residual=%.3e", sol.lam, sol.residual_sup)
-    return 0, ["solution.csv", "report.json"]
-
-
-def _cmd_continuous_ebsde(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
-    model = make_model(_section(cfg, "model"))
-    grid = _make_grid(_section(cfg, "grid"))
-    f, kappa = make_growth_driver(_section(cfg, "driver"))
-    sol = solve_continuous_ebsde(model, f, kappa, grid, **_set_keys(cfg, "solver", tol=float))
-    sol.to_csv(out / "solution.csv")
-    report = sol.report_dict()
-    report["kappa"] = kappa
-    _write_json(out / "report.json", report)
-    logger.info("continuous-ebsde: lambda=%.9g residual=%.3e", sol.lam, sol.residual_sup)
+    write_json(out / "report.json", report)
+    logger.info("%s: lambda=%.9g residual=%.3e",
+                "continuous-ebsde" if continuous else "solve-ebsde", sol.lam, sol.residual_sup)
     return 0, ["solution.csv", "report.json"]
 
 
 def _solve_nash(cfg: dict, model: SdeModel, spec: GameSpec, alpha) -> NashSolution:
     """All-ergodic equilibrium, or the one with player 2 discounted at a set ``alpha``."""
-    grid = _make_grid(_section(cfg, "grid"))
-    kwargs = _set_keys(cfg, "solver", **_PICARD_KEYS)
+    grid = _make_grid(cfg)
+    kwargs = _set_keys(cfg, "solver")
     if alpha is not None:
         return asymmetric_solve(model, spec, grid, float(alpha), **kwargs)
     return picard_solve(model, spec, grid, **kwargs)
@@ -213,8 +198,7 @@ def _cmd_solve_game(cfg: dict, out: FsPath, seed: int,
     model = make_model(_section(cfg, "model"))
     spec = make_game(_section(cfg, "game"))
     nash = _solve_nash(cfg, model, spec, cfg["alpha"] if asymmetric else None)
-    nash.to_csv(out / "nash.csv")
-    _write_json(out / "report.json", nash.report_dict())
+    nash.write(out)
     logger.info("game solve: lambdas=%s alpha=%s converged=%s",
                 nash.lambdas, nash.alpha, nash.converged)
     return (0 if nash.converged else 2), ["nash.csv", "report.json"]
@@ -222,15 +206,15 @@ def _cmd_solve_game(cfg: dict, out: FsPath, seed: int,
 
 def _cmd_discount_sweep(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
-    grid = _make_grid(_section(cfg, "grid"))
+    grid = _make_grid(cfg)
     spec = make_game(_section(cfg, "game"))
     alphas = _scalar(cfg, "alphas")
     if not isinstance(alphas, (list, tuple)) or not alphas:
         raise ConfigError("config field 'alphas' must be a nonempty list")
     sweep = vanishing_discount_sweep(model, spec, grid, [float(a) for a in alphas],
-                                     **_set_keys(cfg, "solver", **_PICARD_KEYS))
+                                     **_set_keys(cfg, "solver"))
     sweep.to_csv(out / "sweep.csv")
-    _write_json(out / "report.json", {"game": spec.name, "rows": sweep.as_dicts()})
+    write_json(out / "report.json", {"game": spec.name, "rows": sweep.as_dicts()})
     bad = [r for r in sweep.rows if r.status != "ok"]
     if bad:
         logger.warning("discount-sweep: %d of %d rows did not converge", len(bad), len(sweep.rows))
@@ -240,13 +224,13 @@ def _cmd_discount_sweep(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
 def _cmd_verify_nash(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
     spec = make_game(_section(cfg, "game"))
-    nash = (load_nash(cfg["nash_dir"]) if cfg.get("nash_dir")
+    nash = (NashSolution.read(cfg["nash_dir"]) if cfg.get("nash_dir")
             else _solve_nash(cfg, model, spec, cfg.get("alpha")))
     report = nash_deviation_test(model, spec, nash, seed=seed, **_set_keys(
-        cfg, "mc", n_deviations=int, horizon=float, step=float, n_paths=int,
-        grid_error_budget=float, burn_in=float))
+        cfg, "mc", "n_deviations", "horizon", "step", "n_paths", "grid_error_budget",
+        "burn_in"))
     report.to_csv(out / "deviations.csv")
-    _write_json(out / "report.json", {"game": spec.name, **report.as_dict()})
+    write_json(out / "report.json", {"game": spec.name, **report.as_dict()})
     n_fail = len(report.failures())
     logger.info("verify-nash: %d rows, %d failures", len(report.rows), n_fail)
     return (0 if report.all_passed else 3), ["deviations.csv", "report.json"]
@@ -254,27 +238,19 @@ def _cmd_verify_nash(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
 
 def _cmd_simulate(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
-    sim = _checked_section(cfg, "sim")
-    horizon = float(sim.get("horizon", 10.0))
-    step = float(sim.get("step", 0.01))
-    n_paths = int(sim.get("n_paths", 1))
-    states = sample_paths(model, None, horizon, step, seed, n_paths)
-    times = (np.arange(states.shape[1]) * step).tolist()
+    sim = {"horizon": 10.0, "step": 0.01, "n_paths": 1, **_set_keys(cfg, "sim")}
+    states = sample_paths(model, None, seed=seed, **sim)
+    times = (np.arange(states.shape[1]) * sim["step"]).tolist()
     write_csv(out / "paths.csv", ("path", "t", "x_1"),
               ((p, t, x) for p, row in enumerate(states.tolist()) for t, x in zip(times, row)))
     final = states[:, -1]
     sq = (states**2).mean(axis=0)
-    _write_json(
-        out / "report.json",
-        {
-            "horizon": horizon,
-            "step": step,
-            "n_paths": n_paths,
-            "final_mean": [float(final.mean())],
-            "final_std": [float(final.std(ddof=1)) if n_paths > 1 else 0.0],
-            "sup_mean_square": float(np.max(sq)),
-        },
-    )
+    write_json(out / "report.json", {
+        **sim,
+        "final_mean": [float(final.mean())],
+        "final_std": [float(final.std(ddof=1)) if sim["n_paths"] > 1 else 0.0],
+        "sup_mean_square": float(np.max(sq)),
+    })
     return 0, ["paths.csv", "report.json"]
 
 
@@ -291,8 +267,8 @@ def _cmd_check_assumptions(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list
     except ValueError as err:
         checks["model"] = {"passed": False, "detail": str(err)}
     if model is not None:
-        rep = moment_bound_check(model, seed=seed, **_set_keys(
-            cfg, "mc", horizon=float, step=float, n_paths=int))
+        rep = moment_bound_check(model, seed=seed,
+                                 **_set_keys(cfg, "mc", "horizon", "step", "n_paths"))
         checks["moment"] = {
             "passed": rep.bounded_in_horizon,
             "sup_second_moment": rep.sup_second_moment,
@@ -306,7 +282,7 @@ def _cmd_check_assumptions(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list
     if "game" in cfg:
         try:
             spec = make_game(_section(cfg, "game"))
-            isaacs = _set_keys(cfg, "mc", isaacs_samples=int, isaacs_delta=float)
+            isaacs = _set_keys(cfg, "mc", "isaacs_samples", "isaacs_delta")
             rep = verify_isaacs(spec, seed=seed,
                                 **{_ISAACS_KEYWORDS[k]: v for k, v in isaacs.items()})
             checks["game"] = {
@@ -326,13 +302,13 @@ def _cmd_check_assumptions(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list
             checks["driver"] = {"passed": False, "detail": str(err)}
     all_passed = all(c["passed"] for c in checks.values())
     checks["all_passed"] = all_passed
-    _write_json(out / "report.json", checks)
+    write_json(out / "report.json", checks)
     return (0 if all_passed else 3), ["report.json"]
 
 
 _HANDLERS = {  # command: (handler, help)
     "solve-ebsde": (_cmd_solve_ebsde, "solve one ergodic equation for a catalogued driver"),
-    "continuous-ebsde": (_cmd_continuous_ebsde,
+    "continuous-ebsde": (functools.partial(_cmd_solve_ebsde, continuous=True),
                          "solve one ergodic equation for a continuous linear-growth driver"),
     "solve-game": (_cmd_solve_game, "Picard-solve the coupled equilibrium system"),
     "asymmetric": (functools.partial(_cmd_solve_game, asymmetric=True),
@@ -343,54 +319,6 @@ _HANDLERS = {  # command: (handler, help)
     "check-assumptions": (_cmd_check_assumptions,
                           "sampled checks of model, game and driver assumptions"),
 }
-
-
-def load_nash(nash_dir) -> NashSolution:
-    """Rebuild a solved equilibrium from a ``solve-game``/``asymmetric`` output directory.
-
-    Reads ``nash.csv`` and ``report.json``.  The grid is rebuilt from the
-    ``x`` column (``linspace`` stores both ends and CSV floats round-trip),
-    so it needs no ergodic player; growth constants, ``sup_v``, ``lambdas``
-    and ``alpha`` are derived again from the solutions, not read back.
-    """
-    d = FsPath(nash_dir)
-    csv_path = d / "nash.csv"
-    report_path = d / "report.json"
-    if not csv_path.is_file() or not report_path.is_file():
-        raise ConfigError(f"nash directory {d} must contain nash.csv and report.json")
-    report = json.loads(report_path.read_text())
-    with open(csv_path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    n_players = (len(header) - 1) // 4
-    players = report["players"]
-    if len(players) != n_players:
-        raise ConfigError("nash.csv and report.json disagree on the player count")
-    x = data[:, 0]
-    grid = Grid1D(float(x[0]), float(x[-1]), len(x))
-    sols = []
-    for pd, v, xi in zip(players, data[:, 1::4].T, data[:, 2::4].T):
-        discounted = pd["kind"] == "discounted"
-        sols.append(
-            GridSolution(
-                grid=grid, v=v, xi=xi,
-                lam=None if discounted else float(pd["lambda"]),
-                alpha=float(pd["alpha"]) if discounted else None,
-                residual_sup=float(pd["residual_sup"]),
-                iterations=int(pd["iterations"]),
-            )
-        )
-    policy = FeedbackPolicy(nodes=grid.nodes(), indices=data[:, 4::4].astype(int))
-    return NashSolution(
-        spec_name=report["game"],
-        solutions=tuple(sols),
-        policy=policy,
-        policy_values=tuple(data[:, 3::4].T),
-        comparison=float(report["comparison_bound"]),
-        converged=bool(report["converged"]),
-        iterations=int(report["iterations"]),
-        deltas_history=tuple(report["deltas_history"]),
-    )
 
 
 def _run_command(command: str, cfg: dict, out_dir, seed: int) -> int:

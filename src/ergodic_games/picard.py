@@ -21,14 +21,16 @@ over its discount rates tracks the vanishing-discount limit.
 
 from __future__ import annotations
 
+import json
 import logging
 import time
 from dataclasses import asdict, astuple, dataclass, fields
+from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._csv import write_csv
+from ._csv import write_csv, write_json
 from .ebsde import (
     Grid1D,
     GridSolution,
@@ -47,11 +49,18 @@ __all__ = [
     "SweepResult",
     "picard_solve",
     "comparison_bound",
+    "model_constants",
     "asymmetric_solve",
     "vanishing_discount_sweep",
 ]
 
 logger = logging.getLogger(__name__)
+
+
+def model_constants(model: SdeModel) -> dict:
+    """The constants of ``model`` that grid solves read, by name (``x0`` only simulations)."""
+    return {name: float(getattr(model, name))
+            for name in ("lin_drift", "sigma", "bounded_drift_sup", "bounded_drift_lip")}
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,10 @@ class NashSolution:
     ``solutions[i]`` is the per-player grid solution (ergodic, or discounted
     for a discounting player), ``policy`` the joint feedback control
     generated by the final gradient fields and ``comparison`` the upper bound
-    from the dominating driver.  ``lambdas[i]``, the long-run cost of each
+    from the dominating driver; ``model`` holds the :func:`model_constants`
+    of the solves, and ``cycle`` is ``(first, period)`` when a run that did
+    not converge saw iteration ``first``'s policy recur ``period`` iterations
+    later, else ``None``.  ``lambdas[i]``, the long-run cost of each
     ergodic player (``None`` for a discounting one), and ``alpha``, the
     discount rate of the discounting players when they share one, are read
     off the solutions.
@@ -75,6 +87,8 @@ class NashSolution:
     converged: bool
     iterations: int
     deltas_history: Tuple[dict, ...]
+    model: dict
+    cycle: Optional[Tuple[int, int]]
 
     @property
     def n_players(self) -> int:
@@ -93,14 +107,6 @@ class NashSolution:
     def grid(self) -> Grid1D:
         return self.solutions[0].grid
 
-    def to_csv(self, path) -> None:
-        """Columns ``x`` then ``v_i, xi_i, u_i, u_i_index`` per player."""
-        names, columns = ["x"], [self.grid.nodes()]
-        for i, sol in enumerate(self.solutions):
-            names += [f"v_{i + 1}", f"xi_{i + 1}", f"u_{i + 1}", f"u_{i + 1}_index"]
-            columns += [sol.v, sol.xi, self.policy_values[i], self.policy.indices[:, i]]
-        write_csv(path, names, zip(*columns))
-
     def report_dict(self) -> dict:
         per_player = []
         for i, sol in enumerate(self.solutions):
@@ -116,8 +122,55 @@ class NashSolution:
             "iterations": self.iterations,
             "alpha": self.alpha,
             "deltas_history": list(self.deltas_history),
+            "model": self.model,
+            "cycle": None if self.cycle is None else list(self.cycle),
             "players": per_player,
         }
+
+    def write(self, out) -> None:
+        """Save to directory ``out``: ``report.json`` holds the :meth:`report_dict`, and
+        ``nash.csv`` the column ``x``, then ``v_i, xi_i, u_i, u_i_index`` per player ``i``."""
+        out = Path(out)
+        names, columns = ["x"], [self.grid.nodes()]
+        for i, sol in enumerate(self.solutions):
+            names += [f"v_{i + 1}", f"xi_{i + 1}", f"u_{i + 1}", f"u_{i + 1}_index"]
+            columns += [sol.v, sol.xi, self.policy_values[i], self.policy.indices[:, i]]
+        write_csv(out / "nash.csv", names, zip(*columns))
+        write_json(out / "report.json", self.report_dict())
+
+    @classmethod
+    def read(cls, nash_dir) -> "NashSolution":
+        """Rebuild what :meth:`write` saved in ``nash_dir``, finding the columns of ``nash.csv``
+        by name.  The grid comes from the ``x`` column (CSV floats round-trip); what the
+        report derives is derived again.  A missing file raises FileNotFoundError, and files
+        that disagree on the player count a ValueError."""
+        d = Path(nash_dir)
+        with open(d / "nash.csv") as fh:
+            names = fh.readline().strip().split(",")
+            col = dict(zip(names, np.loadtxt(fh, delimiter=",", ndmin=2).T))
+        report = json.loads((d / "report.json").read_text())
+        players = range(1, len(report["players"]) + 1)
+        if len(players) != sum(name.startswith("v_") for name in names):
+            raise ValueError(f"nash.csv and report.json in {d} disagree on the player count")
+        grid = Grid1D(float(col["x"][0]), float(col["x"][-1]), len(col["x"]))
+        return cls(
+            spec_name=report["game"],
+            solutions=tuple(GridSolution(
+                grid=grid, v=col[f"v_{i}"], xi=col[f"xi_{i}"],
+                lam=None if pd["kind"] == "discounted" else float(pd["lambda"]),
+                alpha=float(pd["alpha"]) if pd["kind"] == "discounted" else None,
+                residual_sup=float(pd["residual_sup"]), iterations=int(pd["iterations"]),
+            ) for i, pd in zip(players, report["players"])),
+            policy=FeedbackPolicy(nodes=grid.nodes(), indices=np.column_stack(
+                [col[f"u_{i}_index"] for i in players]).astype(int)),
+            policy_values=tuple(col[f"u_{i}"] for i in players),
+            comparison=float(report["comparison_bound"]),
+            converged=bool(report["converged"]),
+            iterations=int(report["iterations"]),
+            deltas_history=tuple(report["deltas_history"]),
+            model=report["model"],
+            cycle=tuple(report["cycle"]) if report["cycle"] else None,
+        )
 
 
 def _policy_from_xi(spec: GameSpec, nodes: np.ndarray, xi: np.ndarray, searched: np.ndarray,
@@ -192,8 +245,8 @@ def picard_solve(
     changed and the inner iteration counts.  Convergence requires all
     deltas below ``tol``.
     Exhausting ``max_iter`` is a soft failure: the result is returned with
-    ``converged = False`` and the warning names the first policy to recur and
-    the cycle's period; inner solver errors propagate.
+    ``converged = False``, and its warning and ``cycle`` name the first policy
+    to recur and the cycle's period; inner solver errors propagate.
     """
     alphas = (None,) * spec.n_players if alphas is None else tuple(alphas)
     if len(alphas) != spec.n_players:
@@ -217,13 +270,13 @@ def picard_solve(
     it = 0
     # the policy and the gradient rows that set it; the first iteration of each policy seen
     idx, searched = np.zeros((grid.m, n), dtype=int), np.full_like(xi, np.nan)
-    seen, cycle = {}, ""
+    seen, cycle = {}, None
     for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
         prev_idx, idx = (idx if it > 1 else None), _policy_from_xi(spec, nodes, xi, searched, idx)
         first = seen.setdefault(idx.tobytes(), it)
-        if first != it and not cycle:
-            cycle = f"; iteration {first}'s policy recurs at iteration {it} (period {it - first})"
+        if first != it and cycle is None:
+            cycle = (first, it - first)
         r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
         t1 = time.perf_counter()
         for i, alpha in enumerate(alphas):
@@ -254,7 +307,9 @@ def picard_solve(
             converged = True
             break
     if not converged:
-        logger.warning("picard_solve: no fixed point after %d iterations%s", it, cycle)
+        logger.warning("picard_solve: no fixed point after %d iterations%s", it, "" if not cycle
+                       else "; iteration %d's policy recurs at iteration %d (period %d)"
+                       % (cycle[0], sum(cycle), cycle[1]))
     final_idx = _policy_from_xi(spec, nodes, xi, searched, idx)
     policy = FeedbackPolicy(nodes=nodes, indices=final_idx)
     return NashSolution(
@@ -266,6 +321,8 @@ def picard_solve(
         converged=converged,
         iterations=it,
         deltas_history=tuple(history),
+        model=model_constants(model),
+        cycle=None if converged else cycle,
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from ._csv import write_csv
 from .ebsde import interp_table, nearest_node, node_lookup, uniform_interp
 from .games import FeedbackPolicy, GameSpec
-from .picard import NashSolution, comparison_bound
+from .picard import NashSolution, comparison_bound, model_constants
 from .sde import (
     SdeModel,
     _n_steps,
@@ -282,7 +282,7 @@ def _check_policy(spec: GameSpec, policy: FeedbackPolicy, owner: str = "policy")
                              f"{idx.max()}, outside their {len(grid_i)}-point control grid")
 
 
-def _check_same_game(spec: GameSpec, nash: NashSolution) -> None:
+def _check_same_game(model: SdeModel, spec: GameSpec, nash: NashSolution) -> None:
     _check_policy(spec, nash.policy, "equilibrium")
     if nash.spec_name != spec.name:
         raise ValueError(f"equilibrium was solved for game {nash.spec_name!r}, "
@@ -294,6 +294,10 @@ def _check_same_game(spec: GameSpec, nash: NashSolution) -> None:
     if nash.comparison != comparison_bound(spec):
         raise ValueError(f"equilibrium was solved under cost bound {nash.comparison!r}, "
                          f"the game has {comparison_bound(spec)!r}")
+    for name, value in model_constants(model).items():
+        if nash.model[name] != value:
+            raise ValueError(f"equilibrium was solved under model {name}={nash.model[name]!r}, "
+                             f"the model has {name}={value!r}")
 
 
 def nash_deviation_test(
@@ -322,7 +326,8 @@ def nash_deviation_test(
     their long-run constant, a discounted player to their value function at
     the start state, which must lie on their grid.  An equilibrium solved for
     another game (another name or player count, or control indices outside
-    the control grids) is a ValueError, as is a negative ``n_deviations``.
+    the control grids) or under other :func:`~ergodic_games.picard.model_constants`
+    is a ValueError, as is a negative ``n_deviations``.
     A discounted payoff's horizon must push its tail below ``1e-3``.  All
     rows are estimated by one engine run whose paths may be split over CPUs
     (as in ``_estimate_jobs``); the report is byte-identical whatever the
@@ -330,7 +335,7 @@ def nash_deviation_test(
     """
     if n_deviations < 0:
         raise ValueError(f"n_deviations must be nonnegative, got {n_deviations}")
-    _check_same_game(spec, nash)
+    _check_same_game(model, spec, nash)
     # every job is built (and its arguments checked) before any path is
     # simulated; the deviation draws do not depend on the estimates
     m = len(nash.policy.nodes)
@@ -422,7 +427,7 @@ def bsde_path_residual(
     """
     if not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")
-    _check_same_game(spec, nash)
+    _check_same_game(model, spec, nash)
     sol = nash.solutions[player]
     policy = nash.policy
     n = _n_steps(horizon, step)

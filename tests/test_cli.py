@@ -179,7 +179,7 @@ def test_verify_without_nash_dir_solves_inline(tmp_path):
 
 
 def test_verify_nash_loads_an_equilibrium_without_ergodic_players(tmp_path):
-    # load_nash used to take its grid from an ergodic player's report entry
+    # the reader used to take its grid from an ergodic player's report entry
     # and raised StopIteration out of main when there was none
     nash = ergodic_games.picard_solve(ergodic_games.ou_model(),
                                       ergodic_games.quadratic_decoupled(),
@@ -187,8 +187,7 @@ def test_verify_nash_loads_an_equilibrium_without_ergodic_players(tmp_path):
                                       alphas=(0.5, 0.5))
     nash_dir = tmp_path / "nash"
     nash_dir.mkdir()
-    nash.to_csv(nash_dir / "nash.csv")
-    cli._write_json(nash_dir / "report.json", nash.report_dict())
+    nash.write(nash_dir)
     out = tmp_path / "verify"
     assert cli.main(["verify-nash", "--config", game_cfg(tmp_path, n_paths=16),
                      "--out", str(out), "--nash", str(nash_dir), "--quiet"]) == 0
@@ -205,7 +204,7 @@ def test_verify_nash_without_nash_dir_discounts_player_2_at_alpha(tmp_path):
     assert cli.main(["verify-nash", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     rows = json.loads((out / "report.json").read_text())["rows"]
     eq = {r["player"]: r["reference"] for r in rows if r["kind"] == "equilibrium"}
-    nash = cli.load_nash(asym)
+    nash = ergodic_games.NashSolution.read(asym)
     assert eq[1] == nash.solutions[1].value_at(0.0)  # v_2(x0), x0 = 0
     assert eq[0] == nash.lambdas[0]
     assert eq[1] != eq[0]
@@ -270,6 +269,45 @@ def test_verify_nash_rejects_equilibrium_under_another_cost_bound(tmp_path, capl
                      "--nash", str(nash_dir), "--quiet"]) == 1
     assert "config error" in caplog.text
     assert "equilibrium was solved under cost bound 2.25, the game has 2.5" in caplog.text
+
+
+@pytest.mark.parametrize("sigma", [0.5, 3.0])
+def test_verify_nash_rejects_equilibrium_under_another_model(tmp_path, caplog, sigma):
+    # it used to run the harness against the solved constants and exit 3
+    nash_dir = tmp_path / "nash"
+    assert cli.main(["solve-game", "--config", game_cfg(tmp_path), "--out", str(nash_dir),
+                     "--quiet"]) == 0
+    cfg = yaml.safe_load(Path(game_cfg(tmp_path)).read_text())
+    other = write_cfg(tmp_path, "other.yaml", {**cfg, "model": {"sigma": sigma}})
+    assert cli.main(["verify-nash", "--config", other, "--out", str(tmp_path / "verify"),
+                     "--nash", str(nash_dir), "--quiet"]) == 1
+    assert "config error" in caplog.text
+    assert (f"equilibrium was solved under model sigma={2 ** 0.5!r}, the model has "
+            f"sigma={sigma!r}") in caplog.text
+
+
+def test_verify_nash_accepts_equilibrium_from_another_start_state(tmp_path):
+    # only the simulations read x0, so the saved equilibrium serves any start state
+    nash_dir = tmp_path / "nash"
+    assert cli.main(["solve-game", "--config", game_cfg(tmp_path), "--out", str(nash_dir),
+                     "--quiet"]) == 0
+    cfg = yaml.safe_load(Path(game_cfg(tmp_path)).read_text())
+    other = write_cfg(tmp_path, "other.yaml", {**cfg, "model": {"x0": 1.0}})
+    assert cli.main(["verify-nash", "--config", other, "--out", str(tmp_path / "verify"),
+                     "--nash", str(nash_dir), "--quiet"]) == 0
+
+
+def test_a_cycling_solve_leaves_its_cycle_in_the_report(tmp_path, caplog):
+    # g0 on 9 controls per player never converges: its policy alternates with period 2
+    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "g0.yaml")
+    cfg["game"]["n_controls"] = 9
+    out = tmp_path / "run"
+    assert cli.main(["solve-game", "--config", write_cfg(tmp_path, "g0.yaml", cfg),
+                     "--out", str(out)]) == 2
+    assert "iteration 5's policy recurs at iteration 7 (period 2)" in caplog.text
+    report = json.loads((out / "report.json").read_text())
+    assert (report["converged"], report["cycle"]) == (False, [5, 2])
+    assert ergodic_games.NashSolution.read(out).cycle == (5, 2)
 
 
 def test_verify_nash_rejects_a_discounted_start_off_the_grid(tmp_path, caplog):
@@ -608,8 +646,8 @@ def test_version_flag(capsys):
 
 
 def test_load_nash_requires_artifacts(tmp_path):
-    with pytest.raises(cli.ConfigError, match="nash.csv"):
-        cli.load_nash(tmp_path)
+    with pytest.raises(FileNotFoundError, match="nash.csv"):
+        ergodic_games.NashSolution.read(tmp_path)
 
 
 def _pyproject():

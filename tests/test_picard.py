@@ -1,6 +1,7 @@
 """Nash iteration on the bundled games: convergence, bounds, shifts."""
 
 import itertools
+import json
 import logging
 import re
 import tracemalloc
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import ergodic_games as eg
-from ergodic_games import cli, picard
+from ergodic_games import picard
 
 
 def test_coarse_game_converges(g0_nash_coarse):
@@ -161,9 +162,8 @@ def test_nash_csv_roundtrip(model, g0, coarse_grid, tmp_path, alphas):
     g0_nash_coarse = eg.picard_solve(model, g0, coarse_grid, tol=1e-4, alphas=alphas)
     out = tmp_path / "run"
     out.mkdir()
-    g0_nash_coarse.to_csv(out / "nash.csv")
-    cli._write_json(out / "report.json", g0_nash_coarse.report_dict())
-    loaded = cli.load_nash(out)
+    g0_nash_coarse.write(out)
+    loaded = eg.NashSolution.read(out)
     assert tuple(loaded.lambdas) == tuple(g0_nash_coarse.lambdas)
     np.testing.assert_array_equal(loaded.policy.indices,
                                   g0_nash_coarse.policy.indices)
@@ -173,6 +173,33 @@ def test_nash_csv_roundtrip(model, g0, coarse_grid, tmp_path, alphas):
     assert loaded.grid.m == coarse_grid.m
     assert loaded.grid.dx == coarse_grid.dx
     assert loaded.report_dict() == g0_nash_coarse.report_dict()
+
+
+def test_nash_read_finds_columns_by_header_name(g0_nash_coarse, tmp_path):
+    # nash.csv used to be read by column stride, so only write's order would do
+    g0_nash_coarse.write(tmp_path)
+    rows = [line.split(",") for line in (tmp_path / "nash.csv").read_text().splitlines()]
+    (tmp_path / "nash.csv").write_text("".join(",".join(row[::-1]) + "\n" for row in rows))
+    loaded = eg.NashSolution.read(tmp_path)
+    np.testing.assert_array_equal(loaded.policy.indices, g0_nash_coarse.policy.indices)
+    for a, b in zip(loaded.policy_values, g0_nash_coarse.policy_values):
+        np.testing.assert_array_equal(a, b)
+    assert loaded.report_dict() == g0_nash_coarse.report_dict()
+
+
+def test_nash_read_rejects_files_that_disagree_on_the_player_count(g0_nash_coarse, tmp_path):
+    g0_nash_coarse.write(tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    report["players"] = report["players"][:1]
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    with pytest.raises(ValueError, match="disagree on the player count"):
+        eg.NashSolution.read(tmp_path)
+
+
+def test_a_converged_solve_records_its_model_constants_and_no_cycle(model, g0_nash_coarse):
+    assert g0_nash_coarse.cycle is None
+    assert g0_nash_coarse.model == {"lin_drift": -1.0, "sigma": model.sigma,
+                                    "bounded_drift_sup": 0.0, "bounded_drift_lip": 0.0}
 
 
 def test_asymmetric_solve_mixes_criteria(model, g0, coarse_grid):

@@ -6,6 +6,8 @@ import re
 import shutil
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -102,7 +104,17 @@ def test_bench_record_from_a_perfbench_run_and_manifests():
                   "wall_time_s": wall, "peak_rss_mb": rss, "peak_rss_children_mb": children}
                  for wall, rss, children in ((12.5, 38.4, 36.9), (9.0, 38.7, 37.0),
                                              (11.5, 38.6, 37.2))]
-    record = bench.bench_record("a", {"verify_wide": run}, {"verify-nash": manifests})
+    # each run's log: one engine line among the others; the counters repeat, the seconds not
+    logs = [f"INFO ergodic_games.picard: picard_solve iteration 1: d_xi=[1.0e-01]\n"
+            f"INFO ergodic_games.sde: nash_deviation_test engine: paths=48800 steps=20000 "
+            f"batches=4 windows=158 streams=24400 workers=2 rng_s={rng} euler_s={euler} "
+            f"cost_s={cost}\nINFO ergodic_games.cli: verify-nash: 122 rows, 0 failures\n"
+            for rng, euler, cost in (("3.7000", "8.1000", "10.2000"),
+                                     ("3.9000", "7.9000", "10.9000"),
+                                     ("3.8000", "8.4000", "10.5000"))]
+    ladder = {"m101": {"solve_s": 0.004, "iterations": 4}}
+    record = bench.bench_record("a", {"verify_wide": run}, {"verify-nash": manifests},
+                                {"verify-nash": logs}, ladder)
     assert record == {
         "label": "a",
         "env": run["env"],
@@ -111,8 +123,32 @@ def test_bench_record_from_a_perfbench_run_and_manifests():
             "wall_setup_s": 0.3, "wall_total_s": 0.8, "passes": 3, "failed": 0}}},
         "g0": {"verify-nash": {"wall_time_s": 11.5, "peak_rss_mb": 38.6,
                                "peak_rss_children_mb": 37.0, "wall_time_min_s": 9.0,
-                               "wall_time_max_s": 12.5, "runs": 3}},
+                               "wall_time_max_s": 12.5, "runs": 3, "engine": {
+                                   "paths": 48800, "steps": 20000, "batches": 4,
+                                   "windows": 158, "streams": 24400, "workers": 2,
+                                   "rng_s": 3.8, "euler_s": 8.1, "cost_s": 10.5}}},
+        "grid_ladder": ladder,
     }
+    # a command whose log has no engine line has no engine entry
+    assert "engine" not in bench.g0_entry(manifests, ["", "", ""])
+
+
+def test_bench_refuses_engine_counters_that_differ_between_runs():
+    bench = _load_script("bench.py")
+    line = ("INFO ergodic_games.sde: nash_deviation_test engine: paths=48800 steps=20000 "
+            "batches=4 windows=158 streams=24400 workers={} rng_s=3.8 euler_s=8.1 cost_s=10.5")
+    assert bench.engine_entry([line.format(2), line.format(2)])["workers"] == 2
+    with pytest.raises(ValueError, match="engine counters differ between runs"):
+        bench.engine_entry([line.format(2), line.format(1)])
+    with pytest.raises(ValueError, match="found 0"):
+        bench.engine_entry(["INFO ergodic_games.cli: verify-nash: 122 rows, 0 failures"])
+
+
+def test_bench_grid_ladder_records_seconds_and_iterations():
+    ladder = _load_script("bench.py").grid_ladder(sizes=(41, 81), runs=2)
+    assert list(ladder) == ["m41", "m81"]
+    for entry in ladder.values():
+        assert entry["solve_s"] > 0.0 and entry["iterations"] >= 1
 
 
 def test_bench_takes_one_label(capsys):
