@@ -47,7 +47,7 @@ RUNS = (
     ("g0_coupled", "solve-game"),
     # its player-0 cost reads player 1, so the search has no column classes there
     ("g0_coupled", "check-assumptions"),
-    ("g0_asymmetric", "asymmetric"),
+    ("g0_asymmetric", "solve-game"),
     ("g0_asymmetric", "verify-nash"),
     ("discount_sweep", "discount-sweep"),
     ("three_player", "solve-game"),
@@ -59,7 +59,7 @@ RUNS = (
 RESIDUALS = (
     ("g0", "solve-game", 0, 0.02, 64, 50.0),
     ("g0", "solve-game", 0, 0.01, 64, 50.0),
-    ("g0_asymmetric", "asymmetric", 1, 0.02, 64, 50.0),
+    ("g0_asymmetric", "solve-game", 1, 0.02, 64, 50.0),
     # 1,000 keys of one seed over 1,000 steps: on two CPUs, two workers of 8 bands each
     ("g0", "solve-game", 0, 0.02, 1000, 20.0),
 )

@@ -27,6 +27,13 @@ The record has three parts:
   ``Grid1D(-6, 6, m)`` for each m of LADDER_SIZES: the median seconds of
   LADDER_RUNS solves and the Newton iteration count, under ``m<m>``.
 
+Every child process runs in a copy of the checkout's ``src``, ``perfbench``,
+``configs`` and ``scripts`` and its ``BENCHMARK.json``, made without any
+``__pycache__`` directory, with ``PYTHONDONTWRITEBYTECODE=1``.  So each child
+compiles the package from source, as in a fresh checkout, and a stale cache
+in the checkout is never read; the interpreter's own modules and numpy still
+load from their caches, as they do for a fresh checkout.
+
 Bench files of two checkouts, each written by its own copy of this script,
 compare key by key.
 """
@@ -34,6 +41,7 @@ compare key by key.
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -123,26 +131,41 @@ def bench_record(label: str, runs: dict, manifests: dict, logs: dict, ladder: di
     }
 
 
-def run_perfbench(workload: str, seconds: float) -> dict:
+def fresh_checkout(root: Path) -> Path:
+    """``root``, made a copy of what the children read of this checkout, without any
+    ``__pycache__`` directory."""
+    for name in ("src", "perfbench", "configs", "scripts"):
+        shutil.copytree(REPO / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(REPO / "BENCHMARK.json", root)
+    return root
+
+
+def child_env(**extra: str) -> dict:
+    """A child's environment: this one, writing no bytecode cache, and ``extra``."""
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", **extra}
+
+
+def run_perfbench(root: Path, workload: str, seconds: float) -> dict:
     subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                     "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
-                   cwd=REPO, check=True, stdout=subprocess.DEVNULL)
-    path = REPO / ".perfbench_out" / f"{workload}-seed{SEED}-trace0.json"
+                   cwd=root, check=True, stdout=subprocess.DEVNULL, env=child_env())
+    path = root / ".perfbench_out" / f"{workload}-seed{SEED}-trace0.json"
     return json.loads(path.read_text())
 
 
-def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
-    """``code`` run with ``args`` in a fresh interpreter that imports the library from this
-    checkout and this script as ``bench``, its output captured."""
-    path = os.pathsep.join(str(p) for p in (REPO / "src", REPO / "scripts"))
+def run_fresh(root: Path, code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run with ``args`` in a fresh interpreter that imports the library from the
+    copy ``root`` and the copy of this script as ``bench``, its output captured."""
+    path = os.pathsep.join(str(p) for p in (root / "src", root / "scripts"))
     return subprocess.run([sys.executable, "-c", code, *args], check=True, text=True,
-                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, env=child_env(PYTHONPATH=path))
 
 
-def run_g0(command: str, out: Path) -> tuple:
+def run_g0(root: Path, command: str, out: Path) -> tuple:
     """The manifest and the log of one g0 run of ``command``."""
-    run = run_fresh("import sys; from ergodic_games import cli; sys.exit(cli.main(sys.argv[1:]))",
-                    command, "--config", str(REPO / "configs" / "g0.yaml"), "--out", str(out))
+    run = run_fresh(root, "import sys; from ergodic_games import cli; "
+                    "sys.exit(cli.main(sys.argv[1:]))",
+                    command, "--config", str(root / "configs" / "g0.yaml"), "--out", str(out))
     return json.loads((out / "manifest.json").read_text()), run.stderr
 
 
@@ -152,16 +175,18 @@ def main(argv=None) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 1
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    runs = {w["name"]: run_perfbench(w["name"], spec["run_seconds"]) for w in spec["workloads"]}
     manifests = {command: [] for command in G0_COMMANDS}
     logs = {command: [] for command in G0_COMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
+        root = fresh_checkout(Path(tmp) / "checkout")
+        runs = {w["name"]: run_perfbench(root, w["name"], spec["run_seconds"])
+                for w in spec["workloads"]}
         for r in range(G0_RUNS):
             for command in G0_COMMANDS:
-                manifest, log = run_g0(command, Path(tmp) / f"{command}-{r}")
+                manifest, log = run_g0(root, command, Path(tmp) / f"{command}-{r}")
                 manifests[command].append(manifest)
                 logs[command].append(log)
-    ladder = run_fresh("import bench, json; print(json.dumps(bench.grid_ladder()))")
+        ladder = run_fresh(root, "import bench, json; print(json.dumps(bench.grid_ladder()))")
     record = bench_record(argv[0], runs, manifests, logs, json.loads(ladder.stdout))
     path = REPO / f"BENCH_{argv[0]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")

@@ -181,23 +181,19 @@ def _cmd_solve_ebsde(cfg: dict, out: FsPath, seed: int,
     return 0, ["solution.csv", "report.json"]
 
 
-def _solve_nash(cfg: dict, model: SdeModel, spec: GameSpec, alpha) -> NashSolution:
+def _solve_nash(cfg: dict, model: SdeModel, spec: GameSpec) -> NashSolution:
     """All-ergodic equilibrium, or the one with player 2 discounted at a set ``alpha``."""
     grid = _make_grid(cfg)
     kwargs = _set_keys(cfg, "solver")
-    if alpha is not None:
-        return asymmetric_solve(model, spec, grid, float(alpha), **kwargs)
-    return picard_solve(model, spec, grid, **kwargs)
+    if cfg.get("alpha") is None:
+        return picard_solve(model, spec, grid, **kwargs)
+    return asymmetric_solve(model, spec, grid, float(cfg["alpha"]), **kwargs)
 
 
-def _cmd_solve_game(cfg: dict, out: FsPath, seed: int,
-                    asymmetric: bool = False) -> Tuple[int, list]:
-    """``solve-game`` ignores ``alpha``; ``asymmetric`` requires it."""
-    if asymmetric and cfg.get("alpha") is None:
-        raise ConfigError("missing config field 'alpha'")
+def _cmd_solve_game(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
     spec = make_game(_section(cfg, "game"))
-    nash = _solve_nash(cfg, model, spec, cfg["alpha"] if asymmetric else None)
+    nash = _solve_nash(cfg, model, spec)
     nash.write(out)
     logger.info("game solve: lambdas=%s alpha=%s converged=%s",
                 nash.lambdas, nash.alpha, nash.converged)
@@ -225,7 +221,7 @@ def _cmd_verify_nash(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     model = make_model(_section(cfg, "model"))
     spec = make_game(_section(cfg, "game"))
     nash = (NashSolution.read(cfg["nash_dir"]) if cfg.get("nash_dir")
-            else _solve_nash(cfg, model, spec, cfg.get("alpha")))
+            else _solve_nash(cfg, model, spec))
     report = nash_deviation_test(model, spec, nash, seed=seed, **_set_keys(
         cfg, "mc", "n_deviations", "horizon", "step", "n_paths", "grid_error_budget",
         "burn_in"))
@@ -310,9 +306,7 @@ _HANDLERS = {  # command: (handler, help)
     "solve-ebsde": (_cmd_solve_ebsde, "solve one ergodic equation for a catalogued driver"),
     "continuous-ebsde": (functools.partial(_cmd_solve_ebsde, continuous=True),
                          "solve one ergodic equation for a continuous linear-growth driver"),
-    "solve-game": (_cmd_solve_game, "Picard-solve the coupled equilibrium system"),
-    "asymmetric": (functools.partial(_cmd_solve_game, asymmetric=True),
-                   "equilibrium with an ergodic player 1 and a discounted player 2"),
+    "solve-game": (_cmd_solve_game, "Picard-solve the equilibrium; a set alpha discounts player 2"),
     "discount-sweep": (_cmd_discount_sweep, "asymmetric solves along a list of discount rates"),
     "verify-nash": (_cmd_verify_nash, "Monte Carlo deviation test of a solved equilibrium"),
     "simulate": (_cmd_simulate, "sample uncontrolled model paths"),

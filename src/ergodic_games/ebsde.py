@@ -489,6 +489,12 @@ def _solve(model, driver, grid: Grid1D, alpha: Optional[float], tol: float,
                         residual_sup=res, iterations=it)
 
 
+def _check_rate(alpha: float) -> None:
+    """A discount rate is finite and positive (the comparison also fails NaN)."""
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"a discount rate must be a finite positive alpha, got {alpha!r}")
+
+
 def _xi_from_v(model, grid: Grid1D, v: np.ndarray) -> np.ndarray:
     dx = grid.dx
     xi = np.empty_like(v)
@@ -557,6 +563,5 @@ def solve_discounted(
     discounted equation.  Tolerance, warm start, ``iterations`` and errors
     are as for :func:`solve_ergodic`.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_rate(alpha)
     return _solve(model, driver, grid, alpha, tol, v_init)

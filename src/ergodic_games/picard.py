@@ -36,6 +36,7 @@ from .ebsde import (
     GridSolution,
     MaxSweepsExceededError,
     NonMonotoneSchemeError,
+    _check_rate,
     frozen_driver,
     solve_discounted,
     solve_ergodic,
@@ -71,9 +72,9 @@ class NashSolution:
     for a discounting player), ``policy`` the joint feedback control
     generated by the final gradient fields and ``comparison`` the upper bound
     from the dominating driver; ``model`` holds the :func:`model_constants`
-    of the solves, and ``cycle`` is ``(first, period)`` when a run that did
-    not converge saw iteration ``first``'s policy recur ``period`` iterations
-    later, else ``None``.  ``lambdas[i]``, the long-run cost of each
+    of the solves, and ``cycle`` is ``(first, period)`` when the run stopped
+    because iteration ``first``'s policy recurred ``period`` (at least 2)
+    iterations later, else ``None``.  ``lambdas[i]``, the long-run cost of each
     ergodic player (``None`` for a discounting one), and ``alpha``, the
     discount rate of the discounting players when they share one, are read
     off the solutions.
@@ -157,8 +158,8 @@ class NashSolution:
             spec_name=report["game"],
             solutions=tuple(GridSolution(
                 grid=grid, v=col[f"v_{i}"], xi=col[f"xi_{i}"],
-                lam=None if pd["kind"] == "discounted" else float(pd["lambda"]),
-                alpha=float(pd["alpha"]) if pd["kind"] == "discounted" else None,
+                lam=None if "alpha" in pd else float(pd["lambda"]),
+                alpha=float(pd["alpha"]) if "alpha" in pd else None,
                 residual_sup=float(pd["residual_sup"]), iterations=int(pd["iterations"]),
             ) for i, pd in zip(players, report["players"])),
             policy=FeedbackPolicy(nodes=grid.nodes(), indices=np.column_stack(
@@ -243,16 +244,19 @@ def picard_solve(
     them with the wall seconds of the policy search (frozen coefficients
     included) and of the inner solves, the count of nodes whose policy
     changed and the inner iteration counts.  Convergence requires all
-    deltas below ``tol``.
-    Exhausting ``max_iter`` is a soft failure: the result is returned with
-    ``converged = False``, and its warning and ``cycle`` name the first policy
-    to recur and the cycle's period; inner solver errors propagate.
+    deltas below ``tol``.  Each policy fixes the next, so one that recurs two
+    or more iterations after it last appeared has entered a cycle: the run
+    stops before that iteration's solves, returning the previous iteration's
+    solutions with the recurring policy, and its warning and ``cycle`` name
+    the recurrence.  Such a run, and one that exhausts ``max_iter``, is a
+    soft failure (``converged = False``); inner solver errors propagate.
     """
     alphas = (None,) * spec.n_players if alphas is None else tuple(alphas)
     if len(alphas) != spec.n_players:
         raise ValueError(f"need one criterion per player, got {len(alphas)}")
-    if any(a is not None and not a > 0.0 for a in alphas):
-        raise ValueError("discount rates must be positive")
+    for a in alphas:
+        if a is not None:
+            _check_rate(a)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = spec.n_players
@@ -267,16 +271,17 @@ def picard_solve(
     sols: list = [None] * n
     history: list = []
     converged = False
-    it = 0
-    # the policy and the gradient rows that set it; the first iteration of each policy seen
+    # the policy and the gradient rows that set it; the last iteration of each policy seen
     idx, searched = np.zeros((grid.m, n), dtype=int), np.full_like(xi, np.nan)
     seen, cycle = {}, None
     for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
         prev_idx, idx = (idx if it > 1 else None), _policy_from_xi(spec, nodes, xi, searched, idx)
-        first = seen.setdefault(idx.tobytes(), it)
-        if first != it and cycle is None:
-            cycle = (first, it - first)
+        last = seen.get(idx.tobytes())
+        seen[idx.tobytes()] = it
+        if last is not None and last < it - 1:  # each policy fixes the next: a cycle
+            cycle = (last, it - last)
+            break
         r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
         t1 = time.perf_counter()
         for i, alpha in enumerate(alphas):
@@ -307,9 +312,9 @@ def picard_solve(
             converged = True
             break
     if not converged:
-        logger.warning("picard_solve: no fixed point after %d iterations%s", it, "" if not cycle
-                       else "; iteration %d's policy recurs at iteration %d (period %d)"
-                       % (cycle[0], sum(cycle), cycle[1]))
+        logger.warning("picard_solve: no fixed point after %d iterations%s", len(history),
+                       "" if not cycle else "; stopped as iteration %d's policy recurs at "
+                       "iteration %d (period %d)" % (cycle[0], sum(cycle), cycle[1]))
     final_idx = _policy_from_xi(spec, nodes, xi, searched, idx)
     policy = FeedbackPolicy(nodes=nodes, indices=final_idx)
     return NashSolution(
@@ -319,10 +324,10 @@ def picard_solve(
         policy_values=tuple(policy.control_columns(spec)),
         comparison=comparison_bound(spec),
         converged=converged,
-        iterations=it,
+        iterations=len(history),
         deltas_history=tuple(history),
         model=model_constants(model),
-        cycle=None if converged else cycle,
+        cycle=cycle,
     )
 
 
@@ -342,8 +347,6 @@ def asymmetric_solve(
     """
     if spec.n_players != 2:
         raise ValueError("asymmetric_solve requires exactly two players")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
     return picard_solve(model, spec, grid, alphas=(None, alpha), **kwargs)
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._csv import write_csv
-from .ebsde import interp_table, nearest_node, node_lookup, uniform_interp
+from .ebsde import _check_rate, interp_table, nearest_node, node_lookup, uniform_interp
 from .games import FeedbackPolicy, GameSpec
 from .picard import NashSolution, comparison_bound, model_constants
 from .sde import (
@@ -44,7 +44,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# a discounted payoff's horizon must push the tail below this
+# a discounted payoff's horizon must push the tail below this; a cost-free game's tail is 0
 _EPS_TAIL = 1e-3
 
 SCOPE_NOTE = (
@@ -89,7 +89,6 @@ class _Job:
     player: int
     policy: FeedbackPolicy
     seed: int
-    kind: str
     burn_in: float
     alpha: Optional[float]
 
@@ -103,16 +102,15 @@ def _job(model: SdeModel, spec: GameSpec, policy: FeedbackPolicy, player: int, s
             burn_in = 20.0 / model.dissipation
         if not 0.0 <= burn_in < horizon:
             raise ValueError("burn_in must satisfy 0 <= burn_in < horizon")
-        return _Job(player, policy, seed, "ergodic", burn_in, None)
-    if not alpha > 0.0:
-        raise ValueError("discounted payoffs need a positive alpha")
-    needed = math.log(spec.cost_sup / (alpha * _EPS_TAIL)) / alpha
+        return _Job(player, policy, seed, burn_in, None)
+    _check_rate(alpha)
+    needed = math.log(max(spec.cost_sup, alpha * _EPS_TAIL) / (alpha * _EPS_TAIL)) / alpha
     if horizon < needed:
         raise InsufficientHorizonError(
             f"horizon {horizon:.6g} below the discounted tail requirement "
             f"{needed:.6g} for alpha={alpha:.6g} and a tail below {_EPS_TAIL:.6g}"
         )
-    return _Job(player, policy, seed, "discounted", 0.0, alpha)
+    return _Job(player, policy, seed, 0.0, alpha)
 
 
 def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizon: float,
@@ -146,7 +144,7 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
         controls = [col.take(nodes[skip:]) for col in columns[j]]
         cost = np.broadcast_to(
             np.asarray(spec.costs[job.player](xs, *controls), dtype=float), xs.shape)
-        if job.kind == "discounted":
+        if job.alpha is not None:
             t = np.arange(start + skip, start + len(states) - 1) * step
             cost = cost * (np.exp(-job.alpha * t) * step)[:, None]
         return cost
@@ -155,12 +153,12 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
     out = []
     for j, job in enumerate(jobs):
         per_path = sums[j]
-        if job.kind == "ergodic":
+        if job.alpha is None:
             per_path = per_path / (n - first_step[j])
         out.append(PayoffEstimate(
             value=float(per_path.mean()),
             stderr=float(per_path.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
-            kind=job.kind,
+            kind="ergodic" if job.alpha is None else "discounted",
             horizon=horizon,
             burn_in=job.burn_in,
             n_paths=n_paths,

@@ -131,34 +131,36 @@ def game_cfg_with(tmp_path, **top):
     return write_cfg(tmp_path, "game_top.yaml", {**cfg, **top})
 
 
-@pytest.mark.parametrize("top", [{}, {"alpha": None}])
-def test_asymmetric_requires_alpha(tmp_path, caplog, top):
+@pytest.mark.parametrize("command", ["solve-game", "verify-nash"])
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_a_rate_that_is_not_finite_and_positive_exits_1(tmp_path, caplog, command, alpha):
+    # alpha: .inf used to exit 0 from solve-game, which ignored it, and 2 from verify-nash
     out = tmp_path / "run"
-    assert cli.main(["asymmetric", "--config", game_cfg_with(tmp_path, **top),
+    assert cli.main([command, "--config", game_cfg_with(tmp_path, alpha=alpha),
                      "--out", str(out), "--quiet"]) == 1
-    assert "missing config field 'alpha'" in caplog.text
+    assert "positive alpha" in caplog.text
     assert not (out / "report.json").exists()
 
 
-def test_solve_game_ignores_alpha_and_asymmetric_discounts_player_2(tmp_path):
-    plain, ergodic, asym = tmp_path / "plain", tmp_path / "ergodic", tmp_path / "asym"
-    assert cli.main(["solve-game", "--config", game_cfg(tmp_path), "--out", str(plain),
-                     "--quiet"]) == 0
-    cfg = game_cfg_with(tmp_path, alpha=0.2)
-    assert cli.main(["solve-game", "--config", cfg, "--out", str(ergodic), "--quiet"]) == 0
-    report = json.loads((ergodic / "report.json").read_text())
-    assert report["alpha"] is None
-    assert [p["kind"] for p in report["players"]] == ["ergodic", "ergodic"]
-    assert None not in report["lambdas"]
+@pytest.mark.parametrize("alpha", [None, 0.2])
+def test_solve_game_discounts_player_2_at_a_set_alpha(tmp_path, alpha):
+    # solve-game used to ignore alpha, which a separate asymmetric command read
+    out, ref = tmp_path / "run", tmp_path / "ref"
+    cfg = game_cfg_with(tmp_path, **({} if alpha is None else {"alpha": alpha}))
+    assert cli.main(["solve-game", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    model, spec = ergodic_games.ou_model(), ergodic_games.quadratic_decoupled(n_controls=41)
+    grid = ergodic_games.Grid1D(**TINY_GRID)
+    ref.mkdir()
+    if alpha is None:
+        ergodic_games.picard_solve(model, spec, grid, tol=1e-4).write(ref)
+    else:
+        ergodic_games.asymmetric_solve(model, spec, grid, alpha, tol=1e-4).write(ref)
     for name in ("nash.csv", "report.json"):
-        assert (ergodic / name).read_bytes() == (plain / name).read_bytes()
-
-    assert cli.main(["asymmetric", "--config", cfg, "--out", str(asym), "--quiet"]) == 0
-    report = json.loads((asym / "report.json").read_text())
-    assert report["alpha"] == 0.2
-    lambda1, lambda2 = report["lambdas"]
-    assert isinstance(lambda1, float) and lambda2 is None
-    assert [p["kind"] for p in report["players"]] == ["ergodic", "discounted"]
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    report = json.loads((out / "report.json").read_text())
+    assert report["alpha"] == alpha
+    assert [p["kind"] for p in report["players"]] == (
+        ["ergodic", "ergodic"] if alpha is None else ["ergodic", "discounted"])
 
 
 def test_discount_sweep_writes_one_ok_row_per_alpha(tmp_path):
@@ -200,7 +202,7 @@ def test_verify_nash_without_nash_dir_discounts_player_2_at_alpha(tmp_path):
     cfg = yaml.safe_load(Path(game_cfg(tmp_path, horizon=60.0, n_paths=16)).read_text())
     cfg = write_cfg(tmp_path, "alpha.yaml", {**cfg, "alpha": 0.2})
     asym, out = tmp_path / "asym", tmp_path / "verify"
-    assert cli.main(["asymmetric", "--config", cfg, "--out", str(asym), "--quiet"]) == 0
+    assert cli.main(["solve-game", "--config", cfg, "--out", str(asym), "--quiet"]) == 0
     assert cli.main(["verify-nash", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     rows = json.loads((out / "report.json").read_text())["rows"]
     eq = {r["player"]: r["reference"] for r in rows if r["kind"] == "equilibrium"}
@@ -208,6 +210,19 @@ def test_verify_nash_without_nash_dir_discounts_player_2_at_alpha(tmp_path):
     assert eq[1] == nash.solutions[1].value_at(0.0)  # v_2(x0), x0 = 0
     assert eq[0] == nash.lambdas[0]
     assert eq[1] != eq[0]
+
+
+def test_a_set_alpha_verifies_the_same_equilibrium_with_and_without_nash(tmp_path):
+    # solve-game used to solve the all-ergodic game, and verify-nash alone the asymmetric one
+    cfg = yaml.safe_load(Path(game_cfg(tmp_path, horizon=60.0, n_paths=8)).read_text())
+    cfg = write_cfg(tmp_path, "alpha.yaml", {**cfg, "alpha": 0.2})
+    nash_dir, saved, alone = tmp_path / "nash", tmp_path / "saved", tmp_path / "alone"
+    assert cli.main(["solve-game", "--config", cfg, "--out", str(nash_dir), "--quiet"]) == 0
+    assert cli.main(["verify-nash", "--config", cfg, "--out", str(saved),
+                     "--nash", str(nash_dir), "--quiet"]) == 0
+    assert cli.main(["verify-nash", "--config", cfg, "--out", str(alone), "--quiet"]) == 0
+    for name in ("deviations.csv", "report.json"):
+        assert (saved / name).read_bytes() == (alone / name).read_bytes()
 
 
 def test_verify_nash_builds_its_model_and_game_once(tmp_path, monkeypatch):

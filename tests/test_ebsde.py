@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ergodic_games as eg
-from ergodic_games import picard
+from ergodic_games import ebsde, picard
 from ergodic_games.catalog import _DRIVER_PARAMS
 from ergodic_games.continuous import solve_continuous_ebsde
 from ergodic_games.ebsde import (DriverSpec, _bordered_solve, frozen_driver, hjb_residual,
@@ -362,6 +362,18 @@ def test_discounted_constant_driver_exact(model, coarse_grid):
         assert np.max(np.abs(sol.v - TWO_OVER_E / alpha)) == 0.0
         assert sol.iterations == 1
         assert sol.value_at(0.33) == pytest.approx(TWO_OVER_E / alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_discounted_solve_refuses_a_rate_that_is_not_finite_and_positive(
+        model, coarse_grid, monkeypatch, alpha):
+    # NaN and inf used to run 50 Newton steps and raise MaxSweepsExceededError
+    def no_newton(*args):
+        raise AssertionError("Newton started")
+
+    monkeypatch.setattr(ebsde, "_solve", no_newton)
+    with pytest.raises(ValueError, match="positive alpha"):
+        eg.solve_discounted(model, eg.make_driver({"name": "bump"}), coarse_grid, alpha)
 
 
 def test_discounted_value_bounded_by_driver_sup(model, coarse_grid):

@@ -348,6 +348,29 @@ def test_criteria_are_checked(model, g0, coarse_grid):
         eg.asymmetric_solve(model, g0, coarse_grid, 0.0)
 
 
+def _counted_solves(monkeypatch):
+    """Count picard's grid solves, ergodic and discounted alike."""
+    calls = []
+    for name in ("solve_ergodic", "solve_discounted"):
+        def counted(*args, solve=getattr(picard, name), **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(picard, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_a_rate_that_is_not_finite_and_positive_is_refused_before_any_solve(
+        model, g0, coarse_grid, monkeypatch, rate):
+    # an infinite rate used to pass and fail 50 Newton steps later, after player 0's solve
+    calls = _counted_solves(monkeypatch)
+    with pytest.raises(ValueError, match="positive alpha"):
+        eg.picard_solve(model, g0, coarse_grid, alphas=(None, rate))
+    with pytest.raises(ValueError, match="positive alpha"):
+        eg.asymmetric_solve(model, g0, coarse_grid, rate)
+    assert calls == []
+
+
 def test_restart_from_converged_field_takes_two_iterations(model, g0, coarse_grid,
                                                           g0_nash_coarse):
     xi = np.column_stack([s.xi for s in g0_nash_coarse.solutions])
@@ -374,23 +397,17 @@ def test_only_stale_nodes_are_searched(model, g0, coarse_grid, monkeypatch):
     assert calls == [coarse_grid.m] * nash.iterations
 
 
-# three_player_symmetric(n_controls=9) at m=81, max_iter=12, as the loop gave when it
-# searched every node each time; the symmetric players share each value
-_NC9_LAMBDA = "0x1.408fe817ae9bap-2"
-_NC9_RUNS = [(4, 28), (5, 2), (4, 21), (3, 2), (4, 28)]
+# three_player_symmetric(n_controls=9) at m=81: iteration 5 would repeat iteration 2's
+# policy, so the run stops after 4.  The deltas are those the loop gave when it searched
+# every node each time; lambda and the policy are iteration 4's, recorded with max_iter=4
+# before the loop stopped at a cycle.  The symmetric players share each value.
+_NC9_LAMBDA = "0x1.585ec6f6eae0ap-2"
+_NC9_RUNS = [(4, 21), (5, 15), (4, 9), (3, 15), (4, 21)]
 _NC9_DELTAS = [  # (lambda, xi) per iteration
     (None, "0x1.44a5ba262261ep-2"),
     ("0x1.e520576ea1548p-5", "0x1.0f37b506c74a8p-4"),
     ("0x1.c59e8870f9650p-6", "0x1.77437f6b85504p-5"),
     ("0x1.7cededf3c4810p-6", "0x1.ce54751ce23a8p-5"),
-    ("0x1.a1463b3262380p-5", "0x1.c6dcb5d213d3cp-5"),
-    ("0x1.c59e8870ffe90p-6", "0x1.77437f6b88bd4p-5"),
-    ("0x1.7cededf3c0520p-6", "0x1.ce54751ce4b20p-5"),
-    ("0x1.a1463b32618e0p-5", "0x1.c6dcb5d20e888p-5"),
-    ("0x1.c59e887102a30p-6", "0x1.77437f6b8e3ecp-5"),
-    ("0x1.7cededf3c3480p-6", "0x1.ce54751ce28d4p-5"),
-    ("0x1.a1463b32616b0p-5", "0x1.c6dcb5d20fc7cp-5"),
-    ("0x1.c59e8870ffec0p-6", "0x1.77437f6b8fac4p-5"),
 ]
 
 
@@ -401,7 +418,7 @@ def _coarse_three_player(model, coarse_grid):
 
 def test_stale_node_skip_keeps_non_converging_results(model, coarse_grid):
     nash = _coarse_three_player(model, coarse_grid)
-    assert not nash.converged and nash.iterations == 12
+    assert not nash.converged and nash.iterations == 4
     assert [lam.hex() for lam in nash.lambdas] == [_NC9_LAMBDA] * 3
     assert [_runs(nash.policy.indices[:, i]) for i in range(3)] == [_NC9_RUNS] * 3
     for deltas, (lam, xi) in zip(nash.deltas_history, _NC9_DELTAS, strict=True):
@@ -413,8 +430,33 @@ def test_policy_cycle_is_reported(model, coarse_grid, caplog):
     with caplog.at_level(logging.WARNING, logger="ergodic_games.picard"):
         _coarse_three_player(model, coarse_grid)
     assert [r.getMessage() for r in caplog.records] == [
-        "picard_solve: no fixed point after 12 iterations; iteration 2's policy recurs at "
-        "iteration 5 (period 3)"]
+        "picard_solve: no fixed point after 4 iterations; stopped as iteration 2's policy "
+        "recurs at iteration 5 (period 3)"]
+
+
+@pytest.mark.parametrize("spec, m, cycle, iterations", [
+    (eg.three_player_symmetric(n_controls=9), 81, (2, 3), 4),
+    (eg.quadratic_decoupled(n_controls=9), 201, (5, 2), 6),
+], ids=["three_player", "quadratic_decoupled"])
+def test_a_cycling_solve_stops_at_the_recurrence(model, monkeypatch, spec, m, cycle, iterations):
+    # both used to run all 50 iterations after finding their cycle
+    calls = _counted_solves(monkeypatch)
+    nash = eg.picard_solve(model, spec, eg.Grid1D(-6.0, 6.0, m))
+    assert (nash.converged, nash.cycle, nash.iterations) == (False, cycle, iterations)
+    assert len(nash.deltas_history) == iterations
+    assert len(calls) == iterations * spec.n_players
+    # the returned policy is the recurring one, which the last solutions' gradients give
+    xi = np.column_stack([sol.xi for sol in nash.solutions])
+    np.testing.assert_array_equal(nash.policy.indices,
+                                  eg.isaac_fixed_point(spec, nash.policy.nodes, xi))
+
+
+def test_a_policy_that_repeats_in_consecutive_iterations_is_no_cycle(model, g0, coarse_grid):
+    # at tol 0 the converged policy recurs every iteration, its deltas exactly 0 but not
+    # below tol: the run ends at max_iter, with no period-2 cycle read off the repeats
+    nash = eg.picard_solve(model, g0, coarse_grid, tol=0.0, max_iter=8)
+    assert (nash.converged, nash.cycle, nash.iterations) == (False, None, 8)
+    assert nash.deltas_history[-1]["xi"] == [0.0, 0.0]
 
 
 def test_game_tables_memory_bounded_in_states(model):

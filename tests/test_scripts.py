@@ -2,8 +2,10 @@
 
 import hashlib
 import importlib.util
+import os
 import re
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -155,3 +157,45 @@ def test_bench_takes_one_label(capsys):
     bench = _load_script("bench.py")
     assert bench.main([]) == 1 and bench.main(["a", "b"]) == 1 and bench.main(["--help"]) == 1
     assert capsys.readouterr().err.startswith("Usage: python scripts/bench.py LABEL")
+
+
+def test_bench_children_compile_the_package_from_a_fresh_copy(tmp_path, monkeypatch):
+    # every child used to import the checkout's src, reading any stale __pycache__ there
+    bench = _load_script("bench.py")
+    repo = tmp_path / "repo"
+    for name in ("src", "perfbench", "configs", "scripts"):
+        (repo / name / "__pycache__").mkdir(parents=True)
+        (repo / name / "__pycache__" / "m.cpython-311.pyc").write_bytes(b"stale")
+        (repo / name / "m.py").write_text("")
+    (repo / "BENCHMARK.json").write_text("{}")
+    monkeypatch.setattr(bench, "REPO", repo)
+    root = bench.fresh_checkout(tmp_path / "checkout")
+    assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*")) == [
+        "BENCHMARK.json", "configs", "configs/m.py", "perfbench", "perfbench/m.py",
+        "scripts", "scripts/m.py", "src", "src/m.py"]
+
+    calls = []
+
+    def record(cmd, **kwargs):
+        calls.append((cmd, kwargs))
+        if "perfbench/run.py" in cmd:  # the record a perfbench run writes
+            (root / ".perfbench_out").mkdir()
+            (root / ".perfbench_out" / f"grid_sweep-seed{bench.SEED}-trace0.json").write_text("{}")
+        elif "--out" in cmd:  # the manifest of a g0 run
+            out = Path(cmd[cmd.index("--out") + 1])
+            out.mkdir()
+            (out / "manifest.json").write_text("{}")
+        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", record)
+    bench.run_perfbench(root, "grid_sweep", 1.0)
+    bench.run_g0(root, "solve-game", tmp_path / "g0")
+    bench.run_fresh(root, "import bench")
+    (_, pb_kw), (g0, g0_kw), (_, ladder_kw) = calls
+    assert pb_kw["cwd"] == root  # perfbench imports the library from <cwd>/src
+    assert str(root / "configs" / "g0.yaml") in g0
+    for kw in (pb_kw, g0_kw, ladder_kw):
+        assert kw["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    for kw in (g0_kw, ladder_kw):
+        assert kw["env"]["PYTHONPATH"].split(os.pathsep) == [str(root / "src"),
+                                                             str(root / "scripts")]

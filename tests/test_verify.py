@@ -140,9 +140,20 @@ def test_alpha_alone_selects_the_criterion(model, g0, coarse_grid):
     assert (ergodic.kind, ergodic.alpha) == ("ergodic", None)
     discounted = estimate_payoff(model, g0, policy, 0, alpha=0.1, **kw)
     assert (discounted.kind, discounted.alpha, discounted.burn_in) == ("discounted", 0.1, 0.0)
-    for alpha in (0.0, -0.1, float("nan")):
+    # an infinite rate used to fail in the tail formula with "math domain error"
+    for alpha in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive alpha"):
             estimate_payoff(model, g0, policy, 0, alpha=alpha, **kw)
+
+
+def test_discounted_payoff_of_a_cost_free_game(model, g0, coarse_grid):
+    # every discounted payoff is 0, so no horizon is too short; the tail formula
+    # used to take log(0) and raise "math domain error"
+    free = eg.GameSpec(grids=g0.grids, drift_map=g0.drift_map,
+                       costs=(lambda x, u, v: 0.0 * x,) * 2, cost_sup=0.0, cost_x_lip=0.0)
+    policy = policy_of_constant_control(free, coarse_grid, 20)
+    est = estimate_payoff(model, free, policy, 0, alpha=0.5, horizon=10.0, n_paths=4)
+    assert (est.value, est.stderr) == (0.0, 0.0)
 
 
 def test_discounted_payoff_of_constant_cost(model, g0, coarse_grid):
@@ -274,8 +285,7 @@ def test_deviation_rows_equal_estimates_alone(model, g0, g0_nash_coarse, g0_asym
         mp.setattr(sde, "_MAX_BATCH_PATHS", 5)
         rep = nash_deviation_test(model, g0, nash, n_deviations=3, seed=7, **kw)
     assert len(jobs) == len(rep.rows) == 8
-    kinds = {job.kind for job in jobs}
-    assert kinds == ({"ergodic"} if game == "ergodic" else {"ergodic", "discounted"})
+    assert {job.alpha for job in jobs} == ({None} if game == "ergodic" else {None, 0.2})
     for job, row in zip(jobs, rep.rows):
         alone = estimate_payoff(model, g0, job.policy, job.player,
                                 burn_in=job.burn_in, alpha=job.alpha, seed=job.seed, **kw)
@@ -469,7 +479,7 @@ def test_divergence_of_one_job_inside_a_batch(model, g0, coarse_grid):
     nodes = coarse_grid.nodes()
     calm = policy_of_constant_control(spec, coarse_grid, 20)
     wild = calm.with_player_indices(0, np.where(np.abs(nodes) > 2.0, 40, 20))
-    jobs = [verify._Job(0, policy, seed, "ergodic", 1.0, None)
+    jobs = [verify._Job(0, policy, seed, 1.0, None)
             for policy, seed in ((calm, 1), (wild, 2), (calm, 3))]
     with pytest.raises(eg.SimulationDivergedError) as batched:
         verify._estimate_jobs(model, spec, jobs, 40.0, 0.01, 6, "test")
