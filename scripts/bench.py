@@ -3,7 +3,7 @@
 
 Usage: python scripts/bench.py LABEL
 
-The record has three parts:
+The record has four parts:
 
 * ``perfbench``: for each workload of ``BENCHMARK.json``, ``perfbench/run.py
   --workload W --seed 41 --seconds S --trace 0`` is run unchanged (S is the
@@ -25,7 +25,9 @@ The record has three parts:
 * ``grid_ladder``: in one fresh interpreter, ``solve_ergodic`` of
   ``linear_z_plus_bump`` (slope 0.5) on ``ou_model()`` at tol 1e-6, on
   ``Grid1D(-6, 6, m)`` for each m of LADDER_SIZES: the median seconds of
-  LADDER_RUNS solves and the Newton iteration count, under ``m<m>``.
+  LADDER_RUNS solves and the Newton iteration count, under ``m<m>``;
+* ``src_lines``: the line count of each ``src/ergodic_games/*.py`` of the
+  copy below, by file name, and their ``total``.
 
 Every child process runs in a copy of the checkout's ``src``, ``perfbench``,
 ``configs`` and ``scripts`` and its ``BENCHMARK.json``, made without any
@@ -116,10 +118,19 @@ def grid_ladder(sizes=LADDER_SIZES, runs=LADDER_RUNS) -> dict:
     return ladder
 
 
-def bench_record(label: str, runs: dict, manifests: dict, logs: dict, ladder: dict) -> dict:
+def src_lines(root: Path) -> dict:
+    """The ``src_lines`` part, counted in the checkout (or copy) ``root``."""
+    counts = {path.name: path.read_bytes().count(b"\n")
+              for path in sorted((root / "src" / "ergodic_games").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
+
+
+def bench_record(label: str, runs: dict, manifests: dict, logs: dict, ladder: dict,
+                 lines: dict) -> dict:
     """The bench file's contents: ``runs`` maps each workload to its perfbench
     record, ``manifests`` and ``logs`` each g0 command to the manifests and the
-    standard error of its runs, and ``ladder`` is :func:`grid_ladder`'s result."""
+    standard error of its runs, ``ladder`` is :func:`grid_ladder`'s result and
+    ``lines`` :func:`src_lines`'s."""
     first = next(iter(runs.values()))
     return {
         "label": label,
@@ -128,6 +139,7 @@ def bench_record(label: str, runs: dict, manifests: dict, logs: dict, ladder: di
                       "workloads": {name: workload_entry(run) for name, run in runs.items()}},
         "g0": {command: g0_entry(mans, logs[command]) for command, mans in manifests.items()},
         "grid_ladder": ladder,
+        "src_lines": lines,
     }
 
 
@@ -187,7 +199,8 @@ def main(argv=None) -> int:
                 manifests[command].append(manifest)
                 logs[command].append(log)
         ladder = run_fresh(root, "import bench, json; print(json.dumps(bench.grid_ladder()))")
-    record = bench_record(argv[0], runs, manifests, logs, json.loads(ladder.stdout))
+        lines = src_lines(root)
+    record = bench_record(argv[0], runs, manifests, logs, json.loads(ladder.stdout), lines)
     path = REPO / f"BENCH_{argv[0]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)

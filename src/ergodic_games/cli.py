@@ -316,6 +316,8 @@ _HANDLERS = {  # command: (handler, help)
 
 
 def _run_command(command: str, cfg: dict, out_dir, seed: int) -> int:
+    if command not in _HANDLERS:  # a manifest may name a command that is gone
+        raise ConfigError(f"unknown command {command!r}; known commands: {', '.join(_HANDLERS)}")
     for name in _KNOWN_KEYS:  # reject unknown keys even where the command reads none
         _checked_section(cfg, name)
     out = FsPath(out_dir)

@@ -50,18 +50,11 @@ __all__ = [
     "SweepResult",
     "picard_solve",
     "comparison_bound",
-    "model_constants",
     "asymmetric_solve",
     "vanishing_discount_sweep",
 ]
 
 logger = logging.getLogger(__name__)
-
-
-def model_constants(model: SdeModel) -> dict:
-    """The constants of ``model`` that grid solves read, by name (``x0`` only simulations)."""
-    return {name: float(getattr(model, name))
-            for name in ("lin_drift", "sigma", "bounded_drift_sup", "bounded_drift_lip")}
 
 
 @dataclass(frozen=True)
@@ -71,11 +64,10 @@ class NashSolution:
     ``solutions[i]`` is the per-player grid solution (ergodic, or discounted
     for a discounting player), ``policy`` the joint feedback control
     generated by the final gradient fields and ``comparison`` the upper bound
-    from the dominating driver; ``model`` holds the :func:`model_constants`
-    of the solves, and ``cycle`` is ``(first, period)`` when the run stopped
-    because iteration ``first``'s policy recurred ``period`` (at least 2)
-    iterations later, else ``None``.  ``lambdas[i]``, the long-run cost of each
-    ergodic player (``None`` for a discounting one), and ``alpha``, the
+    from the dominating driver; ``cycle`` is ``(first, period)`` when the run
+    stopped because iteration ``first``'s policy recurred ``period`` (at least
+    2) iterations later, else ``None``.  ``lambdas[i]``, the long-run cost of
+    each ergodic player (``None`` for a discounting one), and ``alpha``, the
     discount rate of the discounting players when they share one, are read
     off the solutions.
     """
@@ -88,7 +80,6 @@ class NashSolution:
     converged: bool
     iterations: int
     deltas_history: Tuple[dict, ...]
-    model: dict
     cycle: Optional[Tuple[int, int]]
 
     @property
@@ -123,7 +114,6 @@ class NashSolution:
             "iterations": self.iterations,
             "alpha": self.alpha,
             "deltas_history": list(self.deltas_history),
-            "model": self.model,
             "cycle": None if self.cycle is None else list(self.cycle),
             "players": per_player,
         }
@@ -169,7 +159,6 @@ class NashSolution:
             converged=bool(report["converged"]),
             iterations=int(report["iterations"]),
             deltas_history=tuple(report["deltas_history"]),
-            model=report["model"],
             cycle=tuple(report["cycle"]) if report["cycle"] else None,
         )
 
@@ -186,6 +175,12 @@ def _policy_from_xi(spec: GameSpec, nodes: np.ndarray, xi: np.ndarray, searched:
         idx[stale] = isaac_fixed_point(spec, nodes[stale], xi[stale])
         searched[stale] = xi[stale]
     return idx
+
+
+def _frozen_drivers(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray) -> list:
+    """Each player's affine driver at the joint control ``idx[k]`` on ``nodes[k]``."""
+    r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
+    return [frozen_driver(r_nodes, c, spec.drift_bound, spec.cost_sup) for c in c_nodes]
 
 
 def comparison_bound(spec: GameSpec) -> float:
@@ -257,6 +252,8 @@ def picard_solve(
     for a in alphas:
         if a is not None:
             _check_rate(a)
+    if v_init is not None and len(v_init) != spec.n_players:
+        raise ValueError(f"need one v_init profile per player, got {len(v_init)}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = spec.n_players
@@ -282,10 +279,9 @@ def picard_solve(
         if last is not None and last < it - 1:  # each policy fixes the next: a cycle
             cycle = (last, it - last)
             break
-        r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
+        drivers = _frozen_drivers(spec, nodes, idx)
         t1 = time.perf_counter()
-        for i, alpha in enumerate(alphas):
-            driver = frozen_driver(r_nodes, c_nodes[i], spec.drift_bound, spec.cost_sup)
+        for i, (alpha, driver) in enumerate(zip(alphas, drivers)):
             if alpha is None:
                 sols[i] = solve_ergodic(model, driver, grid, tol=inner_tol, v_init=v_warm[i])
             else:
@@ -326,7 +322,6 @@ def picard_solve(
         converged=converged,
         iterations=len(history),
         deltas_history=tuple(history),
-        model=model_constants(model),
         cycle=cycle,
     )
 

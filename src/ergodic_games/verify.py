@@ -21,9 +21,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._csv import write_csv
-from .ebsde import _check_rate, interp_table, nearest_node, node_lookup, uniform_interp
+from ._samples import _CHECK_SLACK
+from .ebsde import (_check_rate, hjb_residual, interp_table, nearest_node, node_lookup,
+                    uniform_interp)
 from .games import FeedbackPolicy, GameSpec
-from .picard import NashSolution, comparison_bound, model_constants
+from .picard import NashSolution, _frozen_drivers
 from .sde import (
     SdeModel,
     _n_steps,
@@ -281,21 +283,20 @@ def _check_policy(spec: GameSpec, policy: FeedbackPolicy, owner: str = "policy")
 
 
 def _check_same_game(model: SdeModel, spec: GameSpec, nash: NashSolution) -> None:
+    """``nash`` solves each player's equation under ``model`` and ``spec`` to its residual."""
     _check_policy(spec, nash.policy, "equilibrium")
-    if nash.spec_name != spec.name:
-        raise ValueError(f"equilibrium was solved for game {nash.spec_name!r}, "
-                         f"not {spec.name!r}")
-    for i, values in enumerate(nash.policy.control_columns(spec)):
-        if not np.array_equal(nash.policy_values[i], values):
-            raise ValueError(f"player {i}'s equilibrium controls are not the game's controls "
-                             "at their indices: it was solved on other control grids")
-    if nash.comparison != comparison_bound(spec):
-        raise ValueError(f"equilibrium was solved under cost bound {nash.comparison!r}, "
-                         f"the game has {comparison_bound(spec)!r}")
-    for name, value in model_constants(model).items():
-        if nash.model[name] != value:
-            raise ValueError(f"equilibrium was solved under model {name}={nash.model[name]!r}, "
-                             f"the model has {name}={value!r}")
+    drivers = _frozen_drivers(spec, nash.policy.nodes, nash.policy.indices)
+    for i, (sol, driver) in enumerate(zip(nash.solutions, drivers)):
+        lam, alpha = (sol.lam, 0.0) if sol.alpha is None else (0.0, sol.alpha)
+        res = hjb_residual(model, driver, sol.grid, sol.v, sol.xi, lam, alpha)
+        if not res <= sol.residual_sup * (1.0 + _CHECK_SLACK) + 1e-12:
+            why = "" if nash.converged else (
+                f"; its solve did not converge in {nash.iterations} iterations" if not nash.cycle
+                else "; its solve stopped at a cycle: iteration %d's policy recurs at iteration "
+                "%d (period %d)" % (nash.cycle[0], sum(nash.cycle), nash.cycle[1]))
+            raise ValueError(f"equilibrium does not solve player {i}'s equation under this "
+                             f"model and game: its residual at the saved policy is {res:.3g}, "
+                             f"against the recorded {sol.residual_sup:.3g}{why}")
 
 
 def nash_deviation_test(
@@ -322,10 +323,11 @@ def nash_deviation_test(
     when it does not *undercut* the player's reference value by more than
     ``3 * stderr + grid_error_budget``.  Ergodic players are referenced to
     their long-run constant, a discounted player to their value function at
-    the start state, which must lie on their grid.  An equilibrium solved for
-    another game (another name or player count, or control indices outside
-    the control grids) or under other :func:`~ergodic_games.picard.model_constants`
-    is a ValueError, as is a negative ``n_deviations``.
+    the start state, which must lie on their grid.  An equilibrium that does
+    not fit the game (player count, control indices) or whose saved fields do
+    not solve each player's equation under ``model`` and ``spec`` at the saved
+    policy to the recorded ``residual_sup`` (one of another game or model, or
+    a cycle) is a ValueError, as is a negative ``n_deviations``.
     A discounted payoff's horizon must push its tail below ``1e-3``.  All
     rows are estimated by one engine run whose paths may be split over CPUs
     (as in ``_estimate_jobs``); the report is byte-identical whatever the
@@ -418,8 +420,8 @@ def bsde_path_residual(
     - X_t - b(X_t) h) / sigma`` (``b = model.drift_1d``) read off the states.
     For a discounted player the constant is replaced by ``alpha v(X_t)``.
     The returned value is ``sqrt(mean(residual^2)) / sqrt(step)``.  A player
-    index outside ``range(spec.n_players)``, an equilibrium of another game
-    (as in :func:`nash_deviation_test`), or a horizon that gives no step, is
+    index outside ``range(spec.n_players)``, an equilibrium that
+    :func:`nash_deviation_test` refuses, or a horizon that gives no step, is
     a ValueError.  The per-path sums of squares come from :func:`path_sums`,
     so they are the same bits however many processes ran.
     """

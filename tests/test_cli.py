@@ -78,6 +78,16 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
+def test_a_manifest_naming_an_unknown_command_is_a_config_error(tmp_path):
+    # it used to make the output directory and then raise a bare KeyError
+    manifest, out = tmp_path / "manifest.json", tmp_path / "again"
+    manifest.write_text(json.dumps({"command": "asymmetric", "config": {"seed": 0}, "seed": 0}))
+    with pytest.raises(cli.ConfigError, match="unknown command 'asymmetric'; known commands: "
+                                              "solve-ebsde, continuous-ebsde, solve-game"):
+        cli.rerun_from_manifest(manifest, out)
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = ebsde_cfg(tmp_path)
     out = tmp_path / "run"
@@ -250,15 +260,19 @@ def test_verify_nash_rejects_a_negative_deviation_count(tmp_path, caplog):
 @pytest.mark.parametrize("game, message", [
     ({"name": "three_player_symmetric"}, "equilibrium has 2 players, the game 3"),
     ({"name": "quadratic_decoupled", "n_controls": 5}, "outside their 5-point control grid"),
-    # as many players and controls as the solved game
-    ({"name": "coupled_cross_cost"},
-     "solved for game 'quadratic_decoupled', not 'coupled_cross_cost'"),
+    # as many players and controls as the solved game: the saved equilibrium
+    # does not solve this game's equations (recorded residual 1.7e-14)
+    pytest.param({"name": "coupled_cross_cost"},
+                 "does not solve player 0's equation under this model and game: "
+                 "its residual at the saved policy is 0.00563", id="coupled_cross_cost"),
     # same name, players and index ranges, other control values: a constant
     # row used to play 1.2 on a game solved over [-1, 1]
-    ({"name": "quadratic_decoupled", "control_bound": 2.0},
-     "player 0's equilibrium controls are not the game's controls at their indices"),
-    ({"name": "quadratic_decoupled", "n_controls": 81},
-     "player 0's equilibrium controls are not the game's controls at their indices"),
+    pytest.param({"name": "quadratic_decoupled", "control_bound": 2.0},
+                 "does not solve player 0's equation under this model and game: "
+                 "its residual at the saved policy is 0.0216", id="control_bound_2"),
+    pytest.param({"name": "quadratic_decoupled", "n_controls": 81},
+                 "does not solve player 0's equation under this model and game: "
+                 "its residual at the saved policy is 0.5,", id="n_controls_81"),
 ])
 def test_verify_nash_rejects_equilibrium_of_another_game(tmp_path, caplog, game, message):
     nash_dir = tmp_path / "nash"
@@ -273,7 +287,7 @@ def test_verify_nash_rejects_equilibrium_of_another_game(tmp_path, caplog, game,
 
 
 def test_verify_nash_rejects_equilibrium_under_another_cost_bound(tmp_path, caplog):
-    # same controls, another coupling: only the saved comparison bound differs
+    # same name and controls, another coupling: the cost bound and the costs differ
     game = {"name": "coupled_cross_cost", "n_controls": 41, "coupling": 0.25}
     cfg = yaml.safe_load(Path(game_cfg(tmp_path)).read_text())
     nash_dir = tmp_path / "nash"
@@ -283,22 +297,35 @@ def test_verify_nash_rejects_equilibrium_under_another_cost_bound(tmp_path, capl
     assert cli.main(["verify-nash", "--config", other, "--out", str(tmp_path / "verify"),
                      "--nash", str(nash_dir), "--quiet"]) == 1
     assert "config error" in caplog.text
-    assert "equilibrium was solved under cost bound 2.25, the game has 2.5" in caplog.text
+    assert ("does not solve player 0's equation under this model and game: its residual at "
+            "the saved policy is 0.00563") in caplog.text
 
 
-@pytest.mark.parametrize("sigma", [0.5, 3.0])
-def test_verify_nash_rejects_equilibrium_under_another_model(tmp_path, caplog, sigma):
-    # it used to run the harness against the solved constants and exit 3
-    nash_dir = tmp_path / "nash"
-    assert cli.main(["solve-game", "--config", game_cfg(tmp_path), "--out", str(nash_dir),
-                     "--quiet"]) == 0
+def _tanh(scale):
+    return {"bounded_drift": {"name": "tanh", "scale": scale}}
+
+
+@pytest.mark.parametrize("solved, model, residual", [
+    pytest.param({}, {"sigma": 0.5}, "0.269", id="0.5"),
+    pytest.param({}, {"sigma": 3.0}, "1.08", id="3.0"),
+    # the same constants as the solved model, which were all that was compared
+    pytest.param(_tanh(0.5), _tanh(-0.5), "0.216", id="tanh_-0.5"),
+])
+def test_verify_nash_rejects_equilibrium_under_another_model(tmp_path, caplog, solved, model,
+                                                             residual):
+    # it used to run the harness against the solved model and exit 3
     cfg = yaml.safe_load(Path(game_cfg(tmp_path)).read_text())
-    other = write_cfg(tmp_path, "other.yaml", {**cfg, "model": {"sigma": sigma}})
-    assert cli.main(["verify-nash", "--config", other, "--out", str(tmp_path / "verify"),
+    nash_dir, out = tmp_path / "nash", tmp_path / "verify"
+    assert cli.main(["solve-game", "--config", write_cfg(tmp_path, "solved.yaml",
+                                                         {**cfg, "model": solved}),
+                     "--out", str(nash_dir), "--quiet"]) == 0
+    other = write_cfg(tmp_path, "other.yaml", {**cfg, "model": model})
+    assert cli.main(["verify-nash", "--config", other, "--out", str(out),
                      "--nash", str(nash_dir), "--quiet"]) == 1
-    assert "config error" in caplog.text
-    assert (f"equilibrium was solved under model sigma={2 ** 0.5!r}, the model has "
-            f"sigma={sigma!r}") in caplog.text
+    assert ("config error: equilibrium does not solve player 0's equation under this model "
+            f"and game: its residual at the saved policy is {residual}, against the recorded"
+            ) in caplog.text
+    assert not (out / "report.json").exists()
 
 
 def test_verify_nash_accepts_equilibrium_from_another_start_state(tmp_path):
@@ -323,6 +350,31 @@ def test_a_cycling_solve_leaves_its_cycle_in_the_report(tmp_path, caplog):
     report = json.loads((out / "report.json").read_text())
     assert (report["converged"], report["cycle"]) == (False, [5, 2])
     assert ergodic_games.NashSolution.read(out).cycle == (5, 2)
+
+
+def test_verify_nash_refuses_an_equilibrium_whose_solve_cycles(tmp_path, caplog):
+    # the recurring policy is saved with the previous iteration's solutions, which do not
+    # solve its equations: the harness used to run against their constants
+    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "g0.yaml")
+    cfg["game"]["n_controls"] = 9
+    cfg["mc"].update(horizon=40.0, n_paths=4, n_deviations=3)
+    out = tmp_path / "verify"
+    assert cli.main(["verify-nash", "--config", write_cfg(tmp_path, "g0.yaml", cfg),
+                     "--out", str(out), "--quiet"]) == 1
+    assert ("its solve stopped at a cycle: iteration 5's policy recurs at iteration 7 "
+            "(period 2)") in caplog.text
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["g0", "g0_coupled", "g0_asymmetric", "three_player"])
+def test_every_bundled_solve_passes_the_equilibrium_check_from_disk(tmp_path, name):
+    # nash.csv's floats round-trip, so the saved solution reproduces its recorded residuals
+    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml")
+    out = tmp_path / "nash"
+    assert cli.main(["solve-game", "--config", write_cfg(tmp_path, "c.yaml", cfg),
+                     "--out", str(out), "--quiet"]) == 0
+    model, spec = ergodic_games.make_model(cfg["model"]), ergodic_games.make_game(cfg["game"])
+    ergodic_games.verify._check_same_game(model, spec, ergodic_games.NashSolution.read(out))
 
 
 def test_verify_nash_rejects_a_discounted_start_off_the_grid(tmp_path, caplog):

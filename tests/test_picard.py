@@ -196,10 +196,8 @@ def test_nash_read_rejects_files_that_disagree_on_the_player_count(g0_nash_coars
         eg.NashSolution.read(tmp_path)
 
 
-def test_a_converged_solve_records_its_model_constants_and_no_cycle(model, g0_nash_coarse):
+def test_a_converged_solve_records_no_cycle(g0_nash_coarse):
     assert g0_nash_coarse.cycle is None
-    assert g0_nash_coarse.model == {"lin_drift": -1.0, "sigma": model.sigma,
-                                    "bounded_drift_sup": 0.0, "bounded_drift_lip": 0.0}
 
 
 def test_asymmetric_solve_mixes_criteria(model, g0, coarse_grid):
@@ -368,6 +366,20 @@ def test_a_rate_that_is_not_finite_and_positive_is_refused_before_any_solve(
         eg.picard_solve(model, g0, coarse_grid, alphas=(None, rate))
     with pytest.raises(ValueError, match="positive alpha"):
         eg.asymmetric_solve(model, g0, coarse_grid, rate)
+    assert calls == []
+
+
+def test_v_init_needs_one_profile_per_player(model, g0, coarse_grid, monkeypatch):
+    # one profile used to raise a bare IndexError after the first search, and a third
+    # was ignored
+    def no_search(*args, **kwargs):
+        raise AssertionError("policy searched before the v_init check")
+
+    monkeypatch.setattr(picard, "isaac_fixed_point", no_search)
+    calls = _counted_solves(monkeypatch)
+    for k in (1, 3):
+        with pytest.raises(ValueError, match=f"need one v_init profile per player, got {k}"):
+            eg.picard_solve(model, g0, coarse_grid, v_init=[np.zeros(coarse_grid.m)] * k)
     assert calls == []
 
 

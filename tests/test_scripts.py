@@ -90,7 +90,7 @@ def test_artifact_digests_reject_an_unknown_option(capsys):
     assert capsys.readouterr().err.startswith("Usage: python scripts/artifact_digests.py DIR")
 
 
-def test_bench_record_from_a_perfbench_run_and_manifests():
+def test_bench_record_from_a_perfbench_run_and_manifests(tmp_path):
     bench = _load_script("bench.py")
     passes = [{"setup_s": 0.25, "total_s": 0.6, "peak_rss_mb": 37.0,
                "wall_setup_s": wall_setup, "wall_total_s": wall_total}
@@ -115,8 +115,16 @@ def test_bench_record_from_a_perfbench_run_and_manifests():
                                      ("3.9000", "7.9000", "10.9000"),
                                      ("3.8000", "8.4000", "10.5000"))]
     ladder = {"m101": {"solve_s": 0.004, "iterations": 4}}
+    # every .py file of the package counts, its last line with or without a newline
+    package = tmp_path / "src" / "ergodic_games"
+    package.mkdir(parents=True)
+    (package / "sde.py").write_text("import numpy\n\nx = 1\n")
+    (package / "_csv.py").write_text("y = 2\n")
+    (package / "notes.txt").write_text("not code\n")
+    lines = bench.src_lines(tmp_path)
+    assert lines == {"_csv.py": 1, "sde.py": 3, "total": 4}
     record = bench.bench_record("a", {"verify_wide": run}, {"verify-nash": manifests},
-                                {"verify-nash": logs}, ladder)
+                                {"verify-nash": logs}, ladder, lines)
     assert record == {
         "label": "a",
         "env": run["env"],
@@ -130,6 +138,7 @@ def test_bench_record_from_a_perfbench_run_and_manifests():
                                    "windows": 158, "streams": 24400, "workers": 2,
                                    "rng_s": 3.8, "euler_s": 8.1, "cost_s": 10.5}}},
         "grid_ladder": ladder,
+        "src_lines": {"_csv.py": 1, "sde.py": 3, "total": 4},
     }
     # a command whose log has no engine line has no engine entry
     assert "engine" not in bench.g0_entry(manifests, ["", "", ""])

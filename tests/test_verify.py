@@ -108,18 +108,65 @@ def test_deviation_test_rejects_equilibrium_of_another_game(model, g0_nash_coars
 
 
 def test_equilibrium_of_a_same_shaped_game_is_rejected(model, g0_nash_coarse, monkeypatch):
-    # the coupled game also has 2 players x 41 controls: only the names differ
+    # the coupled game also has 2 players x 41 controls: the saved fields do not solve its
+    # equations at the saved policy
     def no_paths(*args, **kwargs):
         raise AssertionError("paths simulated before the equilibrium check")
 
     monkeypatch.setattr(verify, "path_sums", no_paths)
     coupled = eg.coupled_cross_cost()
-    message = "solved for game 'quadratic_decoupled', not 'coupled_cross_cost'"
+    message = ("does not solve player 0's equation under this model and game: its residual "
+               r"at the saved policy is 0\.00563, against the recorded 1\.72e-14$")
     with pytest.raises(ValueError, match=message):
         nash_deviation_test(model, coupled, g0_nash_coarse, n_deviations=3, horizon=30.0,
                             n_paths=2)
     with pytest.raises(ValueError, match=message):
         bsde_path_residual(model, coupled, g0_nash_coarse, horizon=5.0, n_paths=2)
+
+
+def test_equilibrium_under_another_residual_drift_is_rejected(g0, coarse_grid, monkeypatch):
+    # tanh drifts of scale 0.5 and -0.5 have the same constants, which alone used to be
+    # compared: the harness then ran and failed rows
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the equilibrium check")
+
+    monkeypatch.setattr(verify, "path_sums", no_paths)
+    tanh = eg.make_model({"bounded_drift": {"name": "tanh", "scale": 0.5}})
+    nash = eg.picard_solve(tanh, g0, coarse_grid, tol=1e-4)
+    other = eg.make_model({"bounded_drift": {"name": "tanh", "scale": -0.5}})
+    with pytest.raises(ValueError, match=r"player 0's equation .* is 0\.216, against"):
+        nash_deviation_test(other, g0, nash, n_deviations=6, horizon=40.0, n_paths=20)
+    verify._check_same_game(tanh, g0, nash)
+
+
+@pytest.mark.parametrize("spec, grid_m, cycle, residual", [
+    (eg.quadratic_decoupled(n_controls=9), 201, (5, 2), "0.0706"),
+    (eg.three_player_symmetric(n_controls=9), 81, (2, 3), "0.166"),
+], ids=["g0_n9", "three_player_n9"])
+def test_a_cycled_equilibrium_is_rejected(model, monkeypatch, spec, grid_m, cycle, residual):
+    # the recurring policy comes with the previous iteration's solutions, whose constants
+    # are not that policy's: the harness used to run against them
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the equilibrium check")
+
+    nash = eg.picard_solve(model, spec, eg.Grid1D(-6.0, 6.0, grid_m), tol=1e-4)
+    assert (nash.converged, nash.cycle) == (False, cycle)
+    monkeypatch.setattr(verify, "path_sums", no_paths)
+    first, period = cycle
+    message = (f"residual at the saved policy is {residual}, .*; its solve stopped at a cycle: "
+               f"iteration {first}'s policy recurs at iteration {first + period} "
+               fr"\(period {period}\)")
+    with pytest.raises(ValueError, match=message):
+        nash_deviation_test(model, spec, nash, n_deviations=3, horizon=30.0, n_paths=2)
+    with pytest.raises(ValueError, match=message):
+        bsde_path_residual(model, spec, nash, horizon=5.0, n_paths=2)
+
+
+def test_an_equilibrium_that_ran_out_of_iterations_is_rejected(model, g0, coarse_grid):
+    nash = eg.picard_solve(model, g0, coarse_grid, tol=1e-12, max_iter=2)
+    assert not nash.converged and nash.cycle is None
+    with pytest.raises(ValueError, match="its solve did not converge in 2 iterations$"):
+        verify._check_same_game(model, g0, nash)
 
 
 def test_discounted_reference_needs_the_start_on_its_grid(g0, g0_asymmetric, monkeypatch):

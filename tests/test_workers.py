@@ -100,7 +100,8 @@ def _forked_and_in_process(monkeypatch, caplog, call):
 
 @pytest.fixture(scope="module")
 def three_player_nash(model, coarse_grid):
-    spec = eg.three_player_symmetric(n_controls=9)
+    # 9 controls cycle (2, 3) at m=81, an equilibrium the harness refuses; 21 converge
+    spec = eg.three_player_symmetric(n_controls=21)
     return spec, eg.picard_solve(model, spec, coarse_grid, tol=1e-4)
 
 
