@@ -13,7 +13,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .ebsde import DriverSpec
+from .ebsde import checked_driver
 from .games import ControlGrid, GameSpec
 from .sde import SdeModel
 
@@ -123,8 +123,8 @@ _DRIVER_PARAMS = {
 }
 
 
-def make_driver(cfg: dict) -> DriverSpec:
-    """Driver from a named catalogue entry.
+def make_driver(cfg: dict) -> Callable:
+    """Driver ``f(x, z)`` from a named catalogue entry, checked by :func:`checked_driver`.
 
     Names: ``constant`` (value), ``bump``, ``linear_z_plus_bump`` (slope),
     ``tanh_z_plus_bump`` (scale), ``dominating`` (lipschitz, offset).
@@ -132,26 +132,24 @@ def make_driver(cfg: dict) -> DriverSpec:
     name, cfg = _entry("driver", cfg, _DRIVER_PARAMS)
     if name == "constant":
         c = float(cfg.get("value", 1.0))
-        return DriverSpec(lambda x, z: c + 0.0 * z, lipschitz_z=0.0, bound_at_zero=abs(c))
+        return checked_driver(lambda x, z: c + 0.0 * z, lipschitz_z=0.0, bound_at_zero=abs(c))
     if name == "bump":
-        return DriverSpec(lambda x, z: bump(x) + 0.0 * z, lipschitz_z=0.0, bound_at_zero=BUMP_SUP)
+        return checked_driver(lambda x, z: bump(x) + 0.0 * z, lipschitz_z=0.0,
+                              bound_at_zero=BUMP_SUP)
     if name == "linear_z_plus_bump":
         b = float(cfg.get("slope", 0.5))
-        return DriverSpec(
+        return checked_driver(
             lambda x, z: b * z + bump(x), lipschitz_z=abs(b), bound_at_zero=BUMP_SUP
         )
     if name == "tanh_z_plus_bump":
         a = float(cfg.get("scale", 0.5))
-        return DriverSpec(
+        return checked_driver(
             lambda x, z: a * np.tanh(z) + bump(x), lipschitz_z=abs(a), bound_at_zero=BUMP_SUP
         )
     lip = float(cfg["lipschitz"])  # dominating
     off = float(cfg["offset"])
-    return DriverSpec(
-        lambda x, z: lip * np.abs(z) + off + 0.0 * x,
-        lipschitz_z=lip,
-        bound_at_zero=off,
-    )
+    return checked_driver(lambda x, z: lip * np.abs(z) + off + 0.0 * x, lipschitz_z=lip,
+                          bound_at_zero=off)
 
 
 def make_growth_driver(cfg: dict) -> Tuple[Callable, float]:

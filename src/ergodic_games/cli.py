@@ -130,6 +130,17 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
+def _peak_rss_mb() -> float:
+    """This run's peak RSS, ``VmHWM``: unlike ``ru_maxrss``, the fallback where
+    ``/proc/self/status`` is missing, Linux does not carry it across ``exec``."""
+    try:
+        with open("/proc/self/status") as status:
+            hwm = next(line for line in status if line.startswith("VmHWM:"))
+        return int(hwm.split()[1]) / 1024
+    except (OSError, StopIteration):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _write_manifest(out: FsPath, command: str, cfg: dict, seed: int,
                     outputs: list, t0: float, error: Optional[dict] = None) -> None:
     from . import __version__
@@ -149,7 +160,7 @@ def _write_manifest(out: FsPath, command: str, cfg: dict, seed: int,
                 "ergodic_games": __version__,
             },
             "wall_time_s": time.perf_counter() - t0,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "peak_rss_mb": _peak_rss_mb(),
             # the largest child waited for (Monte Carlo workers), 0 if none
             "peak_rss_children_mb":
                 resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,

@@ -16,13 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._samples import _CHECK_SLACK, check_states
+from ._samples import CHECK_SAMPLES, check_states, first_over
 from .ebsde import Grid1D, GridSolution, solve_ergodic
 
 __all__ = ["GrowthViolationError", "solve_continuous_ebsde"]
-
-# fixed (x, z) pairs of the growth check
-_CHECK_SAMPLES = 10_000
 
 
 class GrowthViolationError(ValueError):
@@ -33,9 +30,9 @@ def solve_continuous_ebsde(model, f: Callable, kappa: float, grid: Grid1D,
                            tol: float = 1e-6) -> GridSolution:
     """Ergodic solve for a continuous driver ``f`` of linear growth ``kappa``.
 
-    ``kappa`` must be positive and finite.  ``f`` is checked on
-    ``_CHECK_SAMPLES`` fixed pairs (:func:`~ergodic_games._samples.check_states`);
-    a value that is not finite or exceeds ``kappa (1 + |z|)`` raises
+    ``kappa`` must be positive and finite.  ``f`` is checked on the fixed
+    pairs of :func:`~ergodic_games._samples.check_states`; a value that is
+    not finite or exceeds ``kappa (1 + |z|)`` raises
     :class:`GrowthViolationError`.  :func:`~ergodic_games.ebsde.solve_ergodic`
     then solves the equation with ``f``, so ``residual_sup`` is the residual
     against ``f`` and ``iterations`` counts Newton's residual evaluations; a
@@ -44,15 +41,13 @@ def solve_continuous_ebsde(model, f: Callable, kappa: float, grid: Grid1D,
     """
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got kappa={kappa!r}")
-    xs = check_states(_CHECK_SAMPLES, 0)
-    zs = check_states(_CHECK_SAMPLES, 1)
+    xs = check_states(CHECK_SAMPLES, 0)
+    zs = check_states(CHECK_SAMPLES, 1)
     fv = np.broadcast_to(np.asarray(f(xs, zs), dtype=float), xs.shape)
-    growth = kappa * (1.0 + np.abs(zs))
-    # written as "not within the bound" so that a NaN value fails too
-    if not np.all(np.abs(fv) <= growth * (1.0 + _CHECK_SLACK) + 1e-12):
-        k = int(np.argmax(np.abs(fv) - growth))
+    k = first_over(np.abs(fv), kappa * (1.0 + np.abs(zs)))
+    if k is not None:
         raise GrowthViolationError(
             f"sampled |f(x, z)|={abs(fv[k]):.6g} exceeds kappa*(1+|z|)="
-            f"{growth[k]:.6g} at x={xs[k]:.6g}, z={zs[k]:.6g}"
+            f"{kappa * (1.0 + abs(zs[k])):.6g} at x={xs[k]:.6g}, z={zs[k]:.6g}"
         )
     return solve_ergodic(model, f, grid, tol=tol)

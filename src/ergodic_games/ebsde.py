@@ -31,18 +31,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ._csv import write_csv
-from ._samples import _CHECK_SLACK, check_states
+from ._samples import CHECK_SAMPLES, check_states, first_over
 
 __all__ = [
     "MaxSweepsExceededError",
     "NonMonotoneSchemeError",
     "Grid1D",
-    "DriverSpec",
+    "checked_driver",
     "GridSolution",
     "solve_ergodic",
     "solve_discounted",
@@ -249,47 +249,33 @@ class Grid1D:
         return slice(self.interior_margin, self.m - self.interior_margin)
 
 
-@dataclass(frozen=True)
-class DriverSpec:
-    """Driver ``f(x, z)`` with declared gradient-Lipschitz and size constants.
+def checked_driver(f: Callable, lipschitz_z: float, bound_at_zero: float) -> Callable:
+    """``f`` itself, once its declared gradient-Lipschitz and size constants hold.
 
-    ``f`` must act elementwise on numpy arrays.  Both declared constants must
-    be finite, and at construction they are checked on 1,000 fixed states
-    and gradient values
+    ``f(x, z)`` must act elementwise on numpy arrays.  Both constants must be
+    finite, and they are checked on the fixed states and gradient values
     (:func:`~ergodic_games._samples.check_states`), where ``f`` must also be
     finite: ``|f(x, z) - f(x, z')| <= lipschitz_z |z - z'|`` and
     ``|f(x, 0)| <= bound_at_zero``.
     """
-
-    f: Callable
-    lipschitz_z: float
-    bound_at_zero: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lipschitz_z) and math.isfinite(self.bound_at_zero)):
-            raise ValueError(f"driver check failed: lipschitz_z={self.lipschitz_z!r} and "
-                             f"bound_at_zero={self.bound_at_zero!r} must be finite")
-        n = 1_000
-        xs = check_states(n, 0)
-        za = check_states(n, 1)
-        zb = check_states(n, 2)
-        fa = np.broadcast_to(np.asarray(self.f(xs, za), dtype=float), (n,))
-        fb = np.broadcast_to(np.asarray(self.f(xs, zb), dtype=float), (n,))
-        lip = self.lipschitz_z * np.abs(za - zb)
-        # written as "not within the bound" so that a NaN value fails too
-        if not np.all(np.abs(fa - fb) <= lip + _CHECK_SLACK * (1.0 + lip) + 1e-12):
-            k = int(np.argmax(np.abs(fa - fb) - lip))
-            raise ValueError(
-                f"driver check failed: gradient Lipschitz constant {self.lipschitz_z:.6g} "
-                f"violated at sampled x={xs[k]:.6g}, z={za[k]:.6g}, z'={zb[k]:.6g}"
-            )
-        f0 = np.broadcast_to(np.asarray(self.f(xs, np.zeros(n)), dtype=float), (n,))
-        if not np.all(np.abs(f0) <= self.bound_at_zero * (1.0 + _CHECK_SLACK) + 1e-12):
-            k = int(np.argmax(np.abs(f0)))
-            raise ValueError(
-                f"driver check failed: |f(x, 0)|={abs(f0[k]):.6g} exceeds "
-                f"bound_at_zero={self.bound_at_zero:.6g} at sampled x={xs[k]:.6g}"
-            )
+    if not (math.isfinite(lipschitz_z) and math.isfinite(bound_at_zero)):
+        raise ValueError(f"driver check failed: lipschitz_z={lipschitz_z!r} and "
+                         f"bound_at_zero={bound_at_zero!r} must be finite")
+    xs = check_states(CHECK_SAMPLES, 0)
+    za = check_states(CHECK_SAMPLES, 1)
+    zb = check_states(CHECK_SAMPLES, 2)
+    fa = np.broadcast_to(np.asarray(f(xs, za), dtype=float), xs.shape)
+    fb = np.broadcast_to(np.asarray(f(xs, zb), dtype=float), xs.shape)
+    k = first_over(np.abs(fa - fb), lipschitz_z * np.abs(za - zb))
+    if k is not None:
+        raise ValueError(f"driver check failed: gradient Lipschitz constant {lipschitz_z:.6g} "
+                         f"violated at sampled x={xs[k]:.6g}, z={za[k]:.6g}, z'={zb[k]:.6g}")
+    f0 = np.broadcast_to(np.asarray(f(xs, np.zeros(CHECK_SAMPLES)), dtype=float), xs.shape)
+    k = first_over(np.abs(f0), bound_at_zero)
+    if k is not None:
+        raise ValueError(f"driver check failed: |f(x, 0)|={abs(f0[k]):.6g} exceeds "
+                         f"bound_at_zero={bound_at_zero:.6g} at sampled x={xs[k]:.6g}")
+    return f
 
 
 def frozen_driver(slope: np.ndarray, offset: np.ndarray,
@@ -303,9 +289,8 @@ def frozen_driver(slope: np.ndarray, offset: np.ndarray,
     for name, table, bound in (("slope", slope, lipschitz_z), ("offset", offset, bound_at_zero)):
         if not math.isfinite(bound):
             raise ValueError(f"driver check failed: the {name} bound {bound!r} must be finite")
-        excess = np.abs(table) - bound * (1.0 + _CHECK_SLACK) - 1e-12
-        if not np.all(excess <= 0.0):  # a NaN fails too, and argmax finds the first one
-            k = int(np.argmax(excess))
+        k = first_over(np.abs(table), bound)
+        if k is not None:
             raise ValueError(f"driver check failed: |{name}|={abs(table[k]):.6g} exceeds "
                              f"{bound:.6g} at node {k}")
     return lambda x, z: slope * z + offset
@@ -421,7 +406,7 @@ def _bordered_solve(lower, diag, upper, rhs, iref: int):
     return np.array(y[:m]) + c * np.array(w[:m]), c
 
 
-def _solve(model, driver, grid: Grid1D, alpha: Optional[float], tol: float,
+def _solve(model, f: Callable, grid: Grid1D, alpha: Optional[float], tol: float,
            v_init: Optional[np.ndarray]) -> GridSolution:
     """Newton iteration of the ergodic (``alpha`` None: rate 0.0) and discounted solves.
 
@@ -430,8 +415,7 @@ def _solve(model, driver, grid: Grid1D, alpha: Optional[float], tol: float,
     node and stops once the interior sup-norm of the rest is below ``tol``;
     otherwise it linearizes the driver at the current gradient (central
     difference in ``z``, a subgradient at kinks) and solves the bordered
-    Newton system.  ``driver`` may be a :class:`DriverSpec` or a bare
-    callable ``f(x, z)``.  ``v`` stays an exact +0.0 at the reference node and
+    Newton system.  ``v`` stays an exact +0.0 at the reference node and
     inside ``sigma v'`` is ``xi`` bit for bit, so the last residual is an
     ergodic ``residual_sup``; a discounted ``v`` moves by ``c / alpha``.
     """
@@ -441,7 +425,6 @@ def _solve(model, driver, grid: Grid1D, alpha: Optional[float], tol: float,
     sig2 = sig**2
     diff = np.full(grid.m, 0.5 * sig2 / dx**2)
     drift = model.drift_1d(x).astype(float)
-    f = driver.f if isinstance(driver, DriverSpec) else driver
     v = np.zeros(grid.m) if v_init is None else np.array(v_init, dtype=float)
     if v.shape != (grid.m,):
         raise ValueError(f"v_init must have shape ({grid.m},)")
@@ -483,7 +466,7 @@ def _solve(model, driver, grid: Grid1D, alpha: Optional[float], tol: float,
     if alpha is not None:
         v += lam / alpha
     xi = _xi_from_v(model, grid, v)
-    res = history[-1] if alpha is None else hjb_residual(model, driver, grid, v, xi, 0.0, alpha)
+    res = history[-1] if alpha is None else hjb_residual(model, f, grid, v, xi, 0.0, alpha)
     logger.debug("grid solve: alpha=%s c=%.9g residual=%.3e iterations=%d", alpha, lam, res, it)
     return GridSolution(grid=grid, v=v, xi=xi, lam=lam if alpha is None else None, alpha=alpha,
                         residual_sup=res, iterations=it)
@@ -504,27 +487,25 @@ def _xi_from_v(model, grid: Grid1D, v: np.ndarray) -> np.ndarray:
     return model.sigma * xi
 
 
-def hjb_residual(model, driver, grid: Grid1D, v: np.ndarray,
+def hjb_residual(model, driver: Callable, grid: Grid1D, v: np.ndarray,
                  xi: np.ndarray, lam: float = 0.0, alpha: float = 0.0) -> float:
-    """Interior sup-norm of ``0.5 sigma^2 v'' + drift v' + f(x, xi) - lam - alpha v``.
+    """Interior sup-norm of ``0.5 sigma^2 v'' + drift v' + driver(x, xi) - lam - alpha v``.
 
-    ``driver`` may be a :class:`DriverSpec` or a bare callable ``f(x, z)``.
     Recomputes the equation residual from the stored fields, so for a
     converged solution it reproduces ``residual_sup`` (bitwise for an ergodic
     one).
     """
-    f = driver.f if isinstance(driver, DriverSpec) else driver
     x = grid.nodes()
     sig2 = model.sigma**2
     drift = model.drift_1d(x)
     d1, d2 = _derivatives(v, grid.dx)
-    field = 0.5 * sig2 * d2 + drift * d1 + np.asarray(f(x, xi), dtype=float) - lam - alpha * v
+    field = 0.5 * sig2 * d2 + drift * d1 + np.asarray(driver(x, xi), dtype=float) - lam - alpha * v
     return float(np.max(np.abs(field[grid.interior])))
 
 
 def solve_ergodic(
     model,
-    driver: Union[DriverSpec, Callable],
+    driver: Callable,
     grid: Grid1D,
     tol: float = 1e-6,
     v_init: Optional[np.ndarray] = None,
@@ -548,7 +529,7 @@ def solve_ergodic(
 
 def solve_discounted(
     model,
-    driver: Union[DriverSpec, Callable],
+    driver: Callable,
     grid: Grid1D,
     alpha: float,
     tol: float = 1e-6,

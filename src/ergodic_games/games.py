@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from ._samples import _CHECK_SLACK, check_states
+from ._samples import check_states, first_over
 from .ebsde import node_lookup
 from .sde import path_stream
 
@@ -38,7 +38,7 @@ __all__ = [
 # A joint control is one grid index per player.
 JointControl = Tuple[int, ...]
 
-# fixed states of GameSpec's construction-time cost checks
+# fixed states of GameSpec's cost checks; few, as each evaluates every joint control
 _CHECK_SAMPLES = 64
 # floats in one slab of the Lipschitz check's difference: small beside a joint
 # table, so the check holds no table-sized temporary besides the two cost blocks
@@ -224,7 +224,6 @@ class GameSpec:
         xs = check_states(_CHECK_SAMPLES, 0)
         ys = check_states(_CHECK_SAMPLES, 1)
         lip_bound = self.cost_x_lip * np.abs(xs - ys)
-        lip_bound += _CHECK_SLACK * (1.0 + lip_bound) + 1e-12
         firsts = []
         for i in range(self.n_players):
             start, block, checked = 0, 1, set()
@@ -251,20 +250,17 @@ class GameSpec:
         # taken before cy exists, so no more than two block-sized arrays are live
         largest = np.abs(cx).max(axis=tuple(range(1, cx.ndim)))
         cy = self._cost_block(self.costs[i], ys, check)
-        # "not within the bound", so that a NaN value fails too
-        over = ~(largest <= self.cost_sup * (1.0 + _CHECK_SLACK) + 1e-12)
-        bad = over | ~(_max_abs_gap(cx, cy) <= lip_bound)
-        if bad.any():
-            k = int(np.argmax(bad))
-            j = k if len(largest) > 1 else 0
-            if over[j]:
-                raise ValueError(
-                    f"cost check failed: |cost_{i}|={float(largest[j]):.6g} exceeds "
-                    f"cost_sup={self.cost_sup:.6g} at sampled x={float(xs[k]):.6g}"
-                )
+        over = first_over(largest, self.cost_sup)
+        gap = first_over(_max_abs_gap(cx, cy), lip_bound)
+        if over is not None and (gap is None or over <= gap):
+            raise ValueError(
+                f"cost check failed: |cost_{i}|={float(largest[over]):.6g} exceeds "
+                f"cost_sup={self.cost_sup:.6g} at sampled x={float(xs[over]):.6g}"
+            )
+        if gap is not None:
             raise ValueError(
                 f"cost check failed: cost_{i} violates cost_x_lip={self.cost_x_lip:.6g} "
-                f"between sampled states x={float(xs[k]):.6g}, y={float(ys[k]):.6g}"
+                f"between sampled states x={float(xs[gap]):.6g}, y={float(ys[gap]):.6g}"
             )
         return cx.shape
 

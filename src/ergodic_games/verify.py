@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._csv import write_csv
-from ._samples import _CHECK_SLACK
+from ._samples import first_over
 from .ebsde import (_check_rate, hjb_residual, interp_table, nearest_node, node_lookup,
                     uniform_interp)
 from .games import FeedbackPolicy, GameSpec
@@ -144,8 +144,8 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
         if not len(xs):
             return None
         controls = [col.take(nodes[skip:]) for col in columns[j]]
-        cost = np.broadcast_to(
-            np.asarray(spec.costs[job.player](xs, *controls), dtype=float), xs.shape)
+        cost = np.asarray(spec.costs[job.player](xs, *controls), dtype=float)
+        cost = cost if cost.shape == xs.shape else np.broadcast_to(cost, xs.shape)
         if job.alpha is not None:
             t = np.arange(start + skip, start + len(states) - 1) * step
             cost = cost * (np.exp(-job.alpha * t) * step)[:, None]
@@ -289,7 +289,7 @@ def _check_same_game(model: SdeModel, spec: GameSpec, nash: NashSolution) -> Non
     for i, (sol, driver) in enumerate(zip(nash.solutions, drivers)):
         lam, alpha = (sol.lam, 0.0) if sol.alpha is None else (0.0, sol.alpha)
         res = hjb_residual(model, driver, sol.grid, sol.v, sol.xi, lam, alpha)
-        if not res <= sol.residual_sup * (1.0 + _CHECK_SLACK) + 1e-12:
+        if first_over(res, sol.residual_sup) is not None:
             why = "" if nash.converged else (
                 f"; its solve did not converge in {nash.iterations} iterations" if not nash.cycle
                 else "; its solve stopped at a cycle: iteration %d's policy recurs at iteration "

@@ -95,8 +95,8 @@ def test_criterion_04_additive_shift(model, grid201):
                             tol=1e-6)
     worst = 0.0
     for c in (-1.0, 0.37, 5.0):
-        d = eg.DriverSpec(lambda x, z, _c=c: eg.bump(x) + _c + 0.0 * z,
-                          lipschitz_z=0.0, bound_at_zero=1.0 + abs(c))
+        d = eg.checked_driver(lambda x, z, _c=c: eg.bump(x) + _c + 0.0 * z,
+                              lipschitz_z=0.0, bound_at_zero=1.0 + abs(c))
         sol = eg.solve_ergodic(model, d, grid201, tol=1e-6)
         worst = max(worst, abs((sol.lam - base.lam) - c))
     _report(4, "driver shift moves the constant by the shift",

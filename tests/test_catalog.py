@@ -70,7 +70,7 @@ def test_make_driver_catalogue():
                 {"name": "tanh_z_plus_bump", "scale": 0.4},
                 {"name": "dominating", "lipschitz": 2.0, "offset": 2.0}):
         d = eg.make_driver(cfg)
-        assert np.isfinite(d.f(0.5, -0.5))
+        assert np.isfinite(d(0.5, -0.5))
     with pytest.raises(KeyError, match="unknown driver"):
         eg.make_driver({"name": "cubic"})
     with pytest.raises(KeyError):

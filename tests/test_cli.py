@@ -68,6 +68,25 @@ def test_solve_ebsde_artifacts_and_manifest(tmp_path):
     assert man["peak_rss_children_mb"] >= 0
 
 
+def test_a_run_started_by_exec_records_its_own_peak_rss(tmp_path):
+    # Linux carries ru_maxrss across exec, so a run exec'd from a launcher that
+    # touched 128 MiB would read at least the launcher's peak
+    cfg, out = ebsde_cfg(tmp_path), tmp_path / "run"
+    run = "import sys; from ergodic_games.cli import main; sys.exit(main(sys.argv[1:]))"
+    code = (f"import os, resource, sys\nimport numpy as np\nbig = np.ones(2**24)\ndel big\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, flush=True)\n"
+            f"os.execv(sys.executable, [sys.executable, '-c', {run!r}, 'solve-ebsde', "
+            f"'--config', {cfg!r}, '--out', {str(out)!r}, '--quiet'])\n")
+    pkg_root = str(Path(ergodic_games.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pkg_root}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    launcher_peak = float(proc.stdout.splitlines()[0])
+    man = json.loads((out / "manifest.json").read_text())
+    assert launcher_peak > 128.0
+    assert 0.0 < man["peak_rss_mb"] < launcher_peak - 64.0, (man["peak_rss_mb"], launcher_peak)
+
+
 def test_rerun_from_manifest_is_byte_identical(tmp_path):
     cfg = ebsde_cfg(tmp_path)
     first = tmp_path / "a"

@@ -9,7 +9,7 @@ import ergodic_games as eg
 from ergodic_games import ebsde, picard
 from ergodic_games.catalog import _DRIVER_PARAMS
 from ergodic_games.continuous import solve_continuous_ebsde
-from ergodic_games.ebsde import (DriverSpec, _bordered_solve, frozen_driver, hjb_residual,
+from ergodic_games.ebsde import (_bordered_solve, checked_driver, frozen_driver, hjb_residual,
                                  interp_table, nearest_node, node_lookup, uniform_interp)
 
 from conftest import E_BUMP_STANDARD, E_BUMP_SHIFTED, continuous_control
@@ -48,23 +48,23 @@ def test_discounted_value_at_rejects_off_grid_states(model, coarse_grid):
 
 def test_driver_spec_checks():
     with pytest.raises(ValueError, match="Lipschitz"):
-        DriverSpec(lambda x, z: 2.0 * z, lipschitz_z=1.0, bound_at_zero=0.0)
+        checked_driver(lambda x, z: 2.0 * z, lipschitz_z=1.0, bound_at_zero=0.0)
     with pytest.raises(ValueError, match="bound_at_zero"):
-        DriverSpec(lambda x, z: 0.0 * z + 5.0, lipschitz_z=0.0, bound_at_zero=1.0)
+        checked_driver(lambda x, z: 0.0 * z + 5.0, lipschitz_z=0.0, bound_at_zero=1.0)
 
 
 def test_driver_spec_rejects_non_finite_constants_and_values():
     # each would pass the sampled comparisons vacuously (x > nan is False)
     for lip, b0 in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)):
         with pytest.raises(ValueError, match="lipschitz_z=.* must be finite"):
-            DriverSpec(lambda x, z: 0.5 * z, lipschitz_z=lip, bound_at_zero=b0)
+            checked_driver(lambda x, z: 0.5 * z, lipschitz_z=lip, bound_at_zero=b0)
     # NaN away from z = 0 breaks the Lipschitz check, NaN at z = 0 the bound
     with pytest.raises(ValueError, match="Lipschitz"):
-        DriverSpec(lambda x, z: np.where(z > 5.0, np.nan, 0.5 * z), lipschitz_z=1.0,
-                   bound_at_zero=1.0)
+        checked_driver(lambda x, z: np.where(z > 5.0, np.nan, 0.5 * z), lipschitz_z=1.0,
+                       bound_at_zero=1.0)
     with pytest.raises(ValueError, match=r"\|f\(x, 0\)\|=nan"):
-        DriverSpec(lambda x, z: np.where((z == 0.0) & (x > 5.0), np.nan, 0.5 * z),
-                   lipschitz_z=1.0, bound_at_zero=1.0)
+        checked_driver(lambda x, z: np.where((z == 0.0) & (x > 5.0), np.nan, 0.5 * z),
+                       lipschitz_z=1.0, bound_at_zero=1.0)
 
 
 def test_nearest_node_clamps_states_beyond_the_index_range():
@@ -144,8 +144,8 @@ def test_driver_shift_moves_lambda_by_constant(model, coarse_grid):
     base = eg.solve_ergodic(model, eg.make_driver({"name": "bump"}),
                             coarse_grid, tol=1e-6)
     for c in (-1.0, 0.37, 5.0):
-        d = DriverSpec(lambda x, z, _c=c: eg.bump(x) + _c + 0.0 * z,
-                       lipschitz_z=0.0, bound_at_zero=1.0 + abs(c))
+        d = checked_driver(lambda x, z, _c=c: eg.bump(x) + _c + 0.0 * z,
+                           lipschitz_z=0.0, bound_at_zero=1.0 + abs(c))
         shifted = eg.solve_ergodic(model, d, coarse_grid, tol=1e-6)
         assert abs((shifted.lam - base.lam) - c) < 2e-6
 
@@ -154,8 +154,8 @@ def test_quadratic_relative_value_oracle(model, mid_grid):
     # f(x, z) = 2 x^2 solves the discrete interior equations with v = x^2,
     # lam = 2 (central differences are exact on quadratics); boundary layers
     # stay outside |x| <= 3
-    d = DriverSpec(lambda x, z: 2.0 * np.square(x) + 0.0 * z,
-                   lipschitz_z=0.0, bound_at_zero=1000.0)
+    d = checked_driver(lambda x, z: 2.0 * np.square(x) + 0.0 * z,
+                       lipschitz_z=0.0, bound_at_zero=1000.0)
     sol = eg.solve_ergodic(model, d, mid_grid, tol=1e-8)
     nodes = mid_grid.nodes()
     inner = np.abs(nodes) <= 3.0
@@ -238,7 +238,7 @@ def test_frozen_driver_checks_every_node(node, table, value):
 
 
 def test_frozen_driver_rejects_non_finite_bounds():
-    # an infinite bound would pass every node vacuously, as DriverSpec's check forbids
+    # an infinite bound would pass every node vacuously, as checked_driver forbids
     for lip, b0, name in ((np.inf, 1.0, "slope"), (2.0, np.inf, "offset"), (np.nan, 1.0, "slope")):
         with pytest.raises(ValueError, match=f"driver check failed: the {name} bound"):
             frozen_driver(np.zeros(3), np.zeros(3), lipschitz_z=lip, bound_at_zero=b0)
@@ -269,9 +269,6 @@ def test_recomputed_residual_matches_report(model, bump_solution_mid, mid_grid):
     sol = bump_solution_mid
     r = hjb_residual(model, d, mid_grid, sol.v, sol.xi, sol.lam)
     assert r == pytest.approx(sol.residual_sup, rel=1e-9)
-    # bare callable gives the same number as the wrapped driver
-    r2 = hjb_residual(model, d.f, mid_grid, sol.v, sol.xi, sol.lam)
-    assert r2 == r
     assert sol.residual_sup <= 1e-8
 
 

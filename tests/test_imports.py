@@ -108,6 +108,32 @@ def test_the_check_sees_an_unused_private_name():
                                                       ("a", 7, "_Gone")]
 
 
+def reads_of(source: str, name: str) -> list:
+    """Lines where ``source`` imports ``name`` from a module or reads it, bare or as an
+    attribute."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
+            lines.add(node.lineno)
+        elif ((isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+              or (isinstance(node, ast.Attribute) and node.attr == name)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "_samples.py"],
+                         ids=lambda p: p.name)
+def test_only_the_bound_rule_reads_the_check_slack(path):
+    # every check of a declared bound goes through _samples.first_over
+    assert reads_of(path.read_text(), "_CHECK_SLACK") == []
+
+
+def test_the_check_sees_a_read_of_the_slack():
+    source = ("from ._samples import _CHECK_SLACK, check_states\nfrom . import _samples as s\n"
+              "_CHECK_SLACK = 2\nx = 1.0 + s._CHECK_SLACK\ny = _CHECK_SLACK\n")
+    assert reads_of(source, "_CHECK_SLACK") == [1, 4, 5]
+
+
 def test_the_package_exports_each_modules_public_names_once():
     import ergodic_games
     from ergodic_games import catalog, continuous, ebsde, games, picard, sde, verify

@@ -267,6 +267,28 @@ def test_band_size_changes_no_number(model, monkeypatch, band):
     assert step_index == default[1] > sde._FINITE_CHECK_STEPS
 
 
+def _pairwise_tree(values):
+    """Column sums along window_sum's tree: each level adds row ``i`` and row
+    ``i + ceil(n / 2)``, and an odd middle row moves up as it is."""
+    v = values
+    while len(v) > 1:
+        n, half = len(v), (len(v) + 1) // 2
+        v = np.concatenate([v[:n - half] + v[half:], v[n - half:half]])
+    return v[0]
+
+
+def test_window_sum_adds_along_a_fixed_pairwise_tree():
+    # magnitudes from 1e-8 to 1e7, so any other order of additions shows in the bits
+    rng = np.random.default_rng(3)
+    for width in (1, 7, 32):
+        block = rng.standard_normal((299, width)) * 10.0 ** rng.integers(-8, 8, (299, width))
+        for n in range(1, 300):
+            assert sde.window_sum(block[:n]).tobytes() == _pairwise_tree(block[:n]).tobytes()
+    # a read-only broadcast block, as a cost that ignores the state gives
+    row = np.broadcast_to(rng.standard_normal(5) * 1e-3 + 1.0, (37, 5))
+    assert sde.window_sum(row).tobytes() == _pairwise_tree(row).tobytes()
+
+
 def test_zero_horizon_returns_initial_state(model):
     states = eg.sample_paths(model, None, 0.0, 0.5, 0, n_paths=1)
     assert states.shape == (1, 1)
