@@ -3,7 +3,7 @@
 
 Usage: python scripts/bench.py LABEL
 
-The record has four parts:
+The record has five parts:
 
 * ``perfbench``: for each workload of ``BENCHMARK.json``, ``perfbench/run.py
   --workload W --seed 41 --seconds S --trace 0`` is run unchanged (S is the
@@ -26,6 +26,12 @@ The record has four parts:
   ``linear_z_plus_bump`` (slope 0.5) on ``ou_model()`` at tol 1e-6, on
   ``Grid1D(-6, 6, m)`` for each m of LADDER_SIZES: the median seconds of
   LADDER_RUNS solves and the Newton iteration count, under ``m<m>``;
+* ``search_ladder``: in one fresh interpreter, for each game of SEARCH_GAMES,
+  ``games._search`` on the nodes of ``Grid1D(-6, 6, 101)`` at the gradients
+  ``default_rng(0).normal(scale=2, size=(101, n))``: the median seconds of
+  LADDER_RUNS calls after one that fills the spec's once-only caches, and
+  the number of rows flagged without a stable control, under the game's
+  label;
 * ``src_lines``: the line count of each ``src/ergodic_games/*.py`` of the
   copy below, by file name, and their ``total``.
 
@@ -61,6 +67,12 @@ ENGINE_COUNTERS = ("paths", "steps", "batches", "windows", "streams", "workers")
 ENGINE_SECONDS = ("rng_s", "euler_s", "cost_s")
 LADDER_SIZES = (101, 201, 401, 801)
 LADDER_RUNS = 5
+# (label, catalogue builder, n_controls or None for the builder's default)
+SEARCH_GAMES = (("quadratic_decoupled", "quadratic_decoupled", None),
+                ("coupled_cross_cost", "coupled_cross_cost", None),
+                ("three_player_symmetric_41", "three_player_symmetric", 41),
+                ("three_player_symmetric_101", "three_player_symmetric", 101))
+SEARCH_NODES = 101
 
 
 def workload_entry(run: dict) -> dict:
@@ -118,6 +130,29 @@ def grid_ladder(sizes=LADDER_SIZES, runs=LADDER_RUNS) -> dict:
     return ladder
 
 
+def search_ladder(runs=LADDER_RUNS) -> dict:
+    """The ``search_ladder`` part, measured in this interpreter."""
+    import numpy as np
+
+    import ergodic_games as eg
+    from ergodic_games.catalog import GAME_BUILDERS
+    from ergodic_games.games import _search
+
+    x, ladder = eg.Grid1D(-6.0, 6.0, SEARCH_NODES).nodes(), {}
+    for label, builder, n_controls in SEARCH_GAMES:
+        spec = GAME_BUILDERS[builder](*(() if n_controls is None else (n_controls,)))
+        z = np.random.default_rng(0).normal(scale=2.0, size=(len(x), spec.n_players))
+        _search(spec, x, z)
+        seconds = []
+        for _ in range(runs):
+            t0 = time.perf_counter()
+            _, stable = _search(spec, x, z)
+            seconds.append(time.perf_counter() - t0)
+        ladder[label] = {"search_s": statistics.median(seconds),
+                         "unstable": int(np.count_nonzero(~stable))}
+    return ladder
+
+
 def src_lines(root: Path) -> dict:
     """The ``src_lines`` part, counted in the checkout (or copy) ``root``."""
     counts = {path.name: path.read_bytes().count(b"\n")
@@ -126,11 +161,11 @@ def src_lines(root: Path) -> dict:
 
 
 def bench_record(label: str, runs: dict, manifests: dict, logs: dict, ladder: dict,
-                 lines: dict) -> dict:
+                 search: dict, lines: dict) -> dict:
     """The bench file's contents: ``runs`` maps each workload to its perfbench
     record, ``manifests`` and ``logs`` each g0 command to the manifests and the
-    standard error of its runs, ``ladder`` is :func:`grid_ladder`'s result and
-    ``lines`` :func:`src_lines`'s."""
+    standard error of its runs, ``ladder`` is :func:`grid_ladder`'s result,
+    ``search`` :func:`search_ladder`'s and ``lines`` :func:`src_lines`'s."""
     first = next(iter(runs.values()))
     return {
         "label": label,
@@ -139,6 +174,7 @@ def bench_record(label: str, runs: dict, manifests: dict, logs: dict, ladder: di
                       "workloads": {name: workload_entry(run) for name, run in runs.items()}},
         "g0": {command: g0_entry(mans, logs[command]) for command, mans in manifests.items()},
         "grid_ladder": ladder,
+        "search_ladder": search,
         "src_lines": lines,
     }
 
@@ -198,9 +234,11 @@ def main(argv=None) -> int:
                 manifest, log = run_g0(root, command, Path(tmp) / f"{command}-{r}")
                 manifests[command].append(manifest)
                 logs[command].append(log)
-        ladder = run_fresh(root, "import bench, json; print(json.dumps(bench.grid_ladder()))")
+        ladder, search = (run_fresh(root, f"import bench, json; print(json.dumps(bench.{part}()))")
+                          for part in ("grid_ladder", "search_ladder"))
         lines = src_lines(root)
-    record = bench_record(argv[0], runs, manifests, logs, json.loads(ladder.stdout), lines)
+    record = bench_record(argv[0], runs, manifests, logs, json.loads(ladder.stdout),
+                          json.loads(search.stdout), lines)
     path = REPO / f"BENCH_{argv[0]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)

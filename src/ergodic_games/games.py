@@ -49,6 +49,9 @@ _SEARCH_FLOATS = 2**15
 # samples verify_isaacs draws and searches at once (more than its default 300), so
 # its memory does not grow with n_samples
 _ISAACS_BLOCK = 1024
+# the pruned pass's rounding margin: relative (machine epsilon) and absolute (the
+# smallest normal float, far above any product's underflow)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
 class NoPureNashError(RuntimeError):
@@ -115,6 +118,11 @@ class GameSpec:
     search evaluates one column per class.  ``_classes`` holds ``(reps,
     cls)``, the first column of each class (ascending) and each column's
     class, or None where no column repeats or cost 0 reads the others.
+    Where cost 0 reads the others through the drift alone, player 0's search
+    also drops the rows that a dominance bound shows can reach no column
+    minimum (see :func:`isaac_fixed_point`); its ``Δ`` is cached on the spec
+    in ``_dominance``, two ``(|U_0|, |U_0|)`` arrays filled one reference row
+    at a time on first use (None where cost 0 reads the others).
     Nothing is cached per state, so tabulation memory is O(max(|U|^n,
     _SEARCH_FLOATS)), independent of the state grid.  ``cost_sup`` bounds
     ``|cost_i|`` and ``cost_x_lip`` is a Lipschitz constant of the costs in
@@ -157,8 +165,12 @@ class GameSpec:
         cost0 = self._run_checks()
         # player 0's Hamiltonian reads the others' controls through the drift alone
         # where cost 0's compact values have length 1 on their axes
-        classes = _column_classes(table) if math.prod(cost0[2:]) == 1 else None
-        object.__setattr__(self, "_classes", classes)
+        own = math.prod(cost0[2:]) == 1
+        object.__setattr__(self, "_classes", _column_classes(table) if own else None)
+        # player 0's pruned pass fills Δ one reference row at a time, on first use
+        n0 = len(self.grids[0])
+        dominance = (np.empty((2, n0, n0)), np.zeros(n0, dtype=bool)) if own else None
+        object.__setattr__(self, "_dominance", dominance)
 
     @property
     def n_players(self) -> int:
@@ -336,9 +348,19 @@ def isaac_fixed_point(spec: GameSpec, x, z):
     (player-0 indices marked for some choice of the others), which hold every
     stable control.  Where the spec has classes of equal drift columns (see
     :class:`GameSpec`), the pass evaluates the ``|U_0| x C`` class table,
-    gathered once per call, ``_SEARCH_FLOATS // (|U_0| C)`` nodes at a time,
-    and gives each column its class's marks: equal columns have equal
-    Hamiltonian entries, so the marks are the full pass's bits.  The others
+    gathered once per call, and gives each column its class's marks: equal
+    columns have equal Hamiltonian entries, so the marks are the full pass's
+    bits.  Where cost 0 reads the others' controls through the drift alone
+    (``quadratic_decoupled`` and ``three_player_symmetric``, not
+    ``coupled_cross_cost``), the pass forms only the rows that a dominance
+    bound keeps: each node takes the best row r on the table's first column,
+    and drops every row u with ``z0·Δ(u, r) + (K[u] - K[r]) > 32·ε·(|z0|·2·
+    drift_bound + |K[u]| + |K[r]|) + tiny``, K being cost 0 at the node and
+    Δ(u, r) ``min_c (T[u, c] - T[r, c])`` over the table T for z0 >= 0 (the
+    max for z0 < 0).  The margin bounds every rounding, so a dropped row lies
+    strictly above row r in every column and the kept rows' marks are the
+    full pass's bits; a node whose margin sum is NaN, infinite or above
+    2**1000 keeps every row.  Elsewhere the pass runs over whole tables.  The others
     then run on the kept rows of many nodes, stacked, ``_SEARCH_FLOATS //
     |U|^(n-1)`` rows at a time: a later player's marks on a row depend on
     that row alone.  Both passes refill one Hamiltonian buffer, so memory is
@@ -348,7 +370,7 @@ def isaac_fixed_point(spec: GameSpec, x, z):
     values.
 
     Raises :class:`NoPureNashError` for the first state with no stable joint
-    control, NaN gradients and states included.
+    control, non-finite gradients and states included.
     """
     if np.ndim(x) == 0:
         return tuple(int(j) for j in isaac_fixed_point(spec, np.array([x]), np.array([z]))[0])
@@ -363,70 +385,186 @@ def isaac_fixed_point(spec: GameSpec, x, z):
 def _search(spec: GameSpec, x: np.ndarray, z: np.ndarray) -> tuple:
     """The batch search of :func:`isaac_fixed_point` without its raise: the ``(K, n)``
     controls and a ``(K,)`` flag, true where the row has a stable joint control.  A row
-    without one (NaN included) is flagged false and its controls are 0."""
+    without one is flagged false and its controls are 0; so is a row whose state or any
+    gradient is not finite, which neither pass sees.
+
+    Player 0's pass is :func:`_player0_pruned` where cost 0 reads the others' controls
+    through the drift alone (the spec's ``_dominance`` is set), else :func:`_player0_rows`
+    over whole tables.  The pruned pass takes ``_SEARCH_FLOATS // (4 |U_0| + C)`` nodes
+    at a time, C the columns of its table: a node's dominance test holds a few vectors
+    of |U_0| floats, and the node keeps about one row of C."""
     n, shape, size = spec.n_players, spec._shape(), spec.product_size()
     if x.ndim != 1 or z.shape != (len(x), n):
         raise ValueError(f"need one gradient value per player ({n}) at each state, got "
                          f"states of shape {x.shape} and gradients of shape {z.shape}")
     out, stable = np.zeros((len(x), n), dtype=np.intp), np.zeros(len(x), dtype=bool)
+    live = np.flatnonzero(np.isfinite(x) & np.isfinite(z).all(axis=1))
+    x, z = x[live], z[live]
     if not len(x):
         return out, stable
     width = size // shape[0]
-    classes = getattr(spec, "_classes")
-    if classes is None:
-        table, cls = spec.drift_table(), None
-    else:
-        # one column per class, in C order for the pass's strided reads
-        table = np.take(spec.drift_table().reshape(shape[0], -1), classes[0], axis=1)
-        table, cls = table.reshape(table.shape + (1,) * (n - 2)), classes[1]
-    nodes_per, rows_per = max(1, _SEARCH_FLOATS // table.size), max(1, _SEARCH_FLOATS // width)
-    # one Hamiltonian buffer for both passes, each refilling its front
-    buf = np.empty(max(min(nodes_per, len(x)) * table.size,
+    table, cls = _player0_table(spec)
+    pruned, columns = getattr(spec, "_dominance") is not None, table.size // shape[0]
+    player0 = _player0_pruned if pruned else _player0_rows
+    # a node's floats in player 0's pass: its whole table, or the dominance test's few
+    # vectors of |U_0| and about one kept row
+    per_node = 4 * shape[0] + columns if pruned else table.size
+    nodes_per, rows_per = max(1, _SEARCH_FLOATS // per_node), max(1, _SEARCH_FLOATS // width)
+    # one Hamiltonian buffer for both passes, each refilling its front; it holds a node's
+    # every row and their column minima
+    buf = np.empty(max(min(nodes_per, len(x)) * per_node, table.size + columns,
                        min(rows_per, len(x) * shape[0]) * width))
     # the later players run once a chunk of kept rows is pending, or at the last node,
     # so the marks held at once stay about one chunk's worth whatever the batch size
     pending, n_pending = [], 0
     for k0 in range(0, len(x), nodes_per):
         xs, zs = x[k0:k0 + nodes_per], z[k0:k0 + nodes_per]
-        h = buf[:len(xs) * table.size].reshape((len(xs),) + table.shape)
-        nodes, rows, marks = _player0_rows(spec, xs, zs, table, cls, h)
+        nodes, rows, marks = player0(spec, xs, zs, table, cls, buf)
         pending.append((nodes + k0, rows, marks))
         n_pending += len(rows)
         if n_pending < rows_per and k0 + len(xs) < len(x):
             continue
-        nodes, rows, marks = (np.concatenate(a) for a in zip(*pending))
+        nodes, rows, marks = _joined(pending)
+        pending, n_pending = [], 0
         found, first = _later_players(spec, x, z, nodes, rows, marks, buf)
+        del marks  # the next chunk's pass runs without these marks
         # each node's first row with a mark: rows are stacked in ascending order per node
         hit = found.nonzero()[0]
         starts = np.ones(len(hit), dtype=bool)
         np.not_equal(nodes[hit[1:]], nodes[hit[:-1]], out=starts[1:])
         hit = hit[starts]
-        out[nodes[hit]] = np.array(np.unravel_index(rows[hit] * width + first[hit], shape)).T
-        stable[nodes[hit]] = True
-        pending, n_pending = [], 0
+        at = live[nodes[hit]]
+        out[at] = np.array(np.unravel_index(rows[hit] * width + first[hit], shape)).T
+        stable[at] = True
     return out, stable
 
 
+def _player0_table(spec: GameSpec) -> tuple:
+    """Player 0's drift table as the search reads it, and the class of each column: the
+    joint table and None, or one column per class of equal columns (``(|U_0|, C, 1, ...,
+    1)``, in C order for the pass's strided reads) and each column's class."""
+    classes = getattr(spec, "_classes")
+    if classes is None:
+        return spec.drift_table(), None
+    table = np.take(spec.drift_table().reshape(len(spec.grids[0]), -1), classes[0], axis=1)
+    return table.reshape(table.shape + (1,) * (spec.n_players - 2)), classes[1]
+
+
 def _player0_rows(spec: GameSpec, x: np.ndarray, z: np.ndarray, table: np.ndarray,
-                  cls, h: np.ndarray) -> tuple:
-    """Player 0's pass over the Hamiltonian tables ``h`` of the nodes ``x``, the state going
-    to the cost as a ``(c, 1, ..., 1)`` array.  ``table`` is the drift table, or one column
-    per class of equal drift columns (``(|U_0|, C, 1, ..., 1)``) with ``cls`` the class of
-    each column (else None).  The node and row of each kept row (node-major, rows ascending)
-    and the row's player-0 marks on the joint grid."""
+                  cls, buf: np.ndarray) -> tuple:
+    """Player 0's pass over the Hamiltonian tables of the nodes ``x``, formed in the front
+    of ``buf``, the state going to the cost as a ``(c, 1, ..., 1)`` array.  ``table`` is
+    the drift table, or one column per class of equal drift columns (``(|U_0|, C, 1, ...,
+    1)``) with ``cls`` the class of each column (else None).  The node and row of each kept
+    row (node-major, rows ascending) and the row's player-0 marks on the joint grid."""
     lead = (-1,) + (1,) * spec.n_players
+    h = buf[:len(x) * table.size].reshape((len(x),) + table.shape)
     np.multiply(table, z[:, 0].reshape(lead), out=h)
     # the raw cost broadcasts into the buffer: no table-sized temporary
     h += spec.costs[0](x.reshape(lead), *getattr(spec, "_mesh"))
     best = h <= h.min(axis=1, keepdims=True)
-    # none where z[0] or the cost is NaN
+    # none where the cost is NaN
     nodes, rows = best.any(axis=tuple(range(2, h.ndim))).nonzero()
-    marks = best[nodes, rows]
-    if cls is None:
-        return nodes, rows, marks
-    # a column has its class representative's Hamiltonian entries, so its marks
-    marks = marks.reshape(len(rows), table.shape[1]).take(cls, axis=1)
-    return nodes, rows, marks.reshape((len(rows),) + spec._shape()[1:])
+    return nodes, rows, _joint_marks(spec, best[nodes, rows], cls)
+
+
+def _player0_pruned(spec: GameSpec, x: np.ndarray, z: np.ndarray, table: np.ndarray,
+                    cls, buf: np.ndarray) -> tuple:
+    """:func:`_player0_rows` where cost 0 reads the others' controls through the drift
+    alone, so that cost 0 at a node is one value per row: the same kept rows and marks,
+    from the Hamiltonians of the rows that :func:`_undominated` keeps.
+
+    A dropped row lies strictly above a kept one in every column, so the column minima
+    over the kept rows are those over all rows, and the kept rows' Hamiltonians, formed
+    by the same two ufunc operations as over whole tables, get the same marks.  Each
+    node's m rows (m the most any node keeps, the others padded with their first kept
+    row, which leaves the minima as they are) and their column minima are formed in
+    ``buf``, as many nodes at a time as it holds; it holds at least ``(|U_0| + 1) C``
+    floats, C the columns of ``table``."""
+    n0 = len(table)
+    t = table.reshape(n0, -1)
+    lead = (-1,) + (1,) * spec.n_players
+    cost = np.asarray(spec.costs[0](x.reshape(lead), *getattr(spec, "_mesh")), dtype=float)
+    cost = np.broadcast_to(cost, (len(x), n0) + (1,) * (spec.n_players - 1)).reshape(len(x), n0)
+    keep = _undominated(spec, t, z[:, :1], cost, buf)
+    counts = keep.sum(axis=1)
+    m = int(counts.max())
+    real = np.arange(m) < counts[:, None]
+    idx = np.argsort(~keep, axis=1, kind="stable")[:, :m]  # the kept rows first, ascending
+    idx = np.where(real, idx, idx[:, :1])
+    step, found = len(buf) // ((m + 1) * t.shape[1]), []
+    for a in range(0, len(x), step):
+        rows = idx[a:a + step]
+        h = buf[:rows.size * t.shape[1]].reshape(rows.shape + (-1,))
+        np.take(t, rows, axis=0, out=h, mode="clip")
+        h *= z[a:a + step, :1, None]
+        h += np.take_along_axis(cost[a:a + step], rows, axis=1)[:, :, None]
+        low = buf[h.size:h.size + len(rows) * t.shape[1]].reshape(len(rows), 1, -1)
+        best = h <= h.min(axis=1, keepdims=True, out=low)
+        nodes, slots = (real[a:a + step] & best.any(axis=2)).nonzero()
+        found.append((nodes + a, rows[nodes, slots], best[nodes, slots]))
+    nodes, rows, marks = _joined(found)
+    return nodes, rows, _joint_marks(spec, marks, cls)
+
+
+def _undominated(spec: GameSpec, t: np.ndarray, z0: np.ndarray, k: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
+    """Where each node keeps a row of player 0's table ``t`` (``(|U_0|, C)``), for the
+    gradients ``z0`` (``(K, 1)``) and cost 0 at each node and row ``k`` (``(K, |U_0|)``);
+    ``scratch`` holds at least ``t.size`` floats.
+
+    A node takes as its reference r the best row on ``t``'s first column, and drops a row
+    u where ``z0·Δ(u, r) + (k[u] - k[r])`` exceeds ``32·ε·(|z0|·2·drift_bound + |k[u]| +
+    |k[r]|) + tiny``, Δ(u, r) being ``min_c (t[u, c] - t[r, c])`` for z0 >= 0 and the
+    max for z0 < 0 (:func:`_dominance`).  The margin bounds the rounding of both
+    Hamiltonian entries and of the test itself, so a dropped row lies strictly above
+    row r in every column.  A node whose margin sum ``|z0|·2·drift_bound + 2·max|k|``
+    is NaN, infinite or above 2**1000 keeps every row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = np.argmin(t[:, 0] * z0 + k, axis=1)
+        kr = np.take_along_axis(k, ref[:, None], axis=1)
+        spread = np.abs(z0) * (2.0 * spec.drift_bound)
+        gap = _dominance(spec, t, ref, scratch)[(z0[:, 0] < 0.0).astype(np.intp), ref]
+        gap *= z0
+        gap += k - kr
+        margin = np.abs(k)
+        bounded = spread[:, 0] + 2.0 * margin.max(axis=1) <= 2.0**1000
+        margin += np.abs(kr)
+        margin += spread
+        margin *= 32.0 * _EPS
+        margin += _TINY
+        keep = ~(gap > margin)
+    keep[~bounded] = True
+    return keep
+
+
+def _dominance(spec: GameSpec, t: np.ndarray, refs: np.ndarray, scratch: np.ndarray):
+    """The spec's ``(2, |U_0|, |U_0|)`` Δ of the table ``t`` of player 0's pruned pass,
+    ``[0, r, u] = min_c (t[u, c] - t[r, c])`` and ``[1, r, u]`` the max, with the rows of
+    ``refs`` filled: a row is computed on first use, in the front of ``scratch``."""
+    delta, done = getattr(spec, "_dominance")
+    need = np.zeros(len(done), dtype=bool)
+    need[refs] = True
+    for r in np.flatnonzero(need & ~done):
+        d = np.subtract(t, t[r], out=scratch[:t.size].reshape(t.shape))
+        d.min(axis=1, out=delta[0, r])
+        d.max(axis=1, out=delta[1, r])
+        done[r] = True
+    return delta
+
+
+def _joined(parts: list) -> tuple:
+    """Triples of arrays joined field by field; a lone triple as it is, not copied."""
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _joint_marks(spec: GameSpec, marks: np.ndarray, cls) -> np.ndarray:
+    """Kept rows' player-0 marks, one per column of the pass's table, on the joint grid:
+    a column has its class representative's Hamiltonian entries, so its marks."""
+    marks = marks.reshape(len(marks), -1)
+    if cls is not None:
+        marks = marks.take(cls, axis=1)
+    return marks.reshape((len(marks),) + spec._shape()[1:])
 
 
 def _later_players(spec: GameSpec, x: np.ndarray, z: np.ndarray, nodes: np.ndarray,

@@ -337,16 +337,99 @@ def test_player0_class_table_is_c_ordered(monkeypatch):
     # player 0's pass reads the class table row by row: a gather that leaves it in
     # Fortran order makes those reads strided
     spec = eg.three_player_symmetric(n_controls=41)
-    player0_rows, seen = games._player0_rows, []
+    player0_pruned, seen = games._player0_pruned, []
 
-    def record(spec, x, z, table, cls, h):
+    def record(spec, x, z, table, cls, buf):
         seen.append((table.shape, table.flags.c_contiguous))
-        return player0_rows(spec, x, z, table, cls, h)
+        return player0_pruned(spec, x, z, table, cls, buf)
 
-    monkeypatch.setattr(games, "_player0_rows", record)
+    monkeypatch.setattr(games, "_player0_pruned", record)
     rng = np.random.default_rng(3)
     games._search(spec, np.linspace(-6.0, 6.0, 101), rng.normal(scale=2.0, size=(101, 3)))
     assert seen and all(shape == (41, 781, 1) and c_order for shape, c_order in seen)
+
+
+def _pruned_pass_inputs(spec, k, seed):
+    # states beyond the grid's [-6, 6] and gradients on the quarter lattice (ties before
+    # rounding), with player 0's gradient negative, zero, or large enough that the margin
+    # sum overflows (4e307) or the Hamiltonian itself does (1e308)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=3.0, size=k)
+    x[::4] = rng.choice([-50.0, -7.5, 9.0, 1e6], size=len(x[::4]))
+    z = rng.normal(scale=2.0, size=(k, spec.n_players))
+    z[::2] = 0.25 * rng.integers(-8, 9, size=(len(z[::2]), spec.n_players))
+    z[1::5, 0] = -np.abs(z[1::5, 0])
+    z[::9, 0] = 0.0
+    z[3::11, 0] = 4e307 * np.sign(z[3::11, 0] + 0.5)
+    z[5::11, 0] = -1e308
+    z[7::11, 0] = 1e308
+    return x, z
+
+
+def _bilinear_drift():
+    # drift u·v: a row's drift minus the reference row's changes sign across the columns,
+    # so the smallest and the largest difference (z_0 >= 0 and z_0 < 0) differ
+    g = eg.ControlGrid.uniform(-1.0, 1.0, 9)
+    return eg.GameSpec(grids=(g, g), drift_map=lambda u, v: u * v,
+                       costs=(lambda x, u, v: u**2 + bump(x), lambda x, u, v: v**2 + bump(x)),
+                       cost_sup=1.0 + BUMP_SUP, cost_x_lip=BUMP_LIP)
+
+
+_PRUNED_EXTRA = {"one_player": lambda: _one_player(), "bilinear_drift": _bilinear_drift}
+
+
+@pytest.mark.parametrize("name", list(_CLASSED_GAMES) + list(_PRUNED_EXTRA))
+def test_pruned_pass_equals_the_full_pass(name, monkeypatch):
+    # where cost 0 reads the others' controls through the drift alone, the pruned pass
+    # gives the kept rows and marks of the pass over whole tables, bit for bit, also
+    # from a buffer that holds one node's every row; elsewhere the search never prunes
+    spec = _PRUNED_EXTRA[name]() if name in _PRUNED_EXTRA else _CLASSED_GAMES[name][0]()
+    x, z = _pruned_pass_inputs(spec, 264, seed=8)
+    if getattr(spec, "_dominance") is None:
+        def pruned(*args):
+            raise AssertionError("pruned pass taken")
+
+        monkeypatch.setattr(games, "_player0_pruned", pruned)
+        with np.errstate(over="ignore"):
+            games._search(spec, x, z)
+        assert name in ("coupled", "tie", "cost_reads_others")
+        return
+    table, cls = games._player0_table(spec)
+    huge = np.abs(z[:, 0]) == 1e308
+    # chunks of 33 nodes, each with every kind of input; the margin's own overflow at
+    # 4e307 raises nothing, and at 1e308 both passes overflow
+    for c0 in range(0, len(x), 33):
+        for part, over in ((~huge, "raise"), (huge, "ignore")):
+            rows = c0 + np.flatnonzero(part[c0:c0 + 33])
+            with np.errstate(over=over):
+                full = games._player0_rows(spec, x[rows], z[rows], table, cls,
+                                           np.empty(len(rows) * table.size))
+                for floats in (len(rows) * table.size, table.size + table.size // len(table)):
+                    pruned = games._player0_pruned(spec, x[rows], z[rows], table, cls,
+                                                   np.empty(floats))
+                    for a, b in zip(full, pruned):
+                        assert a.dtype == b.dtype
+                        np.testing.assert_array_equal(a, b)
+    kept, undominated = [], games._undominated
+
+    def record(*args):
+        keep = undominated(*args)
+        kept.extend(keep.sum(axis=1))
+        return keep
+
+    monkeypatch.setattr(games, "_undominated", record)
+    # a margin sum above 2**1000 keeps every row
+    big = np.abs(z[:, 0]) == 4e307
+    games._player0_pruned(spec, x[big], z[big], table, cls, np.empty(table.size * 2))
+    assert kept == [len(table)] * big.sum()
+    if name == "bilinear_drift":
+        return
+    # off the lattice a node forms one or two rows, not its whole table
+    kept.clear()
+    rng = np.random.default_rng(9)
+    games._search(spec, rng.normal(scale=3.0, size=200),
+                  rng.normal(scale=2.0, size=(200, spec.n_players)))
+    assert len(kept) == 200 and max(kept) <= 2, np.bincount(kept)
 
 
 @pytest.mark.parametrize("name", list(_CLASSED_GAMES))
@@ -543,27 +626,31 @@ def test_batch_search_memory_is_bounded(build, k):
 @pytest.mark.parametrize("build", [eg.quadratic_decoupled,
                                    lambda: eg.three_player_symmetric(n_controls=9),
                                    lambda: eg.three_player_symmetric(n_controls=41),
-                                   lambda: _three_player((5, 7, 4))],
-                         ids=["two_player", "three_player", "three_player_41", "unequal_grids"])
+                                   lambda: _three_player((5, 7, 4)),
+                                   eg.coupled_cross_cost],
+                         ids=["two_player", "three_player", "three_player_41", "unequal_grids",
+                              "coupled"])
 def test_nan_gradient_or_state_has_no_pure_nash(build):
-    # a NaN z_0, or a NaN cost for player 0, leaves player 0 no row to search;
-    # a NaN z_i for a later player marks nothing on the rows
+    # a row whose state or any gradient is NaN or infinite has no stable control: an
+    # infinite z_0 used to give a control (after an "invalid value" warning), and a NaN
+    # one left player 0 no row to search
     spec = build()
     good = (0.25,) * spec.n_players
-    for i in range(spec.n_players):
-        z = [0.25] * spec.n_players
-        z[i] = np.nan
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(spec.n_players):
+            z = [0.25] * spec.n_players
+            z[i] = bad
+            with pytest.raises(eg.NoPureNashError):
+                eg.isaac_fixed_point(spec, 0.0, tuple(z))
+            # in a batch, after a row that has one
+            with pytest.raises(eg.NoPureNashError) as exc:
+                eg.isaac_fixed_point(spec, np.array([0.0, 1.0]), np.array([good, z]))
+            assert exc.value.x == 1.0 and np.array_equal(exc.value.z, z, equal_nan=True)
         with pytest.raises(eg.NoPureNashError):
-            eg.isaac_fixed_point(spec, 0.0, tuple(z))
-        # in a batch, after a row that has one
+            eg.isaac_fixed_point(spec, bad, good)
         with pytest.raises(eg.NoPureNashError) as exc:
-            eg.isaac_fixed_point(spec, np.array([0.0, 1.0]), np.array([good, z]))
-        assert exc.value.x == 1.0 and np.isnan(exc.value.z[i])
-    with pytest.raises(eg.NoPureNashError):
-        eg.isaac_fixed_point(spec, np.nan, good)
-    with pytest.raises(eg.NoPureNashError) as exc:
-        eg.isaac_fixed_point(spec, np.array([0.0, np.nan]), np.array([good, good]))
-    assert np.isnan(exc.value.x) and exc.value.z == good
+            eg.isaac_fixed_point(spec, np.array([0.0, bad]), np.array([good, good]))
+        assert np.array_equal(exc.value.x, bad, equal_nan=True) and exc.value.z == good
 
 
 def test_unsorted_grid_tie_goes_to_smallest_values():

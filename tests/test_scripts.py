@@ -123,8 +123,9 @@ def test_bench_record_from_a_perfbench_run_and_manifests(tmp_path):
     (package / "notes.txt").write_text("not code\n")
     lines = bench.src_lines(tmp_path)
     assert lines == {"_csv.py": 1, "sde.py": 3, "total": 4}
+    search = {"quadratic_decoupled": {"search_s": 0.0003, "unstable": 0}}
     record = bench.bench_record("a", {"verify_wide": run}, {"verify-nash": manifests},
-                                {"verify-nash": logs}, ladder, lines)
+                                {"verify-nash": logs}, ladder, search, lines)
     assert record == {
         "label": "a",
         "env": run["env"],
@@ -138,6 +139,7 @@ def test_bench_record_from_a_perfbench_run_and_manifests(tmp_path):
                                    "windows": 158, "streams": 24400, "workers": 2,
                                    "rng_s": 3.8, "euler_s": 8.1, "cost_s": 10.5}}},
         "grid_ladder": ladder,
+        "search_ladder": search,
         "src_lines": {"_csv.py": 1, "sde.py": 3, "total": 4},
     }
     # a command whose log has no engine line has no engine entry
@@ -160,6 +162,14 @@ def test_bench_grid_ladder_records_seconds_and_iterations():
     assert list(ladder) == ["m41", "m81"]
     for entry in ladder.values():
         assert entry["solve_s"] > 0.0 and entry["iterations"] >= 1
+
+
+def test_bench_search_ladder_records_seconds_and_unstable_rows():
+    ladder = _load_script("bench.py").search_ladder(runs=1)
+    assert list(ladder) == ["quadratic_decoupled", "coupled_cross_cost",
+                            "three_player_symmetric_41", "three_player_symmetric_101"]
+    for entry in ladder.values():
+        assert entry["search_s"] > 0.0 and entry["unstable"] == 0
 
 
 def test_bench_takes_one_label(capsys):
