@@ -70,6 +70,8 @@ LADDER_RUNS = 5
 # (label, catalogue builder, n_controls or None for the builder's default)
 SEARCH_GAMES = (("quadratic_decoupled", "quadratic_decoupled", None),
                 ("coupled_cross_cost", "coupled_cross_cost", None),
+                # the game of configs/three_player.yaml
+                ("three_player_symmetric_21", "three_player_symmetric", 21),
                 ("three_player_symmetric_41", "three_player_symmetric", 41),
                 ("three_player_symmetric_101", "three_player_symmetric", 101))
 SEARCH_NODES = 101

@@ -106,23 +106,26 @@ class GameSpec:
     player, as ``np.meshgrid(..., sparse=True)``), their output must broadcast
     to the joint grid's shape (else ``ValueError``).  A search
     (:func:`isaac_fixed_point`) passes the state as a ``(K, 1, ..., 1)`` array,
-    one entry per node or stacked row it searches at once, as the
-    construction checks do.  The callables must act elementwise: the later
-    players' pass also gets player 0's mesh cut to the stacked rows' indices,
+    one entry per node or stacked prefix it searches at once, as the
+    construction checks do.  The callables must act elementwise: player i's
+    pass gets the earlier players' controls as ``(K, 1, ..., 1)`` arrays of
+    the stacked prefixes' values and the other meshes cut to their own axes,
     so no value may depend on the meshes' shapes.  The drift is stored once,
     as one joint table (:meth:`drift_table`), also where it ignores a player.
-    Where ``costs[0]``'s compact values have length 1 on the other players'
-    axes, player 0's Hamiltonian reads their controls through the drift
-    alone: the columns of ``drift_table().reshape(|U_0|, -1)`` are then
-    grouped at construction into classes of bitwise equal columns, and the
-    search evaluates one column per class.  ``_classes`` holds ``(reps,
-    cls)``, the first column of each class (ascending) and each column's
-    class, or None where no column repeats or cost 0 reads the others.
-    Where cost 0 reads the others through the drift alone, player 0's search
-    also drops the rows that a dominance bound shows can reach no column
-    minimum (see :func:`isaac_fixed_point`); its ``Δ`` is cached on the spec
-    in ``_dominance``, two ``(|U_0|, |U_0|)`` arrays filled one reference row
-    at a time on first use (None where cost 0 reads the others).
+    Where ``costs[i]``'s compact values have length 1 on the other players'
+    axes, player i's Hamiltonian reads their controls through the drift
+    alone.  For player 0 the columns of ``drift_table().reshape(|U_0|, -1)``
+    are then grouped at construction into classes of bitwise equal columns,
+    and the search evaluates one column per class.  ``_classes`` holds
+    ``(reps, cls)``, the first column of each class (ascending) and each
+    column's class, or None where no column repeats or cost 0 reads the
+    others.  Such a player i < n-1 also drops the rows that a dominance
+    bound shows can reach no column minimum (see :func:`isaac_fixed_point`).
+    ``_dominance[i]`` caches its ``Δ`` as ``[slots, rows]``: ``rows`` holds
+    a ``(2, |U_i|)`` min and max pair for each (prefix, reference row) pair
+    filled so far, on first use, and ``slots`` (one entry per pair, flat as
+    ``prefix·|U_i| + r``) its index in ``rows`` or -1.  It is None for any
+    other player.
     Nothing is cached per state, so tabulation memory is O(max(|U|^n,
     _SEARCH_FLOATS)), independent of the state grid.  ``cost_sup`` bounds
     ``|cost_i|`` and ``cost_x_lip`` is a Lipschitz constant of the costs in
@@ -162,14 +165,15 @@ class GameSpec:
                              f"control {controls} is not finite")
         object.__setattr__(self, "drift_bound", float(np.abs(table).max()))
         object.__setattr__(self, "_drift_table", table)
-        cost0 = self._run_checks()
-        # player 0's Hamiltonian reads the others' controls through the drift alone
-        # where cost 0's compact values have length 1 on their axes
-        own = math.prod(cost0[2:]) == 1
-        object.__setattr__(self, "_classes", _column_classes(table) if own else None)
-        # player 0's pruned pass fills Δ one reference row at a time, on first use
-        n0 = len(self.grids[0])
-        dominance = (np.empty((2, n0, n0)), np.zeros(n0, dtype=bool)) if own else None
+        # player i's Hamiltonian reads the others' controls through the drift alone
+        # where cost i's compact values have length 1 on their axes
+        own = [math.prod(c[1:]) == c[1 + i] for i, c in enumerate(self._run_checks())]
+        object.__setattr__(self, "_classes", _column_classes(table) if own[0] else None)
+        # such a player's pass, the last player's excepted, fills Δ on first use
+        shape = self._shape()
+        dominance = tuple([np.full(math.prod(shape[:i + 1]), -1, dtype=np.intp),
+                           np.empty((0, 2, shape[i]))] if own[i] and i < len(shape) - 1
+                          else None for i in range(len(shape)))
         object.__setattr__(self, "_dominance", dominance)
 
     @property
@@ -221,14 +225,14 @@ class GameSpec:
             raw = self._compact(cost, xs.reshape((-1,) + (1,) * n), lead=(len(xs),), check=check)
         return raw.reshape((1,) * (n + 1 - raw.ndim) + raw.shape)
 
-    def _run_checks(self) -> Tuple[int, ...]:
+    def _run_checks(self) -> list:
         """Check ``cost_sup`` at each state and ``cost_x_lip`` between paired states.
 
         Each cost is called on a block of states at once.  The first state runs
         alone; its compact size sets the block, so that a block's compact array
         holds at most one joint table.  The broadcast over the joint grid is
-        validated on the first call of each block size.  Returns the compact
-        shape of cost 0 at the first state, its sample axis first.
+        validated on the first call of each block size.  Returns each cost's
+        compact shape at the first state, its sample axis first.
         """
         if not (math.isfinite(self.cost_sup) and math.isfinite(self.cost_x_lip)):
             raise ValueError(f"cost check failed: cost_sup={self.cost_sup!r} and "
@@ -248,7 +252,7 @@ class GameSpec:
                     firsts.append(shape)
                     block = max(1, self.product_size() // math.prod(shape))
                 start = stop
-        return firsts[0]
+        return firsts
 
     def _check_block(self, i: int, xs: np.ndarray, ys: np.ndarray,
                      lip_bound: np.ndarray, check: bool) -> Tuple[int, ...]:
@@ -342,32 +346,31 @@ def isaac_fixed_point(spec: GameSpec, x, z):
     shape ``(K, n)`` it returns a ``(K, n)`` ``intp`` array whose row ``k``
     is the control of ``(x[k], z[k])``: the search runs once for the batch.
 
-    One pass per player marks where that player's Hamiltonian is minimal
-    along their own axis: player 0's over whole joint tables, ``_SEARCH_FLOATS
-    // |U|^n`` nodes at a time (at least one), each node keeping its *rows*
-    (player-0 indices marked for some choice of the others), which hold every
-    stable control.  Where the spec has classes of equal drift columns (see
-    :class:`GameSpec`), the pass evaluates the ``|U_0| x C`` class table,
-    gathered once per call, and gives each column its class's marks: equal
-    columns have equal Hamiltonian entries, so the marks are the full pass's
-    bits.  Where cost 0 reads the others' controls through the drift alone
-    (``quadratic_decoupled`` and ``three_player_symmetric``, not
-    ``coupled_cross_cost``), the pass forms only the rows that a dominance
-    bound keeps: each node takes the best row r on the table's first column,
-    and drops every row u with ``z0·Δ(u, r) + (K[u] - K[r]) > 32·ε·(|z0|·2·
-    drift_bound + |K[u]| + |K[r]|) + tiny``, K being cost 0 at the node and
-    Δ(u, r) ``min_c (T[u, c] - T[r, c])`` over the table T for z0 >= 0 (the
-    max for z0 < 0).  The margin bounds every rounding, so a dropped row lies
-    strictly above row r in every column and the kept rows' marks are the
-    full pass's bits; a node whose margin sum is NaN, infinite or above
-    2**1000 keeps every row.  Elsewhere the pass runs over whole tables.  The others
-    then run on the kept rows of many nodes, stacked, ``_SEARCH_FLOATS //
-    |U|^(n-1)`` rows at a time: a later player's marks on a row depend on
-    that row alone.  Both passes refill one Hamiltonian buffer, so memory is
-    O(max(|U|^n, _SEARCH_FLOATS)) floats whatever the batch size.  A node's
-    control is its first control marked by every player in row-major index
-    order; grids are ascending, so ties go to the smallest tuple of control
-    values.
+    One pass per player, in player order, marks where that player's
+    Hamiltonian is minimal along their own axis.  Player i's pass runs on
+    stacked *prefixes* ``(node, u_0, ..., u_{i-1})`` with the earlier
+    players' marks; its table on a prefix is the drift's slice there,
+    ``(|U_i|, rest)`` (player 0's prefix is the node).  It hands player i+1
+    each (prefix, row) pair that still has a mark, so every stable control
+    lies on a pair handed on.  Where the spec has classes of equal drift
+    columns (see :class:`GameSpec`), player 0's pass evaluates the ``|U_0|
+    x C`` class table, gathered once per call: equal columns have equal
+    Hamiltonian entries, so equal marks.  Where cost i reads the others'
+    controls through the drift alone (every player of ``quadratic_decoupled``
+    and ``three_player_symmetric``, neither of ``coupled_cross_cost``) and
+    i < n-1, the pass forms only the rows a dominance bound keeps: each
+    prefix takes the best row r on its slice's first column, and drops every
+    row u with ``z_i·Δ(u, r) + (K[u] - K[r]) > 32·ε·(|z_i|·2·drift_bound +
+    |K[u]| + |K[r]|) + tiny``, K being cost i at the prefix and Δ(u, r)
+    ``min_c (T[u, c] - T[r, c])`` over the slice T for z_i >= 0 (the max
+    for z_i < 0).  The margin bounds every rounding, so a dropped row lies
+    strictly above row r in every column: the column minima, the marks and
+    every control stay the full pass's bits.  A prefix whose margin sum is
+    NaN, infinite or above 2**1000 keeps every row; products that overflow
+    are infinite entries, without a warning.  Memory is O(max(|U|^n,
+    _SEARCH_FLOATS)) floats whatever the batch size.  A node's control is
+    its first control marked by every player in row-major index order; grids
+    are ascending, so ties go to the smallest tuple of control values.
 
     Raises :class:`NoPureNashError` for the first state with no stable joint
     control, non-finite gradients and states included.
@@ -386,14 +389,13 @@ def _search(spec: GameSpec, x: np.ndarray, z: np.ndarray) -> tuple:
     """The batch search of :func:`isaac_fixed_point` without its raise: the ``(K, n)``
     controls and a ``(K,)`` flag, true where the row has a stable joint control.  A row
     without one is flagged false and its controls are 0; so is a row whose state or any
-    gradient is not finite, which neither pass sees.
+    gradient is not finite, which no pass sees.
 
-    Player 0's pass is :func:`_player0_pruned` where cost 0 reads the others' controls
-    through the drift alone (the spec's ``_dominance`` is set), else :func:`_player0_rows`
-    over whole tables.  The pruned pass takes ``_SEARCH_FLOATS // (4 |U_0| + C)`` nodes
-    at a time, C the columns of its table: a node's dominance test holds a few vectors
-    of |U_0| floats, and the node keeps about one row of C."""
-    n, shape, size = spec.n_players, spec._shape(), spec.product_size()
+    Each player's pass is :func:`_pass`.  Player 0's runs on ``_SEARCH_FLOATS`` floats'
+    worth of nodes at a time (at least one), the later players' once the prefixes player 0
+    hands on are worth as much to player 1, or at the last node: so the memory held at once
+    stays bounded whatever the batch size."""
+    n, shape = spec.n_players, spec._shape()
     if x.ndim != 1 or z.shape != (len(x), n):
         raise ValueError(f"need one gradient value per player ({n}) at each state, got "
                          f"states of shape {x.shape} and gradients of shape {z.shape}")
@@ -402,132 +404,153 @@ def _search(spec: GameSpec, x: np.ndarray, z: np.ndarray) -> tuple:
     x, z = x[live], z[live]
     if not len(x):
         return out, stable
-    width = size // shape[0]
-    table, cls = _player0_table(spec)
-    pruned, columns = getattr(spec, "_dominance") is not None, table.size // shape[0]
-    player0 = _player0_pruned if pruned else _player0_rows
-    # a node's floats in player 0's pass: its whole table, or the dominance test's few
-    # vectors of |U_0| and about one kept row
-    per_node = 4 * shape[0] + columns if pruned else table.size
-    nodes_per, rows_per = max(1, _SEARCH_FLOATS // per_node), max(1, _SEARCH_FLOATS // width)
-    # one Hamiltonian buffer for both passes, each refilling its front; it holds a node's
-    # every row and their column minima
-    buf = np.empty(max(min(nodes_per, len(x)) * per_node, table.size + columns,
-                       min(rows_per, len(x) * shape[0]) * width))
-    # the later players run once a chunk of kept rows is pending, or at the last node,
-    # so the marks held at once stay about one chunk's worth whatever the batch size
-    pending, n_pending = [], 0
+    tables, cls = _tables(spec)
+    # floats a pass holds per item: a pruned pass's dominance test (a few vectors of
+    # |U_i|) and about one kept row's marks, a byte per column; else every row and minima
+    per = [4 * t.shape[1] + t.shape[2] // 8 if d is not None else (t.shape[1] + 1) * t.shape[2]
+           for t, d in zip(tables, getattr(spec, "_dominance"))]
+    nodes_per, rows_per = (max(1, _SEARCH_FLOATS // per[0]),
+                           max(1, _SEARCH_FLOATS // per[min(1, n - 1)]))
+    # one Hamiltonian buffer for every pass, each refilling its front; it holds a chunk
+    # of player 0's nodes, and any one prefix's every row with their column minima
+    buf = np.empty(max([min(nodes_per, len(x)) * per[0]]
+                       + [(t.shape[1] + 1) * t.shape[2] for t in tables]))
+    pending, n_pending, every, zeros = [], 0, np.arange(len(x)), np.zeros(len(x), dtype=np.intp)
     for k0 in range(0, len(x), nodes_per):
-        xs, zs = x[k0:k0 + nodes_per], z[k0:k0 + nodes_per]
-        nodes, rows, marks = player0(spec, xs, zs, table, cls, buf)
-        pending.append((nodes + k0, rows, marks))
-        n_pending += len(rows)
-        if n_pending < rows_per and k0 + len(xs) < len(x):
+        k1 = min(k0 + nodes_per, len(x))
+        items = (every[k0:k1], zeros[k0:k1], None)  # each node, with the empty prefix
+        pending.append(_pass(spec, 0, tables[0], None, x, z, items, buf))
+        n_pending += len(pending[-1][0])
+        if n_pending < rows_per and k1 < len(x):
             continue
-        nodes, rows, marks = _joined(pending)
+        items = _joined(pending)
         pending, n_pending = [], 0
-        found, first = _later_players(spec, x, z, nodes, rows, marks, buf)
-        del marks  # the next chunk's pass runs without these marks
-        # each node's first row with a mark: rows are stacked in ascending order per node
-        hit = found.nonzero()[0]
-        starts = np.ones(len(hit), dtype=bool)
-        np.not_equal(nodes[hit[1:]], nodes[hit[:-1]], out=starts[1:])
-        hit = hit[starts]
-        at = live[nodes[hit]]
-        out[at] = np.array(np.unravel_index(rows[hit] * width + first[hit], shape)).T
+        for i in range(1, n):
+            items = _pass(spec, i, tables[i], cls if i == 1 else None, x, z, items, buf)
+        # every item left is a stable control, in row-major order per node: take the first
+        nodes, joint, _ = items
+        first = np.ones(len(nodes), dtype=bool)
+        np.not_equal(nodes[1:], nodes[:-1], out=first[1:])
+        at = live[nodes[first]]
+        out[at] = np.array(np.unravel_index(joint[first], shape)).T
         stable[at] = True
     return out, stable
 
 
-def _player0_table(spec: GameSpec) -> tuple:
-    """Player 0's drift table as the search reads it, and the class of each column: the
-    joint table and None, or one column per class of equal columns (``(|U_0|, C, 1, ...,
-    1)``, in C order for the pass's strided reads) and each column's class."""
+def _tables(spec: GameSpec) -> tuple:
+    """Each player's drift table as its pass reads it, ``(prefixes, |U_i|, columns)``, and
+    the class of each of player 0's joint columns as a ``(|U_1|, rest)`` array: player i's
+    table on a prefix ``(u_0, ..., u_{i-1})`` (flat in row-major order) is the drift's slice
+    there.  Where the spec has classes of equal columns, player 0's table holds one column
+    per class (C order, for the pass's row reads), gathered once per call; else the class
+    is None."""
+    shape, drift = spec._shape(), spec.drift_table()
+    tables = [drift.reshape(math.prod(shape[:i]), shape[i], -1) for i in range(len(shape))]
     classes = getattr(spec, "_classes")
     if classes is None:
-        return spec.drift_table(), None
-    table = np.take(spec.drift_table().reshape(len(spec.grids[0]), -1), classes[0], axis=1)
-    return table.reshape(table.shape + (1,) * (spec.n_players - 2)), classes[1]
+        return tables, None
+    return [np.take(tables[0], classes[0], axis=2)] + tables[1:], classes[1].reshape(shape[1], -1)
 
 
-def _player0_rows(spec: GameSpec, x: np.ndarray, z: np.ndarray, table: np.ndarray,
-                  cls, buf: np.ndarray) -> tuple:
-    """Player 0's pass over the Hamiltonian tables of the nodes ``x``, formed in the front
-    of ``buf``, the state going to the cost as a ``(c, 1, ..., 1)`` array.  ``table`` is
-    the drift table, or one column per class of equal drift columns (``(|U_0|, C, 1, ...,
-    1)``) with ``cls`` the class of each column (else None).  The node and row of each kept
-    row (node-major, rows ascending) and the row's player-0 marks on the joint grid."""
-    lead = (-1,) + (1,) * spec.n_players
-    h = buf[:len(x) * table.size].reshape((len(x),) + table.shape)
-    np.multiply(table, z[:, 0].reshape(lead), out=h)
-    # the raw cost broadcasts into the buffer: no table-sized temporary
-    h += spec.costs[0](x.reshape(lead), *getattr(spec, "_mesh"))
-    best = h <= h.min(axis=1, keepdims=True)
-    # none where the cost is NaN
-    nodes, rows = best.any(axis=tuple(range(2, h.ndim))).nonzero()
-    return nodes, rows, _joint_marks(spec, best[nodes, rows], cls)
+def _pass(spec: GameSpec, i: int, table: np.ndarray, cols, x: np.ndarray, z: np.ndarray,
+          items: tuple, buf: np.ndarray) -> tuple:
+    """Player i's pass over stacked items ``(nodes, prefixes, marks)``: item k is the flat
+    prefix ``prefixes[k]`` of players 0..i-1 at node ``nodes[k]``, with the earlier players'
+    marks on the rest of the grid (None for player 0).  Returns, in order, the items for
+    player i+1: each (prefix, row) pair still marked once player i's marks are ANDed in.
+
+    ``table`` is :func:`_tables`' table of player i, C its columns (player 0's marks go out
+    on them); ``cols`` maps a slice's rows and columns to the incoming marks' columns (None:
+    laid out as the slice).  Where the spec's ``_dominance[i]`` is set, the pass forms only
+    the rows :func:`_undominated` keeps, m per item (m the most any item keeps, the others
+    padded with their first kept row, which leaves the minima as they are); else every row.
+    Either way the Hamiltonians are formed by the same two ufunc operations, with their
+    column minima, in the front of ``buf``, as many items at a time as it holds; it holds
+    at least ``(|U_i| + 1) C`` floats."""
+    nodes, prefixes, marks = items
+    if not len(nodes):
+        return items
+    shape, (_, n_i, c) = spec.drift_table().shape, table.shape
+    cache, zi = getattr(spec, "_dominance")[i], z[nodes, i]
+    lead = (-1,) + (1,) * (len(shape) - i)
+    # the prefix's controls as (K, 1, ..., 1) arrays, the meshes cut to the axes i..n-1
+    ahead = [g.points[j].reshape(lead)
+             for g, j in zip(spec.grids, np.unravel_index(prefixes, shape[:i]) if i else ())]
+    mesh = [a.reshape(a.shape[i:]) for a in getattr(spec, "_mesh")[i:]]
+    cost = spec.costs[i](x[nodes].reshape(lead), *ahead, *mesh)
+    if cache is None:  # every row: each prefix's whole slice
+        m, view, idx, src = n_i, shape[i + 1:], None, table
+    else:
+        cost = np.broadcast_to(cost, (len(nodes), n_i) + (1,) * (len(shape) - i - 1))
+        cost = cost.reshape(len(nodes), n_i)
+        keep = _undominated(spec, table, cache, prefixes, zi[:, None], cost, buf)
+        counts = keep.sum(axis=1)
+        m, view, src = int(counts.max()), (c,), table.reshape(-1, c)
+        real = np.arange(m) < counts[:, None]
+        idx = np.argsort(~keep, axis=1, kind="stable")[:, :m]  # the kept rows first, ascending
+        idx = np.where(real, idx, idx[:, :1])
+        cost = cost[np.arange(len(idx))[:, None], idx][:, :, None]
+        if marks is not None and cols is None:
+            cols = np.arange(n_i * c).reshape(n_i, c)
+    step, found = len(buf) // ((m + 1) * c), []
+    if step < len(nodes) and idx is None:  # cut below into chunks of items
+        cost = np.broadcast_to(cost, (len(nodes), n_i) + view)
+    for a in range(0, len(nodes), step):
+        part = slice(a, a + step)
+        # each prefix's slice or each kept row (its flat index), copied into h; "clip"
+        # writes straight into h, where the default mode buffers a copy of it
+        at = prefixes[part] if idx is None else prefixes[part, None] * n_i + idx[part]
+        h = buf[:len(at) * m * c].reshape(at.shape + src.shape[1:])
+        z_part = zi[part].reshape((-1,) + (1,) * (h.ndim - 1))
+        with np.errstate(over="ignore"):
+            if len(src) == 1 and idx is None:  # player 0's one slice, read in place
+                np.multiply(src, z_part, out=h)
+            else:
+                np.take(src, at, axis=0, out=h, mode="clip")
+                h *= z_part
+            h = h.reshape((-1, m) + view)
+            h += cost[part] if step < len(nodes) else cost
+        low = buf[h.size:h.size + len(h) * c].reshape((len(h), 1) + view)
+        best = (h <= h.min(axis=1, keepdims=True, out=low)).reshape(len(h), m, -1)
+        if marks is not None:
+            held = marks[part]
+            if cols is not None:  # each formed row's marks
+                sel = cols if idx is None else cols[idx[part]]
+                held = held[np.arange(len(h))[:, None, None], sel]
+            best &= held.reshape(best.shape)
+        hit = best.any(axis=2)
+        if idx is not None:
+            hit &= real[part]
+        k, s = np.divmod(hit.ravel().nonzero()[0], m)  # a 2-d nonzero is many times slower
+        # each (prefix, row) pair's flat index, its prefix for player i+1
+        found.append((nodes[a + k], at[k] * n_i + s if idx is None else at[k, s], best[k, s]))
+    return _joined(found)
 
 
-def _player0_pruned(spec: GameSpec, x: np.ndarray, z: np.ndarray, table: np.ndarray,
-                    cls, buf: np.ndarray) -> tuple:
-    """:func:`_player0_rows` where cost 0 reads the others' controls through the drift
-    alone, so that cost 0 at a node is one value per row: the same kept rows and marks,
-    from the Hamiltonians of the rows that :func:`_undominated` keeps.
+def _undominated(spec: GameSpec, table: np.ndarray, cache: list, prefixes: np.ndarray,
+                 zi: np.ndarray, k: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Where each item keeps a row of its prefix's slice ``table[prefixes[j]]`` (``(|U_i|,
+    C)``), for the gradients ``zi`` (``(K, 1)``) and cost i at each item and row ``k``
+    (``(K, |U_i|)``); ``scratch`` holds at least ``|U_i| C`` floats.
 
-    A dropped row lies strictly above a kept one in every column, so the column minima
-    over the kept rows are those over all rows, and the kept rows' Hamiltonians, formed
-    by the same two ufunc operations as over whole tables, get the same marks.  Each
-    node's m rows (m the most any node keeps, the others padded with their first kept
-    row, which leaves the minima as they are) and their column minima are formed in
-    ``buf``, as many nodes at a time as it holds; it holds at least ``(|U_0| + 1) C``
-    floats, C the columns of ``table``."""
-    n0 = len(table)
-    t = table.reshape(n0, -1)
-    lead = (-1,) + (1,) * spec.n_players
-    cost = np.asarray(spec.costs[0](x.reshape(lead), *getattr(spec, "_mesh")), dtype=float)
-    cost = np.broadcast_to(cost, (len(x), n0) + (1,) * (spec.n_players - 1)).reshape(len(x), n0)
-    keep = _undominated(spec, t, z[:, :1], cost, buf)
-    counts = keep.sum(axis=1)
-    m = int(counts.max())
-    real = np.arange(m) < counts[:, None]
-    idx = np.argsort(~keep, axis=1, kind="stable")[:, :m]  # the kept rows first, ascending
-    idx = np.where(real, idx, idx[:, :1])
-    step, found = len(buf) // ((m + 1) * t.shape[1]), []
-    for a in range(0, len(x), step):
-        rows = idx[a:a + step]
-        h = buf[:rows.size * t.shape[1]].reshape(rows.shape + (-1,))
-        np.take(t, rows, axis=0, out=h, mode="clip")
-        h *= z[a:a + step, :1, None]
-        h += np.take_along_axis(cost[a:a + step], rows, axis=1)[:, :, None]
-        low = buf[h.size:h.size + len(rows) * t.shape[1]].reshape(len(rows), 1, -1)
-        best = h <= h.min(axis=1, keepdims=True, out=low)
-        nodes, slots = (real[a:a + step] & best.any(axis=2)).nonzero()
-        found.append((nodes + a, rows[nodes, slots], best[nodes, slots]))
-    nodes, rows, marks = _joined(found)
-    return nodes, rows, _joint_marks(spec, marks, cls)
-
-
-def _undominated(spec: GameSpec, t: np.ndarray, z0: np.ndarray, k: np.ndarray,
-                 scratch: np.ndarray) -> np.ndarray:
-    """Where each node keeps a row of player 0's table ``t`` (``(|U_0|, C)``), for the
-    gradients ``z0`` (``(K, 1)``) and cost 0 at each node and row ``k`` (``(K, |U_0|)``);
-    ``scratch`` holds at least ``t.size`` floats.
-
-    A node takes as its reference r the best row on ``t``'s first column, and drops a row
-    u where ``z0·Δ(u, r) + (k[u] - k[r])`` exceeds ``32·ε·(|z0|·2·drift_bound + |k[u]| +
-    |k[r]|) + tiny``, Δ(u, r) being ``min_c (t[u, c] - t[r, c])`` for z0 >= 0 and the
-    max for z0 < 0 (:func:`_dominance`).  The margin bounds the rounding of both
-    Hamiltonian entries and of the test itself, so a dropped row lies strictly above
-    row r in every column.  A node whose margin sum ``|z0|·2·drift_bound + 2·max|k|``
-    is NaN, infinite or above 2**1000 keeps every row."""
+    An item takes as its reference r the best row on the slice's first column, and drops a
+    row u where ``zi·Δ(u, r) + (k[u] - k[r])`` exceeds ``32·ε·(|zi|·2·drift_bound + |k[u]|
+    + |k[r]|) + tiny``, Δ(u, r) being ``min_c (T[u, c] - T[r, c])`` over the slice T for
+    zi >= 0 and the max for zi < 0 (:func:`_dominance`).  The margin bounds the rounding
+    of both Hamiltonian entries and of the test itself, so a dropped row lies strictly
+    above row r in every column.  An item whose margin sum ``|zi|·2·drift_bound +
+    2·max|k|`` is NaN, infinite or above 2**1000 keeps every row."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = np.argmin(t[:, 0] * z0 + k, axis=1)
-        kr = np.take_along_axis(k, ref[:, None], axis=1)
-        spread = np.abs(z0) * (2.0 * spec.drift_bound)
-        gap = _dominance(spec, t, ref, scratch)[(z0[:, 0] < 0.0).astype(np.intp), ref]
-        gap *= z0
-        gap += k - kr
-        margin = np.abs(k)
+        h = table[prefixes, :, 0]
+        h *= zi
+        h += k
+        ref = np.argmin(h, axis=1)
+        kr = k[np.arange(len(k)), ref][:, None]
+        spread = np.abs(zi) * (2.0 * spec.drift_bound)
+        gap = _dominance(table, cache, prefixes * table.shape[1] + ref, zi[:, 0] < 0.0, scratch)
+        gap *= zi
+        gap += np.subtract(k, kr, out=h)
+        margin = np.abs(k, out=h)
         bounded = spread[:, 0] + 2.0 * margin.max(axis=1) <= 2.0**1000
         margin += np.abs(kr)
         margin += spread
@@ -538,59 +561,32 @@ def _undominated(spec: GameSpec, t: np.ndarray, z0: np.ndarray, k: np.ndarray,
     return keep
 
 
-def _dominance(spec: GameSpec, t: np.ndarray, refs: np.ndarray, scratch: np.ndarray):
-    """The spec's ``(2, |U_0|, |U_0|)`` Δ of the table ``t`` of player 0's pruned pass,
-    ``[0, r, u] = min_c (t[u, c] - t[r, c])`` and ``[1, r, u]`` the max, with the rows of
-    ``refs`` filled: a row is computed on first use, in the front of ``scratch``."""
-    delta, done = getattr(spec, "_dominance")
-    need = np.zeros(len(done), dtype=bool)
-    need[refs] = True
-    for r in np.flatnonzero(need & ~done):
-        d = np.subtract(t, t[r], out=scratch[:t.size].reshape(t.shape))
-        d.min(axis=1, out=delta[0, r])
-        d.max(axis=1, out=delta[1, r])
-        done[r] = True
-    return delta
+def _dominance(table: np.ndarray, cache: list, pairs: np.ndarray, neg: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
+    """The ``(K, |U_i|)`` Δ(·, r) of each (prefix, reference) pair ``pairs[j]`` (flat, as
+    ``prefix·|U_i| + r``) of ``table``: ``min_c (T[u, c] - T[r, c])`` over the prefix's
+    slice T, or the max where ``neg[j]``.  ``cache`` is the spec's ``[slots, rows]`` for
+    the player: a pair's min and max rows are computed on first use, in the front of
+    ``scratch``, and kept in ``rows`` at its slot."""
+    slots, n_i = cache[0], table.shape[1]
+    new = []
+    for q in pairs[slots[pairs] < 0].tolist():
+        if slots[q] < 0:
+            t = table[q // n_i]
+            d = np.subtract(t, t[q % n_i], out=scratch[:t.size].reshape(t.shape))
+            slots[q] = len(cache[1]) + len(new)
+            new.append((d.min(axis=1), d.max(axis=1)))
+    if new:
+        cache[1] = np.concatenate((cache[1], new))
+    # gathered into the front of scratch where it fits: the caller's buffer is free here
+    size = len(pairs) * n_i
+    out = scratch[:size].reshape(-1, n_i) if size <= len(scratch) else None
+    return np.take(cache[1].reshape(-1, n_i), 2 * slots[pairs] + neg, axis=0, out=out)
 
 
 def _joined(parts: list) -> tuple:
     """Triples of arrays joined field by field; a lone triple as it is, not copied."""
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))
-
-
-def _joint_marks(spec: GameSpec, marks: np.ndarray, cls) -> np.ndarray:
-    """Kept rows' player-0 marks, one per column of the pass's table, on the joint grid:
-    a column has its class representative's Hamiltonian entries, so its marks."""
-    marks = marks.reshape(len(marks), -1)
-    if cls is not None:
-        marks = marks.take(cls, axis=1)
-    return marks.reshape((len(marks),) + spec._shape()[1:])
-
-
-def _later_players(spec: GameSpec, x: np.ndarray, z: np.ndarray, nodes: np.ndarray,
-                   rows: np.ndarray, marks: np.ndarray, buf: np.ndarray) -> tuple:
-    """Players 1..n-1 on stacked rows, a chunk at a time: row ``r`` of node ``nodes[r]`` is
-    player 0's index ``rows[r]`` and ``marks[r]`` its player-0 marks, cut in place to the
-    controls every player marks.  A later player's marks on a row depend on that row
-    alone.  Whether each row has a marked control, and the first in row-major order."""
-    n, drift, mesh = spec.n_players, spec.drift_table(), getattr(spec, "_mesh")
-    width = math.prod(marks.shape[1:])
-    chunk = max(1, _SEARCH_FLOATS // width)
-    lead = (-1,) + (1,) * (n - 1)
-    found, first = np.empty(len(rows), dtype=bool), np.empty(len(rows), dtype=np.intp)
-    for r0 in range(0, len(rows), chunk):
-        at, row, mask = nodes[r0:r0 + chunk], rows[r0:r0 + chunk], marks[r0:r0 + chunk]
-        h = buf[:len(at) * width].reshape(mask.shape)
-        xr, u0 = x[at].reshape(lead), mesh[0].take(row, axis=0)
-        for i in range(1, n):
-            # "clip" writes straight into h: the default mode buffers a copy of it
-            np.take(drift, row, axis=0, out=h, mode="clip")
-            h *= z[at, i].reshape(lead)
-            h += spec.costs[i](xr, u0, *mesh[1:])
-            mask &= h <= h.min(axis=i, keepdims=True)
-        mask = mask.reshape(len(at), width)
-        found[r0:r0 + chunk], first[r0:r0 + chunk] = mask.any(axis=1), mask.argmax(axis=1)
-    return found, first
 
 
 def _frozen_tables(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray):

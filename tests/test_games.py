@@ -1,5 +1,6 @@
 """Static game layer: Hamiltonians, pointwise Nash search, tie-breaking."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -288,6 +289,16 @@ def _three_player(sizes, drift_map=lambda u, v, w: u + v + w, coupled=False, sta
     )
 
 
+def _four_player():
+    # own quadratic costs on unequal grids, shared drift u + v + w + y
+    return eg.GameSpec(
+        grids=tuple(eg.ControlGrid.uniform(-1.0, 1.0, m) for m in (5, 4, 3, 6)),
+        drift_map=lambda u, v, w, y: u + v + w + y,
+        costs=tuple((lambda x, *u, i=i: u[i] ** 2 + bump(x)) for i in range(4)),
+        cost_sup=1.0 + BUMP_SUP, cost_x_lip=BUMP_LIP,
+    )
+
+
 # (game, player-0 column classes or None, columns)
 _CLASSED_GAMES = {
     "decoupled": (eg.quadratic_decoupled, None, 41),
@@ -301,6 +312,7 @@ _CLASSED_GAMES = {
     "stateless_cost": (lambda: _three_player((7, 7, 7), state=False), 34, 49),
     # a drift that ignores player 2: its joint table repeats each column across w
     "drift_ignores_w": (lambda: _three_player((5, 7, 4), lambda u, v, w: u + v), 7, 28),
+    "four_player": (lambda: _four_player(), 63, 72),
 }
 
 
@@ -337,32 +349,36 @@ def test_player0_class_table_is_c_ordered(monkeypatch):
     # player 0's pass reads the class table row by row: a gather that leaves it in
     # Fortran order makes those reads strided
     spec = eg.three_player_symmetric(n_controls=41)
-    player0_pruned, seen = games._player0_pruned, []
+    run_pass, seen = games._pass, []
 
-    def record(spec, x, z, table, cls, buf):
-        seen.append((table.shape, table.flags.c_contiguous))
-        return player0_pruned(spec, x, z, table, cls, buf)
+    def record(spec, i, table, *args):
+        if i == 0:
+            seen.append((table.shape, table.flags.c_contiguous))
+        return run_pass(spec, i, table, *args)
 
-    monkeypatch.setattr(games, "_player0_pruned", record)
+    monkeypatch.setattr(games, "_pass", record)
     rng = np.random.default_rng(3)
     games._search(spec, np.linspace(-6.0, 6.0, 101), rng.normal(scale=2.0, size=(101, 3)))
-    assert seen and all(shape == (41, 781, 1) and c_order for shape, c_order in seen)
+    assert seen and all(shape == (1, 41, 781) and c_order for shape, c_order in seen)
 
 
 def _pruned_pass_inputs(spec, k, seed):
     # states beyond the grid's [-6, 6] and gradients on the quarter lattice (ties before
-    # rounding), with player 0's gradient negative, zero, or large enough that the margin
-    # sum overflows (4e307) or the Hamiltonian itself does (1e308)
+    # rounding), with each player's gradient negative, zero, or large enough that the
+    # margin sum overflows (4e307), or the Hamiltonian itself does (6e307 and 1e308)
     rng = np.random.default_rng(seed)
     x = rng.normal(scale=3.0, size=k)
     x[::4] = rng.choice([-50.0, -7.5, 9.0, 1e6], size=len(x[::4]))
     z = rng.normal(scale=2.0, size=(k, spec.n_players))
     z[::2] = 0.25 * rng.integers(-8, 9, size=(len(z[::2]), spec.n_players))
-    z[1::5, 0] = -np.abs(z[1::5, 0])
-    z[::9, 0] = 0.0
-    z[3::11, 0] = 4e307 * np.sign(z[3::11, 0] + 0.5)
-    z[5::11, 0] = -1e308
-    z[7::11, 0] = 1e308
+    for i in range(spec.n_players):
+        zi = z[3 * i:, i]  # a view: each player's special values fall on other rows
+        zi[1::5] = -np.abs(zi[1::5])
+        zi[::9] = 0.0
+        zi[3::11] = 4e307 * np.sign(zi[3::11] + 0.5)
+        zi[5::11] = -1e308
+        zi[7::11] = 1e308
+        zi[9::11] = 6e307 * np.sign(zi[9::11] + 0.5)
     return x, z
 
 
@@ -376,60 +392,101 @@ def _bilinear_drift():
 
 
 _PRUNED_EXTRA = {"one_player": lambda: _one_player(), "bilinear_drift": _bilinear_drift}
+# the players whose pass prunes: those whose cost reads the others through the drift
+# alone, the last player excepted
+_PRUNED_PLAYERS = {"decoupled": (0,), "coupled": (), "tie": (), "three_player": (0, 1),
+                   "three_player_41": (0, 1), "unequal_grids": (0, 1), "cost_reads_others": (),
+                   "stateless_cost": (0, 1), "drift_ignores_w": (0, 1),
+                   "four_player": (0, 1, 2), "one_player": (), "bilinear_drift": (0,)}
+
+
+def _full(spec):
+    """``spec`` searched over whole tables: every pass forms every row of the joint table,
+    without column classes or a dominance bound."""
+    full = copy.copy(spec)
+    object.__setattr__(full, "_classes", None)
+    object.__setattr__(full, "_dominance", (None,) * spec.n_players)
+    return full
 
 
 @pytest.mark.parametrize("name", list(_CLASSED_GAMES) + list(_PRUNED_EXTRA))
 def test_pruned_pass_equals_the_full_pass(name, monkeypatch):
-    # where cost 0 reads the others' controls through the drift alone, the pruned pass
-    # gives the kept rows and marks of the pass over whole tables, bit for bit, also
-    # from a buffer that holds one node's every row; elsewhere the search never prunes
+    # each pass, given the items of the passes over whole tables, hands on the same
+    # (prefix, row) pairs and marks as the pass over whole tables, bit for bit, also with
+    # a buffer that holds a single prefix; so does the search its controls and flags.
+    # A player whose cost reads the others never prunes
     spec = _PRUNED_EXTRA[name]() if name in _PRUNED_EXTRA else _CLASSED_GAMES[name][0]()
+    pruned = tuple(i for i, d in enumerate(getattr(spec, "_dominance")) if d is not None)
+    assert pruned == _PRUNED_PLAYERS[name]
+    full, (tables, cls) = _full(spec), games._tables(spec)
+    full_tables, _ = games._tables(full)
     x, z = _pruned_pass_inputs(spec, 264, seed=8)
-    if getattr(spec, "_dominance") is None:
-        def pruned(*args):
-            raise AssertionError("pruned pass taken")
-
-        monkeypatch.setattr(games, "_player0_pruned", pruned)
-        with np.errstate(over="ignore"):
-            games._search(spec, x, z)
-        assert name in ("coupled", "tie", "cost_reads_others")
-        return
-    table, cls = games._player0_table(spec)
-    huge = np.abs(z[:, 0]) == 1e308
-    # chunks of 33 nodes, each with every kind of input; the margin's own overflow at
-    # 4e307 raises nothing, and at 1e308 both passes overflow
-    for c0 in range(0, len(x), 33):
-        for part, over in ((~huge, "raise"), (huge, "ignore")):
-            rows = c0 + np.flatnonzero(part[c0:c0 + 33])
-            with np.errstate(over=over):
-                full = games._player0_rows(spec, x[rows], z[rows], table, cls,
-                                           np.empty(len(rows) * table.size))
-                for floats in (len(rows) * table.size, table.size + table.size // len(table)):
-                    pruned = games._player0_pruned(spec, x[rows], z[rows], table, cls,
-                                                   np.empty(floats))
-                    for a, b in zip(full, pruned):
-                        assert a.dtype == b.dtype
-                        np.testing.assert_array_equal(a, b)
     kept, undominated = [], games._undominated
 
-    def record(*args):
-        keep = undominated(*args)
-        kept.extend(keep.sum(axis=1))
+    def record(spec, table, cache, prefixes, zi, *args):
+        keep = undominated(spec, table, cache, prefixes, zi, *args)
+        player = [d is cache for d in getattr(spec, "_dominance")].index(True)
+        kept.extend(zip([player] * len(keep), zi[:, 0], keep.sum(axis=1)))
         return keep
 
     monkeypatch.setattr(games, "_undominated", record)
+    # chunks of 33 nodes, each with every kind of input
+    for c0 in range(0, len(x), 33):
+        xs, zs = x[c0:c0 + 33], z[c0:c0 + 33]
+        items = (np.arange(len(xs)), np.zeros(len(xs), dtype=np.intp), None)
+        for i in range(spec.n_players):
+            one = (full_tables[i].shape[1] + 1) * full_tables[i].shape[2]
+            want = games._pass(full, i, full_tables[i], None, xs, zs, items,
+                               np.empty(len(items[0]) * one))
+            # a buffer for every item at once, and one for a single prefix's every row
+            for floats in (len(items[0]) * one, (tables[i].shape[1] + 1) * tables[i].shape[2]):
+                got = games._pass(spec, i, tables[i], None, xs, zs, items, np.empty(floats))
+                if i == 0 and cls is not None:  # player 0's marks go out on class columns
+                    got = got[:2] + (got[2].take(cls.ravel(), axis=1),)
+                for a, b in zip(want, got):
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
+            items = want
+        for floats in (1, games._SEARCH_FLOATS):
+            monkeypatch.setattr(games, "_SEARCH_FLOATS", floats)
+            for a, b in zip(games._search(full, xs, zs), games._search(spec, xs, zs)):
+                np.testing.assert_array_equal(a, b)
+    assert {player for player, _, _ in kept} == set(pruned)
+    if not pruned:
+        return
     # a margin sum above 2**1000 keeps every row
-    big = np.abs(z[:, 0]) == 4e307
-    games._player0_pruned(spec, x[big], z[big], table, cls, np.empty(table.size * 2))
-    assert kept == [len(table)] * big.sum()
+    n_rows = spec._shape()
+    assert all(count == n_rows[player] for player, zi, count in kept if abs(zi) >= 4e307)
+    assert any(abs(zi) >= 4e307 for _, zi, _ in kept)
     if name == "bilinear_drift":
         return
-    # off the lattice a node forms one or two rows, not its whole table
+    # off the lattice each node or stacked prefix forms one or two rows, not its whole slice
     kept.clear()
     rng = np.random.default_rng(9)
     games._search(spec, rng.normal(scale=3.0, size=200),
                   rng.normal(scale=2.0, size=(200, spec.n_players)))
-    assert len(kept) == 200 and max(kept) <= 2, np.bincount(kept)
+    for player in pruned:
+        counts = [count for p, _, count in kept if p == player]
+        assert len(counts) >= 200 and max(counts) <= 2, (player, np.bincount(counts))
+
+
+@pytest.mark.parametrize("build", [eg.quadratic_decoupled,
+                                   lambda: eg.three_player_symmetric(n_controls=41)],
+                         ids=["two_player", "three_player_41"])
+def test_huge_finite_gradients_warn_of_nothing(build):
+    # a product that overflows is an infinite Hamiltonian entry, as over whole tables: the
+    # search gives the reference's control and raises no RuntimeWarning (an error here)
+    spec = build()
+    for i in range(spec.n_players):
+        for big in (1e308, -1e308, 6e307, -6e307):
+            z = [0.25] * spec.n_players
+            z[i] = big
+            with np.errstate(over="ignore"):
+                hits = _stable_controls(spec, 0.0, z)
+            u = eg.isaac_fixed_point(spec, 0.0, tuple(z))
+            assert u == min(hits, key=lambda v: _value_key(spec, v))
+            assert u == tuple(17 if j != i else 0 if big > 0 else 40
+                              for j in range(spec.n_players))
 
 
 @pytest.mark.parametrize("name", list(_CLASSED_GAMES))

@@ -167,7 +167,8 @@ def test_bench_grid_ladder_records_seconds_and_iterations():
 def test_bench_search_ladder_records_seconds_and_unstable_rows():
     ladder = _load_script("bench.py").search_ladder(runs=1)
     assert list(ladder) == ["quadratic_decoupled", "coupled_cross_cost",
-                            "three_player_symmetric_41", "three_player_symmetric_101"]
+                            "three_player_symmetric_21", "three_player_symmetric_41",
+                            "three_player_symmetric_101"]
     for entry in ladder.values():
         assert entry["search_s"] > 0.0 and entry["unstable"] == 0
 
