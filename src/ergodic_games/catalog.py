@@ -171,24 +171,28 @@ def make_growth_driver(cfg: dict) -> Tuple[Callable, float]:
 # -- bundled games -----------------------------------------------------------------
 
 
+def _own_cost_game(name: str, n_players: int, n_controls: int,
+                   control_bound: float) -> GameSpec:
+    """Players on one uniform control grid, the shared drift ``u_0 + u_1 + ...`` (added in
+    player order) and own costs ``u_i**2 + bump(x)``."""
+    grid = ControlGrid.uniform(-control_bound, control_bound, n_controls)
+    return GameSpec(
+        grids=(grid,) * n_players,
+        drift_map=lambda *u: sum(u[1:], u[0]),
+        costs=tuple((lambda x, *u, i=i: u[i]**2 + bump(x)) for i in range(n_players)),
+        cost_sup=control_bound**2 + BUMP_SUP,
+        cost_x_lip=BUMP_LIP,
+        name=name,
+    )
+
+
 def quadratic_decoupled(n_controls: int = 41, control_bound: float = 1.0) -> GameSpec:
     """Two players, shared drift ``u + v``, own quadratic control costs.
 
     Each Hamiltonian is minimized at the clamp of ``-z_i / 2`` onto the
     control grid, independently of the other player.
     """
-    grid = ControlGrid.uniform(-control_bound, control_bound, n_controls)
-    return GameSpec(
-        grids=(grid, grid),
-        drift_map=lambda u, v: u + v,
-        costs=(
-            lambda x, u, v: u**2 + bump(x),
-            lambda x, u, v: v**2 + bump(x),
-        ),
-        cost_sup=control_bound**2 + BUMP_SUP,
-        cost_x_lip=BUMP_LIP,
-        name="quadratic_decoupled",
-    )
+    return _own_cost_game("quadratic_decoupled", 2, n_controls, control_bound)
 
 
 def coupled_cross_cost(
@@ -219,19 +223,7 @@ def coupled_cross_cost(
 
 def three_player_symmetric(n_controls: int = 21, control_bound: float = 1.0) -> GameSpec:
     """Three symmetric players with decoupled quadratic control costs."""
-    grid = ControlGrid.uniform(-control_bound, control_bound, n_controls)
-    return GameSpec(
-        grids=(grid, grid, grid),
-        drift_map=lambda u, v, w: u + v + w,
-        costs=(
-            lambda x, u, v, w: u**2 + bump(x),
-            lambda x, u, v, w: v**2 + bump(x),
-            lambda x, u, v, w: w**2 + bump(x),
-        ),
-        cost_sup=control_bound**2 + BUMP_SUP,
-        cost_x_lip=BUMP_LIP,
-        name="three_player_symmetric",
-    )
+    return _own_cost_game("three_player_symmetric", 3, n_controls, control_bound)
 
 
 GAME_BUILDERS = {

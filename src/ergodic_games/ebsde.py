@@ -89,25 +89,32 @@ class MaxSweepsExceededError(RuntimeError):
     """The grid solve ran out of iterations.
 
     Carries diagnostics: the last iterate ``v``, the constant ``lam``, the
-    interior residual ``sup_residual``, the iteration count ``sweeps`` and
-    ``residual_history``, the interior residual of every iteration.
+    interior residual ``sup_residual``, the iteration count ``sweeps``,
+    ``residual_history``, the interior residual of every iteration, the
+    tolerance ``tol`` and Newton's ``rounding_floor`` at ``v``,
+    ``2·sigma²·ε·max|v|/dx²`` (its second difference loses ``4ε·max|v|/dx²``);
+    the message says when ``tol`` is below that floor.
     """
 
     def __init__(self, sup_residual: float, sweeps: int, lam: float, v: np.ndarray,
-                 residual_history: list):
+                 residual_history: list, tol: float, rounding_floor: float):
+        below = (f"; tolerance {tol:.3g} is below Newton's rounding floor "
+                 f"{rounding_floor:.3g}" if tol < rounding_floor else "")
         super().__init__(
             f"no convergence after {sweeps} iterations: interior residual "
-            f"{sup_residual:.3e} above tolerance"
+            f"{sup_residual:.3e} above tolerance{below}"
         )
         self.sup_residual = sup_residual
         self.sweeps = sweeps
         self.lam = lam
         self.v = v
         self.residual_history = list(residual_history)
+        self.tol = tol
+        self.rounding_floor = rounding_floor
 
     def __reduce__(self):
         return type(self), (self.sup_residual, self.sweeps, self.lam, self.v,
-                            self.residual_history)
+                            self.residual_history, self.tol, self.rounding_floor)
 
 
 def node_lookup(nodes: np.ndarray) -> Tuple[float, float, int]:
@@ -441,7 +448,8 @@ def _solve(model, f: Callable, grid: Grid1D, alpha: Optional[float], tol: float,
         if history[-1] < tol * 0.999:
             break
         if it == _MAX_NEWTON_ITERATIONS:
-            raise MaxSweepsExceededError(history[-1], _MAX_NEWTON_ITERATIONS, lam, v, history)
+            floor = 2.0 * sig2 * np.finfo(float).eps * float(np.max(np.abs(v))) / dx**2
+            raise MaxSweepsExceededError(history[-1], it, lam, v, history, tol, floor)
         h = _SLOPE_STEP * (1.0 + np.abs(z))
         slope = (np.asarray(f(x, z + h), dtype=float)
                  - np.asarray(f(x, z - h), dtype=float)) / (2.0 * h)

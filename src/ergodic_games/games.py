@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ._samples import check_states, first_over
-from .ebsde import node_lookup
+from .ebsde import frozen_driver, node_lookup
 from .sde import path_stream
 
 __all__ = [
@@ -120,12 +120,9 @@ class GameSpec:
     ``(reps, cls)``, the first column of each class (ascending) and each
     column's class, or None where no column repeats or cost 0 reads the
     others.  Such a player i < n-1 also drops the rows that a dominance
-    bound shows can reach no column minimum (see :func:`isaac_fixed_point`).
-    ``_dominance[i]`` caches its ``Δ`` as ``[slots, rows]``: ``rows`` holds
-    a ``(2, |U_i|)`` min and max pair for each (prefix, reference row) pair
-    filled so far, on first use, and ``slots`` (one entry per pair, flat as
-    ``prefix·|U_i| + r``) its index in ``rows`` or -1.  It is None for any
-    other player.
+    bound shows can reach no column minimum (:func:`_undominated`);
+    ``_dominance[i]`` is its cache (:func:`_dominance`), None for any other
+    player.
     Nothing is cached per state, so tabulation memory is O(max(|U|^n,
     _SEARCH_FLOATS)), independent of the state grid.  ``cost_sup`` bounds
     ``|cost_i|`` and ``cost_x_lip`` is a Lipschitz constant of the costs in
@@ -320,22 +317,39 @@ def _max_abs_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hamiltonian(spec: GameSpec, player: int, x, z_i, u: JointControl) -> float:
-    """Player's Hamiltonian ``z_i * drift_map(u) + cost_i(x, u)`` at one point."""
-    if not 0 <= player < spec.n_players:
+    """Player's Hamiltonian ``z_i * drift_map(u) + cost_i(x, u)`` at one point, read off
+    :func:`_frozen_tables`; ``player`` and ``u`` are checked by :func:`_check_joint`."""
+    idx = _check_joint(spec, np.reshape(u, (1, -1)), "joint control", player)
+    r, c = _frozen_tables(spec, np.array([x], dtype=float), idx)
+    return float(z_i) * float(r[0]) + float(c[player][0])
+
+
+def _whole(indices) -> np.ndarray:
+    """``indices`` as ``int``s; a ValueError where one is no finite whole number (an
+    integral float, as a CSV file reads back, is one)."""
+    raw = np.asarray(indices)
+    whole = np.isfinite(raw) & (raw == np.floor(raw)) if raw.dtype.kind == "f" else True
+    if not np.all(whole):
+        raise ValueError(f"control indices must be finite whole numbers, got "
+                         f"{float(raw[~whole][0])!r}")
+    return np.asarray(raw, dtype=int)
+
+
+def _check_joint(spec: GameSpec, indices, owner: str,
+                 player: Optional[int] = None) -> np.ndarray:
+    """``indices``, one joint control per row, as whole numbers (:func:`_whole`) that fit
+    the game: one column per player, each on its player's control grid; ``player``, when
+    given, must be one of the game's.  Else a ValueError that names ``owner``."""
+    if player is not None and not 0 <= player < spec.n_players:
         raise ValueError(f"player index {player} out of range")
-    _validate_joint(spec, u)
-    vals = spec.control_values(u)
-    r = float(np.asarray(spec.drift_map(*vals)))
-    c = float(np.asarray(spec.costs[player](x, *vals)))
-    return float(z_i) * r + c
-
-
-def _validate_joint(spec: GameSpec, u: Sequence[int]) -> None:
-    if len(u) != spec.n_players:
-        raise ValueError(f"joint control needs {spec.n_players} indices, got {len(u)}")
-    for j, (g, idx) in enumerate(zip(spec.grids, u)):
-        if not 0 <= int(idx) < len(g):
-            raise ValueError(f"control index {idx} out of range for player {j}")
+    idx = _whole(indices)
+    if idx.shape[1] != spec.n_players:
+        raise ValueError(f"{owner} has {idx.shape[1]} players, the game {spec.n_players}")
+    for i, (col, grid_i) in enumerate(zip(idx.T, spec.grids)):
+        if col.min() < 0 or col.max() >= len(grid_i):
+            raise ValueError(f"player {i}'s policy uses control indices {col.min()} to "
+                             f"{col.max()}, outside their {len(grid_i)}-point control grid")
+    return idx
 
 
 def isaac_fixed_point(spec: GameSpec, x, z):
@@ -358,16 +372,10 @@ def isaac_fixed_point(spec: GameSpec, x, z):
     Hamiltonian entries, so equal marks.  Where cost i reads the others'
     controls through the drift alone (every player of ``quadratic_decoupled``
     and ``three_player_symmetric``, neither of ``coupled_cross_cost``) and
-    i < n-1, the pass forms only the rows a dominance bound keeps: each
-    prefix takes the best row r on its slice's first column, and drops every
-    row u with ``z_i·Δ(u, r) + (K[u] - K[r]) > 32·ε·(|z_i|·2·drift_bound +
-    |K[u]| + |K[r]|) + tiny``, K being cost i at the prefix and Δ(u, r)
-    ``min_c (T[u, c] - T[r, c])`` over the slice T for z_i >= 0 (the max
-    for z_i < 0).  The margin bounds every rounding, so a dropped row lies
-    strictly above row r in every column: the column minima, the marks and
-    every control stay the full pass's bits.  A prefix whose margin sum is
-    NaN, infinite or above 2**1000 keeps every row; products that overflow
-    are infinite entries, without a warning.  Memory is O(max(|U|^n,
+    i < n-1, the pass forms only the rows that the exact dominance bound of
+    :func:`_undominated` keeps, so the column minima, the marks and every
+    control stay the full pass's bits.  Products that overflow are infinite
+    entries, without a warning.  Memory is O(max(|U|^n,
     _SEARCH_FLOATS)) floats whatever the batch size.  A node's control is
     its first control marked by every player in row-major index order; grids
     are ascending, so ties go to the smallest tuple of control values.
@@ -538,8 +546,9 @@ def _undominated(spec: GameSpec, table: np.ndarray, cache: list, prefixes: np.nd
     + |k[r]|) + tiny``, Δ(u, r) being ``min_c (T[u, c] - T[r, c])`` over the slice T for
     zi >= 0 and the max for zi < 0 (:func:`_dominance`).  The margin bounds the rounding
     of both Hamiltonian entries and of the test itself, so a dropped row lies strictly
-    above row r in every column.  An item whose margin sum ``|zi|·2·drift_bound +
-    2·max|k|`` is NaN, infinite or above 2**1000 keeps every row."""
+    above row r in every column: the column minima and the marks stay those of every row.
+    An item whose margin sum ``|zi|·2·drift_bound + 2·max|k|`` is NaN, infinite or above
+    2**1000 keeps every row."""
     with np.errstate(over="ignore", invalid="ignore"):
         h = table[prefixes, :, 0]
         h *= zi
@@ -565,9 +574,10 @@ def _dominance(table: np.ndarray, cache: list, pairs: np.ndarray, neg: np.ndarra
                scratch: np.ndarray) -> np.ndarray:
     """The ``(K, |U_i|)`` Δ(·, r) of each (prefix, reference) pair ``pairs[j]`` (flat, as
     ``prefix·|U_i| + r``) of ``table``: ``min_c (T[u, c] - T[r, c])`` over the prefix's
-    slice T, or the max where ``neg[j]``.  ``cache`` is the spec's ``[slots, rows]`` for
-    the player: a pair's min and max rows are computed on first use, in the front of
-    ``scratch``, and kept in ``rows`` at its slot."""
+    slice T, or the max where ``neg[j]``.  ``cache`` is the spec's ``_dominance[i]``,
+    ``[slots, rows]``: ``rows`` holds a ``(2, |U_i|)`` min and max pair per pair filled so
+    far, each computed on first use in the front of ``scratch``, and ``slots`` (one entry
+    per pair, flat as above) its index in ``rows`` or -1."""
     slots, n_i = cache[0], table.shape[1]
     new = []
     for q in pairs[slots[pairs] < 0].tolist():
@@ -589,15 +599,25 @@ def _joined(parts: list) -> tuple:
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))
 
 
+def _gather(spec: GameSpec, idx: np.ndarray) -> tuple:
+    """The drift and each player's control value at each joint control ``idx[k]``."""
+    joint = tuple(idx.T)
+    return spec.drift_table()[joint], [g.points[j] for g, j in zip(spec.grids, joint)]
+
+
 def _frozen_tables(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray):
     """The drift and each player's cost at the joint control ``idx[k]``, per state
     ``nodes[k]`` (each cost is called once on the states and the control columns:
     elementwise, so the tables' entries)."""
-    joint = tuple(idx[:, i] for i in range(spec.n_players))
-    cols = [g.points[j] for g, j in zip(spec.grids, joint)]
-    c_nodes = [np.broadcast_to(np.asarray(cost(nodes, *cols), dtype=float), nodes.shape)
-               for cost in spec.costs]
-    return spec.drift_table()[joint], c_nodes
+    drift, cols = _gather(spec, idx)
+    return drift, [np.broadcast_to(np.asarray(cost(nodes, *cols), dtype=float), nodes.shape)
+                   for cost in spec.costs]
+
+
+def _frozen_drivers(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray) -> list:
+    """Each player's affine driver at the joint control ``idx[k]`` on ``nodes[k]``."""
+    r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
+    return [frozen_driver(r_nodes, c, spec.drift_bound, spec.cost_sup) for c in c_nodes]
 
 
 @dataclass(frozen=True)
@@ -668,9 +688,9 @@ def verify_isaacs(
 class FeedbackPolicy:
     """Joint feedback control tabulated on a uniform state grid.
 
-    ``indices[k, i]`` is player ``i``'s control grid index at state node
-    ``k``.  Off-node states are resolved to the nearest node, clamped to the
-    grid, by :func:`~ergodic_games.ebsde.nearest_node`, so ``nodes`` must be uniform.
+    ``indices[k, i]`` is player ``i``'s control grid index at state node ``k``, a whole
+    number (:func:`_whole`).  Off-node states are resolved to the nearest node, clamped to
+    the grid, by :func:`~ergodic_games.ebsde.nearest_node`, so ``nodes`` must be uniform.
     """
 
     nodes: np.ndarray
@@ -678,7 +698,7 @@ class FeedbackPolicy:
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        idx = np.asarray(self.indices, dtype=int)
+        idx = _whole(self.indices)
         if idx.ndim != 2 or len(idx) != len(nodes):
             raise ValueError("indices must be (n_nodes, n_players)")
         node_lookup(nodes)  # rejects the grids that nearest_node would misread
@@ -690,13 +710,10 @@ class FeedbackPolicy:
         return self.indices.shape[1]
 
     def control_columns(self, spec: GameSpec) -> list:
-        """Per-player arrays of control values along the state nodes."""
-        cols = []
-        for i, g in enumerate(spec.grids):
-            cols.append(np.asarray(g.points, dtype=float)[self.indices[:, i]])
-        return cols
+        """Per-player arrays of control values along the state nodes (:func:`_gather`)."""
+        return _gather(spec, self.indices)[1]
 
     def with_player_indices(self, player: int, new_indices: np.ndarray) -> "FeedbackPolicy":
         idx = self.indices.copy()
-        idx[:, player] = np.asarray(new_indices, dtype=int)
+        idx[:, player] = _whole(new_indices)
         return FeedbackPolicy(nodes=self.nodes, indices=idx)

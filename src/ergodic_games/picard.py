@@ -37,11 +37,10 @@ from .ebsde import (
     MaxSweepsExceededError,
     NonMonotoneSchemeError,
     _check_rate,
-    frozen_driver,
     solve_discounted,
     solve_ergodic,
 )
-from .games import FeedbackPolicy, GameSpec, NoPureNashError, _frozen_tables, isaac_fixed_point
+from .games import FeedbackPolicy, GameSpec, NoPureNashError, _frozen_drivers, isaac_fixed_point
 from .sde import SdeModel
 
 __all__ = [
@@ -134,7 +133,8 @@ class NashSolution:
         """Rebuild what :meth:`write` saved in ``nash_dir``, finding the columns of ``nash.csv``
         by name.  The grid comes from the ``x`` column (CSV floats round-trip); what the
         report derives is derived again.  A missing file raises FileNotFoundError, and files
-        that disagree on the player count a ValueError."""
+        that disagree on the player count, or control indices that are not whole numbers, a
+        ValueError."""
         d = Path(nash_dir)
         with open(d / "nash.csv") as fh:
             names = fh.readline().strip().split(",")
@@ -153,7 +153,7 @@ class NashSolution:
                 residual_sup=float(pd["residual_sup"]), iterations=int(pd["iterations"]),
             ) for i, pd in zip(players, report["players"])),
             policy=FeedbackPolicy(nodes=grid.nodes(), indices=np.column_stack(
-                [col[f"u_{i}_index"] for i in players]).astype(int)),
+                [col[f"u_{i}_index"] for i in players])),
             policy_values=tuple(col[f"u_{i}"] for i in players),
             comparison=float(report["comparison_bound"]),
             converged=bool(report["converged"]),
@@ -175,12 +175,6 @@ def _policy_from_xi(spec: GameSpec, nodes: np.ndarray, xi: np.ndarray, searched:
         idx[stale] = isaac_fixed_point(spec, nodes[stale], xi[stale])
         searched[stale] = xi[stale]
     return idx
-
-
-def _frozen_drivers(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray) -> list:
-    """Each player's affine driver at the joint control ``idx[k]`` on ``nodes[k]``."""
-    r_nodes, c_nodes = _frozen_tables(spec, nodes, idx)
-    return [frozen_driver(r_nodes, c, spec.drift_bound, spec.cost_sup) for c in c_nodes]
 
 
 def comparison_bound(spec: GameSpec) -> float:

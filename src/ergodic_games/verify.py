@@ -24,8 +24,8 @@ from ._csv import write_csv
 from ._samples import first_over
 from .ebsde import (_check_rate, hjb_residual, interp_table, nearest_node, node_lookup,
                     uniform_interp)
-from .games import FeedbackPolicy, GameSpec
-from .picard import NashSolution, _frozen_drivers
+from .games import FeedbackPolicy, GameSpec, _check_joint, _frozen_drivers, _gather
+from .picard import NashSolution
 from .sde import (
     SdeModel,
     _n_steps,
@@ -79,11 +79,6 @@ class PayoffEstimate:
         return asdict(self)
 
 
-def _policy_drift_nodes(spec: GameSpec, policy: FeedbackPolicy) -> np.ndarray:
-    joint = tuple(policy.indices[:, i] for i in range(spec.n_players))
-    return spec.drift_table()[joint]
-
-
 @dataclass(frozen=True)
 class _Job:
     """One payoff estimate: a player's cost along one joint policy's paths."""
@@ -133,8 +128,8 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
         if first >= n:  # the average would have no step to count
             raise ValueError(f"burn_in {job.burn_in:.6g} rounds to step {first} of the {n} "
                              f"steps of size {step:.6g} up to horizon {horizon:.6g}")
-    columns = [job.policy.control_columns(spec) for job in jobs]
-    drift = (jobs[0].policy.nodes, [_policy_drift_nodes(spec, job.policy) for job in jobs])
+    tables = [_gather(spec, job.policy.indices) for job in jobs]
+    drift = (jobs[0].policy.nodes, [r for r, _ in tables])
 
     def costs(j, start, states, nodes):
         job = jobs[j]
@@ -143,7 +138,7 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
         xs = states[skip:-1]
         if not len(xs):
             return None
-        controls = [col.take(nodes[skip:]) for col in columns[j]]
+        controls = [col.take(nodes[skip:]) for col in tables[j][1]]
         cost = np.asarray(spec.costs[job.player](xs, *controls), dtype=float)
         cost = cost if cost.shape == xs.shape else np.broadcast_to(cost, xs.shape)
         if job.alpha is not None:
@@ -197,9 +192,7 @@ def estimate_payoff(
     player carries that player's equilibrium seed).  A policy whose player
     count or control indices do not fit the game is a ValueError.
     """
-    if not 0 <= player < spec.n_players:
-        raise ValueError(f"player index {player} out of range")
-    _check_policy(spec, policy)
+    _check_joint(spec, policy.indices, "policy", player)
     job = _job(model, spec, policy, player, seed, horizon, burn_in, alpha)
     return _estimate_jobs(model, spec, [job], horizon, step, n_paths, "estimate_payoff")[0]
 
@@ -272,19 +265,11 @@ def _reference_value(nash: NashSolution, player: int,
     return float(sol.value_at(model.x0)), sol.alpha
 
 
-def _check_policy(spec: GameSpec, policy: FeedbackPolicy, owner: str = "policy") -> None:
-    if policy.n_players != spec.n_players:
-        raise ValueError(f"{owner} has {policy.n_players} players, the game {spec.n_players}")
-    for i, grid_i in enumerate(spec.grids):
-        idx = policy.indices[:, i]
-        if idx.min() < 0 or idx.max() >= len(grid_i):
-            raise ValueError(f"player {i}'s policy uses control indices {idx.min()} to "
-                             f"{idx.max()}, outside their {len(grid_i)}-point control grid")
-
-
-def _check_same_game(model: SdeModel, spec: GameSpec, nash: NashSolution) -> None:
-    """``nash`` solves each player's equation under ``model`` and ``spec`` to its residual."""
-    _check_policy(spec, nash.policy, "equilibrium")
+def _check_same_game(model: SdeModel, spec: GameSpec, nash: NashSolution,
+                     player: Optional[int] = None) -> None:
+    """``nash`` fits ``spec`` (and ``player`` is one of its players; :func:`_check_joint`)
+    and solves each player's equation under ``model`` and ``spec`` to its residual."""
+    _check_joint(spec, nash.policy.indices, "equilibrium", player)
     drivers = _frozen_drivers(spec, nash.policy.nodes, nash.policy.indices)
     for i, (sol, driver) in enumerate(zip(nash.solutions, drivers)):
         lam, alpha = (sol.lam, 0.0) if sol.alpha is None else (0.0, sol.alpha)
@@ -425,9 +410,7 @@ def bsde_path_residual(
     a ValueError.  The per-path sums of squares come from :func:`path_sums`,
     so they are the same bits however many processes ran.
     """
-    if not 0 <= player < spec.n_players:
-        raise ValueError(f"player index {player} out of range")
-    _check_same_game(model, spec, nash)
+    _check_same_game(model, spec, nash, player)
     sol = nash.solutions[player]
     policy = nash.policy
     n = _n_steps(horizon, step)
@@ -436,8 +419,7 @@ def bsde_path_residual(
     lookup = node_lookup(policy.nodes)
     v_table = interp_table(policy.nodes, sol.v)
     xi_table = interp_table(policy.nodes, sol.xi)
-    r_nodes = _policy_drift_nodes(spec, policy)
-    columns = policy.control_columns(spec)
+    r_nodes, columns = _gather(spec, policy.indices)
 
     def squares(job, start, states, nodes):
         # time-major, as the states; both interpolants share one segment lookup

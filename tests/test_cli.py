@@ -305,6 +305,23 @@ def test_verify_nash_rejects_equilibrium_of_another_game(tmp_path, caplog, game,
     assert "config error" in caplog.text and message in caplog.text
 
 
+def test_verify_nash_rejects_a_saved_index_that_is_no_whole_number(tmp_path, caplog):
+    # nash.csv's index columns used to be truncated on reading: 3.5 was control 3
+    nash_dir = tmp_path / "nash"
+    cfg = game_cfg(tmp_path)
+    assert cli.main(["solve-game", "--config", cfg, "--out", str(nash_dir), "--quiet"]) == 0
+    lines = (nash_dir / "nash.csv").read_text().splitlines()
+    at = lines[0].split(",").index("u_1_index")
+    row = lines[1].split(",")
+    row[at] += ".5"
+    lines[1] = ",".join(row)
+    (nash_dir / "nash.csv").write_text("\n".join(lines) + "\n")
+    assert cli.main(["verify-nash", "--config", cfg, "--out", str(tmp_path / "verify"),
+                     "--nash", str(nash_dir), "--quiet"]) == 1
+    assert "config error" in caplog.text
+    assert f"control indices must be finite whole numbers, got {row[at]}" in caplog.text
+
+
 def test_verify_nash_rejects_equilibrium_under_another_cost_bound(tmp_path, caplog):
     # same name and controls, another coupling: the cost bound and the costs differ
     game = {"name": "coupled_cross_cost", "n_controls": 41, "coupling": 0.25}
@@ -651,8 +668,11 @@ def test_an_unconverged_solve_leaves_its_residual_history_in_the_manifest(tmp_pa
         "driver": {"name": "sqrt_z_plus_bump", "slope": 0.5}, "solver": {"tol": 1.0e-10}})
     assert error["type"] == "MaxSweepsExceededError"
     # the last iterate v stays out
-    assert sorted(error) == ["lam", "message", "residual_history", "sup_residual", "sweeps",
-                             "type"]
+    assert sorted(error) == ["lam", "message", "residual_history", "rounding_floor",
+                             "sup_residual", "sweeps", "tol", "type"]
+    # the stall is the driver's, far above rounding: the message names no floor
+    assert error["tol"] == 1.0e-10 > 100 * error["rounding_floor"]
+    assert "rounding floor" not in error["message"]
     assert len(error["residual_history"]) == error["sweeps"]
     assert error["residual_history"][-1] == error["sup_residual"] > 1.0e-10
 

@@ -251,6 +251,24 @@ def test_frozen_driver_is_affine_in_the_node_tables():
     np.testing.assert_array_equal(f(np.full(3, np.nan), z), slope * z + offset)
 
 
+def test_max_sweeps_names_newtons_rounding_floor(model):
+    # at m=3201 the second difference's rounding, 2 sigma^2 eps max|v| / dx^2 = 7.1e-11,
+    # keeps Newton's residual near 2.4e-11: a tolerance of 1e-11 is out of reach
+    grid = eg.Grid1D(-6.0, 6.0, 3201)
+    driver = eg.make_driver({"name": "linear_z_plus_bump", "slope": 0.5})
+    with pytest.raises(eg.MaxSweepsExceededError) as exc:
+        eg.solve_ergodic(model, driver, grid, tol=1e-11)
+    err = exc.value
+    floor = 2.0 * model.sigma**2 * np.finfo(float).eps * np.abs(err.v).max() / grid.dx**2
+    assert err.rounding_floor == floor and err.tol == 1e-11
+    assert 7e-11 < floor < 7.2e-11
+    assert floor / 10 < min(err.residual_history) < floor
+    assert str(err).endswith(f"above tolerance; tolerance 1e-11 is below Newton's rounding "
+                             f"floor {floor:.3g}")
+    # a tolerance above the floor is reached, as before
+    assert eg.solve_ergodic(model, driver, grid, tol=1e-10).residual_sup < 1e-10
+
+
 def test_max_sweeps_carries_diagnostics(model, coarse_grid):
     with pytest.raises(eg.MaxSweepsExceededError) as exc:
         eg.solve_ergodic(model, eg.make_driver({"name": "bump"}), coarse_grid,

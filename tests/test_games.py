@@ -1,6 +1,7 @@
 """Static game layer: Hamiltonians, pointwise Nash search, tie-breaking."""
 
 import copy
+import re
 import tracemalloc
 
 import numpy as np
@@ -302,10 +303,13 @@ def _four_player():
 # (game, player-0 column classes or None, columns)
 _CLASSED_GAMES = {
     "decoupled": (eg.quadratic_decoupled, None, 41),
+    "decoupled_9": (lambda: eg.quadratic_decoupled(n_controls=9), None, 9),
     "coupled": (eg.coupled_cross_cost, None, 41),
     "tie": (_tie_game, None, 5),
     "three_player": (lambda: eg.three_player_symmetric(n_controls=9), 17, 81),
+    "three_player_21": (eg.three_player_symmetric, 244, 441),
     "three_player_41": (lambda: eg.three_player_symmetric(n_controls=41), 781, 1681),
+    "three_player_wide": (lambda: eg.three_player_symmetric(5, control_bound=2.0), 9, 25),
     "unequal_grids": (lambda: _three_player((5, 7, 4)), 22, 28),
     # the drift repeats its columns, but cost 0 reads player 1's control
     "cost_reads_others": (lambda: _three_player((5, 7, 4), coupled=True), None, 28),
@@ -394,8 +398,9 @@ def _bilinear_drift():
 _PRUNED_EXTRA = {"one_player": lambda: _one_player(), "bilinear_drift": _bilinear_drift}
 # the players whose pass prunes: those whose cost reads the others through the drift
 # alone, the last player excepted
-_PRUNED_PLAYERS = {"decoupled": (0,), "coupled": (), "tie": (), "three_player": (0, 1),
-                   "three_player_41": (0, 1), "unequal_grids": (0, 1), "cost_reads_others": (),
+_PRUNED_PLAYERS = {"decoupled": (0,), "decoupled_9": (0,), "coupled": (), "tie": (),
+                   "three_player": (0, 1), "three_player_21": (0, 1), "three_player_41": (0, 1),
+                   "three_player_wide": (0, 1), "unequal_grids": (0, 1), "cost_reads_others": (),
                    "stateless_cost": (0, 1), "drift_ignores_w": (0, 1),
                    "four_player": (0, 1, 2), "one_player": (), "bilinear_drift": (0,)}
 
@@ -866,6 +871,31 @@ def test_with_player_indices_copies():
     new = pol.with_player_indices(1, np.ones(5, dtype=int))
     assert np.all(new.indices[:, 1] == 1)
     assert np.all(pol.indices[:, 1] == 0)
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.5, np.nan, np.inf])
+def test_control_indices_must_be_whole_numbers(g0, bad):
+    # 1.7 used to be truncated to 1 by a policy, and a fraction raised IndexError in
+    # hamiltonian; NaN and infinities are no index either
+    nodes = np.linspace(-1.0, 1.0, 3)
+    message = f"control indices must be finite whole numbers, got {float(bad)!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        eg.FeedbackPolicy(nodes, [[bad, 2], [0, 0], [1, 1]])
+    pol = eg.FeedbackPolicy(nodes, np.zeros((3, 2), dtype=int))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pol.with_player_indices(0, [1, bad, 1])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        eg.hamiltonian(g0, 0, 0.0, 1.0, (bad, 1))
+
+
+def test_integral_control_indices_are_read_as_ints(g0):
+    # as a CSV file reads them back; True is the index 1, not a TypeError
+    pol = eg.FeedbackPolicy(np.linspace(-1.0, 1.0, 3), [[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+    assert pol.indices.dtype == int and pol.indices.tolist() == [[1, 2], [0, 0], [1, 1]]
+    new = pol.with_player_indices(1, np.array([3.0, 4.0, 5.0]))
+    assert new.indices.dtype == int and new.indices[:, 1].tolist() == [3, 4, 5]
+    assert eg.hamiltonian(g0, 0, 0.0, 1.0, (True, 1)) == eg.hamiltonian(g0, 0, 0.0, 1.0, (1, 1))
+    assert eg.hamiltonian(g0, 1, 0.5, 1.0, (4.0, 7.0)) == eg.hamiltonian(g0, 1, 0.5, 1.0, (4, 7))
 
 
 @pytest.mark.parametrize("nodes", [[-2.0, -1.0, 1.0, 2.0], [2.0, 1.0, 0.0, -1.0]],

@@ -132,7 +132,7 @@ def test_one_trace_line_per_iteration(model, g0, coarse_grid, caplog):
 
 
 def test_gathered_frozen_costs_match_stacked_tables(model, coarse_grid):
-    from ergodic_games.picard import _frozen_tables
+    from ergodic_games.games import _frozen_tables
 
     spec = eg.three_player_symmetric(n_controls=9)
     nodes = coarse_grid.nodes()
@@ -194,6 +194,24 @@ def test_nash_read_rejects_files_that_disagree_on_the_player_count(g0_nash_coars
     (tmp_path / "report.json").write_text(json.dumps(report))
     with pytest.raises(ValueError, match="disagree on the player count"):
         eg.NashSolution.read(tmp_path)
+
+
+@pytest.mark.parametrize("index, read", [("7.0", 7), ("7.5", None), ("nan", None)])
+def test_nash_read_takes_only_whole_control_indices(g0_nash_coarse, tmp_path, index, read):
+    # the index columns used to be cast with astype(int), which truncated 7.5 to 7
+    g0_nash_coarse.write(tmp_path)
+    lines = (tmp_path / "nash.csv").read_text().splitlines()
+    at = lines[0].split(",").index("u_2_index")
+    row = lines[5].split(",")
+    row[at] = index
+    lines[5] = ",".join(row)
+    (tmp_path / "nash.csv").write_text("\n".join(lines) + "\n")
+    if read is None:
+        with pytest.raises(ValueError, match="control indices must be finite whole numbers"):
+            eg.NashSolution.read(tmp_path)
+        return
+    loaded = eg.NashSolution.read(tmp_path)
+    assert loaded.policy.indices.dtype == int and loaded.policy.indices[4, 1] == read
 
 
 def test_a_converged_solve_records_no_cycle(g0_nash_coarse):

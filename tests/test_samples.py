@@ -16,7 +16,7 @@ import ergodic_games as eg
 from ergodic_games import games, verify
 from ergodic_games._samples import CHECK_SAMPLES, _CHECK_SLACK, check_states, first_over
 from ergodic_games.ebsde import checked_driver, frozen_driver, hjb_residual
-from ergodic_games.picard import _frozen_drivers
+from ergodic_games.games import _frozen_drivers
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -8,9 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
 import ergodic_games as eg
-from ergodic_games import sde, verify
+from ergodic_games import cli, games, sde, verify
 from ergodic_games.ebsde import nearest_node, node_lookup
 from ergodic_games.verify import (
     SCOPE_NOTE,
@@ -364,7 +365,7 @@ def test_nearest_node_lookups_agree_at_half_way_states(model, g0, coarse_grid):
     # node k plays u + v = -2 + 0.05 k, so the drift shift names its node
     i = np.minimum(np.arange(81), 40)
     policy = eg.FeedbackPolicy(nodes=nodes, indices=np.column_stack([i, np.arange(81) - i]))
-    r_nodes = verify._policy_drift_nodes(g0, policy)
+    r_nodes = games._gather(g0, policy.indices)[0]
     assert len(np.unique(r_nodes)) == 81
     grid_idx = nearest_node(xs, node_lookup(coarse_grid.nodes()))
     np.testing.assert_array_equal(nearest_node(xs, node_lookup(policy.nodes)), grid_idx)
@@ -406,7 +407,7 @@ def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
 
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 5)
     sde.run_paths(model, n, step, seeds, n_paths, keep,
-                  (grid.nodes(), [verify._policy_drift_nodes(g0, p) for p in policies]))
+                  (grid.nodes(), [games._gather(g0, p.indices)[0] for p in policies]))
     assert np.abs(out).max() > 1.5
     # every path alone: a batch of one column each
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 1)
@@ -618,6 +619,57 @@ def test_path_residual_rejects_equilibrium_of_another_game(model, g0_nash_coarse
     with pytest.raises(ValueError, match=f"control indices .* to {top}, outside their "
                                          "5-point control grid"):
         bsde_path_residual(model, eg.quadratic_decoupled(n_controls=5), g0_nash_coarse, **kw)
+
+
+# each fault of a joint control: the game it is checked against and the message of the one
+# check (games._check_joint) that every entry point raises
+_FAULTS = {
+    "player_count": ({"name": "three_player_symmetric", "n_controls": 9},
+                     "has 2 players, the game 3"),
+    "index": ({"name": "quadratic_decoupled", "n_controls": 5},
+              "outside their 5-point control grid"),
+    "player": ({"name": "quadratic_decoupled"}, "player index 2 out of range"),
+}
+
+
+# each entry point handed the saved equilibrium (its policy, or the joint control of the
+# node where player 0's index is largest) for another game
+_ENTRY_POINTS = {
+    "hamiltonian": lambda model, spec, nash, player: eg.hamiltonian(
+        spec, player, 0.3, 1.0, tuple(nash.policy.indices[np.argmax(nash.policy.indices[:, 0])])),
+    "estimate_payoff": lambda model, spec, nash, player: estimate_payoff(
+        model, spec, nash.policy, player, horizon=30.0, n_paths=2),
+    "nash_deviation_test": lambda model, spec, nash, player: nash_deviation_test(
+        model, spec, nash, n_deviations=3, horizon=30.0, n_paths=2),
+    "bsde_path_residual": lambda model, spec, nash, player: bsde_path_residual(
+        model, spec, nash, player=player, horizon=5.0, n_paths=2),
+}
+
+
+@pytest.mark.parametrize("entry, fault", [
+    (entry, fault) for entry in (*_ENTRY_POINTS, "verify-nash") for fault in _FAULTS
+    # the deviation harness and verify-nash take no player
+    if fault != "player" or entry not in ("nash_deviation_test", "verify-nash")])
+def test_every_entry_point_rejects_a_joint_control_by_one_check(
+        model, g0_nash_coarse, monkeypatch, tmp_path, caplog, entry, fault):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the joint control check")
+
+    monkeypatch.setattr(verify, "path_sums", no_paths)
+    game, message = _FAULTS[fault]
+    assert int(g0_nash_coarse.policy.indices[:, 0].max()) >= 5
+    if entry == "verify-nash":
+        g0_nash_coarse.write(tmp_path)
+        cfg = tmp_path / "other.yaml"
+        cfg.write_text(yaml.safe_dump({"model": {}, "game": game, "mc": {
+            "horizon": 30.0, "n_paths": 2, "n_deviations": 3}}))
+        assert cli.main(["verify-nash", "--config", str(cfg), "--out", str(tmp_path / "verify"),
+                         "--nash", str(tmp_path), "--quiet"]) == 1
+        assert "config error" in caplog.text and message in caplog.text
+        return
+    player = 2 if fault == "player" else 0
+    with pytest.raises(ValueError, match=message):
+        _ENTRY_POINTS[entry](model, eg.make_game(game), g0_nash_coarse, player)
 
 
 def test_path_residual_needs_a_step(model, g0, g0_nash_coarse, monkeypatch):

@@ -31,7 +31,7 @@ _ERRORS = {
     sde.SimulationDivergedError: lambda: sde.SimulationDivergedError(300),
     games.NoPureNashError: lambda: games.NoPureNashError(0.5, (1.25, -2.0)),
     ebsde.MaxSweepsExceededError: lambda: ebsde.MaxSweepsExceededError(
-        3.5e-4, 50, 0.3075, np.linspace(-1.0, 1.0, 7), [1.0, 0.01, 3.5e-4]),
+        3.5e-4, 50, 0.3075, np.linspace(-1.0, 1.0, 7), [1.0, 0.01, 3.5e-4], 1e-11, 7.1e-11),
     ebsde.NonMonotoneSchemeError: lambda: ebsde.NonMonotoneSchemeError(
         "not monotone at x=-4.5", -4.5, 18.3, 2.0),
     continuous.GrowthViolationError: lambda: continuous.GrowthViolationError("grows too fast"),
