@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -206,7 +207,9 @@ class GameSpec:
         return getattr(self, "_drift_table")
 
     def control_values(self, u: JointControl) -> list:
-        return [g.points[j] for g, j in zip(self.grids, u)]
+        """Each player's control value at the joint control ``u`` (:func:`_check_joint`)."""
+        idx = _check_joint(self, np.reshape(u, (1, -1)), "joint control")[0]
+        return [g.points[j] for g, j in zip(self.grids, idx)]
 
     # -- construction checks on fixed states -----------------------------------------
 
@@ -339,8 +342,10 @@ def _check_joint(spec: GameSpec, indices, owner: str,
                  player: Optional[int] = None) -> np.ndarray:
     """``indices``, one joint control per row, as whole numbers (:func:`_whole`) that fit
     the game: one column per player, each on its player's control grid; ``player``, when
-    given, must be one of the game's.  Else a ValueError that names ``owner``."""
-    if player is not None and not 0 <= player < spec.n_players:
+    given, must be one of the game's, an integer that is no bool.  Else a ValueError that
+    names ``owner``."""
+    if player is not None and (isinstance(player, bool) or not isinstance(player, Integral)
+                               or not 0 <= player < spec.n_players):
         raise ValueError(f"player index {player} out of range")
     idx = _whole(indices)
     if idx.shape[1] != spec.n_players:

@@ -447,14 +447,18 @@ def _cpu_count() -> int:
 
 
 def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
-              n_paths: int, terms: Callable, drift: Optional[tuple] = None) -> np.ndarray:
-    """Per-path sums of ``terms`` over one engine run, shape ``(len(seeds), n_paths)``.
+              n_paths: int, terms: Callable, drift: Optional[tuple] = None,
+              groups: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Per-path sums of ``terms`` over one engine run, shape ``(len(groups), n_paths)``.
 
-    Entry ``[s, k]`` is path ``k`` of job ``s`` of :func:`run_paths`.
-    ``terms(job, start, states, nodes)`` gets each window of one job's paths
-    as a consumer does and returns their terms time-major, one row per step
-    it counts, or None; each window's rows are added along
-    :func:`window_sum`'s tree.  The run uses ``min(CPUs, n_paths,
+    Entry ``[r, k]`` sums terms of path ``k`` of job ``groups[r]`` of
+    :func:`run_paths` (``seeds`` and ``drift`` hold one entry per job; without
+    ``groups`` row ``r`` reads job ``r``), so several rows may share one job's
+    paths, which are simulated once.  ``terms(row, start, states, nodes)``
+    gets each window of the paths of the row's job as a consumer does and
+    returns their terms time-major, one row per step it counts, or None; each
+    window's rows are added along :func:`window_sum`'s tree, so a row's sums
+    do not depend on the other rows.  The run uses ``min(CPUs, n_paths,
     path-steps // _MIN_WORKER_PATH_STEPS)`` workers, so on two CPUs every run
     of 500,000 path-steps or more splits: with one, with no
     ``fork`` on the platform, or in a daemonic process (which may have no
@@ -469,14 +473,19 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
     :func:`_log_engine` reports the run as one ``label`` line.
     """
     _check_n_paths(n_paths)
+    groups = range(len(seeds)) if groups is None else groups
+    feeds = [[] for _ in seeds]  # the rows of each job
+    for row, job in enumerate(groups):
+        feeds[job].append(row)
 
     def run_range(k0, k1):
-        sums = np.zeros((len(seeds), k1 - k0))
+        sums = np.zeros((len(groups), k1 - k0))
 
         def add(job, paths, start, states, nodes):
-            values = terms(job, start, states, nodes)
-            if values is not None:
-                sums[job, paths] += window_sum(values)
+            for row in feeds[job]:
+                values = terms(row, start, states, nodes)
+                if values is not None:
+                    sums[row, paths] += window_sum(values)
 
         return sums, run_paths(model, n_steps, step, seeds, k1 - k0, add, drift, first_path=k0)
 

@@ -5,10 +5,10 @@ feedback policy enters as a drift shift through the noise map) and averaging
 the deviating player's running cost: time-averaged over a window for ergodic
 payoffs, discounted from the start state otherwise.  The Nash property is
 probed by re-estimating a player's payoff under sampled unilateral
-deviations, on the paths of that player's equilibrium estimate; none may
-undercut the equilibrium value by more than a noise-plus-grid allowance.  A
-pathwise residual of the backward equation gives an independent consistency
-check that shrinks with the step size.
+deviations, on the paths of the equilibrium estimates, which every player
+shares; none may undercut the equilibrium value by more than a
+noise-plus-grid allowance.  A pathwise residual of the backward equation
+gives an independent consistency check that shrinks with the step size.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass
+from numbers import Integral
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,17 +111,30 @@ def _job(model: SdeModel, spec: GameSpec, policy: FeedbackPolicy, player: int, s
     return _Job(player, policy, seed, 0.0, alpha)
 
 
+def _groups(jobs: Sequence[_Job]) -> Tuple[list, list]:
+    """The engine group of each job, numbered in order of first appearance, and each
+    group's first job: jobs share a group where their seeds and policy indices agree."""
+    number, groups, heads = {}, [], []
+    for j, job in enumerate(jobs):
+        groups.append(number.setdefault((job.seed, job.policy.indices.tobytes()), len(heads)))
+        if groups[-1] == len(heads):
+            heads.append(j)
+    return groups, heads
+
+
 def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizon: float,
                    step: float, n_paths: int, label: str) -> list:
     """Every job's payoff from one run of the path engine.
 
-    Job ``j`` runs paths ``0..n_paths-1`` of ``job.seed``.  Each path's cost
-    is summed over the steps after the job's burn-in (``exp(-alpha t) dt``
-    weighted for discounted jobs) by :func:`path_sums`, as the engine hands
-    over each window of steps, so no array of size paths x steps is built
-    and a job's estimate does not depend on the other jobs in the run.
-    Means and standard errors come from the per-path sums, which are the
-    same bits however many processes ran.
+    Job ``j`` runs paths ``0..n_paths-1`` of ``job.seed``.  Jobs of equal
+    seed and equal policy indices form one group of the engine, whose paths
+    are simulated once and feed each of its jobs.  Each path's cost is summed
+    over the steps after the job's burn-in (``exp(-alpha t) dt`` weighted for
+    discounted jobs) by :func:`path_sums`, as the engine hands over each
+    window of steps, so no array of size paths x steps is built and a job's
+    estimate does not depend on the other jobs in the run.  Means and
+    standard errors come from the per-path sums, which are the same bits
+    however many processes ran.
     """
     n = _n_steps(horizon, step)
     first_step = [int(round(job.burn_in / step)) for job in jobs]
@@ -128,7 +142,8 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
         if first >= n:  # the average would have no step to count
             raise ValueError(f"burn_in {job.burn_in:.6g} rounds to step {first} of the {n} "
                              f"steps of size {step:.6g} up to horizon {horizon:.6g}")
-    tables = [_gather(spec, job.policy.indices) for job in jobs]
+    groups, heads = _groups(jobs)
+    tables = [_gather(spec, jobs[j].policy.indices) for j in heads]
     drift = (jobs[0].policy.nodes, [r for r, _ in tables])
 
     def costs(j, start, states, nodes):
@@ -138,7 +153,7 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
         xs = states[skip:-1]
         if not len(xs):
             return None
-        controls = [col.take(nodes[skip:]) for col in tables[j][1]]
+        controls = [col.take(nodes[skip:]) for col in tables[groups[j]][1]]
         cost = np.asarray(spec.costs[job.player](xs, *controls), dtype=float)
         cost = cost if cost.shape == xs.shape else np.broadcast_to(cost, xs.shape)
         if job.alpha is not None:
@@ -146,7 +161,8 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
             cost = cost * (np.exp(-job.alpha * t) * step)[:, None]
         return cost
 
-    sums = path_sums(label, model, n, step, [job.seed for job in jobs], n_paths, costs, drift)
+    sums = path_sums(label, model, n, step, [jobs[j].seed for j in heads], n_paths, costs,
+                     drift, groups)
     out = []
     for j, job in enumerate(jobs):
         per_path = sums[j]
@@ -188,12 +204,12 @@ def estimate_payoff(
     ``1e-3`` (otherwise :class:`InsufficientHorizonError`); a deviation
     is simulated by passing ``policy.with_player_indices(...)``.  The
     estimate is bitwise the row :func:`nash_deviation_test` reports for the
-    same policy, player and seed (``PayoffEstimate.seed``; every row of a
-    player carries that player's equilibrium seed).  A policy whose player
+    same policy, player and seed (``PayoffEstimate.seed``; every row of
+    every player carries the one equilibrium seed).  A policy whose player
     count or control indices do not fit the game is a ValueError.
     """
     _check_joint(spec, policy.indices, "policy", player)
-    job = _job(model, spec, policy, player, seed, horizon, burn_in, alpha)
+    job = _job(model, spec, policy, int(player), seed, horizon, burn_in, alpha)
     return _estimate_jobs(model, spec, [job], horizon, step, n_paths, "estimate_payoff")[0]
 
 
@@ -301,34 +317,40 @@ def nash_deviation_test(
     For each player the harness first re-estimates the equilibrium payoff
     (its margin must vanish within threshold), then samples ``n_deviations``
     deviations split evenly over three kinds: constant controls, a single
-    perturbed node, and fully random feedback fields.  Every row of a player
-    is simulated on the equilibrium row's paths (its seed, so its streams),
-    so a deviation that changes no visited node repeats the equilibrium
-    row's value and stderr.  A deviation passes
-    when it does not *undercut* the player's reference value by more than
-    ``3 * stderr + grid_error_budget``.  Ergodic players are referenced to
-    their long-run constant, a discounted player to their value function at
-    the start state, which must lie on their grid.  An equilibrium that does
-    not fit the game (player count, control indices) or whose saved fields do
-    not solve each player's equation under ``model`` and ``spec`` at the saved
-    policy to the recorded ``residual_sup`` (one of another game or model, or
-    a cycle) is a ValueError, as is a negative ``n_deviations``.
+    perturbed node, and fully random feedback fields.  Every row of every
+    player is simulated on one equilibrium seed, so on the same streams: the
+    equilibrium policy runs once for all the players' equilibrium rows, as
+    does each distinct deviation policy, and a deviation that changes no
+    visited node repeats its player's equilibrium row's value and stderr.
+    A deviation passes when it does not *undercut* the player's reference
+    value by more than ``3 * stderr + grid_error_budget``.  Ergodic players
+    are referenced to their long-run constant, a discounted player to their
+    value function at the start state, which must lie on their grid.  An
+    equilibrium that does not fit the game (player count, control indices)
+    or whose saved fields do not solve each player's equation under
+    ``model`` and ``spec`` at the saved policy to the recorded
+    ``residual_sup`` (one of another game or model, or a cycle) is a
+    ValueError, as is an ``n_deviations`` that is no nonnegative integer.
     A discounted payoff's horizon must push its tail below ``1e-3``.  All
     rows are estimated by one engine run whose paths may be split over CPUs
     (as in ``_estimate_jobs``); the report is byte-identical whatever the
     split.
     """
+    if isinstance(n_deviations, bool) or not isinstance(n_deviations, Integral):
+        raise ValueError(f"n_deviations must be a whole number, got {n_deviations!r}")
     if n_deviations < 0:
         raise ValueError(f"n_deviations must be nonnegative, got {n_deviations}")
+    n_deviations = int(n_deviations)  # a numpy integer too reports as a plain int
     _check_same_game(model, spec, nash)
     # every job is built (and its arguments checked) before any path is
     # simulated; the deviation draws do not depend on the estimates
     m = len(nash.policy.nodes)
+    # one equilibrium seed for every player: all rows share its paths' noise
+    eq_seed = int(path_stream(seed, 0xE0, 0).integers(2**32))
     jobs, labels = [], []
     for player in range(spec.n_players):
         ref, alpha = _reference_value(nash, player, model)
         criterion = dict(horizon=horizon, burn_in=burn_in, alpha=alpha)
-        eq_seed = int(path_stream(seed, 0xE0, player).integers(2**32))
         jobs.append(_job(model, spec, nash.policy, player, eq_seed, **criterion))
         labels.append(("equilibrium", "equilibrium policy", ref))
         grid_i = spec.grids[player]

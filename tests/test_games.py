@@ -223,6 +223,26 @@ def test_hamiltonian_validates_player(g0, player):
         eg.hamiltonian(g0, player, 0.3, 1.0, (3, 7))
 
 
+@pytest.mark.parametrize("player", [0.5, True, 1.0])
+def test_hamiltonian_takes_an_integer_player(g0, player):
+    # 0.5 and 1.0 used to fail with a TypeError, and True read player 1's cost
+    with pytest.raises(ValueError, match=f"player index {player} out of range"):
+        eg.hamiltonian(g0, player, 0.3, 1.0, (3, 7))
+    assert eg.hamiltonian(g0, np.int64(1), 0.3, 1.0, (3, 7)) == eg.hamiltonian(
+        g0, 1, 0.3, 1.0, (3, 7))
+
+
+def test_control_values_checks_the_joint_control(g0):
+    # -1 used to wrap round to the top control, and 41 to raise a bare IndexError
+    assert g0.control_values((3, 7)) == [g0.grids[0].points[3], g0.grids[1].points[7]]
+    for u, shown in (((-1, 0), "-1 to -1"), ((41, 0), "41 to 41")):
+        with pytest.raises(ValueError, match=f"player 0's policy uses control indices {shown}, "
+                                             "outside their 41-point control grid"):
+            g0.control_values(u)
+    with pytest.raises(ValueError, match="joint control has 3 players, the game 2"):
+        g0.control_values((1, 2, 3))
+
+
 @settings(max_examples=40, deadline=None)
 @given(z0=finite, z1=finite, x=finite)
 @example(z0=0.0, z1=0.25, x=14.0)  # controls -0.15 and -0.1 tie before rounding

@@ -322,6 +322,30 @@ def _captured_jobs(monkeypatch):
     return jobs
 
 
+def _former_seed(seed, player):
+    """The equilibrium seed of ``player``'s rows when each player's rows had a seed of
+    their own; player 0's is the one every row carries now."""
+    return int(eg.path_stream(seed, 0xE0, player).integers(2**32))
+
+
+def _rows_on_former_seeds(model, spec, nash, monkeypatch, seed, **kw):
+    """``(description, value, stderr)`` of each harness row, player 0's as reported and
+    every other player's estimated alone on their own policy and former seed."""
+    with monkeypatch.context() as mp:
+        jobs = _captured_jobs(mp)
+        rep = nash_deviation_test(model, spec, nash, seed=seed, **kw)
+    assert {r.estimate.seed for r in rep.rows} == {_former_seed(seed, 0)}
+    out = []
+    for job, row in zip(jobs, rep.rows):
+        est = row.estimate
+        if row.player != 0:
+            est = estimate_payoff(model, spec, job.policy, job.player, horizon=kw["horizon"],
+                                  step=kw["step"], n_paths=kw["n_paths"], burn_in=job.burn_in,
+                                  alpha=job.alpha, seed=_former_seed(seed, row.player))
+        out.append((row.description, est.value, est.stderr))
+    return out
+
+
 @pytest.mark.parametrize("game", ["ergodic", "asymmetric"])
 def test_deviation_rows_equal_estimates_alone(model, g0, g0_nash_coarse, g0_asymmetric,
                                               monkeypatch, game):
@@ -338,6 +362,34 @@ def test_deviation_rows_equal_estimates_alone(model, g0, g0_nash_coarse, g0_asym
         alone = estimate_payoff(model, g0, job.policy, job.player,
                                 burn_in=job.burn_in, alpha=job.alpha, seed=job.seed, **kw)
         assert alone == row.estimate
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_jobs_that_share_a_policy_and_seed_equal_estimates_alone(
+        model, g0, g0_asymmetric, monkeypatch, caplog, workers):
+    # jobs 0, 2, 3 and 5 run one (policy, seed): ergodic jobs of both players, one with
+    # another burn-in and one on an equal copy of the policy, and a discounted job
+    eq = g0_asymmetric.policy
+    copy = eg.FeedbackPolicy(nodes=eq.nodes, indices=eq.indices.copy())
+    dev = eq.with_player_indices(0, np.full(len(eq.nodes), 3))
+    jobs = [verify._Job(0, eq, 4, 1.0, None), verify._Job(1, dev, 4, 1.0, None),
+            verify._Job(1, eq, 4, 0.0, 0.2), verify._Job(0, eq, 4, 2.5, None),
+            verify._Job(0, dev, 9, 1.0, None), verify._Job(1, copy, 4, 1.0, None),
+            verify._Job(1, dev, 4, 0.0, 0.2)]
+    kw = dict(horizon=50.0, step=0.02, n_paths=6)
+    monkeypatch.setattr(sde, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(sde, "_MIN_WORKER_PATH_STEPS", 1)
+    with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
+        got = verify._estimate_jobs(model, g0, jobs, kw["horizon"], kw["step"], kw["n_paths"],
+                                    "test")
+    line = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
+    # three groups, (eq, 4), (dev, 4) and (dev, 9), on two seeds' 6 streams
+    assert len(line) == 1 and f"paths={3 * 6} " in line[0] and f"streams={2 * 6} " in line[0]
+    assert f"workers={workers} " in line[0]
+    for job, est in zip(jobs, got):
+        alone = estimate_payoff(model, g0, job.policy, job.player, burn_in=job.burn_in,
+                                alpha=job.alpha, seed=job.seed, **kw)
+        assert alone == est
 
 
 def test_deviation_rows_reuse_the_equilibrium_paths(model, g0, g0_nash_coarse, coarse_grid):
@@ -440,7 +492,7 @@ PARENT_ESTIMATES = {
 }
 
 
-def test_estimates_match_parent_values(model, g0, g0_nash_coarse, g0_asymmetric):
+def test_estimates_match_parent_values(model, g0, g0_nash_coarse, g0_asymmetric, monkeypatch):
     close = dict(rel=1e-12, abs=0.0)
     got = {
         "ergodic": estimate_payoff(model, g0, g0_nash_coarse.policy, 0, horizon=30.0,
@@ -452,10 +504,11 @@ def test_estimates_match_parent_values(model, g0, g0_nash_coarse, g0_asymmetric)
         assert (est.value, est.stderr) == pytest.approx(PARENT_ESTIMATES[key], **close)
     for key, nash, horizon in (("rows", g0_nash_coarse, 30.0),
                                ("asymmetric_rows", g0_asymmetric, 50.0)):
-        rep = nash_deviation_test(model, g0, nash, n_deviations=3, horizon=horizon,
-                                  step=0.02, n_paths=12, seed=5)
-        for row, pinned in zip(rep.rows, PARENT_ESTIMATES[key]):
-            assert (row.estimate.value, row.estimate.stderr) == pytest.approx(pinned, **close)
+        rows = _rows_on_former_seeds(model, g0, nash, monkeypatch, n_deviations=3,
+                                     horizon=horizon, step=0.02, n_paths=12, seed=5)
+        assert len(rows) == len(PARENT_ESTIMATES[key])
+        for (_, value, stderr), pinned in zip(rows, PARENT_ESTIMATES[key]):
+            assert (value, stderr) == pytest.approx(pinned, **close)
     assert bsde_path_residual(model, g0, g0_nash_coarse, player=0, horizon=25.0, step=0.02,
                               n_paths=32, seed=4) == pytest.approx(
         PARENT_ESTIMATES["residual"], **close)
@@ -559,8 +612,9 @@ def test_harness_logs_one_engine_line(model, g0, g0_nash_coarse, caplog):
                      r"windows=(\d+) streams=(\d+) workers=1 rng_s=(\d+\.\d{4}) "
                      r"euler_s=(\d+\.\d{4}) cost_s=(\d+\.\d{4})", lines[0])
     assert m is not None, lines[0]
-    # a player's four rows share the equilibrium row's 8 streams
-    assert [int(v) for v in m.groups()[:5]] == [2 * 4 * 8, 1250, 1, 5, 2 * 8]
+    # 2 players x 4 rows on one seed: both equilibrium rows read one group, so 7 groups
+    # of 8 paths; every group draws the seed's 8 streams, once per batch
+    assert [int(v) for v in m.groups()[:5]] == [7 * 8, 1250, 1, 5, 8]
     assert float(m.group(6)) > 0.0 and float(m.group(7)) > 0.0
     assert "engine" not in str(rep.as_dict()) and "_s=" not in str(rep.as_dict())
 
@@ -672,6 +726,28 @@ def test_every_entry_point_rejects_a_joint_control_by_one_check(
         _ENTRY_POINTS[entry](model, eg.make_game(game), g0_nash_coarse, player)
 
 
+@pytest.mark.parametrize("player", [0.5, True, 1.0])
+@pytest.mark.parametrize("entry", ["hamiltonian", "estimate_payoff", "bsde_path_residual"])
+def test_a_player_index_must_be_an_integer(model, g0, g0_nash_coarse, monkeypatch, entry,
+                                           player):
+    # 0.5 used to fail with a TypeError inside, and True was read as player 1
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the player check")
+
+    monkeypatch.setattr(verify, "path_sums", no_paths)
+    with pytest.raises(ValueError, match=f"player index {player} out of range"):
+        _ENTRY_POINTS[entry](model, g0, g0_nash_coarse, player)
+
+
+def test_a_numpy_integer_player_is_a_player(model, g0, g0_nash_coarse):
+    kw = dict(horizon=30.0, step=0.02, n_paths=2)
+    est = estimate_payoff(model, g0, g0_nash_coarse.policy, np.int64(1), **kw)
+    assert est == estimate_payoff(model, g0, g0_nash_coarse.policy, 1, **kw)
+    assert type(est.player) is int  # so the estimate's as_dict() writes as JSON
+    assert bsde_path_residual(model, g0, g0_nash_coarse, player=np.int64(1), **kw) == \
+        bsde_path_residual(model, g0, g0_nash_coarse, player=1, **kw)
+
+
 def test_path_residual_needs_a_step(model, g0, g0_nash_coarse, monkeypatch):
     # horizon 0 used to average over no step: 0/0, NaN and a RuntimeWarning
     def no_paths(*args, **kwargs):
@@ -691,6 +767,22 @@ def test_deviation_count_must_be_nonnegative(model, g0, g0_nash_coarse, monkeypa
     with pytest.raises(ValueError, match="n_deviations must be nonnegative, got -2"):
         nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=-2, horizon=30.0,
                             n_paths=2)
+
+
+def test_deviation_count_must_be_a_whole_number(model, g0, g0_nash_coarse, monkeypatch):
+    # 1.5 used to fail with a TypeError from range(), and True ran one deviation
+    kw = dict(horizon=30.0, n_paths=2)
+    with monkeypatch.context() as mp:
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths simulated before the deviation count check")
+
+        mp.setattr(verify, "path_sums", no_paths)
+        for count in (1.5, True, 2.0):
+            with pytest.raises(ValueError, match=f"n_deviations must be a whole number, "
+                                                 f"got {count!r}"):
+                nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=count, **kw)
+    rep = nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=np.int64(1), **kw)
+    assert type(rep.n_deviations_per_player) is int and len(rep.rows) == 4
 
 
 # bitwise values of the parent of the batch-keyed, sigma-scaled and uniformly
@@ -735,9 +827,9 @@ def test_residuals_are_pinned_bitwise(model, g0, g0_nash_coarse, g0_asymmetric):
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_ROWS))
-def test_deviation_rows_are_pinned_bitwise(model, g0, g0_nash_coarse, seed):
-    # seed 2**40 keys the deviation draws with two-word seeds
-    rep = nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=3, horizon=30.0,
-                              step=0.02, n_paths=12, seed=seed)
-    got = [(r.description, r.estimate.value, r.estimate.stderr) for r in rep.rows]
+def test_deviation_rows_are_pinned_bitwise(model, g0, g0_nash_coarse, monkeypatch, seed):
+    # seed 2**40 keys the deviation draws with two-word seeds; player 1's numbers
+    # pin that player's policies on their former seed
+    got = _rows_on_former_seeds(model, g0, g0_nash_coarse, monkeypatch, n_deviations=3,
+                                horizon=30.0, step=0.02, n_paths=12, seed=seed)
     assert got == PINNED_ROWS[seed]
