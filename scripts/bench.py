@@ -3,7 +3,7 @@
 
 Usage: python scripts/bench.py LABEL
 
-The record has five parts:
+The record has six parts:
 
 * ``perfbench``: for each workload of ``BENCHMARK.json``, ``perfbench/run.py
   --workload W --seed 41 --seconds S --trace 0`` is run unchanged (S is the
@@ -32,6 +32,12 @@ The record has five parts:
   LADDER_RUNS calls after one that fills the spec's once-only caches, and
   the number of rows flagged without a stable control, under the game's
   label;
+* ``residual``: in one fresh interpreter, verify_wide's residual pair
+  (``bsde_path_residual`` of player 0 of ``quadratic_decoupled`` solved at
+  m=81, 1,000 paths to horizon 20 at each step of RESIDUAL_STEPS, seed
+  SEED), RESIDUAL_RUNS times: the median wall time of a pair and the median
+  minor faults of its worker processes, and the largest worker's peak RSS
+  (``RUSAGE_CHILDREN``; the interpreter has no other child);
 * ``src_lines``: the line count of each ``src/ergodic_games/*.py`` of the
   copy below, by file name, and their ``total``.
 
@@ -75,6 +81,8 @@ SEARCH_GAMES = (("quadratic_decoupled", "quadratic_decoupled", None),
                 ("three_player_symmetric_41", "three_player_symmetric", 41),
                 ("three_player_symmetric_101", "three_player_symmetric", 101))
 SEARCH_NODES = 101
+RESIDUAL_STEPS = (0.02, 0.01)
+RESIDUAL_RUNS = 5
 
 
 def workload_entry(run: dict) -> dict:
@@ -155,6 +163,27 @@ def search_ladder(runs=LADDER_RUNS) -> dict:
     return ladder
 
 
+def residual(runs=RESIDUAL_RUNS) -> dict:
+    """The ``residual`` part, measured in this interpreter and its children."""
+    import resource
+
+    import ergodic_games as eg
+
+    model, spec = eg.ou_model(), eg.quadratic_decoupled()
+    nash = eg.picard_solve(model, spec, eg.Grid1D(-6.0, 6.0, 81), tol=1e-4, inner_tol=1e-6)
+    seconds, faults = [], []
+    for _ in range(runs):
+        before, t0 = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt, time.perf_counter()
+        for step in RESIDUAL_STEPS:
+            eg.bsde_path_residual(model, spec, nash, player=0, horizon=20.0, step=step,
+                                  n_paths=1000, seed=SEED)
+        seconds.append(time.perf_counter() - t0)
+        faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+    return {"wall_s": statistics.median(seconds), "worker_minflt": statistics.median(faults),
+            "worker_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+            "runs": runs}
+
+
 def src_lines(root: Path) -> dict:
     """The ``src_lines`` part, counted in the checkout (or copy) ``root``."""
     counts = {path.name: path.read_bytes().count(b"\n")
@@ -163,11 +192,12 @@ def src_lines(root: Path) -> dict:
 
 
 def bench_record(label: str, runs: dict, manifests: dict, logs: dict, ladder: dict,
-                 search: dict, lines: dict) -> dict:
+                 search: dict, res: dict, lines: dict) -> dict:
     """The bench file's contents: ``runs`` maps each workload to its perfbench
     record, ``manifests`` and ``logs`` each g0 command to the manifests and the
     standard error of its runs, ``ladder`` is :func:`grid_ladder`'s result,
-    ``search`` :func:`search_ladder`'s and ``lines`` :func:`src_lines`'s."""
+    ``search`` :func:`search_ladder`'s, ``res`` :func:`residual`'s and ``lines``
+    :func:`src_lines`'s."""
     first = next(iter(runs.values()))
     return {
         "label": label,
@@ -177,6 +207,7 @@ def bench_record(label: str, runs: dict, manifests: dict, logs: dict, ladder: di
         "g0": {command: g0_entry(mans, logs[command]) for command, mans in manifests.items()},
         "grid_ladder": ladder,
         "search_ladder": search,
+        "residual": res,
         "src_lines": lines,
     }
 
@@ -236,11 +267,11 @@ def main(argv=None) -> int:
                 manifest, log = run_g0(root, command, Path(tmp) / f"{command}-{r}")
                 manifests[command].append(manifest)
                 logs[command].append(log)
-        ladder, search = (run_fresh(root, f"import bench, json; print(json.dumps(bench.{part}()))")
-                          for part in ("grid_ladder", "search_ladder"))
+        ladder, search, res = (
+            json.loads(run_fresh(root, f"import bench, json; print(json.dumps(bench.{part}()))")
+                       .stdout) for part in ("grid_ladder", "search_ladder", "residual"))
         lines = src_lines(root)
-    record = bench_record(argv[0], runs, manifests, logs, json.loads(ladder.stdout),
-                          json.loads(search.stdout), lines)
+    record = bench_record(argv[0], runs, manifests, logs, ladder, search, res, lines)
     path = REPO / f"BENCH_{argv[0]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)

@@ -17,7 +17,9 @@ Randomness is drawn from one generator per path, keyed by
 ``(seed, path_index)``: numpy's ``default_rng`` of those words.
 :func:`run_paths` alone applies the keying rule: given a list of seeds and
 ``n_paths``, column ``j`` is path ``j % n_paths`` of ``seeds[j // n_paths]``.
-A batch seeds and draws each distinct key once, and every column of that key
+A batch seeds each distinct key once, all keys of one seed in one vectorized
+pass of numpy's seed hashing (:func:`_path_streams`, bitwise the generators
+of :func:`path_stream`), and draws each key once: every column of that key
 reads the same normals, so jobs listing one seed share their paths' noise.
 Drawing, stepping, the scan for divergence and the consumer all work one
 fixed window of steps at a time; each window's normals are drawn and scaled
@@ -32,10 +34,15 @@ run, may split the paths into contiguous ranges and run each range in a
 process of its own, started by ``os.fork`` and sending its sums back
 through a pipe: every range keeps its paths' keys through ``first_path``,
 so the sums joined in path order are the bits one process would have made.
+A worker keeps the heap it frees (:func:`_keep_heap`): it exits after one
+run, so pages given back to the system would only be faulted in again.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 import logging
 import math
 import os
@@ -45,6 +52,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -88,14 +96,73 @@ class SimulationDivergedError(RuntimeError):
         return type(self), (self.step_index,)
 
 
+def _integer(v, name: str) -> int:
+    """``int(v)``, or a ValueError unless ``v`` is an integer (a numpy one, not a bool)."""
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def path_stream(seed: int, *key: int) -> np.random.Generator:
     """Generator for one Monte Carlo stream, keyed by ``(seed, *key)``.
 
     Each distinct key tuple yields an independent, reproducible stream:
     ``np.random.default_rng`` of the key's entries, each folded into an
     unsigned 64-bit word (so ``-1`` and ``2**64 - 1`` name the same stream).
+    An entry that is not an integer (a bool or 1.5) is a ValueError.
     """
-    return np.random.default_rng([int(v) & 0xFFFFFFFFFFFFFFFF for v in (seed, *key)])
+    return np.random.default_rng([_integer(v, "a stream key") & 0xFFFFFFFFFFFFFFFF
+                                  for v in (seed, *key)])
+
+
+# numpy's SeedSequence hashing (a pool of 4 words): its hash and mix constants
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+@functools.cache
+def _fixed_state() -> type:
+    """A seed sequence whose state is a given row, built on first use: defining it
+    imports ``numpy.random``, which ``import ergodic_games`` does not."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedState(ISeedSequence):
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return FixedState
+
+
+def _path_streams(seed: int, keys: Sequence[int]) -> list:
+    """``[path_stream(seed, k) for k in keys]`` bit for bit: every key's ``SeedSequence``
+    (the seed's one or two 32-bit words, then the key's one) hashed in one vector pass,
+    its state handed to ``PCG64``.  Keys outside ``0..2**32-1`` take :func:`path_stream`."""
+    word = _integer(seed, "a stream key") & 0xFFFFFFFFFFFFFFFF
+    if any(not 0 <= k < 2**32 for k in keys):
+        return [path_stream(seed, k) for k in keys]
+    # entropy zero-padded to the pool: the seed's low word, its high one if nonzero, the key
+    pool = np.zeros((4, len(keys)), dtype=np.uint32)
+    pool[0], pool[1] = word & 0xFFFFFFFF, word >> 32
+    pool[1 + (word >> 32 > 0)] = keys
+    const = {_MULT_A: _INIT_A, _MULT_B: _INIT_B}  # each hash's running constant
+
+    def hashed(words, mult):
+        words = words ^ np.uint32(const[mult])
+        const[mult] = const[mult] * mult & 0xFFFFFFFF
+        words = words * np.uint32(const[mult])
+        return words ^ (words >> 16)
+
+    pool = [hashed(words, _MULT_A) for words in pool]
+    for src, dst in itertools.permutations(range(4), 2):
+        mixed = _MIX_L * pool[dst] - _MIX_R * hashed(pool[src], _MULT_A)
+        pool[dst] = mixed ^ (mixed >> 16)
+    state = np.stack([hashed(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    fixed = _fixed_state()
+    return [np.random.Generator(np.random.PCG64(fixed(row)))
+            for row in state.astype("<u4").view("<u8").astype(np.uint64)]
 
 
 def _broadcast(fn: Callable, x) -> np.ndarray:
@@ -192,7 +259,7 @@ class MomentReport:
 
 
 def _check_n_paths(n_paths: int) -> None:
-    if n_paths < 1:
+    if _integer(n_paths, "n_paths") < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
 
 
@@ -270,7 +337,8 @@ def run_paths(
     and one band of ``_BAND`` keys by one window are allocated: with a
     generator per key, the engine's memory whatever the number of keys.
     Columns are then stepped in batches of at most ``_MAX_BATCH_PATHS``; a
-    batch seeds one stream per distinct key and works one window of
+    batch seeds one stream per distinct key, the keys of each seed in one
+    pass of :func:`_path_streams`, and works one window of
     ``_FINITE_CHECK_STEPS`` steps at a time: it draws and scales the
     window's normals a band of keys at a time, copies each run of columns
     that read consecutive keys into the time-major noise window with one
@@ -330,7 +398,13 @@ def run_paths(
         rows = np.array([key_row.setdefault((seeds[j // n_paths], first_path + j % n_paths),
                                             len(key_row))
                          for j in range(cols.start, cols.stop)], dtype=np.intp)
-        streams = [path_stream(*key) for key in key_row]
+        # each seed's keys seeded in one pass, each stream put back at its key's row
+        by_seed, streams = {}, [None] * len(key_row)
+        for (seed, k), r in key_row.items():
+            by_seed.setdefault(seed, []).append((r, k))
+        for seed, at in by_seed.items():
+            for (r, _), stream in zip(at, _path_streams(seed, [k for _, k in at])):
+                streams[r] = stream
         p = len(rows)
         # each band's streams and its runs of columns that read consecutive keys: (the
         # keys' rows in the band, the columns), one transposed copy each per window
@@ -464,7 +538,8 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
     ``fork`` on the platform, or in a daemonic process (which may have no
     children), it runs here.  Otherwise each contiguous range of paths runs
     in a child of ``os.fork`` (:func:`_forked`), which inherits ``terms``
-    (closures need no pickling), and the ranges' sums are joined in path
+    (closures need no pickling) and keeps the heap it frees
+    (:func:`_keep_heap`), and the ranges' sums are joined in path
     order: the bits of one process.  Every range is waited for: if every
     failing range diverged, the earliest divergence is raised, the step one
     batch of all the paths reports; otherwise the lowest failing range's
@@ -526,6 +601,7 @@ def _forked(work: Callable, ranges) -> list:
                 pids.append(os.fork())  # recorded before anything else can raise
                 if pids[-1] == 0:  # the child, which never returns
                     try:
+                        _keep_heap()
                         try:
                             data = pickle.dumps((True, work(k0, k1), None))
                         except BaseException as err:
@@ -565,6 +641,16 @@ def _forked(work: Callable, ranges) -> list:
             value.__cause__ = Exception(f'\n"""\n{remote}"""')
         outcomes.append((ok, value))
     return outcomes
+
+
+def _keep_heap() -> None:
+    """glibc's ``mallopt(M_TRIM_THRESHOLD, 1 GiB)`` (no-op without ``mallopt``): a worker
+    runs once and exits, and a fresh fork never reaches glibc's raised trim threshold,
+    so it would give back and fault in again the heap of every consumer call."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 1 << 30)
 
 
 def _flush_std_streams() -> None:

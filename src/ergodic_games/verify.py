@@ -174,11 +174,11 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
             kind="ergodic" if job.alpha is None else "discounted",
             horizon=horizon,
             burn_in=job.burn_in,
-            n_paths=n_paths,
+            n_paths=int(n_paths),
             step=step,
             player=job.player,
             alpha=job.alpha,
-            seed=job.seed,
+            seed=int(job.seed),
         ))
     return out
 

@@ -124,8 +124,9 @@ def test_bench_record_from_a_perfbench_run_and_manifests(tmp_path):
     lines = bench.src_lines(tmp_path)
     assert lines == {"_csv.py": 1, "sde.py": 3, "total": 4}
     search = {"quadratic_decoupled": {"search_s": 0.0003, "unstable": 0}}
+    res = {"wall_s": 0.19, "worker_minflt": 13050, "worker_peak_rss_mb": 35.0, "runs": 5}
     record = bench.bench_record("a", {"verify_wide": run}, {"verify-nash": manifests},
-                                {"verify-nash": logs}, ladder, search, lines)
+                                {"verify-nash": logs}, ladder, search, res, lines)
     assert record == {
         "label": "a",
         "env": run["env"],
@@ -140,6 +141,7 @@ def test_bench_record_from_a_perfbench_run_and_manifests(tmp_path):
                                    "rng_s": 3.8, "euler_s": 8.1, "cost_s": 10.5}}},
         "grid_ladder": ladder,
         "search_ladder": search,
+        "residual": res,
         "src_lines": {"_csv.py": 1, "sde.py": 3, "total": 4},
     }
     # a command whose log has no engine line has no engine entry
@@ -171,6 +173,19 @@ def test_bench_search_ladder_records_seconds_and_unstable_rows():
                             "three_player_symmetric_101"]
     for entry in ladder.values():
         assert entry["search_s"] > 0.0 and entry["unstable"] == 0
+
+
+def test_bench_residual_records_wall_time_and_the_workers_faults_and_memory(monkeypatch):
+    # two short runs, each split over two workers
+    from ergodic_games import sde
+
+    monkeypatch.setattr(sde, "_cpu_count", lambda: 2)
+    bench = _load_script("bench.py")
+    monkeypatch.setattr(bench, "RESIDUAL_STEPS", (0.04,))
+    res = bench.residual(runs=2)
+    assert sorted(res) == ["runs", "wall_s", "worker_minflt", "worker_peak_rss_mb"]
+    assert res["runs"] == 2 and res["wall_s"] > 0.0
+    assert res["worker_minflt"] > 0 and res["worker_peak_rss_mb"] > 0.0
 
 
 def test_bench_takes_one_label(capsys):

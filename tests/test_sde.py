@@ -3,8 +3,12 @@ memory and tracing."""
 
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from ergodic_games.ebsde import nearest_node, node_lookup
 from ergodic_games.sde import _n_steps
 
 from conftest import E_BUMP_STANDARD, euler_reference, policy_of_constant_control
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # finite, but sigma * _HUGE overflows to inf (sigma > 1), so a path that
 # meets it turns non-finite on that step
@@ -59,6 +65,95 @@ def test_path_stream_folds_negative_keys():
     a = eg.path_stream(-1, 2).standard_normal(4)
     b = eg.path_stream(0xFFFFFFFFFFFFFFFF, 2).standard_normal(4)
     assert np.array_equal(a, b)
+
+
+# one- and two-word seeds, 2**64 - 1 and its fold -1, a negative two-word seed
+# and numpy integers
+_ONE_PASS_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, -1, -2**40, np.int64(9),
+                   np.uint64(2**63 + 5)]
+
+
+@pytest.mark.parametrize("first_path", [0, 1000, 2**32 - 40])
+@pytest.mark.parametrize("seed", _ONE_PASS_SEEDS, ids=repr)
+def test_one_pass_seeding_is_path_stream(seed, first_path):
+    # the keys of a range of paths that starts at first_path, up to the last one-word key
+    keys = list(range(first_path, first_path + 40))
+    streams = sde._path_streams(seed, keys)
+    assert len(streams) == len(keys)
+    for key, got in zip(keys, streams):
+        want = eg.path_stream(seed, key)
+        assert got.bit_generator.state == want.bit_generator.state, key
+        assert np.array_equal(got.standard_normal(8), want.standard_normal(8)), key
+
+
+def test_one_pass_seeding_takes_wider_keys_one_by_one():
+    keys = [3, 2**32 - 1, 2**32, 2**40, -1]
+    for key, got in zip(keys, sde._path_streams(2**40, keys)):
+        assert got.bit_generator.state == eg.path_stream(2**40, key).bit_generator.state, key
+
+
+@pytest.mark.parametrize("seeds, max_batch", [([1, 2, 1], 6), ([3, 1, 2, 1], 7)])
+def test_a_batch_that_interleaves_seeds_gives_each_job_its_own_sums(model, monkeypatch, seeds,
+                                                                    max_batch):
+    # jobs of 4 paths cut mid-job: with [1, 2, 1] in batches of 6 the second
+    # batch meets keys (2, 2), (2, 3), then (1, 0) to (1, 3), seed 2's before
+    # seed 1's; with [3, 1, 2, 1] in batches of 7 it meets (1, 3), then seed
+    # 2's keys, then (1, 0) to (1, 2), so seed 1's keys are not contiguous.
+    # Every stream must go back to its key's row
+    def terms(job, start, states, nodes):
+        return states[1:]
+
+    n = 2 * sde._FINITE_CHECK_STEPS + 7
+    alone = {seed: sde.path_sums("t", model, n, 0.01, [seed], 4, terms)[0] for seed in seeds}
+    monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", max_batch)
+    monkeypatch.setattr(sde, "_BAND", 3)
+    sums = sde.path_sums("t", model, n, 0.01, seeds, 4, terms)
+    for row, seed in zip(sums, seeds):
+        assert np.array_equal(row, alone[seed]), seed
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # the one-pass seeding defines its seed sequence class on first use
+    code = "import sys, ergodic_games; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("key", [1.5, 1.9, True, np.float64(2.0), np.bool_(True)], ids=repr)
+def test_path_stream_takes_integer_keys(key):
+    # 1.5 and 1.9 used to name stream 1, and True stream 1
+    message = re.escape(f"a stream key must be an integer, got {key!r}")
+    for bad in ((key,), (0, key), (0, 0xDE, key, 1)):
+        with pytest.raises(ValueError, match=message):
+            eg.path_stream(*bad)
+    with pytest.raises(ValueError, match=message):
+        sde._path_streams(key, [0, 1])
+
+
+_NOT_INTEGERS = [(dict(seed=2.5), "a stream key must be an integer, got 2.5"),
+                 (dict(seed=True), "a stream key must be an integer, got True"),
+                 (dict(n_paths=True), "n_paths must be an integer, got True"),
+                 (dict(n_paths=2.5), "n_paths must be an integer, got 2.5")]
+
+
+@pytest.mark.parametrize("kw, message", _NOT_INTEGERS)
+def test_sample_paths_takes_integer_seeds_and_path_counts(model, kw, message):
+    # seed 2.5 used to run seed 2, n_paths=True one path, and 2.5 raised a TypeError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        eg.sample_paths(model, None, 1.0, 0.01, **{"seed": 0, "n_paths": 2, **kw})
+
+
+@pytest.mark.parametrize("kw, message", _NOT_INTEGERS)
+def test_moment_bound_check_takes_integer_seeds_and_path_counts(model, kw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        eg.moment_bound_check(model, horizon=1.0, **{"seed": 0, "n_paths": 2, **kw})
+
+
+def test_numpy_integer_seeds_and_path_counts_are_integers(model):
+    want = eg.sample_paths(model, None, 1.0, 0.01, 3, 2)
+    assert np.array_equal(eg.sample_paths(model, None, 1.0, 0.01, np.int64(3), np.uint8(2)),
+                          want)
 
 
 # one- and two-word seeds, 0, -1 (folded) and 2**63, each with a path index,

@@ -1,6 +1,7 @@
 """Monte Carlo verification layer: payoff oracles, deviations, residuals."""
 
 import dataclasses
+import json
 import logging
 import math
 import re
@@ -746,6 +747,38 @@ def test_a_numpy_integer_player_is_a_player(model, g0, g0_nash_coarse):
     assert type(est.player) is int  # so the estimate's as_dict() writes as JSON
     assert bsde_path_residual(model, g0, g0_nash_coarse, player=np.int64(1), **kw) == \
         bsde_path_residual(model, g0, g0_nash_coarse, player=1, **kw)
+
+
+_MONTE_CARLO_ENTRIES = {
+    "estimate_payoff": lambda model, spec, nash, **kw: estimate_payoff(
+        model, spec, nash.policy, 0, horizon=30.0, step=0.02, **kw),
+    "nash_deviation_test": lambda model, spec, nash, **kw: nash_deviation_test(
+        model, spec, nash, n_deviations=1, horizon=30.0, step=0.02, **kw),
+    "bsde_path_residual": lambda model, spec, nash, **kw: bsde_path_residual(
+        model, spec, nash, horizon=5.0, step=0.02, **kw),
+}
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(seed=1.5), "got 1.5"), (dict(seed=1.9), "got 1.9"), (dict(seed=True), "got True"),
+    (dict(n_paths=True), "n_paths must be an integer, got True"),
+    (dict(n_paths=2.5), "n_paths must be an integer, got 2.5")])
+@pytest.mark.parametrize("entry", sorted(_MONTE_CARLO_ENTRIES))
+def test_seeds_and_path_counts_must_be_integers(model, g0, g0_nash_coarse, entry, kw, message):
+    # seeds 1.5, 1.9 and True used to run seed 1's bits and report seed 1.5;
+    # n_paths=True ran one path and reported n_paths=True, and 2.5 raised a TypeError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _MONTE_CARLO_ENTRIES[entry](model, g0, g0_nash_coarse, **{"seed": 1, "n_paths": 2, **kw})
+
+
+@pytest.mark.parametrize("entry", sorted(_MONTE_CARLO_ENTRIES))
+def test_numpy_integer_seeds_and_path_counts_are_integers(model, g0, g0_nash_coarse, entry):
+    call = _MONTE_CARLO_ENTRIES[entry]
+    got = call(model, g0, g0_nash_coarse, seed=np.int64(7), n_paths=np.int32(3))
+    assert got == call(model, g0, g0_nash_coarse, seed=7, n_paths=3)
+    if entry != "bsde_path_residual":
+        record = got.as_dict()
+        json.dumps(record)  # an estimate records them as ints, so its record writes as JSON
 
 
 def test_path_residual_needs_a_step(model, g0, g0_nash_coarse, monkeypatch):

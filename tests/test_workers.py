@@ -428,6 +428,68 @@ print(json.dumps({"grown_kib": grown, "line": line, "same": split == residual()}
     assert out["same"]
 
 
+def test_the_heap_setting_runs_only_in_the_workers(model, monkeypatch):
+    # each worker sets it for itself before its range; the caller never does
+    calls = []
+    monkeypatch.setattr(sde, "_keep_heap", lambda: calls.append(os.getpid()))
+
+    def terms(job, start, states, nodes):
+        return np.full_like(states[1:], float(calls == [os.getpid()]))
+
+    assert np.array_equal(sde.path_sums("test", model, 10, 0.01, [0], 4, terms),
+                          np.zeros((1, 4)))
+    _force_two_workers(monkeypatch)
+    assert np.array_equal(sde.path_sums("test", model, 10, 0.01, [0], 4, terms),
+                          np.full((1, 4), 10.0))
+    assert calls == []
+    assert _no_child_left()
+
+
+class _CLibrary:
+    def __init__(self, *functions):
+        self.calls = []
+        for name in functions:
+            setattr(self, name, lambda *args, name=name: self.calls.append((name, args)))
+
+
+def test_the_heap_setting_is_glibcs_trim_threshold(monkeypatch):
+    libc = _CLibrary("mallopt")
+    monkeypatch.setattr(sde.ctypes, "CDLL", lambda name: libc if name is None else None)
+    sde._keep_heap()
+    assert libc.calls == [("mallopt", (-1, 1 << 30))]  # M_TRIM_THRESHOLD, 1 GiB
+
+
+def test_a_c_library_without_mallopt_keeps_the_default(monkeypatch):
+    libc = _CLibrary("malloc")
+    monkeypatch.setattr(sde.ctypes, "CDLL", lambda name: libc)
+    sde._keep_heap()
+    assert libc.calls == []
+
+
+@pytest.mark.skipif(not hasattr(sde.ctypes.CDLL(None), "mallopt"), reason="needs glibc's mallopt")
+def test_workers_that_keep_their_heap_fault_half_as_often():
+    # verify_wide's residual pair on two workers each: a fresh fork gives the
+    # heap of each consumer call back and faults it in again (about 36k minor
+    # faults in all on glibc 2.36, against 13k with the setting)
+    out = _run_in_a_fresh_interpreter(_FORCE_TWO_WORKERS + """
+import resource
+import ergodic_games as eg
+model, g0 = eg.ou_model(), eg.quadratic_decoupled()
+nash = eg.picard_solve(model, g0, eg.Grid1D(-6.0, 6.0, 81), tol=1e-4)
+def faults():
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    value = [eg.bsde_path_residual(model, g0, nash, horizon=20.0, step=h, n_paths=1000, seed=0)
+             for h in (0.02, 0.01)]
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before, value
+kept, value = faults()
+sde._keep_heap = lambda: None
+trimmed, same = faults()
+print(json.dumps({"kept": kept, "trimmed": trimmed, "same": value == same}))
+""")
+    assert out["kept"] <= out["trimmed"] / 2, out
+    assert out["same"]
+
+
 class _NeedsTwoArguments(Exception):
     # pickles, but loading calls __init__ with one argument
     def __init__(self, a, b):
