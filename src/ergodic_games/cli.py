@@ -35,7 +35,7 @@ from .continuous import solve_continuous_ebsde
 from .ebsde import Grid1D, MaxSweepsExceededError, NonMonotoneSchemeError, solve_ergodic
 from .games import GameSpec, NoPureNashError, verify_isaacs
 from .picard import NashSolution, asymmetric_solve, picard_solve, vanishing_discount_sweep
-from .sde import SdeModel, SimulationDivergedError, moment_bound_check, sample_paths
+from .sde import SdeModel, SimulationDivergedError, _integer, moment_bound_check, sample_paths
 from .verify import nash_deviation_test
 
 __all__ = ["ConfigError", "main", "load_config", "rerun_from_manifest"]
@@ -112,9 +112,11 @@ def _checked_section(cfg: dict, name: str) -> dict:
 def _set_keys(cfg: dict, name: str, *keys: str) -> dict:
     """Each of ``keys`` (every known key of section ``name`` when none is given) that the
     section sets, cast to its type: the keyword arguments of a library call, whose own
-    defaults hold for the other keys."""
+    defaults hold for the other keys.  An int key takes integers only, as the library
+    does: a bool, a float or a string is a ConfigError naming the key, never truncated."""
     s, types = _checked_section(cfg, name), _KNOWN_KEYS[name]
-    return {key: types[key](s[key]) for key in keys or types if key in s}
+    return {key: _integer(s[key], f"config field '{name}.{key}'", ConfigError)
+            if types[key] is int else types[key](s[key]) for key in keys or types if key in s}
 
 
 def _make_grid(cfg: dict) -> Grid1D:
@@ -358,7 +360,8 @@ def rerun_from_manifest(manifest_path, out_dir) -> int:
     identical to the original run, and a failed run fails with the same error.
     """
     man = json.loads(FsPath(manifest_path).read_text())
-    return _run_command(man["command"], man["config"], out_dir, int(man["seed"]))
+    seed = _integer(man["seed"], "config field 'seed'", ConfigError)
+    return _run_command(man["command"], man["config"], out_dir, seed)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -403,7 +406,8 @@ def main(argv: Optional[list] = None) -> int:
     )
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = (args.seed if args.seed is not None
+                else _integer(cfg.get("seed", 0), "config field 'seed'", ConfigError))
         if getattr(args, "nash", None):
             cfg["nash_dir"] = args.nash
         return _run_command(args.command, cfg, args.out, seed)

@@ -14,13 +14,13 @@ steps.  A change of measure is an extra ``sigma * shift`` drift term,
 the consumer gets too), so controlled dynamics reuse the same integrator.
 
 Randomness is drawn from one generator per path, keyed by
-``(seed, path_index)``: numpy's ``default_rng`` of those words.
-:func:`run_paths` alone applies the keying rule: given a list of seeds and
-``n_paths``, column ``j`` is path ``j % n_paths`` of ``seeds[j // n_paths]``.
-A batch seeds each distinct key once, all keys of one seed in one vectorized
-pass of numpy's seed hashing (:func:`_path_streams`, bitwise the generators
-of :func:`path_stream`), and draws each key once: every column of that key
-reads the same normals, so jobs listing one seed share their paths' noise.
+``(seed, path_index)``: numpy's ``default_rng`` of those words.  A run of
+:func:`run_paths` has one seed, and its jobs (the rows of its drift table)
+all read it: path ``k`` of every job follows the normals of stream ``(seed,
+k)``, so jobs differ only in their drift.  A batch is a range of paths for a
+block of whole jobs; it seeds the range's keys in one vectorized pass of
+numpy's seed hashing (:func:`_path_streams`, bitwise the generators of
+:func:`path_stream`) and draws each key once, for every job of the block.
 Drawing, stepping, the scan for divergence and the consumer all work one
 fixed window of steps at a time; each window's normals are drawn and scaled
 a band of keys at a time, which only groups the work, so no number depends
@@ -96,10 +96,10 @@ class SimulationDivergedError(RuntimeError):
         return type(self), (self.step_index,)
 
 
-def _integer(v, name: str) -> int:
-    """``int(v)``, or a ValueError unless ``v`` is an integer (a numpy one, not a bool)."""
+def _integer(v, name: str, error: type = ValueError) -> int:
+    """``int(v)``, or ``error`` unless ``v`` is an integer (a numpy one, not a bool)."""
     if isinstance(v, bool) or not isinstance(v, Integral):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
+        raise error(f"{name} must be an integer, got {v!r}")
     return int(v)
 
 
@@ -139,10 +139,8 @@ def _fixed_state() -> type:
 def _path_streams(seed: int, keys: Sequence[int]) -> list:
     """``[path_stream(seed, k) for k in keys]`` bit for bit: every key's ``SeedSequence``
     (the seed's one or two 32-bit words, then the key's one) hashed in one vector pass,
-    its state handed to ``PCG64``.  Keys outside ``0..2**32-1`` take :func:`path_stream`."""
+    its state handed to ``PCG64``.  Every key must lie in ``0..2**32-1``."""
     word = _integer(seed, "a stream key") & 0xFFFFFFFFFFFFFFFF
-    if any(not 0 <= k < 2**32 for k in keys):
-        return [path_stream(seed, k) for k in keys]
     # entropy zero-padded to the pool: the seed's low word, its high one if nonzero, the key
     pool = np.zeros((4, len(keys)), dtype=np.uint32)
     pool[0], pool[1] = word & 0xFFFFFFFF, word >> 32
@@ -258,9 +256,14 @@ class MomentReport:
     bounded_in_horizon: bool
 
 
-def _check_n_paths(n_paths: int) -> None:
-    if _integer(n_paths, "n_paths") < 1:
+def _check_n_paths(n_paths: int) -> int:
+    if (n := _integer(n_paths, "n_paths")) < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    return n
+
+
+def _n_jobs(drift: Optional[tuple]) -> int:
+    return 1 if drift is None else len(drift[1])  # a job per drift row, or one
 
 
 def _n_steps(horizon: float, step: float) -> int:
@@ -318,68 +321,72 @@ def run_paths(
     model: SdeModel,
     n_steps: int,
     step: float,
-    seeds: Sequence[int],
+    seed: int,
     n_paths: int,
     consume: Callable,
     drift: Optional[tuple] = None,
     first_path: int = 0,
 ) -> dict:
-    """Euler-Maruyama for ``n_paths`` paths of each seed, streamed window by window.
+    """Euler-Maruyama for ``n_paths`` paths of each job, streamed window by window.
 
-    Job ``s`` owns columns ``s * n_paths`` to ``(s + 1) * n_paths - 1``, and
-    its path ``k`` is driven by the normals of ``path_stream(seeds[s],
-    first_path + k)``: jobs of equal seeds follow the same noise, and a range
-    of paths run on its own (``first_path > 0``) gives those paths' bits.
-    ``drift = (nodes, table)`` adds ``sigma * table[s][i]`` to each Euler step
-    of job ``s``, ``i`` the node nearest its state (:func:`nearest_node`).
-    The run is set up once, before any step: the node grid is checked, the
-    table's rows are joined and scaled by ``sigma``, and two window buffers
-    and one band of ``_BAND`` keys by one window are allocated: with a
-    generator per key, the engine's memory whatever the number of keys.
-    Columns are then stepped in batches of at most ``_MAX_BATCH_PATHS``; a
-    batch seeds one stream per distinct key, the keys of each seed in one
-    pass of :func:`_path_streams`, and works one window of
-    ``_FINITE_CHECK_STEPS`` steps at a time: it draws and scales the
-    window's normals a band of keys at a time, copies each run of columns
-    that read consecutive keys into the time-major noise window with one
-    transposed copy, and steps them, so no number depends on the band size.
-    After each window, once checked finite, the engine calls
-    ``consume(job, paths, start, states, nodes)`` for each run of at most
-    ``_CONSUME_PATHS`` columns of one job: ``paths`` is a slice of
+    The jobs are the rows of the drift table, or one job without a drift.
+    Path ``k`` of every job is driven by the normals of ``path_stream(seed,
+    first_path + k)``, so a range of paths run on its own (``first_path >
+    0``) gives those paths' bits; ``first_path + n_paths`` may not exceed
+    ``2**32``.  ``drift = (nodes, table)`` adds ``sigma * table[j][i]`` to
+    each Euler step of job ``j``, ``i`` the node nearest its state
+    (:func:`nearest_node`).  The run is set up once, before any step: the
+    node grid is checked, the table's rows are joined and scaled by
+    ``sigma``, and two window buffers and one band of ``_BAND`` keys by one
+    window are allocated: with a generator per key, the engine's memory
+    whatever the number of keys.  Each batch then steps a range of at most
+    ``_MAX_BATCH_PATHS`` paths for as many whole jobs as fit in that many
+    columns, job by job; it seeds the range's keys in one pass of
+    :func:`_path_streams` and works one window of ``_FINITE_CHECK_STEPS``
+    steps at a time: it draws and scales the window's normals a band of keys
+    at a time, hands each band to every job of the batch with one broadcast
+    copy into the time-major noise window, and steps them, so no number
+    depends on the band size.  After each window, once checked finite, the
+    engine calls ``consume(job, paths, start, states, nodes)`` for each run of
+    at most ``_CONSUME_PATHS`` columns of one job: ``paths`` is a slice of
     ``0..n_paths-1``, ``states`` their states at steps ``start`` to ``start +
     L`` time-major, shape ``(L + 1, width)``, and ``nodes[k]`` the node of
     ``states[k]`` (None without a ``drift``): views of the window buffers, so
     nothing of size paths x steps is built.  Each path is bitwise the same as
     when simulated alone.  Returns the counters ``paths``, ``steps``,
-    ``batches``, ``windows``, ``streams`` (each batch's distinct keys, summed)
-    and the seconds spent drawing, scaling and copying normals (``rng_s``),
-    stepping (``euler_s``) and in ``consume`` (``cost_s``), which
-    :func:`_log_engine` reports.  ``n_paths`` must be at least 1.  A batch
-    that diverges stops and the later ones still run; the earliest
-    divergence step of all batches is raised, as one batch of all the paths,
-    or any split of them over workers, reports it.
+    ``batches``, ``windows``, ``streams`` (each batch's keys, summed) and the
+    seconds spent drawing, scaling and copying normals (``rng_s``), stepping
+    (``euler_s``) and in ``consume`` (``cost_s``), which :func:`_log_engine`
+    reports.  ``n_paths`` must be at least 1.  A batch that diverges stops
+    and the later ones still run; the earliest divergence step of all
+    batches is raised, as one batch of all the paths, or any split of them
+    over workers, reports it.
     """
-    _check_n_paths(n_paths)
+    n_paths = _check_n_paths(n_paths)
+    if not 0 <= first_path <= 2**32 - n_paths:
+        raise ValueError(f"path keys {first_path} to {first_path + n_paths - 1} leave 0..2**32-1")
     # explicit Euler on the dissipative part must keep its contraction
     if n_steps > 0 and 1.0 - step * model.dissipation <= 0.0:
         raise ValueError(f"step {step} too large for dissipation {model.dissipation}: "
                          "1 - step*dissipation must stay positive")
     clock = time.perf_counter
-    total = len(seeds) * n_paths
-    width = min(total, _MAX_BATCH_PATHS)
+    n_jobs = _n_jobs(drift)
+    # a batch: w paths (fewer in the last range) of each of a block of jobs
+    w = min(n_paths, _MAX_BATCH_PATHS)
+    block = min(n_jobs, _MAX_BATCH_PATHS // w)
     if drift is not None:
         # every job's row end to end, scaled once in place (a freed temporary of its
-        # size raised g0's workers' peak RSS by 1 MiB); offset s * m indexes job s's row
+        # size raised g0's workers' peak RSS by 1 MiB); offset j * m indexes job j's row
         nodes, table = drift
         flat = np.concatenate(table, dtype=float)
         flat *= model.sigma
         lookup = tuple(np.array(float(v)) for v in node_lookup(nodes))
-        m, scaled_all, at_all = len(nodes), np.empty(width), np.empty(width, dtype=np.intp)
+        m, scaled_all, at_all = len(nodes), np.empty(block * w), np.empty(block * w, dtype=np.intp)
     # one window each, time-major (a batch of p columns views (win + 1) * p entries),
     # and the band: buffers freed per batch moved glibc's mmap threshold and the RSS
     win = min(_FINITE_CHECK_STEPS, n_steps)
-    noise_all, states_all = np.empty((win + 1) * width), np.empty((win + 1) * width)
-    band = np.empty((min(_BAND, width), win))
+    noise_all, states_all = np.empty((win + 1) * block * w), np.empty((win + 1) * block * w)
+    band = np.empty((min(_BAND, w), win))
     sqrt_h = math.sqrt(step)
     has_residual = model.bounded_drift_sup != 0.0
     # 0-d arrays and a positional out: ufuncs take them without converting a
@@ -389,41 +396,19 @@ def run_paths(
     rng_s = euler_s = cost_s = 0.0
     n_batches = n_streams = 0
     diverged: Optional[SimulationDivergedError] = None
-    for b0 in range(0, total if n_steps > 0 else 0, _MAX_BATCH_PATHS):
+    for j0, k0 in itertools.product(range(0, n_jobs, block),
+                                    range(0, n_paths if n_steps > 0 else 0, w)):
         t0 = clock()
-        cols = slice(b0, min(b0 + _MAX_BATCH_PATHS, total))
-        # only this batch's keys: all columns' key tuples at once grow with the run;
-        # rows[c] is the number of the distinct key that column c reads
-        key_row = {}
-        rows = np.array([key_row.setdefault((seeds[j // n_paths], first_path + j % n_paths),
-                                            len(key_row))
-                         for j in range(cols.start, cols.stop)], dtype=np.intp)
-        # each seed's keys seeded in one pass, each stream put back at its key's row
-        by_seed, streams = {}, [None] * len(key_row)
-        for (seed, k), r in key_row.items():
-            by_seed.setdefault(seed, []).append((r, k))
-        for seed, at in by_seed.items():
-            for (r, _), stream in zip(at, _path_streams(seed, [k for _, k in at])):
-                streams[r] = stream
-        p = len(rows)
-        # each band's streams and its runs of columns that read consecutive keys: (the
-        # keys' rows in the band, the columns), one transposed copy each per window
-        edges = (np.flatnonzero((np.diff(rows) != 1) | (rows[1:] % _BAND == 0)) + 1).tolist()
-        bands = [(streams[b:b + _BAND], []) for b in range(0, len(streams), _BAND)]
-        for c0, c1 in zip([0] + edges, edges + [p]):
-            b, k = divmod(int(rows[c0]), _BAND)
-            bands[b][1].append((slice(k, k + c1 - c0), slice(c0, c1)))
-        # runs of at most _CONSUME_PATHS columns of one job: (job, its paths, columns)
-        pieces = []
-        c = cols.start
-        while c < cols.stop:
-            job, k = divmod(c, n_paths)
-            w = min(_CONSUME_PATHS, n_paths - k, cols.stop - c)
-            pieces.append((job, slice(k, k + w), slice(c - cols.start, c - cols.start + w)))
-            c += w
+        width, jobs = min(w, n_paths - k0), range(j0, min(j0 + block, n_jobs))
+        p = len(jobs) * width
+        streams = _path_streams(seed, range(first_path + k0, first_path + k0 + width))
+        # each job's paths in runs of at most _CONSUME_PATHS: (job, its paths, columns)
+        pieces = [(job, slice(k0 + k, k0 + min(k + _CONSUME_PATHS, width)),
+                   slice(i * width + k, i * width + min(k + _CONSUME_PATHS, width)))
+                  for i, job in enumerate(jobs) for k in range(0, width, _CONSUME_PATHS)]
         if drift is not None:
             scaled, at = scaled_all[:p], at_all[:p]
-            offsets = np.arange(cols.start, cols.stop) // n_paths * m
+            offsets = np.repeat(np.arange(jobs.start, jobs.stop) * m, width)
         # scaled by sigma * sqrt(step): step k reads row k + 1 and, with a drift,
         # writes the node of its state into row k, whose noise step k - 1 has used
         noise = noise_all[:(win + 1) * p].reshape(win + 1, p)
@@ -437,17 +422,18 @@ def run_paths(
             for start in range(0, n_steps, _FINITE_CHECK_STEPS):
                 t0 = clock()
                 stop = min(_FINITE_CHECK_STEPS, n_steps - start)
-                dw = noise[1:stop + 1]
-                for keys, runs in bands:
+                dw = noise[1:stop + 1].reshape(stop, len(jobs), width)
+                for b in range(0, width, _BAND):
+                    keys = streams[b:b + _BAND]
                     drawn = band[:len(keys), :stop]
                     for row, stream in zip(drawn, keys):
                         stream.standard_normal(out=row)
                     # (sigma * z) * sqrt_h, in this order: every path's bits depend on it
                     drawn *= sigma
                     drawn *= sqrt_h
-                    # time-major layout keeps every per-step slice contiguous
-                    for at_keys, at_cols in runs:
-                        np.copyto(dw[:, at_cols], drawn[at_keys].T)
+                    # time-major layout keeps every per-step slice contiguous; one
+                    # broadcast copy hands the band to every job
+                    np.copyto(dw[:, :, b:b + len(keys)], drawn.T[:, None, :])
                 t1 = clock()
                 rng_s += t1 - t0
                 x = x_rows[0]
@@ -487,12 +473,12 @@ def run_paths(
                 diverged = err
         else:
             n_batches += 1
-            n_streams += len(streams)
+            n_streams += width
     if diverged is not None:
         raise diverged
     windows = n_batches * len(range(0, n_steps, _FINITE_CHECK_STEPS))
-    return {"paths": total, "steps": n_steps, "batches": n_batches, "windows": windows,
-            "streams": n_streams, "rng_s": rng_s, "euler_s": euler_s, "cost_s": cost_s}
+    return dict(paths=n_jobs * n_paths, steps=n_steps, batches=n_batches, windows=windows,
+                streams=n_streams, rng_s=rng_s, euler_s=euler_s, cost_s=cost_s)
 
 
 def _log_engine(label: str, workers: int, *counters: dict) -> None:
@@ -520,36 +506,36 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Sequence[int],
+def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seed: int,
               n_paths: int, terms: Callable, drift: Optional[tuple] = None,
               groups: Optional[Sequence[int]] = None) -> np.ndarray:
     """Per-path sums of ``terms`` over one engine run, shape ``(len(groups), n_paths)``.
 
     Entry ``[r, k]`` sums terms of path ``k`` of job ``groups[r]`` of
-    :func:`run_paths` (``seeds`` and ``drift`` hold one entry per job; without
+    :func:`run_paths` of ``seed`` (one job per row of the ``drift`` table; without
     ``groups`` row ``r`` reads job ``r``), so several rows may share one job's
-    paths, which are simulated once.  ``terms(row, start, states, nodes)``
-    gets each window of the paths of the row's job as a consumer does and
-    returns their terms time-major, one row per step it counts, or None; each
-    window's rows are added along :func:`window_sum`'s tree, so a row's sums
-    do not depend on the other rows.  The run uses ``min(CPUs, n_paths,
-    path-steps // _MIN_WORKER_PATH_STEPS)`` workers, so on two CPUs every run
-    of 500,000 path-steps or more splits: with one, with no
-    ``fork`` on the platform, or in a daemonic process (which may have no
-    children), it runs here.  Otherwise each contiguous range of paths runs
-    in a child of ``os.fork`` (:func:`_forked`), which inherits ``terms``
-    (closures need no pickling) and keeps the heap it frees
-    (:func:`_keep_heap`), and the ranges' sums are joined in path
-    order: the bits of one process.  Every range is waited for: if every
-    failing range diverged, the earliest divergence is raised, the step one
-    batch of all the paths reports; otherwise the lowest failing range's
-    exception is.  A killed worker raises ``BrokenProcessPool``, no worker
-    outlives the call, and no process pool module is imported.
-    :func:`_log_engine` reports the run as one ``label`` line.
+    paths, which are simulated once.  ``terms(row, start, states, nodes)`` gets
+    each window of the paths of the row's job as a consumer does and returns their
+    terms time-major, one row per step it counts, or None; each window's rows are
+    added along :func:`window_sum`'s tree, so a row's sums do not depend on the
+    other rows.  The run uses ``min(CPUs, n_paths, path-steps //
+    _MIN_WORKER_PATH_STEPS)`` workers, so on two CPUs every run of 500,000
+    path-steps or more splits: with one, with no ``fork`` on the platform, or in a
+    daemonic process (which may have no children), it runs here.  Otherwise each
+    contiguous range of paths runs in a child of ``os.fork`` (:func:`_forked`),
+    which inherits ``terms`` (closures need no pickling) and ``numpy.random``,
+    loaded here first (:func:`_fixed_state`), and keeps the heap it frees
+    (:func:`_keep_heap`), and the ranges' sums are joined in path order: the bits
+    of one process.  Every range is waited for: if every failing range diverged,
+    the earliest divergence is raised, the step one batch of all the paths
+    reports; otherwise the lowest failing range's exception is.  A killed worker
+    raises ``BrokenProcessPool``, no worker outlives the call, and no process pool
+    module is imported.  :func:`_log_engine` reports the run as one ``label`` line.
     """
-    _check_n_paths(n_paths)
-    groups = range(len(seeds)) if groups is None else groups
-    feeds = [[] for _ in seeds]  # the rows of each job
+    n_paths = _check_n_paths(n_paths)
+    n_jobs = _n_jobs(drift)
+    groups = range(n_jobs) if groups is None else groups
+    feeds = [[] for _ in range(n_jobs)]  # the rows of each job
     for row, job in enumerate(groups):
         feeds[job].append(row)
 
@@ -562,9 +548,9 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
                 if values is not None:
                     sums[row, paths] += window_sum(values)
 
-        return sums, run_paths(model, n_steps, step, seeds, k1 - k0, add, drift, first_path=k0)
+        return sums, run_paths(model, n_steps, step, seed, k1 - k0, add, drift, first_path=k0)
 
-    path_steps = len(seeds) * n_paths * n_steps
+    path_steps = n_jobs * n_paths * n_steps
     workers = max(1, min(_cpu_count(), n_paths, path_steps // _MIN_WORKER_PATH_STEPS))
     # a daemonic process may have no children; only a loaded multiprocessing can be one
     mp = sys.modules.get("multiprocessing")
@@ -574,6 +560,7 @@ def path_sums(label: str, model: SdeModel, n_steps: int, step: float, seeds: Seq
         done = [run_range(0, n_paths)]
     else:
         bounds = [n_paths * w // workers for w in range(workers + 1)]
+        _fixed_state()  # imports numpy.random once here, not in every worker
         outcomes = _forked(run_range, zip(bounds, bounds[1:]))
         failed = [value for ok, value in outcomes if not ok]
         if failed:
@@ -678,7 +665,7 @@ def sample_paths(
     ``k``.
     """
     n = _n_steps(horizon, step)
-    _check_n_paths(n_paths)
+    n_paths = _check_n_paths(n_paths)
     drift = None
     if shift is not None:
         nodes, values = shift
@@ -692,7 +679,7 @@ def sample_paths(
     def keep(job, paths, start, block, nodes):
         states[paths, start + 1:start + len(block)] = block[1:].T
 
-    _log_engine("sample_paths", 1, run_paths(model, n, step, [seed], n_paths, keep, drift))
+    _log_engine("sample_paths", 1, run_paths(model, n, step, seed, n_paths, keep, drift))
     return states
 
 
@@ -722,7 +709,7 @@ def moment_bound_check(
         for col in np.square(states[1:]).T:
             acc += col
 
-    _log_engine("moment_bound_check", 1, run_paths(model, n, step, [seed], n_paths, add_squares))
+    _log_engine("moment_bound_check", 1, run_paths(model, n, step, seed, n_paths, add_squares))
     mean_sq[0] = np.full(n_paths, model.x0 * model.x0).cumsum()[-1]  # cumsum: in order
     mean_sq /= n_paths
     n_half = _n_steps(horizon, step)

@@ -86,12 +86,11 @@ class _Job:
 
     player: int
     policy: FeedbackPolicy
-    seed: int
     burn_in: float
     alpha: Optional[float]
 
 
-def _job(model: SdeModel, spec: GameSpec, policy: FeedbackPolicy, player: int, seed: int,
+def _job(model: SdeModel, spec: GameSpec, policy: FeedbackPolicy, player: int,
          horizon: float, burn_in: Optional[float], alpha: Optional[float]) -> _Job:
     """Validate one estimate's criterion (``alpha`` None: long-run average, else discounted);
     the burn-in of a discounted payoff is zero."""
@@ -100,7 +99,7 @@ def _job(model: SdeModel, spec: GameSpec, policy: FeedbackPolicy, player: int, s
             burn_in = 20.0 / model.dissipation
         if not 0.0 <= burn_in < horizon:
             raise ValueError("burn_in must satisfy 0 <= burn_in < horizon")
-        return _Job(player, policy, seed, burn_in, None)
+        return _Job(player, policy, burn_in, None)
     _check_rate(alpha)
     needed = math.log(max(spec.cost_sup, alpha * _EPS_TAIL) / (alpha * _EPS_TAIL)) / alpha
     if horizon < needed:
@@ -108,33 +107,32 @@ def _job(model: SdeModel, spec: GameSpec, policy: FeedbackPolicy, player: int, s
             f"horizon {horizon:.6g} below the discounted tail requirement "
             f"{needed:.6g} for alpha={alpha:.6g} and a tail below {_EPS_TAIL:.6g}"
         )
-    return _Job(player, policy, seed, 0.0, alpha)
+    return _Job(player, policy, 0.0, alpha)
 
 
 def _groups(jobs: Sequence[_Job]) -> Tuple[list, list]:
     """The engine group of each job, numbered in order of first appearance, and each
-    group's first job: jobs share a group where their seeds and policy indices agree."""
+    group's first job: jobs share a group where their policy indices agree."""
     number, groups, heads = {}, [], []
     for j, job in enumerate(jobs):
-        groups.append(number.setdefault((job.seed, job.policy.indices.tobytes()), len(heads)))
+        groups.append(number.setdefault(job.policy.indices.tobytes(), len(heads)))
         if groups[-1] == len(heads):
             heads.append(j)
     return groups, heads
 
 
 def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizon: float,
-                   step: float, n_paths: int, label: str) -> list:
-    """Every job's payoff from one run of the path engine.
+                   step: float, n_paths: int, seed: int, label: str) -> list:
+    """Every job's payoff from one run of the path engine on ``seed``.
 
-    Job ``j`` runs paths ``0..n_paths-1`` of ``job.seed``.  Jobs of equal
-    seed and equal policy indices form one group of the engine, whose paths
-    are simulated once and feed each of its jobs.  Each path's cost is summed
-    over the steps after the job's burn-in (``exp(-alpha t) dt`` weighted for
-    discounted jobs) by :func:`path_sums`, as the engine hands over each
-    window of steps, so no array of size paths x steps is built and a job's
-    estimate does not depend on the other jobs in the run.  Means and
-    standard errors come from the per-path sums, which are the same bits
-    however many processes ran.
+    Every job runs paths ``0..n_paths-1`` of ``seed``.  Jobs of equal policy
+    indices form one group of the engine, whose paths are simulated once and
+    feed each of its jobs.  Each path's cost is summed over the steps after
+    the job's burn-in (``exp(-alpha t) dt`` weighted for discounted jobs) by
+    :func:`path_sums`, as the engine hands over each window of steps, so no
+    array of size paths x steps is built and a job's estimate does not
+    depend on the other jobs in the run.  Means and standard errors come from
+    the per-path sums, which are the same bits however many processes ran.
     """
     n = _n_steps(horizon, step)
     first_step = [int(round(job.burn_in / step)) for job in jobs]
@@ -161,8 +159,7 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
             cost = cost * (np.exp(-job.alpha * t) * step)[:, None]
         return cost
 
-    sums = path_sums(label, model, n, step, [jobs[j].seed for j in heads], n_paths, costs,
-                     drift, groups)
+    sums = path_sums(label, model, n, step, seed, n_paths, costs, drift, groups)
     out = []
     for j, job in enumerate(jobs):
         per_path = sums[j]
@@ -178,7 +175,7 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
             step=step,
             player=job.player,
             alpha=job.alpha,
-            seed=int(job.seed),
+            seed=int(seed),
         ))
     return out
 
@@ -209,8 +206,8 @@ def estimate_payoff(
     count or control indices do not fit the game is a ValueError.
     """
     _check_joint(spec, policy.indices, "policy", player)
-    job = _job(model, spec, policy, int(player), seed, horizon, burn_in, alpha)
-    return _estimate_jobs(model, spec, [job], horizon, step, n_paths, "estimate_payoff")[0]
+    jobs = [_job(model, spec, policy, int(player), horizon, burn_in, alpha)]
+    return _estimate_jobs(model, spec, jobs, horizon, step, n_paths, seed, "estimate_payoff")[0]
 
 
 @dataclass(frozen=True)
@@ -351,7 +348,7 @@ def nash_deviation_test(
     for player in range(spec.n_players):
         ref, alpha = _reference_value(nash, player, model)
         criterion = dict(horizon=horizon, burn_in=burn_in, alpha=alpha)
-        jobs.append(_job(model, spec, nash.policy, player, eq_seed, **criterion))
+        jobs.append(_job(model, spec, nash.policy, player, **criterion))
         labels.append(("equilibrium", "equilibrium policy", ref))
         grid_i = spec.grids[player]
         n_controls = len(grid_i)
@@ -378,10 +375,11 @@ def nash_deviation_test(
                 desc = "random feedback field"
                 kind = "random_feedback"
             jobs.append(_job(model, spec, nash.policy.with_player_indices(player, idx), player,
-                             eq_seed, **criterion))
+                             **criterion))
             labels.append((kind, desc, ref))
 
-    estimates = _estimate_jobs(model, spec, jobs, horizon, step, n_paths, "nash_deviation_test")
+    estimates = _estimate_jobs(model, spec, jobs, horizon, step, n_paths, eq_seed,
+                               "nash_deviation_test")
     rows = []
     for job, est, (kind, desc, ref) in zip(jobs, estimates, labels):
         margin = est.value - ref
@@ -466,6 +464,6 @@ def bsde_path_residual(
         residual = v[1:] - v_t + (hamilton - const) * step - xi_t * dw
         return residual**2
 
-    sq_sums = path_sums("bsde_path_residual", model, n, step, [seed], n_paths, squares,
+    sq_sums = path_sums("bsde_path_residual", model, n, step, seed, n_paths, squares,
                         (policy.nodes, [r_nodes]))
     return float(np.sqrt(sq_sums[0].sum() / (n_paths * n)) / math.sqrt(step))

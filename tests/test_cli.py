@@ -451,6 +451,44 @@ def test_non_numeric_value_is_a_config_error(tmp_path, caplog, capsys, overrides
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"], ids=repr)
+def test_a_config_seed_that_is_no_integer_exits_1(tmp_path, caplog, seed):
+    # 1.5 used to run seed 1 and write a manifest with seed 1 beside the config's 1.5
+    cfg = ebsde_cfg(tmp_path, seed=seed)
+    out = tmp_path / "run"
+    assert cli.main(["solve-ebsde", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert f"config field 'seed' must be an integer, got {seed!r}" in caplog.text
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_manifest_seed_that_is_no_integer_is_a_config_error(tmp_path):
+    # a seed edited to 1.5 used to rerun seed 1
+    cfg = ebsde_cfg(tmp_path)
+    assert cli.main(["solve-ebsde", "--config", cfg, "--out", str(tmp_path / "a"),
+                     "--quiet"]) == 0
+    man = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    (tmp_path / "m.json").write_text(json.dumps({**man, "seed": 1.5}))
+    with pytest.raises(cli.ConfigError, match="config field 'seed' must be an integer, got 1.5"):
+        cli.rerun_from_manifest(tmp_path / "m.json", tmp_path / "b")
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("simulate", "sim", "n_paths", 4.7), ("solve-ebsde", "grid", "m", 81.9),
+    ("solve-game", "solver", "max_iter", "50"), ("check-assumptions", "mc", "n_paths", True)])
+def test_a_section_integer_that_is_no_integer_exits_1(tmp_path, caplog, command, section, key,
+                                                      value):
+    # n_paths 4.7 used to run 4 paths and m 81.9 a grid of 81 nodes
+    base = yaml.safe_load(Path(game_cfg(tmp_path)).read_text())
+    base.update(driver={"name": "bump"}, sim={"horizon": 1.0})
+    base[section] = {**base[section], key: value}
+    cfg = write_cfg(tmp_path, "bad.yaml", base)
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert f"config field '{section}.{key}' must be an integer, got {value!r}" in caplog.text
+    assert not (out / "manifest.json").exists()
+
+
 def test_check_assumptions_fails_the_game_row_without_samples(tmp_path):
     # zero samples used to report fraction_with_pure_nash 1.0 and pass
     cfg = write_cfg(tmp_path, "chk.yaml", {

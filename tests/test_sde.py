@@ -86,32 +86,6 @@ def test_one_pass_seeding_is_path_stream(seed, first_path):
         assert np.array_equal(got.standard_normal(8), want.standard_normal(8)), key
 
 
-def test_one_pass_seeding_takes_wider_keys_one_by_one():
-    keys = [3, 2**32 - 1, 2**32, 2**40, -1]
-    for key, got in zip(keys, sde._path_streams(2**40, keys)):
-        assert got.bit_generator.state == eg.path_stream(2**40, key).bit_generator.state, key
-
-
-@pytest.mark.parametrize("seeds, max_batch", [([1, 2, 1], 6), ([3, 1, 2, 1], 7)])
-def test_a_batch_that_interleaves_seeds_gives_each_job_its_own_sums(model, monkeypatch, seeds,
-                                                                    max_batch):
-    # jobs of 4 paths cut mid-job: with [1, 2, 1] in batches of 6 the second
-    # batch meets keys (2, 2), (2, 3), then (1, 0) to (1, 3), seed 2's before
-    # seed 1's; with [3, 1, 2, 1] in batches of 7 it meets (1, 3), then seed
-    # 2's keys, then (1, 0) to (1, 2), so seed 1's keys are not contiguous.
-    # Every stream must go back to its key's row
-    def terms(job, start, states, nodes):
-        return states[1:]
-
-    n = 2 * sde._FINITE_CHECK_STEPS + 7
-    alone = {seed: sde.path_sums("t", model, n, 0.01, [seed], 4, terms)[0] for seed in seeds}
-    monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", max_batch)
-    monkeypatch.setattr(sde, "_BAND", 3)
-    sums = sde.path_sums("t", model, n, 0.01, seeds, 4, terms)
-    for row, seed in zip(sums, seeds):
-        assert np.array_equal(row, alone[seed]), seed
-
-
 def test_importing_the_package_leaves_numpy_random_unloaded():
     # the one-pass seeding defines its seed sequence class on first use
     code = "import sys, ergodic_games; print('numpy.random' in sys.modules)"
@@ -173,83 +147,121 @@ def _folded(*key):
     return [int(v) & 0xFFFFFFFFFFFFFFFF for v in key]
 
 
+# two drift rows, which each path of a seed runs under
+_TWO_ROWS = (_SMALL, [np.tanh(_SMALL), 0.5 * np.sin(3.0 * _SMALL)])
+
+
 @pytest.mark.parametrize("seeds, n_paths", [(_MIXED_SEEDS, 3), (_MIXED_SEEDS[::-1], 3),
                                             ([_MIXED_SEEDS[0]], 1)],
                          ids=["mixed_word_counts", "reversed", "one_key"])
 def test_batch_keying_is_default_rng(model, monkeypatch, seeds, n_paths):
-    # default_rng on the folded words is the reference; a batch mixes word counts.
-    # Each path is bitwise the Euler recursion fed by its key's normals, over
-    # several windows and (bands of 4 keys) several bands
-    monkeypatch.setattr(sde, "_BAND", 4)
+    # default_rng on the folded words is the reference, for seeds of either word
+    # count run one after the other.  Each path of each drift row is bitwise the
+    # Euler recursion fed by its key's normals, over several windows and (bands
+    # of 2 keys) several bands
+    monkeypatch.setattr(sde, "_BAND", 2)
     n = 4 * sde._FINITE_CHECK_STEPS + 37
-    states = np.empty((len(seeds), n_paths, n + 1))
+    for seed in seeds:
+        states = np.empty((2, n_paths, n + 1))
 
-    def keep(job, paths, start, block, nodes):
-        states[job, paths, start:start + len(block)] = block.T
+        def keep(job, paths, start, block, nodes):
+            states[job, paths, start:start + len(block)] = block.T
 
-    sde.run_paths(model, n, 0.01, seeds, n_paths, keep)
-    for j, row in enumerate(states.reshape(-1, n + 1)):
-        key = (seeds[j // n_paths], j % n_paths)
-        normals = np.random.default_rng(_folded(*key)).standard_normal(n)
-        assert np.array_equal(row, euler_reference(model, 0.01, [normals])[0]), key
+        sde.run_paths(model, n, 0.01, seed, n_paths, keep, drift=_TWO_ROWS)
+        normals = [np.random.default_rng(_folded(seed, k)).standard_normal(n)
+                   for k in range(n_paths)]
+        for row, got in zip(_TWO_ROWS[1], states):
+            want = euler_reference(model, 0.01, normals, (_SMALL, [row] * n_paths))
+            assert np.array_equal(got, want), seed
     for key in _KEYS:
         assert np.array_equal(eg.path_stream(*key).standard_normal(4),
                               np.random.default_rng(_folded(*key)).standard_normal(4))
 
 
-@pytest.mark.parametrize("max_batch, n_streams", [(2048, 6), (4, 4 + 4 + 1)],
+@pytest.mark.parametrize("max_batch, n_streams", [(2048, 3), (4, 3 + 3 + 3)],
                          ids=["one_batch", "split_batches"])
 def test_equal_keys_share_noise_and_states(model, monkeypatch, max_batch, n_streams):
-    # seeds [s, t, s]: columns 0-2 and 6-8 are the same three keys, and with a
-    # width cap of 4 they fall in different batches; a batch seeds and draws
-    # each of its distinct keys once, in bands of 4 keys over several windows
+    # rows [r, s, r] of one seed: every job reads the same three keys, so jobs 0
+    # and 2 follow the same states; with a width cap of 4 each job is a batch of
+    # its own, which seeds the keys again.  A batch draws each key once, in
+    # bands of 2 keys over several windows
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", max_batch)
-    monkeypatch.setattr(sde, "_BAND", 4)
+    monkeypatch.setattr(sde, "_BAND", 2)
     n, n_paths = 4 * sde._FINITE_CHECK_STEPS + 37, 3
     states = np.empty((3, n_paths, n + 1))
 
     def keep(job, paths, start, block, nodes):
         states[job, paths, start:start + len(block)] = block.T
 
-    tanh = np.tanh(_SMALL)
-    counters = sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, keep,
-                             drift=(_SMALL, [tanh, tanh, tanh]))
-    states = states.reshape(3 * n_paths, n + 1)
+    rows = [np.tanh(_SMALL), 0.5 * np.sin(3.0 * _SMALL), np.tanh(_SMALL)]
+    counters = sde.run_paths(model, n, 0.01, 5, n_paths, keep, drift=(_SMALL, rows))
     assert (counters["paths"], counters["steps"], counters["streams"]) == (9, n, n_streams)
-    assert np.array_equal(states[:3], states[6:])
-    assert not np.array_equal(states[:3], states[3:6])
-    # every column is the Euler recursion fed by its key's normals
-    normals = [eg.path_stream(seed, k).standard_normal(n) for seed in (5, 6, 5)
-               for k in range(n_paths)]
-    assert np.array_equal(states, euler_reference(model, 0.01, normals, (_SMALL, [tanh] * 9)))
+    assert np.array_equal(states[0], states[2])
+    assert not np.array_equal(states[0], states[1])
+    # every column is the Euler recursion fed by its key's normals and its row
+    normals = [eg.path_stream(5, k).standard_normal(n) for k in range(n_paths)]
+    for row, got in zip(rows, states):
+        assert np.array_equal(got, euler_reference(model, 0.01, normals, (_SMALL, [row] * 3)))
 
 
 def test_a_later_batch_with_more_keys_draws_them_all(model, monkeypatch):
-    # seeds [5, 5, 6] in batches of 4 columns: the first batch holds 3 distinct
-    # keys, the second 4 and the last 1, so a band sized by the first batch
-    # would leave the second batch's last key undrawn
-    monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 4)
-    n, n_paths = 50, 3
-    states = np.empty((3, n_paths, n + 1))
+    # a batch is a range of paths for a block of whole jobs.  With 7 paths in
+    # batches of 3 columns each job runs ranges of 3, 3 and 1 paths, and the
+    # next job's first batch has more keys than the short range before it; with
+    # 3 paths in batches of 6 the 5 jobs run in blocks of 2, 2 and 1.  A band of
+    # 2 keys cuts every range.  Every column is the Euler recursion fed by its
+    # key's normals and its row, and each batch seeds its range of keys once
+    monkeypatch.setattr(sde, "_BAND", 2)
+    n = sde._FINITE_CHECK_STEPS + 37
+    seeded, seeding = [], sde._path_streams
+
+    def path_streams(seed, keys):
+        seeded.append(len(keys))
+        return seeding(seed, keys)
+
+    monkeypatch.setattr(sde, "_path_streams", path_streams)
+    for max_batch, n_jobs, n_paths, widths in ((3, 2, 7, [3, 3, 1] * 2), (6, 5, 3, [3, 3, 3])):
+        monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", max_batch)
+        rows = [np.tanh(_SMALL) * c for c in (1.0, -0.5, 0.0, 2.0, -1.5)[:n_jobs]]
+        states = np.empty((n_jobs, n_paths, n + 1))
+
+        def keep(job, paths, start, block, nodes):
+            states[job, paths, start:start + len(block)] = block.T
+
+        seeded.clear()
+        counters = sde.run_paths(model, n, 0.01, 2**40, n_paths, keep, drift=(_SMALL, rows))
+        assert seeded == widths
+        assert (counters["batches"], counters["streams"]) == (len(widths), sum(widths))
+        normals = [eg.path_stream(2**40, k).standard_normal(n) for k in range(n_paths)]
+        for row, got in zip(rows, states):
+            want = euler_reference(model, 0.01, normals, (_SMALL, [row] * n_paths))
+            assert np.array_equal(got, want)
+
+
+def test_keys_of_a_run_are_one_word(model):
+    # paths first_path..first_path + n_paths - 1 name keys up to 2**32 - 1
+    last = {}
 
     def keep(job, paths, start, block, nodes):
-        states[job, paths, start:start + len(block)] = block.T
+        last.update({k: block[1:, c] for c, k in enumerate(range(paths.start, paths.stop))})
 
-    counters = sde.run_paths(model, n, 0.01, [5, 5, 6], n_paths, keep)
-    assert (counters["batches"], counters["streams"]) == (3, 3 + 4 + 1)
-    normals = [eg.path_stream(seed, k).standard_normal(n) for seed in (5, 5, 6)
-               for k in range(n_paths)]
-    assert np.array_equal(states.reshape(3 * n_paths, n + 1),
-                          euler_reference(model, 0.01, normals))
+    sde.run_paths(model, 3, 0.01, 7, 2, keep, first_path=2**32 - 2)
+    normals = [eg.path_stream(7, 2**32 - 2 + k).standard_normal(3) for k in range(2)]
+    want = euler_reference(model, 0.01, normals)
+    for k in range(2):
+        assert np.array_equal(last[k], want[k, 1:])
+    for first_path, n_paths in ((2**32 - 1, 2), (2**32, 1), (0, 2**32 + 1), (-1, 2)):
+        with pytest.raises(ValueError, match=f"path keys {first_path} to .* leave 0..2\\*\\*32-1"):
+            sde.run_paths(model, 3, 0.01, 7, n_paths, keep, first_path=first_path)
 
 
 @pytest.mark.parametrize("max_batch, first_path", [(2048, 0), (4, 0), (4, 3)],
                          ids=["one_batch", "split_batches", "range_of_paths"])
 def test_consumer_nodes_are_the_nearest_nodes_of_its_states(model, monkeypatch, max_batch,
                                                             first_path):
-    # seeds [5, 6, 5] with three different table rows, over several windows and
-    # (bands of 4 keys) bands on a grid the paths leave: in every window
-    # nodes[k] is the node of states[k]
+    # seed 5 with three different table rows, over several windows and (bands
+    # of 4 keys) bands on a grid the paths leave: in every window nodes[k] is
+    # the node of states[k]
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", max_batch)
     monkeypatch.setattr(sde, "_BAND", 4)
     n, n_paths = 4 * sde._FINITE_CHECK_STEPS + 37, 3
@@ -264,15 +276,15 @@ def test_consumer_nodes_are_the_nearest_nodes_of_its_states(model, monkeypatch, 
         states[job, paths, start:start + len(block)] = block.T
         seen[job, paths, start:start + len(nodes)] = True
 
-    sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, keep, drift=(_SMALL, table),
+    sde.run_paths(model, n, 0.01, 5, n_paths, keep, drift=(_SMALL, table),
                   first_path=first_path)
     assert seen.all()
     states = states.reshape(3 * n_paths, n + 1)
     assert np.abs(states).max() > 1.5
-    # equal keys share their noise, but their rows of the table differ: each
+    # the jobs share their keys' noise, but their rows of the table differ: each
     # column is the Euler recursion fed by its key's normals and its own row
     assert not np.array_equal(states[:3], states[6:])
-    normals = [eg.path_stream(seed, first_path + k).standard_normal(n) for seed in (5, 6, 5)
+    normals = [eg.path_stream(5, first_path + k).standard_normal(n) for _ in range(3)
                for k in range(n_paths)]
     rows = [row for row in table for _ in range(n_paths)]
     assert np.array_equal(states, euler_reference(model, 0.01, normals, (_SMALL, rows)))
@@ -280,7 +292,7 @@ def test_consumer_nodes_are_the_nearest_nodes_of_its_states(model, monkeypatch, 
     def no_nodes(job, paths, start, block, nodes):
         assert nodes is None
 
-    sde.run_paths(model, n, 0.01, [5, 6, 5], n_paths, no_nodes, first_path=first_path)
+    sde.run_paths(model, n, 0.01, 5, n_paths, no_nodes, first_path=first_path)
 
 
 def _alone(monkeypatch, model, shift, horizon, step, seed, k):
@@ -415,7 +427,7 @@ def test_path_count_must_be_positive(model):
         with pytest.raises(ValueError, match="n_paths must be at least 1"):
             eg.moment_bound_check(model, horizon=1.0, n_paths=n_paths)
         with pytest.raises(ValueError, match="n_paths must be at least 1"):
-            sde.run_paths(model, 10, 0.01, [0], n_paths, lambda *args: None)
+            sde.run_paths(model, 10, 0.01, 0, n_paths, lambda *args: None)
 
 
 def test_shift_table_must_have_one_value_per_node(model):
@@ -455,7 +467,7 @@ def test_every_step_of_every_path_reaches_one_piece_of_one_job(model, monkeypatc
             assert states.shape[1] == nodes.shape[1] == paths.stop - paths.start <= 3
             hits[job, k0 + paths.start:k0 + paths.stop, start:start + len(nodes)] += 1
 
-        sde.run_paths(model, n, 0.01, [5, 6, 5], k1 - k0, count,
+        sde.run_paths(model, n, 0.01, 5, k1 - k0, count,
                       (_SMALL, [np.tanh(_SMALL)] * 3), first_path=k0)
     assert (hits == 1).all()
 
@@ -724,7 +736,7 @@ def test_engine_memory_is_two_windows_and_one_band(model):
     p, n = sde._MAX_BATCH_PATHS, 8 * sde._FINITE_CHECK_STEPS
     bound = _engine_bound(p, p)
     peak = _peak_bytes(lambda: sde.run_paths(
-        model, n, 0.01, [0], p, lambda *args: None, drift=(_SMALL, [np.tanh(_SMALL)])))
+        model, n, 0.01, 0, p, lambda *args: None, drift=(_SMALL, [np.tanh(_SMALL)])))
     assert peak < bound, (peak, bound)
 
 
@@ -736,19 +748,19 @@ def test_engine_memory_at_the_wide_residual_shape(model):
     p = n = 1000
     bound = _engine_bound(p, p)
     peak = _peak_bytes(lambda: sde.run_paths(
-        model, n, 0.01, [0], p, lambda *args: None, drift=(_SMALL, [np.tanh(_SMALL)])))
+        model, n, 0.01, 0, p, lambda *args: None, drift=(_SMALL, [np.tanh(_SMALL)])))
     assert peak < bound, (peak, bound)
 
 
 def test_engine_draws_each_shared_key_once(model):
-    # eight seeds listed as one: a full batch of 2,048 columns over 256
-    # distinct keys seeds 256 generators, not one per column (2,048 of them
-    # would fail this bound), and draws each key's normals once per window
+    # eight drift rows: a full batch of 2,048 columns over 256 keys seeds 256
+    # generators, not one per column (2,048 of them would fail this bound),
+    # and draws each key's normals once per window for all eight jobs
     n_paths = 256
     assert 8 * n_paths == sde._MAX_BATCH_PATHS
     n = 8 * sde._FINITE_CHECK_STEPS
     bound, counters = _engine_bound(sde._MAX_BATCH_PATHS, n_paths), {}
     peak = _peak_bytes(lambda: counters.update(sde.run_paths(
-        model, n, 0.01, [0] * 8, n_paths, lambda *args: None)))
+        model, n, 0.01, 0, n_paths, lambda *args: None, drift=(_SMALL, [np.tanh(_SMALL)] * 8))))
     assert counters["streams"] == n_paths
     assert peak < bound, (peak, bound)

@@ -360,36 +360,36 @@ def test_deviation_rows_equal_estimates_alone(model, g0, g0_nash_coarse, g0_asym
     assert len(jobs) == len(rep.rows) == 8
     assert {job.alpha for job in jobs} == ({None} if game == "ergodic" else {None, 0.2})
     for job, row in zip(jobs, rep.rows):
-        alone = estimate_payoff(model, g0, job.policy, job.player,
-                                burn_in=job.burn_in, alpha=job.alpha, seed=job.seed, **kw)
+        alone = estimate_payoff(model, g0, job.policy, job.player, burn_in=job.burn_in,
+                                alpha=job.alpha, seed=row.estimate.seed, **kw)
         assert alone == row.estimate
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_jobs_that_share_a_policy_and_seed_equal_estimates_alone(
         model, g0, g0_asymmetric, monkeypatch, caplog, workers):
-    # jobs 0, 2, 3 and 5 run one (policy, seed): ergodic jobs of both players, one with
+    # jobs 0, 2, 3 and 5 run one policy: ergodic jobs of both players, one with
     # another burn-in and one on an equal copy of the policy, and a discounted job
     eq = g0_asymmetric.policy
     copy = eg.FeedbackPolicy(nodes=eq.nodes, indices=eq.indices.copy())
     dev = eq.with_player_indices(0, np.full(len(eq.nodes), 3))
-    jobs = [verify._Job(0, eq, 4, 1.0, None), verify._Job(1, dev, 4, 1.0, None),
-            verify._Job(1, eq, 4, 0.0, 0.2), verify._Job(0, eq, 4, 2.5, None),
-            verify._Job(0, dev, 9, 1.0, None), verify._Job(1, copy, 4, 1.0, None),
-            verify._Job(1, dev, 4, 0.0, 0.2)]
+    jobs = [verify._Job(0, eq, 1.0, None), verify._Job(1, dev, 1.0, None),
+            verify._Job(1, eq, 0.0, 0.2), verify._Job(0, eq, 2.5, None),
+            verify._Job(0, dev, 1.0, None), verify._Job(1, copy, 1.0, None),
+            verify._Job(1, dev, 0.0, 0.2)]
     kw = dict(horizon=50.0, step=0.02, n_paths=6)
     monkeypatch.setattr(sde, "_cpu_count", lambda: workers)
     monkeypatch.setattr(sde, "_MIN_WORKER_PATH_STEPS", 1)
     with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
         got = verify._estimate_jobs(model, g0, jobs, kw["horizon"], kw["step"], kw["n_paths"],
-                                    "test")
+                                    4, "test")
     line = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
-    # three groups, (eq, 4), (dev, 4) and (dev, 9), on two seeds' 6 streams
-    assert len(line) == 1 and f"paths={3 * 6} " in line[0] and f"streams={2 * 6} " in line[0]
+    # two groups, eq and dev, on the seed's 6 streams
+    assert len(line) == 1 and f"paths={2 * 6} " in line[0] and "streams=6 " in line[0]
     assert f"workers={workers} " in line[0]
     for job, est in zip(jobs, got):
         alone = estimate_payoff(model, g0, job.policy, job.player, burn_in=job.burn_in,
-                                alpha=job.alpha, seed=job.seed, **kw)
+                                alpha=job.alpha, seed=4, **kw)
         assert alone == est
 
 
@@ -433,7 +433,7 @@ def test_nearest_node_lookups_agree_at_half_way_states(model, g0, coarse_grid):
         def keep(job, paths, start, states, node):
             first.update(x=states[1, 0], node=node[0, 0])
 
-        sde.run_paths(dataclasses.replace(model, x0=x), 1, step, [0], 1, keep,
+        sde.run_paths(dataclasses.replace(model, x0=x), 1, step, 0, 1, keep,
                       (policy.nodes, [r_nodes]))
         drift_term = model.sigma * r_nodes[k]
         dw = model.sigma * z * math.sqrt(step)
@@ -448,23 +448,23 @@ def test_stacked_gather_matches_per_policy_shift(model, g0, monkeypatch):
         eg.FeedbackPolicy(nodes=grid.nodes(), indices=rng.integers(0, 41, size=(13, 2)))
         for _ in range(3)
     ]
-    seeds, n_paths, step = (11, 12, 13), 4, 0.01
-    # several windows, and bands of 3 of a batch's distinct keys
+    seed, n_paths, step = 11, 4, 0.01
+    # several windows, and bands of 3 of a batch's keys
     n = 4 * sde._FINITE_CHECK_STEPS + 300
     monkeypatch.setattr(sde, "_BAND", 3)
-    out = np.empty((len(seeds), n_paths, n + 1))
+    out = np.empty((len(policies), n_paths, n + 1))
     out[:, :, 0] = model.x0
 
     def keep(job, paths, start, states, nodes):
         out[job, paths, start + 1:start + len(states)] = states[1:].T
 
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 5)
-    sde.run_paths(model, n, step, seeds, n_paths, keep,
+    sde.run_paths(model, n, step, seed, n_paths, keep,
                   (grid.nodes(), [games._gather(g0, p.indices)[0] for p in policies]))
     assert np.abs(out).max() > 1.5
     # every path alone: a batch of one column each
     monkeypatch.setattr(sde, "_MAX_BATCH_PATHS", 1)
-    for j, (policy, seed) in enumerate(zip(policies, seeds)):
+    for j, policy in enumerate(policies):
         shift = _reference_shift(g0, policy)
         for k in range(n_paths):
             alone = eg.sample_paths(model, shift, n * step, step, seed, n_paths=k + 1)[k]
@@ -581,10 +581,9 @@ def test_divergence_of_one_job_inside_a_batch(model, g0, coarse_grid):
     nodes = coarse_grid.nodes()
     calm = policy_of_constant_control(spec, coarse_grid, 20)
     wild = calm.with_player_indices(0, np.where(np.abs(nodes) > 2.0, 40, 20))
-    jobs = [verify._Job(0, policy, seed, 1.0, None)
-            for policy, seed in ((calm, 1), (wild, 2), (calm, 3))]
+    jobs = [verify._Job(0, policy, 1.0, None) for policy in (calm, wild, calm)]
     with pytest.raises(eg.SimulationDivergedError) as batched:
-        verify._estimate_jobs(model, spec, jobs, 40.0, 0.01, 6, "test")
+        verify._estimate_jobs(model, spec, jobs, 40.0, 0.01, 6, 2, "test")
     with pytest.raises(eg.SimulationDivergedError) as alone:
         eg.sample_paths(model, _reference_shift(spec, wild), 40.0, 0.01, 2, 6)
     assert batched.value.step_index == alone.value.step_index > 1

@@ -26,6 +26,9 @@ from conftest import euler_reference, policy_of_constant_control
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# uniform drift table nodes, -10.25 to 10.25
+_NODES = 0.5 * np.arange(-20.5, 21.0)
+
 # one instance of every exception class the package defines
 _ERRORS = {
     sde.SimulationDivergedError: lambda: sde.SimulationDivergedError(300),
@@ -140,35 +143,36 @@ def test_path_residual_is_bitwise_that_of_one_process(model, g0, g0_nash_coarse,
     assert (line2["paths"], line2["streams"]) == (line1["paths"], line1["streams"])
 
 
-@pytest.mark.parametrize("seeds, n_paths, n_steps, workers", [
-    ([0], 1000, 499, "1"), ([0], 1000, 500, "2"), ([0] * 1000, 1, 500, "1")])
+@pytest.mark.parametrize("n_jobs, n_paths, n_steps, workers", [
+    (1, 1000, 499, "1"), (1, 1000, 500, "2"), (1000, 1, 500, "1")])
 def test_two_cpus_split_every_run_of_half_a_million_path_steps(model, monkeypatch, caplog,
-                                                               seeds, n_paths, n_steps, workers):
+                                                               n_jobs, n_paths, n_steps, workers):
     # the rule min(CPUs, n_paths, path-steps // _MIN_WORKER_PATH_STEPS) at its
     # own threshold: 499,000 path-steps stay here, 500,000 split, and one path
     # (of however many jobs) is never split
     monkeypatch.setattr(sde, "_cpu_count", lambda: 2)
+    drift = (_NODES, [np.zeros(len(_NODES))] * n_jobs)
     with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
-        sde.path_sums("rule", model, n_steps, 0.02, seeds, n_paths, lambda *args: None)
+        sde.path_sums("rule", model, n_steps, 0.02, 0, n_paths, lambda *args: None, drift)
     assert _engine_line(caplog)["workers"] == workers
 
 
 def test_a_range_of_paths_keeps_its_keys(model, monkeypatch):
-    # paths 3 and 4 of seeds 5 and 6, run as a range of their own: each is the
-    # Euler recursion fed by its key's normals, over several windows and (bands
-    # of 3 keys) two bands
+    # paths 3 to 6 of seed 5 under two drift rows, run as a range of their own:
+    # each is the Euler recursion fed by its key's normals and its row, over
+    # several windows and (bands of 3 keys) two bands
     monkeypatch.setattr(sde, "_BAND", 3)
     n = 4 * sde._FINITE_CHECK_STEPS + 37
-    states = np.empty((2, 2, n + 1))
+    rows = [np.zeros(len(_NODES)), 0.5 * np.tanh(_NODES)]
+    states = np.empty((2, 4, n + 1))
 
     def keep(job, paths, start, block, nodes):
         states[job, paths, start:start + len(block)] = block.T
 
-    sde.run_paths(model, n, 0.01, [5, 6], 2, keep, first_path=3)
-    for j, key in enumerate([(5, 3), (5, 4), (6, 3), (6, 4)]):
-        normals = eg.path_stream(*key).standard_normal(n)
-        assert np.array_equal(states[j // 2, j % 2],
-                              euler_reference(model, 0.01, [normals])[0]), key
+    sde.run_paths(model, n, 0.01, 5, 4, keep, (_NODES, rows), first_path=3)
+    normals = [eg.path_stream(5, 3 + k).standard_normal(n) for k in range(4)]
+    for row, got in zip(rows, states):
+        assert np.array_equal(got, euler_reference(model, 0.01, normals, (_NODES, [row] * 4)))
 
 
 def _divergence(model, g0, coarse_grid):
@@ -270,13 +274,12 @@ def test_the_lowest_ranges_error_wins(model, two_workers):
         raise sde.SimulationDivergedError(1)
 
     with pytest.raises(ValueError) as exc:
-        sde.path_sums("test", model, 10, 0.01, [0], 4, terms)
+        sde.path_sums("test", model, 10, 0.01, 0, 4, terms)
     assert exc.value.args == ("lower range", 2)
     assert multiprocessing.active_children() == []
 
 
 # the drift shift sigma * _HUGE overflows beyond |x| = 2.5
-_NODES = 0.5 * np.arange(-20.5, 21.0)
 _BEYOND = (_NODES, [np.where(np.abs(_NODES) > 2.5, np.finfo(float).max, 0.0)])
 
 
@@ -285,7 +288,7 @@ def test_the_earliest_divergence_wins(model, two_workers):
     # paths 0-1 of seed 3 diverge later than paths 2-3, after their first window
     for first_path, step_index in ((0, 1700), (2, 775)):
         with pytest.raises(sde.SimulationDivergedError) as exc:
-            sde.run_paths(model, 4000, 0.01, [3], 2, lambda *args: None, _BEYOND, first_path)
+            sde.run_paths(model, 4000, 0.01, 3, 2, lambda *args: None, _BEYOND, first_path)
         assert exc.value.step_index == step_index
     lower = _in_lower_range(model, 3)
 
@@ -296,7 +299,7 @@ def test_the_earliest_divergence_wins(model, two_workers):
             time.sleep(0.2)
 
     with pytest.raises(sde.SimulationDivergedError) as exc:
-        sde.path_sums("test", model, 4000, 0.01, [3], 4, terms, _BEYOND)
+        sde.path_sums("test", model, 4000, 0.01, 3, 4, terms, _BEYOND)
     assert exc.value.step_index == 775
     assert multiprocessing.active_children() == []
 
@@ -311,7 +314,7 @@ def test_a_killed_worker_raises_instead_of_hanging(model, two_workers):
             os._exit(3)
 
     with pytest.raises(BrokenProcessPool):
-        sde.path_sums("test", model, 10, 0.01, [0], 4, terms)
+        sde.path_sums("test", model, 10, 0.01, 0, 4, terms)
     assert multiprocessing.active_children() == []
 
 
@@ -322,7 +325,7 @@ def _sums_in_this_process(model, conn):
         pids.add(os.getpid())
         return np.ones_like(states[1:])
 
-    conn.send((sde.path_sums("test", model, 10, 0.01, [0], 4, terms), pids))
+    conn.send((sde.path_sums("test", model, 10, 0.01, 0, 4, terms), pids))
 
 
 def test_a_daemonic_caller_runs_its_ranges_itself(model, two_workers):
@@ -368,13 +371,28 @@ def test_a_split_run_loads_no_process_pool():
     loaded = _run_in_a_fresh_interpreter(_FORCE_TWO_WORKERS + """
 import ergodic_games as eg
 pid = os.getpid()
-sums = sde.path_sums("t", eg.ou_model(), 10, 0.01, [0], 4,
+sums = sde.path_sums("t", eg.ou_model(), 10, 0.01, 0, 4,
                      lambda job, start, states, nodes: states[1:] * 0.0 + os.getpid())
 print(json.dumps({"pids": sorted(set(sums[0] / 10) - {pid}),
                   "modules": sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
                                     or m == "concurrent.futures")}))
 """)
     assert len(loaded["pids"]) == 2 and loaded["modules"] == []
+
+
+def test_a_split_run_loads_numpy_random_before_its_workers_start():
+    # a solve loads no numpy.random; the split residual after it loads the
+    # module in the caller, which its forked workers then share instead of each
+    # importing it (about 9 ms a worker)
+    loaded = _run_in_a_fresh_interpreter(_FORCE_TWO_WORKERS + """
+import ergodic_games as eg
+model, g0 = eg.ou_model(), eg.quadratic_decoupled()
+nash = eg.picard_solve(model, g0, eg.Grid1D(-6.0, 6.0, 41), tol=1e-4)
+solved = "numpy.random" in sys.modules
+eg.bsde_path_residual(model, g0, nash, horizon=1.0, step=0.02, n_paths=4, seed=0)
+print(json.dumps([solved, "numpy.random" in sys.modules]))
+""")
+    assert loaded == [False, True]
 
 
 def test_a_split_verify_nash_records_its_workers_memory(tmp_path):
@@ -436,10 +454,10 @@ def test_the_heap_setting_runs_only_in_the_workers(model, monkeypatch):
     def terms(job, start, states, nodes):
         return np.full_like(states[1:], float(calls == [os.getpid()]))
 
-    assert np.array_equal(sde.path_sums("test", model, 10, 0.01, [0], 4, terms),
+    assert np.array_equal(sde.path_sums("test", model, 10, 0.01, 0, 4, terms),
                           np.zeros((1, 4)))
     _force_two_workers(monkeypatch)
-    assert np.array_equal(sde.path_sums("test", model, 10, 0.01, [0], 4, terms),
+    assert np.array_equal(sde.path_sums("test", model, 10, 0.01, 0, 4, terms),
                           np.full((1, 4), 10.0))
     assert calls == []
     assert _no_child_left()
@@ -467,10 +485,11 @@ def test_a_c_library_without_mallopt_keeps_the_default(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(sde.ctypes.CDLL(None), "mallopt"), reason="needs glibc's mallopt")
-def test_workers_that_keep_their_heap_fault_half_as_often():
-    # verify_wide's residual pair on two workers each: a fresh fork gives the
-    # heap of each consumer call back and faults it in again (about 36k minor
-    # faults in all on glibc 2.36, against 13k with the setting)
+def test_workers_that_keep_their_heap_fault_less_often():
+    # verify_wide's residual pair on two workers each.  Workers that keep their
+    # heap fault about 7k times in all (glibc 2.36); how often trimmed ones do
+    # depends on the heap layout the fork inherits, which moves with the size of
+    # the environment: 7k to 46k, so the saving ranges from 2% to 85%
     out = _run_in_a_fresh_interpreter(_FORCE_TWO_WORKERS + """
 import resource
 import ergodic_games as eg
@@ -486,8 +505,37 @@ sde._keep_heap = lambda: None
 trimmed, same = faults()
 print(json.dumps({"kept": kept, "trimmed": trimmed, "same": value == same}))
 """)
-    assert out["kept"] <= out["trimmed"] / 2, out
+    assert out["kept"] < out["trimmed"], out
     assert out["same"]
+
+
+@pytest.mark.skipif(not hasattr(sde.ctypes.CDLL(None), "mallopt"), reason="needs glibc's mallopt")
+def test_workers_that_keep_their_heap_fault_no_more_in_a_longer_run():
+    # a consumer whose temporaries top the heap (thirty-two 64 KiB blocks, each
+    # below glibc's mmap threshold, 2 MiB in all), on two workers of 32 paths,
+    # one call a window: a fresh fork gives them back after each call and
+    # faults them in again, so 36 more windows cost up to 36 * 512 more minor
+    # faults a worker (23k to 35k in all on glibc 2.36); a worker that keeps its
+    # heap faults them in once
+    out = _run_in_a_fresh_interpreter(_FORCE_TWO_WORKERS + """
+import resource
+import numpy as np
+import ergodic_games as eg
+def terms(job, start, states, nodes):
+    blocks = [np.ones(8192) for _ in range(32)]
+def growth():
+    faults = []
+    for windows in (4, 40):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        sde.path_sums("t", eg.ou_model(), windows * sde._FINITE_CHECK_STEPS, 0.01, 0, 64, terms)
+        faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+    return faults[1] - faults[0]
+kept = growth()
+sde._keep_heap = lambda: None
+print(json.dumps({"kept": kept, "trimmed": growth()}))
+""")
+    assert out["trimmed"] >= 2 * 36 * 128, out
+    assert out["kept"] <= out["trimmed"] / 10, out
 
 
 class _NeedsTwoArguments(Exception):
@@ -506,7 +554,7 @@ def test_an_error_that_does_not_pickle_is_named(model, two_workers):
             raise err
 
         with pytest.raises(RuntimeError, match=f"raised .*{name}.*does not pickle"):
-            sde.path_sums("test", model, 10, 0.01, [0], 4, terms)
+            sde.path_sums("test", model, 10, 0.01, 0, 4, terms)
         assert _no_child_left()
 
 
@@ -515,7 +563,7 @@ def test_a_workers_error_carries_its_traceback(model, two_workers):
         raise ValueError("refused in the worker")
 
     with pytest.raises(ValueError, match="refused in the worker") as exc:
-        sde.path_sums("test", model, 10, 0.01, [0], 4, terms)
+        sde.path_sums("test", model, 10, 0.01, 0, 4, terms)
     cause = str(exc.value.__cause__)
     assert 'raise ValueError("refused in the worker")' in cause
     assert "in terms" in cause
@@ -536,7 +584,7 @@ def test_a_failed_fork_leaves_no_descriptor_or_child(model, two_workers, monkeyp
     fds = set(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, "fork", second_fails)
     with pytest.raises(BlockingIOError):
-        sde.path_sums("test", model, 10, 0.01, [0], 4, lambda *args: None)
+        sde.path_sums("test", model, 10, 0.01, 0, 4, lambda *args: None)
     monkeypatch.setattr(os, "fork", fork)
     assert len(calls) == 2
     assert set(os.listdir("/proc/self/fd")) == fds
@@ -548,9 +596,10 @@ def test_a_result_larger_than_a_pipe_arrives_intact(model, monkeypatch):
     def terms(job, start, states, nodes):
         return states[1:] + job
 
-    one = sde.path_sums("test", model, 2, 0.01, [0] * 40, 1000, terms)
+    drift = (_NODES, [np.zeros(len(_NODES))] * 40)
+    one = sde.path_sums("test", model, 2, 0.01, 0, 1000, terms, drift)
     _force_two_workers(monkeypatch)
-    assert np.array_equal(sde.path_sums("test", model, 2, 0.01, [0] * 40, 1000, terms), one)
+    assert np.array_equal(sde.path_sums("test", model, 2, 0.01, 0, 1000, terms, drift), one)
     assert _no_child_left()
 
 
@@ -570,7 +619,7 @@ def test_no_child_is_left_after_a_failure(model, two_workers):
     for terms, drift, error in ((raises, None, ValueError), (dies, None, BrokenProcessPool),
                                 (lambda *args: None, _BEYOND, sde.SimulationDivergedError)):
         with pytest.raises(error):
-            sde.path_sums("test", model, 4000, 0.01, [3], 4, terms, drift)
+            sde.path_sums("test", model, 4000, 0.01, 3, 4, terms, drift)
         assert _no_child_left()
 
 
@@ -587,7 +636,7 @@ def test_an_interrupted_caller_leaves_no_child(model, two_workers):
     t0 = time.perf_counter()
     try:
         with pytest.raises(KeyboardInterrupt):
-            sde.path_sums("test", model, 10, 0.01, [0], 4, terms)
+            sde.path_sums("test", model, 10, 0.01, 0, 4, terms)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
