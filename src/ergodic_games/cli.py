@@ -15,6 +15,7 @@ or diverged simulation, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -278,14 +279,7 @@ def _cmd_check_assumptions(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list
     if model is not None:
         rep = moment_bound_check(model, seed=seed,
                                  **_set_keys(cfg, "mc", "horizon", "step", "n_paths"))
-        checks["moment"] = {
-            "passed": rep.bounded_in_horizon,
-            "sup_second_moment": rep.sup_second_moment,
-            "sup_second_moment_doubled": rep.sup_second_moment_doubled,
-            "bound_constant": rep.bound_constant,
-            "horizon": rep.horizon,
-            "n_paths": rep.n_paths,
-        }
+        checks["moment"] = {"passed": rep.bounded_in_horizon, **dataclasses.asdict(rep)}
     else:
         checks["moment"] = {"passed": False, "detail": "skipped: model construction failed"}
     if "game" in cfg:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._samples import check_states, first_over
 from .ebsde import frozen_driver, node_lookup
-from .sde import path_stream
+from .sde import _integer, path_stream
 
 __all__ = [
     "NoPureNashError",
@@ -218,8 +218,9 @@ class GameSpec:
         axis (of length 1 where the cost does not depend on the state)."""
         n = self.n_players
         if len(xs) == 1:
-            # a lone state goes in as a float, as hamiltonian() passes it: the result
-            # then has the shape of the cost's own temporaries, which numpy can reuse
+            # a lone state goes in as a float, so the result has the shape of the cost's
+            # own temporaries and numpy sums into them in place; a (1, ..., 1) state
+            # would broadcast each sum into a new array, one joint table more at peak
             raw = self._compact(cost, float(xs[0]), check=check)
         else:
             raw = self._compact(cost, xs.reshape((-1,) + (1,) * n), lead=(len(xs),), check=check)
@@ -629,12 +630,15 @@ def _frozen_drivers(spec: GameSpec, nodes: np.ndarray, idx: np.ndarray) -> list:
 class IsaacsReport:
     """Sampled diagnostic for existence and stability of pointwise Nash points."""
 
-    fraction_with_pure_nash: float
     max_continuity_jump: float
     n_samples: int
     delta: float
     n_failures: int
     example_failures: tuple
+
+    @property
+    def fraction_with_pure_nash(self) -> float:
+        return (self.n_samples - self.n_failures) / self.n_samples
 
 
 def verify_isaacs(
@@ -653,11 +657,12 @@ def verify_isaacs(
     samples as one batch search, so memory does not grow with ``n_samples``.
     A sample counts as a hit only when both find a pure Nash point;
     ``example_failures`` lists the first five other samples, each at the first of
-    its gradients without one.  ``n_samples`` must be at least 1: no sample would
-    certify nothing.  These defaults are also the CLI's: ``check-assumptions``
-    passes ``mc.isaacs_samples`` and ``mc.isaacs_delta`` only when a config sets them.
+    its gradients without one.  ``n_samples`` must be an integer (not a bool) of
+    at least 1: no sample would certify nothing.  These defaults are also the
+    CLI's: ``check-assumptions`` passes ``mc.isaacs_samples`` and
+    ``mc.isaacs_delta`` only when a config sets them.
     """
-    if n_samples < 1:
+    if (n_samples := _integer(n_samples, "n_samples")) < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     n = spec.n_players
     stream = path_stream(seed, 0x15AAC)
@@ -680,7 +685,6 @@ def verify_isaacs(
         jumps.append(np.abs(h[b:] - h[:b]).max(axis=1)[hit].max(initial=0.0))
         hits += int(np.count_nonzero(hit))
     return IsaacsReport(
-        fraction_with_pure_nash=hits / n_samples,
         max_continuity_jump=float(np.max(jumps)),
         n_samples=n_samples,
         delta=delta,

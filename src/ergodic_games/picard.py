@@ -41,14 +41,13 @@ from .ebsde import (
     solve_ergodic,
 )
 from .games import FeedbackPolicy, GameSpec, NoPureNashError, _frozen_drivers, isaac_fixed_point
-from .sde import SdeModel
+from .sde import SdeModel, _integer
 
 __all__ = [
     "NashSolution",
     "SweepRow",
     "SweepResult",
     "picard_solve",
-    "comparison_bound",
     "asymmetric_solve",
     "vanishing_discount_sweep",
 ]
@@ -63,12 +62,14 @@ class NashSolution:
     ``solutions[i]`` is the per-player grid solution (ergodic, or discounted
     for a discounting player), ``policy`` the joint feedback control
     generated by the final gradient fields and ``comparison`` the upper bound
-    from the dominating driver; ``cycle`` is ``(first, period)`` when the run
-    stopped because iteration ``first``'s policy recurred ``period`` (at least
-    2) iterations later, else ``None``.  ``lambdas[i]``, the long-run cost of
-    each ergodic player (``None`` for a discounting one), and ``alpha``, the
-    discount rate of the discounting players when they share one, are read
-    off the solutions.
+    on every player's long-run cost: ``cost_sup``, the constant of the ergodic
+    equation with the dominating driver ``drift_bound * |z| + cost_sup``, which
+    the flat profile solves exactly.  ``cycle`` is ``(first, period)`` when the
+    run stopped because iteration ``first``'s policy recurred ``period`` (at
+    least 2) iterations later, else ``None``.  ``iterations`` is the length of
+    ``deltas_history``; ``lambdas[i]``, the long-run cost of each ergodic
+    player (``None`` for a discounting one), and ``alpha``, the discount rate
+    of the discounting players when they share one, are read off the solutions.
     """
 
     spec_name: str
@@ -77,13 +78,12 @@ class NashSolution:
     policy_values: Tuple[np.ndarray, ...]  # per player, control value per node
     comparison: float
     converged: bool
-    iterations: int
     deltas_history: Tuple[dict, ...]
     cycle: Optional[Tuple[int, int]]
 
     @property
-    def n_players(self) -> int:
-        return len(self.solutions)
+    def iterations(self) -> int:
+        return len(self.deltas_history)
 
     @property
     def lambdas(self) -> Tuple[Optional[float], ...]:
@@ -157,7 +157,6 @@ class NashSolution:
             policy_values=tuple(col[f"u_{i}"] for i in players),
             comparison=float(report["comparison_bound"]),
             converged=bool(report["converged"]),
-            iterations=int(report["iterations"]),
             deltas_history=tuple(report["deltas_history"]),
             cycle=tuple(report["cycle"]) if report["cycle"] else None,
         )
@@ -175,17 +174,6 @@ def _policy_from_xi(spec: GameSpec, nodes: np.ndarray, xi: np.ndarray, searched:
         idx[stale] = isaac_fixed_point(spec, nodes[stale], xi[stale])
         searched[stale] = xi[stale]
     return idx
-
-
-def comparison_bound(spec: GameSpec) -> float:
-    """Upper bound on every player's long-run cost.
-
-    The constant of the ergodic equation with the dominating driver
-    ``drift_bound * |z| + cost_sup``: that driver does not depend on the
-    state, so the flat profile solves it exactly and the constant is
-    ``cost_sup`` itself.
-    """
-    return float(spec.cost_sup)
 
 
 def _interior_sup(grid: Grid1D, a: np.ndarray) -> float:
@@ -237,8 +225,9 @@ def picard_solve(
     or more iterations after it last appeared has entered a cycle: the run
     stops before that iteration's solves, returning the previous iteration's
     solutions with the recurring policy, and its warning and ``cycle`` name
-    the recurrence.  Such a run, and one that exhausts ``max_iter``, is a
-    soft failure (``converged = False``); inner solver errors propagate.
+    the recurrence.  Such a run, and one that exhausts ``max_iter`` (an
+    integer, at least 1), is a soft failure (``converged = False``); inner
+    solver errors propagate.
     """
     alphas = (None,) * spec.n_players if alphas is None else tuple(alphas)
     if len(alphas) != spec.n_players:
@@ -248,7 +237,7 @@ def picard_solve(
             _check_rate(a)
     if v_init is not None and len(v_init) != spec.n_players:
         raise ValueError(f"need one v_init profile per player, got {len(v_init)}")
-    if max_iter < 1:
+    if (max_iter := _integer(max_iter, "max_iter")) < 1:
         raise ValueError("max_iter must be at least 1")
     n = spec.n_players
     nodes = grid.nodes()
@@ -312,9 +301,8 @@ def picard_solve(
         solutions=tuple(sols),
         policy=policy,
         policy_values=tuple(policy.control_columns(spec)),
-        comparison=comparison_bound(spec),
+        comparison=float(spec.cost_sup),
         converged=converged,
-        iterations=len(history),
         deltas_history=tuple(history),
         cycle=cycle,
     )

@@ -253,7 +253,10 @@ class MomentReport:
     bound_constant: float
     horizon: float
     n_paths: int
-    bounded_in_horizon: bool
+
+    @property
+    def bounded_in_horizon(self) -> bool:
+        return self.sup_second_moment_doubled <= self.sup_second_moment * (1.0 + _GROWTH_SLACK)
 
 
 def _check_n_paths(n_paths: int) -> int:
@@ -722,6 +725,5 @@ def moment_bound_check(
         bound_constant=c,
         horizon=horizon,
         n_paths=n_paths,
-        bounded_in_horizon=bool(sup_2t <= sup_t * (1.0 + _GROWTH_SLACK)),
     )
 

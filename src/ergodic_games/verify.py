@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass
 from numbers import Integral
-from typing import Optional, Sequence, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,11 +63,11 @@ class InsufficientHorizonError(ValueError):
 
 @dataclass(frozen=True)
 class PayoffEstimate:
-    """Monte Carlo payoff estimate with its standard error."""
+    """Monte Carlo payoff estimate with its standard error; its ``kind`` is
+    ``"ergodic"`` without a discount rate ``alpha``, else ``"discounted"``."""
 
     value: float
     stderr: float
-    kind: str  # "ergodic" or "discounted"
     horizon: float
     burn_in: float
     n_paths: int
@@ -76,8 +76,12 @@ class PayoffEstimate:
     alpha: Optional[float] = None
     seed: Optional[int] = None
 
+    @property
+    def kind(self) -> str:
+        return "ergodic" if self.alpha is None else "discounted"
+
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,6 @@ def _estimate_jobs(model: SdeModel, spec: GameSpec, jobs: Sequence[_Job], horizo
         out.append(PayoffEstimate(
             value=float(per_path.mean()),
             stderr=float(per_path.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
-            kind="ergodic" if job.alpha is None else "discounted",
             horizon=horizon,
             burn_in=job.burn_in,
             n_paths=int(n_paths),
@@ -212,16 +215,29 @@ def estimate_payoff(
 
 @dataclass(frozen=True)
 class DeviationRow:
-    """One sampled unilateral deviation and its estimated payoff change."""
+    """One sampled unilateral deviation and its estimated payoff change: ``margin``
+    is the estimate less the reference; the equilibrium row passes within
+    ``threshold`` of zero, a deviation that undercuts by no more than it."""
 
-    player: int
     kind: str
     description: str
     estimate: PayoffEstimate
     reference: float
-    margin: float
     threshold: float
-    passed: bool
+
+    @property
+    def player(self) -> int:
+        return self.estimate.player
+
+    @property
+    def margin(self) -> float:
+        return self.estimate.value - self.reference
+
+    @property
+    def passed(self) -> bool:
+        if self.kind == "equilibrium":
+            return bool(abs(self.margin) <= self.threshold)
+        return bool(self.margin >= -self.threshold)
 
     def as_dict(self) -> dict:
         return {
@@ -242,10 +258,13 @@ class DeviationReport:
     """Outcome of the sampled unilateral-deviation harness."""
 
     rows: Tuple[DeviationRow, ...]
-    all_passed: bool
     n_deviations_per_player: int
     grid_error_budget: float
-    scope_note: str = SCOPE_NOTE
+    scope_note: ClassVar[str] = SCOPE_NOTE
+
+    @property
+    def all_passed(self) -> bool:
+        return all(r.passed for r in self.rows)
 
     def failures(self) -> Tuple[DeviationRow, ...]:
         return tuple(r for r in self.rows if not r.passed)
@@ -380,21 +399,11 @@ def nash_deviation_test(
 
     estimates = _estimate_jobs(model, spec, jobs, horizon, step, n_paths, eq_seed,
                                "nash_deviation_test")
-    rows = []
-    for job, est, (kind, desc, ref) in zip(jobs, estimates, labels):
-        margin = est.value - ref
-        thr = 3.0 * est.stderr + grid_error_budget
-        # the equilibrium margin must vanish; a deviation may not undercut
-        passed = abs(margin) <= thr if kind == "equilibrium" else margin >= -thr
-        rows.append(
-            DeviationRow(
-                player=job.player, kind=kind, description=desc, estimate=est,
-                reference=ref, margin=margin, threshold=thr, passed=bool(passed),
-            )
-        )
+    rows = tuple(DeviationRow(kind=kind, description=desc, estimate=est, reference=ref,
+                              threshold=3.0 * est.stderr + grid_error_budget)
+                 for est, (kind, desc, ref) in zip(estimates, labels))
     report = DeviationReport(
-        rows=tuple(rows),
-        all_passed=bool(all(r.passed for r in rows)),
+        rows=rows,
         n_deviations_per_player=n_deviations,
         grid_error_budget=grid_error_budget,
     )

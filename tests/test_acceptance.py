@@ -112,9 +112,8 @@ def test_criterion_05_comparison_bound(model, grid201, g0, nash201,
     for spec, grid, nash in ((g0, grid201, nash201),
                              (coupled, grid201, coupled_nash),
                              (spec3, grid3, nash3)):
-        comp = eg.comparison_bound(spec)
-        checks.append(comp == spec.cost_sup)
-        checks.append(all(lam <= comp + 1e-6 for lam in nash.lambdas))
+        checks.append(nash.comparison == spec.cost_sup)
+        checks.append(all(lam <= spec.cost_sup + 1e-6 for lam in nash.lambdas))
     _report(5, "every long-run constant sits under the comparison bound",
             all(checks), f"{sum(checks)}/{len(checks)} checks")
 
@@ -215,7 +214,7 @@ def test_criterion_11_cost_shift_localizes(model, g0, grid201, nash201):
 
 def test_criterion_12_three_player(model, three_player):
     spec, grid, nash = three_player
-    comp = eg.comparison_bound(spec)
+    comp = nash.comparison
     rep = nash_deviation_test(model, spec, nash, n_deviations=12,
                               horizon=60.0, step=0.01, n_paths=64, seed=0,
                               grid_error_budget=0.05)

@@ -796,9 +796,8 @@ def _verify_isaacs_reference(spec, n_samples, delta, seed):
         max_jump = max(max_jump, max(
             abs(eg.hamiltonian(spec, i, x, z_near[i], u_near) - eg.hamiltonian(spec, i, x, z[i], u))
             for i in range(spec.n_players)))
-    return eg.IsaacsReport(fraction_with_pure_nash=hits / n_samples, max_continuity_jump=max_jump,
-                           n_samples=n_samples, delta=delta, n_failures=n_samples - hits,
-                           example_failures=tuple(failures[:5]))
+    return eg.IsaacsReport(max_continuity_jump=max_jump, n_samples=n_samples, delta=delta,
+                           n_failures=n_samples - hits, example_failures=tuple(failures[:5]))
 
 
 @pytest.mark.parametrize("build", [eg.quadratic_decoupled, eg.coupled_cross_cost,
@@ -848,6 +847,15 @@ def test_verify_isaacs_needs_a_sample(g0, n_samples):
     # no sample used to read as a full pure-Nash fraction (1.0, or -0.0 for -3)
     with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n_samples}"):
         eg.verify_isaacs(g0, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("n_samples", [True, 1.5], ids=["bool", "float"])
+def test_verify_isaacs_needs_an_integer_sample_count(g0, n_samples):
+    # True used to give a report whose n_samples is True, and 1.5 a bare TypeError
+    with pytest.raises(ValueError, match=f"n_samples must be an integer, got {n_samples!r}"):
+        eg.verify_isaacs(g0, n_samples=n_samples)
+    rep = eg.verify_isaacs(g0, n_samples=np.int64(2))
+    assert type(rep.n_samples) is int and rep.fraction_with_pure_nash == 1.0
 
 
 def test_drift_table_cached(g0):

@@ -21,11 +21,11 @@ def test_coarse_game_converges(g0_nash_coarse):
     assert abs(nash.lambdas[0] - nash.lambdas[1]) < 1e-10
 
 
-def test_comparison_bound_is_cost_sup(model, coarse_grid):
+def test_comparison_bound_is_cost_sup(model, coarse_grid, g0_nash_coarse):
+    assert g0_nash_coarse.comparison == 2.0
     for name in ("quadratic_decoupled", "coupled_cross_cost",
                  "three_player_symmetric"):
         spec = eg.make_game({"name": name})
-        assert eg.comparison_bound(spec) == spec.cost_sup
         # the grid solver agrees: the dominating driver drift_bound*|z| +
         # cost_sup has the exact solution lam = cost_sup with a flat profile
         dominating = eg.make_driver({"name": "dominating", "lipschitz": spec.drift_bound,
@@ -36,7 +36,8 @@ def test_comparison_bound_is_cost_sup(model, coarse_grid):
 
 
 def test_lambdas_respect_comparison_bound(model, g0, coarse_grid, g0_nash_coarse):
-    bound = eg.comparison_bound(g0)
+    bound = g0_nash_coarse.comparison
+    assert bound == g0.cost_sup
     for lam in g0_nash_coarse.lambdas:
         assert lam <= bound + 1e-6
 
@@ -79,8 +80,8 @@ def test_coupled_game_converges(model, coarse_grid):
     spec = eg.make_game({"name": "coupled_cross_cost", "coupling": 0.25})
     nash = eg.picard_solve(model, spec, coarse_grid, tol=1e-4)
     assert nash.converged
-    bound = eg.comparison_bound(spec)
-    assert all(lam <= bound + 1e-6 for lam in nash.lambdas)
+    assert nash.comparison == spec.cost_sup
+    assert all(lam <= nash.comparison + 1e-6 for lam in nash.lambdas)
     # cross cost breaks the symmetry between the value fields and the
     # decoupled solution, but not between the two (symmetric) players
     assert abs(nash.lambdas[0] - nash.lambdas[1]) < 1e-8
@@ -97,6 +98,15 @@ def test_iteration_cap_must_allow_one_iteration(model, g0, coarse_grid):
     # with no iteration there is no solution to report
     with pytest.raises(ValueError, match="max_iter"):
         eg.picard_solve(model, g0, coarse_grid, max_iter=0)
+
+
+@pytest.mark.parametrize("max_iter", [True, 2.5], ids=["bool", "float"])
+def test_iteration_cap_must_be_an_integer(model, g0, coarse_grid, max_iter):
+    # True used to run one iteration, and 2.5 to fail in range() with a bare TypeError
+    with pytest.raises(ValueError, match=f"max_iter must be an integer, got {max_iter!r}"):
+        eg.picard_solve(model, g0, coarse_grid, max_iter=max_iter)
+    nash = eg.picard_solve(model, g0, coarse_grid, tol=1e-12, max_iter=np.int64(1))
+    assert nash.iterations == 1
 
 
 def test_inner_solver_failure_propagates(model, g0, coarse_grid):
@@ -173,6 +183,14 @@ def test_nash_csv_roundtrip(model, g0, coarse_grid, tmp_path, alphas):
     assert loaded.grid.m == coarse_grid.m
     assert loaded.grid.dx == coarse_grid.dx
     assert loaded.report_dict() == g0_nash_coarse.report_dict()
+
+
+def test_nash_read_counts_iterations_from_the_history(g0_nash_coarse, tmp_path):
+    g0_nash_coarse.write(tmp_path)
+    loaded = eg.NashSolution.read(tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert loaded.iterations == len(loaded.deltas_history) == g0_nash_coarse.iterations
+    assert report["iterations"] == loaded.iterations
 
 
 def test_nash_read_finds_columns_by_header_name(g0_nash_coarse, tmp_path):

@@ -297,6 +297,38 @@ def test_scope_note_names_sampled_classes(model, g0, g0_nash_coarse):
     assert "constant controls" in SCOPE_NOTE
 
 
+@pytest.mark.parametrize("value, equilibrium_passes, deviation_passes", [
+    (1.25, True, True), (0.75, True, True), (1.5, False, True), (0.5, False, False)],
+    ids=["at+threshold", "at-threshold", "over", "under"])
+def test_deviation_row_pass_rule_at_the_threshold(value, equilibrium_passes,
+                                                  deviation_passes):
+    # reference 1 and threshold 0.25: the margins are exact in binary, and a margin of
+    # exactly +-threshold passes the equilibrium row, which must vanish within it
+    est = verify.PayoffEstimate(value=value, stderr=0.0, horizon=1.0, burn_in=0.0,
+                                n_paths=1, step=0.5, player=1)
+    eq, dev = (verify.DeviationRow(kind, "", est, reference=1.0, threshold=0.25)
+               for kind in ("equilibrium", "constant"))
+    assert eq.margin == dev.margin == value - 1.0 and eq.player == dev.player == 1
+    assert est.kind == est.as_dict()["kind"] == "ergodic"
+    assert (eq.passed, dev.passed) == (equilibrium_passes, deviation_passes)
+    assert type(eq.passed) is bool and type(dev.passed) is bool
+    rep = verify.DeviationReport(rows=(eq, dev), n_deviations_per_player=1,
+                                 grid_error_budget=0.25)
+    assert rep.all_passed == (equilibrium_passes and deviation_passes)
+    assert rep.as_dict()["rows"][0]["passed"] is equilibrium_passes
+
+
+@pytest.mark.parametrize("cls, derived", [
+    (eg.NashSolution, "iterations"), (eg.DeviationReport, "all_passed"),
+    (eg.DeviationReport, "scope_note"), (eg.DeviationRow, "player"),
+    (eg.DeviationRow, "margin"), (eg.DeviationRow, "passed"), (eg.PayoffEstimate, "kind"),
+    (eg.MomentReport, "bounded_in_horizon"), (eg.IsaacsReport, "fraction_with_pure_nash")])
+def test_result_types_take_no_derived_field(cls, derived):
+    # each follows from the fields that stay, so a caller cannot set it against them
+    assert derived not in {f.name for f in dataclasses.fields(cls)}
+    assert hasattr(cls, derived)
+
+
 # -- the batched path engine behind the harness ---------------------------------------
 
 
