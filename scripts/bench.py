@@ -13,15 +13,15 @@ The record has six parts:
   ``.perfbench_out/``.  The scaled ``setup_s`` rides on a calibration whose
   speed can differ between builds; the raw one does not;
 * ``g0``: ``configs/g0.yaml`` run through ``solve-game`` and ``verify-nash``
-  in turn, G0_RUNS rounds, each run in a fresh interpreter.  Each command's
+  in turn, G0_RUNS rounds, each ``--quiet`` in a fresh interpreter.  Each command's
   entry holds the medians over its runs of the manifest's ``wall_time_s``,
   ``peak_rss_mb`` and ``peak_rss_children_mb``, the smallest and largest
   ``wall_time_s`` and the number of runs: one run moves with the host's
-  speed far more than with a change.  The runs log at INFO, and the
-  ``verify-nash`` entry also holds, under ``engine``, the counters of the
-  ``nash_deviation_test engine:`` line of its log (``paths``, ``steps``,
-  ``batches``, ``windows``, ``streams``, ``workers``), which must repeat in
-  every run, and the medians of its ``rng_s``, ``euler_s`` and ``cost_s``;
+  speed far more than with a change.  The ``verify-nash`` entry also holds,
+  under ``engine``, the counters of the one engine record in each manifest's
+  ``trace`` (``paths``, ``steps``, ``batches``, ``windows``, ``streams``,
+  ``workers``), which must repeat in every run, and the medians of its
+  ``rng_s``, ``euler_s`` and ``cost_s``;
 * ``grid_ladder``: in one fresh interpreter, ``solve_ergodic`` of
   ``linear_z_plus_bump`` (slope 0.5) on ``ou_model()`` at tol 1e-6, on
   ``Grid1D(-6, 6, m)`` for each m of LADDER_SIZES: the median seconds of
@@ -54,7 +54,6 @@ compare key by key.
 
 import json
 import os
-import re
 import shutil
 import statistics
 import subprocess
@@ -68,7 +67,6 @@ SEED = 41
 G0_COMMANDS = ("solve-game", "verify-nash")
 G0_RUNS = 3
 MANIFEST_KEYS = ("wall_time_s", "peak_rss_mb", "peak_rss_children_mb")
-ENGINE_LINE = "nash_deviation_test engine:"
 ENGINE_COUNTERS = ("paths", "steps", "batches", "windows", "streams", "workers")
 ENGINE_SECONDS = ("rng_s", "euler_s", "cost_s")
 LADDER_SIZES = (101, 201, 401, 801)
@@ -95,31 +93,29 @@ def workload_entry(run: dict) -> dict:
     return entry
 
 
-def engine_entry(logs: list) -> dict:
-    """The engine counters of the ``ENGINE_LINE`` in each of ``logs``, which must be the same
-    in every log, and the median of each of its seconds."""
-    lines = []
-    for log in logs:
-        found = [line for line in log.splitlines() if ENGINE_LINE in line]
+def engine_entry(manifests: list) -> dict:
+    """The counters of the one engine record in each manifest's ``trace``, which must be the
+    same in every run, and the median of each of its seconds."""
+    records = []
+    for man in manifests:
+        found = [record for record in man["trace"] if record["kind"] == "engine"]
         if len(found) != 1:
-            raise ValueError(f"expected one {ENGINE_LINE!r} line in a log, found {len(found)}")
-        lines.append(dict(re.findall(r"(\w+)=(\S+)", found[0].split(ENGINE_LINE)[1])))
-    counters = {key: int(lines[0][key]) for key in ENGINE_COUNTERS}
-    for line in lines[1:]:
-        if {key: int(line[key]) for key in ENGINE_COUNTERS} != counters:
-            raise ValueError(f"engine counters differ between runs: {lines}")
-    return {**counters,
-            **{key: statistics.median(float(line[key]) for line in lines)
-               for key in ENGINE_SECONDS}}
+            raise ValueError(f"expected one engine record in a trace, found {len(found)}")
+        records += found
+    counters = [{key: record[key] for key in ENGINE_COUNTERS} for record in records]
+    if any(c != counters[0] for c in counters):
+        raise ValueError(f"engine counters differ between runs: {counters}")
+    return {**counters[0], **{key: statistics.median(record[key] for record in records)
+                              for key in ENGINE_SECONDS}}
 
 
-def g0_entry(manifests: list, logs: list) -> dict:
-    """One g0 command's entry, from the manifests and the logs of its runs."""
+def g0_entry(manifests: list) -> dict:
+    """One g0 command's entry, from the manifests of its runs."""
     entry = {key: statistics.median(man[key] for man in manifests) for key in MANIFEST_KEYS}
     walls = [man["wall_time_s"] for man in manifests]
     entry.update(wall_time_min_s=min(walls), wall_time_max_s=max(walls), runs=len(manifests))
-    if any(ENGINE_LINE in log for log in logs):
-        entry["engine"] = engine_entry(logs)
+    if any(record["kind"] == "engine" for man in manifests for record in man["trace"]):
+        entry["engine"] = engine_entry(manifests)
     return entry
 
 
@@ -191,20 +187,19 @@ def src_lines(root: Path) -> dict:
     return {**counts, "total": sum(counts.values())}
 
 
-def bench_record(label: str, runs: dict, manifests: dict, logs: dict, ladder: dict,
-                 search: dict, res: dict, lines: dict) -> dict:
+def bench_record(label: str, runs: dict, manifests: dict, ladder: dict, search: dict,
+                 res: dict, lines: dict) -> dict:
     """The bench file's contents: ``runs`` maps each workload to its perfbench
-    record, ``manifests`` and ``logs`` each g0 command to the manifests and the
-    standard error of its runs, ``ladder`` is :func:`grid_ladder`'s result,
-    ``search`` :func:`search_ladder`'s, ``res`` :func:`residual`'s and ``lines``
-    :func:`src_lines`'s."""
+    record, ``manifests`` each g0 command to the manifests of its runs, ``ladder``
+    is :func:`grid_ladder`'s result, ``search`` :func:`search_ladder`'s, ``res``
+    :func:`residual`'s and ``lines`` :func:`src_lines`'s."""
     first = next(iter(runs.values()))
     return {
         "label": label,
         "env": first["env"],
         "perfbench": {"seed": first["args"]["seed"], "seconds": first["args"]["seconds"],
                       "workloads": {name: workload_entry(run) for name, run in runs.items()}},
-        "g0": {command: g0_entry(mans, logs[command]) for command, mans in manifests.items()},
+        "g0": {command: g0_entry(mans) for command, mans in manifests.items()},
         "grid_ladder": ladder,
         "search_ladder": search,
         "residual": res,
@@ -234,20 +229,19 @@ def run_perfbench(root: Path, workload: str, seconds: float) -> dict:
     return json.loads(path.read_text())
 
 
-def run_fresh(root: Path, code: str, *args: str) -> subprocess.CompletedProcess:
-    """``code`` run with ``args`` in a fresh interpreter that imports the library from the
-    copy ``root`` and the copy of this script as ``bench``, its output captured."""
+def run_fresh(root: Path, code: str, *args: str) -> str:
+    """The standard output of ``code`` run with ``args`` in a fresh interpreter that imports
+    the library from the copy ``root`` and the copy of this script as ``bench``."""
     path = os.pathsep.join(str(p) for p in (root / "src", root / "scripts"))
     return subprocess.run([sys.executable, "-c", code, *args], check=True, text=True,
-                          capture_output=True, env=child_env(PYTHONPATH=path))
+                          stdout=subprocess.PIPE, env=child_env(PYTHONPATH=path)).stdout
 
 
-def run_g0(root: Path, command: str, out: Path) -> tuple:
-    """The manifest and the log of one g0 run of ``command``."""
-    run = run_fresh(root, "import sys; from ergodic_games import cli; "
-                    "sys.exit(cli.main(sys.argv[1:]))",
-                    command, "--config", str(root / "configs" / "g0.yaml"), "--out", str(out))
-    return json.loads((out / "manifest.json").read_text()), run.stderr
+def run_g0(root: Path, command: str, out: Path) -> dict:
+    """The manifest of one g0 run of ``command``."""
+    run_fresh(root, "import sys; from ergodic_games import cli; sys.exit(cli.main(sys.argv[1:]))",
+              command, "--config", str(root / "configs" / "g0.yaml"), "--out", str(out), "--quiet")
+    return json.loads((out / "manifest.json").read_text())
 
 
 def main(argv=None) -> int:
@@ -257,21 +251,18 @@ def main(argv=None) -> int:
         return 1
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     manifests = {command: [] for command in G0_COMMANDS}
-    logs = {command: [] for command in G0_COMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
         root = fresh_checkout(Path(tmp) / "checkout")
         runs = {w["name"]: run_perfbench(root, w["name"], spec["run_seconds"])
                 for w in spec["workloads"]}
         for r in range(G0_RUNS):
             for command in G0_COMMANDS:
-                manifest, log = run_g0(root, command, Path(tmp) / f"{command}-{r}")
-                manifests[command].append(manifest)
-                logs[command].append(log)
+                manifests[command].append(run_g0(root, command, Path(tmp) / f"{command}-{r}"))
         ladder, search, res = (
-            json.loads(run_fresh(root, f"import bench, json; print(json.dumps(bench.{part}()))")
-                       .stdout) for part in ("grid_ladder", "search_ladder", "residual"))
+            json.loads(run_fresh(root, f"import bench, json; print(json.dumps(bench.{part}()))"))
+            for part in ("grid_ladder", "search_ladder", "residual"))
         lines = src_lines(root)
-    record = bench_record(argv[0], runs, manifests, logs, ladder, search, res, lines)
+    record = bench_record(argv[0], runs, manifests, ladder, search, res, lines)
     path = REPO / f"BENCH_{argv[0]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)

@@ -4,9 +4,9 @@ Every subcommand reads one YAML config, writes its artifacts into ``--out``
 and finishes with a ``manifest.json`` that embeds the resolved config, the
 seed, a config hash and library versions.  Reports and CSV files depend only
 on the config and seed (floats with ``repr``, JSON keys sorted), so reruns
-are byte identical; wall time and peak RSS live in the manifest only.  A
-run stopped by a solver error still writes its manifest, with an ``error``
-entry holding the error's type, message and diagnostic fields.
+are byte identical; wall time, peak RSS and the ``trace`` records live in the
+manifest only.  A run stopped by a solver error still writes its manifest, with
+an ``error`` entry (the error's type, message and fields) and the earlier records.
 
 Exit codes: 0 success, 1 config or usage problem, 2 solver non-convergence
 or diverged simulation, 3 verification failure.
@@ -110,14 +110,22 @@ def _checked_section(cfg: dict, name: str) -> dict:
     return s
 
 
+def _real(v, name: str) -> float:
+    """``float(v)``; a bool (YAML's ``true`` would read 1.0) is a ConfigError naming ``name``."""
+    if isinstance(v, bool):
+        raise ConfigError(f"{name} must be a number, got {v!r}")
+    return float(v)
+
+
 def _set_keys(cfg: dict, name: str, *keys: str) -> dict:
     """Each of ``keys`` (every known key of section ``name`` when none is given) that the
     section sets, cast to its type: the keyword arguments of a library call, whose own
-    defaults hold for the other keys.  An int key takes integers only, as the library
-    does: a bool, a float or a string is a ConfigError naming the key, never truncated."""
+    defaults hold for the other keys.  A bool is a ConfigError naming the key, as is a
+    float or a string for an int key, which takes integers only, never truncated."""
     s, types = _checked_section(cfg, name), _KNOWN_KEYS[name]
     return {key: _integer(s[key], f"config field '{name}.{key}'", ConfigError)
-            if types[key] is int else types[key](s[key]) for key in keys or types if key in s}
+            if types[key] is int else _real(s[key], f"config field '{name}.{key}'")
+            for key in keys or types if key in s}
 
 
 def _make_grid(cfg: dict) -> Grid1D:
@@ -144,8 +152,35 @@ def _peak_rss_mb() -> float:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _write_manifest(out: FsPath, command: str, cfg: dict, seed: int,
-                    outputs: list, t0: float, error: Optional[dict] = None) -> None:
+class _Trace(logging.Handler):
+    """The ``trace`` dict of each record the package logs while entered, DEBUG ones too,
+    in order.  The package logger is lowered to DEBUG and stops propagating meanwhile;
+    the records its level let through before go on to the root logger's handlers, so the
+    console shows the same lines.  Its level, propagation and handlers are restored."""
+
+    def __enter__(self) -> list:
+        self.package, self.records = logging.getLogger(__package__), []
+        self.console_level = self.package.getEffectiveLevel()
+        self.saved = self.package.level, self.package.propagate
+        self.package.addHandler(self)
+        self.package.setLevel(logging.DEBUG)
+        self.package.propagate = False
+        return self.records
+
+    def __exit__(self, *exc) -> None:
+        self.package.removeHandler(self)
+        self.package.setLevel(self.saved[0])
+        self.package.propagate = self.saved[1]
+
+    def emit(self, record: logging.LogRecord) -> None:
+        if hasattr(record, "trace"):
+            self.records.append(record.trace)
+        if record.levelno >= self.console_level:
+            logging.getLogger().handle(record)
+
+
+def _write_manifest(out: FsPath, command: str, cfg: dict, seed: int, outputs: list,
+                    t0: float, trace: list, error: Optional[dict] = None) -> None:
     from . import __version__
 
     write_json(
@@ -157,6 +192,7 @@ def _write_manifest(out: FsPath, command: str, cfg: dict, seed: int,
             "config_sha256": _config_hash(cfg),
             "seed": seed,
             "outputs": outputs,
+            "trace": trace,
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
@@ -201,7 +237,8 @@ def _solve_nash(cfg: dict, model: SdeModel, spec: GameSpec) -> NashSolution:
     kwargs = _set_keys(cfg, "solver")
     if cfg.get("alpha") is None:
         return picard_solve(model, spec, grid, **kwargs)
-    return asymmetric_solve(model, spec, grid, float(cfg["alpha"]), **kwargs)
+    return asymmetric_solve(model, spec, grid, _real(cfg["alpha"], "config field 'alpha'"),
+                            **kwargs)
 
 
 def _cmd_solve_game(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
@@ -221,7 +258,8 @@ def _cmd_discount_sweep(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     alphas = _scalar(cfg, "alphas")
     if not isinstance(alphas, (list, tuple)) or not alphas:
         raise ConfigError("config field 'alphas' must be a nonempty list")
-    sweep = vanishing_discount_sweep(model, spec, grid, [float(a) for a in alphas],
+    sweep = vanishing_discount_sweep(model, spec, grid,
+                                     [_real(a, "config field 'alphas'") for a in alphas],
                                      **_set_keys(cfg, "solver"))
     sweep.to_csv(out / "sweep.csv")
     write_json(out / "report.json", {"game": spec.name, "rows": sweep.as_dicts()})
@@ -330,12 +368,13 @@ def _run_command(command: str, cfg: dict, out_dir, seed: int) -> int:
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    try:
-        rc, outputs = _HANDLERS[command][0](cfg, out, seed)
-    except _SOLVER_ERRORS as err:
-        _write_manifest(out, command, cfg, seed, [], t0, _error_record(err))
-        raise
-    _write_manifest(out, command, cfg, seed, outputs, t0)
+    with _Trace() as trace:
+        try:
+            rc, outputs = _HANDLERS[command][0](cfg, out, seed)
+        except _SOLVER_ERRORS as err:
+            _write_manifest(out, command, cfg, seed, [], t0, trace, _error_record(err))
+            raise
+    _write_manifest(out, command, cfg, seed, outputs, t0, trace)
     return rc
 
 

@@ -475,7 +475,9 @@ def _solve(model, f: Callable, grid: Grid1D, alpha: Optional[float], tol: float,
         v += lam / alpha
     xi = _xi_from_v(model, grid, v)
     res = history[-1] if alpha is None else hjb_residual(model, f, grid, v, xi, 0.0, alpha)
-    logger.debug("grid solve: alpha=%s c=%.9g residual=%.3e iterations=%d", alpha, lam, res, it)
+    trace = {"kind": "grid_solve", "alpha": alpha, "c": lam, "residual": res, "iterations": it}
+    logger.debug("grid solve: alpha=%(alpha)s c=%(c).9g residual=%(residual).3e "
+                 "iterations=%(iterations)d", trace, extra={"trace": trace})
     return GridSolution(grid=grid, v=v, xi=xi, lam=lam if alpha is None else None, alpha=alpha,
                         residual_sup=res, iterations=it)
 

@@ -181,13 +181,18 @@ def _interior_sup(grid: Grid1D, a: np.ndarray) -> float:
 
 
 def _log_iteration(deltas: dict, idx, prev_idx, sols, policy_s: float, inner_s: float) -> None:
-    """One INFO trace line per outer iteration: deltas, wall times, policy changes, inner work."""
+    """One INFO trace line per outer iteration, its numbers the record's ``trace`` (kind
+    ``"picard_iteration"``): deltas, wall times, policy changes (None at first), inner work."""
+    changed = None if prev_idx is None else int(np.any(idx != prev_idx, axis=1).sum())
+    trace = {"kind": "picard_iteration", **deltas, "policy_search_s": policy_s,
+             "inner_solve_s": inner_s, "policy_changed_nodes": changed,
+             "inner_iterations": [s.iterations for s in sols]}
     moves = " ".join(f"d_{key}=[" + ", ".join("-" if d is None else f"{d:.3e}" for d in vals)
                      + "]" for key, vals in deltas.items() if key != "iteration")
-    changed = "-" if prev_idx is None else np.count_nonzero(np.any(idx != prev_idx, axis=1))
     logger.info("picard_solve iteration %d: %s policy_search_s=%.4f inner_solve_s=%.4f "
-                "policy_changed_nodes=%s inner_iterations=%s", deltas["iteration"],
-                moves, policy_s, inner_s, changed, [s.iterations for s in sols])
+                "policy_changed_nodes=%s inner_iterations=%s", deltas["iteration"], moves,
+                policy_s, inner_s, "-" if changed is None else changed,
+                trace["inner_iterations"], extra={"trace": trace})
 
 
 def picard_solve(

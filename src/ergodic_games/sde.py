@@ -485,14 +485,16 @@ def run_paths(
 
 
 def _log_engine(label: str, workers: int, *counters: dict) -> None:
-    """One INFO line for the engine runs of one call: every counter of
-    :func:`run_paths` summed over ``counters`` (one per path range; each
-    range steps the same ``steps``), and the ``workers`` that ran them."""
-    total = {key: sum(c[key] for c in counters) for key in counters[0]}
-    logger.info("%s engine: paths=%d steps=%d batches=%d windows=%d streams=%d workers=%d "
-                "rng_s=%.4f euler_s=%.4f cost_s=%.4f", label, total["paths"],
-                counters[0]["steps"], total["batches"], total["windows"], total["streams"],
-                workers, total["rng_s"], total["euler_s"], total["cost_s"])
+    """One INFO line, its numbers the record's ``trace`` (kind ``"engine"``), for the engine
+    runs of one call: every counter of :func:`run_paths` summed over ``counters`` (one per
+    path range; each range steps the same ``steps``), and the ``workers`` that ran them."""
+    trace = {"kind": "engine", "label": label,
+             **{key: sum(c[key] for c in counters) for key in counters[0]},
+             "steps": counters[0]["steps"], "workers": workers}
+    logger.info("%(label)s engine: paths=%(paths)d steps=%(steps)d batches=%(batches)d "
+                "windows=%(windows)d streams=%(streams)d workers=%(workers)d "
+                "rng_s=%(rng_s).4f euler_s=%(euler_s).4f cost_s=%(cost_s).4f", trace,
+                extra={"trace": trace})
 
 
 # path-steps of engine work a worker process must get.  A g0-sized process on a

@@ -3,7 +3,9 @@
 import csv
 import inspect
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 import yaml
 
 import ergodic_games
-from ergodic_games import cli, sde
+from ergodic_games import cli, sde, verify
 
 TINY_GRID = {"x_min": -6.0, "x_max": 6.0, "m": 81}
 
@@ -152,6 +154,101 @@ def test_verify_on_two_workers_writes_the_same_reports(tmp_path, monkeypatch):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
     man = json.loads((outs[1] / "manifest.json").read_text())
     assert man["peak_rss_children_mb"] > 0 and man["peak_rss_mb"] > 0
+
+
+def test_solve_game_traces_each_iteration_and_grid_solve(tmp_path):
+    out = tmp_path / "nash"
+    assert cli.main(["solve-game", "--config", game_cfg(tmp_path), "--out", str(out),
+                     "--quiet"]) == 0
+    trace = json.loads((out / "manifest.json").read_text())["trace"]
+    report = json.loads((out / "report.json").read_text())
+    picard = [r for r in trace if r["kind"] == "picard_iteration"]
+    assert [{key: r[key] for key in ("iteration", "lambda", "xi")}
+            for r in picard] == report["deltas_history"]
+    # each iteration: one grid solve per player, in player order, then its Picard record
+    kinds = ["grid_solve", "grid_solve", "picard_iteration"]
+    assert [r["kind"] for r in trace] == kinds * len(picard)
+    solves = [r for r in trace if r["kind"] == "grid_solve"]
+    assert [r["iterations"] for r in solves] == [n for r in picard for n in r["inner_iterations"]]
+    assert [r["c"] for r in solves[-2:]] == report["lambdas"]
+    assert [p["iterations"] for p in report["players"]] == picard[-1]["inner_iterations"]
+    assert picard[0]["policy_changed_nodes"] is None
+    assert all(r["policy_search_s"] > 0.0 for r in picard)
+
+
+def _run_module(*argv):
+    """``python -m ergodic_games.cli *argv`` in a child process, on the package imported
+    here; its exit code must be 0, and its standard error is returned."""
+    pkg_root = str(Path(ergodic_games.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "ergodic_games.cli", *argv],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": pkg_root})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr
+
+
+def test_the_trace_holds_the_logged_numbers_whatever_the_console_shows(tmp_path):
+    cfg, nash_dir = game_cfg(tmp_path), tmp_path / "nash"
+    # without --quiet the console shows the INFO lines and no DEBUG line
+    log = _run_module("solve-game", "--config", cfg, "--out", str(nash_dir))
+    trace = json.loads((nash_dir / "manifest.json").read_text())["trace"]
+    picard = [r for r in trace if r["kind"] == "picard_iteration"]
+    assert [line.split(":")[1] for line in log.splitlines() if "picard_solve" in line] == [
+        f" picard_solve iteration {r['iteration']}" for r in picard]
+    assert "grid solve" not in log and "DEBUG" not in log
+    engines = []
+    for flags in ([], ["--quiet"]):
+        out = tmp_path / f"verify{len(flags)}"
+        log = _run_module("verify-nash", "--config", cfg, "--out", str(out), "--nash",
+                          str(nash_dir), *flags)
+        trace = json.loads((out / "manifest.json").read_text())["trace"]
+        assert [r["kind"] for r in trace] == ["engine"]
+        engines.append(trace[0])
+        if flags:
+            assert log == ""
+        else:
+            assert [line.split(" ")[0] for line in log.splitlines()] == ["INFO", "INFO"]
+            line = next(line for line in log.splitlines() if " engine: " in line)
+            printed = dict(re.findall(r"(\w+)=(\S+)", line))
+    counters = ("paths", "steps", "batches", "windows", "streams", "workers")
+    assert engines[0]["label"] == "nash_deviation_test"
+    assert {key: engines[0][key] for key in counters} == {key: int(printed[key])
+                                                          for key in counters}
+    assert {key: engines[1][key] for key in counters} == {key: engines[0][key]
+                                                          for key in counters}
+
+
+@pytest.mark.parametrize("command, kinds", [
+    ("solve-ebsde", ["grid_solve"]), ("continuous-ebsde", ["grid_solve"]),
+    ("solve-game", ["grid_solve", "picard_iteration"]),
+    ("discount-sweep", ["grid_solve", "picard_iteration"]),
+    ("verify-nash", ["engine", "grid_solve", "picard_iteration"]),
+    ("simulate", ["engine"]), ("check-assumptions", ["engine"])])
+def test_every_command_writes_its_trace(tmp_path, command, kinds):
+    base = yaml.safe_load(Path(game_cfg(tmp_path, n_paths=8, n_deviations=1)).read_text())
+    cfg = {**base, "driver": {"name": "sqrt_z_plus_bump" if command == "continuous-ebsde"
+                              else "bump"}, "alphas": [0.5], "sim": {"horizon": 1.0}}
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", write_cfg(tmp_path, "all.yaml", cfg),
+                     "--out", str(out), "--quiet"]) == 0
+    trace = json.loads((out / "manifest.json").read_text())["trace"]
+    assert sorted({r["kind"] for r in trace}) == kinds
+    labels = [r["label"] for r in trace if r["kind"] == "engine"]
+    assert labels == {"verify-nash": ["nash_deviation_test"], "simulate": ["sample_paths"],
+                      "check-assumptions": ["moment_bound_check"]}.get(command, [])
+    # plain JSON values only: a numpy integer would not have been written at all
+    assert json.loads(json.dumps(trace)) == trace
+
+
+def test_the_package_logger_is_restored_after_a_command(tmp_path):
+    package = logging.getLogger("ergodic_games")
+    package.setLevel(logging.ERROR)
+    try:
+        assert cli.main(["solve-ebsde", "--config", ebsde_cfg(tmp_path), "--out",
+                         str(tmp_path / "run"), "--quiet"]) == 0
+        assert (package.level, package.propagate, package.handlers) == (logging.ERROR, True, [])
+    finally:
+        package.setLevel(logging.NOTSET)
 
 
 def game_cfg_with(tmp_path, **top):
@@ -489,6 +586,23 @@ def test_a_section_integer_that_is_no_integer_exits_1(tmp_path, caplog, command,
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command, top, section, key", [
+    ("solve-game", {}, "solver", "tol"), ("verify-nash", {}, "mc", "grid_error_budget"),
+    ("solve-game", {"alpha": True}, None, "alpha"),
+    ("discount-sweep", {"alphas": [0.5, True]}, None, "alphas")])
+def test_a_yaml_boolean_is_no_number(tmp_path, caplog, command, top, section, key):
+    # float(True) is 1.0: tol: true used to solve at tol 1.0, exit 0 and record "tol": true
+    base = {**yaml.safe_load(Path(game_cfg(tmp_path)).read_text()), **top}
+    if section is not None:
+        base[section] = {**base[section], key: True}
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", write_cfg(tmp_path, "bad.yaml", base),
+                     "--out", str(out), "--quiet"]) == 1
+    name = key if section is None else f"{section}.{key}"
+    assert f"config field '{name}' must be a number, got True" in caplog.text
+    assert not (out / "manifest.json").exists()
+
+
 def test_check_assumptions_fails_the_game_row_without_samples(tmp_path):
     # zero samples used to report fraction_with_pure_nash 1.0 and pass
     cfg = write_cfg(tmp_path, "chk.yaml", {
@@ -682,6 +796,7 @@ def _failed_run(tmp_path, command, cfg):
                      "--quiet"]) == 2
     man = json.loads((out / "manifest.json").read_text())
     assert man["command"] == command and man["outputs"] == []
+    assert isinstance(man["trace"], list)
     error = man["error"]
     with pytest.raises(cli._SOLVER_ERRORS) as exc:
         cli.rerun_from_manifest(out / "manifest.json", tmp_path / "again")
@@ -730,18 +845,49 @@ def test_a_game_without_a_pure_nash_point_leaves_it_in_the_manifest(tmp_path, mo
     assert type(error["x"]) is float and len(error["z"]) == 2
 
 
-def test_a_diverged_simulation_leaves_its_step_in_the_manifest(tmp_path, monkeypatch):
-    # the residual drift turns NaN once the model's construction checks are done
+def _wild_model():
+    """A model whose residual drift is NaN while ``wild["on"]``, and ``wild``; the switch
+    is off for the model's construction checks."""
     wild = {"on": False}
     model = ergodic_games.SdeModel(
         lin_drift=-1.0, bounded_drift=lambda x: np.full_like(x, np.nan if wild["on"] else 0.0),
         bounded_drift_sup=1.0, bounded_drift_lip=1.0, sigma=1.0, x0=0.0)
+    return model, wild
+
+
+def test_a_diverged_simulation_leaves_its_step_in_the_manifest(tmp_path, monkeypatch):
+    model, wild = _wild_model()
     wild["on"] = True
     monkeypatch.setattr(cli, "make_model", lambda section: model)
     error = _failed_run(tmp_path, "simulate", {
         "model": {}, "sim": {"horizon": 1.0, "step": 0.1, "n_paths": 3}})
     assert error == {"type": "SimulationDivergedError", "step_index": 1,
                      "message": "simulation diverged: non-finite state at step 1"}
+    assert json.loads((tmp_path / "failed" / "manifest.json").read_text())["trace"] == []
+
+
+def test_a_run_stopped_after_its_solve_keeps_the_solve_records(tmp_path, monkeypatch):
+    # verify-nash solves the equilibrium, then its simulation diverges: the drift turns
+    # NaN only while the harness's engine runs
+    model, wild = _wild_model()
+    engine = verify.path_sums
+
+    def diverging(*args, **kwargs):
+        wild["on"] = True
+        try:
+            return engine(*args, **kwargs)
+        finally:
+            wild["on"] = False
+
+    monkeypatch.setattr(cli, "make_model", lambda section: model)
+    monkeypatch.setattr(verify, "path_sums", diverging)
+    error = _failed_run(tmp_path, "verify-nash", yaml.safe_load(
+        Path(game_cfg(tmp_path)).read_text()))
+    assert error["type"] == "SimulationDivergedError"
+    trace = json.loads((tmp_path / "failed" / "manifest.json").read_text())["trace"]
+    kinds = [r["kind"] for r in trace]
+    assert kinds.count("picard_iteration") >= 2 and kinds[-1] == "picard_iteration"
+    assert "engine" not in kinds
 
 
 def _continuous_report(model, grid):

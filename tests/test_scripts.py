@@ -90,6 +90,12 @@ def test_artifact_digests_reject_an_unknown_option(capsys):
     assert capsys.readouterr().err.startswith("Usage: python scripts/artifact_digests.py DIR")
 
 
+def _engine_record(workers=2, rng=3.8, euler=8.1, cost=10.5):
+    return {"kind": "engine", "label": "nash_deviation_test", "paths": 48800, "steps": 20000,
+            "batches": 4, "windows": 158, "streams": 24400, "workers": workers, "rng_s": rng,
+            "euler_s": euler, "cost_s": cost}
+
+
 def test_bench_record_from_a_perfbench_run_and_manifests(tmp_path):
     bench = _load_script("bench.py")
     passes = [{"setup_s": 0.25, "total_s": 0.6, "peak_rss_mb": 37.0,
@@ -101,19 +107,16 @@ def test_bench_record_from_a_perfbench_run_and_manifests(tmp_path):
            "result": {"correct": True, "attempted": 12, "failed": 0, "metrics": {
                "setup_s": {"value": 0.25, "unit": "s"}, "total_s": {"value": 0.6, "unit": "s"},
                "peak_rss_mb": {"value": 37.0, "unit": "MiB"}}}}
-    # three runs of one command: each key's median, whichever run it comes from
+    # three runs of one command: each key's median, whichever run it comes from; each
+    # trace holds one engine record among the others, whose counters repeat, the seconds not
     manifests = [{"command": "verify-nash", "seed": 0, "outputs": ["deviations.csv"],
-                  "wall_time_s": wall, "peak_rss_mb": rss, "peak_rss_children_mb": children}
-                 for wall, rss, children in ((12.5, 38.4, 36.9), (9.0, 38.7, 37.0),
-                                             (11.5, 38.6, 37.2))]
-    # each run's log: one engine line among the others; the counters repeat, the seconds not
-    logs = [f"INFO ergodic_games.picard: picard_solve iteration 1: d_xi=[1.0e-01]\n"
-            f"INFO ergodic_games.sde: nash_deviation_test engine: paths=48800 steps=20000 "
-            f"batches=4 windows=158 streams=24400 workers=2 rng_s={rng} euler_s={euler} "
-            f"cost_s={cost}\nINFO ergodic_games.cli: verify-nash: 122 rows, 0 failures\n"
-            for rng, euler, cost in (("3.7000", "8.1000", "10.2000"),
-                                     ("3.9000", "7.9000", "10.9000"),
-                                     ("3.8000", "8.4000", "10.5000"))]
+                  "wall_time_s": wall, "peak_rss_mb": rss, "peak_rss_children_mb": children,
+                  "trace": [{"kind": "picard_iteration", "iteration": 1, "xi": [0.1]},
+                            {"kind": "grid_solve", "iterations": 2},
+                            _engine_record(rng=rng, euler=euler, cost=cost)]}
+                 for wall, rss, children, rng, euler, cost in (
+                     (12.5, 38.4, 36.9, 3.7, 8.1, 10.2), (9.0, 38.7, 37.0, 3.9, 7.9, 10.9),
+                     (11.5, 38.6, 37.2, 3.8, 8.4, 10.5))]
     ladder = {"m101": {"solve_s": 0.004, "iterations": 4}}
     # every .py file of the package counts, its last line with or without a newline
     package = tmp_path / "src" / "ergodic_games"
@@ -126,7 +129,7 @@ def test_bench_record_from_a_perfbench_run_and_manifests(tmp_path):
     search = {"quadratic_decoupled": {"search_s": 0.0003, "unstable": 0}}
     res = {"wall_s": 0.19, "worker_minflt": 13050, "worker_peak_rss_mb": 35.0, "runs": 5}
     record = bench.bench_record("a", {"verify_wide": run}, {"verify-nash": manifests},
-                                {"verify-nash": logs}, ladder, search, res, lines)
+                                ladder, search, res, lines)
     assert record == {
         "label": "a",
         "env": run["env"],
@@ -144,19 +147,22 @@ def test_bench_record_from_a_perfbench_run_and_manifests(tmp_path):
         "residual": res,
         "src_lines": {"_csv.py": 1, "sde.py": 3, "total": 4},
     }
-    # a command whose log has no engine line has no engine entry
-    assert "engine" not in bench.g0_entry(manifests, ["", "", ""])
+    # a command whose manifests hold no engine record has no engine entry
+    solves = [{**man, "trace": man["trace"][:2]} for man in manifests]
+    assert "engine" not in bench.g0_entry(solves)
 
 
 def test_bench_refuses_engine_counters_that_differ_between_runs():
     bench = _load_script("bench.py")
-    line = ("INFO ergodic_games.sde: nash_deviation_test engine: paths=48800 steps=20000 "
-            "batches=4 windows=158 streams=24400 workers={} rng_s=3.8 euler_s=8.1 cost_s=10.5")
-    assert bench.engine_entry([line.format(2), line.format(2)])["workers"] == 2
+    runs = [{"trace": [_engine_record(workers)]} for workers in (2, 2)]
+    assert bench.engine_entry(runs)["workers"] == 2
+    runs[1]["trace"] = [_engine_record(1)]
     with pytest.raises(ValueError, match="engine counters differ between runs"):
-        bench.engine_entry([line.format(2), line.format(1)])
-    with pytest.raises(ValueError, match="found 0"):
-        bench.engine_entry(["INFO ergodic_games.cli: verify-nash: 122 rows, 0 failures"])
+        bench.engine_entry(runs)
+    # every run's trace must hold exactly one engine record
+    for trace in ([], [_engine_record(), _engine_record()]):
+        with pytest.raises(ValueError, match=f"found {len(trace)}"):
+            bench.engine_entry([{"trace": [_engine_record()]}, {"trace": trace}])
 
 
 def test_bench_grid_ladder_records_seconds_and_iterations():

@@ -415,10 +415,11 @@ def test_jobs_that_share_a_policy_and_seed_equal_estimates_alone(
     with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
         got = verify._estimate_jobs(model, g0, jobs, kw["horizon"], kw["step"], kw["n_paths"],
                                     4, "test")
-    line = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
+    records = [r.trace for r in caplog.records if r.name == "ergodic_games.sde"]
     # two groups, eq and dev, on the seed's 6 streams
-    assert len(line) == 1 and f"paths={2 * 6} " in line[0] and "streams=6 " in line[0]
-    assert f"workers={workers} " in line[0]
+    assert len(records) == 1
+    assert (records[0]["paths"], records[0]["streams"], records[0]["workers"]) == (
+        2 * 6, 6, workers)
     for job, est in zip(jobs, got):
         alone = estimate_payoff(model, g0, job.policy, job.player, burn_in=job.burn_in,
                                 alpha=job.alpha, seed=4, **kw)
@@ -638,16 +639,14 @@ def test_harness_logs_one_engine_line(model, g0, g0_nash_coarse, caplog):
     with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
         rep = nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=3,
                                   horizon=25.0, step=0.02, n_paths=8, seed=0)
-    lines = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
-    assert len(lines) == 1
-    m = re.fullmatch(r"nash_deviation_test engine: paths=(\d+) steps=(\d+) batches=(\d+) "
-                     r"windows=(\d+) streams=(\d+) workers=1 rng_s=(\d+\.\d{4}) "
-                     r"euler_s=(\d+\.\d{4}) cost_s=(\d+\.\d{4})", lines[0])
-    assert m is not None, lines[0]
+    records = [r.trace for r in caplog.records if r.name == "ergodic_games.sde"]
+    assert len(records) == 1
+    engine = records[0]
     # 2 players x 4 rows on one seed: both equilibrium rows read one group, so 7 groups
     # of 8 paths; every group draws the seed's 8 streams, once per batch
-    assert [int(v) for v in m.groups()[:5]] == [7 * 8, 1250, 1, 5, 8]
-    assert float(m.group(6)) > 0.0 and float(m.group(7)) > 0.0
+    assert [engine[key] for key in ("label", "paths", "steps", "batches", "windows", "streams",
+                                    "workers")] == ["nash_deviation_test", 7 * 8, 1250, 1, 5, 8, 1]
+    assert engine["rng_s"] > 0.0 and engine["euler_s"] > 0.0
     assert "engine" not in str(rep.as_dict()) and "_s=" not in str(rep.as_dict())
 
 

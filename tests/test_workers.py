@@ -9,7 +9,6 @@ import logging
 import multiprocessing
 import os
 import pickle
-import re
 import signal
 import subprocess
 import sys
@@ -81,14 +80,15 @@ def two_workers(monkeypatch):
     _force_two_workers(monkeypatch)
 
 
-def _engine_line(caplog):
-    lines = [r.getMessage() for r in caplog.records if r.name == "ergodic_games.sde"]
-    assert len(lines) == 1, lines
-    return {k: v for k, v in re.findall(r" (\w+)=(\S+)", lines[0])}
+def _engine_record(caplog):
+    """The numbers of the one engine line ``caplog`` holds, as its record carries them."""
+    records = [r.trace for r in caplog.records if r.name == "ergodic_games.sde"]
+    assert len(records) == 1, records
+    return records[0]
 
 
 def _forked_and_in_process(monkeypatch, caplog, call):
-    """``call()`` in-process, then on two forced workers; results and engine lines."""
+    """``call()`` in-process, then on two forced workers; results and engine records."""
     out = []
     for workers in (1, 2):
         if workers == 2:
@@ -96,7 +96,7 @@ def _forked_and_in_process(monkeypatch, caplog, call):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
             result = call()
-        out.append((result, _engine_line(caplog)))
+        out.append((result, _engine_record(caplog)))
         assert multiprocessing.active_children() == []
     return out
 
@@ -123,28 +123,28 @@ def test_deviation_rows_are_bitwise_those_of_one_process(model, g0, g0_nash_coar
     seeds = (0, 11) if game == "g0" else (0, 5, 2**40)
     for seed in seeds:
         monkeypatch.undo()
-        (one, line1), (two, line2) = _forked_and_in_process(
+        (one, engine1), (two, engine2) = _forked_and_in_process(
             monkeypatch, caplog, lambda: _nash_rows(model, spec, nash, n_paths, seed))
         # repr of a float keeps every bit, and tells -0.0 from 0.0
         assert repr(two) == repr(one)
-        assert line1["workers"] == "1"
-        assert line2["workers"] == ("2" if n_paths > 1 else "1")
-        assert (line2["paths"], line2["streams"]) == (line1["paths"], line1["streams"])
+        assert engine1["workers"] == 1
+        assert engine2["workers"] == (2 if n_paths > 1 else 1)
+        assert (engine2["paths"], engine2["streams"]) == (engine1["paths"], engine1["streams"])
 
 
 @pytest.mark.parametrize("n_paths", [7, 1])
 def test_path_residual_is_bitwise_that_of_one_process(model, g0, g0_nash_coarse, monkeypatch,
                                                       caplog, n_paths):
-    (one, line1), (two, line2) = _forked_and_in_process(
+    (one, engine1), (two, engine2) = _forked_and_in_process(
         monkeypatch, caplog, lambda: eg.bsde_path_residual(
             model, g0, g0_nash_coarse, horizon=10.0, step=0.02, n_paths=n_paths, seed=4))
     assert repr(two) == repr(one)
-    assert line2["workers"] == ("2" if n_paths > 1 else "1")
-    assert (line2["paths"], line2["streams"]) == (line1["paths"], line1["streams"])
+    assert engine2["workers"] == (2 if n_paths > 1 else 1)
+    assert (engine2["paths"], engine2["streams"]) == (engine1["paths"], engine1["streams"])
 
 
 @pytest.mark.parametrize("n_jobs, n_paths, n_steps, workers", [
-    (1, 1000, 499, "1"), (1, 1000, 500, "2"), (1000, 1, 500, "1")])
+    (1, 1000, 499, 1), (1, 1000, 500, 2), (1000, 1, 500, 1)])
 def test_two_cpus_split_every_run_of_half_a_million_path_steps(model, monkeypatch, caplog,
                                                                n_jobs, n_paths, n_steps, workers):
     # the rule min(CPUs, n_paths, path-steps // _MIN_WORKER_PATH_STEPS) at its
@@ -154,7 +154,7 @@ def test_two_cpus_split_every_run_of_half_a_million_path_steps(model, monkeypatc
     drift = (_NODES, [np.zeros(len(_NODES))] * n_jobs)
     with caplog.at_level(logging.INFO, logger="ergodic_games.sde"):
         sde.path_sums("rule", model, n_steps, 0.02, 0, n_paths, lambda *args: None, drift)
-    assert _engine_line(caplog)["workers"] == workers
+    assert _engine_record(caplog)["workers"] == workers
 
 
 def test_a_range_of_paths_keeps_its_keys(model, monkeypatch):
@@ -425,9 +425,9 @@ import json, logging, resource
 import ergodic_games as eg
 from ergodic_games import sde
 sde._cpu_count = lambda: 2
-lines = []
+records = []
 handler = logging.Handler()
-handler.emit = lambda record: lines.append(record.getMessage())
+handler.emit = lambda record: records.append(record.trace)
 logging.getLogger("ergodic_games.sde").addHandler(handler)
 logging.getLogger("ergodic_games.sde").setLevel(logging.INFO)
 model, g0 = eg.ou_model(), eg.quadratic_decoupled()
@@ -437,12 +437,13 @@ def residual():
 eg.bsde_path_residual(model, g0, nash, horizon=2.0, step=0.02, n_paths=4, seed=0)  # loads numpy.random
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 split = residual()
-grown, line = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, lines[-1]
+grown, engine = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, records[-1]
 sde._cpu_count = lambda: 1
-print(json.dumps({"grown_kib": grown, "line": line, "same": split == residual()}))
+print(json.dumps({"grown_kib": grown, "engine": engine, "same": split == residual()}))
 """)
     assert out["grown_kib"] < 1024, out
-    assert " workers=2 " in out["line"] and " paths=1000 steps=1000 " in out["line"], out
+    engine = out["engine"]
+    assert (engine["workers"], engine["paths"], engine["steps"]) == (2, 1000, 1000)
     assert out["same"]
 
 
