@@ -36,7 +36,8 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as JSON with sorted keys."""
+    """Write ``payload`` as JSON with sorted keys; a payload that does not serialize
+    raises before ``path`` is opened, so it leaves no half-written file."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ebsde import checked_driver
 from .games import ControlGrid, GameSpec
-from .sde import SdeModel
+from .sde import SdeModel, _integer, _real
 
 __all__ = [
     "bump",
@@ -52,120 +52,99 @@ def ou_model(x0: float = 0.0, noise: float = SQRT2) -> SdeModel:
     With the default noise ``sqrt(2)`` the invariant law is standard normal;
     a constant drift shift ``b`` moves its mean to ``sqrt(2) * b``.
     """
-    return SdeModel(
-        lin_drift=-1.0,
-        bounded_drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        bounded_drift_sup=0.0,
-        bounded_drift_lip=0.0,
-        sigma=noise,
-        x0=x0,
-    )
+    return _model(bounded_drift={}, sigma=noise, x0=x0)
 
 
 # -- config-facing factories -----------------------------------------------------
+# Each kind's builders by name: a builder's signature is its entry's parameters and
+# their defaults, which :func:`_entry` reads a config by.
 
 
-def _entry(kind: str, cfg: dict, params: dict, default: Optional[str] = None
-           ) -> Tuple[str, dict]:
-    """Name and parameters of a named catalogue entry; ``params`` maps each known name to
-    its parameter names, and an unknown name or parameter raises ``KeyError``."""
+def _entry(kind: str, cfg: dict, builders: dict, default: Optional[str] = None, **built):
+    """The entry of ``builders`` that ``cfg["name"]`` names (``default`` when unset; the
+    model, whose one builder is keyed ``None``, takes no name), called with ``built`` and
+    ``cfg``'s other keys.
+
+    An unknown name or parameter, or a missing one without a default, raises ``KeyError``.
+    A value is read by :func:`~.sde._integer` where its default is an int, else by
+    :func:`~.sde._real`, and one they refuse raises ``TypeError`` naming the parameter.
+    """
     cfg = dict(cfg)
-    name = cfg.pop("name", default)
-    if name not in params:
-        raise KeyError(f"unknown {kind} name {name!r}; known names: {', '.join(params)}")
-    unknown = [k for k in cfg if k not in params[name]]
+    name = None if None in builders else cfg.pop("name", default)
+    if name not in builders:
+        raise KeyError(f"unknown {kind} name {name!r}; known names: {', '.join(builders)}")
+    params = inspect.signature(builders[name]).parameters
+    noun, label = (("keys", lambda k: f"{kind} key {k!r}") if name is None else
+                   ("parameters", lambda k: f"parameter {k!r} of {kind} {name!r}"))
+    unknown = [k for k in cfg if k not in params]
     if unknown:
-        raise KeyError(f"unknown parameter {unknown[0]!r} of {kind} {name!r}; known "
-                       f"parameters: {', '.join(params[name]) or 'none'}")
-    return name, cfg
+        raise KeyError(f"unknown {label(unknown[0])}; known {noun}: {', '.join(params) or 'none'}")
+    for k, p in params.items():
+        if k in cfg:
+            read = _integer if type(p.default) is int else _real
+            built[k] = read(cfg[k], label(k), TypeError)
+        elif k not in built and p.default is p.empty:
+            raise KeyError(k)
+    return builders[name](**built)
 
 
-def _residual_drift(name: str, params: dict) -> Tuple[Callable, float, float]:
-    if name == "zero":
-        return (lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.0, 0.0)
-    scale = float(params.get("scale", 0.5))  # tanh
-    return (lambda x: scale * np.tanh(x), abs(scale), abs(scale))
+def _model(*, lin_drift: float = -1.0, bounded_drift: dict, sigma: float = SQRT2,
+           x0: float = 0.0) -> SdeModel:
+    fn, f_sup, f_lip = _entry("bounded_drift", bounded_drift, _BOUNDED_DRIFTS, "zero")
+    return SdeModel(lin_drift=lin_drift, bounded_drift=fn, bounded_drift_sup=f_sup,
+                    bounded_drift_lip=f_lip, sigma=sigma, x0=x0)
 
 
-_MODEL_KEYS = ("lin_drift", "bounded_drift", "sigma", "x0")
+_BOUNDED_DRIFTS = {  # (drift, its sup, its Lipschitz constant)
+    "zero": lambda: (lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.0, 0.0),
+    "tanh": lambda scale=0.5: (lambda x: scale * np.tanh(x), abs(scale), abs(scale)),
+}
 
 
 def make_model(cfg: dict) -> SdeModel:
-    """Model from a config mapping (see the bundled YAML files).
-
-    Unknown keys raise ``KeyError`` naming the known ones; ``sigma`` is a
-    number, and anything else raises ``TypeError``.
-    """
-    unknown = [k for k in cfg if k not in _MODEL_KEYS]
-    if unknown:
-        raise KeyError(f"unknown model key {unknown[0]!r}; known keys: {', '.join(_MODEL_KEYS)}")
-    sigma = cfg.get("sigma", SQRT2)
-    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
-        raise TypeError(f"model key 'sigma' must be a number, got {sigma!r}")
-    fn, f_sup, f_lip = _residual_drift(*_entry("bounded_drift", cfg.get("bounded_drift", {}),
-                                                {"zero": (), "tanh": ("scale",)}, "zero"))
-    return SdeModel(
-        lin_drift=float(cfg.get("lin_drift", -1.0)),
-        bounded_drift=fn,
-        bounded_drift_sup=f_sup,
-        bounded_drift_lip=f_lip,
-        sigma=sigma,
-        x0=float(cfg.get("x0", 0.0)),
-    )
+    """Model from a config mapping (see the bundled YAML files): :func:`_model`'s keys,
+    read by :func:`_entry`, with ``bounded_drift`` an entry of ``_BOUNDED_DRIFTS``
+    (``zero`` when unnamed)."""
+    cfg = dict(cfg)
+    return _entry("model", cfg, {None: _model}, bounded_drift=cfg.pop("bounded_drift", {}))
 
 
-_DRIVER_PARAMS = {
-    "constant": ("value",),
-    "bump": (),
-    "linear_z_plus_bump": ("slope",),
-    "tanh_z_plus_bump": ("scale",),
-    "dominating": ("lipschitz", "offset"),
+_DRIVERS = {
+    "constant": lambda value=1.0: checked_driver(
+        lambda x, z: value + 0.0 * z, lipschitz_z=0.0, bound_at_zero=abs(value)),
+    "bump": lambda: checked_driver(
+        lambda x, z: bump(x) + 0.0 * z, lipschitz_z=0.0, bound_at_zero=BUMP_SUP),
+    "linear_z_plus_bump": lambda slope=0.5: checked_driver(
+        lambda x, z: slope * z + bump(x), lipschitz_z=abs(slope), bound_at_zero=BUMP_SUP),
+    "tanh_z_plus_bump": lambda scale=0.5: checked_driver(
+        lambda x, z: scale * np.tanh(z) + bump(x), lipschitz_z=abs(scale),
+        bound_at_zero=BUMP_SUP),
+    "dominating": lambda lipschitz, offset: checked_driver(
+        lambda x, z: lipschitz * np.abs(z) + offset + 0.0 * x, lipschitz_z=lipschitz,
+        bound_at_zero=offset),
 }
 
 
 def make_driver(cfg: dict) -> Callable:
-    """Driver ``f(x, z)`` from a named catalogue entry, checked by :func:`checked_driver`.
+    """Driver ``f(x, z)`` from a named entry of ``_DRIVERS``, read by :func:`_entry` and
+    checked by :func:`checked_driver`."""
+    return _entry("driver", cfg, _DRIVERS)
 
-    Names: ``constant`` (value), ``bump``, ``linear_z_plus_bump`` (slope),
-    ``tanh_z_plus_bump`` (scale), ``dominating`` (lipschitz, offset).
-    """
-    name, cfg = _entry("driver", cfg, _DRIVER_PARAMS)
-    if name == "constant":
-        c = float(cfg.get("value", 1.0))
-        return checked_driver(lambda x, z: c + 0.0 * z, lipschitz_z=0.0, bound_at_zero=abs(c))
-    if name == "bump":
-        return checked_driver(lambda x, z: bump(x) + 0.0 * z, lipschitz_z=0.0,
-                              bound_at_zero=BUMP_SUP)
-    if name == "linear_z_plus_bump":
-        b = float(cfg.get("slope", 0.5))
-        return checked_driver(
-            lambda x, z: b * z + bump(x), lipschitz_z=abs(b), bound_at_zero=BUMP_SUP
-        )
-    if name == "tanh_z_plus_bump":
-        a = float(cfg.get("scale", 0.5))
-        return checked_driver(
-            lambda x, z: a * np.tanh(z) + bump(x), lipschitz_z=abs(a), bound_at_zero=BUMP_SUP
-        )
-    lip = float(cfg["lipschitz"])  # dominating
-    off = float(cfg["offset"])
-    return checked_driver(lambda x, z: lip * np.abs(z) + off + 0.0 * x, lipschitz_z=lip,
-                          bound_at_zero=off)
+
+_GROWTH_DRIVERS = {  # (driver, its linear growth constant)
+    "tanh_z_plus_bump": lambda scale=0.5: (
+        (lambda x, z: scale * np.tanh(z) + bump(x)), abs(scale) + BUMP_SUP),
+    # square root in the gradient, so continuous but not Lipschitz at zero;
+    # slope*sqrt(|z|) <= (slope/2)(1 + |z|)
+    "sqrt_z_plus_bump": lambda slope=0.5: (
+        (lambda x, z: slope * np.sqrt(np.abs(z)) + bump(x)), 0.5 * abs(slope) + BUMP_SUP),
+}
 
 
 def make_growth_driver(cfg: dict) -> Tuple[Callable, float]:
-    """Continuous driver and its linear growth constant, for the relaxed solver.
-
-    Names: ``tanh_z_plus_bump`` (scale), ``sqrt_z_plus_bump`` (slope; square
-    root in the gradient, so continuous but not Lipschitz at zero).
-    """
-    name, cfg = _entry("growth driver", cfg,
-                       {"tanh_z_plus_bump": ("scale",), "sqrt_z_plus_bump": ("slope",)})
-    if name == "tanh_z_plus_bump":
-        a = float(cfg.get("scale", 0.5))
-        return (lambda x, z: a * np.tanh(z) + bump(x)), abs(a) + BUMP_SUP
-    c = float(cfg.get("slope", 0.5))
-    # c*sqrt(|z|) <= (c/2)(1 + |z|)
-    return (lambda x, z: c * np.sqrt(np.abs(z)) + bump(x)), 0.5 * abs(c) + BUMP_SUP
+    """Continuous driver and its linear growth constant, for the relaxed solver: a named
+    entry of ``_GROWTH_DRIVERS``, read by :func:`_entry`."""
+    return _entry("growth driver", cfg, _GROWTH_DRIVERS)
 
 
 # -- bundled games -----------------------------------------------------------------
@@ -234,7 +213,5 @@ GAME_BUILDERS = {
 
 
 def make_game(cfg: dict) -> GameSpec:
-    """Game from a named bundle of :data:`GAME_BUILDERS` and its builder's parameters."""
-    params = {n: tuple(inspect.signature(b).parameters) for n, b in GAME_BUILDERS.items()}
-    name, cfg = _entry("game", cfg, params)
-    return GAME_BUILDERS[name](**cfg)
+    """Game from a named bundle of :data:`GAME_BUILDERS`, read by :func:`_entry`."""
+    return _entry("game", cfg, GAME_BUILDERS)

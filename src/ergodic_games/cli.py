@@ -36,7 +36,8 @@ from .continuous import solve_continuous_ebsde
 from .ebsde import Grid1D, MaxSweepsExceededError, NonMonotoneSchemeError, solve_ergodic
 from .games import GameSpec, NoPureNashError, verify_isaacs
 from .picard import NashSolution, asymmetric_solve, picard_solve, vanishing_discount_sweep
-from .sde import SdeModel, SimulationDivergedError, _integer, moment_bound_check, sample_paths
+from .sde import (SdeModel, SimulationDivergedError, _integer, _real, moment_bound_check,
+                  sample_paths)
 from .verify import nash_deviation_test
 
 __all__ = ["ConfigError", "main", "load_config", "rerun_from_manifest"]
@@ -110,21 +111,15 @@ def _checked_section(cfg: dict, name: str) -> dict:
     return s
 
 
-def _real(v, name: str) -> float:
-    """``float(v)``; a bool (YAML's ``true`` would read 1.0) is a ConfigError naming ``name``."""
-    if isinstance(v, bool):
-        raise ConfigError(f"{name} must be a number, got {v!r}")
-    return float(v)
-
-
 def _set_keys(cfg: dict, name: str, *keys: str) -> dict:
     """Each of ``keys`` (every known key of section ``name`` when none is given) that the
-    section sets, cast to its type: the keyword arguments of a library call, whose own
-    defaults hold for the other keys.  A bool is a ConfigError naming the key, as is a
-    float or a string for an int key, which takes integers only, never truncated."""
+    section sets, read by :func:`~.sde._integer` or :func:`~.sde._real` as its type says:
+    the keyword arguments of a library call, whose own defaults hold for the other keys.
+    A value they refuse (a bool; for an int key a float or a string too, never truncated)
+    is a ConfigError naming the key."""
     s, types = _checked_section(cfg, name), _KNOWN_KEYS[name]
-    return {key: _integer(s[key], f"config field '{name}.{key}'", ConfigError)
-            if types[key] is int else _real(s[key], f"config field '{name}.{key}'")
+    return {key: (_integer if types[key] is int else _real)(
+                s[key], f"config field '{name}.{key}'", ConfigError)
             for key in keys or types if key in s}
 
 
@@ -237,8 +232,8 @@ def _solve_nash(cfg: dict, model: SdeModel, spec: GameSpec) -> NashSolution:
     kwargs = _set_keys(cfg, "solver")
     if cfg.get("alpha") is None:
         return picard_solve(model, spec, grid, **kwargs)
-    return asymmetric_solve(model, spec, grid, _real(cfg["alpha"], "config field 'alpha'"),
-                            **kwargs)
+    alpha = _real(cfg["alpha"], "config field 'alpha'", ConfigError)
+    return asymmetric_solve(model, spec, grid, alpha, **kwargs)
 
 
 def _cmd_solve_game(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
@@ -258,9 +253,8 @@ def _cmd_discount_sweep(cfg: dict, out: FsPath, seed: int) -> Tuple[int, list]:
     alphas = _scalar(cfg, "alphas")
     if not isinstance(alphas, (list, tuple)) or not alphas:
         raise ConfigError("config field 'alphas' must be a nonempty list")
-    sweep = vanishing_discount_sweep(model, spec, grid,
-                                     [_real(a, "config field 'alphas'") for a in alphas],
-                                     **_set_keys(cfg, "solver"))
+    alphas = [_real(a, "config field 'alphas'", ConfigError) for a in alphas]
+    sweep = vanishing_discount_sweep(model, spec, grid, alphas, **_set_keys(cfg, "solver"))
     sweep.to_csv(out / "sweep.csv")
     write_json(out / "report.json", {"game": spec.name, "rows": sweep.as_dicts()})
     bad = [r for r in sweep.rows if r.status != "ok"]

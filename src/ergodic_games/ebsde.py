@@ -431,7 +431,7 @@ def _solve(model, f: Callable, grid: Grid1D, alpha: Optional[float], tol: float,
     sig = model.sigma
     sig2 = sig**2
     diff = np.full(grid.m, 0.5 * sig2 / dx**2)
-    drift = model.drift_1d(x).astype(float)
+    drift = model.drift_1d(x)
     v = np.zeros(grid.m) if v_init is None else np.array(v_init, dtype=float)
     if v.shape != (grid.m,):
         raise ValueError(f"v_init must have shape ({grid.m},)")
@@ -439,9 +439,8 @@ def _solve(model, f: Callable, grid: Grid1D, alpha: Optional[float], tol: float,
     inner = grid.interior
     history: list = []
     for it in range(1, _MAX_NEWTON_ITERATIONS + 1):
-        d1, d2 = _derivatives(v, dx)
-        z = sig * d1
-        r = 0.5 * sig2 * d2 + drift * d1 + np.asarray(f(x, z), dtype=float) - rate * v
+        z = sig * _derivatives(v, dx)[0]
+        r = _equation(model, f, grid, v, z, rate)
         lam = float(r[iref])
         r -= lam
         history.append(float(np.max(np.abs(r[inner]))))
@@ -497,19 +496,24 @@ def _xi_from_v(model, grid: Grid1D, v: np.ndarray) -> np.ndarray:
     return model.sigma * xi
 
 
+def _equation(model, f: Callable, grid: Grid1D, v: np.ndarray, z: np.ndarray,
+              rate: float) -> np.ndarray:
+    """``0.5 sigma^2 v'' + drift v' + f(x, z) - rate v`` at every node (:func:`_derivatives`)."""
+    x = grid.nodes()
+    d1, d2 = _derivatives(v, grid.dx)
+    return (0.5 * model.sigma**2 * d2 + model.drift_1d(x) * d1
+            + np.asarray(f(x, z), dtype=float) - rate * v)
+
+
 def hjb_residual(model, driver: Callable, grid: Grid1D, v: np.ndarray,
                  xi: np.ndarray, lam: float = 0.0, alpha: float = 0.0) -> float:
-    """Interior sup-norm of ``0.5 sigma^2 v'' + drift v' + driver(x, xi) - lam - alpha v``.
+    """Interior sup-norm of ``0.5 sigma^2 v'' + drift v' + driver(x, xi) - alpha v - lam``.
 
     Recomputes the equation residual from the stored fields, so for a
     converged solution it reproduces ``residual_sup`` (bitwise for an ergodic
     one).
     """
-    x = grid.nodes()
-    sig2 = model.sigma**2
-    drift = model.drift_1d(x)
-    d1, d2 = _derivatives(v, grid.dx)
-    field = 0.5 * sig2 * d2 + drift * d1 + np.asarray(driver(x, xi), dtype=float) - lam - alpha * v
+    field = _equation(model, driver, grid, v, xi, alpha) - lam
     return float(np.max(np.abs(field[grid.interior])))
 
 

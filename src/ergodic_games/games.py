@@ -92,7 +92,9 @@ class ControlGrid:
 
     @staticmethod
     def uniform(lo: float, hi: float, n: int) -> "ControlGrid":
-        return ControlGrid(np.linspace(lo, hi, n))
+        """``n`` equally spaced controls from ``lo`` to ``hi``; an ``n`` that is no
+        integer (a bool or 41.0) is a ValueError."""
+        return ControlGrid(np.linspace(lo, hi, _integer(n, "n")))
 
 
 @dataclass(frozen=True, eq=False)

@@ -103,6 +103,17 @@ def _integer(v, name: str, error: type = ValueError) -> int:
     return int(v)
 
 
+def _real(v, name: str, error: type = ValueError) -> float:
+    """``float(v)``, or ``error`` where ``v`` is a bool (YAML's ``true`` would read 1.0) or
+    anything ``float`` refuses."""
+    if not isinstance(v, bool):
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            pass
+    raise error(f"{name} must be a number, got {v!r}")
+
+
 def path_stream(seed: int, *key: int) -> np.random.Generator:
     """Generator for one Monte Carlo stream, keyed by ``(seed, *key)``.
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass
-from numbers import Integral
 from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +28,7 @@ from .games import FeedbackPolicy, GameSpec, _check_joint, _frozen_drivers, _gat
 from .picard import NashSolution
 from .sde import (
     SdeModel,
+    _integer,
     _n_steps,
     path_stream,
     path_sums,
@@ -352,11 +352,8 @@ def nash_deviation_test(
     (as in ``_estimate_jobs``); the report is byte-identical whatever the
     split.
     """
-    if isinstance(n_deviations, bool) or not isinstance(n_deviations, Integral):
-        raise ValueError(f"n_deviations must be a whole number, got {n_deviations!r}")
-    if n_deviations < 0:
+    if (n_deviations := _integer(n_deviations, "n_deviations")) < 0:
         raise ValueError(f"n_deviations must be nonnegative, got {n_deviations}")
-    n_deviations = int(n_deviations)  # a numpy integer too reports as a plain int
     _check_same_game(model, spec, nash)
     # every job is built (and its arguments checked) before any path is
     # simulated; the deviation draws do not depend on the estimates

@@ -1,12 +1,14 @@
 """Config-facing factories and the bundled model/driver/game catalogue."""
 
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 
 import ergodic_games as eg
-from ergodic_games import cli
+from ergodic_games import catalog, cli
 from ergodic_games.catalog import BUMP_LIP, BUMP_SUP, SQRT2
 
 
@@ -58,9 +60,14 @@ def test_make_model_tanh_residual_drift():
     with pytest.raises(KeyError, match="bounded_drift"):
         eg.make_model({"bounded_drift": {"name": "cubic"}})
     assert eg.make_model({"sigma": 0.5}).sigma == 0.5
-    for sigma in ({"name": "constant", "value": 0.5}, "0.5", True):
-        with pytest.raises(TypeError, match="model key 'sigma' must be a number"):
-            eg.make_model({"sigma": sigma})
+    # what float() reads is a number, PyYAML's string 5e-1 too; a bool (float(True) is 1.0)
+    # is not
+    assert eg.make_model({"sigma": "0.5"}).sigma == eg.make_model({"sigma": "5e-1"}).sigma == 0.5
+    for key in ("lin_drift", "sigma", "x0"):
+        for bad in ({"name": "constant", "value": 0.5}, True):
+            with pytest.raises(TypeError, match=re.escape(f"model key '{key}' must be a number, "
+                                                          f"got {bad!r}")):
+                eg.make_model({key: bad})
 
 
 def test_make_driver_catalogue():
@@ -101,6 +108,48 @@ def test_make_game_names_and_params():
     # a negative bound would build a descending control grid
     with pytest.raises(ValueError, match="strictly ascending"):
         eg.make_game({"name": "quadratic_decoupled", "control_bound": -1.0})
+
+
+@pytest.mark.parametrize("count", [True, 41.0])
+def test_a_game_takes_an_integer_control_count(count):
+    # n_controls: true used to build a one-control game, on which no deviation is tested
+    with pytest.raises(TypeError, match=re.escape(
+            f"parameter 'n_controls' of game 'quadratic_decoupled' must be an integer, got "
+            f"{count!r}")):
+        eg.make_game({"name": "quadratic_decoupled", "n_controls": count})
+
+
+def _real_parameters():
+    """One case per real parameter of every named entry: the entry with a bool there."""
+    kinds = [(lambda cfg: eg.make_model({"bounded_drift": cfg}), "bounded_drift",
+              catalog._BOUNDED_DRIFTS),
+             (eg.make_driver, "driver", catalog._DRIVERS),
+             (eg.make_growth_driver, "growth driver", catalog._GROWTH_DRIVERS),
+             (eg.make_game, "game", eg.GAME_BUILDERS)]
+    for factory, kind, builders in kinds:
+        for name, builder in builders.items():
+            params = inspect.signature(builder).parameters
+            required = {k: 1.0 for k, p in params.items() if p.default is p.empty}
+            for key in (k for k, p in params.items() if type(p.default) is not int):
+                yield pytest.param(factory, {"name": name, **required, key: True},
+                                   f"parameter '{key}' of {kind} '{name}'",
+                                   id=f"{kind}-{name}-{key}")
+
+
+@pytest.mark.parametrize("factory, cfg, label", _real_parameters())
+def test_a_bool_is_no_catalogue_number(factory, cfg, label):
+    # float(True) is 1.0: a YAML true used to read as 1.0
+    with pytest.raises(TypeError, match=re.escape(f"{label} must be a number, got True")):
+        factory(cfg)
+
+
+def test_every_builder_parameter_is_an_int_a_float_or_required():
+    # the reader takes an int default's parameter by _integer and every other by _real
+    builders = [catalog._model, *catalog._BOUNDED_DRIFTS.values(), *catalog._DRIVERS.values(),
+                *catalog._GROWTH_DRIVERS.values(), *eg.GAME_BUILDERS.values()]
+    for builder in builders:
+        for p in inspect.signature(builder).parameters.values():
+            assert p.default is p.empty or type(p.default) in (int, float), (builder, p)
 
 
 def test_bundled_games_pass_their_own_checks():

@@ -589,9 +589,11 @@ def test_a_section_integer_that_is_no_integer_exits_1(tmp_path, caplog, command,
 @pytest.mark.parametrize("command, top, section, key", [
     ("solve-game", {}, "solver", "tol"), ("verify-nash", {}, "mc", "grid_error_budget"),
     ("solve-game", {"alpha": True}, None, "alpha"),
-    ("discount-sweep", {"alphas": [0.5, True]}, None, "alphas")])
+    ("discount-sweep", {"alphas": [0.5, True]}, None, "alphas"),
+    ("verify-nash", {}, "game", "n_controls")])
 def test_a_yaml_boolean_is_no_number(tmp_path, caplog, command, top, section, key):
-    # float(True) is 1.0: tol: true used to solve at tol 1.0, exit 0 and record "tol": true
+    # float(True) is 1.0: tol: true used to solve at tol 1.0, exit 0 and record "tol": true;
+    # n_controls: true built a one-control game, which verify-nash passed with no deviation
     base = {**yaml.safe_load(Path(game_cfg(tmp_path)).read_text()), **top}
     if section is not None:
         base[section] = {**base[section], key: True}
@@ -599,7 +601,9 @@ def test_a_yaml_boolean_is_no_number(tmp_path, caplog, command, top, section, ke
     assert cli.main([command, "--config", write_cfg(tmp_path, "bad.yaml", base),
                      "--out", str(out), "--quiet"]) == 1
     name = key if section is None else f"{section}.{key}"
-    assert f"config field '{name}' must be a number, got True" in caplog.text
+    message = (f"parameter '{key}' of game '{base['game']['name']}' must be an integer"
+               if section == "game" else f"config field '{name}' must be a number")
+    assert f"{message}, got True" in caplog.text
     assert not (out / "manifest.json").exists()
 
 
@@ -752,6 +756,18 @@ def test_csv_cells_are_formatted_by_type(tmp_path):
               [(0.1, True, 3, None, "x, y", np.int64(7)), (np.float64(2.0), False, 0, 1e-300,
                                                           "ok", np.bool_(True))])
     assert path.read_text() == "a,b,c,d,e,f\n0.1,true,3,,x; y,7\n2.0,false,0,1e-300,ok,true\n"
+
+
+def test_a_json_payload_that_does_not_serialize_leaves_the_file_alone(tmp_path):
+    # json.dump streamed into the file and left {"a": 1, "b": behind
+    from ergodic_games._csv import write_json
+
+    path = tmp_path / "report.json"
+    write_json(path, {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="int64"):
+        write_json(path, {"a": 1, "b": np.int64(2)})
+    assert path.read_bytes() == before == b'{\n  "a": 1\n}\n'
 
 
 def test_bundled_configs_pass_the_solver_key_check():

@@ -7,7 +7,7 @@ import pytest
 
 import ergodic_games as eg
 from ergodic_games import ebsde, picard
-from ergodic_games.catalog import _DRIVER_PARAMS
+from ergodic_games.catalog import _DRIVERS
 from ergodic_games.continuous import solve_continuous_ebsde
 from ergodic_games.ebsde import (_bordered_solve, checked_driver, frozen_driver, hjb_residual,
                                  interp_table, nearest_node, node_lookup, uniform_interp)
@@ -299,7 +299,7 @@ _DRIVER_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_DRIVER_PARAMS))
+@pytest.mark.parametrize("name", list(_DRIVERS))
 def test_ergodic_residual_is_newtons_last_exactly(model, coarse_grid, name):
     # v stays an exact +0.0 at the reference node and sigma v' is xi inside, so the
     # recomputed residual is the solve's own, bit for bit

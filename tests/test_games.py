@@ -45,6 +45,13 @@ def test_control_grid_validation():
     assert len(eg.ControlGrid.uniform(-1.0, 1.0, 5)) == 5
 
 
+@pytest.mark.parametrize("n", [True, 5.0])
+def test_a_uniform_grid_takes_an_integer_control_count(n):
+    # True used to build a one-control grid
+    with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+        eg.ControlGrid.uniform(-1.0, 1.0, n)
+
+
 def test_control_grid_rejects_vector_points():
     with pytest.raises(ValueError, match="scalars"):
         eg.ControlGrid(np.array([[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]]))

@@ -841,7 +841,7 @@ def test_deviation_count_must_be_a_whole_number(model, g0, g0_nash_coarse, monke
 
         mp.setattr(verify, "path_sums", no_paths)
         for count in (1.5, True, 2.0):
-            with pytest.raises(ValueError, match=f"n_deviations must be a whole number, "
+            with pytest.raises(ValueError, match=f"n_deviations must be an integer, "
                                                  f"got {count!r}"):
                 nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=count, **kw)
     rep = nash_deviation_test(model, g0, g0_nash_coarse, n_deviations=np.int64(1), **kw)
